@@ -517,7 +517,7 @@ def _train_where(args, train_set, test_set, epochs: int) -> int:
     ``--where`` trades the raw :class:`Trainer` for a MiniDB table and
     prints the planner's decision under the convergence table.
     """
-    from .db.engine import WHERE_STRATEGIES
+    from .db.plan import WHERE_STRATEGIES
     from .db.query import CreateIndexQuery, parse_predicate
 
     if args.workers > 1:

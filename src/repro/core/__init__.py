@@ -9,7 +9,6 @@ from .lifecycle import THREADS, ManagedProducer, ProducerChannel, ThreadRegistry
 from .multiworker import MultiWorkerLoader
 from .prefetch import PrefetchLoader
 from .seeding import derive_rng, epoch_rng, fault_unit_rng, stream_rng, worker_rng
-from .stats import LoaderStats, StorageStats
 
 __all__ = [
     "CorgiPileShuffle",
@@ -23,8 +22,6 @@ __all__ = [
     "MultiProcessCorgiPile",
     "PrefetchLoader",
     "MultiWorkerLoader",
-    "LoaderStats",
-    "StorageStats",
     "derive_rng",
     "epoch_rng",
     "worker_rng",

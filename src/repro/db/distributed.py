@@ -136,7 +136,7 @@ class SegmentedMiniDB:
 
         from .engine import MiniDB  # reuse the model factory
 
-        model = MiniDB()._build_model(query, tables[0])
+        model = MiniDB()._build_model(query.spec(), tables[0])
         optimizer: Optimizer = SGD(model)
         schedule = ExponentialDecay(query.learning_rate, query.decay)
         per_segment_batch = max(1, query.batch_size // self.n_segments)

@@ -13,14 +13,9 @@ interface together::
     result.timeline  # accuracy vs simulated seconds
     db.execute(f"SELECT * FROM higgs PREDICT BY {result.model_id}")
 
-Access-path selection by ``strategy``:
-
-* ``corgipile`` — BlockShuffle → TupleShuffle → SGD (double-buffered);
-* ``corgipile_single_buffer`` — same plan, single-buffered TupleShuffle;
-* ``block_only`` — BlockShuffle → SGD (the Section 7.3 ablation);
-* ``no_shuffle`` — SeqScan → SGD;
-* ``shuffle_once`` — an offline full shuffle materialises a second copy
-  (charged as an external sort and 2× disk), then SeqScan → SGD over it.
+A TRAIN statement is planned once (:func:`repro.db.plan.physical_plan`:
+strategy → operator tree, geometry, executor) and the plan is what
+``EXPLAIN`` prints and ``train`` runs.
 
 Trained models are kept in the engine's model store as in-memory objects
 with ids, as the paper describes (a C struct with an ID in the kernel).
@@ -30,18 +25,16 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
-from ..ml.models.linear import LinearRegression, LinearSVM, LogisticRegression
-from ..ml.models.softmax import SoftmaxRegression
 from ..ml.optim import SGD
 from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import ConvergenceHistory, EpochRecord
-from ..shuffle.base import EXTERNAL_SORT_PASSES
 from ..storage.iomodel import SSD, DeviceModel
 from ..storage.page import DEFAULT_PAGE_BYTES
 from .catalog import Catalog, TableInfo
@@ -59,6 +52,7 @@ from .operators import (
     TupleShuffleOperator,
 )
 from .explain import explain_train_plan
+from .plan import PhysicalPlan, physical_plan
 from .query import (
     CreateIndexQuery,
     DeleteQuery,
@@ -93,28 +87,8 @@ ENGINE_PROFILE = ComputeProfile(
     decompress_per_byte_s=3e-8,
 )
 
-STRATEGIES = (
-    "corgipile",
-    "corgipile_single_buffer",
-    "corgi2",
-    "block_only",
-    "block_reshuffle",
-    "block_reversal",
-    "no_shuffle",
-    "shuffle_once",
-    "epoch_shuffle",
-    "random_access",
-    "sliding_window",
-    "mrs",
-)
-
-# Strategies whose access path can run over a filtered RID subset.
-WHERE_STRATEGIES = (
-    "corgipile",
-    "corgipile_single_buffer",
-    "block_only",
-    "no_shuffle",
-)
+# The table task each model family trains on.
+_MODEL_TASK = {"lr": "binary", "svm": "binary", "linreg": "regression", "softmax": "multiclass"}
 
 
 @dataclass
@@ -125,7 +99,8 @@ class ResourceUsage:
     extra_disk_bytes: float
     io_seconds: float
     compute_seconds: float
-    wall_seconds: float
+    #: Filled in when the run's timeline is complete.
+    wall_seconds: float = 0.0
 
     @property
     def cpu_utilisation(self) -> float:
@@ -239,84 +214,74 @@ class MiniDB:
             return self.drop_index(query)
         return self.train(query, test=test)
 
-    def explain(self, query: TrainQuery) -> str:
-        """Render the physical plan a TRAIN query would execute."""
-        return explain_train_plan(
-            query,
-            self.catalog.get(query.table),
-            device=self._query_device(query),
-            compute=self.compute,
+    def plan(self, query: TrainQuery, *, for_job: bool = False) -> PhysicalPlan:
+        """The :class:`~repro.db.plan.PhysicalPlan` ``query`` runs as.
+
+        The one place a TRAIN statement meets this engine's catalog, device,
+        compute profile and the table's κ history — ``train`` executes the
+        result, ``explain`` renders it, the serve daemon journals it
+        (``for_job``: planned as the daemon runs it, from a block file).
+        """
+        spec = TrainSpec.from_query(query)
+        return physical_plan(
+            spec,
+            self.catalog.get(spec.table),
+            self.device,
+            self.compute,
+            self._kappa_history.get(spec.table),
+            for_job=for_job,
         )
+
+    def explain(self, query: TrainQuery, *, for_job: bool = False) -> str:
+        """Render the physical plan a TRAIN query would execute."""
+        return explain_train_plan(self.plan(query, for_job=for_job))
 
     # ------------------------------------------------------------------
     def _build_model(
-        self, query: TrainQuery, table: TableInfo, l2: float | None = None
+        self, spec: TrainSpec, table: TableInfo, l2: float | None = None
     ) -> SupervisedModel:
-        d = table.dataset.n_features
-        task = table.dataset.task
-        if query.model in ("lr", "svm") and task != "binary":
+        dataset = table.dataset
+        needs = _MODEL_TASK[spec.model]
+        if dataset.task != needs:
             raise EngineError(
-                f"model {query.model!r} needs a binary table; "
-                f"{table.name!r} is {task}"
+                f"model {spec.model!r} needs a {needs} table; "
+                f"{table.name!r} is {dataset.task}"
             )
-        if query.model == "linreg" and task != "regression":
-            raise EngineError(
-                f"model 'linreg' needs a regression table; {table.name!r} is {task}"
-            )
-        if query.model == "softmax" and task != "multiclass":
-            raise EngineError(
-                f"model 'softmax' needs a multiclass table; {table.name!r} is {task}"
-            )
-        if l2 is None:
-            l2 = getattr(query, "l2", None)
-        kwargs = {} if l2 is None else {"l2": float(l2)}
-        if query.model == "lr":
-            return LogisticRegression(d, **kwargs)
-        if query.model == "svm":
-            return LinearSVM(d, **kwargs)
-        if query.model == "linreg":
-            return LinearRegression(d, **kwargs)
-        if query.model == "softmax":
-            return SoftmaxRegression(d, table.dataset.n_classes, **kwargs)
-        raise EngineError(f"unknown model {query.model!r}")
+        n_classes = dataset.n_classes if needs == "multiclass" else None
+        return spec.build_model(dataset.n_features, n_classes, l2=l2)
 
-    def _build_pipeline(self, query: TrainQuery, table: TableInfo, ctx: RuntimeContext):
-        buffer_tuples = max(1, round(query.buffer_fraction * table.n_tuples))
-        strategy = query.strategy
-        if strategy in ("corgipile", "corgipile_single_buffer", "corgi2"):
-            # corgi2's table is already the re-grouped copy (made in train());
-            # its online half is the plain CorgiPile pipeline over it.
-            scan = BlockShuffleOperator(table, ctx, query.block_size, seed=query.seed)
-            return TupleShuffleOperator(scan, ctx, buffer_tuples, seed=query.seed)
-        if strategy == "block_only":
-            scan = BlockShuffleOperator(table, ctx, query.block_size, seed=query.seed)
-            return PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        if strategy in ("block_reshuffle", "block_reversal"):
-            within = "shuffle" if strategy == "block_reshuffle" else "reverse"
-            scan = BlockShuffleOperator(
-                table, ctx, query.block_size, seed=query.seed, within=within
-            )
-            return PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        if strategy in ("no_shuffle", "shuffle_once"):
-            scan = SeqScanOperator(table, ctx)
-            return PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        if strategy == "epoch_shuffle":
-            scan = PermutedScanOperator(table, ctx, seed=query.seed, charge="sort")
-            return PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        if strategy == "random_access":
-            scan = PermutedScanOperator(table, ctx, seed=query.seed, charge="random_tuple")
-            return PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        if strategy == "sliding_window":
-            scan = SeqScanOperator(table, ctx)
-            window = SlidingWindowOperator(scan, buffer_tuples, seed=query.seed)
-            return PassThroughAccountingOperator(window, ctx, buffer_tuples)
-        if strategy == "mrs":
-            scan = SeqScanOperator(table, ctx)
-            mrs = MultiplexedReservoirOperator(scan, buffer_tuples, seed=query.seed)
-            return PassThroughAccountingOperator(mrs, ctx, buffer_tuples)
-        raise EngineError(
-            f"unknown strategy {strategy!r}; supported: {', '.join(STRATEGIES)}"
-        )
+    def _build_pipeline(self, plan: PhysicalPlan, table: TableInfo, ctx: RuntimeContext):
+        """Instantiate the plan tree's operators; ``(pipeline, leaf scan)``."""
+        spec, seed = plan.spec, plan.spec.seed
+        build = {
+            "SeqScan": lambda child, a: SeqScanOperator(table, ctx),
+            "FilteredSeqScan": lambda child, a: FilteredSeqScanOperator(
+                table, ctx, plan.positions
+            ),
+            "BlockShuffle": lambda child, a: BlockShuffleOperator(
+                table, ctx, spec.block_size, seed=seed, **a
+            ),
+            "RidBlockShuffle": lambda child, a: RidBlockShuffleOperator(
+                table, ctx, plan.partition, seed=seed, **a
+            ),
+            "PermutedScan": lambda child, a: PermutedScanOperator(table, ctx, seed=seed, **a),
+            "TupleShuffle": lambda child, a: TupleShuffleOperator(child, ctx, seed=seed, **a),
+            "SlidingWindow": lambda child, a: SlidingWindowOperator(child, seed=seed, **a),
+            "MultiplexedReservoir": lambda child, a: MultiplexedReservoirOperator(
+                child, seed=seed, **a
+            ),
+        }
+        scan = top = None
+        # Storage side first; the tree's ends (the SGD root that drives the
+        # pipeline, the heap it reads) are not tuple operators.
+        for node in reversed(plan.tree.chain()[1:-1]):
+            top = build[node.op](top, node.args)
+            if scan is None:
+                scan = top
+        if not isinstance(top, TupleShuffleOperator):
+            # Unbuffered plans still charge their I/O in buffer-sized chunks.
+            top = PassThroughAccountingOperator(top, ctx, plan.buffer_tuples)
+        return top, scan
 
     def _shuffled_copy(self, table: TableInfo, seed: int) -> TableInfo:
         """Materialise the Shuffle-Once copy (ORDER BY RANDOM equivalent)."""
@@ -329,38 +294,26 @@ class MiniDB:
             copy_name, shuffled, compress=table.heap.compress, layout=table.heap.layout
         )
 
-    def _regrouped_copy(self, table: TableInfo, query: TrainQuery) -> TableInfo:
+    def _regrouped_copy(self, table: TableInfo, spec: TrainSpec) -> TableInfo:
         """Materialise the Corgi² offline partially re-grouped copy."""
         from ..data.dataset import BlockLayout
         from ..shuffle.corgi2 import corgi2_offline_order
 
         tuples_per_block = max(
-            1, round(query.block_size / max(1.0, table.tuple_bytes))
+            1, round(spec.block_size / max(1.0, table.tuple_bytes))
         )
         layout = BlockLayout(table.n_tuples, tuples_per_block)
-        group_blocks = max(1, round(query.buffer_fraction * layout.n_blocks))
-        order = corgi2_offline_order(layout, group_blocks, query.seed)
+        group_blocks = max(1, round(spec.buffer_fraction * layout.n_blocks))
+        order = corgi2_offline_order(layout, group_blocks, spec.seed)
         regrouped = table.dataset.reorder(order, suffix="corgi2")
-        copy_name = f"{table.name}__corgi2_{query.seed}"
+        copy_name = f"{table.name}__corgi2_{spec.seed}"
         if copy_name in self.catalog:
             self.catalog.drop_table(copy_name)
         return self.catalog.create_table(
             copy_name, regrouped, compress=table.heap.compress, layout=table.heap.layout
         )
 
-    def _query_device(self, query: TrainQuery) -> DeviceModel:
-        """The device charged for this query (``WITH device = '...'`` override)."""
-        name = getattr(query, "device", None) or query.extra.get("device")
-        if not name:
-            return self.device
-        from ..storage.iomodel import device_by_name
-
-        try:
-            return device_by_name(str(name))
-        except KeyError as exc:
-            raise EngineError(str(exc)) from None
-
-    def _warm_start(self, query: TrainQuery, model: SupervisedModel) -> SupervisedModel:
+    def _warm_start(self, spec: TrainSpec, model: SupervisedModel) -> SupervisedModel:
         """Resolve ``WITH warm_start = '...'`` into initial parameters.
 
         The value names either a registered model id (``model_3``) or a
@@ -369,14 +322,13 @@ class MiniDB:
         statement reaches the engine).  The source is *cloned* — training
         never mutates the registered original.
         """
-        ws = getattr(query, "warm_start", None) or query.extra.get("warm_start")
+        ws = spec.warm_start
         if not ws:
             return model
         from pathlib import Path
 
         from ..ml.persistence import load_model, model_from_bytes, model_to_bytes
 
-        ws = str(ws)
         try:
             source = self.get_model(ws)
         except UnknownModelError:
@@ -399,104 +351,77 @@ class MiniDB:
             )
         return clone
 
-    @staticmethod
-    def _observed_doc(sgd: SGDOperator) -> dict:
-        """Measured per-epoch walls (the advisor's feedback channel)."""
-        return {
-            "epoch_wall_s": [round(w, 6) for w in sgd.measured_wall_times],
-            "total_wall_s": round(sum(sgd.measured_wall_times), 6),
-            "simulated_epoch_wall_s": [round(w, 6) for w in sgd.epoch_wall_times],
-        }
-
     def train(self, query: TrainQuery, test: Dataset | None = None) -> TrainResult:
-        # Every entry point funnels through the typed spec: legacy
-        # extra-dict knobs are converted (with a DeprecationWarning) and
-        # written back onto the query's first-class fields, so everything
-        # downstream reads one canonical surface.
-        spec = TrainSpec.from_query(query)
-        spec.apply_to_query(query)
-        table = self.catalog.get(query.table)
-        device = self._query_device(query)
-        if spec.grid is not None:
-            return self._train_grid(query, spec, table, test)
-        if query.workers > 1:
-            if query.where is not None:
-                raise EngineError("TRAIN ... WHERE does not support workers > 1")
-            return self._train_parallel(query, table, test)
-        if query.where is not None:
-            return self._train_where(query, table, device, test)
-        if query.strategy == "auto":
-            from .planner import plan_train
+        """Plan the statement, run the plan on its executor, finish once.
 
-            decision = plan_train(
-                table,
-                query,
-                device,
-                compute=self.compute,
-                history=self._kappa_history.get(query.table),
-            )
-            query = replace(query, strategy=decision.strategy)
-            query.extra["planner"] = decision.describe()
-            query.extra["advisor"] = decision.to_doc()
+        ``query.extra`` is the output channel: the plan document
+        (``"plan"``, what EXPLAIN renders), the advisor's and the WHERE
+        planner's decisions, and what the executor measured.
+        """
+        plan = self.plan(query)
+        query = replace(query, strategy=plan.strategy)
+        query.extra["plan"] = plan.to_doc()
+        if plan.advisor is not None:
+            query.extra["planner"] = plan.advisor.describe()
+            query.extra["advisor"] = plan.advisor.to_doc()
+        if plan.where is not None:
+            query.extra["where"] = dict(plan.where)
+        run = self._run_heap if plan.executor == "heap" else self._run_blockfile
+        return run(plan, self.catalog.get(query.table), query, test)
+
+    def _run_heap(
+        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None
+    ) -> TrainResult:
+        """The Volcano pipeline over the table's heap, on the simulated clock.
+
+        Shuffle-Once and Corgi² first materialise the copy they scan.  Under
+        ``WHERE`` the qualifying RIDs are packed into *virtual* blocks that
+        replicate the page layout of a materialised copy of the subset, so
+        the block/buffer shuffle visits tuples bit-identically to plain
+        CorgiPile over that copy — without writing it.
+        """
+        spec = plan.spec
         if self.cold_cache_per_query:
             table.pool.clear()
-
-        setup_s = 0.0
-        setup_note = ""
-        extra_disk = 0.0
-        train_table = table
-        if query.strategy == "shuffle_once":
-            train_table = self._shuffled_copy(table, query.seed)
-            bytes_total = float(table.heap.payload_bytes)
-            # External sort: alternating sequential read/write passes plus
-            # the n·log2(n) comparison/copy CPU of ORDER BY RANDOM().
-            setup_s = EXTERNAL_SORT_PASSES * device.sequential_time(bytes_total)
-            comparisons = table.n_tuples * max(1.0, math.log2(table.n_tuples))
-            setup_s += 0.25 * comparisons * self.compute.per_tuple_s
-            setup_note = f"offline full shuffle ({EXTERNAL_SORT_PASSES} passes)"
-            extra_disk = float(train_table.heap.total_bytes)
-        elif query.strategy == "corgi2":
-            train_table = self._regrouped_copy(table, query)
-            bytes_total = float(table.heap.payload_bytes)
-            n_blocks = max(1, table.heap.n_blocks(query.block_size))
-            # Offline pass: one random-block read of the table plus one
-            # sequential write of the re-grouped copy.
-            setup_s = device.random_time(bytes_total / n_blocks, n_blocks)
-            setup_s += device.sequential_time(bytes_total)
-            setup_note = "corgi2 offline partial re-group (1 random-block pass)"
-            extra_disk = float(train_table.heap.total_bytes)
-
+        source, extra_disk = table, 0.0
+        if plan.strategy == "shuffle_once":
+            source = self._shuffled_copy(table, spec.seed)
+        elif plan.strategy == "corgi2":
+            source = self._regrouped_copy(table, spec)
+        if source is not table:
+            extra_disk = float(source.heap.total_bytes)
+        eval_set = source.dataset
+        values_per_tuple, stored_tuple_bytes = source.values_per_tuple, source.tuple_bytes
+        if plan.positions is not None:
+            eval_set = table.dataset.subset(plan.positions, suffix="where")
+            if eval_set.is_sparse:
+                values_per_tuple = eval_set.X.nnz / max(1, eval_set.n_tuples)
+            if plan.partition is not None:
+                stored_tuple_bytes = plan.partition.payload_bytes / max(
+                    1, plan.partition.n_tuples
+                )
         ctx = RuntimeContext(
-            device=device,
+            device=plan.device,
             compute=self.compute,
-            double_buffer=query.strategy != "corgipile_single_buffer"
-            and bool(query.double_buffer),
-            values_per_tuple=train_table.values_per_tuple,
-            compressed_bytes_per_tuple=(
-                train_table.tuple_bytes if train_table.heap.compress else 0.0
-            ),
+            double_buffer=plan.double_buffer,
+            values_per_tuple=values_per_tuple,
+            compressed_bytes_per_tuple=stored_tuple_bytes if source.heap.compress else 0.0,
         )
-        model = self._warm_start(query, self._build_model(query, train_table))
-        pipeline = self._build_pipeline(query, train_table, ctx)
-        optimizer = SGD(model) if query.batch_size > 1 else None
+        model = self._warm_start(spec, self._build_model(spec, source))
+        pipeline, scan = self._build_pipeline(plan, source, ctx)
         sgd = SGDOperator(
             pipeline,
             ctx,
             model,
-            ExponentialDecay(query.learning_rate, query.decay),
-            epochs=query.max_epoch_num,
-            batch_size=query.batch_size,
-            optimizer=optimizer,
-            fused=query.fused,
+            ExponentialDecay(spec.lr, spec.decay),
+            epochs=spec.epochs,
+            batch_size=spec.batch_size,
+            optimizer=SGD(model) if spec.batch_size > 1 else None,
+            fused=spec.fused,
         )
-
-        timeline = Timeline(
-            system=f"minidb/{query.strategy}", setup_s=setup_s, setup_note=setup_note
-        )
-        eval_set = train_table.dataset
 
         def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
-            record = EpochRecord(
+            return EpochRecord(
                 epoch=epoch,
                 lr=lr,
                 train_loss=model.loss(eval_set.X, eval_set.y),
@@ -504,435 +429,211 @@ class MiniDB:
                 test_score=model.score(test.X, test.y) if test is not None else None,
                 tuples_seen=tuples_seen,
             )
-            timeline.append(
-                sgd.epoch_wall_times[-1],
-                epoch,
-                record.train_loss,
-                record.train_score,
-                record.test_score,
-            )
-            return record
 
         try:
             history = sgd.execute(evaluate)
         except StorageError as exc:
             # Graceful degradation: the query layer reports which query hit
             # the fault and how far it got, not a raw storage traceback.
+            where = f" WHERE {spec.where.render()}" if spec.where is not None else ""
             raise StorageError(
-                f"TRAIN BY {query.model!r} on table {query.table!r} "
-                f"(strategy {query.strategy!r}) aborted: {exc.detail}",
-                epochs_completed=exc.epochs_completed,
-                tuples_seen=exc.tuples_seen,
-                partial=exc.partial,
-            ) from exc
-
-        buffer_tuples = max(1, round(query.buffer_fraction * train_table.n_tuples))
-        needs_buffer = query.strategy.startswith("corgipile") or query.strategy == "corgi2"
-        buffer_copies = 2 if ctx.double_buffer and needs_buffer else 1
-        resources = ResourceUsage(
-            buffer_memory_bytes=(
-                buffer_copies * buffer_tuples * train_table.tuple_bytes if needs_buffer else 0.0
-            ),
-            extra_disk_bytes=extra_disk,
-            io_seconds=ctx.total_io_s,
-            compute_seconds=ctx.total_compute_s,
-            wall_seconds=timeline.total_time_s,
-        )
-
-        query.extra.setdefault("advisor", {})["observed"] = self._observed_doc(sgd)
-        self._record_epoch_walls(query.table, query.strategy, sgd)
-        model_id = self.register_model(model)
-        return TrainResult(model_id, model, history, timeline, resources, query)
-
-    def _record_epoch_walls(self, table_name: str, strategy: str, sgd) -> None:
-        """Feed a finished run's *simulated* epoch walls to the κ learner.
-
-        Simulated (not measured) walls share units with the device cost
-        model the advisor prices candidates in, so the fit is
-        apples-to-apples; see :func:`repro.db.advisor.learn_kappa`.
-        """
-        walls = [float(w) for w in sgd.epoch_wall_times]
-        if walls:
-            self._kappa_history.setdefault(table_name, []).append(
-                {"strategy": strategy, "epoch_wall_s": walls}
-            )
-
-    def _train_where(
-        self,
-        query: TrainQuery,
-        table: TableInfo,
-        device: DeviceModel,
-        test: Dataset | None,
-    ) -> TrainResult:
-        """``TRAIN ... WHERE``: incremental training over a filtered subset.
-
-        Qualifying RIDs (via an index range probe when one covers the
-        predicate) are packed into *virtual* blocks that replicate the page
-        layout of a materialised copy of the subset, so the block/buffer
-        shuffle visits tuples bit-identically to plain CorgiPile over that
-        copy — without writing it.  The planner picks the physical fetch
-        (index-ordered block fetch vs full scan) by device cost.
-        """
-        from .where import choose_where_path, plan_where_access, subset_partition
-
-        strategy = query.strategy
-        if strategy == "auto":
-            # A filtered subset inherits the base table's clustering; take
-            # the shuffle-safe default rather than probing the subset.
-            strategy = "corgipile"
-            query = replace(query, strategy=strategy)
-        if strategy not in WHERE_STRATEGIES:
-            raise EngineError(
-                f"strategy {strategy!r} does not support TRAIN ... WHERE; "
-                f"one of {', '.join(WHERE_STRATEGIES)}"
-            )
-        # Costed candidate enumeration: full scan vs every usable index
-        # range vs their intersection; '!=' shapes fail loudly here.
-        positions, index, access_doc = plan_where_access(table, query.where, device)
-        decision = choose_where_path(
-            table, query.where, positions, device, index=index,
-            access=access_doc["access"],
-        )
-        decision.update(access_doc)
-        query.extra["where"] = decision
-        if len(positions) == 0:
-            raise EngineError(
-                f"TRAIN ... WHERE {query.where.render()} on table "
-                f"{query.table!r} matches no tuples"
-            )
-        if self.cold_cache_per_query:
-            table.pool.clear()
-
-        subset = table.dataset.subset(positions, suffix="where")
-        buffer_tuples = max(1, round(query.buffer_fraction * subset.n_tuples))
-        from ..data.sparse import SparseMatrix
-
-        values_per_tuple = (
-            subset.X.nnz / max(1, subset.n_tuples)
-            if isinstance(subset.X, SparseMatrix)
-            else float(subset.n_features)
-        )
-        partition = None
-        if strategy != "no_shuffle":
-            partition = subset_partition(table.heap, positions, query.block_size)
-            decision["n_virtual_blocks"] = partition.n_blocks
-            decision["n_virtual_pages"] = partition.n_virtual_pages
-        ctx = RuntimeContext(
-            device=device,
-            compute=self.compute,
-            double_buffer=strategy == "corgipile" and bool(query.double_buffer),
-            values_per_tuple=values_per_tuple,
-            compressed_bytes_per_tuple=(
-                (partition.payload_bytes / max(1, partition.n_tuples))
-                if (table.heap.compress and partition is not None)
-                else (table.tuple_bytes if table.heap.compress else 0.0)
-            ),
-        )
-        model = self._warm_start(query, self._build_model(query, table))
-        if strategy in ("corgipile", "corgipile_single_buffer"):
-            scan = RidBlockShuffleOperator(
-                table, ctx, partition, seed=query.seed, fetch=decision["fetch"]
-            )
-            pipeline = TupleShuffleOperator(scan, ctx, buffer_tuples, seed=query.seed)
-        elif strategy == "block_only":
-            scan = RidBlockShuffleOperator(
-                table, ctx, partition, seed=query.seed, fetch=decision["fetch"]
-            )
-            pipeline = PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        else:  # no_shuffle
-            scan = FilteredSeqScanOperator(table, ctx, positions)
-            pipeline = PassThroughAccountingOperator(scan, ctx, buffer_tuples)
-        optimizer = SGD(model) if query.batch_size > 1 else None
-        sgd = SGDOperator(
-            pipeline,
-            ctx,
-            model,
-            ExponentialDecay(query.learning_rate, query.decay),
-            epochs=query.max_epoch_num,
-            batch_size=query.batch_size,
-            optimizer=optimizer,
-            fused=query.fused,
-        )
-
-        timeline = Timeline(system=f"minidb/{strategy}+where")
-        eval_set = subset
-
-        def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
-            record = EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=model.loss(eval_set.X, eval_set.y),
-                train_score=model.score(eval_set.X, eval_set.y),
-                test_score=model.score(test.X, test.y) if test is not None else None,
-                tuples_seen=tuples_seen,
-            )
-            timeline.append(
-                sgd.epoch_wall_times[-1],
-                epoch,
-                record.train_loss,
-                record.train_score,
-                record.test_score,
-            )
-            return record
-
-        try:
-            history = sgd.execute(evaluate)
-        except StorageError as exc:
-            raise StorageError(
-                f"TRAIN BY {query.model!r} on table {query.table!r} "
-                f"WHERE {query.where.render()} (strategy {strategy!r}) "
-                f"aborted: {exc.detail}",
+                f"TRAIN BY {spec.model!r} on table {spec.table!r}{where} "
+                f"(strategy {plan.strategy!r}) aborted: {exc.detail}",
                 epochs_completed=exc.epochs_completed,
                 tuples_seen=exc.tuples_seen,
                 partial=exc.partial,
             ) from exc
 
         if isinstance(scan, RidBlockShuffleOperator):
-            decision["physical"] = {
+            query.extra["where"]["physical"] = {
                 "blocks_loaded": scan.blocks_loaded,
                 "pages_fetched": scan.pages_fetched,
                 "device_page_reads": scan.device_page_reads,
             }
-        needs_buffer = strategy.startswith("corgipile")
+        buffered = isinstance(pipeline, TupleShuffleOperator)
         resources = ResourceUsage(
             buffer_memory_bytes=(
-                (2 if ctx.double_buffer else 1) * buffer_tuples * table.tuple_bytes
-                if needs_buffer
+                (2 if plan.double_buffer else 1) * plan.buffer_tuples * source.tuple_bytes
+                if buffered
                 else 0.0
             ),
-            extra_disk_bytes=0.0,
+            extra_disk_bytes=extra_disk,
             io_seconds=ctx.total_io_s,
             compute_seconds=ctx.total_compute_s,
-            wall_seconds=timeline.total_time_s,
         )
-        query.extra.setdefault("advisor", {})["observed"] = self._observed_doc(sgd)
-        self._record_epoch_walls(query.table, strategy, sgd)
-        model_id = self.register_model(model)
-        return TrainResult(model_id, model, history, timeline, resources, query)
+        return self._finish(
+            plan, query, model, history, sgd.epoch_wall_times, plan.setup_s, resources,
+            measured_walls=sgd.measured_wall_times,
+        )
 
-    # ------------------------------------------------------------------
-    def _train_parallel(self, query: TrainQuery, table: TableInfo, test: Dataset | None) -> TrainResult:
-        """``WITH workers = PN``: real multi-process data-parallel training.
+    def _run_blockfile(
+        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None
+    ) -> TrainResult:
+        """Sharded CorgiPile over a block file, in real worker processes.
 
         The table is materialised once as an on-disk block file (charged to
-        the timeline as setup, like the Shuffle-Once copy) and trained by
-        :class:`repro.parallel.ParallelTrainer`.  Unlike the single-process
-        path, every number here is *measured* wall-clock from the spawned
-        processes, not the device timing model — so the resource report sets
-        ``io_seconds`` to zero and folds everything into compute/wall.
+        the timeline as setup, like the Shuffle-Once copy).  ``workers = PN``
+        trains one model data-parallel (:class:`repro.parallel.ParallelTrainer`);
+        ``grid`` hops S models across the P shard workers on a staggered
+        schedule (:class:`repro.parallel.HopperEngine`) so each consumes the
+        identical CorgiPile stream it would see training alone — every
+        leaderboard entry is bit-identical to a solo run with the same seed,
+        at roughly one data-pass cost.  Unlike the heap executor every number
+        here is *measured* wall-clock from the spawned processes, not the
+        device timing model — so the resource report sets ``io_seconds`` to
+        zero and folds everything into compute/wall.
         """
         import tempfile
-        import time as time_mod
         from pathlib import Path
 
-        from ..parallel import AGGREGATION_MODES, ParallelTrainer
+        from ..parallel import HopperEngine, ParallelTrainer
         from ..storage import write_block_file
 
-        if query.aggregation not in AGGREGATION_MODES:
-            raise EngineError(
-                f"unknown aggregation {query.aggregation!r}; "
-                f"one of {AGGREGATION_MODES}"
-            )
-        if not query.strategy.startswith("corgipile"):
-            raise EngineError(
-                f"workers = {query.workers} requires a corgipile strategy; "
-                f"the parallel engine executes sharded CorgiPile only"
-            )
-        dataset = table.dataset
-        tuples_per_block = max(
-            1, min(dataset.n_tuples, round(query.block_size / max(1.0, table.tuple_bytes)))
-        )
-        # A block_size large enough to pack a small table into fewer blocks
-        # than there are workers would leave some shard empty — and sync mode
-        # silently trains nothing when the smallest shard is empty.  Cap the
-        # block so every worker owns at least four.
-        fair_share = max(1, dataset.n_tuples // (4 * query.workers))
-        tuples_per_block = min(tuples_per_block, fair_share)
-        buffer_tuples = max(1, round(query.buffer_fraction * dataset.n_tuples))
-        # Section 5: each worker holds a 1/PN share of the tuple buffer.
-        buffer_blocks = max(1, round(buffer_tuples / (query.workers * tuples_per_block)))
-        per_worker = max(1, math.ceil(query.batch_size / query.workers))
-        global_batch_size = per_worker * query.workers
-
-        model = self._build_model(query, table)
+        spec, dataset, P = plan.spec, table.dataset, plan.n_shards
+        if spec.grid is None:
+            models = [self._build_model(spec, table)]
+        else:
+            configs = spec.grid.configs()
+            resolved = [c.resolve(spec) for c in configs]
+            models = [self._build_model(spec, table, l2=r["l2"]) for r in resolved]
+        per_worker = max(1, math.ceil(spec.batch_size / P))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{table.name}.blocks"
-            t0 = time_mod.perf_counter()
-            write_block_file(dataset, path, tuples_per_block)
-            setup_s = time_mod.perf_counter() - t0
-            result = ParallelTrainer(
-                path,
-                model,
-                n_workers=query.workers,
-                mode=query.aggregation,
-                epochs=query.max_epoch_num,
-                global_batch_size=global_batch_size,
-                buffer_blocks=buffer_blocks,
-                seed=query.seed,
-                schedule=ExponentialDecay(query.learning_rate, query.decay),
-                test=test,
-                task=dataset.task,
-            ).run()
-        if query.aggregation == "sync" and result.sync_steps == 0:
-            raise EngineError(
-                f"batch_size = {query.batch_size} needs {global_batch_size} tuples "
-                f"per sync step, but the smallest of the {query.workers} shards "
-                "never holds that many; lower batch_size or workers"
-            )
-
-        timeline = Timeline(
-            system=f"minidb/parallel-{query.aggregation}x{query.workers}",
-            setup_s=setup_s,
-            setup_note=f"materialise block file ({tuples_per_block} tuples/block)",
+            t0 = time.perf_counter()
+            write_block_file(dataset, path, plan.tuples_per_block)
+            setup_s = time.perf_counter() - t0
+            if spec.grid is None:
+                result = ParallelTrainer(
+                    path,
+                    models[0],
+                    n_workers=P,
+                    mode=spec.aggregation,
+                    epochs=spec.epochs,
+                    global_batch_size=per_worker * P,
+                    buffer_blocks=plan.buffer_blocks,
+                    seed=spec.seed,
+                    schedule=ExponentialDecay(spec.lr, spec.decay),
+                    test=test,
+                    task=dataset.task,
+                ).run()
+            else:
+                result = HopperEngine(
+                    path,
+                    models,
+                    lrs=[r["lr"] for r in resolved],
+                    decays=[r["decay"] for r in resolved],
+                    epochs=spec.epochs,
+                    n_workers=P,
+                    buffer_blocks=plan.buffer_blocks,
+                    seed=spec.seed,
+                    labels=[c.label() for c in configs],
+                    task=dataset.task,
+                ).run()
+        buffer_memory = float(
+            P * plan.buffer_blocks * plan.tuples_per_block * table.tuple_bytes
         )
-        for record, wall in zip(result.history.records, result.epoch_walls):
+        grid = None
+        if spec.grid is None:
+            if spec.aggregation == "sync" and result.sync_steps == 0:
+                raise EngineError(
+                    f"batch_size = {spec.batch_size} needs {per_worker * P} tuples "
+                    f"per sync step, but the smallest of the {P} shards "
+                    "never holds that many; lower batch_size or workers"
+                )
+            model, history, walls = models[0], result.history, result.epoch_walls
+            query.extra["parallel"] = {
+                "n_workers": result.n_workers,
+                "mode": result.mode,
+                "sync_steps": result.sync_steps,
+                "tuples_processed": result.tuples_processed,
+                "tuples_per_second": result.tuples_per_second,
+                "plan": result.plan,
+            }
+        else:
+            leaderboard = result.leaderboard()
+            for row in leaderboard:
+                row["values"] = resolved[row["config"]]
+                row["model_id"] = self.register_model(
+                    result.models[row["config"]], model_id=f"grid_{row['config']}"
+                )
+            best = leaderboard[0]["config"]
+            model, history = result.models[best], result.histories[best]
+            # Model m trains in slots m+e*P .. m+(e+1)*P-1; the wall it
+            # experiences per epoch is those coordinator slot walls.
+            walls = [
+                sum(result.slot_walls[best + e * P : best + (e + 1) * P])
+                for e in range(len(history.records))
+            ]
+            buffer_memory += len(models) * model.parameter_vector().size * 8
+            query.extra["hopper"] = {
+                "schedule": result.schedule.to_doc(),
+                "tuples_processed": result.tuples_processed,
+                "wall_seconds": round(result.wall_seconds, 6),
+                "plan": result.plan,
+            }
+            query.extra["grid"] = {
+                "n_configs": len(models),
+                "axes": {name: list(values) for name, values in spec.grid.axes},
+                "leaderboard": [
+                    {k: v for k, v in row.items() if k != "curve"} for row in leaderboard
+                ],
+            }
+            grid = {
+                "leaderboard": leaderboard,
+                "histories": result.histories,
+                "schedule": result.schedule.to_doc(),
+            }
+        resources = ResourceUsage(
+            buffer_memory_bytes=buffer_memory,
+            extra_disk_bytes=float(dataset.n_tuples * table.tuple_bytes),
+            io_seconds=0.0,
+            compute_seconds=result.wall_seconds,
+        )
+        return self._finish(plan, query, model, history, walls, setup_s, resources, grid=grid)
+
+    def _finish(
+        self,
+        plan: PhysicalPlan,
+        query: TrainQuery,
+        model: SupervisedModel,
+        history: ConvergenceHistory,
+        epoch_walls,
+        setup_s: float,
+        resources: ResourceUsage,
+        measured_walls=None,
+        grid: dict | None = None,
+    ) -> TrainResult:
+        """Timeline, wall clock, observed walls and registration — for every
+        executor, once.  ``epoch_walls`` are on the executor's own clock:
+        simulated for the heap (which also passes ``measured_walls``),
+        measured for the block-file engines."""
+        timeline = Timeline(system=plan.system, setup_s=setup_s, setup_note=plan.setup_note)
+        for record, wall in zip(history.records, epoch_walls):
             timeline.append(
                 wall, record.epoch, record.train_loss, record.train_score, record.test_score
             )
-        resources = ResourceUsage(
-            buffer_memory_bytes=float(
-                query.workers * buffer_blocks * tuples_per_block * table.tuple_bytes
-            ),
-            extra_disk_bytes=float(dataset.n_tuples * table.tuple_bytes),
-            io_seconds=0.0,
-            compute_seconds=result.wall_seconds,
-            wall_seconds=timeline.total_time_s,
-        )
-        query.extra["parallel"] = {
-            "n_workers": result.n_workers,
-            "mode": result.mode,
-            "sync_steps": result.sync_steps,
-            "tuples_processed": result.tuples_processed,
-            "tuples_per_second": result.tuples_per_second,
-            "plan": result.plan,
-        }
+        resources.wall_seconds = timeline.total_time_s
+        if measured_walls is not None:
+            # Measured walls are the advisor's feedback channel; the κ
+            # learner is fed the *simulated* ones, which share units with the
+            # device cost model the advisor prices candidates in (see
+            # repro.db.advisor.learn_kappa).
+            query.extra.setdefault("advisor", {})["observed"] = {
+                "epoch_wall_s": [round(w, 6) for w in measured_walls],
+                "total_wall_s": round(sum(measured_walls), 6),
+                "simulated_epoch_wall_s": [round(w, 6) for w in epoch_walls],
+            }
+            if epoch_walls:
+                self._kappa_history.setdefault(query.table, []).append(
+                    {
+                        "strategy": plan.strategy,
+                        "epoch_wall_s": [float(w) for w in epoch_walls],
+                    }
+                )
         model_id = self.register_model(model)
-        return TrainResult(model_id, model, result.history, timeline, resources, query)
-
-    # ------------------------------------------------------------------
-    def _train_grid(
-        self,
-        query: TrainQuery,
-        spec: TrainSpec,
-        table: TableInfo,
-        test: Dataset | None,
-    ) -> GridTrainResult:
-        """``TRAIN ... WITH grid``: model-hopper parallelism over S configs.
-
-        One data pass serves every grid point: the table is materialised as
-        a block file once, S models hop across the P shard workers on a
-        staggered schedule (:class:`repro.parallel.HopperSchedule`), and
-        each model consumes the identical CorgiPile tuple stream it would
-        see training alone — so every leaderboard entry is bit-identical
-        to a solo run with the same seed, at roughly one data-pass cost
-        instead of S sequential passes.
-        """
-        import tempfile
-        import time as time_mod
-        from pathlib import Path
-
-        from ..parallel import HopperEngine
-        from ..storage import write_block_file
-
-        if not query.strategy.startswith("corgipile") and query.strategy != "auto":
-            raise EngineError(
-                f"grid = (...) requires a corgipile strategy (got "
-                f"{query.strategy!r}); the hopper executes sharded CorgiPile only"
-            )
-        configs = spec.grid.configs()
-        n_models = len(configs)
-        n_workers = max(query.workers, n_models)
-        dataset = table.dataset
-        tuples_per_block = max(
-            1,
-            min(dataset.n_tuples, round(query.block_size / max(1.0, table.tuple_bytes))),
-        )
-        # Same fair-share cap as _train_parallel: every worker owns >= 4 blocks.
-        fair_share = max(1, dataset.n_tuples // (4 * n_workers))
-        tuples_per_block = min(tuples_per_block, fair_share)
-        buffer_tuples = max(1, round(query.buffer_fraction * dataset.n_tuples))
-        buffer_blocks = max(1, round(buffer_tuples / (n_workers * tuples_per_block)))
-
-        resolved = [c.resolve(spec) for c in configs]
-        models = [self._build_model(query, table, l2=r["l2"]) for r in resolved]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"{table.name}.blocks"
-            t0 = time_mod.perf_counter()
-            write_block_file(dataset, path, tuples_per_block)
-            setup_s = time_mod.perf_counter() - t0
-            result = HopperEngine(
-                path,
-                models,
-                lrs=[r["lr"] for r in resolved],
-                decays=[r["decay"] for r in resolved],
-                epochs=query.max_epoch_num,
-                n_workers=n_workers,
-                buffer_blocks=buffer_blocks,
-                seed=query.seed,
-                labels=[c.label() for c in configs],
-                task=dataset.task,
-            ).run()
-
-        leaderboard = result.leaderboard()
-        for row in leaderboard:
-            row["values"] = resolved[row["config"]]
-            row["model_id"] = self.register_model(
-                result.models[row["config"]], model_id=f"grid_{row['config']}"
-            )
-        best = leaderboard[0]
-        best_i = best["config"]
-        best_model = result.models[best_i]
-        P = result.schedule.n_workers
-
-        timeline = Timeline(
-            system=f"minidb/hopper-{n_models}x{P}",
-            setup_s=setup_s,
-            setup_note=f"materialise block file ({tuples_per_block} tuples/block)",
-        )
-        history = result.histories[best_i]
-        for e, record in enumerate(history.records):
-            # Model m trains in slots m+e*P .. m+(e+1)*P-1; the wall it
-            # experiences per epoch is those coordinator slot walls.
-            wall = sum(result.slot_walls[best_i + e * P : best_i + (e + 1) * P])
-            timeline.append(
-                wall, record.epoch, record.train_loss, record.train_score,
-                record.test_score,
-            )
-        resources = ResourceUsage(
-            buffer_memory_bytes=float(
-                n_workers * buffer_blocks * tuples_per_block * table.tuple_bytes
-                + n_models * best_model.parameter_vector().size * 8
-            ),
-            extra_disk_bytes=float(dataset.n_tuples * table.tuple_bytes),
-            io_seconds=0.0,
-            compute_seconds=result.wall_seconds,
-            wall_seconds=timeline.total_time_s,
-        )
-        query.extra["hopper"] = {
-            "schedule": result.schedule.to_doc(),
-            "tuples_processed": result.tuples_processed,
-            "wall_seconds": round(result.wall_seconds, 6),
-            "plan": result.plan,
-        }
-        query.extra["grid"] = {
-            "n_configs": n_models,
-            "axes": {name: list(values) for name, values in spec.grid.axes},
-            "leaderboard": [
-                {k: v for k, v in row.items() if k != "curve"} for row in leaderboard
-            ],
-        }
-        model_id = self.register_model(best_model)
-        return GridTrainResult(
-            model_id,
-            best_model,
-            history,
-            timeline,
-            resources,
-            query,
-            leaderboard=leaderboard,
-            histories=result.histories,
-            schedule=result.schedule.to_doc(),
-        )
+        if grid is None:
+            return TrainResult(model_id, model, history, timeline, resources, query)
+        return GridTrainResult(model_id, model, history, timeline, resources, query, **grid)
 
     # ------------------------------------------------------------------
     def register_model(self, model: SupervisedModel, model_id: str | None = None) -> str:

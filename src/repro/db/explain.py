@@ -1,322 +1,68 @@
-"""EXPLAIN for TRAIN queries: render the physical operator tree.
+"""EXPLAIN for TRAIN queries: render a :class:`~repro.db.plan.PhysicalPlan`.
 
-Mirrors PostgreSQL's ``EXPLAIN``: given a parsed :class:`TrainQuery` and
-the catalog entry it targets, produce the pipeline the executor would run,
-with the physical parameters (block count, buffer tuples, double
-buffering) resolved against the actual table.
-
-``strategy = auto`` additionally renders the cost-based advisor's evidence
-— the measured ``h_D``, the per-candidate cost table, and the chosen
-strategy — before the operator tree of the plan it picked, so an EXPLAIN
-shows *why* the executor will run what it runs.
+Mirrors PostgreSQL's ``EXPLAIN``: the text is the plan the executor runs —
+the same object, not a second derivation — with the physical parameters
+(block count, buffer tuples, double buffering, shards) resolved against the
+actual table.  Above the operator tree come the decisions that shaped it:
+the WHERE access-path cost table, and for ``strategy = auto`` the advisor's
+evidence (measured ``h_D``, per-candidate costs, the chosen strategy), so an
+EXPLAIN shows *why* the executor will run what it runs.
 """
 
 from __future__ import annotations
 
-from .catalog import TableInfo
-from .errors import EngineError
-from .query import TrainQuery
+from .plan import PhysicalPlan
 
 __all__ = ["explain_train_plan"]
 
-# Keep in sync with repro.db.engine.WHERE_STRATEGIES (imported lazily there
-# to avoid a cycle; the executor enforces the same set).
-_WHERE_STRATEGIES = ("corgipile", "corgipile_single_buffer", "block_only", "no_shuffle")
 
-
-def _filtered_plan_lines(query, table: TableInfo, strategy: str, decision: dict) -> list[str]:
-    """The operator tree of a ``TRAIN ... WHERE`` plan."""
-    if strategy not in _WHERE_STRATEGIES:
-        raise EngineError(
-            f"strategy {strategy!r} does not support TRAIN ... WHERE; "
-            f"one of {', '.join(_WHERE_STRATEGIES)}"
+def _where_lines(d: dict) -> list[str]:
+    """The costed access-path table and fetch decision of a WHERE plan."""
+    lines = [f"WHERE {d['predicate']}"]
+    for name in sorted(d["paths"], key=lambda n: (d["paths"][n]["est_s"], n != "scan")):
+        p = d["paths"][name]
+        marker = "=> " if name == d["access"] else "   "
+        detail = f"{p['n_candidates']} candidate tuples"
+        if "n_pages" in p:
+            detail += f", {p['n_pages']} pages in {p['page_runs']} run(s)"
+        lines.append(f"  {marker}{name:<16} est {p['est_s'] * 1e3:.2f}ms  ({detail})")
+    if d["index"] is not None:
+        iv = d["interval"]
+        lo = "-inf" if iv["lo"] is None else f"{iv['lo']:g}"
+        hi = "+inf" if iv["hi"] is None else f"{iv['hi']:g}"
+        lob = "[" if iv["lo_inclusive"] else "("
+        hib = "]" if iv["hi_inclusive"] else ")"
+        lines.append(
+            f"  index: {d['index']} on {d['index_column']}  (range {lob}{lo}, {hi}{hib})"
         )
-    from .where import subset_partition
-
-    heap = table.heap
-    n_matching = decision["n_matching"]
-    buffer_tuples = max(1, round(query.buffer_fraction * max(1, n_matching)))
-    heap_line = (
-        f"Heap {table.name!r}  ({table.n_tuples} tuples, {heap.n_pages} pages, "
-        f"{_fmt_bytes(heap.total_bytes)}"
-        + (", TOAST-compressed" if heap.compress else "")
-        + ")"
-    )
-    lines = [
-        f"SGD  (model={query.model}, epochs={query.max_epoch_num}, "
-        f"batch_size={query.batch_size}, lr={query.learning_rate}, "
-        f"decay={query.decay})"
-    ]
-    if strategy == "no_shuffle":
-        lines.append(f"  -> FilteredSeqScan  ({n_matching} qualifying tuples)")
-        lines.append(f"    -> {heap_line}")
-        return lines
-    import numpy as np
-
-    positions = np.empty(0, dtype=np.int64)  # partition geometry only
-    if n_matching:
-        from .where import index_qualifying_positions, qualifying_positions
-
-        index = table.indexes.get(decision["index"]) if decision["index"] else None
-        positions = (
-            index_qualifying_positions(table, index, query.where)
-            if index is not None
-            else qualifying_positions(table, query.where)
-        )
-    partition = subset_partition(heap, positions, query.block_size)
-    fetch_note = (
-        "index-ordered page fetch"
-        if decision["fetch"] == "index"
-        else "full-scan prefetch per epoch"
-    )
-    if strategy in ("corgipile", "corgipile_single_buffer"):
-        buffering = (
-            "double-buffered"
-            if strategy == "corgipile" and query.double_buffer
-            else "single-buffered"
-        )
-        lines.append(f"  -> TupleShuffle  (buffer={buffer_tuples} tuples, {buffering})")
-        indent = "    "
     else:
-        indent = "  "
+        lines.append("  index: none (no usable range on an indexed column)")
     lines.append(
-        f"{indent}-> RidBlockShuffle  (blocks={partition.n_blocks}, "
-        f"block_size={_fmt_bytes(query.block_size)}, "
-        f"{n_matching} qualifying tuples over {partition.n_virtual_pages} "
-        f"virtual pages, {fetch_note})"
+        f"  matched: {d['n_matching']} / {d['n_tuples']} tuples "
+        f"({100 * d['selectivity']:.1f}% selectivity), "
+        f"{d['n_qualifying_pages']} of {d['n_heap_pages']} pages "
+        f"in {d['page_runs']} run(s)"
     )
-    lines.append(f"{indent}  -> {heap_line}")
+    lines.append(
+        f"  fetch path: index-ordered block fetch {d['est_index_s'] * 1e3:.2f}ms "
+        f"vs full scan {d['est_scan_s'] * 1e3:.2f}ms per epoch "
+        f"-> {d['fetch']}"
+    )
     return lines
 
 
-def _grid_plan_lines(query, table: TableInfo, grid) -> list[str]:
-    """The ``TRAIN ... WITH grid`` plan: the model-hopper schedule and its
-    S×P-vs-S-sequential costing, then the per-shard pipeline it executes."""
-    from ..parallel import HopperSchedule
-
-    S = grid.n_configs
-    P = max(query.workers, S)
-    E = query.max_epoch_num
-    schedule = HopperSchedule(S, P, E)
-    # S solo runs would each traverse all P shards per epoch; the hopper
-    # overlaps them into E*P + S - 1 sub-epoch slots.
-    seq_slots = S * E * P
-    tuples_per_block = max(
-        1, min(table.n_tuples, round(query.block_size / max(1.0, table.tuple_bytes)))
-    )
-    fair_share = max(1, table.n_tuples // (4 * P))
-    tuples_per_block = min(tuples_per_block, fair_share)
-    buffer_tuples = max(1, round(query.buffer_fraction * table.n_tuples))
-    buffer_blocks = max(1, round(buffer_tuples / (P * tuples_per_block)))
-    lines = [
-        f"Grid  ({grid.render()}; {S} configs -> models grid_0..grid_{S - 1})",
-        f"  -> ModelHopper  ({S} models x {P} shard workers, "
-        f"{schedule.total_slots} sub-epoch slots)",
-        f"       cost: {schedule.total_slots} slots vs {seq_slots} for "
-        f"{S} sequential solo runs; bubble x{schedule.bubble_ratio:.2f}, "
-        f"speedup x{seq_slots / schedule.total_slots:.2f}",
-    ]
-    lines += ["       " + line for line in schedule.render()]
-    lines += [
-        f"    -> SGD  (model={query.model}, epochs={E}, per-config lr/decay/l2)",
-        f"      -> TupleShuffle  ({buffer_blocks} blocks/fill per worker)",
-        f"        -> ShardBlockFile  ({table.n_tuples} tuples, "
-        f"{tuples_per_block} tuples/block, {P} shards; materialised copy "
-        f"of heap {table.name!r})",
-    ]
-    return lines
-
-
-def _fmt_bytes(n: float) -> str:
-    if n >= 1024**2:
-        return f"{n / 1024**2:.1f}MB"
-    if n >= 1024:
-        return f"{n / 1024:.1f}KB"
-    return f"{n:.0f}B"
-
-
-def explain_train_plan(
-    query: TrainQuery,
-    table: TableInfo,
-    device=None,
-    compute=None,
-) -> str:
-    """The operator tree for ``query`` over ``table``, as EXPLAIN text.
-
-    ``device``/``compute`` are the engine's execution context; they matter
-    only for ``strategy = auto``, where the advisor's cost table depends on
-    them (the same query EXPLAINs to different plans on HDD vs NVM).
-    """
-    strategy = query.strategy
-    advisor_lines: list[str] = []
-    where_lines: list[str] = []
-    grid_lines: list[str] = []
-    where_decision = None
-    grid = getattr(query, "grid", None)
-    if grid is not None:
-        return "\n".join(_grid_plan_lines(query, table, grid))
-    if query.where is not None:
-        from ..storage.iomodel import SSD as _SSD
-        from .where import choose_where_path, plan_where_access
-
-        if strategy == "auto":
-            # Mirror the executor: a filtered subset trains with the
-            # shuffle-safe default instead of probing the subset's h_D.
-            strategy = "corgipile"
-        _device = device if device is not None else _SSD
-        positions, index, access_doc = plan_where_access(table, query.where, _device)
-        where_decision = choose_where_path(
-            table, query.where, positions, _device, index=index,
-            access=access_doc["access"],
-        )
-        where_decision.update(access_doc)
-        d = where_decision
-        where_lines = [f"WHERE {d['predicate']}"]
-        for name in sorted(
-            d["paths"], key=lambda n: (d["paths"][n]["est_s"], n != "scan")
-        ):
-            p = d["paths"][name]
-            marker = "=> " if name == d["access"] else "   "
-            detail = f"{p['n_candidates']} candidate tuples"
-            if "n_pages" in p:
-                detail += f", {p['n_pages']} pages in {p['page_runs']} run(s)"
-            where_lines.append(
-                f"  {marker}{name:<16} est {p['est_s'] * 1e3:.2f}ms  ({detail})"
-            )
-        if d["index"] is not None:
-            iv = d["interval"]
-            lo = "-inf" if iv["lo"] is None else f"{iv['lo']:g}"
-            hi = "+inf" if iv["hi"] is None else f"{iv['hi']:g}"
-            lob = "[" if iv["lo_inclusive"] else "("
-            hib = "]" if iv["hi_inclusive"] else ")"
-            where_lines.append(
-                f"  index: {d['index']} on {d['index_column']}  "
-                f"(range {lob}{lo}, {hi}{hib})"
-            )
-        else:
-            where_lines.append("  index: none (no usable range on an indexed column)")
-        where_lines.append(
-            f"  matched: {d['n_matching']} / {d['n_tuples']} tuples "
-            f"({100 * d['selectivity']:.1f}% selectivity), "
-            f"{d['n_qualifying_pages']} of {d['n_heap_pages']} pages "
-            f"in {d['page_runs']} run(s)"
-        )
-        where_lines.append(
-            f"  fetch path: index-ordered block fetch {d['est_index_s'] * 1e3:.2f}ms "
-            f"vs full scan {d['est_scan_s'] * 1e3:.2f}ms per epoch "
-            f"-> {d['fetch']}"
-        )
-    if strategy == "auto":
-        from ..storage.iomodel import SSD, device_by_name
-        from .advisor import advise_strategy
-
-        override = getattr(query, "device", None) or query.extra.get("device")
-        if override:
-            device = device_by_name(str(override))
-        decision = advise_strategy(
-            table,
-            device if device is not None else SSD,
-            block_bytes=query.block_size,
-            buffer_fraction=query.buffer_fraction,
-            epochs=query.max_epoch_num,
-            compute=compute,
-        )
-        strategy = decision.strategy
-        advisor_lines = decision.render().split("\n")
-
-    if where_decision is not None:
-        return "\n".join(
-            where_lines
-            + advisor_lines
-            + _filtered_plan_lines(query, table, strategy, where_decision)
-        )
-
-    buffer_tuples = max(1, round(query.buffer_fraction * table.n_tuples))
-    heap = table.heap
-    n_blocks = heap.n_blocks(query.block_size) if query.block_size >= heap.page_bytes else None
-
-    heap_line = (
-        f"Heap {table.name!r}  ({table.n_tuples} tuples, {heap.n_pages} pages, "
-        f"{_fmt_bytes(heap.total_bytes)}"
-        + (", TOAST-compressed" if heap.compress else "")
-        + ")"
-    )
-
-    lines = [
-        f"SGD  (model={query.model}, epochs={query.max_epoch_num}, "
-        f"batch_size={query.batch_size}, lr={query.learning_rate}, "
-        f"decay={query.decay})"
-    ]
-    if strategy in ("corgipile", "corgipile_single_buffer"):
-        buffering = (
-            "double-buffered"
-            if strategy == "corgipile" and query.double_buffer
-            else "single-buffered"
-        )
-        lines.append(
-            f"  -> TupleShuffle  (buffer={buffer_tuples} tuples, {buffering})"
-        )
-        lines.append(
-            f"    -> BlockShuffle  (blocks={n_blocks}, "
-            f"block_size={_fmt_bytes(query.block_size)}, "
-            f"{heap.pages_per_block(query.block_size)} pages/block)"
-        )
-        lines.append(f"      -> {heap_line}")
-    elif strategy == "corgi2":
-        buffering = "double-buffered" if query.double_buffer else "single-buffered"
-        lines.append(
-            f"  -> TupleShuffle  (buffer={buffer_tuples} tuples, {buffering})"
-        )
-        lines.append(
-            f"    -> BlockShuffle  (blocks={n_blocks}, "
-            f"block_size={_fmt_bytes(query.block_size)}, over re-grouped copy)"
-        )
-        lines.append(f"      -> {heap_line}")
-        lines.append(
-            "  [setup: Corgi² offline partial re-group — one random-block "
-            f"read pass, writes a {_fmt_bytes(heap.total_bytes)} second copy]"
-        )
-    elif strategy == "block_only":
-        lines.append(
-            f"  -> BlockShuffle  (blocks={n_blocks}, "
-            f"block_size={_fmt_bytes(query.block_size)})"
-        )
-        lines.append(f"    -> {heap_line}")
-    elif strategy in ("block_reshuffle", "block_reversal"):
-        within = (
-            "tuples reshuffled in memory per block"
-            if strategy == "block_reshuffle"
-            else "within-block order reversed on odd epochs"
-        )
-        lines.append(
-            f"  -> BlockShuffle  (blocks={n_blocks}, "
-            f"block_size={_fmt_bytes(query.block_size)}, {within})"
-        )
-        lines.append(f"    -> {heap_line}")
-    elif strategy == "no_shuffle":
-        lines.append("  -> SeqScan")
-        lines.append(f"    -> {heap_line}")
-    elif strategy == "epoch_shuffle":
-        lines.append("  -> PermutedScan  (fresh permutation per epoch; re-sort charged per epoch)")
-        lines.append(f"    -> {heap_line}")
-    elif strategy == "random_access":
-        lines.append("  -> PermutedScan  (random tuple access — vanilla SGD path)")
-        lines.append(f"    -> {heap_line}")
-    elif strategy == "sliding_window":
-        lines.append(f"  -> SlidingWindow  (window={buffer_tuples} tuples)")
-        lines.append("    -> SeqScan")
-        lines.append(f"      -> {heap_line}")
-    elif strategy == "mrs":
-        lines.append(f"  -> MultiplexedReservoir  (reservoir={buffer_tuples} tuples)")
-        lines.append("    -> SeqScan")
-        lines.append(f"      -> {heap_line}")
-    elif strategy == "shuffle_once":
-        lines.append("  -> SeqScan  (over pre-shuffled copy)")
-        lines.append(f"    -> {heap_line}")
-        lines.append(
-            "  [setup: offline full shuffle — external sort, "
-            f"writes a {_fmt_bytes(heap.total_bytes)} second copy]"
-        )
-    else:
-        raise EngineError(f"cannot explain unknown strategy {strategy!r}")
-    return "\n".join(grid_lines + advisor_lines + lines)
+def explain_train_plan(plan: PhysicalPlan) -> str:
+    """``plan`` as EXPLAIN text: decisions first, then the operator tree."""
+    lines = _where_lines(plan.where) if plan.where is not None else []
+    if plan.advisor is not None:
+        lines += plan.advisor.render().split("\n")
+        if plan.advisor_note:
+            lines.append(f"  ({plan.advisor_note})")
+    for depth, node in enumerate(plan.tree.chain()):
+        indent = "  " * depth
+        arrow = "-> " if depth else ""
+        lines.append(f"{indent}{arrow}{node.op}" + (f"  ({node.detail})" if node.detail else ""))
+        lines += [f"{indent}     {note}" for note in node.notes]
+    if plan.setup_note:
+        lines.append(f"  [setup: {plan.setup_note}]")
+    return "\n".join(lines)

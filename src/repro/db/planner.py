@@ -84,33 +84,29 @@ def choose_access_path(
 
 def plan_train(
     table: TableInfo,
-    query,
+    spec,
     device,
     compute=None,
     max_probe_tuples: int = 20_000,
     history=None,
 ) -> AdvisorDecision:
-    """Resolve ``strategy = auto`` for one TRAIN query via the cost advisor.
+    """Resolve ``strategy = auto`` for one TRAIN statement via the cost advisor.
 
-    ``query`` is a parsed :class:`~repro.db.query.TrainQuery`; its
-    ``block_size``, ``buffer_fraction`` and ``max_epoch_num`` parameterise
-    the cost model, and a ``WITH device = 'nvm'`` override re-targets the
-    decision at plan time — the same statement plans differently on HDD
-    and NVM.  ``history`` forwards earlier per-epoch wall observations for
-    this table so the advisor can fit κ (see
+    ``spec`` is the statement's :class:`~repro.db.spec.TrainSpec`; its
+    ``block_size``, ``buffer_fraction`` and ``epochs`` parameterise the cost
+    model.  ``device`` is the device the statement is planned for —
+    :func:`repro.db.plan.physical_plan` has already applied a
+    ``WITH device = 'nvm'`` override, so the same statement plans
+    differently on HDD and NVM.  ``history`` forwards earlier per-epoch
+    wall observations for this table so the advisor can fit κ (see
     :func:`repro.db.advisor.learn_kappa`).
     """
-    from ..storage.iomodel import device_by_name
-
-    override = getattr(query, "device", None) or query.extra.get("device")
-    if override:
-        device = device_by_name(str(override))
     return advise_strategy(
         table,
         device,
-        block_bytes=query.block_size,
-        buffer_fraction=query.buffer_fraction,
-        epochs=query.max_epoch_num,
+        block_bytes=spec.block_size,
+        buffer_fraction=spec.buffer_fraction,
+        epochs=spec.epochs,
         compute=compute,
         max_probe_tuples=max_probe_tuples,
         history=history,

@@ -9,10 +9,9 @@ is the redesign: a frozen, validated dataclass that the parser builds, the
 engine / job manager / CLI consume, and the wire protocol carries as one
 canonical document (``to_doc``/``from_doc``).
 
-``extra`` stays the engine's **output** channel (the planner writes its
-decision docs there).  Using it as an **input** channel still works for one
-release through :meth:`TrainSpec.from_query`, which converts and emits a
-``DeprecationWarning`` naming the typed replacement.
+``extra`` is the engine's **output** channel only (the planner writes its
+decision docs there).  An input knob left there (``warm_start``, ``device``,
+``l2``, ``grid``) is a :class:`SpecError` naming the typed field.
 
 Grids
 -----
@@ -28,7 +27,6 @@ makes every grid member bit-identical to training it alone.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from .errors import SpecError
@@ -49,13 +47,10 @@ GRID_AXES = ("lr", "decay", "l2")
 #: Aliases accepted in grid axis names (SQL uses ``learning_rate``).
 _AXIS_ALIASES = {"learning_rate": "lr"}
 
-#: Legacy ``extra={...}`` input keys and the typed field that replaced
-#: each.  Anything else in ``extra`` is engine output and is left alone.
-_LEGACY_EXTRA_FIELDS = {
-    "warm_start": "warm_start",
-    "device": "device",
-    "l2": "l2",
-}
+#: Typed input fields that once rode in ``extra={...}``; finding one there
+#: now is an error, never a silently ignored knob.  Anything else in
+#: ``extra`` is engine output and is left alone.
+_INPUT_FIELDS = ("warm_start", "device", "l2", "grid")
 
 
 def _positive(name: str, value, kind=float):
@@ -259,82 +254,48 @@ class TrainSpec:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_query(cls, query, *, warn: bool = True) -> "TrainSpec":
-        """Build the validated spec from a parsed :class:`TrainQuery`.
-
-        Legacy input knobs found in ``query.extra`` (``warm_start``,
-        ``device``, ``l2``) are honoured but emit a ``DeprecationWarning``
-        — the typed field (or ``WITH`` knob) is the supported path and wins
-        when both are set.
-        """
-        values = {
-            "table": query.table,
-            "model": query.model,
-            "strategy": query.strategy,
-            "epochs": query.max_epoch_num,
-            "lr": query.learning_rate,
-            "decay": query.decay,
-            "l2": getattr(query, "l2", None),
-            "batch_size": query.batch_size,
-            "block_size": query.block_size,
-            "buffer_fraction": query.buffer_fraction,
-            "seed": int(query.seed),
-            "double_buffer": bool(query.double_buffer),
-            "fused": bool(query.fused),
-            "workers": query.workers,
-            "aggregation": query.aggregation,
-            "device": getattr(query, "device", None),
-            "warm_start": getattr(query, "warm_start", None),
-            "where": query.where,
-            "grid": getattr(query, "grid", None),
-        }
-        extra = getattr(query, "extra", None) or {}
-        for key, field_name in _LEGACY_EXTRA_FIELDS.items():
-            if key in extra and values.get(field_name) is None:
-                if warn:
-                    warnings.warn(
-                        f"passing {key!r} through extra={{...}} is deprecated; "
-                        f"use the typed TrainQuery.{field_name} field "
-                        f"(or the WITH {key} = ... knob)",
-                        DeprecationWarning,
-                        stacklevel=3,
-                    )
-                value = extra[key]
-                if field_name == "l2" and value is not None:
-                    value = float(value)
-                elif value is not None:
-                    value = str(value)
-                values[field_name] = value
-        if "grid" in extra and values.get("grid") is None:
-            if warn:
-                warnings.warn(
-                    "passing 'grid' through extra={...} is deprecated; use the "
-                    "typed TrainQuery.grid field (or WITH grid = (...))",
-                    DeprecationWarning,
-                    stacklevel=3,
+    def from_query(cls, query) -> "TrainSpec":
+        """Build the validated spec from a parsed :class:`TrainQuery`."""
+        for key in _INPUT_FIELDS:
+            if key in (query.extra or {}):
+                raise SpecError(
+                    f"{key!r} in extra={{...}} is not an input: set the typed "
+                    f"TrainQuery.{key} field (or the WITH {key} = ... knob)"
                 )
-            grid = extra["grid"]
-            values["grid"] = grid if isinstance(grid, GridSpec) else GridSpec.from_axes(grid)
-        return cls(**values)
+        return cls(
+            table=query.table,
+            model=query.model,
+            strategy=query.strategy,
+            epochs=query.max_epoch_num,
+            lr=query.learning_rate,
+            decay=query.decay,
+            l2=query.l2,
+            batch_size=query.batch_size,
+            block_size=query.block_size,
+            buffer_fraction=query.buffer_fraction,
+            seed=int(query.seed),
+            double_buffer=bool(query.double_buffer),
+            fused=bool(query.fused),
+            workers=query.workers,
+            aggregation=query.aggregation,
+            device=query.device,
+            warm_start=query.warm_start,
+            where=query.where,
+            grid=query.grid,
+        )
 
-    def apply_to_query(self, query) -> None:
-        """Write the spec's typed fields back onto a TrainQuery in place."""
-        query.strategy = self.strategy
-        query.max_epoch_num = self.epochs
-        query.learning_rate = self.lr
-        query.decay = self.decay
-        query.batch_size = self.batch_size
-        query.block_size = self.block_size
-        query.buffer_fraction = self.buffer_fraction
-        query.seed = self.seed
-        query.double_buffer = self.double_buffer
-        query.fused = self.fused
-        query.workers = self.workers
-        query.aggregation = self.aggregation
-        query.where = self.where
-        for name in ("l2", "device", "warm_start", "grid"):
-            if hasattr(query, name):
-                setattr(query, name, getattr(self, name))
+    def build_model(self, n_features: int, n_classes: int | None = None, l2=None):
+        """A fresh model of this spec's family (``l2`` overrides the spec's:
+        a grid config's own regulariser)."""
+        from ..ml.models.linear import LinearRegression, LinearSVM, LogisticRegression
+        from ..ml.models.softmax import SoftmaxRegression
+
+        l2 = self.l2 if l2 is None else l2
+        kwargs = {} if l2 is None else {"l2": float(l2)}
+        if self.model == "softmax":
+            return SoftmaxRegression(n_features, n_classes, **kwargs)
+        family = {"lr": LogisticRegression, "svm": LinearSVM, "linreg": LinearRegression}
+        return family[self.model](n_features, **kwargs)
 
     # ------------------------------------------------------------------
     def to_doc(self) -> dict:

@@ -12,10 +12,9 @@ waits — reports through this package:
 * exporters: JSONL trace (:func:`trace_to`), flat JSON metrics snapshot,
   and the human ``repro obs-report`` summary tree (:func:`report`).
 
-The legacy stats surfaces (``repro.core.stats.LoaderStats`` /
-``StorageStats``, ``overlap_report``, ``chaos_report``, ``Timeline``) are
-thin adapters over this package; their canonical implementations live in
-:mod:`repro.obs.adapters`.
+The older report surfaces (``overlap_report``, ``chaos_report``,
+``Timeline``) are thin adapters over this package; the loader/storage
+counter classes live in :mod:`repro.obs.adapters`.
 
 Layering: this package imports **nothing** from the rest of ``repro`` —
 it sits at the bottom of the dependency graph so every other layer (storage,

@@ -1,19 +1,12 @@
-"""Canonical counter classes behind the legacy stats APIs.
+"""The loader/storage counter classes.
 
-The concrete loader/storage counters that PRs 1–4 grew in
-``repro.core.stats`` now live here, under the observability layer they
-always belonged to: :class:`LoaderMetrics` and :class:`StorageMetrics` are
-the *non-deprecated* implementations, and ``repro.core.stats.LoaderStats``
-/ ``StorageStats`` are thin subclasses whose only job is to emit a
-``DeprecationWarning`` on construction.  Every counter name, ``as_dict``
-key, pickle shape, and merge rule is unchanged, so existing tests and CLI
-output stay byte-compatible.
-
-Merging routes through the :func:`repro.obs.merge` facade — the single
-entry point that also merges registries and tracers — and stays legal
-across the deprecated/canonical boundary: a ``LoaderStats`` merges with a
-``LoaderMetrics`` (same family), while loader/storage cross-family merges
-still raise ``TypeError``.
+:class:`LoaderMetrics` counts the loading stack's hand-overs (items, queue
+depths, producer stalls, consumer waits, thread starts/joins) and
+:class:`StorageMetrics` the fault plane's reads (attempts, faults, retries,
+latency).  Both pickle across process boundaries and merge through the
+:func:`repro.obs.merge` facade — the single entry point that also merges
+registries and tracers; loader/storage cross-family merges raise
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -46,9 +39,9 @@ class MergeableStats:
     def _family(cls) -> type:
         """The canonical base deciding merge compatibility.
 
-        Deprecated shims subclass a canonical class; walking the MRO for
-        the family root lets a shim merge with its canonical form while
-        cross-family merges (loader vs storage) still fail loudly.
+        Walking the MRO for the family root lets a subclass merge with its
+        canonical form while cross-family merges (loader vs storage) fail
+        loudly.
         """
         for base in cls.__mro__:
             if "_FAMILY_ROOT" in base.__dict__:
@@ -104,8 +97,7 @@ class MergeableStats:
         if not isinstance(other, MergeableStats) or other._family() is not self._family():
             return NotImplemented
         name = self.name if self.name == other.name else f"{self.name}+{other.name}"
-        # Build the result from the canonical family class so adding two
-        # deprecated shims does not emit a third DeprecationWarning.
+        # The sum of two subclass instances is the canonical family class.
         total = self._family()(name)
         total._fold(self)
         total._fold(other)

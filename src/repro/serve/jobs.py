@@ -54,13 +54,13 @@ from .. import obs
 from ..core.dataloader import DataLoader
 from ..core.dataset import CorgiPileDataset
 from ..db.query import TrainQuery
-from ..ml.models.linear import LinearRegression, LinearSVM, LogisticRegression
-from ..ml.models.softmax import SoftmaxRegression
+from ..db.spec import TrainSpec
 from ..ml.persistence import durable_write, model_to_bytes
 from ..ml.schedules import ExponentialDecay
 from ..ml.streaming import train_streaming
 from ..ml.trainer import CheckpointConfig
 from ..storage.blockfile import write_block_file
+from ..storage.iomodel import device_by_name
 
 __all__ = [
     "JOB_STATES",
@@ -98,26 +98,6 @@ class JobCancelled(Exception):
 
 class DaemonStopping(Exception):
     """Raised inside the training loop on graceful daemon shutdown."""
-
-
-def _l2_kwargs(spec: dict, l2=None) -> dict:
-    """The regulariser kwarg for a job's model, when the spec carries one."""
-    value = spec.get("l2") if l2 is None else l2
-    return {} if value is None else {"l2": float(value)}
-
-
-_MODEL_CONSTRUCTORS = {
-    "lr": lambda spec, l2=None: LogisticRegression(
-        spec["n_features"], **_l2_kwargs(spec, l2)
-    ),
-    "svm": lambda spec, l2=None: LinearSVM(spec["n_features"], **_l2_kwargs(spec, l2)),
-    "linreg": lambda spec, l2=None: LinearRegression(
-        spec["n_features"], **_l2_kwargs(spec, l2)
-    ),
-    "softmax": lambda spec, l2=None: SoftmaxRegression(
-        spec["n_features"], spec["n_classes"], **_l2_kwargs(spec, l2)
-    ),
-}
 
 
 class Job:
@@ -198,12 +178,15 @@ class JobManager:
         self.max_queued = int(max_queued)
         self.n_workers = int(workers)
         self.checkpoint_every_tuples = int(checkpoint_every_tuples)
-        #: Device model name the plan-time advisor charges for ``strategy =
-        #: auto`` statements (per-query ``WITH device = '...'`` overrides it).
+        #: Device model name every session's engine — and so every plan,
+        #: EXPLAIN and job — is costed on (``WITH device = '...'`` overrides
+        #: it per statement).  Unknown names fail here, at daemon start.
         self.device = str(device)
-        #: Called as ``on_done(job, model)`` from the worker thread when a
-        #: job finishes training (the server registers the model into the
-        #: owning session's engine so PREDICT BY can address it).
+        device_by_name(self.device)
+        #: Called as ``on_done(job, model)`` from the worker thread once a
+        #: job's model file is durable and *before* the job turns ``done``
+        #: (the server registers the model into the owning session's engine
+        #: so PREDICT BY can address it).
         self.on_done = on_done
         self._queue: queue.Queue = queue.Queue(maxsize=self.max_queued)
         self._jobs: dict[str, Job] = {}
@@ -288,95 +271,41 @@ class JobManager:
     # ------------------------------------------------------------------
     # Submission / polling / cancellation
     # ------------------------------------------------------------------
-    def submit(self, session_id: str, sql: str, query: TrainQuery, table) -> Job:
+    def submit(self, session_id: str, sql: str, query: TrainQuery, db) -> Job:
         """Admit one TRAIN statement; raises :class:`Saturated` when full.
 
-        ``table`` is the session's :class:`~repro.db.catalog.TableInfo`;
-        its dataset is materialised into the job's own block file so the
+        ``db`` is the submitting session's engine.  The statement is planned
+        there (``db.plan(query, for_job=True)``: same catalog, device and κ
+        history as that session's EXPLAIN), so the journal records the
+        decisions of the plan that runs — a bad statement (unknown model,
+        bad grid, a strategy the block-file executor cannot run, a WHERE
+        matching nothing) is a typed error at admission.  The rows the plan
+        trains over are materialised into the job's own block file so the
         job survives the session (and the daemon).
         """
-        if query.model not in _MODEL_CONSTRUCTORS:
-            raise ValueError(f"unknown model {query.model!r}")
         depth = self._queue.qsize()
         if depth >= self.max_queued:
             retry_after = self._retry_after(depth)
             obs.inc("serve.jobs.rejected")
             raise Saturated(retry_after, depth)
 
-        # Canonical typed spec: validates the statement (bad grids, grid
-        # with WHERE, etc.) at admission and rides the journal/wire so any
-        # poll or post-crash recovery sees exactly what was asked for.
-        train_spec = query.spec()
-        train_spec.apply_to_query(query)
-
-        dataset = table.dataset
+        plan = db.plan(query, for_job=True)
+        train_spec = plan.spec
+        dataset = db.catalog.get(train_spec.table).dataset
         where_doc = None
-        if query.where is not None:
-            # Resolve the filter at admission: the job's block file IS the
-            # filtered subset, so the worker (and any post-crash incarnation)
-            # trains exactly the rows that qualified at submit time, immune
-            # to later DML on the session's table.
-            from ..db.where import choose_where_path, plan_where_access
-            from ..storage.iomodel import device_by_name
-
-            device = device_by_name(self.device)
-            positions, index, access_doc = plan_where_access(
-                table, query.where, device
-            )
-            if len(positions) == 0:
-                raise ValueError(
-                    f"TRAIN ... WHERE {query.where.render()} matches no tuples"
-                )
-            where_doc = choose_where_path(
-                table, query.where, positions, device, index=index,
-                access=access_doc["access"],
-            )
-            where_doc.update(access_doc)
-            where_doc["predicate_doc"] = query.where.to_doc()
-            dataset = dataset.subset(positions, suffix="where")
-
-        warm_start = getattr(query, "warm_start", None) or query.extra.get("warm_start")
+        if plan.where is not None:
+            # The job's block file IS the filtered subset resolved here, at
+            # admission: the worker (and any post-crash incarnation) trains
+            # exactly the rows that qualified at submit time, immune to
+            # later DML on the session's table.
+            where_doc = dict(plan.where, predicate_doc=train_spec.where.to_doc())
+            dataset = dataset.subset(plan.positions, suffix="where")
         warm_start_path = None
-        if warm_start:
-            warm_start_path = self._resolve_warm_start(str(warm_start), query)
-
-        advisor_doc = None
-        strategy = query.strategy
-        if strategy == "auto" and query.where is not None:
-            # Match the engine: a filtered subset trains with the
-            # shuffle-safe default instead of probing the subset's h_D.
-            strategy = "corgipile"
-        elif strategy == "auto":
-            # Resolve the plan-time decision NOW (admission, not execution):
-            # the journalled spec records which access path the advisor
-            # chose and its full evidence table, so a poll — or a post-crash
-            # recovery — can always answer "why did this job run that way".
-            from ..db.planner import plan_train
-            from ..storage.iomodel import device_by_name
-
-            decision = plan_train(
-                table, query, device_by_name(self.device)
+        if train_spec.warm_start:
+            warm_start_path = self._resolve_warm_start(
+                train_spec.warm_start, train_spec.model
             )
-            strategy = decision.strategy
-            advisor_doc = decision.to_doc()
         grid = train_spec.grid
-        hopper_workers = (
-            max(query.workers, grid.n_configs) if grid is not None else 1
-        )
-        tuples_per_block = max(
-            1, min(dataset.n_tuples, round(query.block_size / max(1.0, table.tuple_bytes)))
-        )
-        # Keep at least four blocks so the block shuffle has something to
-        # permute (mirrors the engine's parallel-path fair-share cap).  A
-        # grid job shards the file across its hopper workers, so each of
-        # them needs that floor.
-        tuples_per_block = min(
-            tuples_per_block, max(1, dataset.n_tuples // (4 * hopper_workers))
-        )
-        buffer_tuples = max(1, round(query.buffer_fraction * dataset.n_tuples))
-        buffer_blocks = max(
-            1, round(buffer_tuples / (hopper_workers * tuples_per_block))
-        )
         with self._jobs_lock:
             self._counter += 1
             job_id = f"job_{self._counter}"
@@ -385,39 +314,44 @@ class JobManager:
             "session_id": session_id,
             "state": "queued",
             "sql": sql,
-            "table": query.table,
-            "model": query.model,
+            "table": train_spec.table,
+            "model": train_spec.model,
             "task": dataset.task,
             "n_features": dataset.n_features,
             "n_classes": (
                 dataset.n_classes if dataset.task != "regression" else None
             ),
             "n_tuples": dataset.n_tuples,
-            "strategy": strategy,
-            "advisor": advisor_doc,
+            # What runs, and the advisor's evidence when the statement said
+            # ``auto`` — so a poll, or a post-crash recovery, can always
+            # answer "why did this job run that way".
+            "strategy": plan.strategy,
+            "advisor": None if plan.advisor is None else plan.advisor.to_doc(),
             "where": where_doc,
-            "warm_start": str(warm_start) if warm_start else None,
+            "warm_start": train_spec.warm_start,
             "warm_start_path": warm_start_path,
-            "seed": query.seed,
-            "epochs": query.max_epoch_num,
-            "learning_rate": query.learning_rate,
-            "decay": query.decay,
+            "seed": train_spec.seed,
+            "epochs": train_spec.epochs,
+            "learning_rate": train_spec.lr,
+            "decay": train_spec.decay,
             "l2": train_spec.l2,
             "spec": train_spec.to_doc(),
             "grid": None if grid is None else grid.to_doc(),
-            "hopper_workers": hopper_workers if grid is not None else None,
+            "hopper_workers": plan.n_shards if grid is not None else None,
             "loader_batch": (
-                query.batch_size if query.batch_size > 1 else _DEFAULT_LOADER_BATCH
+                train_spec.batch_size
+                if train_spec.batch_size > 1
+                else _DEFAULT_LOADER_BATCH
             ),
-            "tuples_per_block": tuples_per_block,
-            "buffer_blocks": buffer_blocks,
+            "tuples_per_block": plan.tuples_per_block,
+            "buffer_blocks": plan.buffer_blocks,
             "checkpoint_every_tuples": self.checkpoint_every_tuples,
             "submitted_at": time.time(),
         }
         job = Job(spec, self.jobs_dir)
         # Blocks first, then the spec: a job whose spec exists always has
         # its data, so recovery never sees a spec pointing at nothing.
-        write_block_file(dataset, job.blocks_path, tuples_per_block)
+        write_block_file(dataset, job.blocks_path, plan.tuples_per_block)
         job.transition("queued")
         with self._jobs_lock:
             self._jobs[job_id] = job
@@ -433,7 +367,7 @@ class JobManager:
         obs.inc(f"serve.session.{session_id}.jobs_submitted")
         return job
 
-    def _resolve_warm_start(self, warm_start: str, query: TrainQuery) -> str:
+    def _resolve_warm_start(self, warm_start: str, model: str) -> str:
         """Map ``WITH warm_start = 'job_N'`` to that job's model file.
 
         A bare path to a ``.npz`` saved by :mod:`repro.ml.persistence` is
@@ -456,10 +390,10 @@ class JobManager:
                 raise ValueError(
                     f"warm_start {warm_start!r}: job is {source.state}, not done"
                 )
-            if source.spec.get("model") != query.model:
+            if source.spec.get("model") != model:
                 raise ValueError(
                     f"warm_start {warm_start!r} trained {source.spec.get('model')!r}; "
-                    f"this query trains {query.model!r}"
+                    f"this query trains {model!r}"
                 )
             return str(source.model_path)
         path = Path(warm_start)
@@ -527,10 +461,8 @@ class JobManager:
             job = self._queue.get()
             try:
                 if job is None or self._stop.is_set():
-                    if job is not None:
-                        # Drained during shutdown: leave it queued for the
-                        # next recover().
-                        pass
+                    # A job drained during shutdown stays queued for the
+                    # next recover().
                     return
                 self._execute(job)
             finally:
@@ -565,6 +497,10 @@ class JobManager:
             obs.inc("serve.jobs.failed")
         else:
             durable_write(job.model_path, model_to_bytes(model))
+            # Register before journalling ``done``: a client that polls
+            # ``done`` may send ``PREDICT BY job_N`` in the same breath.
+            if self.on_done is not None:
+                self.on_done(job, model)
             job.transition(
                 "done",
                 finished_at=time.time(),
@@ -574,8 +510,6 @@ class JobManager:
                 job.ckpt_path.unlink()
             obs.inc("serve.jobs.completed")
             obs.inc(f"serve.session.{job.session_id}.jobs_completed")
-            if self.on_done is not None:
-                self.on_done(job, model)
         finally:
             self._recent_runtimes.append(max(1e-3, time.perf_counter() - t0))
             with self._jobs_lock:
@@ -586,7 +520,9 @@ class JobManager:
         spec = job.spec
         if spec.get("grid"):
             return self._train_grid(job)
-        model = _MODEL_CONSTRUCTORS[spec["model"]](spec)
+        model = TrainSpec.from_doc(spec["spec"]).build_model(
+            spec["n_features"], spec["n_classes"]
+        )
         if spec.get("warm_start_path"):
             from ..ml.persistence import load_model
 
@@ -657,7 +593,6 @@ class JobManager:
         SIGKILL + ``recover()`` resumes the slot loop bit-exactly — the
         same durability contract as a plain streaming job.
         """
-        from ..db.spec import TrainSpec
         from ..parallel import HopperEngine
 
         spec = job.spec
@@ -665,7 +600,8 @@ class JobManager:
         configs = tspec.grid.configs()
         resolved = [c.resolve(tspec) for c in configs]
         models = [
-            _MODEL_CONSTRUCTORS[spec["model"]](spec, l2=r["l2"]) for r in resolved
+            tspec.build_model(spec["n_features"], spec["n_classes"], l2=r["l2"])
+            for r in resolved
         ]
         stop = self._stop
 

@@ -40,6 +40,7 @@ from ..db.query import (
     UpdateQuery,
     parse_query,
 )
+from ..storage.iomodel import device_by_name
 from .jobs import Saturated
 from .protocol import encode_blob, err, ok
 
@@ -52,7 +53,9 @@ class Session:
     def __init__(self, session_id: str, server):
         self.session_id = session_id
         self.server = server
-        self.db = MiniDB(page_bytes=4096)
+        # The daemon's device, so this session's EXPLAIN and the job it
+        # precedes are costed on the same curves.
+        self.db = MiniDB(device=device_by_name(server.jobs.device), page_bytes=4096)
         self.connected_at = time.time()
         # Same-process tracer sharing the coordinator's wall anchor, so the
         # disconnect-time merge shifts spans by exactly zero (see
@@ -144,13 +147,13 @@ class Session:
             return err("bad_request", "sql requires a 'sql' string field")
         query = parse_query(sql)
         if isinstance(query, TrainQuery):
-            table = self.db.catalog.get(query.table)
-            job = self.server.jobs.submit(self.session_id, sql, query, table)
+            job = self.server.jobs.submit(self.session_id, sql, query, self.db)
             return ok(job_id=job.job_id, state=job.state)
         if isinstance(query, SelectQuery):
             return ok(result=self.db.select(query))
         if isinstance(query, ExplainQuery):
-            return ok(plan=self.db.explain(query.inner))
+            # A TRAIN here runs as a job, so that is the plan to show.
+            return ok(plan=self.db.explain(query.inner, for_job=True))
         if isinstance(query, PredictQuery):
             predictions = self.db.predict(query)
             preview = predictions[:100]

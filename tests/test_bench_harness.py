@@ -138,7 +138,8 @@ class TestParallelBench:
             assert rec["speedup_source"] in ("measured", "modeled")
             # The modeled wall never claims better than perfect scaling.
             base = doc["records"][0]["measured_epoch_wall_s"]
-            assert rec["modeled_epoch_wall_s"] >= base / rec["workers"] - 1e-9
+            # (both walls are rounded to 6 decimals in the document)
+            assert rec["modeled_epoch_wall_s"] >= base / rec["workers"] - 1e-6
         one, two = doc["records"]
         assert one["workers"] == 1 and one["epoch_speedup_vs_1"] == 1.0
         assert two["epoch_speedup_vs_1"] > 0

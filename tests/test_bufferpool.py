@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import StorageStats
+from repro.obs import StorageMetrics
 from repro.faults import FaultPlan, FaultSpec, FaultyHeapFile
 from repro.storage import BufferPool, HeapFile, ReadExhaustedError, RetryPolicy
 
@@ -107,7 +107,7 @@ class TestBufferPoolFaultInvalidation:
 
     def _faulty_pool(self, heap, spec, capacity=4, max_attempts=3):
         plan = FaultPlan(specs=[spec])
-        stats = StorageStats("pool-faults")
+        stats = StorageMetrics("pool-faults")
         faulty = FaultyHeapFile(heap, plan, storage_stats=stats)
         pool = BufferPool(
             faulty,

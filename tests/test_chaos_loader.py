@@ -16,9 +16,10 @@ import time
 
 import pytest
 
-from repro.core import CorgiPileDataset, MultiWorkerLoader, PrefetchLoader, StorageStats
+from repro.core import CorgiPileDataset, MultiWorkerLoader, PrefetchLoader
 from repro.data import make_binary_dense
 from repro.faults import FaultPlan, FaultSpec, faulty_reader_factory
+from repro.obs import StorageMetrics
 from repro.storage import ReadExhaustedError, RetryPolicy, write_block_file
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -55,7 +56,7 @@ class TestPrefetchLoaderChaos:
             expected = list(PrefetchLoader(clean_view, depth=2))
 
         plan = FaultPlan.random(seed, p_transient=0.5, p_torn=0.3, max_failures=2)
-        stats = StorageStats("prefetch-chaos")
+        stats = StorageMetrics("prefetch-chaos")
         with CorgiPileDataset(
             path,
             buffer_blocks=2,
@@ -73,7 +74,7 @@ class TestPrefetchLoaderChaos:
         baseline = threading.active_count()
         # times exceeds the explicit 2-attempt budget: retry must exhaust.
         plan = FaultPlan(specs=[FaultSpec("transient", unit="block", target=0, times=5)])
-        stats = StorageStats("prefetch-exhaust")
+        stats = StorageMetrics("prefetch-exhaust")
         factory = faulty_reader_factory(
             plan, stats=stats, retry=RetryPolicy(max_attempts=2)
         )
@@ -93,7 +94,7 @@ class TestMultiWorkerLoaderChaos:
         path, ds = block_file
         baseline = threading.active_count()
         plan = FaultPlan.random(seed, p_transient=0.5, p_torn=0.3, max_failures=2)
-        stats = StorageStats("mw-chaos")
+        stats = StorageMetrics("mw-chaos")
         with MultiWorkerLoader(
             path,
             3,

@@ -56,7 +56,8 @@ class TestTrainQueries:
         assert q.double_buffer is False
 
     def test_unknown_params_collected(self):
-        q = parse_query("SELECT * FROM t TRAIN BY lr WITH fancy_knob = 3")
+        with pytest.warns(DeprecationWarning, match="fancy_knob"):
+            q = parse_query("SELECT * FROM t TRAIN BY lr WITH fancy_knob = 3")
         assert q.extra == {"fancy_knob": 3}
 
     def test_case_insensitive_keywords(self):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CorgiPileDataset, DataLoader, StorageStats
+from repro.core import CorgiPileDataset, DataLoader
 from repro.data import make_binary_dense
 from repro.faults import (
     FaultPlan,
@@ -31,6 +31,7 @@ from repro.faults import (
     faulty_table,
 )
 from repro.ml import LogisticRegression, train_streaming
+from repro.obs import StorageMetrics
 from repro.storage import (
     BlockFileReader,
     BufferPool,
@@ -159,7 +160,7 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
     def test_retries_then_succeeds(self):
-        stats = StorageStats("t")
+        stats = StorageMetrics("t")
         calls = []
 
         def attempt(a):
@@ -175,7 +176,7 @@ class TestRetryPolicy:
 
     def test_exhaustion_raises_with_context(self):
         policy = RetryPolicy(max_attempts=2)
-        stats = StorageStats("t")
+        stats = StorageMetrics("t")
         with pytest.raises(ReadExhaustedError) as err:
             policy.run(
                 lambda a: (_ for _ in ()).throw(ChecksumError("bad crc")),
@@ -254,7 +255,7 @@ class TestFaultyStores:
 
     def test_read_level_crash_punches_through_retry(self, block_file):
         path, _ = block_file
-        stats = StorageStats("crash")
+        stats = StorageMetrics("crash")
         plan = FaultPlan(specs=[FaultSpec("crash", unit="block", target=0)])
         with FaultyBlockFileReader(path, plan, storage_stats=stats) as faulty:
             with pytest.raises(InjectedCrash):
@@ -263,7 +264,7 @@ class TestFaultyStores:
 
     def test_torn_block_read_is_caught_and_retried(self, block_file):
         path, _ = block_file
-        stats = StorageStats("torn")
+        stats = StorageMetrics("torn")
         plan = FaultPlan(specs=[FaultSpec("torn", target=2, times=1)])
         with BlockFileReader(path) as clean, FaultyBlockFileReader(
             path, plan, storage_stats=stats
@@ -285,7 +286,7 @@ class TestFaultyStores:
 
     def test_latency_injection_recorded(self, block_file):
         path, _ = block_file
-        stats = StorageStats("lat")
+        stats = StorageMetrics("lat")
         plan = FaultPlan(specs=[FaultSpec("latency", target=1, delay_s=0.001)])
         with FaultyBlockFileReader(path, plan, storage_stats=stats) as reader:
             reader.read_block(1)
@@ -300,7 +301,7 @@ class TestFaultyStores:
 
     def test_torn_page_read_fails_checksum_then_recovers(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
-        stats = StorageStats("heap")
+        stats = StorageMetrics("heap")
         plan = FaultPlan(specs=[FaultSpec("torn", unit="page", target=0, times=1)])
         faulty = FaultyHeapFile(heap, plan, storage_stats=stats)
         with pytest.raises(ChecksumError):
@@ -325,7 +326,7 @@ class TestFaultyStores:
         assert stats.transient_errors == 1 and stats.retries == 1
 
     def test_chaos_report_shape(self):
-        stats = StorageStats("s")
+        stats = StorageMetrics("s")
         stats.record_attempt()
         stats.record_ok()
         row = chaos_report(stats, FaultPlan(seed=3))
@@ -356,7 +357,7 @@ class TestFaultInvisibility:
     ):
         path, _ = block_file
         clean = _train_through(path, seed=seed)
-        stats = StorageStats("chaos")
+        stats = StorageMetrics("chaos")
         plan = FaultPlan.random(seed, p_transient=0.6, p_torn=0.3, max_failures=2)
         faulty = _train_through(
             path, reader_factory=faulty_reader_factory(plan, stats=stats), seed=seed

@@ -15,7 +15,7 @@ from repro.core.lifecycle import (
     ProducerChannel,
     ThreadRegistry,
 )
-from repro.core.stats import LoaderStats
+from repro.obs import LoaderMetrics
 
 
 def wait_until(predicate, timeout=5.0):
@@ -29,13 +29,13 @@ def wait_until(predicate, timeout=5.0):
 
 class TestProducerChannel:
     def test_put_get_roundtrip(self):
-        channel = ProducerChannel(2, threading.Event(), LoaderStats())
+        channel = ProducerChannel(2, threading.Event(), LoaderMetrics())
         assert channel.put("a") is True
         assert channel.get() == "a"
 
     def test_put_aborts_once_cancelled(self):
         stop = threading.Event()
-        channel = ProducerChannel(1, stop, LoaderStats())
+        channel = ProducerChannel(1, stop, LoaderMetrics())
         assert channel.put("fills the queue") is True
         stop.set()
         start = time.perf_counter()
@@ -45,7 +45,7 @@ class TestProducerChannel:
     def test_terminal_put_is_cancellable(self):
         """The END/Failure put must not block forever on a full queue."""
         stop = threading.Event()
-        stats = LoaderStats()
+        stats = LoaderMetrics()
         channel = ProducerChannel(1, stop, stats)
         channel.put("item")
         stop.set()
@@ -53,14 +53,14 @@ class TestProducerChannel:
         assert stats.puts_cancelled == 1
 
     def test_terminal_put_not_counted_as_item(self):
-        stats = LoaderStats()
+        stats = LoaderMetrics()
         channel = ProducerChannel(2, threading.Event(), stats)
         channel.put("item")
         channel.put(END, terminal=True)
         assert stats.items_produced == 1
 
     def test_drain_empties_queue(self):
-        channel = ProducerChannel(3, threading.Event(), LoaderStats())
+        channel = ProducerChannel(3, threading.Event(), LoaderMetrics())
         for i in range(3):
             channel.put(i)
         assert channel.drain() == 3
@@ -68,7 +68,7 @@ class TestProducerChannel:
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
-            ProducerChannel(0, threading.Event(), LoaderStats())
+            ProducerChannel(0, threading.Event(), LoaderMetrics())
 
 
 class TestThreadRegistry:
@@ -159,9 +159,9 @@ class TestManagedProducer:
         producer.stop()
 
 
-class TestLoaderStats:
+class TestLoaderMetrics:
     def test_counters_roundtrip(self):
-        stats = LoaderStats("s")
+        stats = LoaderMetrics("s")
         stats.record_put(depth_after=2, stalled_s=0.5)
         stats.record_get(waited_s=0.25)
         stats.record_buffer_filled(10)
@@ -178,10 +178,10 @@ class TestLoaderStats:
         assert d["overlap_fraction"] == pytest.approx(0.5 / 0.75)
 
     def test_overlap_defaults_to_one_without_waiting(self):
-        assert LoaderStats().overlap_fraction == 1.0
+        assert LoaderMetrics().overlap_fraction == 1.0
 
     def test_reset(self):
-        stats = LoaderStats()
+        stats = LoaderMetrics()
         stats.record_put(1, 0.1)
         stats.reset()
         assert stats.as_dict()["items_produced"] == 0
@@ -191,7 +191,7 @@ class TestLoaderStats:
         """Slow consumer → producer stalls; slow producer → consumer waits."""
         from repro.core import PrefetchLoader
 
-        stall_stats = LoaderStats("stall")
+        stall_stats = LoaderMetrics("stall")
         for _ in PrefetchLoader(range(20), depth=1, stats=stall_stats):
             time.sleep(0.005)
         assert stall_stats.producer_stall_s > 0.0
@@ -201,6 +201,6 @@ class TestLoaderStats:
                 time.sleep(0.01)
                 yield i
 
-        wait_stats = LoaderStats("wait")
+        wait_stats = LoaderMetrics("wait")
         list(PrefetchLoader(slow_source(), depth=2, stats=wait_stats))
         assert wait_stats.consumer_wait_s > 0.0

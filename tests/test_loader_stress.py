@@ -14,13 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import LoaderStats, MultiWorkerLoader, PrefetchLoader
+from repro.core import MultiWorkerLoader, PrefetchLoader
 from repro.data import make_binary_dense
 from repro.db import Catalog
 from repro.db.engine import ENGINE_PROFILE
 from repro.db.operators import SeqScanOperator
 from repro.db.threaded import ThreadedTupleShuffleOperator
 from repro.db.timing import RuntimeContext
+from repro.obs import LoaderMetrics
 from repro.storage import SSD, write_block_file
 
 
@@ -107,7 +108,7 @@ class TestMultiWorkerLoaderStress:
 
     def test_stats_aggregate_across_workers(self, block_file):
         path, ds = block_file
-        stats = LoaderStats("mw")
+        stats = LoaderMetrics("mw")
         with MultiWorkerLoader(path, 2, 2, batch_size=16, seed=0, stats=stats) as loader:
             n_batches = sum(1 for _ in loader)
         d = stats.as_dict()
@@ -201,7 +202,7 @@ class TestThreadedOperatorStress:
         assert settled_thread_count(baseline) == baseline
 
     def test_stats_report_fill_drain_and_overlap(self, table):
-        stats = LoaderStats("threaded")
+        stats = LoaderMetrics("threaded")
         op = ThreadedTupleShuffleOperator(
             SeqScanOperator(table, _ctx()), 100, seed=0, stats=stats
         )

@@ -533,27 +533,3 @@ class TestParallelMergedTrace:
         assert obs.validate_events(meta, events, obs.load_schema()) == []
         text = obs.report(trace, registry=registry)
         assert "worker" in text and "parallel.epoch" in text
-
-
-# ----------------------------------------------------------------------
-# Legacy shims
-# ----------------------------------------------------------------------
-
-
-class TestLegacyShims:
-    def test_legacy_classes_warn_and_stay_compatible(self):
-        from repro.core.stats import LoaderStats, StorageStats
-
-        with pytest.warns(DeprecationWarning, match="LoaderStats"):
-            legacy = LoaderStats("old")
-        with pytest.warns(DeprecationWarning, match="StorageStats"):
-            StorageStats("old")
-        assert isinstance(legacy, LoaderMetrics)
-        legacy.record_put(1, 0.25)
-        modern = LoaderMetrics("old")
-        modern.record_get(0.75)
-        merged = obs.merge(modern, legacy)  # cross-boundary merge is legal
-        assert merged is modern
-        assert merged.producer_stall_s == 0.25
-        assert merged.consumer_wait_s == 0.75
-        assert overlap_report(merged)["overlap_fraction"] == pytest.approx(0.25)

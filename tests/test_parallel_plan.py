@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributed import MultiProcessCorgiPile
-from repro.core.stats import LoaderStats
+from repro.obs import LoaderMetrics
 from repro.data.dataset import BlockLayout
 from repro.data.generators import make_binary_dense, make_binary_sparse
 from repro.parallel import ShardFetcher, ShardPlanner
@@ -131,7 +131,7 @@ class TestShardFetcher:
     def test_fetch_fill_rows_follow_visit_order(self, block_file, tmp_path):
         path, ds = block_file
         planner = ShardPlanner.for_block_file(path, n_workers=2, buffer_blocks=2, seed=4)
-        stats = LoaderStats("fetch")
+        stats = LoaderMetrics("fetch")
         with BlockFileReader(path) as reader:
             fetcher = ShardFetcher(reader, planner.tuples_per_block, stats)
             for group, indices in planner.worker_buffer_fills(0, 1):

@@ -438,9 +438,48 @@ class TestJobJournal:
         assert spec.get("interrupted") is True
 
 
+class TestJobDoneOrdering:
+    def test_job_is_not_done_until_its_model_is_registered(self, tmp_path):
+        """Was: ``done`` was journalled before ``on_done`` registered the
+        model, so ``wait()`` -> ``PREDICT BY job_N`` could find no model."""
+        from repro.data import make_binary_dense
+        from repro.db import MiniDB, parse_query
+        from repro.serve.jobs import JobManager
+
+        registering, release = threading.Event(), threading.Event()
+        states_seen = []
+
+        def on_done(job, model):
+            states_seen.append(job.state)
+            registering.set()
+            assert release.wait(120)
+
+        sql = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 1, block_size = 16KB"
+        db = MiniDB(page_bytes=4096)
+        db.create_table("t", make_binary_dense(300, 6, seed=0))
+        manager = JobManager(tmp_path, workers=1, on_done=on_done)
+        manager.start()
+        try:
+            job = manager.submit("s1", sql, parse_query(sql), db)
+            assert registering.wait(120)
+            # The model file is durable and registration is in flight: the
+            # job must still read as running to every poller.
+            assert job.model_path.exists()
+            assert job.state == "running"
+            assert job.describe()["state"] == "running"
+            release.set()
+            manager._queue.join()  # the worker has left _execute
+            assert job.state == "done"
+            assert states_seen == ["running"]
+        finally:
+            release.set()
+            manager.stop()
+
+
 class TestAdvisorOverTheWire:
-    """``strategy = auto`` jobs journal the advisor's full decision and
-    serve it back through the status protocol, round-trippable into an
+    """``strategy = auto`` jobs journal the strategy that runs plus the
+    advisor's full decision as evidence, and serve both back through the
+    status protocol, round-trippable into an
     :class:`~repro.db.advisor.AdvisorDecision`."""
 
     AUTO_SQL = (
@@ -456,24 +495,40 @@ class TestAdvisorOverTheWire:
         try:
             with connect(server) as client:
                 client.load("susy", order="clustered")
+                # The session's engine is costed on the daemon's device, so
+                # the EXPLAIN and the job it precedes agree.
+                explained = client.sql("EXPLAIN " + self.AUTO_SQL)["plan"]
                 job_id = client.submit(self.AUTO_SQL)
                 final = client.wait(job_id, timeout=120)
         finally:
             server.stop()
+        assert "Advisor (device=hdd" in explained
+        assert "ShardBlockFile" in explained  # the job's plan, not the inline one
         assert final["state"] == "done"
-        # The journalled strategy is the advisor's concrete resolution.
-        assert final["strategy"] in (
+        # A job trains sharded CorgiPile over its block file whatever the
+        # advisor would pick for an inline run; the journal says what ran
+        # and keeps the advisor's pick as evidence.
+        assert final["strategy"] == "corgipile"
+        decision = AdvisorDecision.from_doc(final["advisor"])
+        assert decision.strategy in (
             "no_shuffle", "block_reversal", "block_reshuffle",
             "corgipile", "corgi2", "shuffle_once", "random_access",
         )
-        decision = AdvisorDecision.from_doc(final["advisor"])
-        assert decision.strategy == final["strategy"]
         assert decision.device == "hdd"
         assert decision.hd.hd >= 1.0
         assert "Advisor (device=hdd" in decision.render()
         # And the on-disk journal carries the same doc verbatim.
         spec = json.loads((state / "jobs" / f"{job_id}.json").read_text())
         assert spec["advisor"] == final["advisor"]
+
+    def test_unrunnable_strategy_is_rejected_at_admission(self, server):
+        with connect(server) as client:
+            client.load("susy")
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(TRAIN_SQL + ", strategy = no_shuffle")
+            assert excinfo.value.code == "engine_error"
+            assert "corgipile" in str(excinfo.value)
+            assert client.jobs() == []
 
     def test_fixed_strategy_jobs_skip_the_advisor(self, server):
         with connect(server) as client:

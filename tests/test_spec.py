@@ -1,10 +1,9 @@
-"""The typed TrainSpec API: validation, grids, docs, and the legacy shim.
+"""The typed TrainSpec API: validation, grids, docs.
 
-Every TRAIN entry point (engine, serve jobs, CLI) now funnels through
+Every TRAIN entry point (engine, serve jobs, CLI) funnels through
 ``TrainSpec.from_query`` — so these tests pin the contract: bad knobs fail
-loudly with :class:`SpecError`, the canonical document round-trips, and the
-old ``extra={...}`` input channel still works for one release behind a
-``DeprecationWarning``.
+loudly with :class:`SpecError`, the canonical document round-trips, and
+``extra={...}`` is the engine's output channel only.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ class TestGridSpec:
 
 
 # ----------------------------------------------------------------------
-# from_query / apply_to_query / documents
+# from_query / documents
 # ----------------------------------------------------------------------
 
 
@@ -144,15 +143,6 @@ class TestTrainSpecFromQuery:
         assert clone.where is not None
         assert clone.where.render() == spec.where.render()
 
-    def test_apply_to_query_writes_typed_fields_back(self):
-        query = parse_query(GRID_SQL)
-        spec = TrainSpec.from_query(query)
-        query.learning_rate = 999.0  # stomp, then restore from the spec
-        spec.apply_to_query(query)
-        assert query.learning_rate == 0.2
-        assert query.l2 == 0.001
-        assert query.grid == spec.grid
-
     def test_invalid_sql_knob_fails_loudly(self):
         query = parse_query("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2")
         query.max_epoch_num = -1
@@ -160,46 +150,32 @@ class TestTrainSpecFromQuery:
             TrainSpec.from_query(query)
 
 
-class TestLegacyExtraShim:
-    def test_extra_knobs_convert_with_deprecation_warning(self):
-        query = TrainQuery(
-            table="t", model="lr", extra={"device": "hdd", "l2": 0.01}
-        )
-        with pytest.warns(DeprecationWarning, match="extra"):
-            spec = TrainSpec.from_query(query)
-        assert spec.device == "hdd"
-        assert spec.l2 == 0.01
+class TestExtraIsOutputOnly:
+    """The PR 10 ``extra={...}`` input shim is gone: an input knob left in
+    ``extra`` is an error naming the typed field, never silently ignored."""
 
-    def test_typed_field_wins_over_extra(self):
-        query = TrainQuery(table="t", model="lr", l2=0.5, extra={"l2": 0.01})
-        import warnings
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("warm_start", "model_1"),
+            ("device", "hdd"),
+            ("l2", 0.01),
+            ("grid", {"lr": [0.1, 0.01]}),
+        ],
+    )
+    def test_input_key_in_extra_is_a_spec_error(self, key, value):
+        query = TrainQuery(table="t", model="lr", extra={key: value})
+        with pytest.raises(SpecError, match=f"TrainQuery.{key}"):
+            TrainSpec.from_query(query)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning when typed field set
-            spec = TrainSpec.from_query(query)
-        assert spec.l2 == 0.5
-
-    def test_extra_grid_converts(self):
-        query = TrainQuery(
-            table="t", model="lr", extra={"grid": {"lr": [0.1, 0.01]}}
-        )
-        with pytest.warns(DeprecationWarning, match="grid"):
-            spec = TrainSpec.from_query(query)
-        assert spec.grid.n_configs == 2
-
-    def test_engine_honours_legacy_device_knob(self, dense_binary):
-        """The shim is live end-to-end: extra={'device': ...} still steers
-        the advisor through MiniDB.train, with a warning."""
+    def test_engine_rejects_before_training(self, dense_binary):
         db = MiniDB(page_bytes=1024)
         db.create_table("t", dense_binary)
-        query = TrainQuery(
-            table="t",
-            model="lr",
-            strategy="auto",
-            max_epoch_num=1,
-            block_size=64 * 1024,
-            extra={"device": "hdd"},
-        )
-        with pytest.warns(DeprecationWarning, match="device"):
-            result = db.train(query)
-        assert result.query.extra["advisor"]["device"] == "hdd"
+        query = TrainQuery(table="t", model="lr", extra={"device": "hdd"})
+        with pytest.raises(SpecError, match="device"):
+            db.train(query)
+        assert db.model_ids() == []
+
+    def test_engine_output_keys_in_extra_are_left_alone(self):
+        query = TrainQuery(table="t", model="lr", extra={"planner": "x", "where": {}})
+        assert TrainSpec.from_query(query).table == "t"

@@ -1,7 +1,7 @@
 """Cross-process transport of the observability counters.
 
 The multi-process engine (:mod:`repro.parallel`) pickles per-worker
-``LoaderStats``/``StorageStats`` back to the coordinator and folds them
+``LoaderMetrics``/``StorageMetrics`` back to the coordinator and folds them
 into one report; these tests pin the pickle and merge semantics the engine
 relies on — including the details that are easy to regress: locks are not
 transported (a fresh one is created on load), ``max_queue_depth`` merges by
@@ -14,12 +14,12 @@ import pickle
 
 import pytest
 
-from repro.core.stats import LoaderStats, StorageStats
+from repro.obs import LoaderMetrics, StorageMetrics
 from repro.faults.plan import FaultPlan, FaultSpec
 
 
-def loaded_loader(name: str = "w") -> LoaderStats:
-    s = LoaderStats(name)
+def loaded_loader(name: str = "w") -> LoaderMetrics:
+    s = LoaderMetrics(name)
     s.record_put(depth_after=3, stalled_s=0.5)
     s.record_put(depth_after=1, stalled_s=0.25)
     s.record_get(waited_s=0.125)
@@ -31,8 +31,8 @@ def loaded_loader(name: str = "w") -> LoaderStats:
     return s
 
 
-def loaded_storage(name: str = "s") -> StorageStats:
-    s = StorageStats(name)
+def loaded_storage(name: str = "s") -> StorageMetrics:
+    s = StorageMetrics(name)
     s.record_attempt()
     s.record_ok()
     s.record_fault(ValueError("transient-ish"))
@@ -128,13 +128,13 @@ class TestMerge:
 
     def test_merge_rejects_cross_type(self):
         with pytest.raises(TypeError):
-            LoaderStats("a").merge(loaded_storage())
+            LoaderMetrics("a").merge(loaded_storage())
         with pytest.raises(TypeError):
-            LoaderStats("a") + loaded_storage()  # noqa: B018 - operator raises
+            LoaderMetrics("a") + loaded_storage()  # noqa: B018 - operator raises
 
     def test_merge_many_workers_matches_manual_total(self):
         workers = [loaded_loader(f"w{i}") for i in range(4)]
-        total = LoaderStats("all")
+        total = LoaderMetrics("all")
         for w in workers:
             total.merge(pickle.loads(pickle.dumps(w)))  # as the engine does
         assert total.items_produced == sum(w.items_produced for w in workers)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.data import ordered_by_feature
 from repro.db import EngineError, MiniDB, TrainQuery
-from repro.db.engine import WHERE_STRATEGIES
+from repro.db.plan import WHERE_STRATEGIES
 from repro.db.query import CreateIndexQuery, parse_predicate
 
 EPOCHS = 3
@@ -172,7 +172,7 @@ class TestWarmStart:
         first = db.train(_where_query("f0 >= 0"))
         frozen = {k: v.copy() for k, v in first.model.params.items()}
         second = db.train(
-            _where_query("f0 >= 0", extra={"warm_start": first.model_id})
+            _where_query("f0 >= 0", warm_start=first.model_id)
         )
         # The source model is cloned, never trained in place.
         for key in frozen:
@@ -185,7 +185,7 @@ class TestWarmStart:
     def test_warm_start_continues_convergence(self, dense_binary):
         db = _filtered_db(dense_binary)
         first = db.train(_where_query("f0 >= 0"))
-        second = db.train(_where_query("f0 >= 0", extra={"warm_start": first.model_id}))
+        second = db.train(_where_query("f0 >= 0", warm_start=first.model_id))
         # Starting from trained weights, epoch 0 loss must beat the cold run's.
         assert (
             second.history.records[0].train_loss
@@ -195,7 +195,7 @@ class TestWarmStart:
     def test_warm_start_unknown_id_rejected(self, dense_binary):
         db = _filtered_db(dense_binary)
         with pytest.raises(EngineError, match="warm"):
-            db.train(_where_query("f0 >= 0", extra={"warm_start": "model_404"}))
+            db.train(_where_query("f0 >= 0", warm_start="model_404"))
 
     def test_warm_start_type_mismatch_rejected(self, dense_binary):
         db = _filtered_db(dense_binary)
@@ -206,7 +206,7 @@ class TestWarmStart:
             )
         )
         with pytest.raises(EngineError):
-            db.train(_where_query("f0 >= 0", extra={"warm_start": svm.model_id}))
+            db.train(_where_query("f0 >= 0", warm_start=svm.model_id))
 
     def test_warm_start_from_npz_path(self, dense_binary, tmp_path):
         from repro.ml import save_model
@@ -215,7 +215,7 @@ class TestWarmStart:
         first = db.train(_where_query("f0 >= 0"))
         path = tmp_path / "warm.npz"
         save_model(first.model, path)
-        second = db.train(_where_query("f0 >= 0", extra={"warm_start": str(path)}))
+        second = db.train(_where_query("f0 >= 0", warm_start=str(path)))
         assert (
             second.history.records[0].train_loss
             < first.history.records[0].train_loss
