@@ -18,8 +18,8 @@ sample × the three latency-scaled device curves (``hdd-scaled``,
 ``ssd-scaled``, ``nvm-scaled`` — scaled so simulated seconds stay short
 while preserving each device's random/sequential ratio).
 
-Results go to ``benchmarks/results/bench_advisor.json`` plus the
-repo-root ``BENCH_advisor.json`` snapshot that travels with the PR.
+Results go to the repo-root ``BENCH_advisor.json`` snapshot that travels
+with the PR.
 
 Usage::
 
@@ -47,7 +47,6 @@ from repro.data import (  # noqa: E402
 from repro.db import MiniDB  # noqa: E402
 from repro.storage import device_by_name  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_advisor.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_advisor.json"
 
 DEVICES = ("hdd-scaled", "ssd-scaled", "nvm-scaled")
@@ -177,12 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     results = run_grid(epochs=epochs, full=args.full)
     results["wall_s"] = round(time.perf_counter() - t0, 2)
 
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\n{len(results['points'])} grid points in {results['wall_s']}s "
-          f"-> {RESULTS_PATH}")
+          f"-> {SNAPSHOT_PATH}")
 
     if args.check:
         failures = check(results, args.tolerance)

@@ -23,8 +23,8 @@ Grid: sizes × selectivities over the bundled SUSY sample, physically
 ordered by feature 0 (the indexed column) so qualifying pages are
 contiguous, plus one fixed-width predicate per size for claim 1.
 
-Results go to ``benchmarks/results/bench_index.json`` plus the repo-root
-``BENCH_index.json`` snapshot that travels with the PR.
+Results go to the repo-root ``BENCH_index.json`` snapshot that travels with
+the PR.
 
 Usage::
 
@@ -50,7 +50,6 @@ from repro.data import load, ordered_by_feature  # noqa: E402
 from repro.db import MiniDB, TrainQuery  # noqa: E402
 from repro.db.query import CreateIndexQuery, parse_predicate  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_index.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_index.json"
 
 SELECTIVITIES = (0.05, 0.3, 1.0)
@@ -214,12 +213,10 @@ def main(argv: list[str] | None = None) -> int:
     results["mode"] = "full" if args.full else "quick"
     results["wall_s"] = round(time.perf_counter() - t0, 2)
 
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     n_points = len(results["points"]) + len(results["fixed_width_points"])
-    print(f"\n{n_points} grid points in {results['wall_s']}s -> {RESULTS_PATH}")
+    print(f"\n{n_points} grid points in {results['wall_s']}s -> {SNAPSHOT_PATH}")
 
     if args.check:
         failures = check(results)

@@ -3,8 +3,8 @@
 
 Times the scalar (per-tuple) and fused (vectorized) implementations of the
 two hot paths — page decode and one standard-SGD epoch — and records
-tuples/sec into ``benchmarks/results/bench_kernels.json`` plus the repo-root
-``BENCH_kernels.json`` snapshot that travels with the PR.
+tuples/sec into the repo-root ``BENCH_kernels.json`` snapshot that travels
+with the PR.
 
 Usage::
 
@@ -32,7 +32,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import format_table, kernel_bench_rows, run_kernel_bench  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_kernels.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_kernels.json"
 
 
@@ -80,9 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     payload = json.dumps(doc, indent=2) + "\n"
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(payload)
-    print(f"wrote {RESULTS_PATH}")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(payload)
         print(f"wrote {SNAPSHOT_PATH}")

@@ -4,8 +4,7 @@
 Trains the quick S=4 learning-rate grid through the hop schedule, times
 every (slot, worker) work unit, and records the modeled critical-path wall
 against the cost of a single solo data pass into
-``benchmarks/results/bench_mop.json`` plus the repo-root ``BENCH_mop.json``
-snapshot that travels with the PR.
+the repo-root ``BENCH_mop.json`` snapshot that travels with the PR.
 
 The wall is a *modeled critical path* (sum over slots of the slowest unit
 in each slot) from bit-exact serial execution, so the number is stable on
@@ -34,7 +33,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import format_table, mop_bench_rows, run_mop_bench  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_mop.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_mop.json"
 
 
@@ -82,9 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     payload = json.dumps(doc, indent=2) + "\n"
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(payload)
-    print(f"wrote {RESULTS_PATH}")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(payload)
         print(f"wrote {SNAPSHOT_PATH}")

@@ -4,8 +4,7 @@
 Trains the dense quick config at 1/2/4 real worker processes (epoch and
 sync aggregation) and records per-epoch walls, tuple throughput, measured
 coordination overhead, and the epoch-throughput speedup vs one worker into
-``benchmarks/results/bench_parallel.json`` plus the repo-root
-``BENCH_parallel.json`` snapshot that travels with the PR.
+the repo-root ``BENCH_parallel.json`` snapshot that travels with the PR.
 
 Every speedup carries a ``speedup_source`` field: ``measured`` when the host
 has at least as many cores as workers, ``modeled`` otherwise (single-core
@@ -35,7 +34,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import format_table, parallel_bench_rows, run_parallel_bench  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_parallel.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 
@@ -79,9 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     payload = json.dumps(doc, indent=2) + "\n"
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(payload)
-    print(f"wrote {RESULTS_PATH}")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(payload)
         print(f"wrote {SNAPSHOT_PATH}")

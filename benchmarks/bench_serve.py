@@ -13,8 +13,8 @@ concurrent :class:`repro.serve.ReproClient` connections, and measures:
   deliberately saturated one-slot queue (the daemon must answer fast with
   ``retry_after_s`` rather than hang).
 
-Results go to ``benchmarks/results/bench_serve.json`` plus the repo-root
-``BENCH_serve.json`` snapshot that travels with the PR.
+Results go to the repo-root ``BENCH_serve.json`` snapshot that travels with
+the PR.
 
 Usage::
 
@@ -42,7 +42,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import obs  # noqa: E402
 from repro.serve import ReproClient, ReproServer, SaturatedError  # noqa: E402
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "bench_serve.json"
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_serve.json"
 
 TRAIN_SQL = (
@@ -220,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     ):
         print(f"{name}: {json.dumps(results[name])}")
 
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {SNAPSHOT_PATH}")

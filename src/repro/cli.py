@@ -58,17 +58,17 @@ from .data import (
     write_libsvm,
 )
 from .db import MiniDB, TrainQuery
+from .db.plan import STRATEGIES
 from .ml import (
     ExponentialDecay,
     LinearRegression,
     LinearSVM,
     LogisticRegression,
     SoftmaxRegression,
-    Trainer,
     load_model,
     save_model,
 )
-from .shuffle import STRATEGY_NAMES, make_strategy
+from .shuffle import STRATEGY_NAMES
 from .storage import DEVICE_MODELS, device_by_name, random_vs_sequential_curve
 
 __all__ = ["main", "build_parser"]
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     train.add_argument("--task", choices=("binary", "multiclass", "regression"), default="binary")
     train.add_argument("--model", choices=_MODELS, default="lr")
-    train.add_argument("--strategy", choices=STRATEGY_NAMES, default="corgipile")
+    train.add_argument("--strategy", choices=STRATEGIES + ("auto",), default="corgipile")
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--lr", type=float, default=0.05)
     train.add_argument("--decay", type=float, default=0.95)
@@ -177,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--where", metavar="PRED", default=None,
         help="train over the qualifying subset only (e.g. 'f0 >= 0.5 AND "
-        "label = 1'); routes the run through the engine's TRAIN ... WHERE "
-        "path, bit-exact against a materialised copy of the subset",
+        "label = 1'): the engine's TRAIN ... WHERE path, bit-exact against "
+        "a materialised copy of the subset",
     )
     train.add_argument(
         "--index", metavar="COLUMN", default=None,
@@ -503,50 +503,67 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _parallel_batch(batch_size: int, workers: int) -> int:
-    """Round the batch size up to a multiple of the worker count."""
-    per_worker = max(1, -(-batch_size // workers))
-    return per_worker * workers
+def _where_and_grid(args, db: MiniDB, table: str):
+    """The ``--where`` / ``--index`` / ``--grid`` flags ``train`` and
+    ``explain`` share: build the index first, so the planner can pick it."""
+    from .db.query import CreateIndexQuery, _parse_grid, parse_predicate
 
-
-def _train_where(args, train_set, test_set, epochs: int) -> int:
-    """``train --where``: route the run through the engine's filtered path.
-
-    A filtered run needs the heap/index machinery — the predicate resolves
-    to RIDs and the planner picks index-ordered fetch vs full scan — so
-    ``--where`` trades the raw :class:`Trainer` for a MiniDB table and
-    prints the planner's decision under the convergence table.
-    """
-    from .db.plan import WHERE_STRATEGIES
-    from .db.query import CreateIndexQuery, parse_predicate
-
-    if args.workers > 1:
-        raise SystemExit("--where trains single-process (TRAIN ... WHERE has no parallel plan)")
-    if args.strategy != "auto" and args.strategy not in WHERE_STRATEGIES:
-        raise SystemExit(
-            f"--where supports strategies auto, {', '.join(WHERE_STRATEGIES)}; "
-            f"got {args.strategy!r}"
-        )
-    db = MiniDB(page_bytes=4096)
-    info = db.create_table("t", train_set)
     if args.index:
         db.create_index(
-            CreateIndexQuery(name=f"ix_{args.index}", table="t", column=args.index)
+            CreateIndexQuery(name=f"ix_{args.index}", table=table, column=args.index)
         )
+    return (
+        parse_predicate(args.where) if args.where else None,
+        _parse_grid(args.grid) if args.grid else None,
+    )
+
+
+def _cmd_train(args) -> int:
+    """``train``: the flags become one TRAIN statement; the engine runs it.
+
+    Plain, ``--where``, ``--grid`` and ``--workers`` runs are the same call —
+    the planner picks the executor exactly as it does for SQL — so what this
+    prints is what ``MiniDB.execute`` of the equivalent statement returns.
+    Per-tuple SGD runs on the fused kernels (the serve daemon's policy too).
+    """
+    from .db.errors import EngineError
+
+    dataset = _load_input(args)
+    train_set, test_set = dataset.split(1.0 - args.test_fraction, seed=args.seed)
+    db = MiniDB(page_bytes=4096)
+    info = db.create_table("t", train_set)
+    where, grid = _where_and_grid(args, db, "t")
     query = TrainQuery(
         table="t",
         model=args.model,
         strategy=args.strategy,
         learning_rate=args.lr,
         decay=args.decay,
-        max_epoch_num=epochs,
+        max_epoch_num=min(args.epochs, 3) if args.quick else args.epochs,
         batch_size=args.batch_size,
         buffer_fraction=args.buffer_fraction,
         block_size=max(4096, int(args.block_tuples * info.tuple_bytes)),
         seed=args.seed,
-        where=parse_predicate(args.where),
+        fused=True,
+        workers=args.workers,
+        where=where,
+        grid=grid,
     )
-    result = db.train(query, test=test_set)
+    try:
+        result = db.train(query, test=test_set)
+    except EngineError as exc:
+        raise SystemExit(f"train: {exc}") from None
+    if args.grid:
+        _print_grid_result(args, result)
+    else:
+        _print_train_result(args, result)
+    if args.save_model:
+        save_model(result.model, args.save_model)
+        print(f"saved {'winning ' if args.grid else ''}model to {args.save_model}")
+    return 0
+
+
+def _print_train_result(args, result) -> None:
     rows = [
         {
             "epoch": r.epoch,
@@ -557,12 +574,15 @@ def _train_where(args, train_set, test_set, epochs: int) -> int:
         }
         for r in result.history.records
     ]
-    print(
-        format_table(
-            rows, title=f"{args.model} via {result.query.strategy} WHERE {args.where}"
-        )
-    )
-    d = result.query.extra["where"]
+    title = f"{args.model} via {result.query.strategy}"
+    if args.where:
+        title += f" WHERE {args.where}"
+    if args.workers > 1:
+        title += f" x{args.workers} workers"
+    print(format_table(rows, title=title))
+    d = result.query.extra.get("where")
+    if d is None:
+        return
     via = f" via index {d['index']} on {d['index_column']}" if d["index"] else ""
     print(
         f"\nWHERE {d['predicate']}: {d['n_matching']} / {d['n_tuples']} tuples "
@@ -575,44 +595,10 @@ def _train_where(args, train_set, test_set, epochs: int) -> int:
             f"{physical['pages_fetched']} page fetches, "
             f"{physical['device_page_reads']} device page reads"
         )
-    if args.save_model:
-        save_model(result.model, args.save_model)
-        print(f"saved model to {args.save_model}")
-    return 0
 
 
-def _train_grid(args, train_set, test_set, epochs: int) -> int:
-    """``train --grid``: one model-hopper pass over every axis combination.
-
-    Routes through the engine's ``TRAIN ... WITH grid`` path — S models
-    hop across P shard workers so each config sees the identical CorgiPile
-    stream a solo run sees — and prints the leaderboard plus the hop
-    schedule's cost summary.  ``--save-model`` writes the winner.
-    """
-    from .db.query import _parse_grid
-
-    if args.strategy not in ("corgipile", "auto"):
-        raise SystemExit(
-            f"--grid executes model-hopper CorgiPile; --strategy "
-            f"{args.strategy} has no grid plan"
-        )
-    db = MiniDB(page_bytes=4096)
-    info = db.create_table("t", train_set)
-    query = TrainQuery(
-        table="t",
-        model=args.model,
-        strategy="corgipile",
-        learning_rate=args.lr,
-        decay=args.decay,
-        max_epoch_num=epochs,
-        batch_size=args.batch_size,
-        buffer_fraction=args.buffer_fraction,
-        block_size=max(4096, int(args.block_tuples * info.tuple_bytes)),
-        seed=args.seed,
-        workers=args.workers,
-        grid=_parse_grid(args.grid),
-    )
-    result = db.train(query, test=test_set)
+def _print_grid_result(args, result) -> None:
+    """The leaderboard plus the hop schedule's cost summary."""
     rows = [
         {
             "rank": row["rank"],
@@ -641,91 +627,6 @@ def _train_grid(args, train_set, test_set, epochs: int) -> int:
         f"{hopper['tuples_processed']} tuples in {hopper['wall_seconds']:.2f}s; "
         f"best = {result.leaderboard[0]['label']}"
     )
-    if args.save_model:
-        save_model(result.model, args.save_model)
-        print(f"saved winning model to {args.save_model}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    dataset = _load_input(args)
-    epochs = min(args.epochs, 3) if args.quick else args.epochs
-    train_set, test_set = dataset.split(1.0 - args.test_fraction, seed=args.seed)
-    if args.grid:
-        if args.where:
-            raise SystemExit("--grid and --where cannot combine (no filtered hopper plan)")
-        return _train_grid(args, train_set, test_set, epochs)
-    if args.where:
-        return _train_where(args, train_set, test_set, epochs)
-    model = _build_model(args.model, dataset)
-    if args.workers > 1:
-        # Real multi-process training: sharded CorgiPile over a materialised
-        # block file (Section 5); other strategies have no parallel plan.
-        import tempfile
-        from pathlib import Path
-
-        from .parallel import ParallelTrainer
-        from .storage import write_block_file
-
-        if args.strategy != "corgipile":
-            raise SystemExit(
-                f"--workers {args.workers} executes sharded CorgiPile; "
-                f"--strategy {args.strategy} has no parallel plan"
-            )
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "train.blocks"
-            write_block_file(train_set, path, args.block_tuples)
-            buffer_blocks = max(
-                1,
-                round(
-                    args.buffer_fraction
-                    * train_set.n_tuples
-                    / (args.workers * args.block_tuples)
-                ),
-            )
-            history = ParallelTrainer(
-                path,
-                model,
-                n_workers=args.workers,
-                mode="sync",
-                epochs=epochs,
-                global_batch_size=_parallel_batch(args.batch_size, args.workers),
-                buffer_blocks=buffer_blocks,
-                seed=args.seed,
-                schedule=ExponentialDecay(args.lr, args.decay),
-                test=test_set,
-                task=dataset.task,
-            ).run().history
-    else:
-        layout = train_set.layout(args.block_tuples)
-        strategy = make_strategy(
-            args.strategy, layout, buffer_fraction=args.buffer_fraction, seed=args.seed
-        )
-        history = Trainer(
-            model,
-            train_set,
-            strategy,
-            epochs=epochs,
-            schedule=ExponentialDecay(args.lr, args.decay),
-            batch_size=args.batch_size,
-            test=test_set,
-        ).run()
-    rows = [
-        {
-            "epoch": r.epoch,
-            "lr": round(r.lr, 5),
-            "train_loss": round(r.train_loss, 4),
-            "train_score": round(r.train_score, 4),
-            "test_score": round(r.test_score, 4) if r.test_score is not None else None,
-        }
-        for r in history.records
-    ]
-    suffix = f" x{args.workers} workers" if args.workers > 1 else ""
-    print(format_table(rows, title=f"{args.model} via {args.strategy}{suffix}"))
-    if args.save_model:
-        save_model(model, args.save_model)
-        print(f"saved model to {args.save_model}")
-    return 0
 
 
 def _cmd_predict(args) -> int:
@@ -742,22 +643,7 @@ def _cmd_explain(args) -> int:
     dataset = _apply_order(load(args.dataset, seed=0), args.order, 0)
     db = MiniDB(device=device_by_name(args.device), page_bytes=1024)
     db.create_table(args.dataset, dataset)
-    where = None
-    if args.where:
-        from .db.query import CreateIndexQuery, parse_predicate
-
-        where = parse_predicate(args.where)
-        if args.index:
-            db.create_index(
-                CreateIndexQuery(
-                    name=f"ix_{args.index}", table=args.dataset, column=args.index
-                )
-            )
-    grid = None
-    if args.grid:
-        from .db.query import _parse_grid
-
-        grid = _parse_grid(args.grid)
+    where, grid = _where_and_grid(args, db, args.dataset)
     query = TrainQuery(
         table=args.dataset,
         model=args.model,
@@ -842,7 +728,8 @@ def _cmd_parallel_train(args) -> int:
         epochs = min(epochs, 3)
         if dataset.n_tuples > 1600:
             dataset = dataset.subset(range(1600))
-    gbs = _parallel_batch(args.global_batch_size, args.workers)
+    # Rounded up to a multiple of the worker count.
+    gbs = max(1, -(-args.global_batch_size // args.workers)) * args.workers
     model = _build_model(args.model, dataset)
     ok = True
 

@@ -34,7 +34,7 @@ from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
 from ..ml.optim import SGD
 from ..ml.schedules import ExponentialDecay
-from ..ml.trainer import ConvergenceHistory, EpochRecord
+from ..ml.trainer import CheckpointConfig, ConvergenceHistory, EpochRecord, TrainInterrupted
 from ..storage.iomodel import SSD, DeviceModel
 from ..storage.page import DEFAULT_PAGE_BYTES
 from .catalog import Catalog, TableInfo
@@ -214,13 +214,13 @@ class MiniDB:
             return self.drop_index(query)
         return self.train(query, test=test)
 
-    def plan(self, query: TrainQuery, *, for_job: bool = False) -> PhysicalPlan:
+    def plan(self, query: TrainQuery) -> PhysicalPlan:
         """The :class:`~repro.db.plan.PhysicalPlan` ``query`` runs as.
 
         The one place a TRAIN statement meets this engine's catalog, device,
         compute profile and the table's κ history — ``train`` executes the
-        result, ``explain`` renders it, the serve daemon journals it
-        (``for_job``: planned as the daemon runs it, from a block file).
+        result, ``explain`` renders it, and the serve daemon admits a job by
+        planning it here.
         """
         spec = TrainSpec.from_query(query)
         return physical_plan(
@@ -229,12 +229,11 @@ class MiniDB:
             self.device,
             self.compute,
             self._kappa_history.get(spec.table),
-            for_job=for_job,
         )
 
-    def explain(self, query: TrainQuery, *, for_job: bool = False) -> str:
+    def explain(self, query: TrainQuery) -> str:
         """Render the physical plan a TRAIN query would execute."""
-        return explain_train_plan(self.plan(query, for_job=for_job))
+        return explain_train_plan(self.plan(query))
 
     # ------------------------------------------------------------------
     def _build_model(
@@ -351,12 +350,29 @@ class MiniDB:
             )
         return clone
 
-    def train(self, query: TrainQuery, test: Dataset | None = None) -> TrainResult:
+    def train(
+        self,
+        query: TrainQuery,
+        test: Dataset | None = None,
+        *,
+        checkpoint: CheckpointConfig | None = None,
+        should_stop=None,
+        on_progress=None,
+    ) -> TrainResult:
         """Plan the statement, run the plan on its executor, finish once.
 
         ``query.extra`` is the output channel: the plan document
         (``"plan"``, what EXPLAIN renders), the advisor's and the WHERE
         planner's decisions, and what the executor measured.
+
+        The keyword arguments are the job seam, reachable from no SQL: the
+        executor saves ``checkpoint`` on its cadence and resumes from the
+        file when it exists (and matches the plan — otherwise
+        ``ValueError``); it probes ``should_stop()`` at its unit boundaries
+        (fused run / mini-batch / sync point / hopper slot) and raises
+        :class:`~repro.ml.trainer.TrainInterrupted` once it is true; it
+        calls ``on_progress(doc)`` per finished epoch on the heap executor
+        and per slot for a grid (a data-parallel run reports none).
         """
         plan = self.plan(query)
         query = replace(query, strategy=plan.strategy)
@@ -367,10 +383,14 @@ class MiniDB:
         if plan.where is not None:
             query.extra["where"] = dict(plan.where)
         run = self._run_heap if plan.executor == "heap" else self._run_blockfile
-        return run(plan, self.catalog.get(query.table), query, test)
+        return run(
+            plan, self.catalog.get(query.table), query, test,
+            checkpoint, should_stop, on_progress,
+        )
 
     def _run_heap(
-        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None
+        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None,
+        checkpoint, should_stop, on_progress,
     ) -> TrainResult:
         """The Volcano pipeline over the table's heap, on the simulated clock.
 
@@ -418,9 +438,24 @@ class MiniDB:
             batch_size=spec.batch_size,
             optimizer=SGD(model) if spec.batch_size > 1 else None,
             fused=spec.fused,
+            checkpoint=checkpoint,
+            should_stop=should_stop,
+            knobs={
+                "strategy": plan.strategy,
+                "seed": spec.seed,
+                "lr": spec.lr,
+                "decay": spec.decay,
+                "block_size": spec.block_size,
+                "buffer_tuples": plan.buffer_tuples,
+                "n_tuples": plan.n_tuples,
+            },
         )
 
         def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
+            if on_progress is not None:
+                on_progress(
+                    {"epochs_done": epoch + 1, "epochs": spec.epochs, "tuples_seen": tuples_seen}
+                )
             return EpochRecord(
                 epoch=epoch,
                 lr=lr,
@@ -467,7 +502,8 @@ class MiniDB:
         )
 
     def _run_blockfile(
-        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None
+        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None,
+        checkpoint, should_stop, on_progress,
     ) -> TrainResult:
         """Sharded CorgiPile over a block file, in real worker processes.
 
@@ -502,6 +538,7 @@ class MiniDB:
             t0 = time.perf_counter()
             write_block_file(dataset, path, plan.tuples_per_block)
             setup_s = time.perf_counter() - t0
+            ckpt_path = None if checkpoint is None else Path(checkpoint.path)
             if spec.grid is None:
                 result = ParallelTrainer(
                     path,
@@ -515,8 +552,17 @@ class MiniDB:
                     schedule=ExponentialDecay(spec.lr, spec.decay),
                     test=test,
                     task=dataset.task,
-                ).run()
+                    checkpoint=checkpoint,
+                    should_stop=should_stop,
+                ).run(resume_from=ckpt_path if ckpt_path and ckpt_path.exists() else None)
             else:
+
+                def on_slot(slot: int, progress: dict) -> None:
+                    if should_stop is not None and should_stop():
+                        raise TrainInterrupted(f"stopped after hopper slot {slot}")
+                    if on_progress is not None:
+                        on_progress(progress)
+
                 result = HopperEngine(
                     path,
                     models,
@@ -527,7 +573,9 @@ class MiniDB:
                     buffer_blocks=plan.buffer_blocks,
                     seed=spec.seed,
                     labels=[c.label() for c in configs],
+                    checkpoint_path=ckpt_path,
                     task=dataset.task,
+                    on_slot=on_slot,
                 ).run()
         buffer_memory = float(
             P * plan.buffer_blocks * plan.tuples_per_block * table.tuple_bytes

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +41,8 @@ from ..core.seeding import (
     stream_rng,
 )
 from ..ml.models.base import SupervisedModel
-from ..ml.trainer import ConvergenceHistory
+from ..ml.persistence import save_checkpoint
+from ..ml.trainer import CheckpointConfig, ConvergenceHistory, TrainInterrupted, restore_run
 from ..storage.codec import TrainingTuple
 from ..storage.retry import ReadExhaustedError
 from .catalog import TableInfo
@@ -63,6 +66,21 @@ __all__ = [
 
 class PhysicalOperator(ABC):
     """The Volcano iterator interface."""
+
+    child: "PhysicalOperator | None" = None
+    #: The pass ``open()`` starts; ``rescan`` advances it.  Every epoch-
+    #: dependent draw is a pure function of ``(seed, _epoch)``.
+    _epoch = 0
+
+    def seek(self, epoch: int) -> None:
+        """Before ``open()``: start at the pass the ``epoch``-th rescan begins.
+
+        How a resumed run re-positions the pipeline — no operator serialises
+        a buffer or an RNG state.
+        """
+        self._epoch = int(epoch)
+        if self.child is not None:
+            self.child.seek(epoch)
 
     def open(self) -> None:  # noqa: B027 - optional hook
         """Initialise operator state (ExecInit)."""
@@ -217,7 +235,6 @@ class BlockShuffleOperator(PhysicalOperator):
         self.block_bytes = int(block_bytes)
         self.seed = int(seed)
         self.within = within
-        self._epoch = 0
         self._block_order: np.ndarray = np.empty(0, dtype=np.int64)
         self._block_pos = 0
         self._pending: list[TrainingTuple] = []
@@ -320,7 +337,6 @@ class RidBlockShuffleOperator(PhysicalOperator):
         self.partition = partition
         self.seed = int(seed)
         self.fetch = fetch
-        self._epoch = 0
         self._block_order: np.ndarray = np.empty(0, dtype=np.int64)
         self._block_pos = 0
         self._pending: list[TrainingTuple] = []
@@ -460,13 +476,12 @@ class TupleShuffleOperator(PhysicalOperator):
         self.ctx = ctx
         self.buffer_tuples = int(buffer_tuples)
         self.seed = int(seed)
-        self._epoch = 0
-        self._rng = stream_rng(seed, 0, TUPLE_SHUFFLE_STREAM)
         self._drained: list[TrainingTuple] = []
         self._slot = 0
         self._exhausted = False
 
     def open(self) -> None:
+        self._rng = stream_rng(self.seed, self._epoch, TUPLE_SHUFFLE_STREAM)
         self.child.open()
         self._drained = []
         self._slot = 0
@@ -553,6 +568,17 @@ class SGDOperator:
     Not a tuple-producing iterator — like the paper's SGD operator it drives
     the pipeline, updates the model per tuple (or per mini-batch), and uses
     ``rescan`` on its child between epochs.
+
+    The job seam sits between *update units* — one fused run, one
+    mini-batch, or ``fuse_chunk`` unfused tuples: there ``checkpoint`` (a
+    :class:`~repro.ml.trainer.CheckpointConfig`) is saved on its cadence and
+    ``should_stop`` is probed.  A run whose checkpoint file exists resumes
+    from it: the pipeline is re-positioned at the stored epoch (``seek``)
+    and the ``cursor`` tuples already applied are pulled and discarded, so
+    every operator — the stateful-RNG ones included — is exactly where the
+    interrupted run left it, and the remaining updates are bit-identical.
+    ``knobs`` are the plan facts that pin the visit order; a checkpoint
+    taken under different ones is refused.
     """
 
     def __init__(
@@ -566,6 +592,9 @@ class SGDOperator:
         optimizer=None,
         fused: bool = False,
         fuse_chunk: int = 256,
+        checkpoint: CheckpointConfig | None = None,
+        should_stop=None,
+        knobs: dict | None = None,
     ):
         if epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -586,47 +615,93 @@ class SGDOperator:
         # semantics of the Volcano plan are unchanged.
         self.fused = bool(fused)
         self.fuse_chunk = int(fuse_chunk)
+        self.checkpoint = checkpoint
+        self.should_stop = should_stop
+        self.knobs = {
+            "mode": "sgd-operator",
+            "model": type(model).__name__,
+            "batch_size": self.batch_size,
+            "fused": self.fused,
+            "fuse_chunk": self.fuse_chunk,
+            **(knobs or {}),
+        }
         self.epoch_wall_times: list[float] = []
         # Measured (real) per-epoch walls, alongside the simulated ones —
         # the advisor's "observed" feedback channel.
         self.measured_wall_times: list[float] = []
+        self._tuples_seen = 0
 
-    def _run_epoch(self, lr: float) -> int:
+    def _run_epoch(self, epoch: int, lr: float, cursor: int, history) -> None:
+        """Apply the epoch's tuples after the first ``cursor``, unit by unit."""
         from ..core.dataloader import collate
 
-        count = 0
-        if self.batch_size == 1 and self.optimizer is None:
-            if self.fused:
-                pending: list[TrainingTuple] = []
-                for record in self.child:
-                    pending.append(record)
-                    count += 1
-                    if len(pending) >= self.fuse_chunk:
-                        run = collate(pending)
-                        self.model.step_block(run.X, run.y, lr)
-                        pending = []
-                if pending:
-                    run = collate(pending)
-                    self.model.step_block(run.X, run.y, lr)
-                return count
-            for record in self.child:
-                self.model.step_example(record.features, record.label, lr)
-                count += 1
-            return count
+        per_tuple = self.batch_size == 1 and self.optimizer is None
+        unit = self.fuse_chunk if per_tuple else self.batch_size
+
+        def apply(pending: list[TrainingTuple]) -> None:
+            if not per_tuple:
+                batch = collate(pending)
+                self.optimizer.step(self.model.gradient(batch.X, batch.y), lr)
+            elif self.fused:
+                run = collate(pending)
+                self.model.step_block(run.X, run.y, lr)
+            else:
+                for record in pending:
+                    self.model.step_example(record.features, record.label, lr)
+            self._tuples_seen += len(pending)
+
+        for _ in range(cursor):  # already applied before the interruption
+            self.child.next()
+        every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
+        since_checkpoint = 0
         pending: list[TrainingTuple] = []
         for record in self.child:
             pending.append(record)
-            count += 1
-            if len(pending) == self.batch_size:
-                batch = collate(pending)
-                grads = self.model.gradient(batch.X, batch.y)
-                self.optimizer.step(grads, lr)
-                pending = []
+            if len(pending) < unit:
+                continue
+            apply(pending)
+            pending = []
+            cursor += unit
+            since_checkpoint += unit
+            if 0 < every <= since_checkpoint:
+                self._save(epoch, cursor, history)
+                since_checkpoint = 0
+            if self.should_stop is not None and self.should_stop():
+                raise TrainInterrupted(f"stopped in epoch {epoch} after {cursor} tuples")
         if pending:
-            batch = collate(pending)
-            grads = self.model.gradient(batch.X, batch.y)
-            self.optimizer.step(grads, lr)
-        return count
+            apply(pending)
+
+    def _save(self, epoch: int, cursor: int, history: ConvergenceHistory) -> None:
+        if self.checkpoint is None:
+            return
+        save_checkpoint(
+            self.checkpoint.path,
+            self.model,
+            epoch=epoch,
+            cursor=cursor,
+            tuples_seen=self._tuples_seen,
+            optimizer_state=self.optimizer.state_dict() if self.optimizer is not None else {},
+            history=[asdict(r) for r in history.records],
+            # The finished epochs' walls ride along so a resumed run still
+            # reports one wall per history record.
+            meta={
+                **self.knobs,
+                "epoch_wall_times": self.epoch_wall_times,
+                "measured_wall_times": self.measured_wall_times,
+            },
+        )
+
+    def _resume(self, history: ConvergenceHistory) -> tuple[int, int]:
+        """``(epoch, cursor)`` to start from: the checkpoint's, if there is one."""
+        if self.checkpoint is None or not Path(self.checkpoint.path).exists():
+            return 0, 0
+        state = restore_run(
+            self.checkpoint.path, self.model, self.optimizer, history, self.knobs
+        )
+        self._tuples_seen = state.tuples_seen
+        self.epoch_wall_times = list(state.meta["epoch_wall_times"])
+        self.measured_wall_times = list(state.meta["measured_wall_times"])
+        return state.epoch, state.cursor
 
     def execute(self, evaluate) -> ConvergenceHistory:
         """Run all epochs; ``evaluate(epoch, lr, tuples_seen)`` records metrics.
@@ -637,26 +712,32 @@ class SGDOperator:
         is always closed, even on that path.
         """
         history = ConvergenceHistory(strategy="in-db", model=type(self.model).__name__)
+        start_epoch, cursor = self._resume(history)
+        self.child.seek(start_epoch)
         self.child.open()
-        tuples_seen = 0
         try:
-            for epoch in range(self.epochs):
+            # Even a crash before the first cadence point leaves a
+            # resumable file behind.
+            self._save(start_epoch, cursor, history)
+            for epoch in range(start_epoch, self.epochs):
                 lr = float(self.schedule(epoch))
                 with obs.span("db.epoch", epoch=epoch, lr=lr) as sp:
                     t0 = time.perf_counter()
-                    tuples_seen += self._run_epoch(lr)
+                    self._run_epoch(epoch, lr, cursor, history)
+                    cursor = 0
                     measured_wall = time.perf_counter() - t0
                     simulated_wall = self.ctx.epoch_wall_time()
-                    sp.set(tuples_seen=tuples_seen, simulated_wall_s=simulated_wall)
+                    sp.set(tuples_seen=self._tuples_seen, simulated_wall_s=simulated_wall)
                 self.epoch_wall_times.append(simulated_wall)
                 self.measured_wall_times.append(measured_wall)
                 obs.inc("db.epochs")
-                history.append(evaluate(epoch, lr, tuples_seen))
+                history.append(evaluate(epoch, lr, self._tuples_seen))
+                self._save(epoch + 1, 0, history)
                 if epoch + 1 < self.epochs:
                     self.child.rescan()
         except StorageError as exc:
             exc.epochs_completed = history.epochs
-            exc.tuples_seen = tuples_seen
+            exc.tuples_seen = self._tuples_seen
             exc.partial = history
             raise
         finally:
@@ -688,7 +769,6 @@ class PermutedScanOperator(PhysicalOperator):
         self.ctx = ctx
         self.seed = int(seed)
         self.charge = charge
-        self._epoch = 0
         self._perm = np.empty(0, dtype=np.int64)
         self._pos = 0
         # position -> (page_id, slot) resolved once from the heap layout.
@@ -751,12 +831,11 @@ class SlidingWindowOperator(PhysicalOperator):
         self.child = child
         self.window_tuples = int(window_tuples)
         self.seed = int(seed)
-        self._epoch = 0
-        self._rng = stream_rng(seed, 0, SLIDING_WINDOW_STREAM)
         self._window: list[TrainingTuple] = []
         self._primed = False
 
     def open(self) -> None:
+        self._rng = stream_rng(self.seed, self._epoch, SLIDING_WINDOW_STREAM)
         self.child.open()
         self._window = []
         self._primed = False
@@ -818,7 +897,6 @@ class MultiplexedReservoirOperator(PhysicalOperator):
         self.buffer_tuples = int(buffer_tuples)
         self.mix_interval = int(mix_interval)
         self.seed = int(seed)
-        self._epoch = 0
         self._reset_state()
 
     def _reset_state(self) -> None:

@@ -13,11 +13,11 @@ geometry, the setup charge, and which of the two executors runs it —
   (``MiniDB._run_heap`` instantiates the tree's operators);
 * ``"blockfile"`` sharded CorgiPile over a materialised block file
   (:class:`~repro.parallel.ParallelTrainer` for ``workers > 1``,
-  :class:`~repro.parallel.HopperEngine` for ``grid``, the streaming
-  trainer for a serve job).
+  :class:`~repro.parallel.HopperEngine` for ``grid``).
 
-``EXPLAIN`` renders the plan (:func:`repro.db.explain.explain_train_plan`), the engine
-runs it, and the serve daemon journals it, so the three cannot disagree.
+``EXPLAIN`` renders the plan (:func:`repro.db.explain.explain_train_plan`) and the
+engine runs it — inline, from the CLI, or as a serve job on the daemon's
+private engine — so no entry point can disagree with another.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..shuffle.base import EXTERNAL_SORT_PASSES
 from ..storage.iomodel import DeviceModel, device_by_name
 from . import where as _where  # via the module, so a tracer's wrappers are hit
 from .advisor import AdvisorDecision
-from .errors import EngineError
+from .errors import EngineError, UnsupportedLayoutError
 from .planner import plan_train
 from .spec import TrainSpec
 
@@ -57,6 +57,9 @@ WHERE_STRATEGIES = (
     "block_only",
     "no_shuffle",
 )
+
+# Strategies that fetch single tuples by RID (page, slot).
+RID_STRATEGIES = ("epoch_shuffle", "random_access")
 
 
 def fmt_bytes(n: float) -> str:
@@ -181,30 +184,22 @@ def physical_plan(
     device: DeviceModel,
     compute,
     history=None,
-    *,
-    for_job: bool = False,
 ) -> PhysicalPlan:
     """Plan one TRAIN statement over ``table``; touches nothing.
 
     ``device`` is the engine's; ``WITH device = '...'`` overrides it here,
     once, for the advisor, the WHERE costing and the simulated clock alike.
     ``history`` is the table's per-epoch wall observations (κ learning).
-    ``for_job`` plans the statement as the serve daemon runs it: from the
-    job's own durable block file, one shard unless it is a grid.
     """
     if spec.device:
         try:
             device = device_by_name(spec.device)
         except KeyError as exc:
             raise EngineError(str(exc.args[0])) from None
-    if spec.grid is not None:
-        n_shards = max(spec.workers, spec.grid.n_configs)
-    else:
-        n_shards = 1 if for_job else spec.workers
-    blockfile = for_job or spec.grid is not None or spec.workers > 1
-    if blockfile and spec.where is not None and not for_job:
-        # A job's block file *is* the filtered subset; the engine's parallel
-        # path shards the whole table and has no filtered plan.
+    n_shards = spec.workers if spec.grid is None else max(spec.workers, spec.grid.n_configs)
+    blockfile = n_shards > 1 or spec.grid is not None
+    if blockfile and spec.where is not None:
+        # The parallel path shards the whole table and has no filtered plan.
         raise EngineError("TRAIN ... WHERE does not support workers > 1")
 
     strategy, advisor, advisor_note = spec.strategy, None, ""
@@ -220,12 +215,12 @@ def physical_plan(
             f"unknown strategy {strategy!r}; supported: {', '.join(STRATEGIES)}"
         )
     if blockfile and not strategy.startswith("corgipile"):
-        # The one rule for every block-file executor (workers > 1, grid,
-        # serve job): they run sharded CorgiPile and nothing else.
+        # The one rule for both block-file executors (workers > 1, grid):
+        # they run sharded CorgiPile and nothing else.
         if advisor is None:
             raise EngineError(
-                f"strategy {strategy!r} cannot run here: workers > 1, grid = (...) "
-                "and serve jobs execute sharded corgipile over a block file only"
+                f"strategy {strategy!r} cannot run here: workers > 1 and grid = (...) "
+                "execute sharded corgipile over a block file only"
             )
         advisor_note = (
             f"block-file executor runs sharded corgipile only; the advisor's "
@@ -236,6 +231,14 @@ def physical_plan(
         raise EngineError(
             f"strategy {strategy!r} does not support TRAIN ... WHERE; "
             f"one of {', '.join(WHERE_STRATEGIES)}"
+        )
+
+    if table.heap.layout != "row" and (spec.where is not None or strategy in RID_STRATEGIES):
+        # A columnar page packs its rows into per-column chunks: no slots.
+        what = "TRAIN ... WHERE" if spec.where is not None else f"strategy {strategy!r}"
+        raise UnsupportedLayoutError(
+            f"{what} addresses tuples by RID and needs a row-layout table; "
+            f"{table.name!r} is {table.heap.layout}"
         )
 
     positions = where_doc = None
@@ -256,7 +259,7 @@ def physical_plan(
         positions=positions,
     )
     if blockfile:
-        _plan_blockfile(plan, table, n_shards, for_job)
+        _plan_blockfile(plan, table, n_shards)
         return plan
 
     # The two heap paths have always fed the simulated clock differently
@@ -391,7 +394,7 @@ def _plan_heap_setup(plan: PhysicalPlan, table, compute) -> None:
         )
 
 
-def _plan_blockfile(plan: PhysicalPlan, table, n_shards: int, for_job: bool) -> None:
+def _plan_blockfile(plan: PhysicalPlan, table, n_shards: int) -> None:
     """Geometry and tree of the sharded block-file executors.
 
     A ``block_size`` large enough to pack a small table into fewer blocks
@@ -408,25 +411,19 @@ def _plan_blockfile(plan: PhysicalPlan, table, n_shards: int, for_job: bool) -> 
     plan.tuples_per_block = tuples_per_block
     plan.buffer_blocks = buffer_blocks
     plan.setup_note = f"materialise block file ({tuples_per_block} tuples/block)"
-    source = f"heap {table.name!r}" + (
-        f" WHERE {spec.where.render()}" if spec.where is not None else ""
-    )
     shards = PlanNode(
         "ShardBlockFile",
         f"{plan.n_tuples} tuples, {tuples_per_block} tuples/block, {n_shards} shards; "
-        f"materialised copy of {source}",
+        f"materialised copy of heap {table.name!r}",
     )
     fills = PlanNode("TupleShuffle", f"{buffer_blocks} blocks/fill per worker", child=shards)
     if spec.grid is None:
-        sgd = _sgd_node(spec, fills)
-        if for_job:
-            plan.system = "serve/job"
-            plan.tree = sgd
-        else:
-            plan.system = f"minidb/parallel-{spec.aggregation}x{n_shards}"
-            plan.tree = PlanNode(
-                "DataParallel", f"{n_shards} workers, aggregation={spec.aggregation}", child=sgd
-            )
+        plan.system = f"minidb/parallel-{spec.aggregation}x{n_shards}"
+        plan.tree = PlanNode(
+            "DataParallel",
+            f"{n_shards} workers, aggregation={spec.aggregation}",
+            child=_sgd_node(spec, fills),
+        )
         return
     from ..parallel import HopperSchedule
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 
 from .errors import SpecError
-from .query import MODEL_NAMES, Predicate
+from .query import MODEL_NAMES, Predicate, TrainQuery
 
 __all__ = ["GridConfig", "GridSpec", "TrainSpec", "AGGREGATION_MODES"]
 
@@ -283,6 +283,14 @@ class TrainSpec:
             where=query.where,
             grid=query.grid,
         )
+
+    def to_query(self) -> TrainQuery:
+        """The :class:`TrainQuery` ``from_query`` reads this spec back from —
+        how a journalled or flag-built spec enters ``MiniDB.train``."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["learning_rate"] = values.pop("lr")
+        values["max_epoch_num"] = values.pop("epochs")
+        return TrainQuery(**values)
 
     def build_model(self, n_features: int, n_classes: int | None = None, l2=None):
         """A fresh model of this spec's family (``l2`` overrides the spec's:

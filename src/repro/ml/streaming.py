@@ -21,9 +21,9 @@ from ..core.dataloader import Batch
 from ..data.dataset import Dataset
 from .optim import Optimizer, SGD
 from .models.base import SupervisedModel
-from .persistence import CheckpointState, load_checkpoint, save_checkpoint
+from .persistence import CheckpointState, save_checkpoint
 from .schedules import ExponentialDecay
-from .trainer import CheckpointConfig, ConvergenceHistory, EpochRecord
+from .trainer import CheckpointConfig, ConvergenceHistory, EpochRecord, restore_run
 
 __all__ = ["train_streaming", "train_streaming_chunks", "training_columns"]
 
@@ -148,13 +148,15 @@ def train_streaming(
     tuples_seen = 0
     start_epoch = 0
     start_batch = 0
+    # What pins the update sequence: checkpointed, and held equal on resume.
+    knobs = {
+        "mode": "streaming",
+        "model": type(model).__name__,
+        "per_tuple": per_tuple,
+        "fused": fused,
+    }
     if resume_from is not None:
-        state = (
-            resume_from
-            if isinstance(resume_from, CheckpointState)
-            else load_checkpoint(resume_from)
-        )
-        _restore_streaming(state, model, optimizer, history, per_tuple, fused)
+        state = restore_run(resume_from, model, optimizer, history, knobs)
         start_epoch, start_batch = state.epoch, state.cursor
         tuples_seen = state.tuples_seen
 
@@ -169,14 +171,7 @@ def train_streaming(
             tuples_seen=tuples_seen,
             optimizer_state=optimizer.state_dict() if optimizer is not None else {},
             history=[asdict(r) for r in history.records],
-            meta={
-                "mode": "streaming",
-                "cursor_unit": "batches",
-                "model": type(model).__name__,
-                "per_tuple": per_tuple,
-                "fused": fused,
-                "epochs": epochs,
-            },
+            meta={**knobs, "cursor_unit": "batches", "epochs": epochs},
         )
 
     _save(start_epoch, start_batch)
@@ -255,38 +250,6 @@ def train_streaming(
         )
         _save(epoch + 1, 0)
     return history
-
-
-def _restore_streaming(
-    state: CheckpointState,
-    model: SupervisedModel,
-    optimizer: Optimizer | None,
-    history: ConvergenceHistory,
-    per_tuple: bool,
-    fused: bool,
-) -> None:
-    meta = state.meta
-    if meta.get("mode") != "streaming":
-        raise ValueError("checkpoint was not taken by train_streaming")
-    if meta.get("model", type(model).__name__) != type(model).__name__:
-        raise ValueError(
-            f"checkpoint is for model {meta['model']!r}, got {type(model).__name__!r}"
-        )
-    for knob, have in (("per_tuple", per_tuple), ("fused", fused)):
-        want = meta.get(knob)
-        if want is not None and want != have:
-            raise ValueError(
-                f"checkpoint was taken with {knob}={want!r}; resuming with "
-                f"{have!r} would change the update sequence"
-            )
-    for key, value in state.model.params.items():
-        model.params[key][...] = value
-    if optimizer is not None:
-        optimizer.load_state_dict(state.optimizer_state)
-    elif state.optimizer_state:
-        raise ValueError("checkpoint carries optimizer state but run has no optimizer")
-    for record in state.history:
-        history.append(EpochRecord(**record))
 
 
 def _looks_multiclass(model: SupervisedModel) -> bool:

@@ -45,6 +45,8 @@ __all__ = [
     "ConvergenceHistory",
     "EarlyStopping",
     "CheckpointConfig",
+    "TrainInterrupted",
+    "restore_run",
     "Trainer",
 ]
 
@@ -66,6 +68,15 @@ class CheckpointConfig:
     def __post_init__(self) -> None:
         if self.every_tuples < 0:
             raise ValueError("every_tuples must be non-negative")
+
+
+class TrainInterrupted(Exception):
+    """A training loop's ``should_stop`` probe returned true.
+
+    Raised at a unit boundary (a fused run, a mini-batch, a sync point, a
+    hopper slot), never mid-update; the run's last checkpoint is intact, so
+    running the same statement again over it resumes bit-exactly.
+    """
 
 
 @dataclass
@@ -188,6 +199,44 @@ class ConvergenceHistory:
         return None
 
 
+def restore_run(
+    resume_from: CheckpointState | str | Path,
+    model: SupervisedModel,
+    optimizer: Optimizer | None,
+    history: ConvergenceHistory,
+    knobs: dict,
+) -> CheckpointState:
+    """Load a checkpoint into a run about to resume — for every trainer.
+
+    ``knobs`` holds what this run would record under the same ``meta`` keys
+    (``None`` = not known here).  One the checkpoint recorded differently
+    means the resumed run would not continue the interrupted update
+    sequence, so it is refused rather than silently diverging.  Returns the
+    loaded state (``epoch``, ``cursor``, ``tuples_seen`` are the caller's).
+    """
+    state = (
+        resume_from if isinstance(resume_from, CheckpointState) else load_checkpoint(resume_from)
+    )
+    for knob, have in knobs.items():
+        want = state.meta.get(knob)
+        # ``mode`` names the trainer that wrote the file, so it must be
+        # there; another knob the file lacks is not held against it.
+        if have is not None and want != have and (want is not None or knob == "mode"):
+            raise ValueError(
+                f"checkpoint was taken with {knob}={want!r}; resuming with "
+                f"{have!r} would change the update sequence"
+            )
+    for key, value in state.model.params.items():
+        model.params[key][...] = value
+    if optimizer is not None:
+        optimizer.load_state_dict(state.optimizer_state)
+    elif state.optimizer_state:
+        raise ValueError("checkpoint carries optimizer state but the run has no optimizer")
+    for record in state.history:
+        history.append(EpochRecord(**record))
+    return state
+
+
 class Trainer:
     """Runs SGD over a dataset in the order dictated by an index source."""
 
@@ -247,12 +296,11 @@ class Trainer:
         start_cursor = 0
         tuples_seen = 0
         if resume_from is not None:
-            state = (
-                resume_from
-                if isinstance(resume_from, CheckpointState)
-                else load_checkpoint(resume_from)
+            # Same index seed ⇒ same (seed, epoch)-pure visit orders ⇒ the
+            # stored cursor pins the exact remaining order.
+            state = restore_run(
+                resume_from, self.model, self.optimizer, history, self._knobs()
             )
-            self._restore(state, history)
             start_epoch, start_cursor = state.epoch, state.cursor
             tuples_seen = state.tuples_seen
         # Initial checkpoint: even a crash before the first cadence point
@@ -361,48 +409,17 @@ class Trainer:
                 self.optimizer.state_dict() if self.optimizer is not None else {}
             ),
             history=[asdict(r) for r in history.records],
-            meta={
-                "strategy": history.strategy,
-                "model": history.model,
-                "batch_size": self.batch_size,
-                "fused": self.fused,
-                "epochs": self.epochs,
-                "index_seed": getattr(self.index_source, "seed", None),
-            },
+            meta={"strategy": history.strategy, "epochs": self.epochs, **self._knobs()},
         )
 
-    def _restore(self, state: CheckpointState, history: ConvergenceHistory) -> None:
-        meta = state.meta
-        if meta.get("model", type(self.model).__name__) != type(self.model).__name__:
-            raise ValueError(
-                f"checkpoint is for model {meta['model']!r}, "
-                f"trainer has {type(self.model).__name__!r}"
-            )
-        for knob in ("batch_size", "fused"):
-            want = meta.get(knob)
-            have = getattr(self, knob)
-            if want is not None and want != have:
-                raise ValueError(
-                    f"checkpoint was taken with {knob}={want!r}; resuming with "
-                    f"{have!r} would change the update sequence"
-                )
-        # Same index seed ⇒ same (seed, epoch)-pure visit orders ⇒ the
-        # stored cursor pins the exact remaining order.
-        seed = getattr(self.index_source, "seed", None)
-        want_seed = meta.get("index_seed")
-        if want_seed is not None and seed is not None and want_seed != seed:
-            raise ValueError(
-                f"checkpoint was taken under index seed {want_seed}, "
-                f"resuming under {seed} would replay a different order"
-            )
-        for key, value in state.model.params.items():
-            self.model.params[key][...] = value
-        if self.optimizer is not None:
-            self.optimizer.load_state_dict(state.optimizer_state)
-        elif state.optimizer_state:
-            raise ValueError("checkpoint carries optimizer state but trainer has none")
-        for record in state.history:
-            history.append(EpochRecord(**record))
+    def _knobs(self) -> dict:
+        """What pins the update sequence: checkpointed, and held equal on resume."""
+        return {
+            "model": type(self.model).__name__,
+            "batch_size": self.batch_size,
+            "fused": self.fused,
+            "index_seed": getattr(self.index_source, "seed", None),
+        }
 
     def _per_tuple_epoch(self, order: np.ndarray, lr: float) -> None:
         model = self.model

@@ -34,9 +34,7 @@ mirroring PR 1's no-leaked-threads guarantee.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import queue as queue_mod
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,12 +46,7 @@ from ..obs import LoaderMetrics, StorageMetrics
 from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
 from ..ml.optim import SGD, Optimizer
-from ..ml.persistence import (
-    CheckpointState,
-    load_checkpoint,
-    model_to_bytes,
-    save_checkpoint,
-)
+from ..ml.persistence import CheckpointState, model_to_bytes, save_checkpoint
 from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import (
     CheckpointConfig,
@@ -61,6 +54,7 @@ from ..ml.trainer import (
     EpochRecord,
     Trainer,
     fixed_order_source,
+    restore_run,
 )
 from ..storage.blockfile import BlockFileReader
 from .aggregate import (
@@ -69,6 +63,7 @@ from .aggregate import (
     unpack_gradients,
     weighted_average_models,
 )
+from .fleet import WorkerError, WorkerFleet
 from .plan import ShardPlanner
 from .shm import alloc_vector, slab_view, vector_view, write_vector
 from .worker import BARRIER_TIMEOUT_S, WorkerConfig, worker_main
@@ -80,15 +75,6 @@ __all__ = [
     "load_block_dataset",
     "sync_reference_trainer",
 ]
-
-# How long the coordinator waits for end-of-run stats before declaring a
-# worker lost (it then terminates stragglers rather than leaking them).
-_COLLECT_TIMEOUT_S = 60.0
-
-
-class WorkerError(RuntimeError):
-    """A worker process died or raised; carries its traceback text."""
-
 
 def load_block_dataset(path: str | Path, task: str = "binary") -> Dataset:
     """Materialise a block file back into an in-memory :class:`Dataset`.
@@ -180,6 +166,7 @@ class ParallelTrainer:
         fault_plan=None,
         start_method: str = "spawn",
         task: str = "binary",
+        should_stop=None,
     ):
         if mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown mode {mode!r}; one of {AGGREGATION_MODES}")
@@ -197,6 +184,8 @@ class ParallelTrainer:
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
         self.start_method = start_method
+        #: Probed at every sync point / epoch boundary (see WorkerFleet).
+        self.should_stop = should_stop
         self.planner = ShardPlanner.for_block_file(
             self.path, n_workers, buffer_blocks, seed=self.seed
         )
@@ -215,57 +204,41 @@ class ParallelTrainer:
         start_step = 0
         self._tuples_seen = 0
         if resume_from is not None:
-            state = (
-                resume_from
-                if isinstance(resume_from, CheckpointState)
-                else load_checkpoint(resume_from)
-            )
-            start_epoch, start_step = self._restore(state, history)
+            start_epoch, start_step = self._restore(resume_from, history)
         self._save_checkpoint(start_epoch, start_step * self.global_batch_size, history)
 
-        ctx = mp.get_context(self.start_method)
         dim = int(self.model.parameter_vector().size)
         param_raw = alloc_vector(dim)
         grad_raw = alloc_vector(self.n_workers * dim)
         write_vector(param_raw, self.model.parameter_vector())
-        barrier = ctx.Barrier(self.n_workers + 1)
-        stop = ctx.Event()
-        results = ctx.Queue()
         blob = model_to_bytes(self.model)
-        procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    WorkerConfig(
-                        worker_id=w,
-                        n_workers=self.n_workers,
-                        path=self.path,
-                        model_blob=blob,
-                        seed=self.seed,
-                        epochs=self.epochs,
-                        buffer_blocks=self.planner.buffer_blocks,
-                        mode=self.mode,
-                        global_batch_size=self.global_batch_size,
-                        schedule=self.schedule,
-                        start_epoch=start_epoch,
-                        start_step=start_step,
-                        # Workers trace locally iff the coordinator traces;
-                        # their spans ship home in the stats message.
-                        extra={"trace": obs.enabled()},
-                    ),
-                    param_raw,
-                    grad_raw,
-                    barrier,
-                    stop,
-                    results,
-                ),
-                daemon=True,
-                name=f"repro-parallel-w{w}",
-            )
-            for w in range(self.n_workers)
-        ]
-        for proc in procs:
-            proc.start()
+        fleet = WorkerFleet(
+            worker_main,
+            [
+                WorkerConfig(
+                    worker_id=w,
+                    n_workers=self.n_workers,
+                    path=self.path,
+                    model_blob=blob,
+                    seed=self.seed,
+                    epochs=self.epochs,
+                    buffer_blocks=self.planner.buffer_blocks,
+                    mode=self.mode,
+                    global_batch_size=self.global_batch_size,
+                    schedule=self.schedule,
+                    start_epoch=start_epoch,
+                    start_step=start_step,
+                    # Workers trace locally iff the coordinator traces;
+                    # their spans ship home in the stats message.
+                    extra={"trace": obs.enabled()},
+                )
+                for w in range(self.n_workers)
+            ],
+            (param_raw, grad_raw),
+            label="parallel",
+            start_method=self.start_method,
+            should_stop=self.should_stop,
+        )
 
         epoch_walls: list[float] = []
         total_steps = 0
@@ -280,13 +253,13 @@ class ParallelTrainer:
                 ) as sp:
                     if self.mode == "sync":
                         total_steps += self._sync_epoch(
-                            epoch, lr, skip, param_raw, grad_raw, barrier, stop, results, history
+                            epoch, lr, skip, param_raw, grad_raw, fleet, history
                         )
                     elif self.mode == "epoch":
-                        self._epoch_mode_epoch(epoch, param_raw, barrier, stop, results)
+                        self._epoch_mode_epoch(epoch, param_raw, fleet)
                         total_steps += 1
                     else:
-                        self._async_epoch(param_raw, barrier, stop, results)
+                        self._async_epoch(param_raw, fleet)
                         total_steps += 1
                     wall = time.perf_counter() - t0
                     sp.set(wall_s=wall)
@@ -297,13 +270,10 @@ class ParallelTrainer:
                 epochs_run += 1
                 self._save_checkpoint(epoch + 1, 0, history)
         except BaseException:
-            stop.set()
-            barrier.abort()
+            fleet.abort()
             raise
         finally:
-            per_worker, merged_loader, merged_storage, worker_tuples = self._collect(
-                procs, results, stop, barrier
-            )
+            per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
 
         return ParallelResult(
             model=self.model,
@@ -321,26 +291,7 @@ class ParallelTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _rendezvous(self, barrier, results) -> None:
-        try:
-            barrier.wait(timeout=BARRIER_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            raise self._worker_failure(results) from None
-
-    def _worker_failure(self, results) -> WorkerError:
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            try:
-                msg = results.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "error":
-                return WorkerError(f"worker {msg[1]} failed:\n{msg[2]}")
-        return WorkerError("a worker died without reporting an error")
-
-    def _sync_epoch(
-        self, epoch, lr, start_step, param_raw, grad_raw, barrier, stop, results, history
-    ) -> int:
+    def _sync_epoch(self, epoch, lr, start_step, param_raw, grad_raw, fleet, history) -> int:
         params = vector_view(param_raw)
         grads = slab_view(grad_raw, self.n_workers)
         n_steps = self.planner.sync_steps(epoch, self.global_batch_size)
@@ -352,13 +303,12 @@ class ParallelTrainer:
                     # The crash lands inside the next global batch: abort the
                     # fleet at the last durable sync point and die like a
                     # killed process would (the checkpoint already exists).
-                    stop.set()
-                    barrier.abort()
+                    fleet.abort()
                     self.fault_plan.fire_crash(
                         f"parallel sync epoch {epoch}, step {step}"
                     )
-            self._rendezvous(barrier, results)  # A: params published
-            self._rendezvous(barrier, results)  # B: gradient slots ready
+            fleet.rendezvous()  # A: params published
+            fleet.rendezvous()  # B: gradient slots ready
             mean = average_gradient_slots(grads)
             self.optimizer.step(unpack_gradients(mean, self.model), lr)
             params[:] = self.model.parameter_vector()
@@ -373,22 +323,21 @@ class ParallelTrainer:
                 self._save_checkpoint(epoch, (step + 1) * bs, history)
         return max(0, n_steps - start_step)
 
-    def _epoch_mode_epoch(self, epoch, param_raw, barrier, stop, results) -> None:
-        self._rendezvous(barrier, results)  # A: averaged params published
+    def _epoch_mode_epoch(self, epoch, param_raw, fleet) -> None:
+        fleet.rendezvous()  # A: averaged params published
         vectors: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
         while len(vectors) < self.n_workers:
             try:
-                msg = results.get(timeout=BARRIER_TIMEOUT_S)
+                msg = fleet.results.get(timeout=BARRIER_TIMEOUT_S)
             except queue_mod.Empty:
                 raise WorkerError(
                     f"epoch {epoch}: only {len(vectors)}/{self.n_workers} "
                     "worker models arrived"
                 ) from None
             if msg[0] == "error":
-                stop.set()
-                barrier.abort()
-                raise WorkerError(f"worker {msg[1]} failed:\n{msg[2]}")
+                fleet.abort()
+                raise fleet.failed(msg[1], msg[2])
             _, worker_id, msg_epoch, vec, count = msg
             if msg_epoch != epoch:
                 raise WorkerError(
@@ -403,81 +352,13 @@ class ParallelTrainer:
         self.model.load_parameter_vector(averaged)
         write_vector(param_raw, averaged)
         self._tuples_seen += int(sum(counts.values()))
-        self._rendezvous(barrier, results)  # B: release workers into next epoch
+        fleet.rendezvous()  # B: release workers into next epoch
 
-    def _async_epoch(self, param_raw, barrier, stop, results) -> None:
-        self._rendezvous(barrier, results)  # A: epoch start
-        self._rendezvous(barrier, results)  # B: all workers finished the epoch
+    def _async_epoch(self, param_raw, fleet) -> None:
+        fleet.rendezvous()  # A: epoch start
+        fleet.rendezvous()  # B: all workers finished the epoch
         self.model.load_parameter_vector(vector_view(param_raw))
         self._tuples_seen += int(self.eval_set.n_tuples)
-
-    # ------------------------------------------------------------------
-    def _collect(self, procs, results, stop, barrier):
-        """Drain worker stats and reap every child (leak-free by contract)."""
-        per_worker: list[dict] = []
-        merged_loader = LoaderMetrics("parallel")
-        merged_storage = StorageMetrics("parallel")
-        worker_tuples = 0
-        deadline = time.monotonic() + _COLLECT_TIMEOUT_S
-        got = 0
-        error: WorkerError | None = None
-        while got < len(procs) and time.monotonic() < deadline:
-            try:
-                msg = results.get(timeout=0.5)
-            except queue_mod.Empty:
-                if not any(p.is_alive() for p in procs) and results.empty():
-                    break
-                continue
-            if msg[0] == "error":
-                error = error or WorkerError(f"worker {msg[1]} failed:\n{msg[2]}")
-                got += 1
-                continue
-            if msg[0] != "stats":
-                continue  # stale model message from an aborted epoch
-            # Pre-obs workers sent 5-tuples; the optional 6th element is the
-            # worker's telemetry payload (local tracer + registry).
-            _, worker_id, loader, storage, tuples_done = msg[:5]
-            payload = msg[5] if len(msg) > 5 else None
-            merged_loader.merge(loader)
-            merged_storage.merge(storage)
-            self._merge_obs_payload(worker_id, payload)
-            worker_tuples += int(tuples_done)
-            per_worker.append(
-                {
-                    "worker_id": worker_id,
-                    "tuples": int(tuples_done),
-                    "loader": loader.as_dict(),
-                    "storage": storage.as_dict(),
-                }
-            )
-            got += 1
-        for proc in procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - defensive reaping
-                proc.terminate()
-                proc.join(timeout=5.0)
-        per_worker.sort(key=lambda d: d["worker_id"])
-        if error is not None and not stop.is_set():
-            raise error
-        return per_worker, merged_loader, merged_storage, worker_tuples
-
-    @staticmethod
-    def _merge_obs_payload(worker_id: int, payload: dict | None) -> None:
-        """Fold one worker's shipped telemetry into the session obs state.
-
-        Worker spans keep their parent links and are stamped with
-        ``worker=<id>``; counters/gauges/histograms fold into the session
-        registry — so a parallel run produces one merged timeline and one
-        metrics snapshot.
-        """
-        if not payload:
-            return
-        tracer = payload.get("tracer")
-        if tracer is not None and obs.enabled():
-            obs.get_tracer().merge(tracer, worker=worker_id)
-        registry = payload.get("registry")
-        if registry is not None:
-            obs.get_registry().merge(registry)
 
     # ------------------------------------------------------------------
     def _evaluate(self, epoch: int, lr: float) -> EpochRecord:
@@ -506,34 +387,23 @@ class ParallelTrainer:
             tuples_seen=self._tuples_seen,
             optimizer_state=self.optimizer.state_dict(),
             history=[asdict(r) for r in history.records],
-            meta={
-                "strategy": f"parallel-{self.mode}",
-                "model": type(self.model).__name__,
-                "mode": self.mode,
-                "n_workers": self.n_workers,
-                "global_batch_size": self.global_batch_size,
-                "buffer_blocks": self.planner.buffer_blocks,
-                "index_seed": self.seed,
-            },
+            meta={"strategy": f"parallel-{self.mode}", **self._knobs()},
         )
         self._last_checkpoint_tuples = self._tuples_seen
 
-    def _restore(self, state: CheckpointState, history: ConvergenceHistory) -> tuple[int, int]:
-        meta = state.meta
-        for knob, have in (
-            ("mode", self.mode),
-            ("n_workers", self.n_workers),
-            ("global_batch_size", self.global_batch_size),
-            ("buffer_blocks", self.planner.buffer_blocks),
-            ("index_seed", self.seed),
-            ("model", type(self.model).__name__),
-        ):
-            want = meta.get(knob)
-            if want is not None and want != have:
-                raise ValueError(
-                    f"checkpoint was taken with {knob}={want!r}; resuming with "
-                    f"{have!r} would change the update sequence"
-                )
+    def _knobs(self) -> dict:
+        """What pins the update sequence: checkpointed, and held equal on resume."""
+        return {
+            "mode": self.mode,
+            "n_workers": self.n_workers,
+            "global_batch_size": self.global_batch_size,
+            "buffer_blocks": self.planner.buffer_blocks,
+            "index_seed": self.seed,
+            "model": type(self.model).__name__,
+        }
+
+    def _restore(self, resume_from, history: ConvergenceHistory) -> tuple[int, int]:
+        state = restore_run(resume_from, self.model, self.optimizer, history, self._knobs())
         if state.cursor % self.global_batch_size != 0:
             raise ValueError(
                 f"cursor {state.cursor} is not a sync-point multiple of the "
@@ -541,11 +411,6 @@ class ParallelTrainer:
             )
         if self.mode == "async" and state.cursor:
             raise ValueError("async mode only supports epoch-boundary resume")
-        for key, value in state.model.params.items():
-            self.model.params[key][...] = value
-        self.optimizer.load_state_dict(state.optimizer_state)
-        for record in state.history:
-            history.append(EpochRecord(**record))
         self._tuples_seen = state.tuples_seen
         self._last_checkpoint_tuples = state.tuples_seen
         return state.epoch, state.cursor // self.global_batch_size

@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing as mp
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +60,11 @@ from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
 from ..ml.trainer import ConvergenceHistory, EpochRecord
 from ..storage.blockfile import BlockFileReader
-from .engine import WorkerError, load_block_dataset
+from .engine import load_block_dataset
+from .fleet import WorkerFleet
 from .plan import ShardPlanner
 from .shm import alloc_vector, slab_view
-from .worker import (
-    BARRIER_TIMEOUT_S,
-    ShardFetcher,
-    _CoordinatorAbort,
-    _obs_payload,
-    _sync_point,
-)
+from .worker import ShardFetcher, _CoordinatorAbort, _obs_payload, _sync_point
 
 __all__ = [
     "HopperSchedule",
@@ -370,7 +364,6 @@ class HopperEngine:
         seed: int = 0,
         labels: list | None = None,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every_slots: int = 1,
         task: str = "binary",
         on_slot=None,
         start_method: str = "spawn",
@@ -394,7 +387,6 @@ class HopperEngine:
         self.epochs = int(epochs)
         self.seed = int(seed)
         self.checkpoint_path = None if checkpoint_path is None else Path(checkpoint_path)
-        self.checkpoint_every_slots = max(1, int(checkpoint_every_slots))
         self.on_slot = on_slot
         self.start_method = start_method
         self.planner = ShardPlanner.for_block_file(
@@ -407,7 +399,8 @@ class HopperEngine:
         self.eval_set = load_block_dataset(self.path, task=task)
 
     # ------------------------------------------------------------------
-    def run(self, resume: bool = False) -> HopperResult:
+    def run(self) -> HopperResult:
+        """Run the schedule — from the checkpoint file's slot when it exists."""
         S = self.schedule.n_models
         histories = [
             ConvergenceHistory(strategy="hopper", model=type(m).__name__)
@@ -415,49 +408,37 @@ class HopperEngine:
         ]
         start_slot = 0
         slab_init = np.stack([m.parameter_vector() for m in self.models])
-        if resume:
-            loaded = self._load_checkpoint(histories)
-            if loaded is not None:
-                start_slot, slab_init = loaded
+        loaded = self._load_checkpoint(histories)
+        if loaded is not None:
+            start_slot, slab_init = loaded
 
-        ctx = mp.get_context(self.start_method)
         slab_raw = alloc_vector(S * self.dim)
         slab = slab_view(slab_raw, S)
         slab[:, :] = slab_init
-        barrier = ctx.Barrier(self.planner.n_workers + 1)
-        stop = ctx.Event()
-        results = ctx.Queue()
         blobs = tuple(model_to_bytes(m) for m in self.models)
-        procs = [
-            ctx.Process(
-                target=hopper_worker_main,
-                args=(
-                    HopperWorkerConfig(
-                        worker_id=w,
-                        n_workers=self.planner.n_workers,
-                        n_models=S,
-                        path=self.path,
-                        model_blobs=blobs,
-                        lrs=tuple(self.lrs),
-                        decays=tuple(self.decays),
-                        seed=self.seed,
-                        epochs=self.epochs,
-                        buffer_blocks=self.planner.buffer_blocks,
-                        start_slot=start_slot,
-                        extra={"trace": obs.enabled()},
-                    ),
-                    slab_raw,
-                    barrier,
-                    stop,
-                    results,
-                ),
-                daemon=True,
-                name=f"repro-hopper-w{w}",
-            )
-            for w in range(self.planner.n_workers)
-        ]
-        for proc in procs:
-            proc.start()
+        fleet = WorkerFleet(
+            hopper_worker_main,
+            [
+                HopperWorkerConfig(
+                    worker_id=w,
+                    n_workers=self.planner.n_workers,
+                    n_models=S,
+                    path=self.path,
+                    model_blobs=blobs,
+                    lrs=tuple(self.lrs),
+                    decays=tuple(self.decays),
+                    seed=self.seed,
+                    epochs=self.epochs,
+                    buffer_blocks=self.planner.buffer_blocks,
+                    start_slot=start_slot,
+                    extra={"trace": obs.enabled()},
+                )
+                for w in range(self.planner.n_workers)
+            ],
+            (slab_raw,),
+            label="hopper",
+            start_method=self.start_method,
+        )
 
         slot_walls: list[float] = []
         slots_run = 0
@@ -466,13 +447,10 @@ class HopperEngine:
             for slot in range(start_slot, self.schedule.total_slots):
                 t0 = time.perf_counter()
                 with obs.span("hopper.coordinator_slot", slot=slot) as sp:
-                    self._rendezvous(barrier, results)  # A: workers step
-                    self._rendezvous(barrier, results)  # B: slab rows written
+                    fleet.rendezvous()  # A: workers step
+                    fleet.rendezvous()  # B: slab rows written
                     self._evaluate_completions(slot, slab, histories)
-                    if (
-                        self.checkpoint_path is not None
-                        and (slot + 1 - start_slot) % self.checkpoint_every_slots == 0
-                    ):
+                    if self.checkpoint_path is not None:
                         self._save_checkpoint(slot + 1, slab, histories)
                     wall = time.perf_counter() - t0
                     sp.set(wall_s=wall)
@@ -482,13 +460,10 @@ class HopperEngine:
                 if self.on_slot is not None:
                     self.on_slot(slot, self._progress_doc(slot + 1, histories))
         except BaseException:
-            stop.set()
-            barrier.abort()
+            fleet.abort()
             raise
         finally:
-            per_worker, merged_loader, merged_storage, worker_tuples = self._collect(
-                procs, results, stop, barrier
-            )
+            per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
         wall_seconds = time.perf_counter() - t_start
 
         for m, model in enumerate(self.models):
@@ -555,20 +530,7 @@ class HopperEngine:
             "labels": self.labels,
             "lrs": self.lrs,
             "decays": self.decays,
-            "histories": [
-                [
-                    {
-                        "epoch": r.epoch,
-                        "lr": r.lr,
-                        "train_loss": r.train_loss,
-                        "train_score": r.train_score,
-                        "test_score": r.test_score,
-                        "tuples_seen": r.tuples_seen,
-                    }
-                    for r in h.records
-                ]
-                for h in histories
-            ],
+            "histories": [[asdict(r) for r in h.records] for h in histories],
             "meta": self._checkpoint_meta(),
         }
         buffer = io.BytesIO()
@@ -608,86 +570,6 @@ class HopperEngine:
             for record in records:
                 h.append(EpochRecord(**record))
         return int(header["slots_done"]), slab
-
-    # -- worker management (same discipline as ParallelTrainer) ----------
-    def _rendezvous(self, barrier, results) -> None:
-        import threading
-
-        try:
-            barrier.wait(timeout=BARRIER_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            raise self._worker_failure(results) from None
-
-    def _worker_failure(self, results) -> WorkerError:
-        import queue as queue_mod
-
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            try:
-                msg = results.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "error":
-                return WorkerError(f"hopper worker {msg[1]} failed:\n{msg[2]}")
-        return WorkerError("a hopper worker died without reporting an error")
-
-    def _collect(self, procs, results, stop, barrier):
-        import queue as queue_mod
-
-        per_worker: list[dict] = []
-        merged_loader = LoaderMetrics("hopper")
-        merged_storage = StorageMetrics("hopper")
-        worker_tuples = 0
-        deadline = time.monotonic() + 60.0
-        got = 0
-        error: WorkerError | None = None
-        while got < len(procs) and time.monotonic() < deadline:
-            try:
-                msg = results.get(timeout=0.5)
-            except queue_mod.Empty:
-                if not any(p.is_alive() for p in procs) and results.empty():
-                    break
-                continue
-            if msg[0] == "error":
-                error = error or WorkerError(f"hopper worker {msg[1]} failed:\n{msg[2]}")
-                got += 1
-                continue
-            if msg[0] != "stats":
-                continue
-            _, worker_id, loader, storage, tuples_done, payload = msg
-            merged_loader.merge(loader)
-            merged_storage.merge(storage)
-            self._merge_obs_payload(worker_id, payload)
-            worker_tuples += int(tuples_done)
-            per_worker.append(
-                {
-                    "worker_id": worker_id,
-                    "tuples": int(tuples_done),
-                    "loader": loader.as_dict(),
-                    "storage": storage.as_dict(),
-                }
-            )
-            got += 1
-        for proc in procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - defensive reaping
-                proc.terminate()
-                proc.join(timeout=5.0)
-        per_worker.sort(key=lambda d: d["worker_id"])
-        if error is not None and not stop.is_set():
-            raise error
-        return per_worker, merged_loader, merged_storage, worker_tuples
-
-    @staticmethod
-    def _merge_obs_payload(worker_id: int, payload: dict | None) -> None:
-        if not payload:
-            return
-        tracer = payload.get("tracer")
-        if tracer is not None and obs.enabled():
-            obs.get_tracer().merge(tracer, worker=worker_id)
-        registry = payload.get("registry")
-        if registry is not None:
-            obs.get_registry().merge(registry)
 
 
 # ----------------------------------------------------------------------

@@ -13,20 +13,33 @@ Durability contract
 -------------------
 Every job owns three files under ``<data_dir>/jobs/``:
 
-* ``<id>.json``    — the job spec + state, rewritten via
+* ``<id>.json``    — the *resolved* statement + state, rewritten via
   :func:`repro.ml.persistence.durable_write` on every transition;
-* ``<id>.blocks``  — the training table materialised as a block file at
-  submit time (plus its ``.index.json``), so the job is self-contained and
+* ``<id>.blocks``  — a snapshot of the rows the job trains, taken at submit
+  time (plus its ``.index.json``), so the job is self-contained and
   survives its session;
 * ``<id>.ckpt.npz`` — the crash-safe training checkpoint, written on the
-  ``checkpoint_every_tuples`` cadence by the streaming trainer;
+  ``checkpoint_every_tuples`` cadence by the engine's executor;
 * ``<id>.model.npz`` — the finished model (fetchable after any restart).
 
+One computation everywhere
+--------------------------
+A job is not a second training stack: the worker rebuilds the snapshot as a
+table in a private :class:`~repro.db.engine.MiniDB` on the daemon's device
+and calls ``MiniDB.train`` with the journalled spec.  The statement is
+resolved **once**, at admission (``auto`` → the advisor's pick, ``WHERE`` →
+the qualifying rows, ``warm_start = job_N`` → that job's model file,
+``fused`` → ``true``: the daemon's one execution policy, unfused per-tuple
+SGD being 4-5x slower), so a served job is bit-identical to the inline
+``TRAIN`` of its ``spec`` over the same rows.  One caveat: the snapshot is
+*compacted* — on a table whose live heap has dead slots from DML the inline
+run packs pages around the holes and can visit tuples in another order.
+
 Kill the daemon at any instant and restart it over the same data dir:
-``recover()`` re-enqueues every job found in a non-terminal state, and the
-streaming trainer resumes from the checkpoint **bit-exactly** — the visit
-order is a pure function of ``(seed, epoch)`` and checkpoint cadence never
-changes the numeric result (see :mod:`repro.ml.streaming`).
+``recover()`` re-enqueues every non-terminal job and the executor resumes
+from the checkpoint **bit-exactly** — the visit order is a pure function of
+``(seed, epoch)`` and the checkpoint cadence never changes the numerics
+(see :class:`~repro.db.operators.SGDOperator`).
 
 Admission control
 -----------------
@@ -46,39 +59,27 @@ import re
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .. import obs
-from ..core.dataloader import DataLoader
-from ..core.dataset import CorgiPileDataset
+from ..db.engine import MiniDB
 from ..db.query import TrainQuery
 from ..db.spec import TrainSpec
 from ..ml.persistence import durable_write, model_to_bytes
-from ..ml.schedules import ExponentialDecay
-from ..ml.streaming import train_streaming
-from ..ml.trainer import CheckpointConfig
+from ..ml.trainer import CheckpointConfig, TrainInterrupted
+from ..parallel.engine import load_block_dataset
 from ..storage.blockfile import write_block_file
 from ..storage.iomodel import device_by_name
 
-__all__ = [
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "Saturated",
-    "JobCancelled",
-    "DaemonStopping",
-    "Job",
-    "JobManager",
-]
+__all__ = ["JOB_STATES", "TERMINAL_STATES", "Saturated", "Job", "JobManager"]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: Loader batch size when the query asks for per-tuple SGD; part of the
-#: numeric contract (fused kernels flush at batch boundaries), so it is
-#: recorded in the job spec and reused verbatim on resume.
-_DEFAULT_LOADER_BATCH = 64
+#: Rows per block of a job's snapshot file.  A container choice only: the
+#: geometry a job trains with is planned by the engine when it runs.
+_SNAPSHOT_BLOCK_TUPLES = 512
 
 
 class Saturated(RuntimeError):
@@ -90,14 +91,6 @@ class Saturated(RuntimeError):
         )
         self.retry_after_s = retry_after_s
         self.depth = depth
-
-
-class JobCancelled(Exception):
-    """Raised inside the training loop when a cancel lands mid-TRAIN."""
-
-
-class DaemonStopping(Exception):
-    """Raised inside the training loop on graceful daemon shutdown."""
 
 
 class Job:
@@ -188,7 +181,10 @@ class JobManager:
         #: (the server registers the model into the owning session's engine
         #: so PREDICT BY can address it).
         self.on_done = on_done
-        self._queue: queue.Queue = queue.Queue(maxsize=self.max_queued)
+        # Unbounded on purpose: ``submit`` enforces ``max_queued`` itself, and
+        # ``recover`` must be able to re-enqueue a saturated daemon's whole
+        # journal (queued + running jobs) without blocking.
+        self._queue: queue.Queue = queue.Queue()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
@@ -217,8 +213,7 @@ class JobManager:
         """
         self._stop.set()
         for _ in self._threads:
-            with contextlib.suppress(queue.Full):
-                self._queue.put_nowait(None)
+            self._queue.put(None)
         for t in self._threads:
             t.join(timeout=timeout)
         leaked = [t.name for t in self._threads if t.is_alive()]
@@ -252,11 +247,18 @@ class JobManager:
                 self._counter = max(self._counter, self._ordinal(job.job_id))
             if job.state in TERMINAL_STATES:
                 continue
+            if "page_bytes" not in spec:
+                job.transition(
+                    "failed",
+                    error="journalled by an earlier release, whose jobs ran on the daemon's "
+                    "own training stack; the journal format changed — resubmit the statement",
+                )
+                continue
             if not job.blocks_path.exists():
                 job.transition("failed", error="block file lost before recovery")
                 continue
             job.transition("queued", recovered=True)
-            self._queue.put(job)  # recovery happens before clients connect
+            self._queue.put(job)
             resumed.append(job.job_id)
             obs.inc("serve.jobs.recovered")
         return resumed
@@ -275,37 +277,36 @@ class JobManager:
         """Admit one TRAIN statement; raises :class:`Saturated` when full.
 
         ``db`` is the submitting session's engine.  The statement is planned
-        there (``db.plan(query, for_job=True)``: same catalog, device and κ
-        history as that session's EXPLAIN), so the journal records the
-        decisions of the plan that runs — a bad statement (unknown model,
-        bad grid, a strategy the block-file executor cannot run, a WHERE
-        matching nothing) is a typed error at admission.  The rows the plan
-        trains over are materialised into the job's own block file so the
-        job survives the session (and the daemon).
+        there with the plain ``db.plan(query)`` — same catalog, device and κ
+        history as that session's EXPLAIN — so whatever the inline engine
+        rejects (a strategy with no such plan, a WHERE matching nothing),
+        admission rejects with the same message.  What the plan decided is
+        folded into the journalled spec (module docstring) and the rows are
+        snapshotted: the job survives the session, the daemon and later DML.
         """
         depth = self._queue.qsize()
         if depth >= self.max_queued:
-            retry_after = self._retry_after(depth)
             obs.inc("serve.jobs.rejected")
-            raise Saturated(retry_after, depth)
+            raise Saturated(self._retry_after(depth), depth)
 
-        plan = db.plan(query, for_job=True)
-        train_spec = plan.spec
-        dataset = db.catalog.get(train_spec.table).dataset
+        plan = db.plan(query)
+        asked = plan.spec
+        table = db.catalog.get(asked.table)
+        dataset = table.dataset
         where_doc = None
         if plan.where is not None:
-            # The job's block file IS the filtered subset resolved here, at
-            # admission: the worker (and any post-crash incarnation) trains
-            # exactly the rows that qualified at submit time, immune to
-            # later DML on the session's table.
-            where_doc = dict(plan.where, predicate_doc=train_spec.where.to_doc())
+            # Resolved here, at admission: the worker (and any post-crash
+            # incarnation) trains exactly the rows that qualified now.
+            where_doc = dict(plan.where, predicate_doc=asked.where.to_doc())
             dataset = dataset.subset(plan.positions, suffix="where")
-        warm_start_path = None
-        if train_spec.warm_start:
-            warm_start_path = self._resolve_warm_start(
-                train_spec.warm_start, train_spec.model
-            )
-        grid = train_spec.grid
+        resolved = replace(
+            asked,
+            strategy=plan.strategy,
+            where=None,
+            warm_start=asked.warm_start
+            and self._resolve_warm_start(asked.warm_start, asked.model),
+            fused=True,
+        )
         with self._jobs_lock:
             self._counter += 1
             job_id = f"job_{self._counter}"
@@ -314,52 +315,41 @@ class JobManager:
             "session_id": session_id,
             "state": "queued",
             "sql": sql,
-            "table": train_spec.table,
-            "model": train_spec.model,
-            "task": dataset.task,
-            "n_features": dataset.n_features,
-            "n_classes": (
-                dataset.n_classes if dataset.task != "regression" else None
-            ),
+            "table": asked.table,
+            "model": asked.model,
             "n_tuples": dataset.n_tuples,
+            # What a rebuild of the snapshot as a table needs.
+            "task": dataset.task,
+            "page_bytes": table.heap.page_bytes,
+            "layout": table.heap.layout,
+            "compress": table.heap.compress,
             # What runs, and the advisor's evidence when the statement said
             # ``auto`` — so a poll, or a post-crash recovery, can always
             # answer "why did this job run that way".
             "strategy": plan.strategy,
             "advisor": None if plan.advisor is None else plan.advisor.to_doc(),
             "where": where_doc,
-            "warm_start": train_spec.warm_start,
-            "warm_start_path": warm_start_path,
-            "seed": train_spec.seed,
-            "epochs": train_spec.epochs,
-            "learning_rate": train_spec.lr,
-            "decay": train_spec.decay,
-            "l2": train_spec.l2,
-            "spec": train_spec.to_doc(),
-            "grid": None if grid is None else grid.to_doc(),
-            "hopper_workers": plan.n_shards if grid is not None else None,
-            "loader_batch": (
-                train_spec.batch_size
-                if train_spec.batch_size > 1
-                else _DEFAULT_LOADER_BATCH
-            ),
-            "tuples_per_block": plan.tuples_per_block,
-            "buffer_blocks": plan.buffer_blocks,
+            "warm_start": asked.warm_start,
+            "seed": asked.seed,
+            "epochs": asked.epochs,
+            "spec": resolved.to_doc(),
+            "grid": None if asked.grid is None else asked.grid.to_doc(),
             "checkpoint_every_tuples": self.checkpoint_every_tuples,
             "submitted_at": time.time(),
         }
         job = Job(spec, self.jobs_dir)
         # Blocks first, then the spec: a job whose spec exists always has
         # its data, so recovery never sees a spec pointing at nothing.
-        write_block_file(dataset, job.blocks_path, plan.tuples_per_block)
+        write_block_file(dataset, job.blocks_path, _SNAPSHOT_BLOCK_TUPLES)
         job.transition("queued")
         with self._jobs_lock:
             self._jobs[job_id] = job
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            # Lost the race against other submitters between the depth
-            # check and the put; reject exactly like the early check.
+            # Re-checked under the lock every submitter takes: the depth
+            # read above raced the other submitters.
+            admitted = self._queue.qsize() < self.max_queued
+            if admitted:
+                self._queue.put(job)
+        if not admitted:
             job.transition("cancelled", error="rejected: queue saturated")
             obs.inc("serve.jobs.rejected")
             raise Saturated(self._retry_after(self._queue.qsize()), self.max_queued)
@@ -485,13 +475,14 @@ class JobManager:
         try:
             with obs.span("serve.job", job_id=job.job_id, model=spec["model"]):
                 model, summary = self._train(job)
-        except JobCancelled:
-            job.transition("cancelled", finished_at=time.time())
-            obs.inc("serve.jobs.cancelled")
-        except DaemonStopping:
-            # Progress lives in the checkpoint; hand the job back to the
-            # journal so the restarted daemon resumes it.
-            job.transition("queued", interrupted=True)
+        except TrainInterrupted:
+            if job.cancel_event.is_set():
+                job.transition("cancelled", finished_at=time.time())
+                obs.inc("serve.jobs.cancelled")
+            else:
+                # Daemon shutdown.  Progress lives in the checkpoint; hand
+                # the job back to the journal so the next boot resumes it.
+                job.transition("queued", interrupted=True)
         except Exception as exc:  # noqa: BLE001 - job failure is data
             job.transition("failed", error=str(exc), finished_at=time.time())
             obs.inc("serve.jobs.failed")
@@ -516,168 +507,54 @@ class JobManager:
                 self._running.discard(job.job_id)
 
     def _train(self, job: Job):
-        """Run (or resume) one TRAIN job through the streaming trainer."""
-        spec = job.spec
-        if spec.get("grid"):
-            return self._train_grid(job)
-        model = TrainSpec.from_doc(spec["spec"]).build_model(
-            spec["n_features"], spec["n_classes"]
-        )
-        if spec.get("warm_start_path"):
-            from ..ml.persistence import load_model
+        """Run (or resume) one job on the engine: ``(model, summary)``.
 
-            warm = load_model(spec["warm_start_path"])
-            if type(warm).__name__ != type(model).__name__ or getattr(
-                warm, "n_features", None
-            ) != getattr(model, "n_features", None):
-                raise ValueError(
-                    f"warm_start {spec.get('warm_start')!r} is a "
-                    f"{type(warm).__name__}; the job trains a "
-                    f"{type(model).__name__} over {spec['n_features']} features"
-                )
-            model = warm
-        resume = job.ckpt_path if job.ckpt_path.exists() else None
-        epoch_marks: list[float] = []
-        with CorgiPileDataset(
-            job.blocks_path, buffer_blocks=spec["buffer_blocks"], seed=spec["seed"]
-        ) as view:
-
-            def loader_factory(epoch: int):
-                epoch_marks.append(time.perf_counter())
-                view.set_epoch(epoch)
-                return self._interruptible(
-                    DataLoader(view, batch_size=spec["loader_batch"]), job
-                )
-
-            history = train_streaming(
-                model,
-                loader_factory,
-                epochs=spec["epochs"],
-                schedule=ExponentialDecay(spec["learning_rate"], spec["decay"]),
-                per_tuple=True,
-                fused=True,
-                checkpoint=CheckpointConfig(
-                    job.ckpt_path, every_tuples=spec["checkpoint_every_tuples"]
-                ),
-                resume_from=resume,
-            )
-        marks = epoch_marks + [time.perf_counter()]
-        summary = {
-            "epochs": len(history.records),
-            "tuples_seen": (
-                history.records[-1].tuples_seen if history.records else 0
-            ),
-            # Measured per-epoch walls (loader-to-loader boundaries) — the
-            # journal-side twin of the engine's advisor "observed" doc.
-            "observed": {
-                "epoch_wall_s": [
-                    round(b - a, 6) for a, b in zip(marks, marks[1:])
-                ],
-                "total_wall_s": round(marks[-1] - marks[0], 6) if epoch_marks else 0.0,
-            },
-        }
-        # Final quality numbers come from the job's own on-disk copy, so
-        # they are identical no matter which daemon incarnation ran it.
-        eval_set = _block_file_arrays(job.blocks_path, spec)
-        if eval_set is not None:
-            X, y = eval_set
-            summary["final_train_loss"] = float(model.loss(X, y))
-            summary["final_train_score"] = float(model.score(X, y))
-        return model, summary
-
-    def _train_grid(self, job: Job):
-        """Run (or resume) a ``TRAIN ... WITH grid`` job via the model hopper.
-
-        Progress is journalled per sub-epoch slot (``grid_progress``), the
-        hopper checkpoint lives at the job's usual ``.ckpt.npz`` path, and a
-        SIGKILL + ``recover()`` resumes the slot loop bit-exactly — the
-        same durability contract as a plain streaming job.
+        The snapshot becomes a table in an engine of the job's own, built
+        like the session's (page size, layout, compression) on the daemon's
+        device.  ``MiniDB.train`` resumes from ``job.ckpt_path`` if an earlier
+        incarnation left one; cancel and shutdown reach it as ``should_stop``.
         """
-        from ..parallel import HopperEngine
-
-        spec = job.spec
-        tspec = TrainSpec.from_doc(spec["spec"])
-        configs = tspec.grid.configs()
-        resolved = [c.resolve(tspec) for c in configs]
-        models = [
-            tspec.build_model(spec["n_features"], spec["n_classes"], l2=r["l2"])
-            for r in resolved
-        ]
-        stop = self._stop
-
-        def on_slot(slot: int, progress: dict) -> None:
-            if stop.is_set():
-                raise DaemonStopping()
-            if job.cancel_event.is_set():
-                raise JobCancelled()
-            job.transition(job.state, grid_progress=progress)
-
-        result = HopperEngine(
-            job.blocks_path,
-            models,
-            lrs=[r["lr"] for r in resolved],
-            decays=[r["decay"] for r in resolved],
-            epochs=spec["epochs"],
-            n_workers=spec["hopper_workers"],
-            buffer_blocks=spec["buffer_blocks"],
-            seed=spec["seed"],
-            labels=[c.label() for c in configs],
-            checkpoint_path=job.ckpt_path,
-            task=spec.get("task", "binary"),
-            on_slot=on_slot,
-        ).run(resume=True)
-        leaderboard = result.leaderboard()
-        best = leaderboard[0]
-        model = result.models[best["config"]]
+        doc = job.spec
+        spec = TrainSpec.from_doc(doc["spec"])
+        db = MiniDB(device=device_by_name(self.device), page_bytes=doc["page_bytes"])
+        db.create_table(
+            spec.table,
+            load_block_dataset(job.blocks_path, task=doc["task"]),
+            compress=doc["compress"],
+            layout=doc["layout"],
+        )
+        result = db.train(
+            spec.to_query(),
+            checkpoint=CheckpointConfig(job.ckpt_path, doc["checkpoint_every_tuples"]),
+            should_stop=lambda: self._stop.is_set() or job.cancel_event.is_set(),
+            # A grid journals its slot progress.  A plain job's progress is
+            # its checkpoint: a journal write per epoch on top would cost a
+            # tenth more fsyncs per job and recover nothing.
+            on_progress=(lambda slots: job.transition(job.state, grid_progress=slots))
+            if spec.grid is not None
+            else None,
+        )
+        extra, final = result.query.extra, result.history.final
         summary = {
-            "epochs": spec["epochs"],
-            "tuples_seen": result.tuples_processed,
-            "schedule": result.schedule.to_doc(),
-            "grid": {
-                "n_configs": len(configs),
-                "best": {k: v for k, v in best.items() if k != "curve"},
-                "leaderboard": [
-                    {k: v for k, v in row.items() if k != "curve"}
-                    for row in leaderboard
-                ],
-            },
-            "observed": {
-                "slot_wall_s": [round(w, 6) for w in result.slot_walls],
-                "total_wall_s": round(result.wall_seconds, 6),
-            },
+            "epochs": result.history.epochs,
+            "tuples_seen": final.tuples_seen,
+            "final_train_loss": final.train_loss,
+            "final_train_score": final.train_score,
         }
-        if best["final_train_loss"] is not None:
-            summary["final_train_loss"] = best["final_train_loss"]
-            summary["final_train_score"] = best["final_train_score"]
-        return model, summary
-
-    def _interruptible(self, loader, job: Job):
-        """Yield batches, surfacing cancel/stop between batches."""
-        stop = self._stop
-
-        def generate():
-            for batch in loader:
-                if stop.is_set():
-                    raise DaemonStopping()
-                if job.cancel_event.is_set():
-                    raise JobCancelled()
-                yield batch
-
-        return generate()
+        if spec.grid is not None:
+            board = extra["grid"]["leaderboard"]
+            summary.update(
+                tuples_seen=extra["hopper"]["tuples_processed"],
+                schedule=result.schedule,
+                grid={"n_configs": len(board), "best": board[0], "leaderboard": board},
+                observed={"total_wall_s": extra["hopper"]["wall_seconds"]},
+            )
+        elif "advisor" in extra:  # the heap executor's measured per-epoch walls
+            summary["observed"] = extra["advisor"]["observed"]
+        return result.model, summary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"JobManager(queued={self._queue.qsize()}/{self.max_queued}, "
             f"workers={self.n_workers}, jobs={len(self._jobs)})"
         )
-
-
-def _block_file_arrays(path: Path, spec: dict):
-    """Materialise (X, y) from a job's block file for final evaluation."""
-    try:
-        from ..parallel.engine import load_block_dataset
-
-        dataset = load_block_dataset(path, task=spec.get("task", "binary"))
-    except Exception:  # noqa: BLE001 - evaluation is best-effort
-        return None
-    return dataset.X, np.asarray(dataset.y)

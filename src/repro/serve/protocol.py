@@ -12,13 +12,12 @@ Requests (client → server)
 --------------------------
 ``hello``        handshake: ``{"type": "hello", "version": 2}`` — must be
                  the first frame on a connection; the reply carries the
-                 assigned ``session`` id and the *negotiated* ``version``
-                 (the min of both sides, never below
-                 :data:`MIN_PROTOCOL_VERSION`).  Version 2 adds the
-                 canonical typed TrainSpec document (``spec``) to job
-                 status/describe payloads and ``TRAIN ... WITH grid``
-                 job support; version-1 clients still connect and simply
-                 never see the extra fields (see docs/serve_protocol.md).
+                 assigned ``session`` id and the ``version`` spoken.
+                 Version 2 (the canonical typed TrainSpec document,
+                 ``spec``, in job status payloads; ``TRAIN ... WITH grid``
+                 jobs) is the only one: any other hello — v1's included —
+                 is refused with ``version_mismatch`` and the supported
+                 range (see docs/serve_protocol.md).
 ``load``         materialise a bundled dataset as a session table:
                  ``{"type": "load", "dataset": ..., "table": ...,
                  "order": "shuffled|clustered", "seed": 0}``.
@@ -68,10 +67,8 @@ __all__ = [
 
 PROTOCOL_VERSION = 2
 
-#: Oldest client protocol the server still speaks.  A v1 hello is answered
-#: with ``version = 1`` and the v2-only payload fields are harmless extras
-#: the old client never reads.
-MIN_PROTOCOL_VERSION = 1
+#: Oldest client protocol the server still speaks — the current one.
+MIN_PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's payload; a peer announcing more is treated as
 #: corrupt/hostile and the connection is dropped before allocating.

@@ -152,8 +152,7 @@ class Session:
         if isinstance(query, SelectQuery):
             return ok(result=self.db.select(query))
         if isinstance(query, ExplainQuery):
-            # A TRAIN here runs as a job, so that is the plan to show.
-            return ok(plan=self.db.explain(query.inner, for_job=True))
+            return ok(plan=self.db.explain(query.inner))
         if isinstance(query, PredictQuery):
             predictions = self.db.predict(query)
             preview = predictions[:100]

@@ -199,7 +199,7 @@ class TestHopperEngine:
 
         resumed = HopperEngine(
             block_file, _models(), checkpoint_path=ckpt, **_KW
-        ).run(resume=True)
+        ).run()
         assert resumed.slots_run < 15  # picked up mid-schedule
         for a, b in zip(full.models, resumed.models):
             assert np.array_equal(a.parameter_vector(), b.parameter_vector())

@@ -22,6 +22,7 @@ from repro.faults import FaultPlan, InjectedCrash
 from repro.ml.models import LinearSVM, LogisticRegression
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig
+from repro.ml.trainer import TrainInterrupted
 from repro.parallel import ParallelTrainer, WorkerError, sync_reference_trainer
 from repro.storage import write_block_file
 
@@ -149,18 +150,24 @@ class TestSyncMode:
 
 
 class TestCrashResume:
-    def test_kill_mid_epoch_resume_bit_exact(self, dense_block_file, tmp_path):
+    @pytest.mark.parametrize("how", ["injected_crash", "should_stop"])
+    def test_kill_mid_epoch_resume_bit_exact(self, dense_block_file, tmp_path, how):
         clean = run_sync(dense_block_file, n_workers=4, epochs=3)
 
         cp = CheckpointConfig(path=tmp_path / "par.ckpt", every_tuples=GBS)
-        with pytest.raises(InjectedCrash):
-            run_sync(
-                dense_block_file,
-                n_workers=4,
-                epochs=3,
-                checkpoint=cp,
-                fault_plan=FaultPlan(seed=0, crash_at_tuple=800),
-            )
+        if how == "injected_crash":
+            died, interruption = InjectedCrash, {
+                "fault_plan": FaultPlan(seed=0, crash_at_tuple=800)
+            }
+        else:
+            # The job seam: probed at every rendezvous (two per sync step),
+            # so probe 51 stops the run at step 25 of epoch 1 — tuple 800.
+            probes = []
+            died, interruption = TrainInterrupted, {
+                "should_stop": lambda: probes.append(None) or len(probes) > 50
+            }
+        with pytest.raises(died):
+            run_sync(dense_block_file, n_workers=4, epochs=3, checkpoint=cp, **interruption)
         assert_no_leaked_children()
 
         model = LogisticRegression(N_FEATURES, seed=1)

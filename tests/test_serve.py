@@ -438,6 +438,67 @@ class TestJobJournal:
         assert spec.get("interrupted") is True
 
 
+class TestRecover:
+    """``recover()`` runs before ``start()``: it must never block, and it
+    must never guess at a journal it does not understand."""
+
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 1, block_size = 16KB"
+
+    def _journal(self, data_dir, n_jobs):
+        """Journal ``n_jobs`` queued jobs the way a killed daemon leaves them."""
+        from repro.data import make_binary_dense
+        from repro.db import MiniDB, parse_query
+        from repro.serve.jobs import JobManager
+
+        db = MiniDB(page_bytes=4096)
+        db.create_table("t", make_binary_dense(300, 6, seed=0))
+        manager = JobManager(data_dir, max_queued=n_jobs)  # never started
+        return [
+            manager.submit("s1", self.SQL, parse_query(self.SQL), db).job_id
+            for _ in range(n_jobs)
+        ]
+
+    def test_recover_is_not_subject_to_the_admission_bound(self, tmp_path):
+        """Was: ``recover`` re-enqueued with a blocking ``put`` into a queue
+        bounded at ``max_queued``; a daemon killed while saturated journals
+        ``max_queued`` queued + its running jobs, so the restart hung."""
+        from repro.serve.jobs import JobManager, Saturated
+        from repro.db import MiniDB, parse_query
+
+        max_queued = 2
+        job_ids = self._journal(tmp_path, max_queued + 1)
+        manager = JobManager(tmp_path, max_queued=max_queued, workers=1)
+        assert manager.recover() == job_ids  # returned: nothing blocked
+        # Admission still holds for *new* work while the backlog drains.
+        with pytest.raises(Saturated):
+            manager.submit("s2", self.SQL, parse_query(self.SQL), MiniDB())
+        # Every recovered job runs, in ordinal order.
+        started = []
+        execute = manager._execute
+        manager._execute = lambda job: (started.append(job.job_id), execute(job))
+        manager.start()
+        try:
+            manager._queue.join()
+        finally:
+            manager.stop()
+        assert started == job_ids
+        assert [manager.get(j).state for j in job_ids] == ["done"] * len(job_ids)
+
+    def test_job_journalled_by_the_previous_release_fails_loudly(self, tmp_path):
+        from repro.serve.jobs import JobManager
+
+        (job_id,) = self._journal(tmp_path, 1)
+        spec_path = tmp_path / "jobs" / f"{job_id}.json"
+        spec = json.loads(spec_path.read_text())
+        del spec["page_bytes"]  # the PR 13 journal had no table facts
+        spec_path.write_text(json.dumps(spec))
+        manager = JobManager(tmp_path)
+        assert manager.recover() == []
+        job = manager.get(job_id)
+        assert job.state == "failed"
+        assert "journal format changed" in job.spec["error"]
+
+
 class TestJobDoneOrdering:
     def test_job_is_not_done_until_its_model_is_registered(self, tmp_path):
         """Was: ``done`` was journalled before ``on_done`` registered the
@@ -503,17 +564,16 @@ class TestAdvisorOverTheWire:
         finally:
             server.stop()
         assert "Advisor (device=hdd" in explained
-        assert "ShardBlockFile" in explained  # the job's plan, not the inline one
         assert final["state"] == "done"
-        # A job trains sharded CorgiPile over its block file whatever the
-        # advisor would pick for an inline run; the journal says what ran
-        # and keeps the advisor's pick as evidence.
-        assert final["strategy"] == "corgipile"
+        # The job runs the advisor's pick — resolved once, at admission —
+        # on the engine's executors; the journal says what ran (top level
+        # and in the resolved spec) and keeps the decision as evidence.
         decision = AdvisorDecision.from_doc(final["advisor"])
         assert decision.strategy in (
             "no_shuffle", "block_reversal", "block_reshuffle",
             "corgipile", "corgi2", "shuffle_once", "random_access",
         )
+        assert final["strategy"] == decision.strategy == final["spec"]["strategy"]
         assert decision.device == "hdd"
         assert decision.hd.hd >= 1.0
         assert "Advisor (device=hdd" in decision.render()
@@ -522,13 +582,23 @@ class TestAdvisorOverTheWire:
         assert spec["advisor"] == final["advisor"]
 
     def test_unrunnable_strategy_is_rejected_at_admission(self, server):
+        """Flipped by PR 14: a job used to run only sharded CorgiPile over
+        its block file, so ``strategy = no_shuffle`` was refused at submit.
+        Jobs now run the engine's plan, so it is admitted and runs as
+        journalled; what admission rejects is exactly what the inline engine
+        rejects — here a strategy with no block-file plan — with its message.
+        """
         with connect(server) as client:
             client.load("susy")
+            job_id = client.submit(TRAIN_SQL + ", strategy = no_shuffle")
+            final = client.wait(job_id, timeout=120)
+            assert final["state"] == "done"
+            assert final["strategy"] == final["spec"]["strategy"] == "no_shuffle"
             with pytest.raises(ServerError) as excinfo:
-                client.submit(TRAIN_SQL + ", strategy = no_shuffle")
+                client.submit(TRAIN_SQL + ", strategy = no_shuffle, workers = 2")
             assert excinfo.value.code == "engine_error"
             assert "corgipile" in str(excinfo.value)
-            assert client.jobs() == []
+            assert [j["job_id"] for j in client.jobs()] == [job_id]
 
     def test_fixed_strategy_jobs_skip_the_advisor(self, server):
         with connect(server) as client:
@@ -559,18 +629,14 @@ class TestProtocolNegotiation:
         reply = self._raw_hello(server, 2)
         assert reply["ok"] and reply["version"] == 2
 
-    def test_v1_client_still_connects(self, server):
-        """Old clients keep working: the reply echoes their version and the
-        v2-only payload fields are extras they never read."""
-        reply = self._raw_hello(server, 1)
-        assert reply["ok"] and reply["version"] == 1
-
-    def test_future_version_rejected_with_range(self, server):
-        reply = self._raw_hello(server, 99)
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version_rejected_with_range(self, server, version):
+        """v1 (the fallback was dropped in PR 14) and the future alike."""
+        reply = self._raw_hello(server, version)
         assert not reply["ok"]
         assert reply["code"] == "version_mismatch"
-        assert reply["server_version"] == 2
-        assert reply["min_version"] == 1
+        assert reply["server_version"] == reply["min_version"] == 2
+        assert "2..2" in reply["error"]
 
     def test_non_integer_version_rejected(self, server):
         reply = self._raw_hello(server, "two")
