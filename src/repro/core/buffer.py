@@ -1,8 +1,9 @@
 """Shuffle buffers and the double-buffering pipeline model.
 
-:class:`ShuffleBuffer` is the in-memory tuple buffer used by the TupleShuffle
-operator (Section 6.2) and the ``CorgiPileDataset`` iterator (Section 5):
-fill with tuples pulled from the block reader, shuffle, drain.
+:class:`ShuffleBuffer` is the in-memory tuple buffer of the
+``CorgiPileDataset`` iterator (Section 5): fill with tuples pulled from the
+block reader, shuffle, drain.  The in-DB TupleShuffle operator (Section 6.2)
+does the same over whole batches (``repro.db.operators.shuffled_fill``).
 
 :func:`pipelined_time` computes the wall-clock of a producer/consumer
 pipeline with double buffering (Section 6.3): while SGD consumes buffer A,

@@ -19,7 +19,38 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["SparseMatrix", "SparseRow"]
+__all__ = ["SparseMatrix", "SparseRow", "segment_positions", "gather_csr_rows"]
+
+
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat positions covering ``[starts[i], starts[i] + lengths[i])`` per segment."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    keep = lengths > 0
+    starts, lengths = starts[keep], lengths[keep]
+    # One array end to end (row gathers run over whole tables): +1 inside a
+    # segment, a jump from one segment's last position to the next's first.
+    steps = np.ones(total, dtype=np.int64)
+    steps[0] = starts[0]
+    steps[np.cumsum(lengths)[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
+def gather_csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR triple of ``rows`` (any order, repeats allowed), in one gather.
+
+    The single row-gather behind :meth:`SparseMatrix.take_rows` and
+    :meth:`~repro.storage.codec.TupleBatch.take`.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    positions = segment_positions(starts, counts)
+    out_indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_indptr[1:])
+    return out_indptr, indices[positions], data[positions]
 
 
 class SparseRow:
@@ -35,17 +66,7 @@ class SparseRow:
                 f"indices/values length mismatch: {self.indices.shape} vs {self.values.shape}"
             )
         self.n_features = int(n_features)
-        # Detected once at construction: duplicate-free index arrays take the
-        # direct fancy-index ``+=`` path in add_into; ``np.add.at`` stays as
-        # the duplicate-safe fallback.  Rows decoded from the codec / CSR
-        # slices are strictly sorted, so the diff check is the common case.
-        n = self.indices.size
-        if n <= 1:
-            self._unique = True
-        else:
-            self._unique = bool(np.all(np.diff(self.indices) > 0)) or (
-                np.unique(self.indices).size == n
-            )
+        self._unique: bool | None = None  # detected on first use
 
     @property
     def nnz(self) -> int:
@@ -53,7 +74,17 @@ class SparseRow:
 
     @property
     def has_unique_indices(self) -> bool:
-        """True when no feature index repeats (fast scatter-add is safe)."""
+        """True when no feature index repeats (fast scatter-add is safe).
+
+        Detected once, on first use — only ``add_into`` asks, and row views
+        are handed out by the thousand.  Rows decoded from the codec / CSR
+        slices are strictly sorted, so the diff check is the common case.
+        """
+        if self._unique is None:
+            n = self.indices.size
+            self._unique = n <= 1 or bool(np.all(np.diff(self.indices) > 0)) or (
+                np.unique(self.indices).size == n
+            )
         return self._unique
 
     def dot(self, w: np.ndarray) -> float:
@@ -67,7 +98,7 @@ class SparseRow:
         fancy-index ``+=``; rows with repeated indices fall back to the
         slower but duplicate-accumulating ``np.add.at``.
         """
-        if self._unique:
+        if self.has_unique_indices:
             out[self.indices] += scale * self.values
         else:
             np.add.at(out, self.indices, scale * self.values)
@@ -120,14 +151,9 @@ class SparseMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[SparseRow], n_features: int) -> "SparseMatrix":
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        for i, row in enumerate(rows):
-            indptr[i + 1] = indptr[i] + row.nnz
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for i, row in enumerate(rows):
-            indices[indptr[i] : indptr[i + 1]] = row.indices
-            data[indptr[i] : indptr[i + 1]] = row.values
+        np.cumsum([row.nnz for row in rows], out=indptr[1:])
+        indices = np.concatenate([row.indices for row in rows]) if rows else np.empty(0)
+        data = np.concatenate([row.values for row in rows]) if rows else np.empty(0)
         return cls(indptr, indices, data, (len(rows), n_features))
 
     @classmethod
@@ -190,16 +216,7 @@ class SparseMatrix:
     def take_rows(self, order: np.ndarray) -> "SparseMatrix":
         """Return a new matrix with rows permuted/selected by ``order``."""
         order = np.asarray(order, dtype=np.int64)
-        counts = np.diff(self.indptr)[order]
-        indptr = np.zeros(order.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        data = np.empty(int(indptr[-1]), dtype=np.float64)
-        for new_i, old_i in enumerate(order):
-            lo, hi = self.indptr[old_i], self.indptr[old_i + 1]
-            nlo, nhi = indptr[new_i], indptr[new_i + 1]
-            indices[nlo:nhi] = self.indices[lo:hi]
-            data[nlo:nhi] = self.data[lo:hi]
+        indptr, indices, data = gather_csr_rows(self.indptr, self.indices, self.data, order)
         return SparseMatrix(indptr, indices, data, (order.size, self.n_cols))
 
     def to_dense(self) -> np.ndarray:

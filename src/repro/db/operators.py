@@ -1,20 +1,30 @@
-"""Volcano-style physical operators (Section 6.2).
+"""Volcano-style physical operators (Section 6.2), batch at a time.
 
 The paper adds three operators to PostgreSQL and chains them into a
 pull-based pipeline::
 
     SGDOperator  ←pull←  TupleShuffleOperator  ←pull←  BlockShuffleOperator
 
-Each operator implements ``open() / next() / close() / rescan()``.
-``rescan`` is the re-scan mechanism the SGD operator invokes between epochs
-(resetting buffers and re-shuffling block ids, like PostgreSQL's
-NestedLoopJoin re-scans its inner).
+Each operator implements ``open() / next_batch() / close() / rescan()``.
+What moves between operators is a :class:`~repro.storage.codec.TupleBatch`
+— a run of one or more rows **in visit order** — never a single tuple: a
+page is decoded in bulk by the buffer pool, a block is the ``concat`` of its
+pages, a shuffle is one ``take(permutation)``, and the SGD root slices its
+update units straight out of the stream.  ``rescan`` is the re-scan
+mechanism the SGD operator invokes between epochs (resetting buffers and
+re-shuffling block ids, like PostgreSQL's NestedLoopJoin re-scans its
+inner).
 
 Operators log their physical reads into a
-:class:`~repro.db.timing.RuntimeContext`: the BlockShuffle operator charges
-page reads (device-speed on buffer-pool misses, memory-speed on hits) and
-the TupleShuffle operator marks buffer-fill boundaries so double buffering
-can overlap fill I/O with SGD compute.
+:class:`~repro.db.timing.RuntimeContext`: the scans charge page reads
+(device-speed on buffer-pool misses, memory-speed on hits) and the
+TupleShuffle operator marks buffer-fill boundaries so double buffering can
+overlap fill I/O with SGD compute.  The simulated clock depends on *when* a
+charge lands relative to those boundaries, which gives the batch contract
+its one rule — **the carry rule**: an operator asks its child for the next
+batch only when it holds no row it has not yet handed on
+(:class:`RowStream`), so no block is loaded, or charged, earlier than the
+row that needs it.
 
 ``SeqScanOperator`` is the No-Shuffle access path (MADlib/Bismarck without a
 pre-shuffled copy) and is also used to scan a pre-shuffled table.
@@ -30,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..core.buffer import ShuffleBuffer
 from ..core.seeding import (
     BLOCK_RESHUFFLE_STREAM,
     MRS_STREAM,
@@ -43,7 +52,7 @@ from ..core.seeding import (
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import save_checkpoint
 from ..ml.trainer import CheckpointConfig, ConvergenceHistory, TrainInterrupted, restore_run
-from ..storage.codec import TrainingTuple
+from ..storage.codec import TrainingTuple, TupleBatch
 from ..storage.retry import ReadExhaustedError
 from .catalog import TableInfo
 from .errors import StorageError
@@ -61,16 +70,20 @@ __all__ = [
     "SlidingWindowOperator",
     "MultiplexedReservoirOperator",
     "SGDOperator",
+    "RowStream",
+    "shuffled_fill",
 ]
 
 
 class PhysicalOperator(ABC):
-    """The Volcano iterator interface."""
+    """The Volcano iterator interface, with the batch as its unit."""
 
     child: "PhysicalOperator | None" = None
     #: The pass ``open()`` starts; ``rescan`` advances it.  Every epoch-
     #: dependent draw is a pure function of ``(seed, _epoch)``.
     _epoch = 0
+    #: The ``next()`` adapter's place in the last batch it pulled.
+    _rows = iter(())
 
     def seek(self, epoch: int) -> None:
         """Before ``open()``: start at the pass the ``epoch``-th rescan begins.
@@ -82,25 +95,112 @@ class PhysicalOperator(ABC):
         if self.child is not None:
             self.child.seek(epoch)
 
-    def open(self) -> None:  # noqa: B027 - optional hook
-        """Initialise operator state (ExecInit)."""
+    def open(self) -> None:
+        """Start pass ``_epoch`` (ExecInit): the child first, then own state."""
+        self._rows = iter(())
+        if self.child is not None:
+            self.child.open()
+        self._reset()
+
+    def _reset(self) -> None:  # noqa: B027 - optional hook
+        """(Re)build this operator's own state for pass ``_epoch``."""
 
     @abstractmethod
-    def next(self) -> TrainingTuple | None:
-        """Return the next tuple, or ``None`` at end of stream (getNext)."""
+    def next_batch(self) -> TupleBatch | None:
+        """The next run of >= 1 rows in visit order, or ``None`` at end of pass."""
 
-    def rescan(self) -> None:  # noqa: B027 - optional hook
-        """Reset for another pass (ExecReScan)."""
+    def rescan(self) -> None:
+        """Reset for the next pass (ExecReScan): ``seek`` one on, ``open``."""
+        self.seek(self._epoch + 1)
+        self.open()
 
     def close(self) -> None:  # noqa: B027 - optional hook
         """Release resources."""
 
+    def next(self) -> TrainingTuple | None:
+        """Per-tuple adapter over :meth:`next_batch` (getNext).
+
+        For consumers that really want one tuple at a time — the unfused
+        ``step_example`` reference path, the segmented engine's per-segment
+        quota, the CLI ``loader-stats`` drain, tests.  It pulls a batch only
+        once the previous one is used up, so it obeys the carry rule too.
+        """
+        for record in self._rows:
+            return record
+        batch = self.next_batch()
+        if batch is None:
+            return None
+        self._rows = iter(batch.to_tuples())
+        return next(self._rows)
+
     def __iter__(self):
-        while True:
-            record = self.next()
-            if record is None:
-                return
-            yield record
+        return iter(self.next, None)
+
+
+class RowStream:
+    """A child's batch stream, read in row counts that ignore batch edges.
+
+    The carry rule in one place: ``pull(limit)`` hands out at most ``limit``
+    rows of the current child batch as a zero-copy slice and goes back to
+    the child only once that batch is used up.  A batch that crosses a fill
+    (or update-unit, or accounting-chunk) boundary is cut there and its tail
+    carried into the next call.
+    """
+
+    def __init__(self, child: PhysicalOperator):
+        self.child = child
+        self._batch: TupleBatch | None = None
+        self._pos = 0
+
+    @property
+    def at_edge(self) -> bool:
+        """True when the next ``pull`` goes to the child (and may charge I/O)."""
+        return self._batch is None or self._pos >= len(self._batch)
+
+    def pull(self, limit: int) -> TupleBatch | None:
+        """Up to ``limit`` rows from one child batch; ``None`` at end of pass."""
+        if self.at_edge:
+            self._batch, self._pos = self.child.next_batch(), 0
+            if self._batch is None:
+                return None
+        lo, n = self._pos, len(self._batch)
+        self._pos = hi = min(lo + limit, n)
+        return self._batch if hi - lo == n else self._batch.slice(lo, hi)
+
+    def take(self, n_rows: int) -> TupleBatch | None:
+        """The next ``n_rows`` rows as one batch (fewer only at end of pass).
+
+        A run inside one child batch stays a zero-copy slice; a run that
+        straddles batches is one C-contiguous ``concat``.
+        """
+        parts, got = [], 0
+        while got < n_rows and (part := self.pull(n_rows - got)) is not None:
+            parts.append(part)
+            got += len(part)
+        return TupleBatch.concat(parts) if parts else None
+
+
+def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool, int]:
+    """One page through the buffer pool: ``(batch, pool hit, stored bytes)``."""
+    try:
+        batch, hit = table.pool.get_batch_traced(page_id)
+    except ReadExhaustedError as exc:
+        raise StorageError(f"{what} of table {table.name!r}: {exc}") from exc
+    return batch, hit, table.heap.pages[page_id].used_bytes
+
+
+def _stream_page(table: TableInfo, ctx: RuntimeContext, page_id: int, what: str):
+    """Read and charge one page of a sequential pass; ``(batch, pool hit)``.
+
+    Sequential page reads have no per-page positioning cost beyond the
+    stream itself: a miss is charged as sequential transfer.
+    """
+    batch, hit, page_bytes = _read_page(table, page_id, what)
+    if hit:
+        ctx.charge_memory_read(page_bytes)
+    else:
+        ctx.charge_device_read(page_bytes, random=False)
+    return batch, hit
 
 
 class SeqScanOperator(PhysicalOperator):
@@ -110,43 +210,20 @@ class SeqScanOperator(PhysicalOperator):
         self.table = table
         self.ctx = ctx
         self._page = 0
-        self._slot = 0
-        self._current: list[TrainingTuple] = []
 
-    def open(self) -> None:
+    def _reset(self) -> None:
         self._page = 0
-        self._slot = 0
-        self._current = []
 
-    def next(self) -> TrainingTuple | None:
-        while self._slot >= len(self._current):
-            if self._page >= self.table.heap.n_pages:
-                return None
-            try:
-                tuples, hit = self.table.pool.get_page_traced(self._page)
-            except ReadExhaustedError as exc:
-                raise StorageError(
-                    f"seq scan of table {self.table.name!r}: {exc}"
-                ) from exc
-            page_bytes = self.table.heap.pages[self._page].used_bytes
-            if hit:
-                self.ctx.charge_memory_read(page_bytes)
-            else:
-                # Sequential page reads: no per-page positioning cost beyond
-                # the stream itself; charge as sequential transfer.
-                self.ctx.charge_device_read(page_bytes, random=False)
-            self._current = tuples
-            self._slot = 0
+    def next_batch(self) -> TupleBatch | None:
+        while self._page < self.table.heap.n_pages:
+            batch, _hit = _stream_page(self.table, self.ctx, self._page, "seq scan")
             self._page += 1
-        record = self._current[self._slot]
-        self._slot += 1
-        return record
-
-    def rescan(self) -> None:
-        self.open()
+            if len(batch):
+                return batch
+        return None
 
 
-class FilteredSeqScanOperator(PhysicalOperator):
+class FilteredSeqScanOperator(SeqScanOperator):
     """Sequential heap scan that emits only the qualifying tuples.
 
     The No-Shuffle access path under a ``WHERE``: every page is still
@@ -157,67 +234,42 @@ class FilteredSeqScanOperator(PhysicalOperator):
     """
 
     def __init__(self, table: TableInfo, ctx: RuntimeContext, positions):
-        self.table = table
-        self.ctx = ctx
-        # page_id -> qualifying slots, ascending (heap order is page-major,
-        # slot-ascending, so sorted positions land here already ordered).
-        self._slots_by_page: dict[int, list[int]] = {}
+        super().__init__(table, ctx)
+        # page_id -> qualifying rows of the page's batch, ascending (heap
+        # order is page-major, slot-ascending, so sorted positions land here
+        # already ordered).  Resolved once per statement.
+        rows: dict[int, list[int]] = {}
+        row_maps: dict[int, dict[int, int]] = {}
         for position in positions:
             rid = table.heap.rid_of(int(position))
-            self._slots_by_page.setdefault(rid.page_id, []).append(rid.slot)
-        self._page = 0
-        self._pending: list[TrainingTuple] = []
-        self._slot = 0
+            if rid.page_id not in row_maps:
+                row_maps[rid.page_id] = table.heap.slot_row_map(rid.page_id)
+            rows.setdefault(rid.page_id, []).append(row_maps[rid.page_id][rid.slot])
+        self._rows_by_page = {page: np.asarray(r, dtype=np.int64) for page, r in rows.items()}
 
-    def open(self) -> None:
-        self._page = 0
-        self._pending = []
-        self._slot = 0
-
-    def next(self) -> TrainingTuple | None:
-        while self._slot >= len(self._pending):
-            if self._page >= self.table.heap.n_pages:
-                return None
-            page_id = self._page
+    def next_batch(self) -> TupleBatch | None:
+        while self._page < self.table.heap.n_pages:
+            batch, _hit = _stream_page(self.table, self.ctx, self._page, "filtered seq scan")
+            wanted = self._rows_by_page.get(self._page)
             self._page += 1
-            try:
-                tuples, hit = self.table.pool.get_page_traced(page_id)
-            except ReadExhaustedError as exc:
-                raise StorageError(
-                    f"filtered seq scan of table {self.table.name!r}: {exc}"
-                ) from exc
-            page_bytes = self.table.heap.pages[page_id].used_bytes
-            if hit:
-                self.ctx.charge_memory_read(page_bytes)
-            else:
-                self.ctx.charge_device_read(page_bytes, random=False)
-            wanted = self._slots_by_page.get(page_id)
-            if not wanted:
-                continue
-            row_of = self.table.heap.slot_row_map(page_id)
-            self._pending = [tuples[row_of[slot]] for slot in wanted]
-            self._slot = 0
-        record = self._pending[self._slot]
-        self._slot += 1
-        return record
-
-    def rescan(self) -> None:
-        self.open()
+            if wanted is not None:
+                return batch.take(wanted)
+        return None
 
 
 class BlockShuffleOperator(PhysicalOperator):
     """Random block-order scan (Section 6.2 operator 1).
 
     Computes ``BN = page_num · page_size / block_size``, shuffles the block
-    ids, and streams the tuples of each block's pages.  A fresh shuffle is
-    drawn on every ``rescan`` (one per epoch).
+    ids, and emits each block — the ``concat`` of its pages' batches — as
+    one batch.  A fresh shuffle is drawn on every ``rescan`` (one per epoch).
 
     ``within`` selects the in-block traversal (the Learning-to-Shuffle
     refinements): ``"keep"`` streams page order (plain block shuffle),
     ``"shuffle"`` permutes each loaded block's tuples in memory
     (Block-Reshuffle — no extra I/O, one block resident at a time), and
     ``"reverse"`` flips the block's tuple order on odd epochs
-    (Block-Reversal).
+    (Block-Reversal); both are one ``take`` of the block.
     """
 
     def __init__(
@@ -235,46 +287,36 @@ class BlockShuffleOperator(PhysicalOperator):
         self.block_bytes = int(block_bytes)
         self.seed = int(seed)
         self.within = within
-        self._block_order: np.ndarray = np.empty(0, dtype=np.int64)
-        self._block_pos = 0
-        self._pending: list[TrainingTuple] = []
-        self._slot = 0
 
     @property
     def n_blocks(self) -> int:
         return self.table.heap.n_blocks(self.block_bytes)
 
-    def open(self) -> None:
-        rng = epoch_rng(self.seed, self._epoch)
-        self._block_order = rng.permutation(self.n_blocks)
+    def _reset(self) -> None:
+        self._block_order = epoch_rng(self.seed, self._epoch).permutation(self.n_blocks)
         self._block_pos = 0
-        self._pending = []
-        self._slot = 0
 
-    def _load_next_block(self) -> bool:
+    def _load_next_block(self) -> TupleBatch | None:
+        """The next block in shuffled order (possibly empty after DELETEs)."""
         if self._block_pos >= self._block_order.size:
-            return False
+            return None
         block_id = int(self._block_order[self._block_pos])
         self._block_pos += 1
-        tuples: list[TrainingTuple] = []
+        pages: list[TupleBatch] = []
         device_bytes = 0.0
         memory_bytes = 0.0
         with obs.span("db.block", block_id=block_id) as sp:
             for page_id in self.table.heap.block_pages(block_id, self.block_bytes):
-                try:
-                    page_tuples, hit = self.table.pool.get_page_traced(page_id)
-                except ReadExhaustedError as exc:
-                    raise StorageError(
-                        f"block shuffle scan of table {self.table.name!r}, "
-                        f"block {block_id}: {exc}"
-                    ) from exc
-                page_bytes = self.table.heap.pages[page_id].used_bytes
+                batch, hit, page_bytes = _read_page(
+                    self.table, page_id, f"block shuffle scan (block {block_id})"
+                )
                 if hit:
                     memory_bytes += page_bytes
                 else:
                     device_bytes += page_bytes
-                tuples.extend(page_tuples)
-            sp.set(n_tuples=len(tuples), device_bytes=device_bytes)
+                pages.append(batch)
+            block = TupleBatch.concat(pages)
+            sp.set(n_tuples=len(block), device_bytes=device_bytes)
         # One random positioning per block; the pages inside a block are
         # contiguous, so they transfer at sequential bandwidth.
         if device_bytes:
@@ -284,24 +326,16 @@ class BlockShuffleOperator(PhysicalOperator):
         obs.inc("db.blocks_loaded")
         if self.within == "shuffle":
             rng = derive_rng(self.seed, self._epoch, BLOCK_RESHUFFLE_STREAM, block_id)
-            tuples = [tuples[i] for i in rng.permutation(len(tuples))]
+            block = block.take(rng.permutation(len(block)))
         elif self.within == "reverse" and self._epoch % 2:
-            tuples.reverse()
-        self._pending = tuples
-        self._slot = 0
-        return True
+            block = block.take(np.arange(len(block) - 1, -1, -1))
+        return block
 
-    def next(self) -> TrainingTuple | None:
-        while self._slot >= len(self._pending):
-            if not self._load_next_block():
-                return None
-        record = self._pending[self._slot]
-        self._slot += 1
-        return record
-
-    def rescan(self) -> None:
-        self._epoch += 1
-        self.open()
+    def next_batch(self) -> TupleBatch | None:
+        while (block := self._load_next_block()) is not None:
+            if len(block):
+                return block
+        return None
 
 
 class RidBlockShuffleOperator(PhysicalOperator):
@@ -320,6 +354,9 @@ class RidBlockShuffleOperator(PhysicalOperator):
     * ``fetch="scan"`` — stream the *whole* heap once per epoch at
       sequential speed (the fallback when selectivity is too high for the
       index to win), after which every fetch is memory-resident.
+
+    A virtual block is emitted as one ``take`` over the ``concat`` of the
+    heap pages it touches.
     """
 
     def __init__(
@@ -337,13 +374,12 @@ class RidBlockShuffleOperator(PhysicalOperator):
         self.partition = partition
         self.seed = int(seed)
         self.fetch = fetch
-        self._block_order: np.ndarray = np.empty(0, dtype=np.int64)
-        self._block_pos = 0
-        self._pending: list[TrainingTuple] = []
-        self._slot = 0
         # Epoch-local decoded-page cache: many virtual blocks can touch the
         # same heap page; fetch (and charge) it once per epoch.
-        self._page_cache: dict[int, tuple[TrainingTuple, ...]] = {}
+        self._page_cache: dict[int, TupleBatch] = {}
+        # block_id -> its entries' rows in the concat of the block's pages;
+        # the layout is fixed for the statement, so resolved once per block.
+        self._gather: dict[int, np.ndarray] = {}
         self._row_maps: dict[int, dict[int, int]] = {}
         # Physical counters for the bench gate: blocks/pages actually
         # touched, and pages that went to the device.
@@ -356,53 +392,36 @@ class RidBlockShuffleOperator(PhysicalOperator):
         return self.partition.n_blocks
 
     def open(self) -> None:
-        rng = epoch_rng(self.seed, self._epoch)
-        self._block_order = rng.permutation(self.n_blocks)
-        self._block_pos = 0
-        self._pending = []
-        self._slot = 0
-        self._page_cache = {}
-        if self.fetch == "scan":
+        super().open()
+        if self.fetch == "scan":  # the pass's one sequential read of the heap
             self._scan_whole_heap()
 
+    def _reset(self) -> None:
+        self._block_order = epoch_rng(self.seed, self._epoch).permutation(self.n_blocks)
+        self._block_pos = 0
+        self._page_cache = {}
+
     def _scan_whole_heap(self) -> None:
-        heap = self.table.heap
-        for page_id in range(heap.n_pages):
-            try:
-                tuples, hit = self.table.pool.get_page_traced(page_id)
-            except ReadExhaustedError as exc:
-                raise StorageError(
-                    f"filtered block scan of table {self.table.name!r}: {exc}"
-                ) from exc
-            page_bytes = heap.pages[page_id].used_bytes
-            if hit:
-                self.ctx.charge_memory_read(page_bytes)
-            else:
-                self.ctx.charge_device_read(page_bytes, random=False)
-            self._page_cache[page_id] = tuples
+        for page_id in range(self.table.heap.n_pages):
+            batch, hit = _stream_page(self.table, self.ctx, page_id, "filtered block scan")
+            self._page_cache[page_id] = batch
             self.pages_fetched += 1
             if not hit:
                 self.device_page_reads += 1
 
     def _fetch_pages(self, block) -> None:
         """Index path: pull the block's heap pages through the pool."""
-        heap = self.table.heap
         missed: list[int] = []
         device_bytes = 0.0
         memory_bytes = 0.0
         for page_id in block.page_ids:
             if page_id in self._page_cache:
                 continue
-            try:
-                tuples, hit = self.table.pool.get_page_traced(page_id)
-            except ReadExhaustedError as exc:
-                raise StorageError(
-                    f"index block fetch of table {self.table.name!r}, "
-                    f"block {block.block_id}: {exc}"
-                ) from exc
-            self._page_cache[page_id] = tuples
+            batch, hit, page_bytes = _read_page(
+                self.table, page_id, f"index block fetch (block {block.block_id})"
+            )
+            self._page_cache[page_id] = batch
             self.pages_fetched += 1
-            page_bytes = heap.pages[page_id].used_bytes
             if hit:
                 memory_bytes += page_bytes
             else:
@@ -412,55 +431,73 @@ class RidBlockShuffleOperator(PhysicalOperator):
         if missed:
             # One random positioning per contiguous run of missed pages;
             # within a run the transfer is sequential.
-            runs = 1 + sum(
-                1 for a, b in zip(missed, missed[1:]) if b != a + 1
-            )
+            runs = 1 + sum(1 for a, b in zip(missed, missed[1:]) if b != a + 1)
             self.ctx.charge_device_read(device_bytes / runs, random=True, count=runs)
         if memory_bytes:
             self.ctx.charge_memory_read(memory_bytes)
 
-    def _load_next_block(self) -> bool:
+    def _gather_rows(self, block) -> np.ndarray:
+        offsets: dict[int, int] = {}
+        total = 0
+        for page_id in block.page_ids:
+            if page_id not in self._row_maps:
+                self._row_maps[page_id] = self.table.heap.slot_row_map(page_id)
+            offsets[page_id] = total
+            total += len(self._row_maps[page_id])
+        return np.asarray(
+            [offsets[rid.page_id] + self._row_maps[rid.page_id][rid.slot]
+             for _position, rid in block.entries],
+            dtype=np.int64,
+        )
+
+    def _load_next_block(self) -> TupleBatch | None:
         if self._block_pos >= self._block_order.size:
-            return False
+            return None
         block = self.partition.blocks[int(self._block_order[self._block_pos])]
         self._block_pos += 1
         with obs.span("db.rid_block", block_id=block.block_id) as sp:
             if self.fetch == "index":
                 self._fetch_pages(block)
-            tuples: list[TrainingTuple] = []
-            for _position, rid in block.entries:
-                row_of = self._row_maps.get(rid.page_id)
-                if row_of is None:
-                    row_of = self.table.heap.slot_row_map(rid.page_id)
-                    self._row_maps[rid.page_id] = row_of
-                tuples.append(self._page_cache[rid.page_id][row_of[rid.slot]])
-            sp.set(n_tuples=len(tuples), n_pages=len(block.page_ids))
+            if block.block_id not in self._gather:
+                self._gather[block.block_id] = self._gather_rows(block)
+            pages = TupleBatch.concat([self._page_cache[p] for p in block.page_ids])
+            batch = pages.take(self._gather[block.block_id])
+            sp.set(n_tuples=len(batch), n_pages=len(block.page_ids))
         obs.inc("db.blocks_loaded")
         self.blocks_loaded += 1
-        self._pending = tuples
-        self._slot = 0
-        return True
+        return batch
 
-    def next(self) -> TrainingTuple | None:
-        while self._slot >= len(self._pending):
-            if not self._load_next_block():
-                return None
-        record = self._pending[self._slot]
-        self._slot += 1
-        return record
+    def next_batch(self) -> TupleBatch | None:
+        return self._load_next_block()  # a virtual block is never empty
 
-    def rescan(self) -> None:
-        self._epoch += 1
-        self.open()
+
+def shuffled_fill(
+    stream: RowStream, buffer_tuples: int, rng: np.random.Generator, **span_attrs
+) -> TupleBatch | None:
+    """One TupleShuffle fill: buffer, shuffle, hand over (``None`` when dry).
+
+    Pulls child batches until exactly ``buffer_tuples`` rows are buffered —
+    the batch that crosses the boundary is cut there and its tail carried by
+    ``stream`` into the next fill — then draws one ``rng.permutation`` over
+    the fill, as :class:`~repro.core.buffer.ShuffleBuffer` does for the
+    block-file loaders (whose ``shuffle.buffer.*`` counters it shares).
+    """
+    with obs.span("db.fill", **span_attrs) as sp:
+        fill = stream.take(buffer_tuples)
+        sp.set(n_tuples=0 if fill is None else len(fill))
+    if fill is None:
+        return None
+    obs.inc("shuffle.buffer.drains")
+    obs.inc("shuffle.buffer.tuples_drained", len(fill))
+    return fill.take(rng.permutation(len(fill)))
 
 
 class TupleShuffleOperator(PhysicalOperator):
     """Buffer a batch of blocks' tuples and shuffle them (operator 2).
 
-    Pulls from its child until the buffer holds ``buffer_tuples`` tuples,
-    shuffles the buffer, then emits the shuffled tuples one by one.  Each
-    completed fill is reported to the runtime context so the executor can
-    overlap the next fill with SGD compute (double buffering, Section 6.3).
+    Each :func:`shuffled_fill` is emitted as one batch and reported to the
+    runtime context so the executor can overlap the next fill with SGD
+    compute (double buffering, Section 6.3).
     """
 
     def __init__(
@@ -476,60 +513,33 @@ class TupleShuffleOperator(PhysicalOperator):
         self.ctx = ctx
         self.buffer_tuples = int(buffer_tuples)
         self.seed = int(seed)
-        self._drained: list[TrainingTuple] = []
-        self._slot = 0
-        self._exhausted = False
 
-    def open(self) -> None:
+    def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, TUPLE_SHUFFLE_STREAM)
-        self.child.open()
-        self._drained = []
-        self._slot = 0
+        self._stream = RowStream(self.child)
         self._exhausted = False
 
-    def _refill(self) -> bool:
+    def _refill(self) -> TupleBatch | None:
         if self._exhausted:
-            return False
-        buffer: ShuffleBuffer[TrainingTuple] = ShuffleBuffer(self.buffer_tuples, self._rng)
-        with obs.span("db.fill") as sp:
-            while not buffer.full:
-                record = self.child.next()
-                if record is None:
-                    self._exhausted = True
-                    break
-                buffer.add(record)
-            n = len(buffer)
-            sp.set(n_tuples=n)
-        if n == 0:
-            return False
-        self._drained = buffer.shuffle_and_drain()
-        self._slot = 0
-        self.ctx.end_fill(n)
-        return True
+            return None
+        fill = shuffled_fill(self._stream, self.buffer_tuples, self._rng)
+        if fill is None or len(fill) < self.buffer_tuples:
+            self._exhausted = True
+        if fill is not None:
+            self.ctx.end_fill(len(fill))
+        return fill
 
-    def next(self) -> TrainingTuple | None:
-        while self._slot >= len(self._drained):
-            if not self._refill():
-                return None
-        record = self._drained[self._slot]
-        self._slot += 1
-        return record
-
-    def rescan(self) -> None:
-        self._epoch += 1
-        self._rng = stream_rng(self.seed, self._epoch, TUPLE_SHUFFLE_STREAM)
-        self.child.rescan()
-        self._drained = []
-        self._slot = 0
-        self._exhausted = False
+    def next_batch(self) -> TupleBatch | None:
+        return self._refill()
 
 
 class PassThroughAccountingOperator(PhysicalOperator):
     """Counts tuples into fills without shuffling (for No-Shuffle plans).
 
     No-Shuffle pipelines have no TupleShuffle, but the timing model still
-    needs fill boundaries to pair I/O with compute; this wraps the scan and
-    closes a "fill" every ``chunk_tuples`` tuples.
+    needs fill boundaries to pair I/O with compute; this wraps the scan,
+    re-chunks its batches at every ``chunk_tuples`` rows and closes a "fill"
+    there, so each fill is charged exactly the pages its rows needed.
     """
 
     def __init__(self, child: PhysicalOperator, ctx: RuntimeContext, chunk_tuples: int):
@@ -538,47 +548,39 @@ class PassThroughAccountingOperator(PhysicalOperator):
         self.child = child
         self.ctx = ctx
         self.chunk_tuples = int(chunk_tuples)
+
+    def _reset(self) -> None:
+        self._stream = RowStream(self.child)
         self._since_fill = 0
 
-    def open(self) -> None:
-        self.child.open()
-        self._since_fill = 0
-
-    def next(self) -> TrainingTuple | None:
-        record = self.child.next()
-        if record is None:
-            if self._since_fill:
-                self.ctx.end_fill(self._since_fill)
-                self._since_fill = 0
-            return None
-        self._since_fill += 1
-        if self._since_fill >= self.chunk_tuples:
+    def next_batch(self) -> TupleBatch | None:
+        batch = self._stream.pull(self.chunk_tuples - self._since_fill)
+        if batch is not None:
+            self._since_fill += len(batch)
+        if self._since_fill and (batch is None or self._since_fill >= self.chunk_tuples):
             self.ctx.end_fill(self._since_fill)
             self._since_fill = 0
-        return record
-
-    def rescan(self) -> None:
-        self.child.rescan()
-        self._since_fill = 0
+        return batch
 
 
 class SGDOperator:
-    """The root operator: runs SGD epochs by pulling tuples (operator 3).
+    """The root operator: runs SGD epochs by pulling batches (operator 3).
 
-    Not a tuple-producing iterator — like the paper's SGD operator it drives
+    Not a row-producing iterator — like the paper's SGD operator it drives
     the pipeline, updates the model per tuple (or per mini-batch), and uses
     ``rescan`` on its child between epochs.
 
     The job seam sits between *update units* — one fused run, one
-    mini-batch, or ``fuse_chunk`` unfused tuples: there ``checkpoint`` (a
-    :class:`~repro.ml.trainer.CheckpointConfig`) is saved on its cadence and
-    ``should_stop`` is probed.  A run whose checkpoint file exists resumes
-    from it: the pipeline is re-positioned at the stored epoch (``seek``)
-    and the ``cursor`` tuples already applied are pulled and discarded, so
-    every operator — the stateful-RNG ones included — is exactly where the
-    interrupted run left it, and the remaining updates are bit-identical.
-    ``knobs`` are the plan facts that pin the visit order; a checkpoint
-    taken under different ones is refused.
+    mini-batch, or ``fuse_chunk`` unfused tuples, cut out of the batch
+    stream at the same row boundaries whatever the batch edges are: there
+    ``checkpoint`` (a :class:`~repro.ml.trainer.CheckpointConfig`) is saved
+    on its cadence and ``should_stop`` is probed.  A run whose checkpoint
+    file exists resumes from it: the pipeline is re-positioned at the stored
+    epoch (``seek``) and the first ``cursor`` rows of the stream — already
+    applied — are pulled and dropped, so every operator — the stateful-RNG
+    ones included — is exactly where the interrupted run left it, and the
+    remaining updates are bit-identical.  ``knobs`` are the plan facts that
+    pin the visit order; a checkpoint taken under different ones is refused.
     """
 
     def __init__(
@@ -609,10 +611,10 @@ class SGDOperator:
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.optimizer = optimizer
-        # Fused mode collates pulled tuples into runs of ``fuse_chunk`` and
-        # applies the models' vectorised ``step_block`` kernel — still one
-        # model update per tuple in pipeline order, so the visit-order
-        # semantics of the Volcano plan are unchanged.
+        # Fused mode hands runs of ``fuse_chunk`` rows to the models'
+        # vectorised ``step_block`` kernel — still one model update per
+        # tuple in pipeline order, so the visit-order semantics of the
+        # Volcano plan are unchanged.
         self.fused = bool(fused)
         self.fuse_chunk = int(fuse_chunk)
         self.checkpoint = checkpoint
@@ -632,44 +634,37 @@ class SGDOperator:
         self._tuples_seen = 0
 
     def _run_epoch(self, epoch: int, lr: float, cursor: int, history) -> None:
-        """Apply the epoch's tuples after the first ``cursor``, unit by unit."""
-        from ..core.dataloader import collate
-
+        """Apply the epoch's rows after the first ``cursor``, unit by unit."""
         per_tuple = self.batch_size == 1 and self.optimizer is None
-        unit = self.fuse_chunk if per_tuple else self.batch_size
+        unit_rows = self.fuse_chunk if per_tuple else self.batch_size
 
-        def apply(pending: list[TrainingTuple]) -> None:
+        def apply(unit: TupleBatch) -> None:  # straight off the batch's columns
             if not per_tuple:
-                batch = collate(pending)
-                self.optimizer.step(self.model.gradient(batch.X, batch.y), lr)
+                self.optimizer.step(self.model.gradient(unit.features_matrix(), unit.labels), lr)
             elif self.fused:
-                run = collate(pending)
-                self.model.step_block(run.X, run.y, lr)
-            else:
-                for record in pending:
+                self.model.step_block(unit.features_matrix(), unit.labels, lr)
+            else:  # the per-tuple reference path
+                for record in unit.to_tuples():
                     self.model.step_example(record.features, record.label, lr)
-            self._tuples_seen += len(pending)
+            self._tuples_seen += len(unit)
 
-        for _ in range(cursor):  # already applied before the interruption
-            self.child.next()
+        stream = RowStream(self.child)
+        dropped = 0  # already applied before the interruption
+        while dropped < cursor and (batch := stream.pull(cursor - dropped)) is not None:
+            dropped += len(batch)
         every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
         since_checkpoint = 0
-        pending: list[TrainingTuple] = []
-        for record in self.child:
-            pending.append(record)
-            if len(pending) < unit:
-                continue
-            apply(pending)
-            pending = []
-            cursor += unit
-            since_checkpoint += unit
+        while (unit := stream.take(unit_rows)) is not None:
+            apply(unit)
+            if len(unit) < unit_rows:
+                break  # the short tail of the pass: no seam after it
+            cursor += unit_rows
+            since_checkpoint += unit_rows
             if 0 < every <= since_checkpoint:
                 self._save(epoch, cursor, history)
                 since_checkpoint = 0
             if self.should_stop is not None and self.should_stop():
                 raise TrainInterrupted(f"stopped in epoch {epoch} after {cursor} tuples")
-        if pending:
-            apply(pending)
 
     def _save(self, epoch: int, cursor: int, history: ConvergenceHistory) -> None:
         if self.checkpoint is None:
@@ -745,6 +740,14 @@ class SGDOperator:
         return history
 
 
+# The three operators below draw one bounded random integer per tuple, from
+# a range that depends on the draws before it; vectorising them would change
+# the index stream, hence the visit order.  They keep the per-tuple draw loop
+# verbatim and run it over one-row slices of the child's batches, emitting
+# what a loop produced before it next has to go to the child (the carry
+# rule: the fill a page is charged to must not move).
+
+
 class PermutedScanOperator(PhysicalOperator):
     """Scan tuples in a fresh random permutation per pass.
 
@@ -758,6 +761,8 @@ class PermutedScanOperator(PhysicalOperator):
     * ``"random_tuple"`` — the vanilla-SGD access path of Section 4.2: one
       random device access per tuple on a buffer-pool miss, the
       catastrophic left end of Figure 20.
+
+    Every tuple is its own charged access, so every batch is one row.
     """
 
     SORT_PASSES = 4
@@ -769,60 +774,43 @@ class PermutedScanOperator(PhysicalOperator):
         self.ctx = ctx
         self.seed = int(seed)
         self.charge = charge
-        self._perm = np.empty(0, dtype=np.int64)
-        self._pos = 0
-        # position -> (page_id, slot) resolved once from the heap layout.
+        # position -> (page_id, row) resolved once from the heap layout.
         self._page_of: list[int] = []
-        self._slot_of: list[int] = []
+        self._row_of: list[int] = []
         for page in table.heap.pages:
-            for slot in range(page.n_tuples):
-                self._page_of.append(page.page_id)
-                self._slot_of.append(slot)
+            self._page_of.extend([page.page_id] * page.n_tuples)
+            self._row_of.extend(range(page.n_tuples))
 
-    def open(self) -> None:
-        rng = epoch_rng(self.seed, self._epoch)
-        self._perm = rng.permutation(self.table.n_tuples)
+    def _reset(self) -> None:
+        self._perm = epoch_rng(self.seed, self._epoch).permutation(self.table.n_tuples)
         self._pos = 0
         if self.charge == "sort":
             total = float(self.table.heap.payload_bytes)
-            for p in range(self.SORT_PASSES):
+            for _ in range(self.SORT_PASSES):
                 self.ctx.charge_device_read(total, random=False)
 
-    def next(self) -> TrainingTuple | None:
+    def next_batch(self) -> TupleBatch | None:
         if self._pos >= self._perm.size:
             return None
         position = int(self._perm[self._pos])
         self._pos += 1
-        page_id = self._page_of[position]
-        try:
-            tuples, hit = self.table.pool.get_page_traced(page_id)
-        except ReadExhaustedError as exc:
-            raise StorageError(
-                f"permuted scan of table {self.table.name!r}: {exc}"
-            ) from exc
-        page_bytes = self.table.heap.pages[page_id].used_bytes
-        if self.charge == "random_tuple":
-            if hit:
-                self.ctx.charge_memory_read(self.table.tuple_bytes)
-            else:
-                self.ctx.charge_device_read(page_bytes, random=True)
+        page, hit, page_bytes = _read_page(self.table, self._page_of[position], "permuted scan")
+        if self.charge == "random_tuple" and not hit:
+            self.ctx.charge_device_read(page_bytes, random=True)
         else:
             self.ctx.charge_memory_read(self.table.tuple_bytes)
-        return tuples[self._slot_of[position]]
-
-    def rescan(self) -> None:
-        self._epoch += 1
-        self.open()
+        row = self._row_of[position]
+        return page.slice(row, row + 1)
 
 
 class SlidingWindowOperator(PhysicalOperator):
     """TensorFlow's sliding-window sampling as a Volcano operator.
 
-    Keeps a window of tuples pulled from the child; each ``next()`` returns
-    a uniformly random window slot and refills the slot from the child;
-    when the child is exhausted the window drains in random order.  Pure
-    sequential I/O underneath — and, exactly as in Section 3.3, a clustered
-    child stream stays essentially clustered.
+    Keeps a window of tuples pulled from the child; each emitted tuple is a
+    uniformly random window slot, refilled from the child; when the child
+    is exhausted the window drains in random order.  Pure sequential I/O
+    underneath — and, exactly as in Section 3.3, a clustered child stream
+    stays essentially clustered.
     """
 
     def __init__(self, child: PhysicalOperator, window_tuples: int, seed: int = 0):
@@ -831,45 +819,38 @@ class SlidingWindowOperator(PhysicalOperator):
         self.child = child
         self.window_tuples = int(window_tuples)
         self.seed = int(seed)
-        self._window: list[TrainingTuple] = []
-        self._primed = False
 
-    def open(self) -> None:
+    def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, SLIDING_WINDOW_STREAM)
-        self.child.open()
-        self._window = []
+        self._stream = RowStream(self.child)
+        self._window: list[TupleBatch] = []  # one-row batches
         self._primed = False
+        self._draining = False
 
-    def _prime(self) -> None:
-        while len(self._window) < self.window_tuples:
-            record = self.child.next()
-            if record is None:
-                break
-            self._window.append(record)
-        self._primed = True
-
-    def next(self) -> TrainingTuple | None:
-        if not self._primed:
-            self._prime()
-        if not self._window:
-            return None
-        slot = int(self._rng.integers(len(self._window)))
-        record = self._window[slot]
-        incoming = self.child.next()
-        if incoming is None:
-            # Drain phase: remove the emitted slot.
-            self._window[slot] = self._window[-1]
-            self._window.pop()
-        else:
-            self._window[slot] = incoming
-        return record
-
-    def rescan(self) -> None:
-        self._epoch += 1
-        self._rng = stream_rng(self.seed, self._epoch, SLIDING_WINDOW_STREAM)
-        self.child.rescan()
-        self._window = []
-        self._primed = False
+    def next_batch(self) -> TupleBatch | None:
+        if not self._primed:  # nothing to hand on yet, so pulls are free
+            while len(self._window) < self.window_tuples:
+                row = self._stream.pull(1)
+                if row is None:
+                    self._draining = True
+                    break
+                self._window.append(row)
+            self._primed = True
+        out: list[TupleBatch] = []
+        while self._window:
+            if out and not self._draining and self._stream.at_edge:
+                break  # hand these on before the pull that may charge I/O
+            slot = int(self._rng.integers(len(self._window)))
+            out.append(self._window[slot])
+            incoming = None if self._draining else self._stream.pull(1)
+            if incoming is None:
+                # Drain phase: remove the emitted slot.
+                self._draining = True
+                self._window[slot] = self._window[-1]
+                self._window.pop()
+            else:
+                self._window[slot] = incoming
+        return TupleBatch.concat(out) if out else None
 
 
 class MultiplexedReservoirOperator(PhysicalOperator):
@@ -897,40 +878,41 @@ class MultiplexedReservoirOperator(PhysicalOperator):
         self.buffer_tuples = int(buffer_tuples)
         self.mix_interval = int(mix_interval)
         self.seed = int(seed)
-        self._reset_state()
 
-    def _reset_state(self) -> None:
+    def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, MRS_STREAM)
-        self._reservoir: list[TrainingTuple] = []
-        self._loop_buffer: list[TrainingTuple] = []
+        self._stream = RowStream(self.child)
+        self._reservoir: list[TupleBatch] = []  # one-row batches
+        self._loop_buffer: list[TupleBatch] = []
         self._scanned = 0
         self._emitted = 0
         self._dropped_since_mix = 0
         self._scan_done = False
 
-    def open(self) -> None:
-        self.child.open()
-        self._reset_state()
-
-    def _emit_from_loop(self) -> TrainingTuple:
+    def _from_loop(self) -> TupleBatch:
         if not self._loop_buffer:
             self._loop_buffer = list(self._reservoir)
         self._emitted += 1
         return self._loop_buffer[int(self._rng.integers(len(self._loop_buffer)))]
 
-    def next(self) -> TrainingTuple | None:
+    def next_batch(self) -> TupleBatch | None:
+        out: list[TupleBatch] = []
         while True:
             if self._scan_done:
                 if self._emitted >= self._scanned:
-                    return None
-                return self._emit_from_loop()
+                    break
+                out.append(self._from_loop())
+                continue
             if self._dropped_since_mix >= self.mix_interval:
                 self._dropped_since_mix = 0
                 # One SGD step per scanned tuple: thread 2 only fills the
                 # quota the scan has earned so far.
                 if self._reservoir and self._emitted < self._scanned:
-                    return self._emit_from_loop()
-            record = self.child.next()
+                    out.append(self._from_loop())
+                    continue
+            if out and self._stream.at_edge:
+                break  # hand these on before the pull that may charge I/O
+            record = self._stream.pull(1)
             if record is None:
                 self._scan_done = True
                 continue
@@ -946,9 +928,5 @@ class MultiplexedReservoirOperator(PhysicalOperator):
                 dropped = record
             self._dropped_since_mix += 1
             self._emitted += 1
-            return dropped
-
-    def rescan(self) -> None:
-        self._epoch += 1
-        self.child.rescan()
-        self._reset_state()
+            out.append(dropped)
+        return TupleBatch.concat(out) if out else None

@@ -2,9 +2,9 @@
 
 The analytic engine models double buffering's wall-clock; this operator
 implements the mechanism itself, exactly as Section 6.3 describes: a write
-thread pulls tuples from the child operator into one buffer and shuffles
-it, while the read side drains the other buffer into SGD; the buffers swap
-when one is full and the other consumed.
+thread pulls the child operator's batches into one buffer and shuffles it,
+while the read side hands the other buffer to SGD; the buffers swap when
+one is full and the other consumed.
 
 It is a drop-in replacement for
 :class:`~repro.db.operators.TupleShuffleOperator` (same Volcano interface,
@@ -25,13 +25,11 @@ report the *measured* loading/compute overlap next to the analytic
 
 from __future__ import annotations
 
-from .. import obs
-from ..core.buffer import ShuffleBuffer
 from ..core.lifecycle import END, Failure, ManagedProducer, ProducerChannel
 from ..core.seeding import TUPLE_SHUFFLE_STREAM, stream_rng
 from ..obs import LoaderMetrics
-from ..storage.codec import TrainingTuple
-from .operators import PhysicalOperator
+from ..storage.codec import TupleBatch
+from .operators import PhysicalOperator, RowStream, shuffled_fill
 
 __all__ = ["ThreadedTupleShuffleOperator"]
 
@@ -39,10 +37,10 @@ __all__ = ["ThreadedTupleShuffleOperator"]
 class ThreadedTupleShuffleOperator(PhysicalOperator):
     """Double-buffered tuple shuffle with a real, managed producer thread.
 
-    The producer fills and shuffles buffers of ``buffer_tuples`` tuples and
-    hands each completed (shuffled) buffer over a depth-1 queue — so at any
-    moment one buffer is being consumed while the next is being produced,
-    the two-buffer scheme of Section 6.3.
+    The producer runs the same :func:`~repro.db.operators.shuffled_fill` as
+    the synchronous operator and hands each shuffled batch over a depth-1
+    queue — so at any moment one buffer is being consumed while the next is
+    being produced, the two-buffer scheme of Section 6.3.
     """
 
     def __init__(
@@ -58,38 +56,25 @@ class ThreadedTupleShuffleOperator(PhysicalOperator):
         self.buffer_tuples = int(buffer_tuples)
         self.seed = int(seed)
         self.stats = stats if stats is not None else LoaderMetrics("tuple-shuffle")
-        self._epoch = 0
         self._producer: ManagedProducer | None = None
-        self._drained: list[TrainingTuple] = []
-        self._slot = 0
         self._finished = False
 
     # ------------------------------------------------------------------
     def _produce(self, channel: ProducerChannel, epoch: int) -> None:
         rng = stream_rng(self.seed, epoch, TUPLE_SHUFFLE_STREAM)
+        stream = RowStream(self.child)
         while not channel.cancelled:
-            buffer: ShuffleBuffer[TrainingTuple] = ShuffleBuffer(self.buffer_tuples, rng)
-            with obs.span("db.fill", loader=self.stats.name, epoch=epoch) as sp:
-                while not buffer.full:
-                    if channel.cancelled:
-                        return
-                    record = self.child.next()
-                    if record is None:
-                        break
-                    buffer.add(record)
-                sp.set(n_tuples=len(buffer))
-            if len(buffer) == 0:
+            fill = shuffled_fill(
+                stream, self.buffer_tuples, rng, loader=self.stats.name, epoch=epoch
+            )
+            if fill is None:
                 return
-            self.stats.record_buffer_filled(len(buffer))
-            batch = buffer.shuffle_and_drain()
-            if not channel.put(batch):
-                return
-            if len(batch) < self.buffer_tuples:
-                return  # child exhausted mid-fill
+            self.stats.record_buffer_filled(len(fill))
+            if not channel.put(fill) or len(fill) < self.buffer_tuples:
+                return  # cancelled, or the child ran dry mid-fill
 
     def _start_producer(self) -> None:
-        self._drained = []
-        self._slot = 0
+        self._rows = iter(())
         self._finished = False
         epoch = self._epoch
 
@@ -113,23 +98,19 @@ class ThreadedTupleShuffleOperator(PhysicalOperator):
         self._epoch = 0
         self._start_producer()
 
-    def next(self) -> TrainingTuple | None:
+    def next_batch(self) -> TupleBatch | None:
+        """Take the next shuffled batch off the queue."""
         if self._finished:
             return None
-        while self._slot >= len(self._drained):
-            batch = self._producer.get()
-            if batch is END or isinstance(batch, Failure):
-                self._finished = True
-                self._stop_producer()
-                if isinstance(batch, Failure):
-                    raise batch.error
-                return None
-            self.stats.record_buffer_drained(len(batch))
-            self._drained = batch
-            self._slot = 0
-        record = self._drained[self._slot]
-        self._slot += 1
-        return record
+        batch = self._producer.get()
+        if batch is END or isinstance(batch, Failure):
+            self._finished = True
+            self._stop_producer()
+            if isinstance(batch, Failure):
+                raise batch.error
+            return None
+        self.stats.record_buffer_drained(len(batch))
+        return batch
 
     def rescan(self) -> None:
         self._stop_producer()

@@ -9,9 +9,10 @@ Section 7.3.4's observation about higgs/susy/epsilon per-epoch times).
 
 Pages are decoded in bulk into a columnar
 :class:`~repro.storage.codec.TupleBatch` (one ``decode_page`` call per miss);
-the per-tuple view consumed by the Volcano operators is materialised lazily
-from the cached batch, so batch consumers and tuple consumers share one LRU
-entry and the decode work is paid once either way.
+the Volcano operators read that batch (``get_batch_traced``); the per-tuple
+view (``get_page``) is materialised lazily from the cached batch, so batch
+consumers and tuple consumers share one LRU entry and the decode work is
+paid once either way.
 
 The pool is also the heap side's fault boundary: with a
 :class:`~repro.storage.retry.RetryPolicy` attached, page reads that raise a

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..data.sparse import SparseMatrix, SparseRow
+from ..data.sparse import SparseMatrix, SparseRow, gather_csr_rows, segment_positions
 
 __all__ = [
     "TupleSchema",
@@ -91,6 +91,11 @@ class TupleBatch:
     Rows handed out by :meth:`row` / :meth:`to_tuples` are views into the
     columnar arrays (not copies): the batch is the single owner of the
     decoded data, which is what makes block-granular decode cheap.
+
+    :meth:`slice` and :meth:`take` are the two primitives the batch-at-a-time
+    operators move rows with.  Both read only the column attributes, so
+    :class:`~repro.storage.columnar.LazyTupleBatch` shares them and a lazy
+    page decodes just the chunks a gather touches.
     """
 
     ids: np.ndarray
@@ -123,7 +128,7 @@ class TupleBatch:
         return SparseRow(self.indices[lo:hi], self.values[lo:hi], self.n_features)
 
     def to_tuples(self) -> list[TrainingTuple]:
-        """Materialise the per-tuple view (for Volcano-style consumers)."""
+        """Materialise the per-tuple view (the operators' ``next()`` adapter, ``get_page``)."""
         ids = self.ids.tolist()
         labels = self.labels.tolist()
         return [
@@ -136,6 +141,29 @@ class TupleBatch:
             return self.dense
         return SparseMatrix(
             self.indptr, self.indices, self.values, (len(self), self.n_features)
+        )
+
+    def slice(self, lo: int, hi: int) -> "TupleBatch":
+        """Rows ``[lo, hi)`` as zero-copy views (CSR ``indptr`` is rebased)."""
+        ids, labels = self.ids[lo:hi], self.labels[lo:hi]
+        if not self.is_sparse:
+            return TupleBatch(ids, labels, self.n_features, dense=self.dense[lo:hi])
+        indptr = self.indptr
+        a, b = indptr[lo], indptr[hi]
+        return TupleBatch(
+            ids, labels, self.n_features,
+            indptr=indptr[lo : hi + 1] - a, indices=self.indices[a:b], values=self.values[a:b],
+        )
+
+    def take(self, rows: np.ndarray) -> "TupleBatch":
+        """Rows ``rows`` (any order, repeats allowed) gathered into a new batch."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ids, labels = self.ids[rows], self.labels[rows]
+        if not self.is_sparse:
+            return TupleBatch(ids, labels, self.n_features, dense=self.dense[rows])
+        indptr, indices, values = gather_csr_rows(self.indptr, self.indices, self.values, rows)
+        return TupleBatch(
+            ids, labels, self.n_features, indptr=indptr, indices=indices, values=values
         )
 
     # ------------------------------------------------------------------
@@ -159,18 +187,12 @@ class TupleBatch:
                     f"{schema.n_features}"
                 )
             return cls(ids, labels, schema.n_features, dense=dense)
-        rows = [_as_sparse_row(r.features, schema.n_features) for r in records]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, row in enumerate(rows):
-            indptr[i + 1] = indptr[i] + row.nnz
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        values = np.empty(nnz, dtype=np.float64)
-        for i, row in enumerate(rows):
-            indices[indptr[i] : indptr[i + 1]] = row.indices
-            values[indptr[i] : indptr[i + 1]] = row.values
+        csr = SparseMatrix.from_rows(
+            [_as_sparse_row(r.features, schema.n_features) for r in records], schema.n_features
+        )
         return cls(
-            ids, labels, schema.n_features, indptr=indptr, indices=indices, values=values
+            ids, labels, schema.n_features,
+            indptr=csr.indptr, indices=csr.indices, values=csr.data,
         )
 
     @classmethod
@@ -304,15 +326,6 @@ def _decode_dense_run(
     )
 
 
-def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat positions covering ``[starts[i], starts[i] + lengths[i])`` per segment."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg_off = np.cumsum(lengths) - lengths  # where each segment lands in the output
-    return np.repeat(starts - seg_off, lengths) + np.arange(total, dtype=np.int64)
-
-
 def _decode_sparse_run(
     buffer: bytes, n_tuples: int, schema: TupleSchema, offset: int
 ) -> TupleBatch | None:
@@ -344,8 +357,8 @@ def _decode_sparse_run(
     if pos > end:
         return None
     u8 = np.frombuffer(buffer, dtype=np.uint8)
-    idx_bytes = u8[_segment_positions(starts, 4 * counts)]
-    val_bytes = u8[_segment_positions(starts + 4 * counts, 8 * counts)]
+    idx_bytes = u8[segment_positions(starts, 4 * counts)]
+    val_bytes = u8[segment_positions(starts + 4 * counts, 8 * counts)]
     indptr = np.zeros(n_tuples + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return TupleBatch(

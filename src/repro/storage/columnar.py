@@ -442,6 +442,10 @@ class LazyTupleBatch:
             self.indptr, self.indices, self.values, (self._n, self.n_features)
         )
 
+    # Row moves decode only the chunks they touch and return eager batches.
+    slice = TupleBatch.slice
+    take = TupleBatch.take
+
     # -- introspection ---------------------------------------------------
     @property
     def available_columns(self) -> frozenset[str]:

@@ -187,11 +187,11 @@ class TestThreadedOperatorStress:
                 super().__init__(*a, **k)
                 self.calls = 0
 
-            def next(self):
+            def next_batch(self):
                 self.calls += 1
-                if self.calls > 25:
+                if self.calls > 3:  # inside the third fill (7-row pages, 10-row fills)
                     raise RuntimeError("disk on fire")
-                return super().next()
+                return super().next_batch()
 
         baseline = threading.active_count()
         op = ThreadedTupleShuffleOperator(Broken(table, _ctx()), 10, seed=0)

@@ -73,7 +73,7 @@ class TestThreadedTupleShuffle:
 
     def test_child_exception_propagates(self, table):
         class Broken(SeqScanOperator):
-            def next(self):
+            def next_batch(self):
                 raise RuntimeError("disk on fire")
 
         ctx = _ctx()
