@@ -953,10 +953,10 @@ def _cmd_chaos(args) -> int:
 
     import numpy as np
 
-    from .core import CorgiPileDataset, DataLoader as CoreDataLoader
+    from .core import Batch, CorgiPileDataset, DataLoader as CoreDataLoader
     from .faults import FaultPlan, InjectedCrash, chaos_report, faulty_reader_factory
     from .obs import StorageMetrics
-    from .ml import CheckpointConfig, train_streaming, train_streaming_chunks
+    from .ml import CheckpointConfig, train_streaming, training_columns
     from .storage import write_block_file
 
     if args.quick:
@@ -989,7 +989,15 @@ def _cmd_chaos(args) -> int:
 
                 def loader_factory(epoch):
                     view.set_epoch(epoch)
-                    return CoreDataLoader(view, batch_size=args.batch_size)
+                    if args.layout != "columnar":
+                        return CoreDataLoader(view, batch_size=args.batch_size)
+                    # Columnar mode: train fill-at-a-time off pruned chunk
+                    # reads, so the fault plan decides per
+                    # ("chunk", block*8+col) instead of whole blocks.
+                    return (
+                        Batch(fill.features_matrix(), fill.labels, fill.ids)
+                        for fill in view.fills(columns=training_columns(dataset.is_sparse))
+                    )
 
                 return train_streaming(
                     model,
@@ -1001,22 +1009,10 @@ def _cmd_chaos(args) -> int:
                     **kwargs,
                 )
 
-        def run_chunks(model, reader_factory=None):
-            # Columnar mode: train off pruned chunk reads, so the fault plan
-            # decides per ("chunk", block*8+col) instead of whole blocks.
-            with CorgiPileDataset(
-                path,
-                buffer_blocks=args.buffer_blocks,
-                seed=args.seed,
-                reader_factory=reader_factory,
-            ) as view:
-                return train_streaming_chunks(model, view, epochs=args.epochs)
-
-        compare_run = run_chunks if args.layout == "columnar" else run
-        compare_run(model_clean)
+        run(model_clean)
 
         model_faulty = _build_model("lr", dataset)
-        compare_run(model_faulty, reader_factory=faulty_reader_factory(plan, stats=stats))
+        run(model_faulty, reader_factory=faulty_reader_factory(plan, stats=stats))
         identical = all(
             np.array_equal(model_clean.params[k], model_faulty.params[k])
             for k in model_clean.params

@@ -10,8 +10,9 @@ This module rebuilds that API without PyTorch.  A :class:`CorgiPileDataset`
 wraps an on-disk block file (written by
 :func:`repro.storage.blockfile.write_block_file`): iterating it reads blocks
 in a fresh random order, buffers ``buffer_blocks`` blocks, shuffles the
-buffered tuples, and yields them one by one — i.e. the iterator *is* the
-two-level shuffle, streaming from real files.
+buffered tuples, and yields them — fill by fill (:meth:`~CorgiPileDataset.fills`)
+or one by one (``__iter__``) — i.e. the iterator *is* the two-level shuffle,
+streaming from real files.
 
 Call :meth:`CorgiPileDataset.set_epoch` between epochs to advance the
 shuffle seed (mirroring ``DistributedSampler.set_epoch`` in PyTorch).
@@ -19,37 +20,18 @@ shuffle seed (mirroring ``DistributedSampler.set_epoch`` in PyTorch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..storage.blockfile import BlockFileReader
-from ..storage.codec import TrainingTuple
-from .buffer import ShuffleBuffer
-from .seeding import epoch_rng, worker_rng
+from .. import obs
 from ..obs import LoaderMetrics
+from ..storage.blockfile import BlockFileReader
+from ..storage.codec import TrainingTuple, TupleBatch
+from .seeding import epoch_rng, worker_rng
 
-__all__ = ["CorgiPileDataset", "ChunkFill"]
-
-
-@dataclass
-class ChunkFill:
-    """One drained shuffle-buffer fill, addressed as ``(chunk, row)`` pairs.
-
-    ``batches`` are the block batches backing this fill (lazy columnar
-    batches on a v3 file — columns decode only when the consumer touches
-    them); ``order[k] = (chunk, row)`` addresses ``batches[chunk].row(row)``.
-    Feeding ``order`` to ``model.step_chunks`` visits tuples in exactly the
-    order ``__iter__`` would have yielded them.
-    """
-
-    batches: list
-    order: np.ndarray  # (n, 2) int64
-
-    def __len__(self) -> int:
-        return int(self.order.shape[0])
+__all__ = ["CorgiPileDataset"]
 
 
 class CorgiPileDataset:
@@ -106,99 +88,45 @@ class CorgiPileDataset:
         slices = np.array_split(order, self.n_workers)
         return slices[self.worker_id]
 
-    def __iter__(self) -> Iterator[TrainingTuple]:
+    def fills(self, columns=None) -> Iterator[TupleBatch]:
+        """The two-level shuffle, one buffer fill at a time.
+
+        The worker's share of the shuffled block ids is read ``buffer_blocks``
+        blocks at a time; each group is one fill — the ``concat`` of its
+        blocks, permuted once with the worker-local tuple-shuffle stream — so
+        a consumer that trains on whole fills never sees a per-tuple object.
+        On a columnar file ``columns`` (names) prunes the read to the chunks
+        the consumer touches, e.g. ``training_columns(sparse)``; a fill read
+        without the ``ids`` chunk carries ``-1`` ids.
+        """
         # The block-shuffle RNG is shared across workers (same seed, same
         # epoch); the tuple-shuffle RNG is worker-local.
-        block_rng = epoch_rng(self.seed, self.epoch)
+        my_blocks = self._worker_blocks(epoch_rng(self.seed, self.epoch))
         tuple_rng = worker_rng(self.seed, self.epoch, self.worker_id)
-        my_blocks = self._worker_blocks(block_rng)
-        buffer: ShuffleBuffer[TrainingTuple] = ShuffleBuffer(
-            max(1, self.buffer_blocks) * max(1, self._tuples_per_block()), tuple_rng
-        )
-        filled_blocks = 0
-        for block_id in my_blocks:
-            for record in self.reader.read_block(int(block_id)):
-                if buffer.full:
-                    yield from self._drain(buffer)
-                buffer.add(record)
-            filled_blocks += 1
-            if filled_blocks % self.buffer_blocks == 0:
-                yield from self._drain(buffer)
-        yield from self._drain(buffer)
-
-    def iter_fills(self, columns=None) -> Iterator[ChunkFill]:
-        """The two-level shuffle as chunk-addressed fills (no per-tuple repack).
-
-        Mirrors :meth:`__iter__` exactly — same block permutation, same
-        buffer capacity and drain points, same tuple-shuffle RNG draws — but
-        instead of yielding decoded tuples it yields one :class:`ChunkFill`
-        per buffer drain: the backing block batches plus the shuffled
-        ``(chunk, row)`` visit order.  On a columnar file the batches are
-        lazy, and ``columns`` (names) prunes the read to just the chunks the
-        consumer touches — e.g. ``("labels", "indptr", "indices", "values")``
-        for training without tuple ids.
-
-        Guarantee (regression-tested): the concatenated visit order across
-        fills is identical to the tuple order :meth:`__iter__` yields for
-        the same (seed, epoch, worker).
-        """
-        block_rng = epoch_rng(self.seed, self.epoch)
-        tuple_rng = worker_rng(self.seed, self.epoch, self.worker_id)
-        my_blocks = self._worker_blocks(block_rng)
-        buffer: ShuffleBuffer[tuple[int, int]] = ShuffleBuffer(
-            max(1, self.buffer_blocks) * max(1, self._tuples_per_block()), tuple_rng
-        )
-        batches: list = []
-
-        def drain() -> ChunkFill | None:
-            n = len(buffer)
-            if n and self.stats is not None:
+        for lo in range(0, len(my_blocks), self.buffer_blocks):
+            group = my_blocks[lo : lo + self.buffer_blocks]
+            fill = TupleBatch.concat([self._read_block(int(b), columns) for b in group])
+            n = len(fill)
+            if self.stats is not None:
                 self.stats.record_buffer_filled(n)
                 self.stats.record_buffer_drained(n)
-            refs = buffer.shuffle_and_drain()
-            if not refs:
-                return None
-            return ChunkFill(batches, np.asarray(refs, dtype=np.int64))
+            obs.inc("shuffle.buffer.drains")
+            obs.inc("shuffle.buffer.tuples_drained", n)
+            yield fill.take(tuple_rng.permutation(n))
 
-        filled_blocks = 0
-        for block_id in my_blocks:
-            if columns is None:
-                batch = self.reader.read_block_batch(int(block_id))
-            else:
-                batch = self.reader.read_block_batch(int(block_id), columns=columns)
-            slot = len(batches)
-            batches.append(batch)
-            for row in range(len(batch)):
-                if buffer.full:
-                    fill = drain()
-                    # The in-flight block spans the drain boundary: re-home
-                    # it as chunk 0 of the next fill's batch list.
-                    batches = [batch]
-                    slot = 0
-                    if fill is not None:
-                        yield fill
-                buffer.add((slot, row))
-            filled_blocks += 1
-            if filled_blocks % self.buffer_blocks == 0:
-                fill = drain()
-                batches = []
-                if fill is not None:
-                    yield fill
-        fill = drain()
-        if fill is not None:
-            yield fill
+    def __iter__(self) -> Iterator[TrainingTuple]:
+        for fill in self.fills():
+            yield from fill.to_tuples()
 
-    def _drain(self, buffer: ShuffleBuffer[TrainingTuple]) -> list[TrainingTuple]:
-        n = len(buffer)
-        if n and self.stats is not None:
-            self.stats.record_buffer_filled(n)
-            self.stats.record_buffer_drained(n)
-        return buffer.shuffle_and_drain()
-
-    def _tuples_per_block(self) -> int:
-        if not self.reader.entries:
-            return 1
-        return max(e.n_tuples for e in self.reader.entries)
+    def _read_block(self, block_id: int, columns):
+        batch = self.reader.read_block_batch(block_id, columns=columns)
+        if "ids" in getattr(batch, "available_columns", ("ids",)):
+            return batch
+        # Rows move as whole batches, which need an ids column to move.
+        return TupleBatch(
+            np.full(len(batch), -1, dtype=np.int64), batch.labels, batch.n_features,
+            dense=batch.dense, indptr=batch.indptr, indices=batch.indices, values=batch.values,
+        )
 
     def close(self) -> None:
         self.reader.close()

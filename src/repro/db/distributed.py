@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.dataloader import collate
 from ..data.dataset import Dataset
 from ..ml.optim import SGD, Optimizer
 from ..ml.schedules import ExponentialDecay
-from ..ml.trainer import ConvergenceHistory, EpochRecord
-from ..storage.codec import TrainingTuple
+from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record, run_epochs
+from ..storage.codec import RowStream, TupleBatch
 from ..storage.iomodel import SSD, DeviceModel
 from .catalog import Catalog, TableInfo
 from .engine import ENGINE_PROFILE
@@ -155,64 +154,66 @@ class SegmentedMiniDB:
             scan = BlockShuffleOperator(table, ctx, query.block_size, seed=query.seed)
             buffer_tuples = max(1, round(query.buffer_fraction * table.n_tuples))
             pipelines.append(TupleShuffleOperator(scan, ctx, buffer_tuples, seed=query.seed))
-        for pipeline in pipelines:
-            pipeline.open()
-
         history = ConvergenceHistory(
             strategy=f"distributed-corgipile x{self.n_segments}",
             model=type(model).__name__,
         )
         timeline = Timeline(system=f"segmented/{self.n_segments}")
-        tuples_seen = 0
         per_segment_tuples = [0] * self.n_segments
-        for epoch in range(query.max_epoch_num):
-            lr = float(schedule(epoch))
+        epoch_walls: list[float] = []
+
+        def step_batch(streams: list[RowStream]) -> TupleBatch | None:
+            """``batch/PN`` rows from every segment; ``None`` once one runs dry
+            (ragged remainders are dropped, like DistributedSampler's even
+            division)."""
+            parts = []
+            for seg, stream in enumerate(streams):
+                part = stream.take(per_segment_batch)
+                if part is None or len(part) < per_segment_batch:
+                    return None
+                per_segment_tuples[seg] += len(part)
+                parts.append(part)
+            return TupleBatch.concat(parts)
+
+        def units(epoch: int, cursor: int, tuples_seen: int):
+            if epoch:
+                for pipeline in pipelines:
+                    pipeline.rescan()
+            streams = [RowStream(pipeline.next_batch) for pipeline in pipelines]
             sync_steps = 0
-            while True:
-                # Pull batch/PN tuples from every segment; stop the epoch
-                # when any segment is exhausted (ragged remainders are
-                # dropped, like DistributedSampler's even division).
-                slices: list[list[TrainingTuple]] = []
-                exhausted = False
-                for seg, pipeline in enumerate(pipelines):
-                    chunk: list[TrainingTuple] = []
-                    while len(chunk) < per_segment_batch:
-                        record = pipeline.next()
-                        if record is None:
-                            exhausted = True
-                            break
-                        chunk.append(record)
-                    if exhausted:
-                        break
-                    per_segment_tuples[seg] += len(chunk)
-                    slices.append(chunk)
-                if exhausted:
-                    break
-                batch = collate([record for chunk in slices for record in chunk])
-                grads = model.gradient(batch.X, batch.y)
-                optimizer.step(grads, lr)
-                tuples_seen += len(batch)
+            while (batch := step_batch(streams)) is not None:
+                yield batch.features_matrix(), batch.labels, None, None
                 sync_steps += 1
             # Parallel epoch time: slowest segment + AllReduce charges.
             segment_walls = [ctx.epoch_wall_time() for ctx in contexts]
-            epoch_wall = max(segment_walls) + sync_steps * ALLREDUCE_LATENCY_S
-            record = EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=model.loss(full_dataset.X, full_dataset.y),
-                train_score=model.score(full_dataset.X, full_dataset.y),
-                test_score=model.score(test.X, test.y) if test is not None else None,
-                tuples_seen=tuples_seen,
-            )
-            history.append(record)
+            epoch_walls.append(max(segment_walls) + sync_steps * ALLREDUCE_LATENCY_S)
+
+        def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
+            record = epoch_record(model, full_dataset, test, epoch, lr, tuples_seen)
             timeline.append(
-                epoch_wall, epoch, record.train_loss, record.train_score, record.test_score
+                epoch_walls[-1], epoch, record.train_loss, record.train_score, record.test_score
             )
-            if epoch + 1 < query.max_epoch_num:
-                for pipeline in pipelines:
-                    pipeline.rescan()
+            return record
+
         for pipeline in pipelines:
-            pipeline.close()
+            pipeline.open()
+        try:
+            # The shared update-unit loop, with no checkpoint: a unit is one
+            # gradient-synchronised step over every segment's slice.
+            run_epochs(
+                model,
+                optimizer,
+                units,
+                evaluate,
+                history=history,
+                epochs=query.max_epoch_num,
+                schedule=schedule,
+                fused=False,
+                knobs={},
+            )
+        finally:
+            for pipeline in pipelines:
+                pipeline.close()
         return DistributedTrainResult(
             model=model,
             history=history,

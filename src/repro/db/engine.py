@@ -34,7 +34,13 @@ from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
 from ..ml.optim import SGD
 from ..ml.schedules import ExponentialDecay
-from ..ml.trainer import CheckpointConfig, ConvergenceHistory, EpochRecord, TrainInterrupted
+from ..ml.trainer import (
+    CheckpointConfig,
+    ConvergenceHistory,
+    EpochRecord,
+    TrainInterrupted,
+    epoch_record,
+)
 from ..storage.iomodel import SSD, DeviceModel
 from ..storage.page import DEFAULT_PAGE_BYTES
 from .catalog import Catalog, TableInfo
@@ -456,14 +462,7 @@ class MiniDB:
                 on_progress(
                     {"epochs_done": epoch + 1, "epochs": spec.epochs, "tuples_seen": tuples_seen}
                 )
-            return EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=model.loss(eval_set.X, eval_set.y),
-                train_score=model.score(eval_set.X, eval_set.y),
-                test_score=model.score(test.X, test.y) if test is not None else None,
-                tuples_seen=tuples_seen,
-            )
+            return epoch_record(model, eval_set, test, epoch, lr, tuples_seen)
 
         try:
             history = sgd.execute(evaluate)

@@ -23,8 +23,8 @@ overlap fill I/O with SGD compute.  The simulated clock depends on *when* a
 charge lands relative to those boundaries, which gives the batch contract
 its one rule — **the carry rule**: an operator asks its child for the next
 batch only when it holds no row it has not yet handed on
-(:class:`RowStream`), so no block is loaded, or charged, earlier than the
-row that needs it.
+(:class:`~repro.storage.codec.RowStream`), so no block is loaded, or
+charged, earlier than the row that needs it.
 
 ``SeqScanOperator`` is the No-Shuffle access path (MADlib/Bismarck without a
 pre-shuffled copy) and is also used to scan a pre-shuffled table.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,9 @@ from ..core.seeding import (
     stream_rng,
 )
 from ..ml.models.base import SupervisedModel
-from ..ml.persistence import save_checkpoint
-from ..ml.trainer import CheckpointConfig, ConvergenceHistory, TrainInterrupted, restore_run
-from ..storage.codec import TrainingTuple, TupleBatch
+from ..ml.persistence import load_checkpoint
+from ..ml.trainer import CheckpointConfig, ConvergenceHistory, run_epochs
+from ..storage.codec import RowStream, TrainingTuple, TupleBatch
 from ..storage.retry import ReadExhaustedError
 from .catalog import TableInfo
 from .errors import StorageError
@@ -70,7 +69,6 @@ __all__ = [
     "SlidingWindowOperator",
     "MultiplexedReservoirOperator",
     "SGDOperator",
-    "RowStream",
     "shuffled_fill",
 ]
 
@@ -135,49 +133,6 @@ class PhysicalOperator(ABC):
 
     def __iter__(self):
         return iter(self.next, None)
-
-
-class RowStream:
-    """A child's batch stream, read in row counts that ignore batch edges.
-
-    The carry rule in one place: ``pull(limit)`` hands out at most ``limit``
-    rows of the current child batch as a zero-copy slice and goes back to
-    the child only once that batch is used up.  A batch that crosses a fill
-    (or update-unit, or accounting-chunk) boundary is cut there and its tail
-    carried into the next call.
-    """
-
-    def __init__(self, child: PhysicalOperator):
-        self.child = child
-        self._batch: TupleBatch | None = None
-        self._pos = 0
-
-    @property
-    def at_edge(self) -> bool:
-        """True when the next ``pull`` goes to the child (and may charge I/O)."""
-        return self._batch is None or self._pos >= len(self._batch)
-
-    def pull(self, limit: int) -> TupleBatch | None:
-        """Up to ``limit`` rows from one child batch; ``None`` at end of pass."""
-        if self.at_edge:
-            self._batch, self._pos = self.child.next_batch(), 0
-            if self._batch is None:
-                return None
-        lo, n = self._pos, len(self._batch)
-        self._pos = hi = min(lo + limit, n)
-        return self._batch if hi - lo == n else self._batch.slice(lo, hi)
-
-    def take(self, n_rows: int) -> TupleBatch | None:
-        """The next ``n_rows`` rows as one batch (fewer only at end of pass).
-
-        A run inside one child batch stays a zero-copy slice; a run that
-        straddles batches is one C-contiguous ``concat``.
-        """
-        parts, got = [], 0
-        while got < n_rows and (part := self.pull(n_rows - got)) is not None:
-            parts.append(part)
-            got += len(part)
-        return TupleBatch.concat(parts) if parts else None
 
 
 def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool, int]:
@@ -479,8 +434,8 @@ def shuffled_fill(
     Pulls child batches until exactly ``buffer_tuples`` rows are buffered —
     the batch that crosses the boundary is cut there and its tail carried by
     ``stream`` into the next fill — then draws one ``rng.permutation`` over
-    the fill, as :class:`~repro.core.buffer.ShuffleBuffer` does for the
-    block-file loaders (whose ``shuffle.buffer.*`` counters it shares).
+    the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills` does for
+    the block-file loaders (whose ``shuffle.buffer.*`` counters it shares).
     """
     with obs.span("db.fill", **span_attrs) as sp:
         fill = stream.take(buffer_tuples)
@@ -516,7 +471,7 @@ class TupleShuffleOperator(PhysicalOperator):
 
     def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, TUPLE_SHUFFLE_STREAM)
-        self._stream = RowStream(self.child)
+        self._stream = RowStream(self.child.next_batch)
         self._exhausted = False
 
     def _refill(self) -> TupleBatch | None:
@@ -550,7 +505,7 @@ class PassThroughAccountingOperator(PhysicalOperator):
         self.chunk_tuples = int(chunk_tuples)
 
     def _reset(self) -> None:
-        self._stream = RowStream(self.child)
+        self._stream = RowStream(self.child.next_batch)
         self._since_fill = 0
 
     def next_batch(self) -> TupleBatch | None:
@@ -570,11 +525,14 @@ class SGDOperator:
     the pipeline, updates the model per tuple (or per mini-batch), and uses
     ``rescan`` on its child between epochs.
 
-    The job seam sits between *update units* — one fused run, one
+    It is a client of :func:`~repro.ml.trainer.run_epochs`, which owns the
+    loop; the operator supplies the *update units* — one fused run, one
     mini-batch, or ``fuse_chunk`` unfused tuples, cut out of the batch
-    stream at the same row boundaries whatever the batch edges are: there
-    ``checkpoint`` (a :class:`~repro.ml.trainer.CheckpointConfig`) is saved
-    on its cadence and ``should_stop`` is probed.  A run whose checkpoint
+    stream at the same row boundaries whatever the batch edges are — and
+    keeps what is the pipeline's: ``seek``/``rescan``/``close`` and the two
+    per-epoch wall clocks.  Between units ``checkpoint`` (a
+    :class:`~repro.ml.trainer.CheckpointConfig`) is saved on its cadence
+    and ``should_stop`` is probed.  A run whose checkpoint
     file exists resumes from it: the pipeline is re-positioned at the stored
     epoch (``seek``) and the first ``cursor`` rows of the stream — already
     applied — are pulled and dropped, so every operator — the stateful-RNG
@@ -604,6 +562,8 @@ class SGDOperator:
             raise ValueError("batch_size must be positive")
         if fuse_chunk <= 0:
             raise ValueError("fuse_chunk must be positive")
+        if batch_size > 1 and optimizer is None:
+            raise ValueError("batch_size > 1 (mini-batch mode) needs an optimizer")
         self.child = child
         self.ctx = ctx
         self.model = model
@@ -632,71 +592,27 @@ class SGDOperator:
         # the advisor's "observed" feedback channel.
         self.measured_wall_times: list[float] = []
         self._tuples_seen = 0
+        self._opened_epoch = 0
 
-    def _run_epoch(self, epoch: int, lr: float, cursor: int, history) -> None:
-        """Apply the epoch's rows after the first ``cursor``, unit by unit."""
-        per_tuple = self.batch_size == 1 and self.optimizer is None
-        unit_rows = self.fuse_chunk if per_tuple else self.batch_size
-
-        def apply(unit: TupleBatch) -> None:  # straight off the batch's columns
-            if not per_tuple:
-                self.optimizer.step(self.model.gradient(unit.features_matrix(), unit.labels), lr)
-            elif self.fused:
-                self.model.step_block(unit.features_matrix(), unit.labels, lr)
-            else:  # the per-tuple reference path
-                for record in unit.to_tuples():
-                    self.model.step_example(record.features, record.label, lr)
-            self._tuples_seen += len(unit)
-
-        stream = RowStream(self.child)
-        dropped = 0  # already applied before the interruption
-        while dropped < cursor and (batch := stream.pull(cursor - dropped)) is not None:
-            dropped += len(batch)
-        every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
-        since_checkpoint = 0
+    def _units(self, epoch: int, cursor: int, tuples_seen: int):
+        """The pass's rows after the first ``cursor``, cut into update units."""
+        if epoch != self._opened_epoch:
+            self.child.rescan()
+        self._tuples_seen = tuples_seen
+        unit_rows = self.fuse_chunk if self.optimizer is None else self.batch_size
+        stream = RowStream(self.child.next_batch)
+        t0 = time.perf_counter()
+        stream.skip(cursor)  # already applied before the interruption
         while (unit := stream.take(unit_rows)) is not None:
-            apply(unit)
-            if len(unit) < unit_rows:
-                break  # the short tail of the pass: no seam after it
             cursor += unit_rows
-            since_checkpoint += unit_rows
-            if 0 < every <= since_checkpoint:
-                self._save(epoch, cursor, history)
-                since_checkpoint = 0
-            if self.should_stop is not None and self.should_stop():
-                raise TrainInterrupted(f"stopped in epoch {epoch} after {cursor} tuples")
-
-    def _save(self, epoch: int, cursor: int, history: ConvergenceHistory) -> None:
-        if self.checkpoint is None:
-            return
-        save_checkpoint(
-            self.checkpoint.path,
-            self.model,
-            epoch=epoch,
-            cursor=cursor,
-            tuples_seen=self._tuples_seen,
-            optimizer_state=self.optimizer.state_dict() if self.optimizer is not None else {},
-            history=[asdict(r) for r in history.records],
-            # The finished epochs' walls ride along so a resumed run still
-            # reports one wall per history record.
-            meta={
-                **self.knobs,
-                "epoch_wall_times": self.epoch_wall_times,
-                "measured_wall_times": self.measured_wall_times,
-            },
-        )
-
-    def _resume(self, history: ConvergenceHistory) -> tuple[int, int]:
-        """``(epoch, cursor)`` to start from: the checkpoint's, if there is one."""
-        if self.checkpoint is None or not Path(self.checkpoint.path).exists():
-            return 0, 0
-        state = restore_run(
-            self.checkpoint.path, self.model, self.optimizer, history, self.knobs
-        )
-        self._tuples_seen = state.tuples_seen
-        self.epoch_wall_times = list(state.meta["epoch_wall_times"])
-        self.measured_wall_times = list(state.meta["measured_wall_times"])
-        return state.epoch, state.cursor
+            # The short tail of the pass has no seam after it.
+            full = len(unit) == unit_rows
+            yield unit.features_matrix(), unit.labels, None, cursor if full else None
+            self._tuples_seen += len(unit)
+            if not full:
+                break
+        self.measured_wall_times.append(time.perf_counter() - t0)
+        self.epoch_wall_times.append(self.ctx.epoch_wall_time())
 
     def execute(self, evaluate) -> ConvergenceHistory:
         """Run all epochs; ``evaluate(epoch, lr, tuples_seen)`` records metrics.
@@ -707,29 +623,36 @@ class SGDOperator:
         is always closed, even on that path.
         """
         history = ConvergenceHistory(strategy="in-db", model=type(self.model).__name__)
-        start_epoch, cursor = self._resume(history)
-        self.child.seek(start_epoch)
+        state = None
+        if self.checkpoint is not None and Path(self.checkpoint.path).exists():
+            state = load_checkpoint(self.checkpoint.path)
+            # The finished epochs' walls ride in the checkpoint so a resumed
+            # run still reports one wall per history record.
+            self.epoch_wall_times = list(state.meta.get("epoch_wall_times", ()))
+            self.measured_wall_times = list(state.meta.get("measured_wall_times", ()))
+            self._opened_epoch = state.epoch
+        self.child.seek(self._opened_epoch)
         self.child.open()
         try:
-            # Even a crash before the first cadence point leaves a
-            # resumable file behind.
-            self._save(start_epoch, cursor, history)
-            for epoch in range(start_epoch, self.epochs):
-                lr = float(self.schedule(epoch))
-                with obs.span("db.epoch", epoch=epoch, lr=lr) as sp:
-                    t0 = time.perf_counter()
-                    self._run_epoch(epoch, lr, cursor, history)
-                    cursor = 0
-                    measured_wall = time.perf_counter() - t0
-                    simulated_wall = self.ctx.epoch_wall_time()
-                    sp.set(tuples_seen=self._tuples_seen, simulated_wall_s=simulated_wall)
-                self.epoch_wall_times.append(simulated_wall)
-                self.measured_wall_times.append(measured_wall)
-                obs.inc("db.epochs")
-                history.append(evaluate(epoch, lr, self._tuples_seen))
-                self._save(epoch + 1, 0, history)
-                if epoch + 1 < self.epochs:
-                    self.child.rescan()
+            return run_epochs(
+                self.model,
+                self.optimizer,
+                self._units,
+                evaluate,
+                history=history,
+                epochs=self.epochs,
+                schedule=self.schedule,
+                fused=self.fused,
+                knobs=self.knobs,
+                meta={
+                    "epoch_wall_times": self.epoch_wall_times,
+                    "measured_wall_times": self.measured_wall_times,
+                },
+                checkpoint=self.checkpoint,
+                resume_from=state,
+                should_stop=self.should_stop,
+                span="db.epoch",
+            )
         except StorageError as exc:
             exc.epochs_completed = history.epochs
             exc.tuples_seen = self._tuples_seen
@@ -737,7 +660,6 @@ class SGDOperator:
             raise
         finally:
             self.child.close()
-        return history
 
 
 # The three operators below draw one bounded random integer per tuple, from
@@ -822,7 +744,7 @@ class SlidingWindowOperator(PhysicalOperator):
 
     def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, SLIDING_WINDOW_STREAM)
-        self._stream = RowStream(self.child)
+        self._stream = RowStream(self.child.next_batch)
         self._window: list[TupleBatch] = []  # one-row batches
         self._primed = False
         self._draining = False
@@ -881,7 +803,7 @@ class MultiplexedReservoirOperator(PhysicalOperator):
 
     def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, MRS_STREAM)
-        self._stream = RowStream(self.child)
+        self._stream = RowStream(self.child.next_batch)
         self._reservoir: list[TupleBatch] = []  # one-row batches
         self._loop_buffer: list[TupleBatch] = []
         self._scanned = 0

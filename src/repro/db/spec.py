@@ -34,9 +34,11 @@ from .query import MODEL_NAMES, Predicate, TrainQuery
 
 __all__ = ["GridConfig", "GridSpec", "TrainSpec", "AGGREGATION_MODES"]
 
-#: Aggregation modes of the parallel engine (kept in sync with
-#: ``repro.parallel.engine.AGGREGATION_MODES`` — the spec validates shape,
-#: the engine stays the authority on semantics).
+#: Aggregation modes of the parallel engine.  ``repro.parallel.aggregate``
+#: defines the same set and neither module may import the other: importing
+#: ``repro.parallel`` here would pull ``multiprocessing`` into every
+#: ``import repro.db``, and the reverse would put all of ``repro.db`` on every
+#: spawned worker's import path.  ``tests/test_spec.py`` fails if they drift.
 AGGREGATION_MODES = ("sync", "epoch", "async")
 
 #: Hyperparameters a grid may sweep.  All three only scale the update, so

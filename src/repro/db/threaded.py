@@ -28,8 +28,8 @@ from __future__ import annotations
 from ..core.lifecycle import END, Failure, ManagedProducer, ProducerChannel
 from ..core.seeding import TUPLE_SHUFFLE_STREAM, stream_rng
 from ..obs import LoaderMetrics
-from ..storage.codec import TupleBatch
-from .operators import PhysicalOperator, RowStream, shuffled_fill
+from ..storage.codec import RowStream, TupleBatch
+from .operators import PhysicalOperator, shuffled_fill
 
 __all__ = ["ThreadedTupleShuffleOperator"]
 
@@ -62,7 +62,7 @@ class ThreadedTupleShuffleOperator(PhysicalOperator):
     # ------------------------------------------------------------------
     def _produce(self, channel: ProducerChannel, epoch: int) -> None:
         rng = stream_rng(self.seed, epoch, TUPLE_SHUFFLE_STREAM)
-        stream = RowStream(self.child)
+        stream = RowStream(self.child.next_batch)
         while not channel.cancelled:
             fill = shuffled_fill(
                 stream, self.buffer_tuples, rng, loader=self.stats.name, epoch=epoch

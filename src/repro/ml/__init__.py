@@ -24,7 +24,7 @@ from .persistence import (
     save_checkpoint,
     save_model,
 )
-from .streaming import train_streaming, train_streaming_chunks, training_columns
+from .streaming import train_streaming, training_columns
 from .tuning import GridResult, SeedStats, grid_search, multi_seed
 from .trainer import (
     CheckpointConfig,
@@ -33,6 +33,7 @@ from .trainer import (
     EpochRecord,
     Trainer,
     fixed_order_source,
+    run_epochs,
 )
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "ConvergenceHistory",
     "EpochRecord",
     "fixed_order_source",
+    "run_epochs",
     "save_model",
     "load_model",
     "model_to_bytes",
@@ -81,6 +83,5 @@ __all__ = [
     "multi_seed",
     "SeedStats",
     "train_streaming",
-    "train_streaming_chunks",
     "training_columns",
 ]

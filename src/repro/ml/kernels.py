@@ -31,8 +31,6 @@ from .losses import ScalarLoss
 __all__ = [
     "glm_epoch_dense",
     "glm_epoch_sparse",
-    "glm_epoch_dense_chunks",
-    "glm_epoch_sparse_chunks",
     "csr_rows_unique",
 ]
 
@@ -54,7 +52,7 @@ def glm_epoch_dense(
     """Per-tuple SGD over rows ``X[order]``, mutating ``w`` in place.
 
     Returns the updated intercept.  Semantically identical to calling
-    ``step_example(X[i], y[i], lr)`` for each ``i`` in ``order``.
+    ``step_example`` on ``(X[i], y[i], lr)`` for each ``i`` in ``order``.
     """
     decay = 1.0 - lr * l2
     s = 1.0
@@ -120,97 +118,6 @@ def glm_epoch_sparse(
         if coef != 0.0:
             scale = -(lr * coef) / s
             if unique_indices:
-                w[idx] += scale * vals
-            else:
-                np.add.at(w, idx, scale * vals)
-            if fit_intercept:
-                b -= lr * coef
-    if s != 1.0:
-        w *= s
-    return b
-
-
-def glm_epoch_dense_chunks(
-    w: np.ndarray,
-    b: float,
-    loss: ScalarLoss,
-    chunks: list[tuple[np.ndarray, np.ndarray]],
-    order: np.ndarray,
-    lr: float,
-    l2: float,
-    fit_intercept: bool,
-) -> float:
-    """Per-tuple SGD over rows scattered across dense chunks.
-
-    ``chunks`` is a list of ``(X, y)`` pairs — typically the ``dense``/
-    ``labels`` arrays of several lazy columnar blocks, consumed in place with
-    no concatenation or per-tuple repack.  ``order`` is an ``(n, 2)`` array
-    of ``(chunk, row)`` visit addresses.  The per-tuple arithmetic is the
-    same sequence as :func:`glm_epoch_dense` over the equivalent
-    concatenation, so results agree bit-for-bit with ``step_block``.
-    """
-    decay = 1.0 - lr * l2
-    s = 1.0
-    dldz = loss.dloss_dz_scalar
-    mats = [np.asarray(X, dtype=np.float64) for X, _ in chunks]
-    labels = [np.asarray(y, dtype=np.float64).tolist() for _, y in chunks]
-    for c, i in order.tolist():
-        x = mats[c][i]
-        z = s * float(x @ w) + b
-        coef = dldz(z, labels[c][i])
-        if l2:
-            s *= decay
-            if -_MIN_SCALE < s < _MIN_SCALE:
-                w *= s
-                s = 1.0
-        if coef != 0.0:
-            w -= ((lr * coef) / s) * x
-            if fit_intercept:
-                b -= lr * coef
-    if s != 1.0:
-        w *= s
-    return b
-
-
-def glm_epoch_sparse_chunks(
-    w: np.ndarray,
-    b: float,
-    loss: ScalarLoss,
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    order: np.ndarray,
-    lr: float,
-    l2: float,
-    fit_intercept: bool,
-) -> float:
-    """Per-tuple SGD over CSR rows scattered across chunks.
-
-    ``chunks`` is a list of ``(indptr, indices, values, y)`` quadruples — the
-    CSR column chunks of several (lazy) columnar blocks, used exactly as
-    decoded.  ``order`` is an ``(n, 2)`` array of ``(chunk, row)`` visit
-    addresses.  Update-per-tuple sequence matches
-    :func:`glm_epoch_sparse` over the equivalent concatenation bit-for-bit.
-    """
-    decay = 1.0 - lr * l2
-    s = 1.0
-    dldz = loss.dloss_dz_scalar
-    bounds = [indptr.tolist() for indptr, _, _, _ in chunks]
-    labels = [np.asarray(y, dtype=np.float64).tolist() for _, _, _, y in chunks]
-    unique = [csr_rows_unique(ip, ix) for ip, ix, _, _ in chunks]
-    for c, i in order.tolist():
-        lo = bounds[c][i]
-        hi = bounds[c][i + 1]
-        idx = chunks[c][1][lo:hi]
-        vals = chunks[c][2][lo:hi]
-        z = s * float(vals @ w[idx]) + b
-        coef = dldz(z, labels[c][i])
-        if l2:
-            s *= decay
-            if -_MIN_SCALE < s < _MIN_SCALE:
-                w *= s
-                s = 1.0
-        if coef != 0.0:
-            scale = -(lr * coef) / s
-            if unique[c]:
                 w[idx] += scale * vals
             else:
                 np.add.at(w, idx, scale * vals)

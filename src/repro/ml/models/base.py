@@ -89,22 +89,6 @@ class SupervisedModel(ABC):
             for i in positions:
                 self.step_example(X[i], labels[i], lr)
 
-    def step_chunks(self, batches, order: np.ndarray, lr: float) -> None:
-        """Per-tuple SGD addressed as ``(chunk, row)`` pairs over ``batches``.
-
-        ``batches`` is a sequence of batch-like objects (eager
-        :class:`~repro.storage.codec.TupleBatch` or lazy columnar batches)
-        exposing ``labels`` and ``row(i)``; ``order`` is an ``(n, 2)`` array
-        whose rows address ``batches[chunk].row(row)``.  Semantically one
-        :meth:`step_example` per address, in order — the chunk-direct
-        equivalent of :meth:`step_block` over the concatenation.  GLMs
-        override this with the fused chunk kernels (no per-tuple repack).
-        """
-        order = np.asarray(order, dtype=np.int64)
-        labels = [np.asarray(b.labels, dtype=np.float64).tolist() for b in batches]
-        for c, i in order.tolist():
-            self.step_example(batches[c].row(i), labels[c][i], lr)
-
     def apply_gradient(self, grads: Params, lr: float) -> None:
         for key, grad in grads.items():
             self.params[key] -= lr * grad

@@ -14,12 +14,7 @@ import numpy as np
 
 from ...data.dataset import FeatureMatrix
 from ...data.sparse import SparseMatrix, SparseRow
-from ..kernels import (
-    glm_epoch_dense,
-    glm_epoch_dense_chunks,
-    glm_epoch_sparse,
-    glm_epoch_sparse_chunks,
-)
+from ..kernels import glm_epoch_dense, glm_epoch_sparse
 from ..losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 from .base import Params, SupervisedModel
 
@@ -165,34 +160,6 @@ class GeneralizedLinearModel(SupervisedModel):
                 lr,
                 self.l2,
                 self.fit_intercept,
-            )
-        self._params["b"][0] = b
-
-    def step_chunks(self, batches, order: np.ndarray, lr: float) -> None:
-        """Fused per-tuple SGD straight off (lazy) columnar block chunks.
-
-        Consumes each batch's column arrays as decoded — the CSR triple or
-        the dense run — with no concatenation and no per-tuple repack; the
-        update sequence is bit-identical to :meth:`step_block` over the
-        equivalent concatenation (and hence to repeated
-        :meth:`step_example`).
-        """
-        order = np.asarray(order, dtype=np.int64)
-        w = self._params["w"]
-        b = float(self._params["b"][0])
-        if batches and batches[0].is_sparse:
-            chunks = [
-                (bt.indptr, bt.indices, bt.values, bt.labels) for bt in batches
-            ]
-            b = glm_epoch_sparse_chunks(
-                w, b, self.loss_fn, chunks, order, lr, self.l2, self.fit_intercept
-            )
-        else:
-            dense_chunks = [
-                (np.asarray(bt.dense, dtype=np.float64), bt.labels) for bt in batches
-            ]
-            b = glm_epoch_dense_chunks(
-                w, b, self.loss_fn, dense_chunks, order, lr, self.l2, self.fit_intercept
             )
         self._params["b"][0] = b
 

@@ -10,22 +10,26 @@ from an on-disk block file needs no custom loop.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .. import obs
 from ..core.dataloader import Batch
 from ..data.dataset import Dataset
 from .optim import Optimizer, SGD
 from .models.base import SupervisedModel
-from .persistence import CheckpointState, save_checkpoint
+from .persistence import CheckpointState
 from .schedules import ExponentialDecay
-from .trainer import CheckpointConfig, ConvergenceHistory, EpochRecord, restore_run
+from .trainer import (
+    CheckpointConfig,
+    ConvergenceHistory,
+    EpochRecord,
+    epoch_record,
+    run_epochs,
+)
 
-__all__ = ["train_streaming", "train_streaming_chunks", "training_columns"]
+__all__ = ["train_streaming", "training_columns"]
 
 
 def training_columns(sparse: bool, with_ids: bool = False) -> tuple[str, ...]:
@@ -34,69 +38,6 @@ def training_columns(sparse: bool, with_ids: bool = False) -> tuple[str, ...]:
     if sparse:
         return cols + ("labels", "indptr", "indices", "values")
     return cols + ("labels", "dense")
-
-
-def train_streaming_chunks(
-    model: SupervisedModel,
-    dataset,
-    *,
-    epochs: int,
-    schedule=None,
-    columns: tuple[str, ...] | None = None,
-    train_eval: Dataset | None = None,
-    test: Dataset | None = None,
-) -> ConvergenceHistory:
-    """Fused per-tuple training straight off block chunks (no repack).
-
-    ``dataset`` is a :class:`~repro.core.dataset.CorgiPileDataset`; each
-    shuffle-buffer fill arrives as a :class:`~repro.core.dataset.ChunkFill`
-    and is consumed by ``model.step_chunks`` — on a columnar file the column
-    arrays are used exactly as decoded (CSR chunks straight into the fused
-    kernel), and ``columns`` prunes the read to the chunks training touches
-    (labels + features by default; tuple ids are never read).
-
-    Visit order equals ``__iter__``'s for the same (seed, epoch, worker), so
-    results are bit-identical to ``train_streaming(..., per_tuple=True,
-    fused=True)`` over a loader with any batch size (per-tuple updates make
-    batching a non-event).
-    """
-    if epochs <= 0:
-        raise ValueError("epochs must be positive")
-    schedule = schedule if schedule is not None else ExponentialDecay(0.01)
-    if columns is None and getattr(dataset.reader, "layout", "row") == "columnar":
-        columns = training_columns(dataset.reader.schema.sparse)
-    history = ConvergenceHistory(strategy="streaming-chunks", model=type(model).__name__)
-    tuples_seen = 0
-    for epoch in range(epochs):
-        dataset.set_epoch(epoch)
-        lr = float(schedule(epoch))
-        with obs.span("ml.epoch", epoch=epoch, lr=lr, strategy="streaming-chunks") as sp:
-            for fill in dataset.iter_fills(columns=columns):
-                obs.inc("ml.fused_steps")
-                obs.inc("ml.fused_tuples", len(fill))
-                model.step_chunks(fill.batches, fill.order, lr)
-                tuples_seen += len(fill)
-            sp.set(tuples_seen=tuples_seen)
-        obs.inc("ml.epochs")
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=(
-                    model.loss(train_eval.X, train_eval.y)
-                    if train_eval is not None
-                    else float("nan")
-                ),
-                train_score=(
-                    model.score(train_eval.X, train_eval.y)
-                    if train_eval is not None
-                    else float("nan")
-                ),
-                test_score=model.score(test.X, test.y) if test is not None else None,
-                tuples_seen=tuples_seen,
-            )
-        )
-    return history
 
 
 def train_streaming(
@@ -140,116 +81,51 @@ def train_streaming(
     """
     if epochs <= 0:
         raise ValueError("epochs must be positive")
-    schedule = schedule if schedule is not None else ExponentialDecay(0.01)
-    if optimizer is None and not per_tuple:
+    if per_tuple:
+        optimizer = None  # one update per tuple: no optimiser in the loop
+    elif optimizer is None:
         optimizer = SGD(model)
+    int_labels = classification_int_labels and not per_tuple and _looks_multiclass(model)
 
-    history = ConvergenceHistory(strategy="streaming", model=type(model).__name__)
-    tuples_seen = 0
-    start_epoch = 0
-    start_batch = 0
-    # What pins the update sequence: checkpointed, and held equal on resume.
-    knobs = {
-        "mode": "streaming",
-        "model": type(model).__name__,
-        "per_tuple": per_tuple,
-        "fused": fused,
-    }
-    if resume_from is not None:
-        state = restore_run(resume_from, model, optimizer, history, knobs)
-        start_epoch, start_batch = state.epoch, state.cursor
-        tuples_seen = state.tuples_seen
-
-    def _save(epoch: int, batches_done: int) -> None:
-        if checkpoint is None:
-            return
-        save_checkpoint(
-            checkpoint.path,
-            model,
-            epoch=epoch,
-            cursor=batches_done,
-            tuples_seen=tuples_seen,
-            optimizer_state=optimizer.state_dict() if optimizer is not None else {},
-            history=[asdict(r) for r in history.records],
-            meta={**knobs, "cursor_unit": "batches", "epochs": epochs},
-        )
-
-    _save(start_epoch, start_batch)
-    for epoch in range(start_epoch, epochs):
-        lr = float(schedule(epoch))
+    def units(epoch: int, cursor: int, tuples_seen: int):
         loader: Iterable[Batch] = loader_factory(epoch)
         if prefetch_depth > 0:
             from ..core.prefetch import PrefetchLoader
 
             loader = PrefetchLoader(loader, depth=prefetch_depth)
-        skip = start_batch if epoch == start_epoch else 0
-        batches_done = skip
-        since_checkpoint = 0
-        with obs.span("ml.epoch", epoch=epoch, lr=lr, strategy="streaming") as sp:
-            for batch_index, batch in enumerate(loader):
-                if batch_index < skip:
-                    continue
-                if fault_plan is not None:
-                    budget = fault_plan.tuples_before_crash(tuples_seen)
-                    if budget is not None and budget < len(batch):
-                        fault_plan.fire_crash(f"epoch {epoch}, batch {batch_index}")
-                y = batch.y
-                if (
-                    classification_int_labels
-                    and not per_tuple
-                    and _looks_multiclass(model)
-                ):
-                    y = y.astype(np.int64)
-                if per_tuple:
-                    if fused:
-                        obs.inc("ml.fused_steps")
-                        obs.inc("ml.fused_tuples", len(batch))
-                        model.step_block(batch.X, batch.y, lr)
-                    else:
-                        from ..data.sparse import SparseMatrix
+        for index, batch in enumerate(loader):
+            if index < cursor:
+                continue  # applied before the interruption
+            if fault_plan is not None:
+                budget = fault_plan.tuples_before_crash(tuples_seen)
+                if budget is not None and budget < len(batch):
+                    fault_plan.fire_crash(f"epoch {epoch}, batch {index}")
+            yield batch.X, batch.y.astype(np.int64) if int_labels else batch.y, None, index + 1
+            tuples_seen += len(batch)
 
-                        labels = np.asarray(batch.y, dtype=np.float64).tolist()
-                        if isinstance(batch.X, SparseMatrix):
-                            for i in range(len(batch)):
-                                model.step_example(batch.X.row(i), labels[i], lr)
-                        else:
-                            for i in range(len(batch)):
-                                model.step_example(batch.X[i], labels[i], lr)
-                else:
-                    grads = model.gradient(batch.X, y)
-                    optimizer.step(grads, lr)
-                tuples_seen += len(batch)
-                batches_done += 1
-                since_checkpoint += len(batch)
-                if (
-                    checkpoint is not None
-                    and checkpoint.every_tuples > 0
-                    and since_checkpoint >= checkpoint.every_tuples
-                ):
-                    _save(epoch, batches_done)
-                    since_checkpoint = 0
-            sp.set(tuples_seen=tuples_seen, batches=batches_done)
-        obs.inc("ml.epochs")
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                train_loss=(
-                    model.loss(train_eval.X, train_eval.y)
-                    if train_eval is not None
-                    else float("nan")
-                ),
-                train_score=(
-                    model.score(train_eval.X, train_eval.y)
-                    if train_eval is not None
-                    else float("nan")
-                ),
-                test_score=model.score(test.X, test.y) if test is not None else None,
-                tuples_seen=tuples_seen,
-            )
-        )
-        _save(epoch + 1, 0)
-    return history
+    def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
+        return epoch_record(model, train_eval, test, epoch, lr, tuples_seen)
+
+    return run_epochs(
+        model,
+        optimizer,
+        units,
+        evaluate,
+        history=ConvergenceHistory(strategy="streaming", model=type(model).__name__),
+        epochs=epochs,
+        schedule=schedule if schedule is not None else ExponentialDecay(0.01),
+        fused=fused,
+        # What pins the update sequence: checkpointed, and held equal on resume.
+        knobs={
+            "mode": "streaming",
+            "model": type(model).__name__,
+            "per_tuple": per_tuple,
+            "fused": fused,
+        },
+        meta={"cursor_unit": "batches", "epochs": epochs},
+        checkpoint=checkpoint,
+        resume_from=resume_from,
+    )
 
 
 def _looks_multiclass(model: SupervisedModel) -> bool:

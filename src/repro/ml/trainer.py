@@ -1,7 +1,13 @@
 """The training loop: any model × any shuffle strategy × any optimiser.
 
-This is the statistical-efficiency half of the evaluation harness.  The
-trainer consumes an *index source* — anything exposing
+:func:`run_epochs` is the one update-unit loop — resume, checkpoint
+cadence, stop probe, history — that every single-process driver runs:
+:class:`Trainer` here, :func:`~repro.ml.streaming.train_streaming`, the
+engine's :class:`~repro.db.operators.SGDOperator`.  Each supplies only
+where its update units come from and how an epoch is evaluated.
+
+:class:`Trainer` is the statistical-efficiency half of the evaluation
+harness.  It consumes an *index source* — anything exposing
 ``epoch_indices(epoch) -> array`` (a :class:`~repro.shuffle.base.ShuffleStrategy`,
 a :class:`~repro.core.corgipile.CorgiPileShuffle`, or an adapter around the
 multi-process simulation) — and performs SGD in exactly that order:
@@ -25,7 +31,8 @@ that is the resume-equivalence guarantee the chaos suite asserts at 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from contextlib import closing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -46,7 +53,10 @@ __all__ = [
     "EarlyStopping",
     "CheckpointConfig",
     "TrainInterrupted",
+    "epoch_record",
     "restore_run",
+    "apply_unit",
+    "run_epochs",
     "Trainer",
 ]
 
@@ -199,6 +209,26 @@ class ConvergenceHistory:
         return None
 
 
+def epoch_record(
+    model: SupervisedModel,
+    train: Dataset | None,
+    test: Dataset | None,
+    epoch: int,
+    lr: float,
+    tuples_seen: int,
+) -> EpochRecord:
+    """The end-of-epoch metrics: loss/score on ``train`` (NaN without one —
+    nothing is materialised for it), score on ``test`` when given."""
+    return EpochRecord(
+        epoch=epoch,
+        lr=lr,
+        train_loss=model.loss(train.X, train.y) if train is not None else float("nan"),
+        train_score=model.score(train.X, train.y) if train is not None else float("nan"),
+        test_score=model.score(test.X, test.y) if test is not None else None,
+        tuples_seen=tuples_seen,
+    )
+
+
 def restore_run(
     resume_from: CheckpointState | str | Path,
     model: SupervisedModel,
@@ -237,6 +267,129 @@ def restore_run(
     return state
 
 
+def apply_unit(
+    model: SupervisedModel,
+    optimizer: Optimizer | None,
+    X,
+    y: np.ndarray,
+    lr: float,
+    fused: bool,
+    order: np.ndarray | None = None,
+) -> None:
+    """Apply one update unit: rows ``order`` of ``(X, y)``, all of them when omitted.
+
+    With an optimiser the unit is one mini-batch step on its mean gradient;
+    without, one model update per tuple in unit order — through the model's
+    fused ``step_block`` kernel, or (``fused=False``) through the reference
+    loop :meth:`SupervisedModel.step_block` itself, called unbound so a GLM's
+    override does not stand in for the ``step_example`` sequence it is
+    tested against.
+    """
+    if optimizer is not None:
+        if order is not None:
+            X = X.take_rows(order) if isinstance(X, SparseMatrix) else X[order]
+            y = y[order]
+        optimizer.step(model.gradient(X, y), lr)
+    elif fused:
+        obs.inc("ml.fused_steps")
+        obs.inc("ml.fused_tuples", len(y) if order is None else len(order))
+        model.step_block(X, y, lr, order)
+    else:
+        SupervisedModel.step_block(model, X, y, lr, order)
+
+
+def run_epochs(
+    model: SupervisedModel,
+    optimizer: Optimizer | None,
+    units,
+    evaluate,
+    *,
+    history: ConvergenceHistory,
+    epochs: int,
+    schedule,
+    fused: bool,
+    knobs: dict,
+    meta: dict | None = None,
+    checkpoint: CheckpointConfig | None = None,
+    resume_from: CheckpointState | str | Path | None = None,
+    should_stop=None,
+    epoch_end=None,
+    span: str = "ml.epoch",
+) -> ConvergenceHistory:
+    """The update-unit loop every single-process trainer runs.
+
+    Owns what comes *after* the visit order: resume (``restore_run`` against
+    ``knobs``), the initial / cadence / epoch-end checkpoints (``knobs`` +
+    ``meta`` recorded), the ``should_stop`` probe, ``tuples_seen`` and the
+    history.  A client supplies what differs:
+
+    * ``units(epoch, cursor, tuples_seen)`` — a generator over the epoch's
+      update units after the first ``cursor`` (the client's own measure:
+      rows, tuples, loader batches) as ``(X, y, order, seam)``, each handed
+      to :func:`apply_unit`.  ``seam`` is the cursor once the unit is
+      applied — a point the run may be saved at, stopped at and resumed
+      from — or ``None`` where the client allows no seam (the short tail of
+      a pass, a unit cut short by an injected crash).  Epoch-local work
+      (rescan, wall clocks, fault injection) sits around its ``yield``;
+      the generator is closed when the epoch ends, however it ends.
+    * ``evaluate(epoch, lr, tuples_seen) -> EpochRecord``.
+    * ``epoch_end(record) -> bool`` (optional), called after the epoch-end
+      save; true ends the run early.
+
+    Cadence: a save at the first seam ``checkpoint.every_tuples`` or more
+    tuples after the last one, counted from the epoch's (or the resumed
+    run's) first unit — so a client whose units end on multiples of the
+    cadence saves exactly there.
+    """
+    start = cursor = tuples_seen = 0
+    if resume_from is not None:
+        state = restore_run(resume_from, model, optimizer, history, knobs)
+        start, cursor, tuples_seen = state.epoch, state.cursor, state.tuples_seen
+    every = checkpoint.every_tuples if checkpoint is not None else 0
+
+    def save(epoch: int, cursor: int) -> None:
+        if checkpoint is None:
+            return
+        save_checkpoint(
+            checkpoint.path,
+            model,
+            epoch=epoch,
+            cursor=cursor,
+            tuples_seen=tuples_seen,
+            optimizer_state=optimizer.state_dict() if optimizer is not None else {},
+            history=[asdict(r) for r in history.records],
+            meta={**knobs, **(meta or {})},
+        )
+
+    # Even a crash before the first cadence point leaves a resumable file.
+    save(start, cursor)
+    for epoch in range(start, epochs):
+        lr = float(schedule(epoch))
+        since_save = 0
+        with obs.span(span, epoch=epoch, lr=lr, strategy=history.strategy) as sp:
+            with closing(units(epoch, cursor, tuples_seen)) as stream:
+                for X, y, order, seam in stream:
+                    apply_unit(model, optimizer, X, y, lr, fused, order)
+                    n_rows = len(y) if order is None else len(order)
+                    tuples_seen += n_rows
+                    since_save += n_rows
+                    if seam is None:
+                        continue
+                    if 0 < every <= since_save:
+                        save(epoch, seam)
+                        since_save = 0
+                    if should_stop is not None and should_stop():
+                        raise TrainInterrupted(f"stopped in epoch {epoch} after {seam} tuples")
+            sp.set(tuples_seen=tuples_seen)
+        cursor = 0
+        obs.inc(span + "s")  # ml.epochs / db.epochs
+        history.append(evaluate(epoch, lr, tuples_seen))
+        save(epoch + 1, 0)
+        if epoch_end is not None and epoch_end(history.final):
+            break
+    return history
+
+
 class Trainer:
     """Runs SGD over a dataset in the order dictated by an index source."""
 
@@ -267,6 +420,7 @@ class Trainer:
         self.epochs = int(epochs)
         self.schedule = schedule if schedule is not None else ExponentialDecay(0.01)
         self.batch_size = int(batch_size)
+        # No optimiser = the paper's standard SGD, one update per tuple.
         self.optimizer = optimizer
         if self.batch_size > 1 and self.optimizer is None:
             self.optimizer = SGD(model)
@@ -276,8 +430,8 @@ class Trainer:
         # step_block kernels (same visit order and update-per-tuple
         # semantics; mini-batch mode is already vectorised and unaffected).
         self.fused = bool(fused)
-        # Each callback is called as callback(epoch, model, record) after
-        # the end-of-epoch evaluation (e.g. theory trackers, custom logs).
+        # Each callback is called as callback(epoch, model, record) once the
+        # epoch is evaluated and saved (e.g. theory trackers, custom logs).
         self.callbacks = list(callbacks or [])
         self.checkpoint = checkpoint
         # Duck-typed fault plan (repro.faults.FaultPlan): consulted for
@@ -288,129 +442,77 @@ class Trainer:
     def run(
         self, resume_from: CheckpointState | str | Path | None = None
     ) -> ConvergenceHistory:
+        """Train; with ``resume_from``, continue a killed run.
+
+        Same index seed ⇒ same (seed, epoch)-pure visit orders ⇒ the stored
+        cursor pins the exact remaining order.
+        """
         history = ConvergenceHistory(
             strategy=getattr(self.index_source, "name", type(self.index_source).__name__),
             model=type(self.model).__name__,
         )
-        start_epoch = 0
-        start_cursor = 0
-        tuples_seen = 0
-        if resume_from is not None:
-            # Same index seed ⇒ same (seed, epoch)-pure visit orders ⇒ the
-            # stored cursor pins the exact remaining order.
-            state = restore_run(
-                resume_from, self.model, self.optimizer, history, self._knobs()
-            )
-            start_epoch, start_cursor = state.epoch, state.cursor
-            tuples_seen = state.tuples_seen
-        # Initial checkpoint: even a crash before the first cadence point
-        # leaves a resumable file behind.
-        self._save_checkpoint(start_epoch, start_cursor, tuples_seen, history)
-        for epoch in range(start_epoch, self.epochs):
-            lr = float(self.schedule(epoch))
-            order = np.asarray(self.index_source.epoch_indices(epoch), dtype=np.int64)
-            cursor = start_cursor if epoch == start_epoch else 0
-            with obs.span(
-                "ml.epoch", epoch=epoch, lr=lr, strategy=history.strategy
-            ) as sp:
-                tuples_seen = self._run_epoch(
-                    order, lr, epoch, cursor, tuples_seen, history
-                )
-                sp.set(tuples_seen=tuples_seen)
-            obs.inc("ml.epochs")
-            with obs.span("ml.evaluate", epoch=epoch):
-                record = self._evaluate(epoch, lr, tuples_seen)
-            history.append(record)
-            for callback in self.callbacks:
-                callback(epoch, self.model, record)
-            self._save_checkpoint(epoch + 1, 0, tuples_seen, history)
-            if self.early_stopping is not None:
-                metric = (
-                    record.test_score
-                    if record.test_score is not None
-                    else -record.train_loss
-                )
-                if self.early_stopping.update(metric, self.model.params):
-                    self.early_stopping.restore(self.model.params)
-                    break
-        return history
+        checkpoint = self.checkpoint
+        if checkpoint is not None:
+            checkpoint = replace(checkpoint, every_tuples=self._cadence())
+        return run_epochs(
+            self.model,
+            self.optimizer,
+            self._units,
+            self._evaluate,
+            history=history,
+            epochs=self.epochs,
+            schedule=self.schedule,
+            fused=self.fused,
+            knobs=self._knobs(),
+            meta={"strategy": history.strategy, "epochs": self.epochs},
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            epoch_end=self._epoch_end,
+        )
 
     # ------------------------------------------------------------------
-    def _run_epoch(
-        self,
-        order: np.ndarray,
-        lr: float,
-        epoch: int,
-        cursor: int,
-        tuples_seen: int,
-        history: ConvergenceHistory,
-    ) -> int:
-        """Apply ``order[cursor:]``, checkpoint-chunked; returns new tuples_seen.
+    def _cadence(self) -> int:
+        """Tuples between in-epoch checkpoints (0 = epoch ends only)."""
+        every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
+        if every > 0 and self.batch_size > 1:
+            # Keep mini-batch composition identical with and without
+            # checkpointing: boundaries land between batches only.
+            every = max(self.batch_size, (every // self.batch_size) * self.batch_size)
+        return every
+
+    def _units(self, epoch: int, cursor: int, tuples_seen: int):
+        """``order[cursor:]`` as update units, checkpoint-chunked.
 
         Chunk boundaries sit at fixed multiples of the checkpoint cadence
         *within the epoch* (not relative to the resume point), so a resumed
         run replays exactly the chunk sequence the uninterrupted run would
         have used — the kernels flush their lazy L2 scaling per chunk, which
-        makes the chunking part of the numeric result.
+        makes the chunking part of the numeric result.  A per-tuple chunk is
+        one unit (``step_block(..., order=)``: no gather copy); a mini-batch
+        chunk is cut into ``batch_size`` units.
         """
+        order = np.asarray(self.index_source.epoch_indices(epoch), dtype=np.int64)
+        X, y = self.train_set.X, self.train_set.y
         n = int(order.size)
+        every = self._cadence()
+        step = self.batch_size if self.optimizer is not None else n
         while cursor < n:
-            hi = self._next_boundary(cursor, n)
-            chunk = order[cursor:hi]
+            hi = min(n, (cursor // every + 1) * every) if every else n
+            crash_at = None
             if self.fault_plan is not None:
                 budget = self.fault_plan.tuples_before_crash(tuples_seen)
-                if budget is not None and budget < chunk.size:
-                    if budget > 0:
-                        self._apply_chunk(chunk[:budget], lr)
-                    self.fault_plan.fire_crash(f"epoch {epoch}, tuple {cursor + budget}")
-            self._apply_chunk(chunk, lr)
+                if budget is not None and budget < hi - cursor:
+                    # The crash lands mid-chunk: apply what precedes it
+                    # (no seam — that state is lost), then die.
+                    hi = crash_at = cursor + budget
+            for lo in range(cursor, hi, step):
+                end = min(lo + step, hi)
+                seam = None if crash_at is not None or end == n else end
+                yield X, y, order[lo:end], seam
+            if crash_at is not None:
+                self.fault_plan.fire_crash(f"epoch {epoch}, tuple {crash_at}")
+            tuples_seen += hi - cursor
             cursor = hi
-            tuples_seen += int(chunk.size)
-            if (
-                self.checkpoint is not None
-                and self.checkpoint.every_tuples > 0
-                and cursor < n
-            ):
-                self._save_checkpoint(epoch, cursor, tuples_seen, history)
-        return tuples_seen
-
-    def _next_boundary(self, cursor: int, n: int) -> int:
-        every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
-        if every <= 0:
-            return n
-        if self.batch_size > 1:
-            # Keep mini-batch composition identical with and without
-            # checkpointing: boundaries land between batches only.
-            every = max(self.batch_size, (every // self.batch_size) * self.batch_size)
-        return min(n, (cursor // every + 1) * every)
-
-    def _apply_chunk(self, order: np.ndarray, lr: float) -> None:
-        if self.batch_size == 1 and self.optimizer is None:
-            if self.fused:
-                self._fused_epoch(order, lr)
-            else:
-                self._per_tuple_epoch(order, lr)
-        else:
-            self._mini_batch_epoch(order, lr)
-
-    # ------------------------------------------------------------------
-    def _save_checkpoint(
-        self, epoch: int, cursor: int, tuples_seen: int, history: ConvergenceHistory
-    ) -> None:
-        if self.checkpoint is None:
-            return
-        save_checkpoint(
-            self.checkpoint.path,
-            self.model,
-            epoch=epoch,
-            cursor=cursor,
-            tuples_seen=tuples_seen,
-            optimizer_state=(
-                self.optimizer.state_dict() if self.optimizer is not None else {}
-            ),
-            history=[asdict(r) for r in history.records],
-            meta={"strategy": history.strategy, "epochs": self.epochs, **self._knobs()},
-        )
 
     def _knobs(self) -> dict:
         """What pins the update sequence: checkpointed, and held equal on resume."""
@@ -421,58 +523,22 @@ class Trainer:
             "index_seed": getattr(self.index_source, "seed", None),
         }
 
-    def _per_tuple_epoch(self, order: np.ndarray, lr: float) -> None:
-        model = self.model
-        X, y = self.train_set.X, self.train_set.y
-        # Convert labels/indices to native Python scalars once per epoch so
-        # the inner loop carries no per-tuple float()/int() boxing.
-        labels = np.asarray(y, dtype=np.float64).tolist()
-        positions = order.tolist()
-        if isinstance(X, SparseMatrix):
-            row = X.row
-            for i in positions:
-                model.step_example(row(i), labels[i], lr)
-        else:
-            for i in positions:
-                model.step_example(X[i], labels[i], lr)
-
-    def _fused_epoch(self, order: np.ndarray, lr: float) -> None:
-        obs.inc("ml.fused_steps")
-        obs.inc("ml.fused_tuples", int(order.size))
-        self.model.step_block(
-            self.train_set.X,
-            np.asarray(self.train_set.y, dtype=np.float64),
-            lr,
-            order=order,
-        )
-
-    def _mini_batch_epoch(self, order: np.ndarray, lr: float) -> None:
-        X, y = self.train_set.X, self.train_set.y
-        for lo in range(0, order.size, self.batch_size):
-            batch_idx = order[lo : lo + self.batch_size]
-            if isinstance(X, SparseMatrix):
-                xb = X.take_rows(batch_idx)
-            else:
-                xb = X[batch_idx]
-            grads = self.model.gradient(xb, y[batch_idx])
-            self.optimizer.step(grads, lr)
-
     def _evaluate(self, epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
-        train_loss = self.model.loss(self.train_set.X, self.train_set.y)
-        train_score = self.model.score(self.train_set.X, self.train_set.y)
-        test_score = (
-            self.model.score(self.test_set.X, self.test_set.y)
-            if self.test_set is not None
-            else None
-        )
-        return EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            train_loss=train_loss,
-            train_score=train_score,
-            test_score=test_score,
-            tuples_seen=tuples_seen,
-        )
+        with obs.span("ml.evaluate", epoch=epoch):
+            return epoch_record(
+                self.model, self.train_set, self.test_set, epoch, lr, tuples_seen
+            )
+
+    def _epoch_end(self, record: EpochRecord) -> bool:
+        for callback in self.callbacks:
+            callback(record.epoch, self.model, record)
+        if self.early_stopping is None:
+            return False
+        metric = record.test_score if record.test_score is not None else -record.train_loss
+        stop = self.early_stopping.update(metric, self.model.params)
+        if stop:
+            self.early_stopping.restore(self.model.params)
+        return stop
 
 
 def fixed_order_source(name: str, orders: Sequence[np.ndarray]) -> IndexSource:

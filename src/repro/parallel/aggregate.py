@@ -37,6 +37,8 @@ __all__ = [
     "weighted_average_models",
 ]
 
+#: Also defined (for spec validation) in ``repro.db.spec``, which says why
+#: neither imports the other; ``tests/test_spec.py`` holds the two equal.
 AGGREGATION_MODES = ("sync", "async", "epoch")
 
 

@@ -57,6 +57,7 @@ from ..ml.trainer import (
     restore_run,
 )
 from ..storage.blockfile import BlockFileReader
+from ..storage.codec import TupleBatch
 from .aggregate import (
     AGGREGATION_MODES,
     average_gradient_slots,
@@ -84,14 +85,8 @@ def load_block_dataset(path: str | Path, task: str = "binary") -> Dataset:
     evaluation and by the single-process reference run.
     """
     with BlockFileReader(path) as reader:
-        batches = [reader.read_block_batch(b) for b in range(reader.n_blocks)]
-        y = np.concatenate([b.labels for b in batches])
-        if batches[0].is_sparse:
-            from .worker import _stack_sparse
-
-            X = _stack_sparse(batches)
-        else:
-            X = np.concatenate([b.dense for b in batches])
+        table = TupleBatch.concat([reader.read_block_batch(b) for b in range(reader.n_blocks)])
+        X, y = table.features_matrix(), table.labels
     return Dataset(X, y, name=Path(path).stem, task=task)
 
 

@@ -271,9 +271,10 @@ def _run_slot(cfg, schedule, planner, fetcher, model, slab, m, slot) -> int:
         obs.observe("hopper.serialize_s", time.perf_counter() - t0)
         count = 0
         for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-            X, y = fetcher.fetch_fill(group, indices)
-            model.step_block(X, y, lr)  # fused per-tuple kernels, visit order
-            count += int(y.size)
+            fill = fetcher.fetch_fill(group, indices)
+            # fused per-tuple kernels, visit order
+            model.step_block(fill.features_matrix(), fill.labels, lr)
+            count += len(fill)
         t1 = time.perf_counter()
         slab[m, :] = model.parameter_vector()
         obs.observe("hopper.serialize_s", time.perf_counter() - t1)
@@ -621,8 +622,8 @@ def run_hopper_inprocess(
                 lr = float(lrs[m]) * float(decays[m]) ** epoch
                 t0 = time.perf_counter()
                 for group, indices in planner.worker_buffer_fills(epoch, worker):
-                    X, y = fetcher.fetch_fill(group, indices)
-                    models[m].step_block(X, y, lr)
+                    fill = fetcher.fetch_fill(group, indices)
+                    models[m].step_block(fill.features_matrix(), fill.labels, lr)
                 unit_times[(slot, worker)] = time.perf_counter() - t0
             for m in range(schedule.n_models):
                 epoch = schedule.completes_epoch(m, slot)

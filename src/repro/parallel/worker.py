@@ -25,9 +25,9 @@ import numpy as np
 
 from .. import obs
 from ..obs import LoaderMetrics, StorageMetrics
-from ..data.sparse import SparseMatrix
 from ..ml.persistence import model_from_bytes
 from ..storage.blockfile import BlockFileReader
+from ..storage.codec import RowStream, TupleBatch
 from .aggregate import pack_gradients
 from .plan import ShardPlanner
 from .shm import slab_view, vector_view
@@ -59,10 +59,10 @@ class WorkerConfig:
 
 
 class ShardFetcher:
-    """Reads one worker's buffer fills into columnar, visit-ordered arrays.
+    """Reads one worker's buffer fills as visit-ordered batches.
 
     One fill = one tuple-shuffle buffer: the group's blocks are read
-    through the worker's own reader (each block once), then the rows are
+    through the worker's own reader (each block once), concatenated, and
     gathered in the fill's shuffled visit order using the block file's
     contiguous-id arithmetic (``row = base[block] + id - block_start``).
     """
@@ -77,50 +77,17 @@ class ShardFetcher:
         self.tuples_per_block = int(tuples_per_block)
         self.loader_stats = loader_stats
 
-    def fetch_fill(
-        self, group: np.ndarray, indices: np.ndarray
-    ) -> tuple[np.ndarray | SparseMatrix, np.ndarray]:
-        """``(X, y)`` for one fill, rows in ``indices`` (visit) order."""
-        batches = [self.reader.read_block_batch(int(b)) for b in group]
-        base: dict[int, int] = {}
-        offset = 0
-        for block_id, batch in zip(group, batches):
-            base[int(block_id)] = offset
-            offset += len(batch)
-        ids = np.asarray(indices, dtype=np.int64)
-        blocks_of = ids // self.tuples_per_block
-        local = np.array(
-            [base[int(b)] for b in blocks_of], dtype=np.int64
-        ) + (ids - blocks_of * self.tuples_per_block)
-        labels = np.concatenate([b.labels for b in batches])[local]
-        if batches[0].is_sparse:
-            stacked = _stack_sparse(batches)
-            X = stacked.take_rows(local)
-        else:
-            X = np.concatenate([b.dense for b in batches])[local]
+    def fetch_fill(self, group: np.ndarray, indices: np.ndarray) -> TupleBatch:
+        """One fill, rows in ``indices`` (visit) order."""
+        blocks = [self.reader.read_block_batch(int(b)) for b in group]
+        # block id -> the block's first row in the concatenation
+        base = np.empty(self.reader.n_blocks, dtype=np.int64)
+        base[group] = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        block_of, row = np.divmod(np.asarray(indices, dtype=np.int64), self.tuples_per_block)
         if self.loader_stats is not None:
-            self.loader_stats.record_buffer_filled(int(ids.size))
-            self.loader_stats.record_buffer_drained(int(ids.size))
-        return X, labels
-
-
-def _stack_sparse(batches: list) -> SparseMatrix:
-    indptr = [np.zeros(1, dtype=np.int64)]
-    nnz_offset = 0
-    indices, values = [], []
-    n_rows = 0
-    for b in batches:
-        indptr.append(b.indptr[1:] + nnz_offset)
-        indices.append(b.indices)
-        values.append(b.values)
-        nnz_offset += int(b.indices.size)
-        n_rows += len(b)
-    return SparseMatrix(
-        np.concatenate(indptr),
-        np.concatenate(indices),
-        np.concatenate(values),
-        (n_rows, batches[0].n_features),
-    )
+            self.loader_stats.record_buffer_filled(int(row.size))
+            self.loader_stats.record_buffer_drained(int(row.size))
+        return TupleBatch.concat(blocks).take(base[block_of] + row)
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +176,15 @@ def _sync_point(barrier, stop) -> None:
         raise _CoordinatorAbort()
 
 
+def _fill_stream(fetcher: ShardFetcher, fills) -> RowStream:
+    """``fills`` (planned ``(group, indices)`` pairs) as a row stream, each
+    fetched only when the rows before it are used up."""
+    fetched = (fetcher.fetch_fill(group, indices) for group, indices in fills)
+    return RowStream(lambda: next(fetched, None))
+
+
 def _epoch_slices(cfg, planner, fetcher, epoch: int, skip: int):
-    """Yield per-step ``(X, y)`` slices of ``bs/PN`` tuples, skipping ``skip`` steps.
+    """Yield the epoch's per-step slices of ``bs/PN`` rows, after ``skip`` steps.
 
     Fills are fetched lazily; whole fills that fall before the resume
     offset are skipped without touching storage (their visit order is
@@ -219,87 +193,15 @@ def _epoch_slices(cfg, planner, fetcher, epoch: int, skip: int):
     per_worker = cfg.global_batch_size // cfg.n_workers
     n_steps = planner.sync_steps(epoch, cfg.global_batch_size)
     to_skip = skip * per_worker
-    pend_X: list = []
-    pend_y: list = []
-    pending = 0
-    emitted = skip
-    for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-        if emitted >= n_steps:
-            break
-        if to_skip >= indices.size:
-            to_skip -= int(indices.size)
-            continue
-        X, y = fetcher.fetch_fill(group, indices)
-        if to_skip:
-            X, y = _tail(X, to_skip), y[to_skip:]
-            to_skip = 0
-        pend_X.append(X)
-        pend_y.append(y)
-        pending += int(y.size)
-        while pending >= per_worker and emitted < n_steps:
-            Xs, ys, pend_X, pend_y = _take(pend_X, pend_y, per_worker)
-            pending -= per_worker
-            emitted += 1
-            yield Xs, ys
-
-
-def _tail(X, skip: int):
-    if isinstance(X, SparseMatrix):
-        return X.take_rows(np.arange(skip, X.shape[0], dtype=np.int64))
-    return X[skip:]
-
-
-def _rows(X) -> int:
-    return X.shape[0]
-
-
-def _concat_features(parts: list):
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], SparseMatrix):
-        indptr = [np.zeros(1, dtype=np.int64)]
-        indices, values = [], []
-        nnz = 0
-        rows = 0
-        for p in parts:
-            indptr.append(p.indptr[1:] + nnz)
-            indices.append(p.indices)
-            values.append(p.values)
-            nnz += int(p.indices.size)
-            rows += p.shape[0]
-        return SparseMatrix(
-            np.concatenate(indptr),
-            np.concatenate(indices),
-            np.concatenate(values),
-            (rows, parts[0].shape[1]),
-        )
-    return np.concatenate(parts)
-
-
-def _take(pend_X: list, pend_y: list, n: int):
-    """Pop the first ``n`` rows off the pending fill queue."""
-    got_X, got_y = [], []
-    need = n
-    while need > 0:
-        X, y = pend_X[0], pend_y[0]
-        if _rows(X) <= need:
-            got_X.append(X)
-            got_y.append(y)
-            need -= _rows(X)
-            pend_X.pop(0)
-            pend_y.pop(0)
-        else:
-            head = np.arange(0, need, dtype=np.int64)
-            if isinstance(X, SparseMatrix):
-                got_X.append(X.take_rows(head))
-                pend_X[0] = _tail(X, need)
-            else:
-                got_X.append(X[:need])
-                pend_X[0] = X[need:]
-            got_y.append(y[:need])
-            pend_y[0] = y[need:]
-            need = 0
-    return _concat_features(got_X), np.concatenate(got_y), pend_X, pend_y
+    fills = planner.worker_buffer_fills(epoch, cfg.worker_id)
+    first = 0
+    while first < len(fills) and to_skip >= fills[first][1].size:
+        to_skip -= int(fills[first][1].size)
+        first += 1
+    stream = _fill_stream(fetcher, fills[first:])
+    stream.skip(to_skip)
+    for _ in range(skip, n_steps):
+        yield stream.take(per_worker)
 
 
 def _run_sync(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, results) -> int:
@@ -309,11 +211,13 @@ def _run_sync(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, 
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
         skip = cfg.start_step if epoch == cfg.start_epoch else 0
-        for Xs, ys in _epoch_slices(cfg, planner, fetcher, epoch, skip):
+        for unit in _epoch_slices(cfg, planner, fetcher, epoch, skip):
             _sync_point(barrier, stop)  # A: coordinator published params
             model.load_parameter_vector(params)
-            grads[cfg.worker_id, :] = pack_gradients(model.gradient(Xs, ys), model)
-            done += int(ys.size)
+            grads[cfg.worker_id, :] = pack_gradients(
+                model.gradient(unit.features_matrix(), unit.labels), model
+            )
+            done += len(unit)
             _sync_point(barrier, stop)  # B: all gradient slots ready
     return done
 
@@ -326,17 +230,14 @@ def _run_async(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop,
     for epoch in range(cfg.start_epoch, cfg.epochs):
         _sync_point(barrier, stop)  # A: epoch start, params current
         lr = float(cfg.schedule(epoch))
-        for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-            X, y = fetcher.fetch_fill(group, indices)
-            for lo in range(0, int(y.size), per_worker):
-                rows = np.arange(lo, min(lo + per_worker, int(y.size)), dtype=np.int64)
-                Xs = X.take_rows(rows) if isinstance(X, SparseMatrix) else X[rows]
-                ys = y[rows]
-                before = np.array(params)  # racy snapshot, by design
-                model.load_parameter_vector(before)
-                model.step_block(Xs, ys, lr)
-                params += model.parameter_vector() - before  # racy add, by design
-                done += int(ys.size)
+        stream = _fill_stream(fetcher, planner.worker_buffer_fills(epoch, cfg.worker_id))
+        # ``pull`` never crosses a fill: a step is <= per_worker rows of one.
+        while (unit := stream.pull(per_worker)) is not None:
+            before = np.array(params)  # racy snapshot, by design
+            model.load_parameter_vector(before)
+            model.step_block(unit.features_matrix(), unit.labels, lr)
+            params += model.parameter_vector() - before  # racy add, by design
+            done += len(unit)
         _sync_point(barrier, stop)  # B: epoch end, coordinator evaluates
     return done
 
@@ -351,9 +252,10 @@ def _run_epoch(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop,
         lr = float(cfg.schedule(epoch))
         count = 0
         for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-            X, y = fetcher.fetch_fill(group, indices)
-            model.step_block(X, y, lr)  # fused per-tuple kernels, visit order
-            count += int(y.size)
+            fill = fetcher.fetch_fill(group, indices)
+            # fused per-tuple kernels, visit order
+            model.step_block(fill.features_matrix(), fill.labels, lr)
+            count += len(fill)
         results.put(("model", cfg.worker_id, epoch, model.parameter_vector(), count))
         done += count
         _sync_point(barrier, stop)  # B: coordinator averaged the models

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "TupleSchema",
     "TrainingTuple",
     "TupleBatch",
+    "RowStream",
     "encode_tuple",
     "decode_tuple",
     "decode_page",
@@ -223,6 +224,56 @@ class TupleBatch:
             indices=np.concatenate([b.indices for b in batches]),
             values=np.concatenate([b.values for b in batches]),
         )
+
+
+class RowStream:
+    """A batch stream read in row counts that ignore batch edges.
+
+    The carry rule in one place: ``pull(limit)`` hands out at most ``limit``
+    rows of the current batch as a zero-copy slice and asks ``next_batch``
+    (a child operator's, a loader's fill iterator's — anything returning a
+    batch, or ``None`` when dry) for another only once that batch is used
+    up.  A batch that crosses a fill (or update-unit, or accounting-chunk,
+    or sync-step) boundary is cut there and its tail carried into the next
+    call.
+    """
+
+    def __init__(self, next_batch: Callable[[], "TupleBatch | None"]):
+        self._next_batch = next_batch
+        self._batch: TupleBatch | None = None
+        self._pos = 0
+
+    @property
+    def at_edge(self) -> bool:
+        """True when the next ``pull`` goes to the source (and may charge I/O)."""
+        return self._batch is None or self._pos >= len(self._batch)
+
+    def pull(self, limit: int) -> "TupleBatch | None":
+        """Up to ``limit`` rows from one source batch; ``None`` at end of pass."""
+        if self.at_edge:
+            self._batch, self._pos = self._next_batch(), 0
+            if self._batch is None:
+                return None
+        lo, n = self._pos, len(self._batch)
+        self._pos = hi = min(lo + limit, n)
+        return self._batch if hi - lo == n else self._batch.slice(lo, hi)
+
+    def take(self, n_rows: int) -> "TupleBatch | None":
+        """The next ``n_rows`` rows as one batch (fewer only at end of pass).
+
+        A run inside one source batch stays a zero-copy slice; a run that
+        straddles batches is one C-contiguous ``concat``.
+        """
+        parts, got = [], 0
+        while got < n_rows and (part := self.pull(n_rows - got)) is not None:
+            parts.append(part)
+            got += len(part)
+        return TupleBatch.concat(parts) if parts else None
+
+    def skip(self, n_rows: int) -> None:
+        """Drop the next ``n_rows`` rows (a resumed run's already-applied prefix)."""
+        while n_rows > 0 and (part := self.pull(n_rows)) is not None:
+            n_rows -= len(part)
 
 
 def encode_tuple(tuple_id: int, label: float, features: np.ndarray | SparseRow) -> bytes:

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CorgiPileDataset
+from repro.core import Batch, CorgiPileDataset
 from repro.core.seeding import FAULT_UNIT_CODES, fault_unit_rng
 from repro.data import make_binary_sparse
 from repro.db import MiniDB, ParseError, SelectQuery, parse_query
 from repro.faults import FaultPlan, FaultSpec, FaultyBlockFileReader, chunk_fault_target
-from repro.ml import LogisticRegression, train_streaming_chunks, training_columns
+from repro.ml import LogisticRegression, train_streaming, training_columns
 from repro.storage import (
     BlockFileReader,
     BufferPool,
@@ -185,9 +185,8 @@ class TestColumnarBlockFile:
         with CorgiPileDataset(columnar_file, buffer_blocks=2, seed=7) as col_view:
             col_view.set_epoch(1)
             got = []
-            for fill in col_view.iter_fills(columns=training_columns(True, with_ids=True)):
-                for c, i in fill.order.tolist():
-                    got.append(int(fill.batches[c].ids[i]))
+            for fill in col_view.fills(columns=training_columns(True, with_ids=True)):
+                got.extend(fill.ids.tolist())
         assert got == want
 
 
@@ -379,7 +378,12 @@ class TestMigrate:
         for path in (row_path, col_path):
             model = LogisticRegression(sparse_binary.n_features)
             with CorgiPileDataset(path, buffer_blocks=2, seed=3) as view:
-                train_streaming_chunks(model, view, epochs=2)
+
+                def fills(epoch, view=view):
+                    view.set_epoch(epoch)
+                    return (Batch(f.features_matrix(), f.labels, f.ids) for f in view.fills())
+
+                train_streaming(model, fills, epochs=2, per_tuple=True, fused=True)
             weights.append({k: v.copy() for k, v in model.params.items()})
         for key in weights[0]:
             np.testing.assert_array_equal(weights[0][key], weights[1][key])

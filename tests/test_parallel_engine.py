@@ -148,6 +148,25 @@ class TestSyncMode:
         )
         assert diff <= 1e-12
 
+    def test_sparse_step_straddling_two_fills_matches_reference(self, tmp_path):
+        """16 rows a step out of 25-row fills: most steps end inside the next
+        fill, so the CSR tail of one is concatenated with the head of another
+        (the private re-batching this replaced raised AttributeError here)."""
+        ds = make_binary_sparse(200, 30, seed=3)
+        path = tmp_path / "sparse.blk"
+        write_block_file(ds, path, tuples_per_block=25)
+        knobs = dict(
+            n_workers=2, epochs=2, global_batch_size=32, buffer_blocks=1, seed=1,
+            schedule=SCHEDULE,
+        )
+        model, ref_model = LinearSVM(30, seed=2), LinearSVM(30, seed=2)
+        result = ParallelTrainer(path, model, mode="sync", **knobs).run()
+        assert_no_leaked_children()
+        assert result.sync_steps == 2 * (100 // 16)
+        sync_reference_trainer(path, ref_model, **knobs).run()
+        diff = np.max(np.abs(model.parameter_vector() - ref_model.parameter_vector()))
+        assert diff <= 1e-12
+
 
 class TestCrashResume:
     @pytest.mark.parametrize("how", ["injected_crash", "should_stop"])

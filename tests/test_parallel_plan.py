@@ -135,7 +135,9 @@ class TestShardFetcher:
         with BlockFileReader(path) as reader:
             fetcher = ShardFetcher(reader, planner.tuples_per_block, stats)
             for group, indices in planner.worker_buffer_fills(0, 1):
-                X, y = fetcher.fetch_fill(group, indices)
+                fill = fetcher.fetch_fill(group, indices)
+                X, y = fill.features_matrix(), fill.labels
+                assert np.array_equal(fill.ids, indices)
                 assert np.array_equal(y, ds.y[indices])
                 assert np.allclose(X, ds.X[indices])
         assert stats.buffers_filled == len(planner.worker_buffer_fills(0, 1))
@@ -149,7 +151,8 @@ class TestShardFetcher:
         with BlockFileReader(path) as reader:
             fetcher = ShardFetcher(reader, planner.tuples_per_block)
             group, indices = planner.worker_buffer_fills(0, 0)[0]
-            X, y = fetcher.fetch_fill(group, indices)
+            fill = fetcher.fetch_fill(group, indices)
+            X, y = fill.features_matrix(), fill.labels
             assert np.array_equal(y, ds.y[indices])
             dense = X.toarray() if hasattr(X, "toarray") else X.to_dense()
             want = ds.X.take_rows(np.asarray(indices)).to_dense()

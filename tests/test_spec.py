@@ -60,7 +60,11 @@ class TestTrainSpecValidation:
             TrainSpec(table="t", model="lr", grid=grid, warm_start="m0")
 
     def test_aggregation_modes_pinned(self):
-        assert AGGREGATION_MODES == ("sync", "epoch", "async")
+        # Two definitions on purpose (see repro.db.spec): drift fails here.
+        import repro.parallel
+
+        assert set(AGGREGATION_MODES) == set(repro.parallel.AGGREGATION_MODES)
+        assert len(AGGREGATION_MODES) == len(repro.parallel.AGGREGATION_MODES) == 3
 
 
 class TestGridSpec:
