@@ -530,29 +530,29 @@ def _cmd_train(args) -> int:
 
     dataset = _load_input(args)
     train_set, test_set = dataset.split(1.0 - args.test_fraction, seed=args.seed)
-    db = MiniDB(page_bytes=4096)
-    info = db.create_table("t", train_set)
-    where, grid = _where_and_grid(args, db, "t")
-    query = TrainQuery(
-        table="t",
-        model=args.model,
-        strategy=args.strategy,
-        learning_rate=args.lr,
-        decay=args.decay,
-        max_epoch_num=min(args.epochs, 3) if args.quick else args.epochs,
-        batch_size=args.batch_size,
-        buffer_fraction=args.buffer_fraction,
-        block_size=max(4096, int(args.block_tuples * info.tuple_bytes)),
-        seed=args.seed,
-        fused=True,
-        workers=args.workers,
-        where=where,
-        grid=grid,
-    )
-    try:
-        result = db.train(query, test=test_set)
-    except EngineError as exc:
-        raise SystemExit(f"train: {exc}") from None
+    with MiniDB(page_bytes=4096) as db:
+        info = db.create_table("t", train_set)
+        where, grid = _where_and_grid(args, db, "t")
+        query = TrainQuery(
+            table="t",
+            model=args.model,
+            strategy=args.strategy,
+            learning_rate=args.lr,
+            decay=args.decay,
+            max_epoch_num=min(args.epochs, 3) if args.quick else args.epochs,
+            batch_size=args.batch_size,
+            buffer_fraction=args.buffer_fraction,
+            block_size=max(4096, int(args.block_tuples * info.tuple_bytes)),
+            seed=args.seed,
+            fused=True,
+            workers=args.workers,
+            where=where,
+            grid=grid,
+        )
+        try:
+            result = db.train(query, test=test_set)
+        except EngineError as exc:
+            raise SystemExit(f"train: {exc}") from None
     if args.grid:
         _print_grid_result(args, result)
     else:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,8 +170,42 @@ class MiniDB:
         # threads (the serve daemon registers job-trained models into a
         # session's engine while its connection thread runs PREDICTs).
         self._lock = threading.RLock()
+        # The worker processes of ``workers = PN`` / ``grid`` statements:
+        # spawned by the first one, re-armed by every later one of that size
+        # (one statement at a time: the lock is held while the fleet is armed).
+        self._fleet = None
+        self._close_fleet = None
+        self._fleet_lock = threading.Lock()
 
     # ------------------------------------------------------------------
+    def _fleet_for(self, n_workers: int):
+        """This engine's idle :class:`~repro.parallel.fleet.WorkerFleet` of
+        ``n_workers``; a fleet of another size, or one an aborted statement
+        closed, is replaced."""
+        from ..parallel.fleet import WorkerFleet
+
+        fleet = self._fleet
+        if fleet is None or fleet.closed or fleet.n_workers != n_workers:
+            self.close()
+            fleet = self._fleet = WorkerFleet(n_workers)
+            # The safety net under ``close()``: the fleet dies with its
+            # engine.  The callback must hold no reference back to ``self``.
+            self._close_fleet = weakref.finalize(self, fleet.close)
+        return fleet
+
+    def close(self) -> None:
+        """Stop the worker fleet, if one is up (idempotent).  The engine
+        stays usable: the next block-file statement spawns a fresh fleet."""
+        if self._fleet is not None:
+            self._close_fleet()
+            self._fleet = self._close_fleet = None
+
+    def __enter__(self) -> "MiniDB":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def create_table(
         self, name: str, dataset: Dataset, compress: bool = False, layout: str = "row"
     ) -> TableInfo:
@@ -532,12 +567,13 @@ class MiniDB:
             resolved = [c.resolve(spec) for c in configs]
             models = [self._build_model(spec, table, l2=r["l2"]) for r in resolved]
         per_worker = max(1, math.ceil(spec.batch_size / P))
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, self._fleet_lock:
             path = Path(tmp) / f"{table.name}.blocks"
             t0 = time.perf_counter()
             write_block_file(dataset, path, plan.tuples_per_block)
             setup_s = time.perf_counter() - t0
             ckpt_path = None if checkpoint is None else Path(checkpoint.path)
+            fleet = self._fleet_for(P)
             if spec.grid is None:
                 result = ParallelTrainer(
                     path,
@@ -553,6 +589,7 @@ class MiniDB:
                     task=dataset.task,
                     checkpoint=checkpoint,
                     should_stop=should_stop,
+                    fleet=fleet,
                 ).run(resume_from=ckpt_path if ckpt_path and ckpt_path.exists() else None)
             else:
 
@@ -575,6 +612,7 @@ class MiniDB:
                     checkpoint_path=ckpt_path,
                     task=dataset.task,
                     on_slot=on_slot,
+                    fleet=fleet,
                 ).run()
         buffer_memory = float(
             P * plan.buffer_blocks * plan.tuples_per_block * table.tuple_bytes

@@ -1,7 +1,7 @@
-"""The coordinator: spawns workers, drives sync points, owns the model.
+"""The coordinator: arms the worker fleet, drives sync points, owns the model.
 
 This is the executing form of Section 5's multi-process CorgiPile.  The
-coordinator and the ``PN`` spawned workers agree on everything determinist-
+coordinator and the ``PN`` fleet workers agree on everything determinist-
 ically (the shard plan is a pure function of the seed), so the runtime
 protocol is nothing but shared-memory vectors plus a barrier:
 
@@ -28,13 +28,12 @@ killed sync runs finish bit-exact (asserted at 1e-12 by
 
 Failure discipline: a dead or raising worker aborts the shared barrier;
 the coordinator translates that into :class:`WorkerError` (with the
-worker's traceback) and always reaps its children — no leaked processes,
-mirroring PR 1's no-leaked-threads guarantee.
+worker's traceback) and closes the fleet, which reaps its children — no
+leaked processes, mirroring PR 1's no-leaked-threads guarantee.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -51,8 +50,8 @@ from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import (
     CheckpointConfig,
     ConvergenceHistory,
-    EpochRecord,
     Trainer,
+    epoch_record,
     fixed_order_source,
     restore_run,
 )
@@ -64,9 +63,9 @@ from .aggregate import (
     unpack_gradients,
     weighted_average_models,
 )
-from .fleet import WorkerError, WorkerFleet
+from .fleet import WorkerError, WorkerFleet, running_fleet
 from .plan import ShardPlanner
-from .shm import alloc_vector, slab_view, vector_view, write_vector
+from .shm import shared_arrays
 from .worker import BARRIER_TIMEOUT_S, WorkerConfig, worker_main
 
 __all__ = [
@@ -159,9 +158,9 @@ class ParallelTrainer:
         test: Dataset | None = None,
         checkpoint: CheckpointConfig | None = None,
         fault_plan=None,
-        start_method: str = "spawn",
         task: str = "binary",
         should_stop=None,
+        fleet: WorkerFleet | None = None,
     ):
         if mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown mode {mode!r}; one of {AGGREGATION_MODES}")
@@ -178,9 +177,10 @@ class ParallelTrainer:
         self.test_set = test
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        self.start_method = start_method
         #: Probed at every sync point / epoch boundary (see WorkerFleet).
         self.should_stop = should_stop
+        #: The fleet to run on; ``None`` opens one for the length of ``run``.
+        self.fleet = fleet
         self.planner = ShardPlanner.for_block_file(
             self.path, n_workers, buffer_blocks, seed=self.seed
         )
@@ -203,42 +203,39 @@ class ParallelTrainer:
         self._save_checkpoint(start_epoch, start_step * self.global_batch_size, history)
 
         dim = int(self.model.parameter_vector().size)
-        param_raw = alloc_vector(dim)
-        grad_raw = alloc_vector(self.n_workers * dim)
-        write_vector(param_raw, self.model.parameter_vector())
         blob = model_to_bytes(self.model)
-        fleet = WorkerFleet(
-            worker_main,
-            [
-                WorkerConfig(
-                    worker_id=w,
-                    n_workers=self.n_workers,
-                    path=self.path,
-                    model_blob=blob,
-                    seed=self.seed,
-                    epochs=self.epochs,
-                    buffer_blocks=self.planner.buffer_blocks,
-                    mode=self.mode,
-                    global_batch_size=self.global_batch_size,
-                    schedule=self.schedule,
-                    start_epoch=start_epoch,
-                    start_step=start_step,
-                    # Workers trace locally iff the coordinator traces;
-                    # their spans ship home in the stats message.
-                    extra={"trace": obs.enabled()},
-                )
-                for w in range(self.n_workers)
-            ],
-            (param_raw, grad_raw),
-            label="parallel",
-            start_method=self.start_method,
-            should_stop=self.should_stop,
-        )
-
         epoch_walls: list[float] = []
         total_steps = 0
-        epochs_run = 0
-        try:
+        # The fleet is entered last so an abort reaps it before the arrays'
+        # names are unlinked (see repro.parallel.shm).
+        with (
+            shared_arrays((dim,), (self.n_workers, dim)) as ((params, grads), handles),
+            running_fleet(self.fleet, self.n_workers) as fleet,
+        ):
+            params[:] = self.model.parameter_vector()
+            fleet.arm(
+                worker_main,
+                [
+                    WorkerConfig(
+                        worker_id=w,
+                        n_workers=self.n_workers,
+                        path=self.path,
+                        model_blob=blob,
+                        seed=self.seed,
+                        epochs=self.epochs,
+                        buffer_blocks=self.planner.buffer_blocks,
+                        mode=self.mode,
+                        global_batch_size=self.global_batch_size,
+                        schedule=self.schedule,
+                        start_epoch=start_epoch,
+                        start_step=start_step,
+                    )
+                    for w in range(self.n_workers)
+                ],
+                handles,
+                label="parallel",
+                should_stop=self.should_stop,
+            )
             for epoch in range(start_epoch, self.epochs):
                 t0 = time.perf_counter()
                 lr = float(self.schedule(epoch))
@@ -248,26 +245,24 @@ class ParallelTrainer:
                 ) as sp:
                     if self.mode == "sync":
                         total_steps += self._sync_epoch(
-                            epoch, lr, skip, param_raw, grad_raw, fleet, history
+                            epoch, lr, skip, params, grads, fleet, history
                         )
                     elif self.mode == "epoch":
-                        self._epoch_mode_epoch(epoch, param_raw, fleet)
+                        self._epoch_mode_epoch(epoch, params, fleet)
                         total_steps += 1
                     else:
-                        self._async_epoch(param_raw, fleet)
+                        self._async_epoch(params, fleet)
                         total_steps += 1
                     wall = time.perf_counter() - t0
                     sp.set(wall_s=wall)
                 epoch_walls.append(wall)
                 obs.inc("parallel.epochs")
-                record = self._evaluate(epoch, lr)
-                history.append(record)
-                epochs_run += 1
+                history.append(
+                    epoch_record(
+                        self.model, self.eval_set, self.test_set, epoch, lr, self._tuples_seen
+                    )
+                )
                 self._save_checkpoint(epoch + 1, 0, history)
-        except BaseException:
-            fleet.abort()
-            raise
-        finally:
             per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
 
         return ParallelResult(
@@ -275,7 +270,7 @@ class ParallelTrainer:
             history=history,
             mode=self.mode,
             n_workers=self.n_workers,
-            epochs_run=epochs_run,
+            epochs_run=len(epoch_walls),
             sync_steps=total_steps,
             tuples_processed=worker_tuples,
             epoch_walls=epoch_walls,
@@ -286,19 +281,16 @@ class ParallelTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _sync_epoch(self, epoch, lr, start_step, param_raw, grad_raw, fleet, history) -> int:
-        params = vector_view(param_raw)
-        grads = slab_view(grad_raw, self.n_workers)
+    def _sync_epoch(self, epoch, lr, start_step, params, grads, fleet, history) -> int:
         n_steps = self.planner.sync_steps(epoch, self.global_batch_size)
         bs = self.global_batch_size
         for step in range(start_step, n_steps):
             if self.fault_plan is not None:
                 budget = self.fault_plan.tuples_before_crash(self._tuples_seen)
                 if budget is not None and budget < bs:
-                    # The crash lands inside the next global batch: abort the
-                    # fleet at the last durable sync point and die like a
-                    # killed process would (the checkpoint already exists).
-                    fleet.abort()
+                    # The crash lands inside the next global batch: die at
+                    # the last durable sync point like a killed process
+                    # would (the checkpoint already exists).
                     self.fault_plan.fire_crash(
                         f"parallel sync epoch {epoch}, step {step}"
                     )
@@ -318,21 +310,12 @@ class ParallelTrainer:
                 self._save_checkpoint(epoch, (step + 1) * bs, history)
         return max(0, n_steps - start_step)
 
-    def _epoch_mode_epoch(self, epoch, param_raw, fleet) -> None:
+    def _epoch_mode_epoch(self, epoch, params, fleet) -> None:
         fleet.rendezvous()  # A: averaged params published
         vectors: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
         while len(vectors) < self.n_workers:
-            try:
-                msg = fleet.results.get(timeout=BARRIER_TIMEOUT_S)
-            except queue_mod.Empty:
-                raise WorkerError(
-                    f"epoch {epoch}: only {len(vectors)}/{self.n_workers} "
-                    "worker models arrived"
-                ) from None
-            if msg[0] == "error":
-                fleet.abort()
-                raise fleet.failed(msg[1], msg[2])
+            msg = fleet.receive(BARRIER_TIMEOUT_S)
             _, worker_id, msg_epoch, vec, count = msg
             if msg_epoch != epoch:
                 raise WorkerError(
@@ -345,32 +328,17 @@ class ParallelTrainer:
             [vectors[w] for w in order], [counts[w] for w in order]
         )
         self.model.load_parameter_vector(averaged)
-        write_vector(param_raw, averaged)
+        params[:] = averaged
         self._tuples_seen += int(sum(counts.values()))
         fleet.rendezvous()  # B: release workers into next epoch
 
-    def _async_epoch(self, param_raw, fleet) -> None:
+    def _async_epoch(self, params, fleet) -> None:
         fleet.rendezvous()  # A: epoch start
         fleet.rendezvous()  # B: all workers finished the epoch
-        self.model.load_parameter_vector(vector_view(param_raw))
+        self.model.load_parameter_vector(params)
         self._tuples_seen += int(self.eval_set.n_tuples)
 
     # ------------------------------------------------------------------
-    def _evaluate(self, epoch: int, lr: float) -> EpochRecord:
-        ev = self.eval_set
-        return EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            train_loss=self.model.loss(ev.X, ev.y),
-            train_score=self.model.score(ev.X, ev.y),
-            test_score=(
-                self.model.score(self.test_set.X, self.test_set.y)
-                if self.test_set is not None
-                else None
-            ),
-            tuples_seen=self._tuples_seen,
-        )
-
     def _save_checkpoint(self, epoch: int, cursor: int, history: ConvergenceHistory) -> None:
         if self.checkpoint is None:
             return

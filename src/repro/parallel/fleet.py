@@ -1,16 +1,21 @@
-"""The spawned workers of one run: what both coordinators do with them.
+"""The worker fleet: ``PN`` processes spawned once, re-armed per statement.
 
 :class:`~repro.parallel.engine.ParallelTrainer` and
 :class:`~repro.parallel.hopper.HopperEngine` differ in what moves through
 shared memory; how they own their worker processes is identical, and lives
-here once — spawn the fleet around one barrier / stop event / results queue,
-meet it at barriers, translate a broken barrier into :class:`WorkerError`
-with the worker's traceback, and on the way out drain every worker's stats
-and reap every child (no leaked processes, whatever path the run took).
+here once.  A fleet is ``PN`` idle :func:`~repro.parallel.worker.worker_loop`
+processes around one barrier / stop event / results queue.  A statement
+*arms* it (entry point, per-worker config, shared-array handles), meets it
+at barriers, and *collects* every worker's stats — after which the workers
+are idle again and the next statement pays no spawn.  Any abort (a worker's
+error, a stop request, a crash) closes the fleet instead: a broken barrier
+is not reusable, so the owner spawns a fresh one next time.  ``close()``
+reaps every child whatever state it is in (no leaked processes).
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import queue as queue_mod
 import threading
@@ -19,13 +24,19 @@ import time
 from .. import obs
 from ..ml.trainer import TrainInterrupted
 from ..obs import LoaderMetrics, StorageMetrics
-from .worker import BARRIER_TIMEOUT_S
+from .worker import BARRIER_TIMEOUT_S, worker_loop
 
-__all__ = ["WorkerError", "WorkerFleet"]
+__all__ = ["WorkerError", "WorkerFleet", "running_fleet"]
+
+# ``fork`` would copy the daemon's threads' locks into the workers.
+_START_METHOD = "spawn"
 
 # How long the coordinator waits for end-of-run stats before declaring a
-# worker lost (it then terminates stragglers rather than leaking them).
+# worker lost.
 _COLLECT_TIMEOUT_S = 60.0
+
+# How long ``close()`` lets workers leave by themselves before terminating.
+_CLOSE_JOIN_S = 2.0
 
 
 class WorkerError(RuntimeError):
@@ -33,41 +44,65 @@ class WorkerError(RuntimeError):
 
 
 class WorkerFleet:
-    """``len(configs)`` spawned processes plus the primitives they share."""
+    """``n_workers`` spawned processes plus the primitives they share."""
 
-    def __init__(
-        self,
-        target,
-        configs: list,
-        shared: tuple,
-        *,
-        label: str,
-        start_method: str = "spawn",
-        should_stop=None,
-    ):
-        """Start ``target(config, *shared, barrier, stop, results)`` per config.
-
-        ``should_stop`` is probed before every rendezvous; once it returns
-        true the run ends with :class:`~repro.ml.trainer.TrainInterrupted`
-        (progress is whatever the coordinator last checkpointed).
-        """
-        ctx = mp.get_context(start_method)
-        self.label = label
-        self.should_stop = should_stop
-        self.barrier = ctx.Barrier(len(configs) + 1)
+    def __init__(self, n_workers: int):
+        ctx = mp.get_context(_START_METHOD)
+        self.n_workers = int(n_workers)
+        self.label = "fleet"
+        self.should_stop = None
+        self.closed = False
+        self._statements = 0
+        self.barrier = ctx.Barrier(self.n_workers + 1)
         self.stop = ctx.Event()
         self.results = ctx.Queue()
-        self.procs = [
-            ctx.Process(
-                target=target,
-                args=(config, *shared, self.barrier, self.stop, self.results),
-                daemon=True,
-                name=f"repro-{label}-w{w}",
-            )
-            for w, config in enumerate(configs)
-        ]
-        for proc in self.procs:
-            proc.start()
+        self.procs = []
+        self._tasks = []
+        with obs.span("parallel.fleet.spawn", n_workers=self.n_workers):
+            for w in range(self.n_workers):
+                # A pipe, not a queue: sending needs no feeder thread in the
+                # coordinator, and closing it is the idle worker's exit signal.
+                receive, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=worker_loop,
+                    args=(w, receive, self.barrier, self.stop, self.results),
+                    daemon=True,
+                    name=f"repro-parallel-w{w}",
+                )
+                proc.start()
+                receive.close()
+                self.procs.append(proc)
+                self._tasks.append(send)
+            self.pids = [proc.pid for proc in self.procs]
+            try:
+                self.rendezvous()  # every worker has finished importing
+            except BaseException:
+                self.close()
+                raise
+        obs.inc("parallel.fleet.spawns")
+
+    def arm(self, entry, configs: list, handles: list, *, label: str, should_stop=None) -> None:
+        """Start one statement: worker ``w`` runs ``entry`` on ``configs[w]``.
+
+        ``handles`` name the statement's shared arrays
+        (:func:`~repro.parallel.shm.shared_arrays`).  ``should_stop`` is
+        probed before every rendezvous; once it returns true the run ends
+        with :class:`~repro.ml.trainer.TrainInterrupted` (progress is
+        whatever the coordinator last checkpointed).
+        """
+        if self.closed:
+            raise ValueError("cannot arm a closed fleet")
+        if len(configs) != self.n_workers:
+            raise ValueError(f"{len(configs)} configs for a {self.n_workers}-worker fleet")
+        self.label, self.should_stop = label, should_stop
+        if self._statements:
+            obs.inc("parallel.fleet.reuses")
+        self._statements += 1
+        try:
+            for send, config in zip(self._tasks, configs):
+                send.send((entry, config, handles, label, obs.enabled()))
+        except OSError:
+            raise WorkerError(f"a {label} worker died while idle") from None
 
     def rendezvous(self) -> None:
         """Meet every worker at the barrier (one side of a sync point)."""
@@ -78,27 +113,33 @@ class WorkerFleet:
         except threading.BrokenBarrierError:
             raise self._worker_failure() from None
 
-    def abort(self) -> None:
-        """Release every worker into its clean-shutdown path."""
-        self.stop.set()
-        self.barrier.abort()
-
-    def failed(self, worker_id, traceback_text: str) -> WorkerError:
-        return WorkerError(f"{self.label} worker {worker_id} failed:\n{traceback_text}")
-
-    def _worker_failure(self) -> WorkerError:
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
+    def receive(self, timeout: float) -> tuple:
+        """The next worker message.  A worker's error report raises, and so
+        does ``timeout`` seconds of silence or a worker found dead."""
+        deadline = time.monotonic() + timeout
+        while True:
             try:
-                msg = self.results.get(timeout=0.2)
+                msg = self.results.get(timeout=0.5)
             except queue_mod.Empty:
+                dead = not all(p.is_alive() for p in self.procs) and self.results.empty()
+                if dead or time.monotonic() > deadline:
+                    raise WorkerError(f"a {self.label} worker died or went silent") from None
                 continue
             if msg[0] == "error":
-                return self.failed(msg[1], msg[2])
-        return WorkerError(f"a {self.label} worker died without reporting an error")
+                raise WorkerError(f"{self.label} worker {msg[1]} failed:\n{msg[2]}")
+            return msg
+
+    def _worker_failure(self) -> WorkerError:
+        """Why the barrier broke: the failed worker's report, once found
+        among whatever else was in flight."""
+        try:
+            while True:
+                self.receive(5.0)
+        except WorkerError as exc:
+            return exc
 
     def collect(self):
-        """Drain worker stats and reap every child (leak-free by contract).
+        """End one statement: every worker's stats, leaving the fleet idle.
 
         Returns ``(per_worker, loader_stats, storage_stats, tuples)``.
         """
@@ -106,26 +147,17 @@ class WorkerFleet:
         merged_loader = LoaderMetrics(self.label)
         merged_storage = StorageMetrics(self.label)
         worker_tuples = 0
-        deadline = time.monotonic() + _COLLECT_TIMEOUT_S
-        got = 0
-        error: WorkerError | None = None
-        while got < len(self.procs) and time.monotonic() < deadline:
-            try:
-                msg = self.results.get(timeout=0.5)
-            except queue_mod.Empty:
-                if not any(p.is_alive() for p in self.procs) and self.results.empty():
-                    break
-                continue
-            if msg[0] == "error":
-                error = error or self.failed(msg[1], msg[2])
-                got += 1
-                continue
-            if msg[0] != "stats":
-                continue  # stale model message from an aborted epoch
-            _, worker_id, loader, storage, tuples_done, payload = msg
+        while len(per_worker) < self.n_workers:
+            msg = self.receive(_COLLECT_TIMEOUT_S)
+            _, worker_id, loader, storage, tuples_done, telemetry = msg
             merged_loader.merge(loader)
             merged_storage.merge(storage)
-            self._merge_obs_payload(worker_id, payload)
+            # Worker spans keep their parent links and are stamped
+            # ``worker=<id>``; counters/gauges/histograms fold into the
+            # session registry — one merged timeline, one metrics snapshot.
+            if telemetry["tracer"] is not None and obs.enabled():
+                obs.get_tracer().merge(telemetry["tracer"], worker=worker_id)
+            obs.get_registry().merge(telemetry["registry"])
             worker_tuples += int(tuples_done)
             per_worker.append(
                 {
@@ -135,26 +167,41 @@ class WorkerFleet:
                     "storage": storage.as_dict(),
                 }
             )
-            got += 1
-        for proc in self.procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - defensive reaping
-                proc.terminate()
-                proc.join(timeout=5.0)
+        self.should_stop = None  # the statement's closure must not outlive it
         per_worker.sort(key=lambda d: d["worker_id"])
-        if error is not None and not self.stop.is_set():
-            raise error
         return per_worker, merged_loader, merged_storage, worker_tuples
 
-    @staticmethod
-    def _merge_obs_payload(worker_id: int, payload: dict) -> None:
-        """Fold one worker's shipped telemetry into the session obs state.
+    def close(self) -> None:
+        """Stop and reap every worker, idle or mid-statement (idempotent)."""
+        if self.closed:
+            return
+        self.closed = True
+        self.should_stop = None
+        self.stop.set()
+        self.barrier.abort()  # workers at a sync point leave through it
+        for send in self._tasks:
+            send.close()  # idle workers read EOF
+        deadline = time.monotonic() + _CLOSE_JOIN_S
+        for proc in self.procs:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
 
-        Worker spans keep their parent links and are stamped
-        ``worker=<id>``; counters/gauges/histograms fold into the session
-        registry — so a parallel run produces one merged timeline and one
-        metrics snapshot.
-        """
-        if payload["tracer"] is not None and obs.enabled():
-            obs.get_tracer().merge(payload["tracer"], worker=worker_id)
-        obs.get_registry().merge(payload["registry"])
+
+@contextlib.contextmanager
+def running_fleet(fleet: WorkerFleet | None, n_workers: int):
+    """The fleet one run executes on: the caller's, or one opened for this
+    run and closed on the way out.  Whatever aborts the run closes the fleet
+    either way — its owner spawns a fresh one for the next statement."""
+    own = fleet is None
+    if own:
+        fleet = WorkerFleet(n_workers)
+    try:
+        yield fleet
+    except BaseException:
+        fleet.close()
+        raise
+    finally:
+        if own:
+            fleet.close()

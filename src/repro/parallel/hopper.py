@@ -58,13 +58,13 @@ from .. import obs
 from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
-from ..ml.trainer import ConvergenceHistory, EpochRecord
+from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record
 from ..storage.blockfile import BlockFileReader
 from .engine import load_block_dataset
-from .fleet import WorkerFleet
+from .fleet import WorkerFleet, running_fleet
 from .plan import ShardPlanner
-from .shm import alloc_vector, slab_view
-from .worker import ShardFetcher, _CoordinatorAbort, _obs_payload, _sync_point
+from .shm import shared_arrays
+from .worker import ShardFetcher, step_shard
 
 __all__ = [
     "HopperSchedule",
@@ -202,60 +202,27 @@ class HopperWorkerConfig:
     epochs: int
     buffer_blocks: int
     start_slot: int = 0
-    extra: dict = field(default_factory=dict)
 
 
-def hopper_worker_main(cfg: HopperWorkerConfig, slab_raw, barrier, stop, results) -> None:
-    """Entry point executed inside each spawned hopper worker process."""
-    if cfg.extra.get("trace"):
-        obs.enable()
-    loader_stats = LoaderMetrics(f"hopper-worker{cfg.worker_id}")
-    storage_stats = StorageMetrics(f"hopper-worker{cfg.worker_id}")
+def hopper_worker_main(cfg: HopperWorkerConfig, planner, fetcher, arrays, sync, results) -> int:
+    """The grid entry point: host whichever model the schedule hands this
+    worker each slot; returns the tuples this worker stepped."""
+    models = [model_from_bytes(blob) for blob in cfg.model_blobs]
+    schedule = HopperSchedule(cfg.n_models, cfg.n_workers, cfg.epochs)
+    (slab,) = arrays
     tuples_done = 0
-    reader = None
-    try:
-        models = [model_from_bytes(blob) for blob in cfg.model_blobs]
-        reader = BlockFileReader(cfg.path, storage_stats=storage_stats)
-        planner = ShardPlanner.for_block_file(
-            cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
-        )
-        fetcher = ShardFetcher(reader, planner.tuples_per_block, loader_stats)
-        schedule = HopperSchedule(cfg.n_models, cfg.n_workers, cfg.epochs)
-        loader_stats.record_thread_started()
-        slab = slab_view(slab_raw, cfg.n_models)
-        with obs.span("hopper.worker", worker=cfg.worker_id):
-            for slot in range(cfg.start_slot, schedule.total_slots):
-                _sync_point(barrier, stop)  # A: slab rows current
-                m = schedule.model_at(cfg.worker_id, slot)
-                if m is None:
-                    obs.inc("hopper.bubbles")
-                else:
-                    tuples_done += _run_slot(
-                        cfg, schedule, planner, fetcher, models[m], slab, m, slot
-                    )
-                _sync_point(barrier, stop)  # B: coordinator reads the slab
-    except _CoordinatorAbort:
-        pass  # clean shutdown requested; fall through to ship stats
-    except BaseException:
-        import traceback
-
-        barrier.abort()
-        results.put(("error", cfg.worker_id, traceback.format_exc()))
-        return
-    finally:
-        if reader is not None:
-            reader.close()
-        loader_stats.record_thread_joined()
-    results.put(
-        (
-            "stats",
-            cfg.worker_id,
-            loader_stats,
-            storage_stats,
-            tuples_done,
-            _obs_payload(),
-        )
-    )
+    with obs.span("hopper.worker", worker=cfg.worker_id):
+        for slot in range(cfg.start_slot, schedule.total_slots):
+            sync()  # A: slab rows current
+            m = schedule.model_at(cfg.worker_id, slot)
+            if m is None:
+                obs.inc("hopper.bubbles")
+            else:
+                tuples_done += _run_slot(
+                    cfg, schedule, planner, fetcher, models[m], slab, m, slot
+                )
+            sync()  # B: coordinator reads the slab
+    return tuples_done
 
 
 def _run_slot(cfg, schedule, planner, fetcher, model, slab, m, slot) -> int:
@@ -269,12 +236,7 @@ def _run_slot(cfg, schedule, planner, fetcher, model, slab, m, slot) -> int:
         t0 = time.perf_counter()
         model.load_parameter_vector(slab[m].copy())
         obs.observe("hopper.serialize_s", time.perf_counter() - t0)
-        count = 0
-        for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-            fill = fetcher.fetch_fill(group, indices)
-            # fused per-tuple kernels, visit order
-            model.step_block(fill.features_matrix(), fill.labels, lr)
-            count += len(fill)
+        count = step_shard(model, planner, fetcher, epoch, cfg.worker_id, lr)
         t1 = time.perf_counter()
         slab[m, :] = model.parameter_vector()
         obs.observe("hopper.serialize_s", time.perf_counter() - t1)
@@ -367,7 +329,7 @@ class HopperEngine:
         checkpoint_path: str | Path | None = None,
         task: str = "binary",
         on_slot=None,
-        start_method: str = "spawn",
+        fleet: WorkerFleet | None = None,
     ):
         if not models:
             raise ValueError("need at least one model")
@@ -389,7 +351,8 @@ class HopperEngine:
         self.seed = int(seed)
         self.checkpoint_path = None if checkpoint_path is None else Path(checkpoint_path)
         self.on_slot = on_slot
-        self.start_method = start_method
+        #: The fleet to run on; ``None`` opens one for the length of ``run``.
+        self.fleet = fleet
         self.planner = ShardPlanner.for_block_file(
             self.path, n_workers, buffer_blocks, seed=self.seed
         )
@@ -413,38 +376,37 @@ class HopperEngine:
         if loaded is not None:
             start_slot, slab_init = loaded
 
-        slab_raw = alloc_vector(S * self.dim)
-        slab = slab_view(slab_raw, S)
-        slab[:, :] = slab_init
         blobs = tuple(model_to_bytes(m) for m in self.models)
-        fleet = WorkerFleet(
-            hopper_worker_main,
-            [
-                HopperWorkerConfig(
-                    worker_id=w,
-                    n_workers=self.planner.n_workers,
-                    n_models=S,
-                    path=self.path,
-                    model_blobs=blobs,
-                    lrs=tuple(self.lrs),
-                    decays=tuple(self.decays),
-                    seed=self.seed,
-                    epochs=self.epochs,
-                    buffer_blocks=self.planner.buffer_blocks,
-                    start_slot=start_slot,
-                    extra={"trace": obs.enabled()},
-                )
-                for w in range(self.planner.n_workers)
-            ],
-            (slab_raw,),
-            label="hopper",
-            start_method=self.start_method,
-        )
-
         slot_walls: list[float] = []
-        slots_run = 0
-        t_start = time.perf_counter()
-        try:
+        # The fleet is entered last so an abort reaps it before the slab's
+        # name is unlinked (see repro.parallel.shm).
+        with (
+            shared_arrays((S, self.dim)) as ((slab,), handles),
+            running_fleet(self.fleet, self.planner.n_workers) as fleet,
+        ):
+            slab[:, :] = slab_init
+            fleet.arm(
+                hopper_worker_main,
+                [
+                    HopperWorkerConfig(
+                        worker_id=w,
+                        n_workers=self.planner.n_workers,
+                        n_models=S,
+                        path=self.path,
+                        model_blobs=blobs,
+                        lrs=tuple(self.lrs),
+                        decays=tuple(self.decays),
+                        seed=self.seed,
+                        epochs=self.epochs,
+                        buffer_blocks=self.planner.buffer_blocks,
+                        start_slot=start_slot,
+                    )
+                    for w in range(self.planner.n_workers)
+                ],
+                handles,
+                label="hopper",
+            )
+            t_start = time.perf_counter()
             for slot in range(start_slot, self.schedule.total_slots):
                 t0 = time.perf_counter()
                 with obs.span("hopper.coordinator_slot", slot=slot) as sp:
@@ -456,27 +418,22 @@ class HopperEngine:
                     wall = time.perf_counter() - t0
                     sp.set(wall_s=wall)
                 slot_walls.append(wall)
-                slots_run += 1
                 obs.inc("hopper.slots")
                 if self.on_slot is not None:
                     self.on_slot(slot, self._progress_doc(slot + 1, histories))
-        except BaseException:
-            fleet.abort()
-            raise
-        finally:
             per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
-        wall_seconds = time.perf_counter() - t_start
+            wall_seconds = time.perf_counter() - t_start
 
-        for m, model in enumerate(self.models):
-            model.load_parameter_vector(slab[m].copy())
-        if self.checkpoint_path is not None:
-            self._save_checkpoint(self.schedule.total_slots, slab, histories)
+            for m, model in enumerate(self.models):
+                model.load_parameter_vector(slab[m].copy())
+            if self.checkpoint_path is not None:
+                self._save_checkpoint(self.schedule.total_slots, slab, histories)
         return HopperResult(
             models=self.models,
             histories=histories,
             labels=self.labels,
             schedule=self.schedule,
-            slots_run=slots_run,
+            slots_run=len(slot_walls),
             tuples_processed=worker_tuples,
             slot_walls=slot_walls,
             wall_seconds=wall_seconds,
@@ -488,22 +445,10 @@ class HopperEngine:
 
     # ------------------------------------------------------------------
     def _evaluate_completions(self, slot, slab, histories) -> None:
-        ev = self.eval_set
-        for m in range(self.schedule.n_models):
-            epoch = self.schedule.completes_epoch(m, slot)
-            if epoch is None:
-                continue
-            model = self.models[m]
-            model.load_parameter_vector(slab[m].copy())
+        for m, epoch in _completions(self.schedule, slot):
+            self.models[m].load_parameter_vector(slab[m].copy())
             histories[m].append(
-                EpochRecord(
-                    epoch=epoch,
-                    lr=self.lrs[m] * self.decays[m] ** epoch,
-                    train_loss=model.loss(ev.X, ev.y),
-                    train_score=model.score(ev.X, ev.y),
-                    test_score=None,
-                    tuples_seen=(epoch + 1) * int(ev.n_tuples),
-                )
+                _hop_record(self.models[m], self.eval_set, epoch, self.lrs[m], self.decays[m])
             )
             obs.inc("hopper.epochs_completed")
 
@@ -621,25 +566,26 @@ def run_hopper_inprocess(
                 epoch = schedule.epoch_of(p)
                 lr = float(lrs[m]) * float(decays[m]) ** epoch
                 t0 = time.perf_counter()
-                for group, indices in planner.worker_buffer_fills(epoch, worker):
-                    fill = fetcher.fetch_fill(group, indices)
-                    models[m].step_block(fill.features_matrix(), fill.labels, lr)
+                step_shard(models[m], planner, fetcher, epoch, worker, lr)
                 unit_times[(slot, worker)] = time.perf_counter() - t0
-            for m in range(schedule.n_models):
-                epoch = schedule.completes_epoch(m, slot)
-                if epoch is None:
-                    continue
-                histories[m].append(
-                    EpochRecord(
-                        epoch=epoch,
-                        lr=float(lrs[m]) * float(decays[m]) ** epoch,
-                        train_loss=models[m].loss(eval_set.X, eval_set.y),
-                        train_score=models[m].score(eval_set.X, eval_set.y),
-                        test_score=None,
-                        tuples_seen=(epoch + 1) * int(eval_set.n_tuples),
-                    )
-                )
+            for m, epoch in _completions(schedule, slot):
+                histories[m].append(_hop_record(models[m], eval_set, epoch, lrs[m], decays[m]))
     return models, histories, unit_times
+
+
+def _completions(schedule: HopperSchedule, slot: int):
+    """``(model, epoch)`` for every model that finishes an epoch with ``slot``."""
+    for m in range(schedule.n_models):
+        epoch = schedule.completes_epoch(m, slot)
+        if epoch is not None:
+            yield m, epoch
+
+
+def _hop_record(model, eval_set, epoch: int, lr: float, decay: float) -> EpochRecord:
+    return epoch_record(
+        model, eval_set, None, epoch, float(lr) * float(decay) ** epoch,
+        (epoch + 1) * int(eval_set.n_tuples),
+    )
 
 
 def modeled_walls(schedule: HopperSchedule, unit_times: dict) -> dict:

@@ -1,25 +1,32 @@
 """The worker-process side of the multi-process engine.
 
-``worker_main`` is a module-level function (spawn-picklable) that each
-worker process runs: rebuild the model from its blob, open a private
+A fleet worker is one long-lived process running :func:`worker_loop`: it
+idles on its task pipe, and each *armed* statement hands it an entry point,
+a config and the handles of the statement's shared arrays.  The loop does
+what every statement needs — fresh telemetry, a private
 :class:`~repro.storage.blockfile.BlockFileReader` over the shared block
-file, derive the shard plan locally (it is a pure function of the seed, so
-no plan bytes ever cross the process boundary), and execute the configured
-aggregation mode against the shared-memory vectors under the coordinator's
-barrier protocol.
+file, the shard plan derived locally (it is a pure function of the seed, so
+no plan bytes ever cross the process boundary), the stats message home — and
+the entry point (:func:`worker_main` here, ``hopper_worker_main`` for a
+grid) is only its barrier protocol against the shared arrays.
 
 Error discipline: any exception is reported through the results queue and
 the barrier is aborted so the coordinator never deadlocks on a dead
-worker; conversely a coordinator abort (stop event + broken barrier) is a
-clean shutdown path, after which the worker still ships its stats home.
+worker; conversely a coordinator abort (stop event + broken barrier) ends
+the worker — an aborted fleet is discarded, never re-armed.  A worker whose
+coordinator was killed exits by itself, idle or mid-statement.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing as mp
+import os
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 
 import numpy as np
 
@@ -30,9 +37,9 @@ from ..storage.blockfile import BlockFileReader
 from ..storage.codec import RowStream, TupleBatch
 from .aggregate import pack_gradients
 from .plan import ShardPlanner
-from .shm import slab_view, vector_view
+from .shm import attach_arrays
 
-__all__ = ["WorkerConfig", "ShardFetcher", "worker_main", "BARRIER_TIMEOUT_S"]
+__all__ = ["WorkerConfig", "ShardFetcher", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
 
 # Generous: a stuck peer is a bug, not a slow disk; the coordinator's
 # no-leaked-children guard needs workers to give up rather than hang.
@@ -55,7 +62,6 @@ class WorkerConfig:
     schedule: object  # callable epoch -> lr (plain dataclass, picklable)
     start_epoch: int = 0
     start_step: int = 0  # sync-mode resume: global steps already applied
-    extra: dict = field(default_factory=dict)
 
 
 class ShardFetcher:
@@ -91,61 +97,69 @@ class ShardFetcher:
 
 
 # ----------------------------------------------------------------------
-# Worker process entry point
+# The fleet's worker loop
 # ----------------------------------------------------------------------
 
 
-def worker_main(cfg: WorkerConfig, param_raw, grad_raw, barrier, stop, results) -> None:
-    """Entry point executed inside each spawned worker process."""
-    if cfg.extra.get("trace"):
-        # Spawned processes start with a fresh, disabled session tracer;
-        # turning it on here makes every span below land in this worker's
-        # local buffer, shipped home with the stats message.
-        obs.enable()
-    loader_stats = LoaderMetrics(f"parallel-worker{cfg.worker_id}")
-    storage_stats = StorageMetrics(f"parallel-worker{cfg.worker_id}")
-    tuples_done = 0
-    reader = None
+def worker_loop(worker_id: int, tasks, barrier, stop, results) -> None:
+    """One fleet process: idle on ``tasks``, run each armed statement."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    sync = functools.partial(_sync_point, barrier, stop)
     try:
-        model = model_from_bytes(cfg.model_blob)
-        reader = BlockFileReader(cfg.path, storage_stats=storage_stats)
+        sync()  # imports done: the fleet is up
+        while True:
+            try:
+                task = tasks.recv()
+            except EOFError:
+                return  # the fleet was closed
+            _run_statement(worker_id, *task, sync, results)
+    except _CoordinatorAbort:
+        pass
+    except BaseException:
+        barrier.abort()
+        results.put(("error", worker_id, traceback.format_exc()))
+
+
+def _exit_with_parent() -> None:
+    """Die with the coordinator, even a SIGKILLed one: neither the idle
+    ``recv`` nor a barrier wait may keep an orphan alive."""
+    wait_ready([mp.parent_process().sentinel])
+    os._exit(1)
+
+
+def _run_statement(worker_id, entry, cfg, handles, label, trace, sync, results) -> None:
+    """``entry``'s protocol on this worker's shard, then the stats message.
+
+    The process outlives the statement, so its session telemetry starts
+    from zero here — the message carries this statement only — and traces
+    iff the coordinator does (the spans ship home in the message).
+    """
+    obs.reset()
+    (obs.enable if trace else obs.disable)()
+    loader_stats = LoaderMetrics(f"{label}-worker{worker_id}")
+    storage_stats = StorageMetrics(f"{label}-worker{worker_id}")
+    with BlockFileReader(cfg.path, storage_stats=storage_stats) as reader:
         planner = ShardPlanner.for_block_file(
             cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
         )
         fetcher = ShardFetcher(reader, planner.tuples_per_block, loader_stats)
         loader_stats.record_thread_started()
-        runner = {"sync": _run_sync, "async": _run_async, "epoch": _run_epoch}[cfg.mode]
-        with obs.span("worker", worker=cfg.worker_id, mode=cfg.mode):
-            tuples_done = runner(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, results)
-    except _CoordinatorAbort:
-        pass  # clean shutdown requested; fall through to ship stats
-    except BaseException:
-        barrier.abort()
-        results.put(("error", cfg.worker_id, traceback.format_exc()))
-        return
-    finally:
-        if reader is not None:
-            reader.close()
-        loader_stats.record_thread_joined()
-    results.put(
-        (
-            "stats",
-            cfg.worker_id,
-            loader_stats,
-            storage_stats,
-            tuples_done,
-            _obs_payload(),
-        )
-    )
-
-
-def _obs_payload() -> dict:
-    """This process's telemetry, picklable for the results queue."""
+        try:
+            tuples_done = entry(cfg, planner, fetcher, attach_arrays(handles), sync, results)
+        finally:
+            loader_stats.record_thread_joined()
     tracer = obs.get_tracer()
-    return {
-        "tracer": tracer if tracer.enabled else None,
-        "registry": obs.get_registry(),
-    }
+    telemetry = {"tracer": tracer if tracer.enabled else None, "registry": obs.get_registry()}
+    results.put(("stats", worker_id, loader_stats, storage_stats, tuples_done, telemetry))
+
+
+def worker_main(cfg: WorkerConfig, planner, fetcher, arrays, sync, results) -> int:
+    """The data-parallel entry point: ``cfg.mode``'s protocol over
+    ``(params, gradient slots)``; returns the tuples this worker stepped."""
+    model = model_from_bytes(cfg.model_blob)
+    runner = {"sync": _run_sync, "async": _run_async, "epoch": _run_epoch}[cfg.mode]
+    with obs.span("worker", worker=cfg.worker_id, mode=cfg.mode):
+        return runner(cfg, planner, fetcher, model, *arrays, sync, results)
 
 
 class _CoordinatorAbort(Exception):
@@ -176,6 +190,17 @@ def _sync_point(barrier, stop) -> None:
         raise _CoordinatorAbort()
 
 
+def step_shard(model, planner, fetcher: ShardFetcher, epoch: int, worker: int, lr: float) -> int:
+    """One pass of local SGD over ``worker``'s shard of ``epoch`` (fused
+    per-tuple kernels, visit order); returns the tuples stepped."""
+    count = 0
+    for group, indices in planner.worker_buffer_fills(epoch, worker):
+        fill = fetcher.fetch_fill(group, indices)
+        model.step_block(fill.features_matrix(), fill.labels, lr)
+        count += len(fill)
+    return count
+
+
 def _fill_stream(fetcher: ShardFetcher, fills) -> RowStream:
     """``fills`` (planned ``(group, indices)`` pairs) as a row stream, each
     fetched only when the rows before it are used up."""
@@ -204,31 +229,28 @@ def _epoch_slices(cfg, planner, fetcher, epoch: int, skip: int):
         yield stream.take(per_worker)
 
 
-def _run_sync(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, results) -> int:
+def _run_sync(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
     """Per-batch gradient averaging under the two-barrier step protocol."""
-    params = vector_view(param_raw)
-    grads = slab_view(grad_raw, cfg.n_workers)
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
         skip = cfg.start_step if epoch == cfg.start_epoch else 0
         for unit in _epoch_slices(cfg, planner, fetcher, epoch, skip):
-            _sync_point(barrier, stop)  # A: coordinator published params
+            sync()  # A: coordinator published params
             model.load_parameter_vector(params)
             grads[cfg.worker_id, :] = pack_gradients(
                 model.gradient(unit.features_matrix(), unit.labels), model
             )
             done += len(unit)
-            _sync_point(barrier, stop)  # B: all gradient slots ready
+            sync()  # B: all gradient slots ready
     return done
 
 
-def _run_async(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, results) -> int:
+def _run_async(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
     """Hogwild-style delta pushes; barriers only frame whole epochs."""
-    params = vector_view(param_raw)
     per_worker = max(1, cfg.global_batch_size // cfg.n_workers)
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
-        _sync_point(barrier, stop)  # A: epoch start, params current
+        sync()  # A: epoch start, params current
         lr = float(cfg.schedule(epoch))
         stream = _fill_stream(fetcher, planner.worker_buffer_fills(epoch, cfg.worker_id))
         # ``pull`` never crosses a fill: a step is <= per_worker rows of one.
@@ -238,25 +260,19 @@ def _run_async(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop,
             model.step_block(unit.features_matrix(), unit.labels, lr)
             params += model.parameter_vector() - before  # racy add, by design
             done += len(unit)
-        _sync_point(barrier, stop)  # B: epoch end, coordinator evaluates
+        sync()  # B: epoch end, coordinator evaluates
     return done
 
 
-def _run_epoch(cfg, planner, fetcher, model, param_raw, grad_raw, barrier, stop, results) -> int:
+def _run_epoch(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
     """Local SGD over the whole shard; epoch-end weighted model averaging."""
-    params = vector_view(param_raw)
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
-        _sync_point(barrier, stop)  # A: averaged params published
+        sync()  # A: averaged params published
         model.load_parameter_vector(params)
         lr = float(cfg.schedule(epoch))
-        count = 0
-        for group, indices in planner.worker_buffer_fills(epoch, cfg.worker_id):
-            fill = fetcher.fetch_fill(group, indices)
-            # fused per-tuple kernels, visit order
-            model.step_block(fill.features_matrix(), fill.labels, lr)
-            count += len(fill)
+        count = step_shard(model, planner, fetcher, epoch, cfg.worker_id, lr)
         results.put(("model", cfg.worker_id, epoch, model.parameter_vector(), count))
         done += count
-        _sync_point(barrier, stop)  # B: coordinator averaged the models
+        sync()  # B: coordinator averaged the models
     return done

@@ -516,24 +516,24 @@ class JobManager:
         """
         doc = job.spec
         spec = TrainSpec.from_doc(doc["spec"])
-        db = MiniDB(device=device_by_name(self.device), page_bytes=doc["page_bytes"])
-        db.create_table(
-            spec.table,
-            load_block_dataset(job.blocks_path, task=doc["task"]),
-            compress=doc["compress"],
-            layout=doc["layout"],
-        )
-        result = db.train(
-            spec.to_query(),
-            checkpoint=CheckpointConfig(job.ckpt_path, doc["checkpoint_every_tuples"]),
-            should_stop=lambda: self._stop.is_set() or job.cancel_event.is_set(),
-            # A grid journals its slot progress.  A plain job's progress is
-            # its checkpoint: a journal write per epoch on top would cost a
-            # tenth more fsyncs per job and recover nothing.
-            on_progress=(lambda slots: job.transition(job.state, grid_progress=slots))
-            if spec.grid is not None
-            else None,
-        )
+        with MiniDB(device=device_by_name(self.device), page_bytes=doc["page_bytes"]) as db:
+            db.create_table(
+                spec.table,
+                load_block_dataset(job.blocks_path, task=doc["task"]),
+                compress=doc["compress"],
+                layout=doc["layout"],
+            )
+            result = db.train(
+                spec.to_query(),
+                checkpoint=CheckpointConfig(job.ckpt_path, doc["checkpoint_every_tuples"]),
+                should_stop=lambda: self._stop.is_set() or job.cancel_event.is_set(),
+                # A grid journals its slot progress.  A plain job's progress is
+                # its checkpoint: a journal write per epoch on top would cost a
+                # tenth more fsyncs per job and recover nothing.
+                on_progress=(lambda slots: job.transition(job.state, grid_progress=slots))
+                if spec.grid is not None
+                else None,
+            )
         extra, final = result.query.extra, result.history.final
         summary = {
             "epochs": result.history.epochs,
