@@ -18,8 +18,12 @@ sample × the three latency-scaled device curves (``hdd-scaled``,
 ``ssd-scaled``, ``nvm-scaled`` — scaled so simulated seconds stay short
 while preserving each device's random/sequential ratio).
 
-Results go to the repo-root ``BENCH_advisor.json`` snapshot that travels
-with the PR.
+Every number is on the **simulated** device clock (``"clock": "simulated"``
+in the snapshot): this is a paper / device-model claim, not a stopwatch —
+wall-clock performance is ``benchmarks/e2e`` only.  Results go to the
+repo-root ``BENCH_advisor.json`` snapshot that travels with the PR; it holds
+nothing host-dependent (the run's wall time is printed, not written), so a
+re-run leaves the tree clean.
 
 Usage::
 
@@ -122,6 +126,7 @@ def run_grid(epochs: int, full: bool) -> dict:
             )
     return {
         "bench": "advisor",
+        "clock": "simulated",
         "mode": "full" if full else "quick",
         "epochs": epochs,
         "dataset": "susy",
@@ -174,12 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     epochs = 12 if args.full else 8
     t0 = time.perf_counter()
     results = run_grid(epochs=epochs, full=args.full)
-    results["wall_s"] = round(time.perf_counter() - t0, 2)
+    wall_s = time.perf_counter() - t0
 
     if not args.no_snapshot:
         SNAPSHOT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\n{len(results['points'])} grid points in {results['wall_s']}s "
-          f"-> {SNAPSHOT_PATH}")
+    print(f"\n{len(results['points'])} grid points in {wall_s:.2f}s -> {SNAPSHOT_PATH}")
 
     if args.check:
         failures = check(results, args.tolerance)

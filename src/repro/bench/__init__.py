@@ -1,29 +1,15 @@
-"""Benchmark harness: sweep runners, kernel microbenchmarks, result reporting."""
+"""Experiment harness of the paper-figure benches: sweep runner + result reporting."""
 
-from .kernelbench import FULL_SIZES, QUICK_SIZES, kernel_bench_rows, run_kernel_bench
-from .mopbench import mop_bench_rows, run_mop_bench
-from .parallelbench import parallel_bench_rows, run_parallel_bench
-from .reporting import format_curve, format_table, print_table, save_records
+from .reporting import format_curve, format_table, save_records
 from .runners import ConvergenceSweep, history_row, run_convergence_sweep
-from .timing import ThroughputRecord, compare_throughput, time_best
+from .timing import time_best
 
 __all__ = [
     "format_table",
     "format_curve",
-    "print_table",
     "save_records",
     "ConvergenceSweep",
     "run_convergence_sweep",
     "history_row",
     "time_best",
-    "ThroughputRecord",
-    "compare_throughput",
-    "run_kernel_bench",
-    "kernel_bench_rows",
-    "run_parallel_bench",
-    "parallel_bench_rows",
-    "run_mop_bench",
-    "mop_bench_rows",
-    "QUICK_SIZES",
-    "FULL_SIZES",
 ]

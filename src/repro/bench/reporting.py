@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "print_table", "save_records", "format_curve"]
+__all__ = ["format_table", "save_records", "format_curve"]
 
 
 def format_table(
@@ -47,15 +47,6 @@ def _fmt(value: object) -> str:
             return f"{value:.3e}"
         return f"{value:.4f}".rstrip("0").rstrip(".")
     return str(value)
-
-
-def print_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-    title: str | None = None,
-) -> None:
-    print()
-    print(format_table(rows, columns, title))
 
 
 def format_curve(label: str, values: Sequence[float], width: int = 50) -> str:

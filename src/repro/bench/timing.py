@@ -1,18 +1,11 @@
-"""Timing plumbing for the perf-regression harness.
-
-Small, dependency-free helpers shared by ``benchmarks/bench_kernels.py`` and
-the ``python -m repro kernel-bench`` CLI: best-of-N wall timing and a
-throughput record comparing a scalar against a fused implementation of the
-same work.
-"""
+"""Best-of-N wall timing for overhead guards."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["time_best", "ThroughputRecord", "compare_throughput"]
+__all__ = ["time_best"]
 
 
 def time_best(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -29,52 +22,3 @@ def time_best(fn: Callable[[], object], repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-@dataclass(frozen=True)
-class ThroughputRecord:
-    """Scalar-vs-fused throughput of one kernel on one workload."""
-
-    name: str
-    n_tuples: int
-    scalar_s: float
-    fused_s: float
-
-    @property
-    def scalar_tuples_per_s(self) -> float:
-        return self.n_tuples / self.scalar_s if self.scalar_s > 0 else float("inf")
-
-    @property
-    def fused_tuples_per_s(self) -> float:
-        return self.n_tuples / self.fused_s if self.fused_s > 0 else float("inf")
-
-    @property
-    def speedup(self) -> float:
-        return self.scalar_s / self.fused_s if self.fused_s > 0 else float("inf")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_tuples": self.n_tuples,
-            "scalar_s": self.scalar_s,
-            "fused_s": self.fused_s,
-            "scalar_tuples_per_s": self.scalar_tuples_per_s,
-            "fused_tuples_per_s": self.fused_tuples_per_s,
-            "speedup": self.speedup,
-        }
-
-
-def compare_throughput(
-    name: str,
-    n_tuples: int,
-    scalar_fn: Callable[[], object],
-    fused_fn: Callable[[], object],
-    repeats: int = 3,
-) -> ThroughputRecord:
-    """Time the scalar and fused implementations of one workload."""
-    return ThroughputRecord(
-        name=name,
-        n_tuples=n_tuples,
-        scalar_s=time_best(scalar_fn, repeats),
-        fused_s=time_best(fused_fn, repeats),
-    )

@@ -16,8 +16,6 @@ Commands
 ``bench-io``  print the Figure 20 random-vs-sequential throughput curve
 ``loader-stats``  drive the concurrent loaders and print their
               observability counters (queue depth, stall/wait, overlap)
-``kernel-bench``  time the scalar vs fused decode/SGD kernels and print
-              a tuples/sec throughput table
 ``chaos``     train through fault-injected storage (transient errors, torn
               pages, latency, optional crash+resume) and verify the result
               is bit-identical to the fault-free run; ``--layout columnar``
@@ -293,19 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     loader.add_argument("--buffer-tuples", type=int, default=200)
     loader.add_argument("--prefetch-depth", type=int, default=2)
     _add_common_options(loader, workers=2)
-
-    kernel = sub.add_parser(
-        "kernel-bench",
-        help="time the scalar vs fused decode/SGD kernels",
-    )
-    kernel.add_argument(
-        "--full",
-        action="store_true",
-        help="larger workloads for more stable numbers (default: quick)",
-    )
-    kernel.add_argument("--repeats", type=int, default=3, help="best-of-N repeats")
-    kernel.add_argument("--json", help="also write the full bench document to this path")
-    _add_common_options(kernel, quick=False)
 
     chaos = sub.add_parser(
         "chaos",
@@ -914,29 +899,6 @@ def _cmd_loader_stats(args) -> int:
     return 0
 
 
-def _cmd_kernel_bench(args) -> int:
-    """Time scalar vs fused kernels and print the throughput table."""
-    import json
-
-    from .bench import kernel_bench_rows, run_kernel_bench
-
-    doc = run_kernel_bench(quick=not args.full, seed=args.seed, repeats=args.repeats)
-    title = f"kernel bench ({doc['config']}, seed={args.seed}, best of {args.repeats})"
-    print(format_table(kernel_bench_rows(doc), title=title))
-    summary = doc["summary"]
-    print(
-        f"\nepoch speedup (sparse): {summary['epoch_speedup']:.2f}x   "
-        f"dense: {summary['epoch_dense_speedup']:.2f}x   "
-        f"decode: {summary['decode_speedup']:.2f}x"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     """Train through fault-injected storage and verify equivalence.
 
@@ -1244,7 +1206,6 @@ _COMMANDS = {
     "advise": _cmd_advise,
     "bench-io": _cmd_bench_io,
     "loader-stats": _cmd_loader_stats,
-    "kernel-bench": _cmd_kernel_bench,
     "chaos": _cmd_chaos,
     "migrate": _cmd_migrate,
     "obs-report": _cmd_obs_report,

@@ -88,7 +88,7 @@ class CorgiPileDataset:
         slices = np.array_split(order, self.n_workers)
         return slices[self.worker_id]
 
-    def fills(self, columns=None) -> Iterator[TupleBatch]:
+    def fills(self, columns=None, start: int = 0) -> Iterator[TupleBatch]:
         """The two-level shuffle, one buffer fill at a time.
 
         The worker's share of the shuffled block ids is read ``buffer_blocks``
@@ -97,14 +97,20 @@ class CorgiPileDataset:
         a consumer that trains on whole fills never sees a per-tuple object.
         On a columnar file ``columns`` (names) prunes the read to the chunks
         the consumer touches, e.g. ``training_columns(sparse)``; a fill read
-        without the ``ids`` chunk carries ``-1`` ids.
+        without the ``ids`` chunk carries ``-1`` ids.  ``start`` is the index
+        of the first fill wanted: the fills before it are never read (a
+        resumed worker skips them), only their draws are taken from the
+        tuple-shuffle stream so the rest of the epoch is unchanged.
         """
         # The block-shuffle RNG is shared across workers (same seed, same
         # epoch); the tuple-shuffle RNG is worker-local.
         my_blocks = self._worker_blocks(epoch_rng(self.seed, self.epoch))
         tuple_rng = worker_rng(self.seed, self.epoch, self.worker_id)
-        for lo in range(0, len(my_blocks), self.buffer_blocks):
+        for i, lo in enumerate(range(0, len(my_blocks), self.buffer_blocks)):
             group = my_blocks[lo : lo + self.buffer_blocks]
+            if i < start:
+                tuple_rng.permutation(sum(self.reader.entries[int(b)].n_tuples for b in group))
+                continue
             fill = TupleBatch.concat([self._read_block(int(b), columns) for b in group])
             n = len(fill)
             if self.stats is not None:

@@ -313,18 +313,24 @@ class Catalog:
         """
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
+        info = self._tables[name] = self.build_table(name, dataset, compress, layout)
+        return info
+
+    def build_table(
+        self, name: str, dataset: Dataset, compress: bool = False, layout: str = "row"
+    ) -> TableInfo:
+        """``dataset`` as a heap of this catalog's geometry, *not* registered —
+        what :meth:`create_table` registers, and what a statement-scoped copy is."""
         heap = HeapFile.from_dataset(
             dataset, page_bytes=self.page_bytes, compress=compress, layout=layout
         )
-        info = TableInfo(
+        return TableInfo(
             name=name,
             dataset=dataset,
             heap=heap,
             pool=BufferPool(heap, capacity_pages=self.pool_pages),
             next_tuple_id=dataset.n_tuples,
         )
-        self._tables[name] = info
-        return info
 
     def create_index(self, table: str, name: str, column: str) -> TableIndex:
         """``CREATE INDEX name ON table(column)`` with optional persistence."""

@@ -153,12 +153,10 @@ class MiniDB:
         compute: ComputeProfile = ENGINE_PROFILE,
         page_bytes: int = DEFAULT_PAGE_BYTES,
         pool_pages: int = 1 << 30,
-        cold_cache_per_query: bool = True,
     ):
         self.device = device
         self.compute = compute
         self.catalog = Catalog(page_bytes=page_bytes, pool_pages=pool_pages)
-        self.cold_cache_per_query = cold_cache_per_query
         self._models: dict[str, SupervisedModel] = {}
         self._model_counter = 0
         # Per-table per-epoch wall observations from finished TRAINs; the
@@ -323,19 +321,20 @@ class MiniDB:
             top = PassThroughAccountingOperator(top, ctx, plan.buffer_tuples)
         return top, scan
 
-    def _shuffled_copy(self, table: TableInfo, seed: int) -> TableInfo:
-        """Materialise the Shuffle-Once copy (ORDER BY RANDOM equivalent)."""
-        rng = np.random.default_rng(seed)
-        shuffled = table.dataset.reorder(rng.permutation(table.n_tuples), suffix="so")
-        copy_name = f"{table.name}__shuffled_{seed}"
-        if copy_name in self.catalog:
-            self.catalog.drop_table(copy_name)
-        return self.catalog.create_table(
-            copy_name, shuffled, compress=table.heap.compress, layout=table.heap.layout
+    def _materialised_copy(self, table: TableInfo, order: np.ndarray, suffix: str) -> TableInfo:
+        """``table``'s rows rewritten in ``order`` as a heap of the same format
+        — the Shuffle-Once (``ORDER BY RANDOM()``) and Corgi² offline copies.
+        It lives for the statement only: the catalog never sees it."""
+        return self.catalog.build_table(
+            f"{table.name}__{suffix}",
+            table.dataset.reorder(order, suffix=suffix),
+            compress=table.heap.compress,
+            layout=table.heap.layout,
         )
 
-    def _regrouped_copy(self, table: TableInfo, spec: TrainSpec) -> TableInfo:
-        """Materialise the Corgi² offline partially re-grouped copy."""
+    @staticmethod
+    def _corgi2_order(table: TableInfo, spec: TrainSpec) -> np.ndarray:
+        """The Corgi² offline partial re-grouping of ``table``'s blocks."""
         from ..data.dataset import BlockLayout
         from ..shuffle.corgi2 import corgi2_offline_order
 
@@ -344,14 +343,7 @@ class MiniDB:
         )
         layout = BlockLayout(table.n_tuples, tuples_per_block)
         group_blocks = max(1, round(spec.buffer_fraction * layout.n_blocks))
-        order = corgi2_offline_order(layout, group_blocks, spec.seed)
-        regrouped = table.dataset.reorder(order, suffix="corgi2")
-        copy_name = f"{table.name}__corgi2_{spec.seed}"
-        if copy_name in self.catalog:
-            self.catalog.drop_table(copy_name)
-        return self.catalog.create_table(
-            copy_name, regrouped, compress=table.heap.compress, layout=table.heap.layout
-        )
+        return corgi2_offline_order(layout, group_blocks, spec.seed)
 
     def _warm_start(self, spec: TrainSpec, model: SupervisedModel) -> SupervisedModel:
         """Resolve ``WITH warm_start = '...'`` into initial parameters.
@@ -442,13 +434,13 @@ class MiniDB:
         CorgiPile over that copy — without writing it.
         """
         spec = plan.spec
-        if self.cold_cache_per_query:
-            table.pool.clear()
+        table.pool.clear()  # every statement starts on a cold cache
         source, extra_disk = table, 0.0
         if plan.strategy == "shuffle_once":
-            source = self._shuffled_copy(table, spec.seed)
+            order = np.random.default_rng(spec.seed).permutation(table.n_tuples)
+            source = self._materialised_copy(table, order, "so")
         elif plan.strategy == "corgi2":
-            source = self._regrouped_copy(table, spec)
+            source = self._materialised_copy(table, self._corgi2_order(table, spec), "corgi2")
         if source is not table:
             extra_disk = float(source.heap.total_bytes)
         eval_set = source.dataset

@@ -28,16 +28,14 @@ from .hopper import (
     HopperEngine,
     HopperResult,
     HopperSchedule,
-    modeled_walls,
     run_hopper_inprocess,
 )
 from .plan import ShardPlanner
-from .worker import ShardFetcher, WorkerConfig
+from .worker import WorkerConfig
 
 __all__ = [
     "AGGREGATION_MODES",
     "ShardPlanner",
-    "ShardFetcher",
     "WorkerConfig",
     "ParallelTrainer",
     "ParallelResult",
@@ -48,7 +46,6 @@ __all__ = [
     "HopperEngine",
     "HopperResult",
     "run_hopper_inprocess",
-    "modeled_walls",
     "pack_gradients",
     "unpack_gradients",
     "average_gradient_slots",

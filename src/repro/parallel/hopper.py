@@ -40,8 +40,7 @@ Checkpoints persist the whole slab plus per-model histories atomically
 at the last completed slot and finishes bit-exact.
 
 :func:`run_hopper_inprocess` executes the same schedule serially in one
-process — the reference for equivalence tests and the per-unit timing
-source for ``benchmarks/bench_mop.py``'s modeled critical-path wall.
+process — the reference for equivalence tests.
 """
 
 from __future__ import annotations
@@ -49,22 +48,23 @@ from __future__ import annotations
 import io
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .. import obs
+from ..core.dataset import CorgiPileDataset
 from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
 from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record
-from ..storage.blockfile import BlockFileReader
 from .engine import load_block_dataset
 from .fleet import WorkerFleet, running_fleet
 from .plan import ShardPlanner
 from .shm import shared_arrays
-from .worker import ShardFetcher, step_shard
+from .worker import step_shard
 
 __all__ = [
     "HopperSchedule",
@@ -73,7 +73,6 @@ __all__ = [
     "HopperEngine",
     "hopper_worker_main",
     "run_hopper_inprocess",
-    "modeled_walls",
 ]
 
 _CKPT_VERSION = 1
@@ -204,7 +203,7 @@ class HopperWorkerConfig:
     start_slot: int = 0
 
 
-def hopper_worker_main(cfg: HopperWorkerConfig, planner, fetcher, arrays, sync, results) -> int:
+def hopper_worker_main(cfg: HopperWorkerConfig, shard, arrays, sync, results) -> int:
     """The grid entry point: host whichever model the schedule hands this
     worker each slot; returns the tuples this worker stepped."""
     models = [model_from_bytes(blob) for blob in cfg.model_blobs]
@@ -218,14 +217,12 @@ def hopper_worker_main(cfg: HopperWorkerConfig, planner, fetcher, arrays, sync, 
             if m is None:
                 obs.inc("hopper.bubbles")
             else:
-                tuples_done += _run_slot(
-                    cfg, schedule, planner, fetcher, models[m], slab, m, slot
-                )
+                tuples_done += _run_slot(cfg, schedule, shard, models[m], slab, m, slot)
             sync()  # B: coordinator reads the slab
     return tuples_done
 
 
-def _run_slot(cfg, schedule, planner, fetcher, model, slab, m, slot) -> int:
+def _run_slot(cfg, schedule, shard, model, slab, m, slot) -> int:
     """Host model ``m`` for one slot: load, step this epoch's fills, store."""
     p = schedule.position(m, slot)
     epoch = schedule.epoch_of(p)
@@ -236,7 +233,7 @@ def _run_slot(cfg, schedule, planner, fetcher, model, slab, m, slot) -> int:
         t0 = time.perf_counter()
         model.load_parameter_vector(slab[m].copy())
         obs.observe("hopper.serialize_s", time.perf_counter() - t0)
-        count = step_shard(model, planner, fetcher, epoch, cfg.worker_id, lr)
+        count = step_shard(model, shard, epoch, lr)
         t1 = time.perf_counter()
         slab[m, :] = model.parameter_vector()
         obs.observe("hopper.serialize_s", time.perf_counter() - t1)
@@ -519,7 +516,7 @@ class HopperEngine:
 
 
 # ----------------------------------------------------------------------
-# In-process reference executor (equivalence tests + modeled bench wall)
+# In-process reference executor (equivalence tests)
 # ----------------------------------------------------------------------
 
 
@@ -539,38 +536,33 @@ def run_hopper_inprocess(
 
     Work units are independent across workers within a slot (distinct
     models, private readers), so serial execution produces bit-identical
-    models to :class:`HopperEngine` while also timing every ``(slot,
-    worker)`` unit — the inputs to the modeled critical-path wall used by
-    ``bench_mop`` on single-core hosts.
-
-    Returns ``(models, histories, unit_times)`` where ``unit_times`` maps
-    ``(slot, worker) -> seconds`` for every *active* unit.
+    models to :class:`HopperEngine`.  Returns ``(models, histories)``.
     """
     path = str(path)
-    planner = ShardPlanner.for_block_file(path, n_workers, buffer_blocks, seed=seed)
-    schedule = HopperSchedule(len(models), planner.n_workers, int(epochs))
+    schedule = HopperSchedule(len(models), int(n_workers), int(epochs))
     eval_set = load_block_dataset(path, task=task)
     histories = [
         ConvergenceHistory(strategy="hopper-ref", model=type(m).__name__)
         for m in models
     ]
-    unit_times: dict[tuple[int, int], float] = {}
-    with BlockFileReader(path) as reader:
-        fetcher = ShardFetcher(reader, planner.tuples_per_block)
+    with ExitStack() as stack:
+        shards = [
+            stack.enter_context(
+                CorgiPileDataset(path, buffer_blocks, seed=seed, worker_id=w, n_workers=n_workers)
+            )
+            for w in range(n_workers)
+        ]
         for slot in range(schedule.total_slots):
-            for worker in range(planner.n_workers):
+            for worker, shard in enumerate(shards):
                 m = schedule.model_at(worker, slot)
                 if m is None:
                     continue
-                p = schedule.position(m, slot)
-                epoch = schedule.epoch_of(p)
+                epoch = schedule.epoch_of(schedule.position(m, slot))
                 lr = float(lrs[m]) * float(decays[m]) ** epoch
-                t0 = time.perf_counter()
-                step_shard(models[m], planner, fetcher, epoch, worker, lr)
-                unit_times[(slot, worker)] = time.perf_counter() - t0
+                step_shard(models[m], shard, epoch, lr)
             for m, epoch in _completions(schedule, slot):
                 histories[m].append(_hop_record(models[m], eval_set, epoch, lrs[m], decays[m]))
-    return models, histories, unit_times
+    return models, histories
 
 
 def _completions(schedule: HopperSchedule, slot: int):
@@ -586,25 +578,3 @@ def _hop_record(model, eval_set, epoch: int, lr: float, decay: float) -> EpochRe
         model, eval_set, None, epoch, float(lr) * float(decay) ** epoch,
         (epoch + 1) * int(eval_set.n_tuples),
     )
-
-
-def modeled_walls(schedule: HopperSchedule, unit_times: dict) -> dict:
-    """Critical-path wall model from per-unit serial timings.
-
-    * ``hopper_wall``: sum over slots of the slowest active unit in that
-      slot — what a perfectly-scheduled P-core host would take.
-    * ``serial_wall``: plain sum of all unit times — what S sequential
-      solo runs cost (they execute the same multiset of units).
-    """
-    per_slot: dict[int, float] = {}
-    for (slot, _worker), secs in unit_times.items():
-        per_slot[slot] = max(per_slot.get(slot, 0.0), secs)
-    hopper_wall = float(sum(per_slot.values()))
-    serial_wall = float(sum(unit_times.values()))
-    return {
-        "hopper_wall_s": hopper_wall,
-        "serial_wall_s": serial_wall,
-        "speedup": serial_wall / hopper_wall if hopper_wall > 0 else 0.0,
-        "bubble_ratio": schedule.bubble_ratio,
-        "slots": schedule.total_slots,
-    }

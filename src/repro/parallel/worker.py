@@ -3,10 +3,9 @@
 A fleet worker is one long-lived process running :func:`worker_loop`: it
 idles on its task pipe, and each *armed* statement hands it an entry point,
 a config and the handles of the statement's shared arrays.  The loop does
-what every statement needs — fresh telemetry, a private
-:class:`~repro.storage.blockfile.BlockFileReader` over the shared block
-file, the shard plan derived locally (it is a pure function of the seed, so
-no plan bytes ever cross the process boundary), the stats message home — and
+what every statement needs — fresh telemetry, its shard of the shared block
+file as a :class:`~repro.core.dataset.CorgiPileDataset` (the one block-file
+fill, over a private reader), the stats message home — and
 the entry point (:func:`worker_main` here, ``hopper_worker_main`` for a
 grid) is only its barrier protocol against the shared arrays.
 
@@ -31,15 +30,16 @@ from multiprocessing.connection import wait as wait_ready
 import numpy as np
 
 from .. import obs
+from ..core.dataset import CorgiPileDataset
 from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.persistence import model_from_bytes
 from ..storage.blockfile import BlockFileReader
-from ..storage.codec import RowStream, TupleBatch
+from ..storage.codec import RowStream
 from .aggregate import pack_gradients
 from .plan import ShardPlanner
 from .shm import attach_arrays
 
-__all__ = ["WorkerConfig", "ShardFetcher", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
+__all__ = ["WorkerConfig", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
 
 # Generous: a stuck peer is a bug, not a slow disk; the coordinator's
 # no-leaked-children guard needs workers to give up rather than hang.
@@ -62,38 +62,6 @@ class WorkerConfig:
     schedule: object  # callable epoch -> lr (plain dataclass, picklable)
     start_epoch: int = 0
     start_step: int = 0  # sync-mode resume: global steps already applied
-
-
-class ShardFetcher:
-    """Reads one worker's buffer fills as visit-ordered batches.
-
-    One fill = one tuple-shuffle buffer: the group's blocks are read
-    through the worker's own reader (each block once), concatenated, and
-    gathered in the fill's shuffled visit order using the block file's
-    contiguous-id arithmetic (``row = base[block] + id - block_start``).
-    """
-
-    def __init__(
-        self,
-        reader: BlockFileReader,
-        tuples_per_block: int,
-        loader_stats: LoaderMetrics | None = None,
-    ):
-        self.reader = reader
-        self.tuples_per_block = int(tuples_per_block)
-        self.loader_stats = loader_stats
-
-    def fetch_fill(self, group: np.ndarray, indices: np.ndarray) -> TupleBatch:
-        """One fill, rows in ``indices`` (visit) order."""
-        blocks = [self.reader.read_block_batch(int(b)) for b in group]
-        # block id -> the block's first row in the concatenation
-        base = np.empty(self.reader.n_blocks, dtype=np.int64)
-        base[group] = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-        block_of, row = np.divmod(np.asarray(indices, dtype=np.int64), self.tuples_per_block)
-        if self.loader_stats is not None:
-            self.loader_stats.record_buffer_filled(int(row.size))
-            self.loader_stats.record_buffer_drained(int(row.size))
-        return TupleBatch.concat(blocks).take(base[block_of] + row)
 
 
 # ----------------------------------------------------------------------
@@ -138,14 +106,14 @@ def _run_statement(worker_id, entry, cfg, handles, label, trace, sync, results) 
     (obs.enable if trace else obs.disable)()
     loader_stats = LoaderMetrics(f"{label}-worker{worker_id}")
     storage_stats = StorageMetrics(f"{label}-worker{worker_id}")
-    with BlockFileReader(cfg.path, storage_stats=storage_stats) as reader:
-        planner = ShardPlanner.for_block_file(
-            cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
-        )
-        fetcher = ShardFetcher(reader, planner.tuples_per_block, loader_stats)
+    with CorgiPileDataset(
+        cfg.path, cfg.buffer_blocks, seed=cfg.seed,
+        worker_id=cfg.worker_id, n_workers=cfg.n_workers, stats=loader_stats,
+        reader_factory=functools.partial(BlockFileReader, storage_stats=storage_stats),
+    ) as shard:
         loader_stats.record_thread_started()
         try:
-            tuples_done = entry(cfg, planner, fetcher, attach_arrays(handles), sync, results)
+            tuples_done = entry(cfg, shard, attach_arrays(handles), sync, results)
         finally:
             loader_stats.record_thread_joined()
     tracer = obs.get_tracer()
@@ -153,13 +121,13 @@ def _run_statement(worker_id, entry, cfg, handles, label, trace, sync, results) 
     results.put(("stats", worker_id, loader_stats, storage_stats, tuples_done, telemetry))
 
 
-def worker_main(cfg: WorkerConfig, planner, fetcher, arrays, sync, results) -> int:
+def worker_main(cfg: WorkerConfig, shard, arrays, sync, results) -> int:
     """The data-parallel entry point: ``cfg.mode``'s protocol over
     ``(params, gradient slots)``; returns the tuples this worker stepped."""
     model = model_from_bytes(cfg.model_blob)
     runner = {"sync": _run_sync, "async": _run_async, "epoch": _run_epoch}[cfg.mode]
     with obs.span("worker", worker=cfg.worker_id, mode=cfg.mode):
-        return runner(cfg, planner, fetcher, model, *arrays, sync, results)
+        return runner(cfg, shard, model, *arrays, sync, results)
 
 
 class _CoordinatorAbort(Exception):
@@ -190,51 +158,59 @@ def _sync_point(barrier, stop) -> None:
         raise _CoordinatorAbort()
 
 
-def step_shard(model, planner, fetcher: ShardFetcher, epoch: int, worker: int, lr: float) -> int:
-    """One pass of local SGD over ``worker``'s shard of ``epoch`` (fused
+def step_shard(model, shard: CorgiPileDataset, epoch: int, lr: float) -> int:
+    """One pass of local SGD over ``shard``'s fills of ``epoch`` (fused
     per-tuple kernels, visit order); returns the tuples stepped."""
+    shard.set_epoch(epoch)
     count = 0
-    for group, indices in planner.worker_buffer_fills(epoch, worker):
-        fill = fetcher.fetch_fill(group, indices)
+    for fill in shard.fills():
         model.step_block(fill.features_matrix(), fill.labels, lr)
         count += len(fill)
     return count
 
 
-def _fill_stream(fetcher: ShardFetcher, fills) -> RowStream:
-    """``fills`` (planned ``(group, indices)`` pairs) as a row stream, each
-    fetched only when the rows before it are used up."""
-    fetched = (fetcher.fetch_fill(group, indices) for group, indices in fills)
-    return RowStream(lambda: next(fetched, None))
+def _fill_stream(shard: CorgiPileDataset, epoch: int, start: int = 0) -> RowStream:
+    """``epoch``'s fills from fill ``start`` on as a row stream, each read
+    only when the rows before it are used up."""
+    shard.set_epoch(epoch)
+    fills = shard.fills(start=start)
+    return RowStream(lambda: next(fills, None))
 
 
-def _epoch_slices(cfg, planner, fetcher, epoch: int, skip: int):
+def _epoch_slices(cfg, planner, shard, epoch: int, skip: int):
     """Yield the epoch's per-step slices of ``bs/PN`` rows, after ``skip`` steps.
 
-    Fills are fetched lazily; whole fills that fall before the resume
-    offset are skipped without touching storage (their visit order is
+    Fills are read lazily; whole fills that fall before the resume offset
+    are skipped without touching storage (their visit order is
     (seed, epoch)-pure, so nothing needs replaying).
     """
     per_worker = cfg.global_batch_size // cfg.n_workers
     n_steps = planner.sync_steps(epoch, cfg.global_batch_size)
     to_skip = skip * per_worker
-    fills = planner.worker_buffer_fills(epoch, cfg.worker_id)
     first = 0
-    while first < len(fills) and to_skip >= fills[first][1].size:
-        to_skip -= int(fills[first][1].size)
-        first += 1
-    stream = _fill_stream(fetcher, fills[first:])
+    if to_skip:
+        sizes = [ids.size for _, ids in planner.worker_buffer_fills(epoch, cfg.worker_id)]
+        while first < len(sizes) and to_skip >= sizes[first]:
+            to_skip -= int(sizes[first])
+            first += 1
+    stream = _fill_stream(shard, epoch, start=first)
     stream.skip(to_skip)
     for _ in range(skip, n_steps):
         yield stream.take(per_worker)
 
 
-def _run_sync(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
-    """Per-batch gradient averaging under the two-barrier step protocol."""
+def _run_sync(cfg, shard, model, params, grads, sync, results) -> int:
+    """Per-batch gradient averaging under the two-barrier step protocol.
+
+    The shard plan (step counts, fill sizes) is derived locally: it is a pure
+    function of the seed, so no plan bytes cross the process boundary."""
+    planner = ShardPlanner.for_block_file(
+        cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
+    )
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
         skip = cfg.start_step if epoch == cfg.start_epoch else 0
-        for unit in _epoch_slices(cfg, planner, fetcher, epoch, skip):
+        for unit in _epoch_slices(cfg, planner, shard, epoch, skip):
             sync()  # A: coordinator published params
             model.load_parameter_vector(params)
             grads[cfg.worker_id, :] = pack_gradients(
@@ -245,14 +221,14 @@ def _run_sync(cfg, planner, fetcher, model, params, grads, sync, results) -> int
     return done
 
 
-def _run_async(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
+def _run_async(cfg, shard, model, params, grads, sync, results) -> int:
     """Hogwild-style delta pushes; barriers only frame whole epochs."""
     per_worker = max(1, cfg.global_batch_size // cfg.n_workers)
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
         sync()  # A: epoch start, params current
         lr = float(cfg.schedule(epoch))
-        stream = _fill_stream(fetcher, planner.worker_buffer_fills(epoch, cfg.worker_id))
+        stream = _fill_stream(shard, epoch)
         # ``pull`` never crosses a fill: a step is <= per_worker rows of one.
         while (unit := stream.pull(per_worker)) is not None:
             before = np.array(params)  # racy snapshot, by design
@@ -264,14 +240,14 @@ def _run_async(cfg, planner, fetcher, model, params, grads, sync, results) -> in
     return done
 
 
-def _run_epoch(cfg, planner, fetcher, model, params, grads, sync, results) -> int:
+def _run_epoch(cfg, shard, model, params, grads, sync, results) -> int:
     """Local SGD over the whole shard; epoch-end weighted model averaging."""
     done = 0
     for epoch in range(cfg.start_epoch, cfg.epochs):
         sync()  # A: averaged params published
         model.load_parameter_vector(params)
         lr = float(cfg.schedule(epoch))
-        count = step_shard(model, planner, fetcher, epoch, cfg.worker_id, lr)
+        count = step_shard(model, shard, epoch, lr)
         results.put(("model", cfg.worker_id, epoch, model.parameter_vector(), count))
         done += count
         sync()  # B: coordinator averaged the models

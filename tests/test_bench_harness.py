@@ -121,30 +121,3 @@ class TestRunners:
         losses = {name: h.train_losses for name, h in sweep.histories.items()}
         assert all(seq[-1] < math.log(2) for seq in losses.values())
         assert losses["shuffle_once"] != losses["no_shuffle"]
-
-
-class TestParallelBench:
-    def test_quick_sweep_document(self):
-        from repro.bench import parallel_bench_rows, run_parallel_bench
-
-        doc = run_parallel_bench(
-            quick=True, seed=0, workers_list=(1, 2), modes=("epoch",)
-        )
-        assert doc["bench"] == "parallel-scaling"
-        assert doc["host_cores"] >= 1
-        assert len(doc["records"]) == 2
-        for rec in doc["records"]:
-            assert rec["measured_epoch_wall_s"] > 0
-            assert rec["speedup_source"] in ("measured", "modeled")
-            # The modeled wall never claims better than perfect scaling.
-            base = doc["records"][0]["measured_epoch_wall_s"]
-            # (both walls are rounded to 6 decimals in the document)
-            assert rec["modeled_epoch_wall_s"] >= base / rec["workers"] - 1e-6
-        one, two = doc["records"]
-        assert one["workers"] == 1 and one["epoch_speedup_vs_1"] == 1.0
-        assert two["epoch_speedup_vs_1"] > 0
-        summary = doc["summary"]
-        assert summary["headline_workers"] == 2
-        assert summary["epoch_speedup_at_max_workers"] == two["epoch_speedup_vs_1"]
-        rows = parallel_bench_rows(doc)
-        assert len(rows) == 2 and "speedup" in rows[0]

@@ -140,7 +140,6 @@ class TestCommonOptionGroup:
             ["loader-stats"],
             ["chaos"],
             ["generate", "susy", "--out", "x"],
-            ["kernel-bench"],
         ],
     )
     def test_seed_defaults_to_zero(self, argv):

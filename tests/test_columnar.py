@@ -28,6 +28,7 @@ from repro.storage import (
     TupleSchema,
     decode_block_columnar,
     encode_block_columnar,
+    encode_tuple,
     migrate_file,
     write_block_file,
 )
@@ -101,6 +102,33 @@ class TestRoundTrip:
         ids_ref = next(r for r in refs if r.col == COL_IDS)
         assert ids_ref.enc == ENC_PACKED and ids_ref.delta == 1
         assert ids_ref.length < 64 * 8  # strictly smaller than raw int64
+
+    @pytest.mark.parametrize("sparse, bound", [(False, 0.97), (True, 0.80)])
+    def test_columnar_payload_is_smaller_than_the_row_payload(self, sparse, bound):
+        """A block of 2048 sequential-id tuples (dense d=32; sparse d=4096 with
+        10 nnz): delta-packed ids and one header per block instead of one per
+        tuple make the columnar bytes ~0.96x / ~0.79x the row bytes."""
+        n, rng = 2048, np.random.default_rng(0)
+        ids = np.arange(n, dtype=np.int64)
+        labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        if sparse:
+            d, nnz = 4096, 10
+            indptr = np.arange(0, nnz * (n + 1), nnz, dtype=np.int64)
+            indices = np.concatenate(
+                [np.sort(rng.choice(d, size=nnz, replace=False)) for _ in range(n)]
+            ).astype(np.int64)
+            batch = TupleBatch(
+                ids, labels, d, indptr=indptr, indices=indices,
+                values=rng.standard_normal(n * nnz),
+            )
+        else:
+            d = 32
+            batch = TupleBatch(ids, labels, d, dense=rng.standard_normal((n, d)))
+        row_bytes = sum(
+            len(encode_tuple(t.tuple_id, t.label, t.features)) for t in batch.to_tuples()
+        )
+        col_bytes = len(encode_block_columnar(batch, TupleSchema(d, sparse=sparse)))
+        assert col_bytes < bound * row_bytes
 
     def test_bad_magic_rejected(self):
         payload = encode_block_columnar(_random_batch(1, 4, 3, False))

@@ -102,6 +102,32 @@ class TestStrategies:
         assert once.resources.extra_disk_bytes > 0
         assert corgi.resources.extra_disk_bytes == 0
 
+    def test_materialised_copies_never_reach_the_catalog(self):
+        """The Shuffle-Once / Corgi² copy lives for its statement: no
+        ``t__shuffled_<seed>`` / ``t__corgi2_<seed>`` table (a heap, a Dataset
+        and a pool each) is left in the catalog.  Weights and the disk charge
+        are those of the registered-copy engine (digests recorded at
+        ``ee57411``)."""
+        import hashlib
+
+        engine = MiniDB()
+        engine.create_table("t", clustered_by_label(make_binary_dense(600, 8, separation=1.4, seed=0)))
+        want = {
+            ("shuffle_once", 0): "839f9e1ed1a4901b",
+            ("shuffle_once", 1): "92945841d0191bb4",
+            ("shuffle_once", 2): "ac91e4aa2931059a",
+            ("corgi2", 0): "df561c17ccc661d3",
+        }
+        for (strategy, seed), digest in want.items():
+            result = engine.execute(
+                "SELECT * FROM t TRAIN BY lr WITH learning_rate = 0.1, max_epoch_num = 2, "
+                f"block_size = 16KB, buffer_fraction = 0.2, strategy = {strategy}, seed = {seed}"
+            )
+            weights = result.model.parameter_vector()
+            assert hashlib.sha256(weights.tobytes()).hexdigest()[:16] == digest
+            assert result.resources.extra_disk_bytes == 57344.0
+            assert engine.catalog.names() == ["t"]
+
     def test_corgipile_matches_shuffle_once_accuracy(self, problem):
         train, test = problem
         kwargs = dict(epochs=8, block_size=8 * 1024, learning_rate=0.05)

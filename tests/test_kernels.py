@@ -23,7 +23,6 @@ from repro.ml import (
     Trainer,
     csr_rows_unique,
 )
-from repro.bench import run_kernel_bench
 from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss
 from repro.ml.models.base import SupervisedModel
 from repro.ml.streaming import train_streaming
@@ -239,36 +238,3 @@ class TestSparseRowScatter:
             (2, 4),
         )
         assert csr_rows_unique(boundary.indptr, boundary.indices)
-
-
-class TestBenchHarness:
-    def test_run_kernel_bench_smoke(self):
-        doc = run_kernel_bench(quick=True, seed=0, repeats=1)
-        assert doc["config"] == "quick"
-        names = [r["name"] for r in doc["records"]]
-        assert names == [
-            "decode-dense",
-            "decode-sparse",
-            "decode-columnar-dense",
-            "decode-columnar-sparse",
-            "epoch-dense-lr",
-            "epoch-sparse-lr",
-        ]
-        for record in doc["records"]:
-            assert record["scalar_s"] > 0 and record["fused_s"] > 0
-            assert record["speedup"] > 0
-        summary = doc["summary"]
-        assert set(summary) == {
-            "epoch_speedup",
-            "epoch_dense_speedup",
-            "decode_speedup",
-            "columnar_decode_speedup",
-            "columnar_decode_dense_speedup",
-            "columnar_bytes_ratio_dense",
-            "columnar_bytes_ratio_sparse",
-            "min_speedup",
-        }
-        assert summary["min_speedup"] == min(r["speedup"] for r in doc["records"])
-        # The columnar payload must be smaller than the row payload.
-        assert summary["columnar_bytes_ratio_sparse"] < 1.0
-        assert summary["columnar_bytes_ratio_dense"] < 1.0

@@ -142,6 +142,36 @@ def test_fill_rows_carry_their_own_labels_and_features(tmp_path):
                 np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_fills_are_the_shard_planners_fills(kind, n_workers, tmp_path):
+    """Worker ``w``'s ``fills()`` are §5's simulated buffer fills — the plan
+    the coordinator derives (``ShardPlanner.worker_buffer_fills``) — row for
+    row: same blocks per fill, same visit order, each row's own label and
+    features.  So the fleet workers can read through ``fills()``."""
+    from repro.parallel import ShardPlanner
+
+    dataset = _dataset(kind)
+    case = (kind, "row", (33, 2, n_workers))
+    path = _write(case, tmp_path)
+    planner = ShardPlanner.for_block_file(path, n_workers, 2, seed=SEED)
+    for worker, view in enumerate(_views(case, path)):
+        for epoch in range(2):
+            view.set_epoch(epoch)
+            fills = list(view.fills())
+            planned = planner.worker_buffer_fills(epoch, worker)
+            assert len(fills) == len(planned)
+            for fill, (_group, indices) in zip(fills, planned):
+                np.testing.assert_array_equal(fill.ids, indices)
+                np.testing.assert_array_equal(fill.labels, dataset.y[indices])
+                got = fill.features_matrix()
+                if kind == "sparse":
+                    got, want = got.to_dense(), dataset.X.take_rows(indices).to_dense()
+                else:
+                    want = dataset.X[indices]
+                np.testing.assert_array_equal(got, want)
+
+
 def test_pruned_fill_never_reads_the_ids_chunk(tmp_path):
     from repro.ml import training_columns
 

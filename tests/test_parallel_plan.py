@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import CorgiPileDataset
 from repro.core.distributed import MultiProcessCorgiPile
 from repro.obs import LoaderMetrics
 from repro.data.dataset import BlockLayout
 from repro.data.generators import make_binary_dense, make_binary_sparse
-from repro.parallel import ShardFetcher, ShardPlanner
+from repro.parallel import ShardPlanner
 from repro.storage import write_block_file
-from repro.storage.blockfile import BlockFileReader
 
 
 @pytest.fixture()
@@ -126,21 +126,22 @@ class TestSimulationEquality:
 
 
 class TestShardFetcher:
-    """Executed data access reproduces the simulated visit order."""
+    """Executed data access reproduces the simulated visit order: a worker
+    reads its shard through ``CorgiPileDataset.fills()`` (class name kept
+    for the test ids)."""
 
     def test_fetch_fill_rows_follow_visit_order(self, block_file, tmp_path):
         path, ds = block_file
         planner = ShardPlanner.for_block_file(path, n_workers=2, buffer_blocks=2, seed=4)
         stats = LoaderMetrics("fetch")
-        with BlockFileReader(path) as reader:
-            fetcher = ShardFetcher(reader, planner.tuples_per_block, stats)
-            for group, indices in planner.worker_buffer_fills(0, 1):
-                fill = fetcher.fetch_fill(group, indices)
+        planned = planner.worker_buffer_fills(0, 1)
+        with CorgiPileDataset(path, 2, seed=4, worker_id=1, n_workers=2, stats=stats) as shard:
+            for fill, (_group, indices) in zip(shard.fills(), planned, strict=True):
                 X, y = fill.features_matrix(), fill.labels
                 assert np.array_equal(fill.ids, indices)
                 assert np.array_equal(y, ds.y[indices])
                 assert np.allclose(X, ds.X[indices])
-        assert stats.buffers_filled == len(planner.worker_buffer_fills(0, 1))
+        assert stats.buffers_filled == len(planned)
         assert stats.tuples_buffered == planner.shard_sizes(0)[1]
 
     def test_fetch_fill_sparse(self, tmp_path):
@@ -148,12 +149,25 @@ class TestShardFetcher:
         path = tmp_path / "sparse.blk"
         write_block_file(ds, path, tuples_per_block=30)
         planner = ShardPlanner.for_block_file(path, n_workers=2, buffer_blocks=1, seed=0)
-        with BlockFileReader(path) as reader:
-            fetcher = ShardFetcher(reader, planner.tuples_per_block)
-            group, indices = planner.worker_buffer_fills(0, 0)[0]
-            fill = fetcher.fetch_fill(group, indices)
+        with CorgiPileDataset(path, 1, seed=0, worker_id=0, n_workers=2) as shard:
+            _group, indices = planner.worker_buffer_fills(0, 0)[0]
+            fill = next(shard.fills())
             X, y = fill.features_matrix(), fill.labels
             assert np.array_equal(y, ds.y[indices])
             dense = X.toarray() if hasattr(X, "toarray") else X.to_dense()
             want = ds.X.take_rows(np.asarray(indices)).to_dense()
             assert np.allclose(dense, want)
+
+    def test_fills_from_a_start_index_skip_the_reads_not_the_draws(self, block_file):
+        """``fills(start=k)`` yields what ``fills()`` yields from fill ``k`` on
+        and reads none of the blocks before it (the sync-resume property)."""
+        path, _ds = block_file
+        planner = ShardPlanner.for_block_file(path, n_workers=2, buffer_blocks=2, seed=4)
+        groups = [group.size for group, _ in planner.worker_buffer_fills(0, 1)]
+        with CorgiPileDataset(path, 2, seed=4, worker_id=1, n_workers=2) as shard:
+            whole = list(shard.fills())
+            for start in range(len(whole) + 1):
+                before = shard.reader.blocks_read
+                rest = list(shard.fills(start=start))
+                assert [f.ids.tolist() for f in rest] == [f.ids.tolist() for f in whole[start:]]
+                assert shard.reader.blocks_read - before == sum(groups[start:])

@@ -254,3 +254,22 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
         re.search(r"^\s*(from|import)\s+(\.\.db|repro\.db)\b", code, re.M)
         for name, code in sources.items() if name.startswith("parallel/")
     )
+
+
+def test_one_stopwatch_and_one_block_file_fill():
+    """benchmarks/e2e is the only wall clock: the legacy bench engines, their
+    modeled walls and CLI command are gone, and so is the second fill."""
+    import repro.bench
+    from repro.cli import build_parser
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    deleted = re.compile(
+        r"kernelbench|parallelbench|mopbench|modeled_walls|ShardFetcher|cold_cache_per_query"
+    )
+    assert [p.as_posix() for p in src.rglob("*.py") if deleted.search(p.read_text())] == []
+    assert set(repro.bench.__all__) == {
+        "format_table", "format_curve", "save_records",
+        "ConvergenceSweep", "run_convergence_sweep", "history_row", "time_best",
+    }
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert "kernel-bench" not in commands.choices and len(commands.choices) == 14
