@@ -1,19 +1,22 @@
 """Catalog: named tables backed by heap files, plus their secondary indexes.
 
 ``CREATE TABLE``-ing a dataset materialises it into a
-:class:`~repro.storage.heapfile.HeapFile` (pages of encoded tuples) and
-keeps the logical dataset alongside for end-of-epoch evaluation.  Average
-tuple size and values-per-tuple are computed once at load time; the timing
-model uses them for I/O and compute charging.
+:class:`~repro.storage.heapfile.HeapFile` (pages of encoded tuples).  The
+heap is the table; :attr:`TableInfo.dataset` is a *derived* view of it
+(arrays in heap order, for evaluation, prediction and full-scan predicates)
+that readers build on demand.
 
-Tables are mutable: :meth:`TableInfo.insert_rows` / :meth:`delete_rids` /
-:meth:`update_rids` go through the heap's slot-level DML, *synchronously*
-maintain every B+tree index, invalidate the buffer pool's cached decoded
-batches for each rewritten page (the PR-3 retry-invalidation contract — a
-cached batch must never outlive the bytes it decoded), and refresh the
-logical dataset so evaluation and planning see the post-DML table.  With a
-``data_dir`` configured, every index rewrite lands durably in its ``.idx``
-file before the statement returns.
+A write costs what the statement touches: :meth:`TableInfo.insert_rows` /
+:meth:`delete_rids` / :meth:`update_rids` check every row and assignment
+first (a statement that cannot finish changes nothing), then go through the
+heap's slot-level DML, synchronously maintain every B+tree, invalidate the
+buffer pool's cached batch of each rewritten page (a cached batch must never
+outlive the bytes it decoded) and mark the view stale — the next reader
+rebuilds it once, a writer never does.  With a ``data_dir`` configured each
+index makes the statement's ``(insert | delete, key, rid)`` ops durable
+before the statement returns, as one fsynced frame of the redo log beside
+its ``.idx`` base (:mod:`repro.storage.index.idxlog`); the base is rewritten
+only by ``CREATE INDEX`` and by a checkpoint, when the log outgrows it.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import obs
 from ..data.dataset import Dataset
 from ..data.sparse import SparseMatrix, SparseRow
 from ..storage.bufferpool import BufferPool
 from ..storage.heapfile import HeapFile
-from ..storage.index import BPlusTree, save_index
+from ..storage.index import BPlusTree, idxlog
 from ..storage.page import DEFAULT_PAGE_BYTES
 from ..storage.rid import RID
-from .errors import UnknownIndexError, UnknownTableError, UnsupportedLayoutError
+from .errors import EngineError, UnknownIndexError, UnknownTableError, UnsupportedLayoutError
 from .query import column_value
 
 __all__ = ["TableIndex", "TableInfo", "Catalog"]
@@ -43,12 +47,45 @@ class TableIndex:
     name: str
     column: str
     tree: BPlusTree
-    #: ``.idx`` location; ``None`` keeps the index memory-only.
+    #: ``.idx`` base (its log sits beside it); ``None``: memory-only index.
     path: Path | None = None
+    #: LSN of the last durable frame — the base's own while the log is empty.
+    lsn: int = 0
+    #: Ops of the statement in flight, not yet durable.
+    _ops: list = field(default_factory=list, repr=False)
+    _base_bytes: int = 0
+    _log_bytes: int = 0
+
+    def insert(self, key: float, rid: RID) -> None:
+        self.tree.insert(key, rid)
+        self._ops.append((idxlog.INSERT, key, rid))
+
+    def delete(self, key: float, rid: RID) -> None:
+        self.tree.delete(key, rid)
+        self._ops.append((idxlog.DELETE, key, rid))
 
     def persist(self) -> None:
+        """Make the statement's ops durable: one log frame, one fsync (none
+        for a statement that moved no key).  A log that has outgrown the base
+        is checkpointed, so base rewrites amortise to O(frame)."""
+        ops, self._ops = self._ops, []
+        if self.path is None or not ops:
+            return
+        self._log_bytes += idxlog.append_frame(self.path, self.lsn + 1, ops)
+        self.lsn += 1
+        if self._log_bytes > self._base_bytes:
+            self.checkpoint()
+
+    def checkpoint(self) -> None:
+        """Rewrite the base at the current LSN and empty the log."""
+        self._base_bytes = idxlog.checkpoint(self.tree, self.column, self.path, self.lsn)
+        self._log_bytes = 0
+
+    def unlink(self) -> None:
+        """Remove the base and its log (``DROP INDEX`` / ``DROP TABLE``)."""
         if self.path is not None:
-            save_index(self.tree, self.column, self.path)
+            Path(self.path).unlink(missing_ok=True)
+            idxlog.log_path(self.path).unlink(missing_ok=True)
 
     def describe(self) -> dict:
         return {
@@ -60,21 +97,54 @@ class TableIndex:
         }
 
 
-@dataclass
 class TableInfo:
     """One catalog entry."""
 
-    name: str
-    dataset: Dataset
-    heap: HeapFile
-    pool: BufferPool
-    indexes: dict[str, TableIndex] = field(default_factory=dict)
-    #: Next tuple id to hand out on INSERT (ids are unique, never reused).
-    next_tuple_id: int = 0
+    def __init__(
+        self,
+        name: str,
+        dataset: Dataset,
+        heap: HeapFile,
+        pool: BufferPool,
+        indexes: dict[str, TableIndex] | None = None,
+        next_tuple_id: int = 0,
+    ):
+        self.name = name
+        self.heap = heap
+        self.pool = pool
+        self.indexes = {} if indexes is None else indexes
+        #: Next tuple id to hand out on INSERT (ids are unique, never reused).
+        self.next_tuple_id = next_tuple_id
+        # The view as last materialised: DML only marks it stale, and even
+        # stale it is the template (name, task, metadata) of the next one.
+        self._view = dataset
+        self._view_stale = False
+
+    @property
+    def dataset(self) -> Dataset:
+        """The table's rows as arrays, in heap order; rebuilt from one heap
+        scan by the first reader after a write."""
+        if self._view_stale:
+            obs.inc("db.catalog.view_rebuilds")
+            self._view = _dataset_from_heap(self.heap, self._view)
+            self._view_stale = False
+        return self._view
 
     @property
     def n_tuples(self) -> int:
-        return self.dataset.n_tuples
+        return self.heap.n_tuples
+
+    @property
+    def n_features(self) -> int:
+        return self.heap.schema.n_features
+
+    @property
+    def is_sparse(self) -> bool:
+        return self.heap.schema.sparse
+
+    @property
+    def task(self) -> str:
+        return self._view.task
 
     @property
     def tuple_bytes(self) -> float:
@@ -84,9 +154,9 @@ class TableInfo:
     @property
     def values_per_tuple(self) -> float:
         """Average feature values per tuple (nnz for sparse, d for dense)."""
-        if isinstance(self.dataset.X, SparseMatrix):
-            return self.dataset.X.nnz / max(1, self.dataset.n_tuples)
-        return float(self.dataset.n_features)
+        if self.is_sparse:
+            return self.dataset.X.nnz / max(1, self.n_tuples)
+        return float(self.n_features)
 
     @property
     def table_bytes(self) -> int:
@@ -101,6 +171,18 @@ class TableInfo:
                 "layout is immutable; DML needs a row-layout table"
             )
 
+    def _row_features(self, features):
+        """``features`` as the schema's row type; ``ValueError`` if it is not one."""
+        d = self.n_features
+        if self.is_sparse:
+            if not isinstance(features, SparseRow) or features.n_features != d:
+                raise ValueError(f"table {self.name!r} stores {d}-feature SparseRows")
+            return features
+        dense = np.asarray(features, dtype=np.float64)
+        if dense.shape != (d,):
+            raise ValueError(f"table {self.name!r} stores {d}-feature rows, got {dense.shape}")
+        return dense
+
     def insert_rows(self, rows) -> list[RID]:
         """Insert ``(label, features)`` rows; returns their RIDs.
 
@@ -110,32 +192,29 @@ class TableInfo:
         from the buffer pool.
         """
         self._require_row_layout("INSERT")
+        rows = [(float(label), self._row_features(features)) for label, features in rows]
         rids: list[RID] = []
         for label, features in rows:
             tuple_id = self.next_tuple_id
             self.next_tuple_id += 1
-            rid = self.heap.insert(tuple_id, float(label), features)
+            rid = self.heap.insert(tuple_id, label, features)
             self.pool.invalidate(rid.page_id)
             for index in self.indexes.values():
-                index.tree.insert(column_value(index.column, label, features), rid)
+                index.insert(column_value(index.column, label, features), rid)
             rids.append(rid)
-        self._after_dml()
+        self._commit()
         return rids
 
     def delete_rids(self, rids) -> int:
         """Delete the tuples at ``rids``; returns the count removed."""
         self._require_row_layout("DELETE")
-        doomed = [
-            (rid, self.heap.read_tuple(self.heap.position_of(rid))) for rid in rids
-        ]
+        doomed = [(rid, self.heap.read_rid(rid)) for rid in rids]
         for rid, tup in doomed:
             self.heap.delete(rid)
             self.pool.invalidate(rid.page_id)
             for index in self.indexes.values():
-                index.tree.delete(
-                    column_value(index.column, tup.label, tup.features), rid
-                )
-        self._after_dml()
+                index.delete(column_value(index.column, tup.label, tup.features), rid)
+        self._commit()
         return len(doomed)
 
     def update_rids(self, rids, assignments) -> list[tuple[RID, RID]]:
@@ -146,17 +225,23 @@ class TableInfo:
         every index entry follows the key/location change.
         """
         self._require_row_layout("UPDATE")
-        victims = [
-            (rid, self.heap.read_tuple(self.heap.position_of(rid))) for rid in rids
-        ]
-        moved: list[tuple[RID, RID]] = []
-        for rid, tup in victims:
+        for column, _value in assignments:
+            if column != "label" and int(column[1:]) >= self.n_features:
+                raise EngineError(
+                    f"column {column!r} out of range: table has {self.n_features} features"
+                )
+        versions = []
+        for rid in rids:
+            tup = self.heap.read_rid(rid)
             label, features = float(tup.label), tup.features
             for column, value in assignments:
                 if column == "label":
                     label = float(value)
                 else:
                     features = _assign_feature(features, int(column[1:]), float(value))
+            versions.append((rid, tup, label, features))
+        moved: list[tuple[RID, RID]] = []
+        for rid, tup, label, features in versions:
             new_rid = self.heap.update(rid, tup.tuple_id, label, features)
             self.pool.invalidate(rid.page_id)
             if new_rid.page_id != rid.page_id:
@@ -165,15 +250,15 @@ class TableInfo:
                 old_key = column_value(index.column, tup.label, tup.features)
                 new_key = column_value(index.column, label, features)
                 if old_key != new_key or new_rid != rid:
-                    index.tree.delete(old_key, rid)
-                    index.tree.insert(new_key, new_rid)
+                    index.delete(old_key, rid)
+                    index.insert(new_key, new_rid)
             moved.append((rid, new_rid))
-        self._after_dml()
+        self._commit()
         return moved
 
-    def _after_dml(self) -> None:
-        """Post-statement bookkeeping: dataset refresh + index durability."""
-        self.dataset = _dataset_from_heap(self.heap, self.dataset)
+    def _commit(self) -> None:
+        """End of a write statement: the view goes stale, the index ops durable."""
+        self._view_stale = True
         for index in self.indexes.values():
             index.persist()
 
@@ -193,16 +278,18 @@ class TableInfo:
         index = TableIndex(
             name=name, column=column, tree=BPlusTree.bulk_load(pairs), path=path
         )
-        index.persist()
+        if path is not None:
+            # Leftover files of an earlier table: start above every LSN they
+            # used, so a frame that outlives this base can only be a no-op.
+            index.lsn = idxlog.last_lsn(path)
+            index.checkpoint()
         self.indexes[name] = index
         return index
 
     def drop_index(self, name: str) -> None:
         if name not in self.indexes:
             raise UnknownIndexError(f"no index {name!r} on table {self.name!r}")
-        index = self.indexes.pop(name)
-        if index.path is not None:
-            Path(index.path).unlink(missing_ok=True)
+        self.indexes.pop(name).unlink()
 
     def index_on(self, column: str) -> TableIndex | None:
         """The (first) index whose key is ``column``, if any."""
@@ -262,27 +349,18 @@ def _assign_feature(features, k: int, value: float):
 
 
 def _dataset_from_heap(heap: HeapFile, template: Dataset) -> Dataset:
-    """Rebuild the logical dataset from a heap scan (post-DML refresh)."""
-    labels: list[float] = []
+    """The logical dataset of one heap scan, in heap order (the lazy view)."""
+    tuples = list(heap.scan())
+    rows = [tup.features for tup in tuples]
     if heap.schema.sparse:
-        rows: list[SparseRow] = []
-        for tup in heap.scan():
-            labels.append(tup.label)
-            rows.append(tup.features)
         X = SparseMatrix.from_rows(rows, heap.schema.n_features)
+    elif rows:
+        X = np.stack(rows)
     else:
-        dense: list[np.ndarray] = []
-        for tup in heap.scan():
-            labels.append(tup.label)
-            dense.append(np.asarray(tup.features, dtype=np.float64))
-        X = (
-            np.stack(dense)
-            if dense
-            else np.empty((0, heap.schema.n_features), dtype=np.float64)
-        )
+        X = np.empty((0, heap.schema.n_features), dtype=np.float64)
     return Dataset(
         X=X,
-        y=np.asarray(labels, dtype=np.float64),
+        y=np.asarray([tup.label for tup in tuples], dtype=np.float64),
         name=template.name,
         task=template.task,
         metadata=template.metadata,
@@ -350,7 +428,8 @@ class Catalog:
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise UnknownTableError(name)
-        del self._tables[name]
+        for index in self._tables.pop(name).indexes.values():
+            index.unlink()
 
     def get(self, name: str) -> TableInfo:
         try:

@@ -28,6 +28,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -76,6 +77,7 @@ from .query import (
 from .spec import TrainSpec
 from .timeline import Timeline
 from .timing import ComputeProfile, RuntimeContext
+from .where import qualifying_rids
 
 __all__ = [
     "MiniDB",
@@ -744,14 +746,14 @@ class MiniDB:
         chunks it names — the feature columns are never decoded.
         """
         table = self.catalog.get(query.table)
-        dataset = table.dataset
+        n_features = table.n_features
         limit = max_rows if query.limit is None else min(query.limit, max_rows)
         columns = query.columns
         want_features = columns is None or any(
             c == "features" or (c.startswith("f") and c[1:].isdigit()) for c in columns
         )
 
-        def build_row(batch, j: int, position: int) -> dict:
+        def build_row(batch, j: int, position: int | None) -> dict:
             row: dict = {}
             keys = columns if columns is not None else ("rid", "label", "features")
             for key in keys:
@@ -766,10 +768,10 @@ class MiniDB:
                     row["features"] = [float(v) for v in np.asarray(feats)[:8]]
                 else:  # f<k>
                     k = int(key[1:])
-                    if k >= dataset.n_features:
+                    if k >= n_features:
                         raise EngineError(
                             f"column {key!r} out of range: table has "
-                            f"{dataset.n_features} features"
+                            f"{n_features} features"
                         )
                     feats = batch.row(j)
                     if hasattr(feats, "to_dense"):
@@ -780,16 +782,17 @@ class MiniDB:
         rows: list[dict] = []
         via_index = None
         if query.where is not None:
-            positions, index = self._where_positions(table, query.where)
+            rids, index = qualifying_rids(table, query.where)
             via_index = None if index is None else index.name
-            n = min(limit, len(positions))
-            for position in positions[:n]:
-                rid = table.heap.rid_of(int(position))
+            # Only the ``rid`` column needs the position directory.
+            want_position = columns is None or "rid" in columns
+            for rid in islice(rids, limit):
                 batch = table.pool.get_batch(rid.page_id)
                 j = table.heap.slot_row_map(rid.page_id)[rid.slot]
-                rows.append(build_row(batch, j, int(position)))
+                position = table.heap.position_of(rid) if want_position else None
+                rows.append(build_row(batch, j, position))
         else:
-            n = min(limit, dataset.n_tuples)
+            n = min(limit, table.n_tuples)
             position = 0
             page_id = 0
             while len(rows) < n and page_id < table.heap.n_pages:
@@ -800,12 +803,12 @@ class MiniDB:
                 page_id += 1
         result = {
             "table": query.table,
-            "n_tuples": dataset.n_tuples,
-            "n_features": dataset.n_features,
-            "task": dataset.task,
+            "n_tuples": table.n_tuples,
+            "n_features": n_features,
+            "task": table.task,
             "columns": list(columns) if columns is not None else ["rid", "label", "features"],
             "returned": len(rows),
-            "truncated_features": want_features and dataset.n_features > 8,
+            "truncated_features": want_features and n_features > 8,
             "rows": rows,
         }
         if query.where is not None:
@@ -815,28 +818,18 @@ class MiniDB:
 
     # ------------------------------------------------------------------
     # DML + index DDL
-    def _where_positions(self, table: TableInfo, predicate):
-        """Qualifying heap positions, preferring an index range probe."""
-        from .where import index_qualifying_positions, qualifying_positions
-
-        for column in predicate.columns():
-            index = table.index_on(column)
-            if index is not None and predicate.interval_for(column) is not None:
-                return index_qualifying_positions(table, index, predicate), index
-        return qualifying_positions(table, predicate), None
-
     def _literal_features(self, table: TableInfo, values):
         """An INSERT row literal's feature values as the table's row type."""
         from ..data.sparse import SparseRow
 
-        d = table.dataset.n_features
+        d = table.n_features
         if len(values) != d:
             raise EngineError(
                 f"INSERT row has {len(values)} feature values; table "
                 f"{table.name!r} has {d} features"
             )
         dense = np.asarray(values, dtype=np.float64)
-        if table.dataset.is_sparse:
+        if table.is_sparse:
             nz = np.flatnonzero(dense)
             return SparseRow(nz.astype(np.int64), dense[nz], d)
         return dense
@@ -857,11 +850,11 @@ class MiniDB:
         }
 
     def delete(self, query: DeleteQuery) -> dict:
-        """``DELETE FROM t WHERE ...`` — positions resolve via an index
-        range when one covers a predicate column."""
+        """``DELETE FROM t WHERE ...`` — RIDs resolve via an index range
+        when one covers a predicate column."""
         table = self.catalog.get(query.table)
-        positions, index = self._where_positions(table, query.where)
-        rids = [table.heap.rid_of(int(p)) for p in positions]
+        stream, index = qualifying_rids(table, query.where)
+        rids = list(stream)
         deleted = table.delete_rids(rids) if rids else 0
         return {
             "table": query.table,
@@ -873,8 +866,8 @@ class MiniDB:
     def update(self, query: UpdateQuery) -> dict:
         """``UPDATE t SET col = v, ... WHERE ...``."""
         table = self.catalog.get(query.table)
-        positions, index = self._where_positions(table, query.where)
-        rids = [table.heap.rid_of(int(p)) for p in positions]
+        stream, index = qualifying_rids(table, query.where)
+        rids = list(stream)
         moved = table.update_rids(rids, query.assignments) if rids else []
         return {
             "table": query.table,

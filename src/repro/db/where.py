@@ -7,6 +7,9 @@ Three pieces live here:
   satisfy it, either by a vectorised scan of the logical arrays or by a
   B+tree range probe plus residual filter.  Both return the same set, in
   heap order — the physical path only changes what I/O gets *charged*.
+  :func:`qualifying_rids` is the same answer as RIDs, for the statements
+  that address tuples (UPDATE / DELETE / SELECT): through an index it
+  reads only the candidates, so its cost follows the predicate.
 
 * :func:`choose_where_path` — the planner rule.  An index-ordered block
   fetch pays one random positioning per qualifying-page run; a full scan
@@ -28,6 +31,7 @@ Three pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +46,7 @@ __all__ = [
     "SubsetPartition",
     "qualifying_positions",
     "index_qualifying_positions",
+    "qualifying_rids",
     "index_candidates",
     "usable_indexes",
     "check_supported_shape",
@@ -74,39 +79,54 @@ def index_qualifying_positions(
     result is sorted into heap order so downstream block partitioning sees
     the same sequence as a filtered scan.
     """
-    interval = predicate.interval_for(index.column)
-    if interval is None:
+    if predicate.interval_for(index.column) is None:
         return qualifying_positions(table, predicate)
-    lo, hi, lo_incl, hi_incl = interval
-    candidates = sorted(
-        table.heap.position_of(rid)
-        for _key, rid in index.tree.range(
-            lo, hi, lo_inclusive=lo_incl, hi_inclusive=hi_incl
-        )
-    )
-    if not candidates:
-        return np.empty(0, dtype=np.int64)
+    candidates = index_candidates(table, index, predicate)
+    if not candidates.size:
+        return candidates
     # Residual: the interval covered only the key column; re-check the full
     # predicate (extra terms, != terms) over the candidate rows.
     dataset = table.dataset
-    mask = predicate.mask(dataset.X, dataset.y)
-    return np.asarray([p for p in candidates if mask[p]], dtype=np.int64)
+    return candidates[predicate.mask(dataset.X, dataset.y)[candidates]]
 
 
-def index_candidates(table: TableInfo, index: TableIndex, predicate: Predicate) -> np.ndarray:
-    """Sorted heap positions inside the index's usable interval (pre-residual)."""
+def qualifying_rids(
+    table: TableInfo, predicate: Predicate
+) -> tuple[Iterator[RID], TableIndex | None]:
+    """RIDs satisfying ``predicate``, streamed in heap order, and the index
+    that served them (``None``: full scan of the view).
+
+    An index probe yields RIDs, sorted ``(page_id, slot)`` *is* heap order,
+    and the residual is :meth:`Predicate.matches` (``mask``, a row at a
+    time) on each candidate as it is reached, read by RID — no directory,
+    no view, and a ``LIMIT`` reads only the rows it returns.
+    """
+    heap = table.heap
+    indexes = usable_indexes(table, predicate)
+    if not indexes:
+        return (heap.rid_of(int(p)) for p in qualifying_positions(table, predicate)), None
+    tuples = ((rid, heap.read_rid(rid)) for rid in sorted(_index_range(indexes[0], predicate)))
+    rids = (rid for rid, tup in tuples if predicate.matches(tup.label, tup.features))
+    return rids, indexes[0]
+
+
+def _index_range(index: TableIndex, predicate: Predicate) -> Iterator[RID]:
+    """The RIDs inside the index's usable interval, in key order."""
     interval = predicate.interval_for(index.column)
     if interval is None:
         raise ValueError(f"index {index.name!r} has no usable interval for this predicate")
     lo, hi, lo_incl, hi_incl = interval
+    return (
+        rid
+        for _key, rid in index.tree.range(lo, hi, lo_inclusive=lo_incl, hi_inclusive=hi_incl)
+    )
+
+
+def index_candidates(table: TableInfo, index: TableIndex, predicate: Predicate) -> np.ndarray:
+    """Sorted heap positions inside the index's usable interval (pre-residual)."""
+    position_of = table.heap.position_of
     return np.asarray(
-        sorted(
-            table.heap.position_of(rid)
-            for _key, rid in index.tree.range(
-                lo, hi, lo_inclusive=lo_incl, hi_inclusive=hi_incl
-            )
-        ),
-        dtype=np.int64,
+        sorted(position_of(rid) for rid in _index_range(index, predicate)), dtype=np.int64
     )
 
 
@@ -276,7 +296,7 @@ def subset_partition(
         position = int(position)
         rid = heap.rid_of(position)
         if heap.compress:
-            tup = heap.read_tuple(position)
+            tup = heap.read_rid(rid)
             length = len(heap.encode_payload(new_id, tup.label, tup.features))
         else:
             length = heap.pages[rid.page_id].payload_length(rid.slot)

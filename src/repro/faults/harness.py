@@ -10,7 +10,7 @@ resulting counters for the CLI and the tests.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
 from pathlib import Path
 from typing import Any, Callable
 
@@ -68,7 +68,9 @@ def faulty_table(
         retry=retry,
         storage_stats=stats,
     )
-    return replace(table, heap=heap, pool=new_pool), stats
+    faulty = copy.copy(table)
+    faulty.heap, faulty.pool = heap, new_pool
+    return faulty, stats
 
 
 def chaos_report(stats: StorageMetrics | dict, plan: FaultPlan | None = None) -> dict:

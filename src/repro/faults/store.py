@@ -160,6 +160,7 @@ class FaultyHeapFile(_InjectorMixin, HeapFile):
         inner._ensure_refs()  # DML may have left the directory stale
         self.pages = inner.pages
         self._refs = inner._refs
+        self._n_live = inner._n_live
         self.inner = inner
         self.fault_plan = plan
         self.storage_stats = storage_stats

@@ -316,6 +316,15 @@ class ReproServer:
                 "queue_wait_s": registry.histogram("serve.queue.wait_s"),
             },
             "sessions": sessions,
+            # DML, process-wide: index-log traffic and the O(table) rebuilds.
+            "storage": {
+                name.rsplit(".", 1)[1]: registry.counter(name)
+                for name in (
+                    *(f"storage.index.{c}" for c in ("wal_frames", "wal_bytes", "checkpoints")),
+                    "db.catalog.view_rebuilds",
+                    "storage.heapfile.directory_rebuilds",
+                )
+            },
         }
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from .codec import TupleSchema
 from .heapfile import HeapFile
 from .page import Page
+from .rid import RID
 
 __all__ = ["save_heap", "load_heap"]
 
@@ -94,8 +95,6 @@ def load_heap(path: str | Path) -> HeapFile:
         # Rebuild the position -> (page, slot) directory.  Row pages hold one
         # tuple per slot; a columnar page is one payload whose header says
         # how many rows it packs (``slot`` is then the row index).
-        from .heapfile import _TupleRef
-
         if heap.layout == "columnar":
             from .columnar import read_columnar_header
 
@@ -103,9 +102,10 @@ def load_heap(path: str | Path) -> HeapFile:
                 (payload,) = page.tuple_payloads()
                 n_rows = read_columnar_header(payload)[0]
                 for row in range(n_rows):
-                    heap._refs.append(_TupleRef(page.page_id, row))
+                    heap._refs.append(RID(page.page_id, row))
         else:
             for page in heap.pages:
                 for slot in page.live_slots():
-                    heap._refs.append(_TupleRef(page.page_id, slot))
+                    heap._refs.append(RID(page.page_id, slot))
+        heap._n_live = len(heap._refs)
     return heap

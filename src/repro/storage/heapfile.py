@@ -15,10 +15,10 @@ the effect the paper observes on the epsilon/yfcc datasets (Section 7.3.4).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..data.dataset import Dataset
 from ..data.sparse import SparseMatrix, SparseRow
 from .codec import TrainingTuple, TupleBatch, TupleSchema, decode_page, decode_tuple, encode_tuple
@@ -37,12 +37,6 @@ class ColumnarMutationError(TypeError):
     slot-level ``INSERT``/``UPDATE``/``DELETE`` has no meaning there; callers
     must use a row-layout table (or rebuild the columnar table).
     """
-
-
-@dataclass
-class _TupleRef:
-    page_id: int
-    slot: int
 
 
 class HeapFile:
@@ -72,7 +66,8 @@ class HeapFile:
         self.compress = compress
         self.layout = layout
         self.pages: list[Page] = []
-        self._refs: list[_TupleRef] = []
+        self._refs: list[RID] = []  # position -> RID, heap order
+        self._n_live = 0  # tuples in pages, maintained by every write
         # Columnar append buffer: rows not yet flushed into a page.
         self._pending: list[tuple[int, float, object]] = []
         self._pending_bytes = 0
@@ -123,7 +118,8 @@ class HeapFile:
             self.pages.append(Page(len(self.pages), capacity=max(self.page_bytes, len(payload))))
         page = self.pages[-1]
         slot = page.append(payload)
-        self._refs.append(_TupleRef(page.page_id, slot))
+        self._refs.append(RID(page.page_id, slot))
+        self._n_live += 1
         self._pos_map = None
 
     def flush(self) -> None:
@@ -160,7 +156,8 @@ class HeapFile:
         page.append(payload)
         self.pages.append(page)
         for row_idx in range(len(self._pending)):
-            self._refs.append(_TupleRef(page.page_id, row_idx))
+            self._refs.append(RID(page.page_id, row_idx))
+        self._n_live += len(self._pending)
         self._pending.clear()
         self._pending_bytes = 0
         self._pos_map = None
@@ -199,6 +196,7 @@ class HeapFile:
             page = Page(len(self.pages), capacity=max(self.page_bytes, len(payload)))
             self.pages.append(page)
         slot = page.append(payload)
+        self._n_live += 1
         self._refs_dirty = True
         return RID(page.page_id, slot)
 
@@ -207,6 +205,7 @@ class HeapFile:
         are untouched)."""
         self._require_mutable()
         self.pages[rid.page_id].delete(rid.slot)
+        self._n_live -= 1
         self._refs_dirty = True
 
     def update(self, rid: RID, tuple_id: int, label: float, features) -> RID:
@@ -231,8 +230,9 @@ class HeapFile:
         """Rebuild the position directory after DML (heap order)."""
         if not self._refs_dirty:
             return
+        obs.inc("storage.heapfile.directory_rebuilds")
         self._refs = [
-            _TupleRef(page.page_id, slot)
+            RID(page.page_id, slot)
             for page in self.pages
             for slot in page.live_slots()
         ]
@@ -243,17 +243,14 @@ class HeapFile:
         """The RID of the tuple at heap position ``position`` (scan order)."""
         self.flush()
         self._ensure_refs()
-        ref = self._refs[position]
-        return RID(ref.page_id, ref.slot)
+        return self._refs[position]
 
     def position_of(self, rid: RID) -> int:
         """Inverse of :meth:`rid_of`; raises ``KeyError`` for dead RIDs."""
         self.flush()
         self._ensure_refs()
         if self._pos_map is None:
-            self._pos_map = {
-                RID(ref.page_id, ref.slot): pos for pos, ref in enumerate(self._refs)
-            }
+            self._pos_map = {rid: pos for pos, rid in enumerate(self._refs)}
         return self._pos_map[rid]
 
     def slot_row_map(self, page_id: int) -> dict[int, int]:
@@ -263,8 +260,7 @@ class HeapFile:
     # ------------------------------------------------------------------
     @property
     def n_tuples(self) -> int:
-        self._ensure_refs()
-        return len(self._refs) + len(self._pending)
+        return self._n_live + len(self._pending)
 
     @property
     def n_pages(self) -> int:
@@ -352,19 +348,25 @@ class HeapFile:
 
     def read_tuple(self, position: int) -> TrainingTuple:
         """Decode the tuple at heap position ``position``."""
+        return self.read_rid(self.rid_of(position))
+
+    def read_rid(self, rid: RID) -> TrainingTuple:
+        """Decode the tuple at ``rid`` straight off its page — no position
+        directory; a dead or unknown RID raises ``KeyError``."""
         self.flush()
-        self._ensure_refs()
-        ref = self._refs[position]
         if self.layout == "columnar":
             # Columnar pages hold one payload; ``slot`` is the row index.
-            batch = self.read_page_batch(ref.page_id)
+            batch = self.read_page_batch(rid.page_id)
             self.decode_count += 1 - len(batch)  # charge one tuple, not the page
             return TrainingTuple(
-                int(batch.ids[ref.slot]),
-                float(batch.labels[ref.slot]),
-                batch.row(ref.slot),
+                int(batch.ids[rid.slot]),
+                float(batch.labels[rid.slot]),
+                batch.row(rid.slot),
             )
-        payload = self.pages[ref.page_id].payload(ref.slot)
+        try:
+            payload = self.pages[rid.page_id].payload(rid.slot)
+        except (IndexError, ValueError):
+            raise KeyError(rid) from None
         return self._decode(payload)
 
     def scan(self):

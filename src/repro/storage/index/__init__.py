@@ -1,8 +1,9 @@
 """Secondary indexes: single-column B+trees over heap RIDs.
 
 ``bptree`` is the in-memory structure DML maintains synchronously;
-``idxfile`` is its versioned, CRC-checked on-disk ``.idx`` form with
-6-byte packed-RID leaves.
+``idxfile`` is its versioned, CRC-checked on-disk ``.idx`` base with
+6-byte packed-RID leaves; ``idxlog`` is the per-statement redo log beside
+it (``load_index`` = base + log replay).
 """
 
 from ..rid import RID, RID_BYTES, pack_rids, unpack_rids
@@ -15,6 +16,7 @@ from .idxfile import (
     read_index_header,
     save_index,
 )
+from .idxlog import load_index
 
 __all__ = [
     "RID",
@@ -29,4 +31,5 @@ __all__ = [
     "IndexFormatError",
     "read_index_header",
     "save_index",
+    "load_index",
 ]

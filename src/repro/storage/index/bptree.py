@@ -9,8 +9,8 @@ and the leaf chain enumerates duplicates in stable heap order.
 Leaves are chained for range scans; internal nodes hold composite separator
 entries.  Deletion takes the lazy route (no rebalancing): an underfull or
 empty leaf simply stays in the chain, which keeps scans correct because
-separators remain valid bounds.  Index files are rewritten on DML commit,
-so on-disk compactness is restored at every save anyway.
+separators remain valid bounds.  The on-disk base is rewritten whole at
+every checkpoint, which restores compactness there anyway.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ magic      4s   b"RIDX"
 version    u16  FORMAT_VERSION (1)
 flags      u16  reserved, 0
 header_len u32
-header     JSON: column, order, n_entries, n_nodes, height, root (always 0)
+header     JSON: column, order, n_entries, n_nodes, height, root (always 0),
+           lsn (the last log frame this base covers; absent reads as 0)
 header_crc u32  CRC32 of the header JSON bytes
 directory  n_nodes × (offset u64, length u32, crc u32)
 nodes      concatenated node payloads (offsets relative to this area)
@@ -29,8 +30,10 @@ verify exactly the nodes a range scan touches — the same
 verify-before-decode contract as block files, with the same
 :class:`~repro.storage.retry.ChecksumError` → bounded-retry escalation.
 Files are written via ``durable_write`` (tmp + fsync + rename), so an
-interrupted ``CREATE INDEX`` or DML maintenance rewrite never leaves a torn
-``.idx`` behind — recovery sees either the old or the new tree.
+interrupted ``CREATE INDEX`` or checkpoint never leaves a torn ``.idx``
+behind — recovery sees either the old or the new base.  DML does not rewrite
+this file: it appends to the redo log beside it (:mod:`.idxlog`), and the
+``lsn`` header key says which of that log's frames the base already holds.
 
 Version bumps follow the heap-file migration playbook (Snippet-2 style):
 readers reject unknown versions with :class:`IndexFormatError`, and a
@@ -77,11 +80,15 @@ class IndexFormatError(ValueError):
 # ----------------------------------------------------------------------
 # Writing
 def _encode_leaf(entries, next_id: int | None) -> bytes:
-    parts = [_NODE_HEAD.pack(0, len(entries))]
-    parts.extend(_KEY.pack(key) for key, _ in entries)
-    parts.append(pack_rids(rid for _, rid in entries))
-    parts.append(_CHILD.pack(_NO_NEXT if next_id is None else next_id))
-    return b"".join(parts)
+    n = len(entries)  # one pack per run: per-entry packs were most of a base write
+    return b"".join(
+        (
+            _NODE_HEAD.pack(0, n),
+            struct.pack(f">{n}d", *[key for key, _ in entries]),
+            pack_rids(rid for _, rid in entries),
+            _CHILD.pack(_NO_NEXT if next_id is None else next_id),
+        )
+    )
 
 
 def _encode_inner(separators, child_ids) -> bytes:
@@ -93,8 +100,9 @@ def _encode_inner(separators, child_ids) -> bytes:
     return b"".join(parts)
 
 
-def save_index(tree: BPlusTree, column: str, path: str | Path) -> Path:
-    """Serialize ``tree`` as a ``.idx`` file, atomically and durably."""
+def save_index(tree: BPlusTree, column: str, path: str | Path, lsn: int = 0) -> Path:
+    """Serialize ``tree`` as a ``.idx`` base covering log frames up to
+    ``lsn``, atomically and durably."""
     numbered = tree.nodes()
     ids = {id(node): node_id for node_id, node in numbered}
     payloads: list[bytes] = []
@@ -114,6 +122,7 @@ def save_index(tree: BPlusTree, column: str, path: str | Path) -> Path:
             "n_nodes": len(payloads),
             "height": tree.height,
             "root": 0,
+            "lsn": int(lsn),
         }
     ).encode()
     directory = []
@@ -209,6 +218,7 @@ class IndexFileReader:
         self.n_nodes: int = header["n_nodes"]
         self.height: int = header["height"]
         self.root_id: int = header["root"]
+        self.lsn: int = header.get("lsn", 0)
         self._directory = [
             _DIR_ENTRY.unpack_from(data, pos + i * _DIR_ENTRY.size)
             for i in range(self.n_nodes)
@@ -342,7 +352,7 @@ def _decode_node(raw: bytes):
     kind, n = _NODE_HEAD.unpack_from(raw, 0)
     pos = _NODE_HEAD.size
     if kind == 0:
-        keys = [_KEY.unpack_from(raw, pos + i * 8)[0] for i in range(n)]
+        keys = struct.unpack_from(f">{n}d", raw, pos)
         pos += n * 8
         rids = unpack_rids(raw, n, pos)
         pos += n * RID_BYTES

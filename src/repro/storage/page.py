@@ -38,6 +38,8 @@ class Page:
     _live: int = 0
     #: Bytes still physically occupied by deleted tuples (until compaction).
     _dead: int = 0
+    #: Live slots (maintained, so :attr:`n_tuples` is not a directory walk).
+    _n_live: int = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -53,6 +55,7 @@ class Page:
         page = cls(page_id, capacity=capacity)
         page._slots = list(payloads)
         page._live = sum(len(p) for p in payloads if p is not None)
+        page._n_live = sum(1 for p in payloads if p is not None)
         return page
 
     # ------------------------------------------------------------------
@@ -82,13 +85,13 @@ class Page:
             if not self.fits_after_compact(len(payload)):
                 raise ValueError("page full")
             self.compact()
-        for slot, stored in enumerate(self._slots):
-            if stored is None:
-                self._slots[slot] = payload
-                self._live += len(payload)
-                return slot
-        self._slots.append(payload)
         self._live += len(payload)
+        self._n_live += 1
+        if self._n_live <= len(self._slots):  # a dead slot exists: lowest first
+            slot = self._slots.index(None)
+            self._slots[slot] = payload
+            return slot
+        self._slots.append(payload)
         return len(self._slots) - 1
 
     def delete(self, slot: int) -> int:
@@ -99,6 +102,7 @@ class Page:
         """
         payload = self.payload(slot)
         self._slots[slot] = None
+        self._n_live -= 1
         self._live -= len(payload)
         self._dead += len(payload)
         return len(payload)
@@ -161,7 +165,7 @@ class Page:
     @property
     def n_tuples(self) -> int:
         """Live tuples only."""
-        return sum(1 for stored in self._slots if stored is not None)
+        return self._n_live
 
     @property
     def used_bytes(self) -> int:

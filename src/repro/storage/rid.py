@@ -38,9 +38,11 @@ class RID(NamedTuple):
 
 
 def pack_rids(rids) -> bytes:
-    """Concatenate the 6-byte forms of an iterable of RIDs."""
-    return b"".join(RID(*r).pack() for r in rids)
+    """Concatenate the 6-byte forms of an iterable of RIDs (one pack call)."""
+    flat = [v for rid in rids for v in rid]
+    return struct.pack(">" + "IH" * (len(flat) // 2), *flat)
 
 
 def unpack_rids(data: bytes, count: int, offset: int = 0) -> list[RID]:
-    return [RID.unpack(data, offset + i * RID_BYTES) for i in range(count)]
+    run = data[offset : offset + count * RID_BYTES]
+    return [RID(*fields) for fields in _RID_STRUCT.iter_unpack(run)]

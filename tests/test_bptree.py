@@ -192,3 +192,73 @@ class TestIdxFile:
         for node_id in range(header["n_nodes"]):
             raw = reader._read_node_raw(node_id)
             assert zlib.crc32(raw) == reader._directory[node_id][2]
+
+    def test_bytes_match_the_per_entry_encoder(self, tmp_path):
+        """``save_index`` packs a leaf's keys and RIDs a run at a time; the
+        bytes must equal the one-``struct.pack``-per-field encoder it
+        replaced (format v1 plus the header's ``lsn`` key), on every tree
+        shape this file builds — bulk loads, grown trees, emptied leaves."""
+        grown = BPlusTree(order=4)
+        for key, rid in _pairs(60, stride=7):
+            grown.insert(key % 11, rid)
+        emptied = BPlusTree.bulk_load(_pairs(40), order=4)
+        for key, rid in _pairs(40)[8:20]:
+            emptied.delete(key, rid)
+        trees = [
+            BPlusTree(order=4),
+            BPlusTree.bulk_load(_pairs(10), order=4),
+            BPlusTree.bulk_load(_pairs(400, stride=3), order=8),
+            BPlusTree.bulk_load(_pairs(150)),
+            grown,
+            emptied,
+        ]
+        for lsn, tree in enumerate(trees):
+            path = save_index(tree, "f2", tmp_path / "t.idx", lsn=lsn)
+            assert path.read_bytes() == _reference_blob(tree, "f2", lsn)
+            assert IndexFileReader(path).lsn == lsn
+
+
+def _reference_blob(tree: BPlusTree, column: str, lsn: int) -> bytes:
+    """The ``.idx`` bytes, one ``struct.pack`` per key / RID / child."""
+    import json
+
+    numbered = tree.nodes()
+    ids = {id(node): node_id for node_id, node in numbered}
+    payloads = []
+    for _, node in numbered:
+        if node.is_leaf:
+            parts = [struct.pack(">BH", 0, len(node.entries))]
+            parts += [struct.pack(">d", key) for key, _ in node.entries]
+            parts += [struct.pack(">IH", *rid) for _, rid in node.entries]
+            next_id = 0xFFFFFFFF if node.next is None else ids[id(node.next)]
+            parts.append(struct.pack(">I", next_id))
+        else:
+            parts = [struct.pack(">BH", 1, len(node.separators))]
+            for key, rid in node.separators:
+                parts += [struct.pack(">d", key), struct.pack(">IH", *rid)]
+            parts += [struct.pack(">I", ids[id(child)]) for child in node.children]
+        payloads.append(b"".join(parts))
+    header = json.dumps(
+        {
+            "column": column,
+            "order": tree.order,
+            "n_entries": tree.n_entries,
+            "n_nodes": len(payloads),
+            "height": tree.height,
+            "root": 0,
+            "lsn": lsn,
+        }
+    ).encode()
+    directory, offset = [], 0
+    for payload in payloads:
+        directory.append(struct.pack(">QII", offset, len(payload), zlib.crc32(payload)))
+        offset += len(payload)
+    return b"".join(
+        [
+            struct.pack(">4sHHI", MAGIC, FORMAT_VERSION, 0, len(header)),
+            header,
+            struct.pack(">I", zlib.crc32(header)),
+            *directory,
+            *payloads,
+        ]
+    )
