@@ -813,7 +813,6 @@ def _cmd_loader_stats(args) -> int:
         PrefetchLoader,
     )
     from .db import Catalog, overlap_report
-    from .obs import LoaderMetrics
     from .db.engine import ENGINE_PROFILE
     from .db.operators import SeqScanOperator
     from .db.threaded import ThreadedTupleShuffleOperator
@@ -825,11 +824,17 @@ def _cmd_loader_stats(args) -> int:
     args.epochs = epochs
     rows = []
 
+    def drain(loader, view):
+        for epoch in range(args.epochs):
+            view.set_epoch(epoch)
+            for _ in loader:
+                pass
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "loader.blocks"
         write_block_file(dataset, path, args.block_tuples)
 
-        prefetch_stats = LoaderMetrics("prefetch")
+        prefetch_stats = obs.LoaderMetrics("prefetch")
         with CorgiPileDataset(
             path, buffer_blocks=args.buffer_blocks, seed=args.seed, stats=prefetch_stats
         ) as single:
@@ -838,13 +843,10 @@ def _cmd_loader_stats(args) -> int:
                 depth=args.prefetch_depth,
                 stats=prefetch_stats,
             )
-            for epoch in range(args.epochs):
-                single.set_epoch(epoch)
-                for _ in loader:
-                    pass
+            drain(loader, single)
         rows.append(overlap_report(prefetch_stats))
 
-        multi_stats = LoaderMetrics("multiworker")
+        multi_stats = obs.LoaderMetrics("multiworker")
         with MultiWorkerLoader(
             path,
             args.workers,
@@ -854,13 +856,10 @@ def _cmd_loader_stats(args) -> int:
             prefetch_depth=args.prefetch_depth,
             stats=multi_stats,
         ) as multi:
-            for epoch in range(args.epochs):
-                multi.set_epoch(epoch)
-                for _ in multi:
-                    pass
+            drain(multi, multi)
         rows.append(overlap_report(multi_stats))
 
-    threaded_stats = LoaderMetrics("threaded-tuple-shuffle")
+    threaded_stats = obs.LoaderMetrics("threaded-tuple-shuffle")
     table = Catalog(page_bytes=1024).create_table(args.dataset, dataset)
     ctx = RuntimeContext(device=SSD, compute=ENGINE_PROFILE)
     op = ThreadedTupleShuffleOperator(
@@ -868,7 +867,7 @@ def _cmd_loader_stats(args) -> int:
     )
     op.open()
     for epoch in range(args.epochs):
-        while op.next() is not None:
+        while op.next_batch() is not None:
             pass
         if epoch + 1 < args.epochs:
             op.rescan()
@@ -876,11 +875,10 @@ def _cmd_loader_stats(args) -> int:
     rows.append(overlap_report(threaded_stats))
 
     # One merged row across all loaders — the cross-process/-thread merge
-    # the parallel engine uses, exercised here on the CLI path.  Each
-    # loader's counters are also projected into the session registry, so a
-    # --metrics-out snapshot carries the same numbers the table shows:
-    # the printed rows are views over the exported snapshot format.
-    total = LoaderMetrics("TOTAL")
+    # the parallel engine uses, exercised here on the CLI path.  Each scope
+    # is also exported into the session registry under ``loader.<name>.``,
+    # so a --metrics-out snapshot carries the numbers the table shows.
+    total = obs.LoaderMetrics("TOTAL")
     for stats in (prefetch_stats, multi_stats, threaded_stats):
         total.merge(stats)
         stats.to_registry(obs.get_registry(), prefix=f"loader.{stats.name}")
@@ -917,7 +915,6 @@ def _cmd_chaos(args) -> int:
 
     from .core import Batch, CorgiPileDataset, DataLoader as CoreDataLoader
     from .faults import FaultPlan, InjectedCrash, chaos_report, faulty_reader_factory
-    from .obs import StorageMetrics
     from .ml import CheckpointConfig, train_streaming, training_columns
     from .storage import write_block_file
 
@@ -934,7 +931,7 @@ def _cmd_chaos(args) -> int:
         max_failures=args.max_failures,
         crash_at_tuple=args.crash_at,
     )
-    stats = StorageMetrics("chaos")
+    stats = obs.StorageMetrics("chaos")
     ok = True
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -980,8 +977,8 @@ def _cmd_chaos(args) -> int:
             for k in model_clean.params
         )
         ok &= identical
-        # The printed table is a view over the exported snapshot format:
-        # the same dict lands in --metrics-out via the session registry.
+        # The printed row also lands in --metrics-out, under ``chaos.`` (the
+        # scope already forwarded its retries to ``storage.retry.retries``).
         stats.to_registry(obs.get_registry(), prefix="chaos")
         print(format_table([chaos_report(stats.as_dict(), plan)], title="chaos run counters"))
         print(

@@ -70,8 +70,7 @@ class ShuffleBuffer(Generic[T]):
         order = self._rng.permutation(len(self._items))
         drained = [self._items[i] for i in order]
         self._items.clear()
-        obs.inc("shuffle.buffer.drains")
-        obs.inc("shuffle.buffer.tuples_drained", len(drained))
+        obs.SESSION_LOADER.record_buffer_drained(len(drained))
         return drained
 
 

@@ -59,7 +59,7 @@ class CorgiPileDataset:
         self.worker_id = int(worker_id)
         self.n_workers = int(n_workers)
         self.epoch = 0
-        #: Optional observability hook: counts buffer fills/drains per epoch.
+        #: Optional private scope: counts this dataset's buffer fills/drains.
         self.stats = stats
 
     # ------------------------------------------------------------------
@@ -106,6 +106,7 @@ class CorgiPileDataset:
         # epoch); the tuple-shuffle RNG is worker-local.
         my_blocks = self._worker_blocks(epoch_rng(self.seed, self.epoch))
         tuple_rng = worker_rng(self.seed, self.epoch, self.worker_id)
+        stats = self.stats or obs.SESSION_LOADER
         for i, lo in enumerate(range(0, len(my_blocks), self.buffer_blocks)):
             group = my_blocks[lo : lo + self.buffer_blocks]
             if i < start:
@@ -113,11 +114,8 @@ class CorgiPileDataset:
                 continue
             fill = TupleBatch.concat([self._read_block(int(b), columns) for b in group])
             n = len(fill)
-            if self.stats is not None:
-                self.stats.record_buffer_filled(n)
-                self.stats.record_buffer_drained(n)
-            obs.inc("shuffle.buffer.drains")
-            obs.inc("shuffle.buffer.tuples_drained", n)
+            stats.record_buffer_filled(n)
+            stats.record_buffer_drained(n)
             yield fill.take(tuple_rng.permutation(n))
 
     def __iter__(self) -> Iterator[TrainingTuple]:

@@ -87,6 +87,14 @@ class MultiProcessCorgiPile:
         return np.concatenate([indices for _, indices in fills])
 
     # ------------------------------------------------------------------
+    def per_worker_batch(self, global_batch_size: int) -> int:
+        """Each worker's ``bs/PN`` slice of a global batch."""
+        if global_batch_size <= 0:
+            raise ValueError("global_batch_size must be positive")
+        if global_batch_size % self.n_workers != 0:
+            raise ValueError("global_batch_size must be divisible by n_workers")
+        return global_batch_size // self.n_workers
+
     def global_batches(self, epoch: int, global_batch_size: int) -> Iterator[np.ndarray]:
         """The AllReduce-equivalent global batch stream.
 
@@ -94,11 +102,7 @@ class MultiProcessCorgiPile:
         step; gradient synchronisation makes the step equivalent to one
         mini-batch over the concatenation of the slices.
         """
-        if global_batch_size <= 0:
-            raise ValueError("global_batch_size must be positive")
-        if global_batch_size % self.n_workers != 0:
-            raise ValueError("global_batch_size must be divisible by n_workers")
-        per_worker = global_batch_size // self.n_workers
+        per_worker = self.per_worker_batch(global_batch_size)
         streams = [self.worker_epoch_indices(epoch, w) for w in range(self.n_workers)]
         n_steps = min(s.size for s in streams) // per_worker
         for step in range(n_steps):

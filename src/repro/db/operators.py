@@ -118,10 +118,10 @@ class PhysicalOperator(ABC):
     def next(self) -> TrainingTuple | None:
         """Per-tuple adapter over :meth:`next_batch` (getNext).
 
-        For consumers that really want one tuple at a time — the unfused
-        ``step_example`` reference path, the segmented engine's per-segment
-        quota, the CLI ``loader-stats`` drain, tests.  It pulls a batch only
-        once the previous one is used up, so it obeys the carry rule too.
+        For consumers that really want one tuple at a time — the per-tuple
+        references in ``tests/test_operator_batches.py`` / ``test_db_operators.py``;
+        nothing under ``src/repro`` calls it.  It pulls a batch only once the
+        previous one is used up, so it obeys the carry rule too.
         """
         for record in self._rows:
             return record
@@ -435,15 +435,14 @@ def shuffled_fill(
     the batch that crosses the boundary is cut there and its tail carried by
     ``stream`` into the next fill — then draws one ``rng.permutation`` over
     the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills` does for
-    the block-file loaders (whose ``shuffle.buffer.*`` counters it shares).
+    the block-file loaders.  The caller records the drain when it hands the
+    fill on (the threaded operator does that on its consumer side).
     """
     with obs.span("db.fill", **span_attrs) as sp:
         fill = stream.take(buffer_tuples)
         sp.set(n_tuples=0 if fill is None else len(fill))
     if fill is None:
         return None
-    obs.inc("shuffle.buffer.drains")
-    obs.inc("shuffle.buffer.tuples_drained", len(fill))
     return fill.take(rng.permutation(len(fill)))
 
 
@@ -481,6 +480,7 @@ class TupleShuffleOperator(PhysicalOperator):
         if fill is None or len(fill) < self.buffer_tuples:
             self._exhausted = True
         if fill is not None:
+            obs.SESSION_LOADER.record_buffer_drained(len(fill))
             self.ctx.end_fill(len(fill))
         return fill
 

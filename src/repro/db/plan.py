@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from ..shuffle.base import EXTERNAL_SORT_PASSES
 from ..storage.iomodel import DeviceModel, device_by_name
 from . import where as _where  # via the module, so a tracer's wrappers are hit
-from .advisor import AdvisorDecision
+from .advisor import AdvisorDecision, advise_strategy
 from .errors import EngineError, UnsupportedLayoutError
-from .planner import plan_train
 from .spec import TrainSpec
 
 __all__ = ["STRATEGIES", "WHERE_STRATEGIES", "PlanNode", "PhysicalPlan", "physical_plan"]
@@ -208,7 +207,12 @@ def physical_plan(
         # shuffle-safe default rather than probing the subset.
         strategy = "corgipile"
     elif strategy == "auto":
-        advisor = plan_train(table, spec, device, compute=compute, history=history)
+        # ``device`` already carries any ``WITH device`` override; ``history``
+        # lets the advisor fit κ from this table's earlier per-epoch walls.
+        advisor = advise_strategy(
+            table, device, block_bytes=spec.block_size, epochs=spec.epochs,
+            buffer_fraction=spec.buffer_fraction, compute=compute, history=history,
+        )
         strategy = advisor.strategy
     if strategy not in STRATEGIES:
         raise EngineError(

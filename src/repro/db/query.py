@@ -15,7 +15,7 @@ parallelism knobs (``workers``, ``aggregation``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -291,7 +291,6 @@ class TrainQuery:
     #: model-hopper engine and returns a leaderboard.
     grid: object | None = None
     #: The engine's *output* channel (planner/advisor/where/parallel docs).
-    #: Using it to pass inputs is deprecated — see ``repro.db.spec``.
     extra: dict = field(default_factory=dict)
 
     def spec(self):
@@ -517,6 +516,9 @@ def parse_query(
 
 _GRID_RE = re.compile(r"grid\s*=\s*\(([^()]*)\)\s*,?", re.IGNORECASE)
 
+#: ``TrainQuery`` fields a ``WITH`` assignment may not set.
+_NOT_WITH_KNOBS = ("table", "model", "extra", "where")
+
 #: Typed TrainQuery fields whose default is ``None`` — the generic
 #: ``type(default)(value)`` coercion below cannot handle them.
 _OPTIONAL_FIELD_COERCE = {
@@ -574,6 +576,7 @@ def _parse_train(match) -> TrainQuery:
     if grid_match:
         query.grid = _parse_grid(grid_match.group(1))
         params_text = params_text[: grid_match.start()] + params_text[grid_match.end():]
+    knobs = sorted(f.name for f in fields(query) if f.name not in _NOT_WITH_KNOBS)
     for assignment in params_text.split(","):
         if not assignment.strip():
             continue
@@ -586,30 +589,15 @@ def _parse_train(match) -> TrainQuery:
                 "grid expects a parenthesised axis list: "
                 "grid = (lr = 0.1 | 0.01, ...)"
             )
-        value = _parse_value(raw)
-        if key in _OPTIONAL_FIELD_COERCE:
-            try:
-                setattr(query, key, _OPTIONAL_FIELD_COERCE[key](value))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad value for {key}: {raw.strip()!r}") from exc
-        elif hasattr(query, key) and key not in ("table", "model", "extra", "where"):
-            expected = type(getattr(query, key))
-            try:
-                setattr(query, key, expected(value))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad value for {key}: {raw.strip()!r}") from exc
-        else:
-            # Unknown knob: collected for one more release so old scripts
-            # keep running, but no longer silently — TrainSpec is the typed
-            # surface and a typo should not vanish into the dict.
-            import warnings
-
-            warnings.warn(
-                f"unknown TRAIN knob {key!r} collected into query.extra; "
-                "this path is deprecated — see repro.db.spec.TrainSpec for "
-                "the typed fields",
-                DeprecationWarning,
-                stacklevel=4,
+        if key not in knobs:
+            # A typo'd knob must not train with the default in its place.
+            raise ParseError(
+                f"unknown TRAIN knob {key!r}; WITH takes the typed fields of "
+                f"repro.db.spec.TrainSpec, spelled: {', '.join(knobs)}"
             )
-            query.extra[key] = value
+        coerce = _OPTIONAL_FIELD_COERCE.get(key) or type(getattr(query, key))
+        try:
+            setattr(query, key, coerce(_parse_value(raw)))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad value for {key}: {raw.strip()!r}") from exc
     return query

@@ -81,19 +81,3 @@ class Timeline:
         if mine is None or theirs is None or mine == 0:
             return None
         return theirs / mine
-
-    def to_registry(self, registry=None, prefix: str | None = None) -> None:
-        """Project this timeline's aggregates into an obs registry.
-
-        Publishes total simulated wall-clock and setup time as gauges and
-        the epoch count as a counter, under ``timeline.<system>`` (or
-        ``prefix``), so end-to-end runs land in the same metrics snapshot
-        as the live counters.
-        """
-        reg = registry if registry is not None else obs.get_registry()
-        base = prefix if prefix is not None else f"timeline.{self.system}"
-        reg.set_max(f"{base}.total_time_s", self.total_time_s)
-        reg.set_max(f"{base}.setup_s", self.setup_s)
-        reg.inc(f"{base}.epochs", len(self.points))
-        if self.final_test_score is not None:
-            reg.set_max(f"{base}.final_test_score", float(self.final_test_score))

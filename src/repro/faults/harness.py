@@ -11,6 +11,7 @@ resulting counters for the CLI and the tests.
 from __future__ import annotations
 
 import copy
+import functools
 from pathlib import Path
 from typing import Any, Callable
 
@@ -35,11 +36,7 @@ def faulty_reader_factory(
     multi-worker chaos runs keep one deterministic fault schedule and one
     aggregate counter set.
     """
-
-    def factory(path: str | Path) -> BlockFileReader:
-        return FaultyBlockFileReader(path, plan, retry=retry, storage_stats=stats)
-
-    return factory
+    return functools.partial(FaultyBlockFileReader, plan=plan, retry=retry, storage_stats=stats)
 
 
 def faulty_table(

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from .. import obs
 from ..storage.blockfile import BlockFileReader, BlockIndexEntry
 from ..storage.columnar import ChunkRef
 from ..storage.heapfile import HeapFile
@@ -71,14 +72,12 @@ class _InjectorMixin:
         self, decision: FaultDecision, unit: str, target: int
     ) -> bool:
         """Sleep/raise per the decision; returns True when bytes must be torn."""
-        stats = self.storage_stats
+        stats = self.storage_stats or obs.SESSION_STORAGE
         if decision.delay_s > 0:
-            if stats is not None:
-                stats.record_latency(decision.delay_s)
+            stats.record_latency(decision.delay_s)
             self._sleep(decision.delay_s)
         if decision.crash:
-            if stats is not None:
-                stats.record_crash()
+            stats.record_crash()
             self.fault_plan.fire_crash(f"{unit} {target} read")
         if decision.transient:
             raise TransientReadError(f"injected transient fault on {unit} {target}")

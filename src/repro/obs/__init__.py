@@ -5,16 +5,17 @@ I/O vs shuffle vs SGD, producer stall vs consumer wait, retries, barrier
 waits — reports through this package:
 
 * a process-wide metrics :class:`Registry` (counters / gauges / bounded
-  histograms; picklable, cross-process mergeable);
+  histograms; picklable, cross-process mergeable) — the only counter store
+  (:class:`LoaderMetrics` / :class:`StorageMetrics` are named scopes of one:
+  a private count of one loader or fault plane for its caller to assert on);
 * a structured :class:`Tracer` of nested :func:`span`\\ s with monotonic
   timestamps, parent ids, and per-span attributes — near-zero overhead
   while disabled (the default);
 * exporters: JSONL trace (:func:`trace_to`), flat JSON metrics snapshot,
   and the human ``repro obs-report`` summary tree (:func:`report`).
 
-The older report surfaces (``overlap_report``, ``chaos_report``,
-``Timeline``) are thin adapters over this package; the loader/storage
-counter classes live in :mod:`repro.obs.adapters`.
+The report helpers (``overlap_report``, ``chaos_report``, ``Timeline``)
+render what this package recorded.
 
 Layering: this package imports **nothing** from the rest of ``repro`` —
 it sits at the bottom of the dependency graph so every other layer (storage,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .adapters import LoaderMetrics, MergeableStats, StorageMetrics, merge_stats
+from .adapters import SESSION_LOADER, SESSION_STORAGE, LoaderMetrics, StorageMetrics
 from .export import (
     DEFAULT_SCHEMA_PATH,
     load_schema,
@@ -46,7 +47,7 @@ from .export import (
     write_metrics_json,
     write_trace_jsonl,
 )
-from .registry import Registry
+from .registry import SESSION as _REGISTRY, Registry
 from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "get_tracer",
     # recording helpers
     "add_span",
-    "current_span_id",
     "inc",
     "observe",
     "set_gauge",
@@ -74,9 +74,10 @@ __all__ = [
     "Tracer",
     "Span",
     "NULL_SPAN",
-    "MergeableStats",
     "LoaderMetrics",
     "StorageMetrics",
+    "SESSION_LOADER",
+    "SESSION_STORAGE",
     # exporters
     "write_trace_jsonl",
     "write_metrics_json",
@@ -88,11 +89,9 @@ __all__ = [
     "DEFAULT_SCHEMA_PATH",
 ]
 
-#: The process-wide session telemetry.  The registry always records (its
-#: call sites are per-block / per-epoch, never per-tuple); the tracer is
-#: disabled until :func:`enable` / :func:`trace_to` turns it on, and a
-#: disabled ``span()`` costs one attribute check.
-_REGISTRY = Registry("session")
+#: The process-wide session telemetry: ``_REGISTRY`` (always recording) and
+#: the tracer, disabled until :func:`enable` / :func:`trace_to` turns it on —
+#: a disabled ``span()`` costs one attribute check.
 _TRACER = Tracer(enabled=False)
 
 
@@ -138,10 +137,6 @@ def add_span(name: str, start: float, end: float, **attrs):
     return _TRACER.add_span(name, start, end, **attrs)
 
 
-def current_span_id():
-    return _TRACER.current_span_id()
-
-
 def inc(name: str, n: float = 1) -> None:
     _REGISTRY.inc(name, n)
 
@@ -166,16 +161,13 @@ def set_max(name: str, value: float) -> None:
 def merge(into, other):
     """Fold ``other`` into ``into`` (in place) and return ``into``.
 
-    Dispatches on type: two registries, two tracers, or two stats objects
-    of the same family (loader with loader, storage with storage — a
-    cross-family merge raises ``TypeError``, as do mismatched kinds).
+    Dispatches on type: two registries or two tracers (mismatched kinds
+    raise ``TypeError``).  A scope's ``merge`` is its registry's.
     """
     if isinstance(into, Registry) and isinstance(other, Registry):
         return into.merge(other)
     if isinstance(into, Tracer) and isinstance(other, Tracer):
         return into.merge(other)
-    if isinstance(into, MergeableStats):
-        return merge_stats(into, other)
     raise TypeError(
         f"cannot merge {type(other).__name__} into {type(into).__name__}"
     )

@@ -9,20 +9,22 @@ A :class:`Registry` holds three metric kinds under dotted names
 * **histograms** — count/sum/min/max kept exactly, plus a bounded
   reservoir of raw observations for percentile estimates.
 
-Like the legacy ``_MergeableStats`` counters, a registry is picklable
-(snapshot the values, drop the lock, fresh lock on load) and cross-process
-mergeable: workers ship theirs home and the coordinator folds them into one.
-The merge is associative — counters add, gauges max, histogram moments fold
-exactly and reservoirs concatenate-then-truncate — so any fold order over
-worker registries produces the same snapshot (asserted by
-``tests/test_obs.py``).
+A registry is picklable (snapshot the values, drop the lock, fresh lock on
+load) and cross-process mergeable: workers ship theirs home and the
+coordinator folds them into one.  The merge is associative — counters add,
+gauges max, histogram moments fold exactly and reservoirs
+concatenate-then-truncate — so any fold order over worker registries
+produces the same snapshot (asserted by ``tests/test_obs.py``).
+
+It is the repo's only counter store: :data:`SESSION` is the process-wide
+one, and a :class:`Scope` keeps its fields in a private one.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["Registry", "RESERVOIR_MAX"]
+__all__ = ["Registry", "Scope", "SESSION", "RESERVOIR_MAX"]
 
 #: Per-histogram cap on retained raw observations.  Concatenate-then-truncate
 #: keeps the merge associative (the survivors depend only on insertion order,
@@ -150,11 +152,15 @@ class Registry:
             self._hists.clear()
 
     # -- merge / pickle -------------------------------------------------
-    def merge(self, other: "Registry") -> "Registry":
-        """Fold ``other`` into this registry (in place); returns self."""
+    def merge(self, other: "Registry", prefix: str | None = None) -> "Registry":
+        """Fold ``other`` into this registry (in place), its metrics under
+        ``<prefix>.<name>`` when a prefix is given; returns self."""
         if not isinstance(other, Registry):
             raise TypeError(f"cannot merge {type(other).__name__} into Registry")
         state = other.__getstate__()
+        if prefix is not None:
+            for kind in ("counters", "gauges", "hists"):
+                state[kind] = {f"{prefix}.{k}": v for k, v in state[kind].items()}
         with self._lock:
             for name, value in state["counters"].items():
                 self._counters[name] = self._counters.get(name, 0) + value
@@ -217,3 +223,93 @@ class Registry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry({self.name!r}, {len(self)} metrics)"
+
+
+#: The process-wide session registry (``repro.obs.get_registry()``).  It
+#: always records: its call sites are per-block / per-epoch, never per-tuple.
+SESSION = Registry("session")
+
+
+class Scope:
+    """A named group of fields kept in a private :class:`Registry`.
+
+    A subclass declares the fields and the events that write them (see
+    :mod:`repro.obs.adapters`); the fields read, and assign, as attributes.
+    An event :data:`SESSION` has a name for is counted there too, by the same
+    :meth:`_count` — one call per event, whether or not the site's caller
+    handed it a scope.  Pickle, merge and reset are the private registry's;
+    merging scope into scope forwards nothing.
+    """
+
+    #: field -> its zero (``0`` or ``0.0``: the type it counts in), in report
+    #: order.  The ``_GAUGES`` among them merge by max, not sum (queue depths
+    #: don't add across processes); ``_DERIVED`` properties close as_dict().
+    _FIELDS: dict[str, float] = {}
+    _GAUGES: tuple[str, ...] = ()
+    _DERIVED: tuple[str, ...] = ()
+
+    def __init__(self, name: str):
+        self.name = name
+        self._registry = Registry(name)
+        self.reset()
+
+    def reset(self) -> None:
+        self._registry.reset()
+        # Zero-seeded, so as_dict() and to_registry() always carry every
+        # field and a float field reads 0.0 before its first event.
+        for field, zero in self._FIELDS.items():
+            self._count(field, zero)
+
+    def _count(self, field: str, n: float = 1, session: str | None = None) -> None:
+        """One event: ``n`` onto ``field`` (a gauge rises to ``n``) and onto
+        the event's name in the session registry."""
+        if self._registry is not None:
+            (self._registry.set_max if field in self._GAUGES else self._registry.inc)(field, n)
+        if session is not None:
+            SESSION.inc(session, n)
+
+    _lock = property(lambda self: self._registry._lock)
+
+    def __getattr__(self, field: str):
+        # Only for names not set on the instance.  A non-field must raise
+        # before ``_registry`` is touched: unpickling probes an empty instance.
+        if field not in self._FIELDS:
+            raise AttributeError(field)
+        return (self._registry.gauge if field in self._GAUGES else self._registry.counter)(field)
+
+    def __setattr__(self, field: str, value) -> None:
+        if field not in self._FIELDS:
+            return super().__setattr__(field, value)
+        cells = self._registry._gauges if field in self._GAUGES else self._registry._counters
+        with self._lock:
+            cells[field] = value
+
+    def as_dict(self) -> dict:
+        """Snapshot the name and every field (plus the derived ones)."""
+        snap = self._registry.snapshot()
+        values = {**snap["counters"], **snap["gauges"]}
+        derived = {p: getattr(self, p) for p in self._DERIVED}
+        return {"name": self.name, **{f: values[f] for f in self._FIELDS}, **derived}
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.as_dict()})"
+
+    def merge(self, other: "Scope") -> "Scope":
+        """Fold ``other``'s fields into this scope (in place).  Scopes merge
+        when they count the same fields — loader with loader."""
+        if getattr(other, "_FIELDS", None) is not self._FIELDS:
+            raise TypeError(f"cannot merge {type(other).__name__} into {type(self).__name__}")
+        self._registry.merge(other._registry)
+        return self
+
+    __iadd__ = merge
+
+    def __add__(self, other: "Scope") -> "Scope":
+        total = type(self)(self.name).merge(self).merge(other)
+        if other.name != self.name:
+            total.name = f"{self.name}+{other.name}"
+        return total
+
+    def to_registry(self, registry: Registry, prefix: str | None = None) -> None:
+        """Export the fields as ``<prefix>.<field>`` (default: the scope name)."""
+        registry.merge(self._registry, prefix=self.name if prefix is None else prefix)

@@ -153,11 +153,13 @@ class WorkerFleet:
             merged_loader.merge(loader)
             merged_storage.merge(storage)
             # Worker spans keep their parent links and are stamped
-            # ``worker=<id>``; counters/gauges/histograms fold into the
-            # session registry — one merged timeline, one metrics snapshot.
+            # ``worker=<id>``; its registry folds into the session's — one
+            # merged timeline, one metrics snapshot.  The worker's scopes
+            # forwarded their events to that registry as they happened, so
+            # merging the scopes above counts nothing twice.
             if telemetry["tracer"] is not None and obs.enabled():
                 obs.get_tracer().merge(telemetry["tracer"], worker=worker_id)
-            obs.get_registry().merge(telemetry["registry"])
+            obs.merge(obs.get_registry(), telemetry["registry"])
             worker_tuples += int(tuples_done)
             per_worker.append(
                 {

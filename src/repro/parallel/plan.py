@@ -2,12 +2,12 @@
 
 The planner is the bridge between the Section 5 *simulation*
 (:class:`~repro.core.distributed.MultiProcessCorgiPile`) and the executing
-engine (:mod:`repro.parallel.engine`): it wraps the simulation and exposes
-exactly the derived quantities the coordinator and the worker processes
-need — per-worker block shards from the shared per-epoch permutation,
-per-buffer-fill visit orders, and the synchronised step count.  Because
-every answer is delegated to ``MultiProcessCorgiPile``, the executed tuple
-order provably matches the simulated stream (pinned by
+engine (:mod:`repro.parallel.engine`): it *is* that simulation — per-worker
+block shards from the shared per-epoch permutation, per-buffer-fill visit
+orders, the global batch stream — built from a block file's index, plus the
+quantities only an executor needs (shard sizes, the synchronised step
+count).  Because the shards and fills are the simulation's own methods, the
+executed tuple order provably matches the simulated stream (pinned by
 ``tests/test_parallel_plan.py``).
 
 The planner is a plain picklable value object: the coordinator builds one,
@@ -22,9 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
 
 from ..core.distributed import MultiProcessCorgiPile
 from ..data.dataset import BlockLayout
@@ -35,7 +32,7 @@ _INDEX_SUFFIX = ".index.json"
 
 
 @dataclass(frozen=True)
-class ShardPlanner:
+class ShardPlanner(MultiProcessCorgiPile):
     """Deterministic partitioning of a block file across ``n_workers``."""
 
     n_tuples: int
@@ -49,13 +46,10 @@ class ShardPlanner:
             raise ValueError("n_workers must be positive")
         if self.buffer_blocks <= 0:
             raise ValueError("buffer_blocks must be positive")
-        # Validates n_tuples / tuples_per_block via BlockLayout.
-        object.__setattr__(self, "_mp", MultiProcessCorgiPile(
-            BlockLayout(self.n_tuples, self.tuples_per_block),
-            self.n_workers,
-            self.buffer_blocks,
-            seed=self.seed,
-        ))
+        # The simulation's own attributes, derived from the fields (frozen,
+        # hence ``object.__setattr__``); BlockLayout validates the geometry.
+        object.__setattr__(self, "layout", BlockLayout(self.n_tuples, self.tuples_per_block))
+        object.__setattr__(self, "buffer_blocks_per_worker", self.buffer_blocks)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -82,41 +76,17 @@ class ShardPlanner:
 
     # ------------------------------------------------------------------
     @property
-    def layout(self) -> BlockLayout:
-        return self._mp.layout
-
-    @property
     def n_blocks(self) -> int:
-        return self._mp.layout.n_blocks
-
-    def worker_blocks(self, epoch: int) -> list[np.ndarray]:
-        """Per-worker shard of the shared epoch block permutation."""
-        return self._mp.worker_blocks(epoch)
-
-    def worker_buffer_fills(self, epoch: int, worker_id: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Worker ``worker_id``'s ``(block_group, shuffled_indices)`` fills."""
-        return self._mp.worker_buffer_fills(epoch, worker_id)
-
-    def worker_epoch_indices(self, epoch: int, worker_id: int) -> np.ndarray:
-        """Worker ``worker_id``'s flat visit order for ``epoch``."""
-        return self._mp.worker_epoch_indices(epoch, worker_id)
+        return self.layout.n_blocks
 
     def shard_sizes(self, epoch: int) -> list[int]:
         """Tuples owned by each worker this epoch (uneven splits allowed)."""
-        layout = self._mp.layout
         return [
-            int(sum(layout.block_size(int(b)) for b in blocks))
+            int(sum(self.layout.block_size(int(b)) for b in blocks))
             for blocks in self.worker_blocks(epoch)
         ]
 
     # -- synchronous mode ------------------------------------------------
-    def per_worker_batch(self, global_batch_size: int) -> int:
-        if global_batch_size <= 0:
-            raise ValueError("global_batch_size must be positive")
-        if global_batch_size % self.n_workers != 0:
-            raise ValueError("global_batch_size must be divisible by n_workers")
-        return global_batch_size // self.n_workers
-
     def sync_steps(self, epoch: int, global_batch_size: int) -> int:
         """Gradient-sync steps this epoch (limited by the smallest shard).
 
@@ -127,13 +97,6 @@ class ShardPlanner:
         per_worker = self.per_worker_batch(global_batch_size)
         smallest = min(self.shard_sizes(epoch))
         return smallest // per_worker
-
-    def global_batches(self, epoch: int, global_batch_size: int) -> Iterator[np.ndarray]:
-        return self._mp.global_batches(epoch, global_batch_size)
-
-    def epoch_indices(self, epoch: int, global_batch_size: int) -> np.ndarray:
-        """The equivalent single-process visit order (for reference runs)."""
-        return self._mp.epoch_indices(epoch, global_batch_size)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -193,9 +193,9 @@ class BlockFileReader:
     Every block read is CRC-verified (when the index carries checksums)
     before decoding.  With a ``retry`` policy, transient read errors and
     checksum mismatches are retried up to the policy's budget; without one,
-    the first failure propagates.  ``storage_stats`` (duck-typed as
-    :class:`~repro.obs.StorageMetrics`) receives attempt/retry
-    counters either way.
+    the first failure propagates.  ``storage_stats`` (a
+    :class:`~repro.obs.StorageMetrics` scope) counts attempts and faults
+    either way.
     """
 
     def __init__(
@@ -269,17 +269,14 @@ class BlockFileReader:
         """Run a raw-read closure under the retry policy / stats protocol."""
         if self.retry is not None:
             return self.retry.run(fn, stats=self.storage_stats, describe=describe)
-        stats = self.storage_stats
-        if stats is not None:
-            stats.record_attempt()
+        stats = self.storage_stats or obs.SESSION_STORAGE
+        stats.record_attempt()
         try:
             buffer = fn(1)
         except ChecksumError as exc:
-            if stats is not None:
-                stats.record_fault(exc)
+            stats.record_fault(exc)
             raise
-        if stats is not None:
-            stats.record_ok()
+        stats.record_ok()
         return buffer
 
     # -- columnar chunk path -------------------------------------------

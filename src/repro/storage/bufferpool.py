@@ -186,9 +186,7 @@ class BufferPool:
         """
         dropped = self._cache.pop(page_id, None) is not None
         if dropped:
-            obs.inc("storage.bufferpool.invalidations")
-            if self.storage_stats is not None:
-                self.storage_stats.record_cache_invalidation()
+            (self.storage_stats or obs.SESSION_STORAGE).record_cache_invalidation()
         return dropped
 
     def refresh(self, page_id: int) -> tuple[TrainingTuple, ...]:

@@ -19,9 +19,9 @@ storage layer uses to distinguish retryable from fatal failures, plus the
 
 Retries are *invisible* above the storage layer: a read either returns
 verified bytes or raises :class:`ReadExhaustedError`.  Every attempt, retry,
-and exhaustion is recorded into an optional stats sink (duck-typed as
-:class:`~repro.obs.StorageMetrics`), so chaos runs can assert that
-faults really happened even though the model output is unchanged.
+and exhaustion is an event on the caller's :class:`~repro.obs.StorageMetrics`
+scope (the session's when handed none), so chaos runs can assert that faults
+really happened even though the model output is unchanged.
 """
 
 from __future__ import annotations
@@ -146,36 +146,29 @@ class RetryPolicy:
         use it to drop state the failed read may have poisoned (e.g. the
         buffer pool invalidating a cached page).
         """
+        stats = stats or obs.SESSION_STORAGE
         delay = self.backoff_s
         last: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
-            if stats is not None:
-                stats.record_attempt()
+            stats.record_attempt()
             try:
                 result = attempt_fn(attempt)
             except RetryableIOError as exc:
                 last = exc
-                obs.inc(f"storage.retry.{type(exc).__name__}")
-                if stats is not None:
-                    stats.record_fault(exc)
+                stats.record_fault(exc)
                 if on_retry is not None:
                     on_retry(exc)
                 if attempt < self.max_attempts:
-                    obs.inc("storage.retry.retries")
-                    if stats is not None:
-                        stats.record_retry()
+                    stats.record_retry()
                     if delay > 0:
                         self._sleep(self._next_delay(delay))
                         delay = min(
                             delay * self.backoff_factor, self.max_backoff_s
                         )
                 continue
-            if stats is not None:
-                stats.record_ok()
+            stats.record_ok()
             return result
-        obs.inc("storage.retry.exhausted")
-        if stats is not None:
-            stats.record_exhausted()
+        stats.record_exhausted()
         assert last is not None
         raise ReadExhaustedError(describe, self.max_attempts, last)
 

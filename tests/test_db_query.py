@@ -55,10 +55,15 @@ class TestTrainQueries:
         q = parse_query("SELECT * FROM t TRAIN BY lr WITH double_buffer = false")
         assert q.double_buffer is False
 
-    def test_unknown_params_collected(self):
-        with pytest.warns(DeprecationWarning, match="fancy_knob"):
-            q = parse_query("SELECT * FROM t TRAIN BY lr WITH fancy_knob = 3")
-        assert q.extra == {"fancy_knob": 3}
+    def test_unknown_params_rejected(self):
+        # A typo'd knob is an error naming it and the knobs that exist —
+        # it used to land in ``query.extra`` and train with the default.
+        with pytest.raises(ParseError, match="fancy_knob") as exc:
+            parse_query("SELECT * FROM t TRAIN BY lr WITH fancy_knob = 3")
+        assert "TrainSpec" in str(exc.value)
+        assert "learning_rate" in str(exc.value) and "max_epoch_num" in str(exc.value)
+        with pytest.raises(ParseError, match="learning_rat"):
+            parse_query("SELECT * FROM t TRAIN BY lr WITH learning_rat = 0.5")
 
     def test_case_insensitive_keywords(self):
         q = parse_query("select * from t train by svm with learning_rate = 0.5")

@@ -11,8 +11,11 @@ from repro.data import (
     make_multiclass_dense,
     make_regression,
 )
-from repro.db import Catalog, MiniDB, choose_access_path
-from repro.db.planner import HD_NO_SHUFFLE_THRESHOLD
+from repro.db import Catalog, MiniDB
+from repro.db.advisor import estimate_hd
+
+#: Blocks whose h_D sits below this look statistically like a full shuffle.
+HD_NO_SHUFFLE_THRESHOLD = 1.5
 
 
 def _table(dataset, page_bytes=1024):
@@ -20,17 +23,15 @@ def _table(dataset, page_bytes=1024):
 
 
 class TestChooseAccessPath:
+    """The h_D probe that ``strategy = auto``'s access-path choice reads."""
+
     def test_shuffled_table_picks_no_shuffle(self):
         ds = make_binary_dense(2000, 10, separation=1.2, seed=0).shuffled(seed=1)
-        choice = choose_access_path(_table(ds), block_bytes=4096)
-        assert choice.strategy == "no_shuffle"
-        assert choice.hd < HD_NO_SHUFFLE_THRESHOLD
+        assert estimate_hd(_table(ds), 4096).hd < HD_NO_SHUFFLE_THRESHOLD
 
     def test_clustered_table_picks_corgipile(self):
         ds = clustered_by_label(make_binary_dense(2000, 10, separation=1.2, seed=0))
-        choice = choose_access_path(_table(ds), block_bytes=4096)
-        assert choice.strategy == "corgipile"
-        assert choice.hd > HD_NO_SHUFFLE_THRESHOLD
+        assert estimate_hd(_table(ds), 4096).hd > HD_NO_SHUFFLE_THRESHOLD
 
     def test_block_granularity_matters(self):
         # Runs of 10 identical-label tuples: at 10-tuple blocks h_D is
@@ -39,34 +40,27 @@ class TestChooseAccessPath:
             make_binary_dense(2000, 8, separation=1.2, seed=0), run_length=10, seed=0
         )
         table = _table(ds, page_bytes=512)
-        fine = choose_access_path(table, block_bytes=table.heap.page_bytes)
-        coarse = choose_access_path(table, block_bytes=64 * 1024)
+        fine = estimate_hd(table, table.heap.page_bytes)
+        coarse = estimate_hd(table, 64 * 1024)
         assert fine.hd > coarse.hd
+        assert fine.n_blocks > coarse.n_blocks
 
     def test_multiclass_and_regression_probes(self):
         multi = clustered_by_label(make_multiclass_dense(900, 8, 3, separation=2.0, seed=0))
-        assert choose_access_path(_table(multi), 4096).strategy == "corgipile"
+        assert estimate_hd(_table(multi), 4096).hd > HD_NO_SHUFFLE_THRESHOLD
         reg = make_regression(900, 6, seed=0)
         import numpy as np
 
         by_target = reg.reorder(np.argsort(reg.y), suffix="sorted")
-        assert choose_access_path(_table(by_target), 4096).strategy == "corgipile"
+        assert estimate_hd(_table(by_target), 4096).hd > HD_NO_SHUFFLE_THRESHOLD
 
     def test_prefix_probe_for_large_tables(self):
         ds = clustered_by_label(make_binary_dense(3000, 6, separation=1.0, seed=0))
-        choice = choose_access_path(_table(ds), 4096, max_probe_tuples=500)
-        # A clustered prefix is single-class: still maximally clustered.
-        assert choice.strategy == "corgipile"
-
-    def test_threshold_validation(self):
-        ds = make_binary_dense(200, 4, seed=0)
-        with pytest.raises(ValueError):
-            choose_access_path(_table(ds), 4096, threshold=1.0)
-
-    def test_describe(self):
-        ds = make_binary_dense(500, 4, seed=0)
-        text = choose_access_path(_table(ds), 4096).describe()
-        assert "h_D=" in text and "strategy=" in text
+        estimate = estimate_hd(_table(ds), 4096, max_probe_tuples=500)
+        # Contiguous probe chunks of a clustered table are single-class:
+        # still maximally clustered.
+        assert estimate.n_sampled <= 500 < estimate.n_tuples
+        assert estimate.hd > HD_NO_SHUFFLE_THRESHOLD
 
 
 def _clustered_db():

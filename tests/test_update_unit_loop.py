@@ -249,6 +249,8 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     )
     assert files_calling(deleted.pattern) == set()
     assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
+    # Operators move batches: the per-tuple next() adapter is for tests only.
+    assert files_calling(r"\w\.next\(\)") <= {"db/operators.py"}
     # A spawned worker's import path must not grow: parallel/ stays off db/.
     assert not any(
         re.search(r"^\s*(from|import)\s+(\.\.db|repro\.db)\b", code, re.M)
