@@ -731,7 +731,7 @@ def _cmd_parallel_train(args) -> int:
             buffer_blocks=args.buffer_blocks,
             seed=args.seed,
             schedule=ExponentialDecay(args.lr, args.decay),
-            task=dataset.task,
+            eval_set=dataset,
         ).run()
 
         rows = [

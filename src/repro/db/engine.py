@@ -536,7 +536,9 @@ class MiniDB:
         """Sharded CorgiPile over a block file, in real worker processes.
 
         The table is materialised once as an on-disk block file (charged to
-        the timeline as setup, like the Shuffle-Once copy).  ``workers = PN``
+        the timeline as setup, like the Shuffle-Once copy) and its ``Dataset``
+        view is the engines' evaluation set — nothing reads the file back in
+        this process.  ``workers = PN``
         trains one model data-parallel (:class:`repro.parallel.ParallelTrainer`);
         ``grid`` hops S models across the P shard workers on a staggered
         schedule (:class:`repro.parallel.HopperEngine`) so each consumes the
@@ -561,53 +563,56 @@ class MiniDB:
             resolved = [c.resolve(spec) for c in configs]
             models = [self._build_model(spec, table, l2=r["l2"]) for r in resolved]
         per_worker = max(1, math.ceil(spec.batch_size / P))
-        with tempfile.TemporaryDirectory() as tmp, self._fleet_lock:
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{table.name}.blocks"
             t0 = time.perf_counter()
             write_block_file(dataset, path, plan.tuples_per_block)
             setup_s = time.perf_counter() - t0
             ckpt_path = None if checkpoint is None else Path(checkpoint.path)
-            fleet = self._fleet_for(P)
-            if spec.grid is None:
-                result = ParallelTrainer(
-                    path,
-                    models[0],
-                    n_workers=P,
-                    mode=spec.aggregation,
-                    epochs=spec.epochs,
-                    global_batch_size=per_worker * P,
-                    buffer_blocks=plan.buffer_blocks,
-                    seed=spec.seed,
-                    schedule=ExponentialDecay(spec.lr, spec.decay),
-                    test=test,
-                    task=dataset.task,
-                    checkpoint=checkpoint,
-                    should_stop=should_stop,
-                    fleet=fleet,
-                ).run(resume_from=ckpt_path if ckpt_path and ckpt_path.exists() else None)
-            else:
+            # The table is materialised before the lock is taken: a second
+            # block-file statement encodes while this one trains.
+            with self._fleet_lock:
+                fleet = self._fleet_for(P)
+                if spec.grid is None:
+                    result = ParallelTrainer(
+                        path,
+                        models[0],
+                        n_workers=P,
+                        mode=spec.aggregation,
+                        epochs=spec.epochs,
+                        global_batch_size=per_worker * P,
+                        buffer_blocks=plan.buffer_blocks,
+                        seed=spec.seed,
+                        schedule=ExponentialDecay(spec.lr, spec.decay),
+                        test=test,
+                        checkpoint=checkpoint,
+                        should_stop=should_stop,
+                        fleet=fleet,
+                        eval_set=dataset,
+                    ).run(resume_from=ckpt_path if ckpt_path and ckpt_path.exists() else None)
+                else:
 
-                def on_slot(slot: int, progress: dict) -> None:
-                    if should_stop is not None and should_stop():
-                        raise TrainInterrupted(f"stopped after hopper slot {slot}")
-                    if on_progress is not None:
-                        on_progress(progress)
+                    def on_slot(slot: int, progress: dict) -> None:
+                        if should_stop is not None and should_stop():
+                            raise TrainInterrupted(f"stopped after hopper slot {slot}")
+                        if on_progress is not None:
+                            on_progress(progress)
 
-                result = HopperEngine(
-                    path,
-                    models,
-                    lrs=[r["lr"] for r in resolved],
-                    decays=[r["decay"] for r in resolved],
-                    epochs=spec.epochs,
-                    n_workers=P,
-                    buffer_blocks=plan.buffer_blocks,
-                    seed=spec.seed,
-                    labels=[c.label() for c in configs],
-                    checkpoint_path=ckpt_path,
-                    task=dataset.task,
-                    on_slot=on_slot,
-                    fleet=fleet,
-                ).run()
+                    result = HopperEngine(
+                        path,
+                        models,
+                        lrs=[r["lr"] for r in resolved],
+                        decays=[r["decay"] for r in resolved],
+                        epochs=spec.epochs,
+                        n_workers=P,
+                        buffer_blocks=plan.buffer_blocks,
+                        seed=spec.seed,
+                        labels=[c.label() for c in configs],
+                        checkpoint_path=ckpt_path,
+                        on_slot=on_slot,
+                        fleet=fleet,
+                        eval_set=dataset,
+                    ).run()
         buffer_memory = float(
             P * plan.buffer_blocks * plan.tuples_per_block * table.tuple_bytes
         )

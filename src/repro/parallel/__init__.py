@@ -5,9 +5,10 @@ index-level simulation into real training: a coordinator spawns ``PN``
 worker processes (spawn-safe), each reading its shard of the shared
 per-epoch block permutation through its own
 :class:`~repro.storage.blockfile.BlockFileReader`, with pluggable
-aggregation (``sync`` per-batch gradient averaging, ``epoch`` model
-averaging, ``async`` Hogwild), atomic coordinator checkpoints at sync
-points, and per-worker stats merged into one cross-process report.
+aggregation (``sync`` per-batch gradient averaging on per-worker replicas,
+``epoch`` model averaging, ``async`` Hogwild), atomic coordinator
+checkpoints at seams, and per-worker stats merged into one cross-process
+report.
 """
 
 from .aggregate import (

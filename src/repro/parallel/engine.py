@@ -1,32 +1,43 @@
-"""The coordinator: arms the worker fleet, drives sync points, owns the model.
+"""The coordinator: arms the worker fleet, joins it at seams, owns the model.
 
 This is the executing form of Section 5's multi-process CorgiPile.  The
 coordinator and the ``PN`` fleet workers agree on everything determinist-
 ically (the shard plan is a pure function of the seed), so the runtime
-protocol is nothing but shared-memory vectors plus a barrier:
+protocol is nothing but shared-memory vectors plus two barriers.
 
-sync mode, per global step::
+sync mode is AllReduce-shaped: every worker holds a replica of ``(model,
+optimizer)`` and nothing but the workers sits on a step's critical path::
 
-    coordinator                         worker i
-    write params  ────────┐
-    barrier A  ───────────┼──────────▶  barrier A
-                          │             read params, grad over bs/PN slice
-    barrier B  ◀──────────┼──────────   write grad slot i, barrier B
-    average slots, optimiser step
-    (checkpoint at cadence)
+    worker i, global step t                 coordinator
+    grads[t & 1][i] = slice-mean gradient
+    step barrier (PN parties)               —
+    average grads[t & 1], optimiser step
+    ... at a seam (a step count):
+    grads[t & 1][i] = my replica
+    barrier A (PN + 1)  ───────────────▶    barrier A
+                                            check the replicas agree, adopt
+                                            one; evaluate / checkpoint /
+                                            probe should_stop / fire a crash
+    barrier B  ◀───────────────────────    barrier B
+
+The seams are a pure function of the run (:meth:`ParallelTrainer._sync_seams`):
+every epoch end, the ``checkpoint.every_tuples`` cadence, and the step a
+``fault_plan`` crash lands on.  The coordinator computes them once and the
+workers get the step counts with their task.
 
 ``epoch`` mode syncs once per epoch (tuple-count-weighted model average
 over the results queue); ``async`` mode lets workers push Hogwild deltas
 into the shared vector and only frames epochs with barriers.
 
 Checkpointing reuses PR 3's atomic format: the coordinator persists
-(model, optimiser slots, epoch, in-epoch tuple cursor) at sync points, and
-because worker streams are ``(seed, epoch)``-pure, a resumed run skips to
-the stored step and continues over the *exact* remaining update sequence —
-killed sync runs finish bit-exact (asserted at 1e-12 by
+(model, optimiser slots, epoch, in-epoch tuple cursor) at seams — worker 0
+ships its optimiser state with its replica when a checkpoint is configured
+— and because worker streams are ``(seed, epoch)``-pure, a resumed run
+skips to the stored step and continues over the *exact* remaining update
+sequence — killed sync runs finish bit-exact (asserted at 1e-12 by
 ``tests/test_parallel_engine.py``).
 
-Failure discipline: a dead or raising worker aborts the shared barrier;
+Failure discipline: a dead or raising worker aborts both barriers;
 the coordinator translates that into :class:`WorkerError` (with the
 worker's traceback) and closes the fleet, which reaps its children — no
 leaked processes, mirroring PR 1's no-leaked-threads guarantee.
@@ -34,6 +45,7 @@ leaked processes, mirroring PR 1's no-leaked-threads guarantee.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -57,12 +69,7 @@ from ..ml.trainer import (
 )
 from ..storage.blockfile import BlockFileReader
 from ..storage.codec import TupleBatch
-from .aggregate import (
-    AGGREGATION_MODES,
-    average_gradient_slots,
-    unpack_gradients,
-    weighted_average_models,
-)
+from .aggregate import AGGREGATION_MODES, weighted_average_models
 from .fleet import WorkerError, WorkerFleet, running_fleet
 from .plan import ShardPlanner
 from .shm import shared_arrays
@@ -75,6 +82,17 @@ __all__ = [
     "load_block_dataset",
     "sync_reference_trainer",
 ]
+
+@dataclass(frozen=True)
+class _Seam:
+    """One point of a sync run at which the coordinator joins the workers."""
+
+    steps: int  # global steps the run has applied by then (what workers count)
+    epoch: int
+    cursor: int  # steps of ``epoch`` applied: its step count at an epoch end
+    tuples_seen: int
+    kind: str  # "crash" | "checkpoint" | "epoch"
+
 
 def load_block_dataset(path: str | Path, task: str = "binary") -> Dataset:
     """Materialise a block file back into an in-memory :class:`Dataset`.
@@ -140,7 +158,12 @@ class ParallelResult:
 
 
 class ParallelTrainer:
-    """Multi-process data-parallel SGD over one block file."""
+    """Multi-process data-parallel SGD over one block file.
+
+    ``eval_set`` is the block file's rows as a :class:`Dataset`, for the
+    end-of-epoch evaluation; a caller that just wrote the file from one
+    passes it, and a caller with a path alone gets the file read back.
+    """
 
     def __init__(
         self,
@@ -161,6 +184,7 @@ class ParallelTrainer:
         task: str = "binary",
         should_stop=None,
         fleet: WorkerFleet | None = None,
+        eval_set: Dataset | None = None,
     ):
         if mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown mode {mode!r}; one of {AGGREGATION_MODES}")
@@ -177,7 +201,8 @@ class ParallelTrainer:
         self.test_set = test
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        #: Probed at every sync point / epoch boundary (see WorkerFleet).
+        #: Probed at every coordinator rendezvous: a sync run notices a stop
+        #: request at its next seam (see WorkerFleet).
         self.should_stop = should_stop
         #: The fleet to run on; ``None`` opens one for the length of ``run``.
         self.fleet = fleet
@@ -186,9 +211,10 @@ class ParallelTrainer:
         )
         self.n_workers = self.planner.n_workers
         self.planner.per_worker_batch(self.global_batch_size)  # validates divisibility
-        self.eval_set = load_block_dataset(self.path, task=task)
+        self.eval_set = (
+            eval_set if eval_set is not None else load_block_dataset(self.path, task=task)
+        )
         self._tuples_seen = 0
-        self._last_checkpoint_tuples = 0
 
     # ------------------------------------------------------------------
     def run(self, resume_from: CheckpointState | str | Path | None = None) -> ParallelResult:
@@ -204,12 +230,15 @@ class ParallelTrainer:
 
         dim = int(self.model.parameter_vector().size)
         blob = model_to_bytes(self.model)
+        replica = copy.copy(self.optimizer)
+        replica.model = None  # each worker binds its own
+        seams = self._sync_seams(start_epoch, start_step) if self.mode == "sync" else []
         epoch_walls: list[float] = []
         total_steps = 0
         # The fleet is entered last so an abort reaps it before the arrays'
         # names are unlinked (see repro.parallel.shm).
         with (
-            shared_arrays((dim,), (self.n_workers, dim)) as ((params, grads), handles),
+            shared_arrays((dim,), (2, self.n_workers, dim)) as ((params, grads), handles),
             running_fleet(self.fleet, self.n_workers) as fleet,
         ):
             params[:] = self.model.parameter_vector()
@@ -229,6 +258,9 @@ class ParallelTrainer:
                         schedule=self.schedule,
                         start_epoch=start_epoch,
                         start_step=start_step,
+                        optimizer=replica,
+                        seams=tuple(seam.steps for seam in seams),
+                        ship_optimizer_state=self.checkpoint is not None,
                     )
                     for w in range(self.n_workers)
                 ],
@@ -245,7 +277,8 @@ class ParallelTrainer:
                 ) as sp:
                     if self.mode == "sync":
                         total_steps += self._sync_epoch(
-                            epoch, lr, skip, params, grads, fleet, history
+                            [seam for seam in seams if seam.epoch == epoch],
+                            skip, grads, fleet, history,
                         )
                     elif self.mode == "epoch":
                         self._epoch_mode_epoch(epoch, params, fleet)
@@ -263,6 +296,8 @@ class ParallelTrainer:
                     )
                 )
                 self._save_checkpoint(epoch + 1, 0, history)
+                if self.mode == "sync":
+                    fleet.rendezvous()  # B of the epoch-end seam: workers resume
             per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
 
         return ParallelResult(
@@ -281,34 +316,65 @@ class ParallelTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _sync_epoch(self, epoch, lr, start_step, params, grads, fleet, history) -> int:
-        n_steps = self.planner.sync_steps(epoch, self.global_batch_size)
+    def _sync_seams(self, start_epoch: int, start_step: int) -> list[_Seam]:
+        """Where the coordinator joins a sync run, in order: every epoch end,
+        the checkpoint cadence, and the step a scheduled crash lands on (the
+        run ends there).  A pure function of the plan and the resume point."""
         bs = self.global_batch_size
-        for step in range(start_step, n_steps):
-            if self.fault_plan is not None:
-                budget = self.fault_plan.tuples_before_crash(self._tuples_seen)
-                if budget is not None and budget < bs:
-                    # The crash lands inside the next global batch: die at
-                    # the last durable sync point like a killed process
-                    # would (the checkpoint already exists).
-                    self.fault_plan.fire_crash(
-                        f"parallel sync epoch {epoch}, step {step}"
-                    )
-            fleet.rendezvous()  # A: params published
-            fleet.rendezvous()  # B: gradient slots ready
-            mean = average_gradient_slots(grads)
-            self.optimizer.step(unpack_gradients(mean, self.model), lr)
-            params[:] = self.model.parameter_vector()
-            self._tuples_seen += bs
-            if (
-                self.checkpoint is not None
-                and self.checkpoint.every_tuples > 0
-                and step + 1 < n_steps
-                and self._tuples_seen - self._last_checkpoint_tuples
-                >= self.checkpoint.every_tuples
-            ):
-                self._save_checkpoint(epoch, (step + 1) * bs, history)
-        return max(0, n_steps - start_step)
+        every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
+        seen = checkpointed = self._tuples_seen
+        seams: list[_Seam] = []
+        steps = 0
+        for epoch in range(start_epoch, self.epochs):
+            n_steps = self.planner.sync_steps(epoch, bs)
+            for step in range(start_step if epoch == start_epoch else 0, n_steps):
+                if self.fault_plan is not None:
+                    budget = self.fault_plan.tuples_before_crash(seen)
+                    if budget is not None and budget < bs:
+                        # The crash lands inside the next global batch: die
+                        # at the last durable sync point like a killed process
+                        # would (the checkpoint already exists).
+                        seams.append(_Seam(steps, epoch, step, seen, "crash"))
+                        return seams
+                steps += 1
+                seen += bs
+                if every > 0 and step + 1 < n_steps and seen - checkpointed >= every:
+                    seams.append(_Seam(steps, epoch, step + 1, seen, "checkpoint"))
+                    checkpointed = seen
+            seams.append(_Seam(steps, epoch, n_steps, seen, "epoch"))
+            checkpointed = seen
+        return seams
+
+    def _sync_epoch(self, seams, start_step, grads, fleet, history) -> int:
+        """Join the workers at each of one epoch's seams; returns its steps.
+
+        The epoch-end seam is left open: ``run`` evaluates and checkpoints
+        inside it like every mode does, then releases the workers.
+        """
+        for seam in seams:
+            fleet.rendezvous()  # A: every replica is in the idle slab
+            self._adopt_replicas(grads[seam.steps & 1], fleet)
+            self._tuples_seen = seam.tuples_seen
+            if seam.kind == "crash":
+                self.fault_plan.fire_crash(
+                    f"parallel sync epoch {seam.epoch}, step {seam.cursor}"
+                )
+            if seam.kind == "checkpoint":
+                self._save_checkpoint(seam.epoch, seam.cursor * self.global_batch_size, history)
+                fleet.rendezvous()  # B: workers resume
+        return max(0, seams[-1].cursor - start_step)
+
+    def _adopt_replicas(self, replicas: np.ndarray, fleet) -> None:
+        """Take the workers' state at a seam: their replicas must be the
+        same bits (they applied the same updates to the same start), so any
+        one is the model; worker 0 also sends the optimiser's slots when
+        there is a checkpoint to put them in."""
+        bits = replicas.view(np.uint64)
+        if not (bits == bits[0]).all():
+            raise WorkerError("parallel workers' model replicas diverged")
+        self.model.load_parameter_vector(replicas[0])
+        if self.checkpoint is not None:
+            self.optimizer.load_state_dict(fleet.receive(BARRIER_TIMEOUT_S)[2])
 
     def _epoch_mode_epoch(self, epoch, params, fleet) -> None:
         fleet.rendezvous()  # A: averaged params published
@@ -352,7 +418,6 @@ class ParallelTrainer:
             history=[asdict(r) for r in history.records],
             meta={"strategy": f"parallel-{self.mode}", **self._knobs()},
         )
-        self._last_checkpoint_tuples = self._tuples_seen
 
     def _knobs(self) -> dict:
         """What pins the update sequence: checkpointed, and held equal on resume."""
@@ -375,7 +440,6 @@ class ParallelTrainer:
         if self.mode == "async" and state.cursor:
             raise ValueError("async mode only supports epoch-boundary resume")
         self._tuples_seen = state.tuples_seen
-        self._last_checkpoint_tuples = state.tuples_seen
         return state.epoch, state.cursor // self.global_batch_size
 
 

@@ -4,13 +4,17 @@
 :class:`~repro.parallel.hopper.HopperEngine` differ in what moves through
 shared memory; how they own their worker processes is identical, and lives
 here once.  A fleet is ``PN`` idle :func:`~repro.parallel.worker.worker_loop`
-processes around one barrier / stop event / results queue.  A statement
-*arms* it (entry point, per-worker config, shared-array handles), meets it
-at barriers, and *collects* every worker's stats — after which the workers
+processes around two barriers, a stop event and a results queue:
+``barrier`` (``PN + 1`` parties) is where the coordinator meets the workers
+(:meth:`WorkerFleet.rendezvous`), ``step_barrier`` (``PN``) is the workers'
+own, which the coordinator never waits on.  A statement *arms* the fleet
+(entry point, per-worker config, shared-array handles), meets it at
+``barrier``, and *collects* every worker's stats — after which the workers
 are idle again and the next statement pays no spawn.  Any abort (a worker's
 error, a stop request, a crash) closes the fleet instead: a broken barrier
 is not reusable, so the owner spawns a fresh one next time.  ``close()``
-reaps every child whatever state it is in (no leaked processes).
+aborts both barriers and reaps every child whatever state it is in (no
+leaked processes).
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class WorkerFleet:
         self.closed = False
         self._statements = 0
         self.barrier = ctx.Barrier(self.n_workers + 1)
+        self.step_barrier = ctx.Barrier(self.n_workers)
         self.stop = ctx.Event()
         self.results = ctx.Queue()
         self.procs = []
@@ -65,7 +70,7 @@ class WorkerFleet:
                 receive, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=worker_loop,
-                    args=(w, receive, self.barrier, self.stop, self.results),
+                    args=(w, receive, self.barrier, self.step_barrier, self.stop, self.results),
                     daemon=True,
                     name=f"repro-parallel-w{w}",
                 )
@@ -105,7 +110,7 @@ class WorkerFleet:
             raise WorkerError(f"a {label} worker died while idle") from None
 
     def rendezvous(self) -> None:
-        """Meet every worker at the barrier (one side of a sync point)."""
+        """Meet every worker at ``barrier`` (one side of a sync point)."""
         if self.should_stop is not None and self.should_stop():
             raise TrainInterrupted(f"{self.label} run stopped at a sync point")
         try:
@@ -180,7 +185,8 @@ class WorkerFleet:
         self.closed = True
         self.should_stop = None
         self.stop.set()
-        self.barrier.abort()  # workers at a sync point leave through it
+        self.barrier.abort()  # workers at a sync point leave through it,
+        self.step_barrier.abort()  # whichever of the two it is
         for send in self._tasks:
             send.close()  # idle workers read EOF
         deadline = time.monotonic() + _CLOSE_JOIN_S

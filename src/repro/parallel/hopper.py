@@ -24,7 +24,8 @@ i.e. epoch ``p // P`` on shard ``p % P``.  Two facts fall out:
   are bit-identical to training that config alone.  The price is a
   pipeline fill/drain bubble: ``E*P + S - 1`` slots instead of ``E*P``.
 
-Runtime protocol (mirrors :class:`~repro.parallel.engine.ParallelTrainer`):
+Runtime protocol (the ``Barrier(P + 1)`` pair
+:class:`~repro.parallel.engine.ParallelTrainer` frames its seams with):
 an ``S x dim`` shared-memory slab holds the hopping parameter vectors; per
 slot the coordinator and the ``P`` workers meet at two barriers::
 
@@ -327,6 +328,7 @@ class HopperEngine:
         task: str = "binary",
         on_slot=None,
         fleet: WorkerFleet | None = None,
+        eval_set=None,
     ):
         if not models:
             raise ValueError("need at least one model")
@@ -357,7 +359,11 @@ class HopperEngine:
             len(models), self.planner.n_workers, self.epochs
         )
         self.dim = dims.pop()
-        self.eval_set = load_block_dataset(self.path, task=task)
+        #: The block file's rows, for evaluation: the caller's ``Dataset`` if
+        #: it has one, else the file read back.
+        self.eval_set = (
+            eval_set if eval_set is not None else load_block_dataset(self.path, task=task)
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> HopperResult:

@@ -9,11 +9,21 @@ fill, over a private reader), the stats message home — and
 the entry point (:func:`worker_main` here, ``hopper_worker_main`` for a
 grid) is only its barrier protocol against the shared arrays.
 
-Error discipline: any exception is reported through the results queue and
-the barrier is aborted so the coordinator never deadlocks on a dead
-worker; conversely a coordinator abort (stop event + broken barrier) ends
-the worker — an aborted fleet is discarded, never re-armed.  A worker whose
-coordinator was killed exits by itself, idle or mid-statement.
+A worker has two rendezvous (:class:`SyncPoints`): ``sync()`` meets every
+worker *and* the coordinator, ``sync.step()`` the workers alone.  ``sync``
+mode spends one ``sync.step()`` per global step — every worker keeps a
+replica of ``(model, optimizer)`` and applies the averaged gradient itself
+(:func:`_run_sync`) — and meets the coordinator only at the seams the
+coordinator scheduled; ``epoch`` / ``async`` modes and the hopper meet it
+once per epoch or slot.
+
+Error discipline: any exception is reported through the results queue
+*before* both barriers are aborted, so the first error the coordinator
+reads is the failure itself and not a peer's broken barrier, and the
+coordinator never deadlocks on a dead worker; conversely a coordinator
+abort (stop event + broken barriers) ends the worker — an aborted fleet is
+discarded, never re-armed.  A worker whose coordinator was killed exits by
+itself, idle or mid-statement.
 """
 
 from __future__ import annotations
@@ -35,11 +45,11 @@ from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.persistence import model_from_bytes
 from ..storage.blockfile import BlockFileReader
 from ..storage.codec import RowStream
-from .aggregate import pack_gradients
+from .aggregate import average_gradient_slots, pack_gradients, unpack_gradients
 from .plan import ShardPlanner
 from .shm import attach_arrays
 
-__all__ = ["WorkerConfig", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
+__all__ = ["WorkerConfig", "SyncPoints", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
 
 # Generous: a stuck peer is a bug, not a slow disk; the coordinator's
 # no-leaked-children guard needs workers to give up rather than hang.
@@ -62,6 +72,12 @@ class WorkerConfig:
     schedule: object  # callable epoch -> lr (plain dataclass, picklable)
     start_epoch: int = 0
     start_step: int = 0  # sync-mode resume: global steps already applied
+    # sync mode: the coordinator's optimizer (detached from its model) to
+    # replicate, the step counts at which it joins, and whether it wants the
+    # optimizer state there (it checkpoints).
+    optimizer: object = None
+    seams: tuple = ()
+    ship_optimizer_state: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +85,10 @@ class WorkerConfig:
 # ----------------------------------------------------------------------
 
 
-def worker_loop(worker_id: int, tasks, barrier, stop, results) -> None:
+def worker_loop(worker_id: int, tasks, barrier, step_barrier, stop, results) -> None:
     """One fleet process: idle on ``tasks``, run each armed statement."""
     threading.Thread(target=_exit_with_parent, daemon=True).start()
-    sync = functools.partial(_sync_point, barrier, stop)
+    sync = SyncPoints(barrier, step_barrier, stop)
     try:
         sync()  # imports done: the fleet is up
         while True:
@@ -84,8 +100,12 @@ def worker_loop(worker_id: int, tasks, barrier, stop, results) -> None:
     except _CoordinatorAbort:
         pass
     except BaseException:
-        barrier.abort()
         results.put(("error", worker_id, traceback.format_exc()))
+        # On the pipe before any peer can see a broken barrier and report that.
+        results.close()
+        results.join_thread()
+        barrier.abort()
+        step_barrier.abort()
 
 
 def _exit_with_parent() -> None:
@@ -134,28 +154,42 @@ class _CoordinatorAbort(Exception):
     """The coordinator broke the barrier on purpose (stop event set)."""
 
 
-def _sync_point(barrier, stop) -> None:
-    """One barrier rendezvous; translate a deliberate abort into shutdown.
+class SyncPoints:
+    """A worker's two rendezvous: ``sync()`` with every worker and the
+    coordinator (``Barrier(PN + 1)``), ``sync.step()`` among the workers
+    alone (``Barrier(PN)``).  Either translates a deliberate abort into
+    shutdown.
 
     The wait itself is timed into the obs layer (histogram always, span
     when tracing): barrier waits are exactly the slack between a worker's
     busy time and the coordinator's wall-clock, so the merged timeline can
     account for them explicitly.
     """
-    start = time.perf_counter()
-    try:
-        barrier.wait(timeout=BARRIER_TIMEOUT_S)
-    except threading.BrokenBarrierError:
-        if stop.is_set():
-            raise _CoordinatorAbort() from None
-        raise
-    finally:
-        waited = time.perf_counter() - start
-        obs.observe("parallel.barrier_wait_s", waited)
-        if obs.enabled():
-            obs.add_span("parallel.barrier_wait", start, start + waited)
-    if stop.is_set():
-        raise _CoordinatorAbort()
+
+    def __init__(self, barrier, step_barrier, stop):
+        self._barrier, self._step_barrier, self._stop = barrier, step_barrier, stop
+
+    def __call__(self) -> None:
+        self._wait(self._barrier)
+
+    def step(self) -> None:
+        self._wait(self._step_barrier)
+
+    def _wait(self, barrier) -> None:
+        start = time.perf_counter()
+        try:
+            barrier.wait(timeout=BARRIER_TIMEOUT_S)
+        except threading.BrokenBarrierError:
+            if self._stop.is_set():
+                raise _CoordinatorAbort() from None
+            raise
+        finally:
+            waited = time.perf_counter() - start
+            obs.observe("parallel.barrier_wait_s", waited)
+            if obs.enabled():
+                obs.add_span("parallel.barrier_wait", start, start + waited)
+        if self._stop.is_set():
+            raise _CoordinatorAbort()
 
 
 def step_shard(model, shard: CorgiPileDataset, epoch: int, lr: float) -> int:
@@ -200,24 +234,50 @@ def _epoch_slices(cfg, planner, shard, epoch: int, skip: int):
 
 
 def _run_sync(cfg, shard, model, params, grads, sync, results) -> int:
-    """Per-batch gradient averaging under the two-barrier step protocol.
+    """Per-batch gradient averaging on replicas: one worker-only rendezvous a step.
+
+    Every worker holds the same ``(model, optimizer)`` and applies the same
+    update: write my slice-mean gradient into this step's slab, meet the
+    other workers, average the slab, step.  The slabs alternate by step
+    parity, so a fast worker may fill step ``t + 1``'s while a slow one
+    still averages step ``t``'s — it cannot reach ``t + 2``'s without
+    passing barrier ``t + 1``, which waits for the slow one.  At a seam
+    (``cfg.seams``: a count of applied steps) each worker leaves its replica
+    in its row of the idle slab and the coordinator joins to read them.
 
     The shard plan (step counts, fill sizes) is derived locally: it is a pure
     function of the seed, so no plan bytes cross the process boundary."""
     planner = ShardPlanner.for_block_file(
         cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
     )
-    done = 0
+    optimizer = cfg.optimizer
+    optimizer.model = model
+    seams = list(reversed(cfg.seams))
+    done = steps = 0
+
+    def meet_coordinator() -> None:
+        while seams and seams[-1] == steps:
+            seams.pop()
+            grads[steps & 1, cfg.worker_id, :] = model.parameter_vector()
+            if cfg.ship_optimizer_state and cfg.worker_id == 0:
+                results.put(("optimizer", 0, optimizer.state_dict()))
+            sync()  # A: every replica is in the slab
+            sync()  # B: the coordinator is done with them
+
+    meet_coordinator()
     for epoch in range(cfg.start_epoch, cfg.epochs):
+        lr = float(cfg.schedule(epoch))
         skip = cfg.start_step if epoch == cfg.start_epoch else 0
         for unit in _epoch_slices(cfg, planner, shard, epoch, skip):
-            sync()  # A: coordinator published params
-            model.load_parameter_vector(params)
-            grads[cfg.worker_id, :] = pack_gradients(
+            slab = grads[steps & 1]
+            slab[cfg.worker_id, :] = pack_gradients(
                 model.gradient(unit.features_matrix(), unit.labels), model
             )
+            sync.step()  # every slice mean of this step is in the slab
+            optimizer.step(unpack_gradients(average_gradient_slots(slab), model), lr)
             done += len(unit)
-            sync()  # B: all gradient slots ready
+            steps += 1
+            meet_coordinator()
     return done
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .. import obs
 from ..data.dataset import Dataset
 from ..data.sparse import SparseMatrix
-from .codec import TrainingTuple, TupleBatch, TupleSchema, decode_block, encode_tuple
+from .codec import TrainingTuple, TupleBatch, TupleSchema, decode_block, encode_rows
 from .columnar import (
     ChunkRef,
     LazyTupleBatch,
@@ -142,7 +142,6 @@ def write_block_file(
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
     path = Path(path)
-    labels = np.asarray(dataset.y, dtype=np.float64)
     schema = TupleSchema(dataset.n_features, sparse=dataset.is_sparse)
     entries: list[BlockIndexEntry] = []
     offset = 0
@@ -151,19 +150,12 @@ def write_block_file(
         for lo in range(0, dataset.n_tuples, tuples_per_block):
             hi = min(lo + tuples_per_block, dataset.n_tuples)
             chunks: tuple[ChunkRef, ...] | None = None
+            batch = dataset_block_batch(dataset, lo, hi)
             if layout == "columnar":
-                batch = dataset_block_batch(dataset, lo, hi)
                 payload = encode_block_columnar(batch, schema)
                 chunks = read_columnar_header(payload)[3]
             else:
-                buf = bytearray()
-                for i in range(lo, hi):
-                    if isinstance(dataset.X, SparseMatrix):
-                        features = dataset.X.row(i)
-                    else:
-                        features = dataset.X[i]
-                    buf += encode_tuple(i, labels[i], features)
-                payload = bytes(buf)
+                payload = encode_rows(batch)
             f.write(payload)
             entries.append(
                 BlockIndexEntry(
@@ -183,7 +175,8 @@ def write_block_file(
         "n_tuples": dataset.n_tuples,
     }
     with open(str(path) + _INDEX_SUFFIX, "w") as f:
-        json.dump(_index_doc(meta, entries, layout), f)
+        # One C-encoder call; ``json.dump`` would stream from the Python one.
+        f.write(json.dumps(_index_doc(meta, entries, layout)))
     return entries
 
 

@@ -21,13 +21,29 @@ import numpy as np
 from .. import obs
 from ..data.dataset import Dataset
 from ..data.sparse import SparseMatrix, SparseRow
-from .codec import TrainingTuple, TupleBatch, TupleSchema, decode_page, decode_tuple, encode_tuple
+from .blockfile import dataset_block_batch
+from .codec import (
+    TrainingTuple,
+    TupleBatch,
+    TupleSchema,
+    decode_page,
+    decode_tuple,
+    encode_rows,
+    encode_tuple,
+    encoded_row_bounds,
+)
 from .columnar import decode_block_columnar, encode_block_columnar
 from .page import DEFAULT_PAGE_BYTES, Page
 from .retry import ChecksumError
-from .rid import RID
+from .rid import RID, rid_run
 
 __all__ = ["HeapFile", "ColumnarMutationError"]
+
+#: Bytes ``from_dataset`` encodes per call: the bulk loader's transient
+#: buffers are this, not the table.  Measured on 20 000 x 28 dense rows:
+#: 1 MiB runs load no faster than 128 KiB ones and leave the process 3 MB
+#: of peak RSS above the per-tuple loader's; at 128 KiB the peak is equal.
+_LOAD_RUN_BYTES = 1 << 17
 
 
 class ColumnarMutationError(TypeError):
@@ -90,17 +106,69 @@ class HeapFile:
         compress: bool = False,
         layout: str = "row",
     ) -> "HeapFile":
+        """Bulk-load ``dataset``: the heap ``append`` would build tuple by
+        tuple — same page images, same position directory — from one
+        :func:`~repro.storage.codec.encode_rows` call per run of rows."""
         schema = TupleSchema(dataset.n_features, sparse=dataset.is_sparse)
         heap = cls(schema, page_bytes=page_bytes, compress=compress, layout=layout)
-        labels = np.asarray(dataset.y, dtype=np.float64)
-        if isinstance(dataset.X, SparseMatrix):
-            for i in range(dataset.n_tuples):
-                heap.append(i, labels[i], dataset.X.row(i))
+        if layout == "columnar":
+            heap._load_columnar(dataset)
         else:
-            for i in range(dataset.n_tuples):
-                heap.append(i, labels[i], dataset.X[i])
-        heap.flush()
+            heap._load_rows(dataset)
         return heap
+
+    def _load_rows(self, dataset: Dataset) -> None:
+        """Encode ``_LOAD_RUN_BYTES`` worth of rows at a time, cut each run
+        into slot payloads and pack them with ``append``'s greedy rule."""
+        n = dataset.n_tuples
+        row_bytes = self.schema.dense_tuple_bytes()
+        if self.schema.sparse and n:
+            row_bytes = self.schema.sparse_tuple_bytes(-(-dataset.X.nnz // n))
+        run = max(1, _LOAD_RUN_BYTES // row_bytes)
+        for lo in range(0, n, run):
+            batch = dataset_block_batch(dataset, lo, min(lo + run, n))
+            buffer = encode_rows(batch)
+            ends = encoded_row_bounds(batch)
+            cuts = ends.tolist()
+            payloads = [buffer[a:b] for a, b in zip(cuts, cuts[1:])]
+            if self.compress:
+                payloads = [self._compressed(p) for p in payloads]
+                ends = np.cumsum([0, *map(len, payloads)])
+            self._append_payloads(payloads, ends[1:])
+
+    def _append_payloads(self, payloads: list[bytes], ends: np.ndarray) -> None:
+        """:meth:`append` for a run of stored payloads (``ends``: their
+        running byte total): the tail page takes the longest prefix that
+        ``fits()``, then a fresh page does."""
+        i, n = 0, len(payloads)
+        while i < n:
+            size = len(payloads[i])
+            if not self.pages or not self.pages[-1].fits(size):
+                self.pages.append(Page(len(self.pages), capacity=max(self.page_bytes, size)))
+            page = self.pages[-1]
+            room = int(ends[i]) - size + page.free_bytes
+            j = int(np.searchsorted(ends, room, side="right"))
+            first = page.extend(payloads[i:j])
+            self._refs.extend(rid_run(page.page_id, first, j - i))
+            i = j
+        self._n_live += n
+        self._pos_map = None
+
+    def _load_columnar(self, dataset: Dataset) -> None:
+        """One columnar page per run of rows whose ``append`` size estimates
+        first reach ``page_bytes`` — where the pending buffer would flush."""
+        n = dataset.n_tuples
+        if self.schema.sparse:
+            estimates = 16 + 16 * np.diff(dataset.X.indptr)
+        else:
+            estimates = np.full(n, 16 + 8 * self.schema.n_features, dtype=np.int64)
+        ends = np.cumsum(estimates)
+        lo = 0
+        while lo < n:
+            flushed = (int(ends[lo - 1]) if lo else 0) + self.page_bytes
+            hi = min(n, int(np.searchsorted(ends, flushed, side="left")) + 1)
+            self._append_columnar_page(dataset_block_batch(dataset, lo, hi))
+            lo = hi
 
     def append(self, tuple_id: int, label: float, features) -> None:
         if self.layout == "columnar":
@@ -137,12 +205,8 @@ class HeapFile:
                 labels=labels,
                 n_features=self.schema.n_features,
                 indptr=indptr,
-                indices=np.concatenate([r.indices for r in rows])
-                if rows
-                else np.empty(0, dtype=np.int64),
-                values=np.concatenate([r.values for r in rows])
-                if rows
-                else np.empty(0, dtype=np.float64),
+                indices=np.concatenate([r.indices for r in rows]),
+                values=np.concatenate([r.values for r in rows]),
             )
         else:
             batch = TupleBatch(
@@ -151,15 +215,18 @@ class HeapFile:
                 n_features=self.schema.n_features,
                 dense=np.asarray([np.asarray(r[2], dtype=np.float64) for r in self._pending]),
             )
+        self._pending.clear()
+        self._pending_bytes = 0
+        self._append_columnar_page(batch)
+
+    def _append_columnar_page(self, batch: TupleBatch) -> None:
+        """Store ``batch`` as one single-slot columnar page."""
         payload = encode_block_columnar(batch, self.schema)
         page = Page(len(self.pages), capacity=max(self.page_bytes, len(payload)))
         page.append(payload)
         self.pages.append(page)
-        for row_idx in range(len(self._pending)):
-            self._refs.append(RID(page.page_id, row_idx))
-        self._n_live += len(self._pending)
-        self._pending.clear()
-        self._pending_bytes = 0
+        self._refs.extend(rid_run(page.page_id, 0, len(batch)))
+        self._n_live += len(batch)
         self._pos_map = None
 
     # ------------------------------------------------------------------
@@ -167,9 +234,11 @@ class HeapFile:
     def encode_payload(self, tuple_id: int, label: float, features) -> bytes:
         """The exact stored byte form of one tuple (compression included)."""
         payload = encode_tuple(tuple_id, label, features)
-        if self.compress:
-            payload = len(payload).to_bytes(4, "little") + zlib.compress(payload, level=1)
-        return payload
+        return self._compressed(payload) if self.compress else payload
+
+    @staticmethod
+    def _compressed(payload: bytes) -> bytes:
+        return len(payload).to_bytes(4, "little") + zlib.compress(payload, level=1)
 
     def _require_mutable(self) -> None:
         if self.layout != "row":

@@ -94,6 +94,18 @@ class Page:
         self._slots.append(payload)
         return len(self._slots) - 1
 
+    def extend(self, payloads: list[bytes]) -> int:
+        """Bulk :meth:`append` of a run that fits, onto a page with no dead
+        slot to reuse; returns the first slot id of the run."""
+        size = sum(map(len, payloads))
+        if self._n_live != len(self._slots) or not self.fits(size):
+            raise ValueError("bulk append needs room and a page without dead slots")
+        first = len(self._slots)
+        self._slots.extend(payloads)
+        self._live += size
+        self._n_live += len(payloads)
+        return first
+
     def delete(self, slot: int) -> int:
         """Mark ``slot`` dead; returns the freed payload length.
 

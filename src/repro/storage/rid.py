@@ -13,9 +13,11 @@ The serialized form is 6 bytes big-endian — ``page_id:uint32`` +
 from __future__ import annotations
 
 import struct
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
-__all__ = ["RID", "RID_BYTES", "pack_rids", "unpack_rids"]
+__all__ = ["RID", "RID_BYTES", "rid_run", "pack_rids", "unpack_rids"]
 
 _RID_STRUCT = struct.Struct(">IH")
 RID_BYTES = _RID_STRUCT.size  # 6
@@ -35,6 +37,15 @@ class RID(NamedTuple):
     def unpack(cls, data: bytes, offset: int = 0) -> "RID":
         page_id, slot = _RID_STRUCT.unpack_from(data, offset)
         return cls(page_id, slot)
+
+
+def rid_run(page_id: int, first: int, count: int):
+    """The RIDs of ``count`` consecutive slots of one page, from ``first``
+    (built without a Python-level call per RID: bulk loads make one a row)."""
+    return map(_RID_FROM_PAIR, zip(repeat(page_id), range(first, first + count)))
+
+
+_RID_FROM_PAIR = partial(tuple.__new__, RID)
 
 
 def pack_rids(rids) -> bytes:

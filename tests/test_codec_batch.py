@@ -19,6 +19,7 @@ from repro.storage import (
     encode_tuple,
     write_block_file,
 )
+from repro.storage.codec import encode_rows, encoded_row_bounds
 
 
 def _encode_run(records, *, start_id=0):
@@ -244,3 +245,127 @@ class TestStorageIntegration:
         tuples, hit = pool.get_page_traced(0)
         assert hit is True
         assert len(tuples) == len(batch)
+
+
+# ----------------------------------------------------------------------
+# The write side: encode_rows is the per-tuple encoder, byte for byte
+# ----------------------------------------------------------------------
+
+
+def _per_tuple_bytes(batch: TupleBatch) -> bytes:
+    return b"".join(
+        encode_tuple(int(batch.ids[i]), float(batch.labels[i]), batch.row(i))
+        for i in range(len(batch))
+    )
+
+
+def _sparse_batch(counts, n_features=40, seed=0, start_id=7) -> TupleBatch:
+    rng = np.random.default_rng(seed)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.concatenate(
+        [np.sort(rng.choice(n_features, c, replace=False)) for c in counts]
+        + [np.empty(0, dtype=np.int64)]
+    ).astype(np.int64)
+    return TupleBatch(
+        ids=np.arange(start_id, start_id + len(counts), dtype=np.int64),
+        labels=rng.choice([-1.0, 1.0], len(counts)),
+        n_features=n_features,
+        indptr=indptr,
+        indices=indices,
+        values=rng.standard_normal(int(indptr[-1])),
+    )
+
+
+class TestEncodeRows:
+    def test_dense_run(self):
+        rng = np.random.default_rng(0)
+        batch = TupleBatch(
+            ids=np.arange(100, 130, dtype=np.int64),
+            labels=rng.standard_normal(30),
+            n_features=6,
+            dense=rng.standard_normal((30, 6)),
+        )
+        encoded = encode_rows(batch)
+        assert encoded == _per_tuple_bytes(batch)
+        assert encoded_row_bounds(batch).tolist() == [i * (20 + 48) for i in range(31)]
+        decoded = decode_page(encoded, 30, TupleSchema(6))
+        np.testing.assert_array_equal(decoded.dense, batch.dense)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [3, 5, 1, 7],  # mixed nnz
+            [0, 4, 0, 0, 2, 0],  # empty rows, first and last included
+            [0, 0, 0],  # nothing but headers
+            [9],  # one row
+            [4] * 12,  # uniform
+        ],
+    )
+    def test_sparse_run(self, counts):
+        batch = _sparse_batch(counts)
+        encoded = encode_rows(batch)
+        assert encoded == _per_tuple_bytes(batch)
+        bounds = encoded_row_bounds(batch)
+        assert np.diff(bounds).tolist() == [20 + 12 * c for c in counts]
+        assert bounds[-1] == len(encoded)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_row_run(self, sparse):
+        schema = TupleSchema(5, sparse=sparse)
+        batch = TupleBatch.from_tuples([], schema)
+        assert encode_rows(batch) == b""
+        assert encoded_row_bounds(batch).tolist() == [0]
+
+    def test_one_dense_row(self):
+        batch = TupleBatch(
+            ids=np.array([2**40]), labels=np.array([-0.0]), n_features=3,
+            dense=np.array([[1.5, np.nan, -np.inf]]),
+        )
+        assert encode_rows(batch) == _per_tuple_bytes(batch)
+
+    def test_non_contiguous_and_non_float64_inputs(self):
+        rng = np.random.default_rng(4)
+        wide = rng.standard_normal((40, 12))
+        dense = TupleBatch(
+            ids=np.arange(80, dtype=np.int32)[::4],  # strided, narrower ints
+            labels=rng.standard_normal(40).astype(np.float32)[::2],
+            n_features=6,
+            dense=np.asfortranarray(wide)[::2, ::2],  # strided both ways
+        )
+        assert encode_rows(dense) == _per_tuple_bytes(dense)
+        dense32 = TupleBatch(
+            ids=np.arange(20, dtype=np.int64), labels=np.ones(20), n_features=6,
+            dense=wide[:20, :6].astype(np.float32),
+        )
+        assert encode_rows(dense32) == _per_tuple_bytes(dense32)
+
+        base = _sparse_batch([2, 0, 5, 3])
+        strided = TupleBatch(
+            ids=base.ids, labels=base.labels, n_features=base.n_features, indptr=base.indptr,
+            indices=np.repeat(base.indices.astype(np.int32), 2)[::2],
+            values=np.repeat(base.values.astype(np.float32), 2)[::2],
+        )
+        assert not strided.values.flags["C_CONTIGUOUS"]
+        assert encode_rows(strided) == _per_tuple_bytes(strided)
+
+    def test_sliced_batch_encodes_its_rows_only(self):
+        batch = _sparse_batch([3, 0, 6, 2, 4]).slice(1, 4)
+        assert encode_rows(batch) == _per_tuple_bytes(batch)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 9), min_size=0, max_size=25),
+        n_dense=st.integers(0, 25),
+        d=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_matches_per_tuple_encoder(self, counts, n_dense, d, seed):
+        sparse = _sparse_batch(counts, n_features=12, seed=seed)
+        assert encode_rows(sparse) == _per_tuple_bytes(sparse)
+        rng = np.random.default_rng(seed)
+        dense = TupleBatch(
+            ids=rng.integers(-(2**40), 2**40, n_dense), labels=rng.standard_normal(n_dense),
+            n_features=d, dense=rng.standard_normal((n_dense, d)),
+        )
+        assert encode_rows(dense) == _per_tuple_bytes(dense)

@@ -146,8 +146,10 @@ def _abort_with_worker_error(db, query, monkeypatch, cp):
 def _abort_with_interrupt(db, query, monkeypatch, cp):
     probes = []
     with pytest.raises(TrainInterrupted):
-        # Two probes a sync step, 20 steps an epoch: stops inside epoch 1.
-        db.train(query, checkpoint=cp, should_stop=lambda: probes.append(0) or len(probes) > 50)
+        # Probed where the coordinator joins the run — two probes a seam, a
+        # seam every 96 tuples (two sync steps) and at each epoch end, ~20
+        # probes an epoch: stops inside epoch 1.
+        db.train(query, checkpoint=cp, should_stop=lambda: probes.append(0) or len(probes) > 26)
 
 
 def _abort_with_injected_crash(db, query, monkeypatch, cp):

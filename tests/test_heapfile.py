@@ -119,3 +119,112 @@ class TestCompression:
         before = heap.decode_count
         heap.read_page(0)
         assert heap.decode_count > before
+
+
+# ----------------------------------------------------------------------
+# The bulk loader is the append loop, page image for page image
+# ----------------------------------------------------------------------
+
+
+def _append_loop(dataset, **kwargs) -> HeapFile:
+    """The tuple-at-a-time loader ``from_dataset`` replaced."""
+    from repro.storage import TupleSchema
+
+    heap = HeapFile(TupleSchema(dataset.n_features, sparse=dataset.is_sparse), **kwargs)
+    labels = np.asarray(dataset.y, dtype=np.float64)
+    for i in range(dataset.n_tuples):
+        heap.append(i, labels[i], dataset.X.row(i) if dataset.is_sparse else dataset.X[i])
+    heap.flush()
+    return heap
+
+
+def _page_images(heap: HeapFile) -> list[tuple]:
+    import hashlib
+
+    return [
+        (
+            page.page_id, page.capacity, tuple(page.slot_lengths()), page.live_bytes,
+            page.dead_bytes, page.n_tuples, hashlib.sha256(page.raw()).hexdigest(),
+        )
+        for page in heap.pages
+    ]
+
+
+_LAYOUTS = {
+    "row": dict(),
+    "row+compress": dict(compress=True),
+    "columnar": dict(layout="columnar"),
+}
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("which", ["dense_binary", "sparse_binary"])
+    @pytest.mark.parametrize("page_bytes", [512, 2048])
+    def test_equals_the_append_loop(self, request, which, layout, page_bytes):
+        dataset = request.getfixturevalue(which)
+        kwargs = dict(page_bytes=page_bytes, **_LAYOUTS[layout])
+        bulk, loop = HeapFile.from_dataset(dataset, **kwargs), _append_loop(dataset, **kwargs)
+        assert _page_images(bulk) == _page_images(loop)
+        assert bulk._refs == loop._refs
+        assert [bulk.rid_of(i) for i in (0, 1, dataset.n_tuples - 1)] == [
+            loop.rid_of(i) for i in (0, 1, dataset.n_tuples - 1)
+        ]
+        assert bulk.n_tuples == loop.n_tuples == dataset.n_tuples
+        assert (bulk._n_live, bulk.decode_count) == (loop._n_live, loop.decode_count) == (
+            dataset.n_tuples, 0
+        )
+        assert not bulk._pending and not bulk._refs_dirty
+        seen = 0
+        for page_id in range(bulk.n_pages):
+            got, want = bulk.read_page_batch(page_id), loop.read_page_batch(page_id)
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.ids, np.arange(seen, seen + len(got)))
+            np.testing.assert_array_equal(got.labels, dataset.y[seen : seen + len(got)])
+            first = got.row(0)
+            expected = dataset.X.row(seen) if dataset.is_sparse else dataset.X[seen]
+            if dataset.is_sparse:
+                np.testing.assert_array_equal(first.indices, expected.indices)
+                np.testing.assert_array_equal(first.values, expected.values)
+            else:
+                np.testing.assert_array_equal(first, expected)
+            seen += len(got)
+        assert seen == dataset.n_tuples
+        assert bulk.decode_count == loop.decode_count == dataset.n_tuples
+
+    def test_a_tuple_larger_than_a_page_gets_its_own(self):
+        wide = make_binary_dense(5, 100, seed=0)  # 820-byte tuples, 256-byte pages
+        bulk, loop = HeapFile.from_dataset(wide, page_bytes=256), _append_loop(wide, page_bytes=256)
+        assert _page_images(bulk) == _page_images(loop)
+        assert [p.capacity for p in bulk.pages] == [820] * 5
+
+    def test_runs_do_not_move_a_page_boundary(self, monkeypatch, sparse_binary):
+        """Pages are cut across encode runs exactly as inside one."""
+        from repro.storage import heapfile
+
+        whole = _page_images(HeapFile.from_dataset(sparse_binary, page_bytes=1024))
+        monkeypatch.setattr(heapfile, "_LOAD_RUN_BYTES", 700)  # ~4 rows a run
+        assert _page_images(HeapFile.from_dataset(sparse_binary, page_bytes=1024)) == whole
+
+    def test_empty_dataset(self):
+        empty = make_binary_dense(4, 3, seed=0).subset([])
+        for kwargs in _LAYOUTS.values():
+            heap = HeapFile.from_dataset(empty, **kwargs)
+            assert heap.n_tuples == 0 and heap.n_pages == 0
+
+    def test_append_after_a_bulk_load_continues_the_tail_page(self, dense_binary):
+        bulk = HeapFile.from_dataset(dense_binary, page_bytes=1024)
+        loop = _append_loop(dense_binary, page_bytes=1024)
+        for heap in (bulk, loop):
+            heap.append(10_000, 1.0, dense_binary.X[0])
+        assert _page_images(bulk) == _page_images(loop) and bulk._refs == loop._refs
+
+    def test_page_extend_refuses_dead_slots_and_overflow(self):
+        page = Page(0, capacity=10)
+        assert page.extend([b"ab", b"cd"]) == 0
+        assert page.extend([b"ef"]) == 2 and page.raw() == b"abcdef"
+        with pytest.raises(ValueError):
+            page.extend([b"12345"])
+        page.delete(1)
+        with pytest.raises(ValueError):
+            page.extend([b"g"])

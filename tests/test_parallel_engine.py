@@ -179,8 +179,9 @@ class TestCrashResume:
                 "fault_plan": FaultPlan(seed=0, crash_at_tuple=800)
             }
         else:
-            # The job seam: probed at every rendezvous (two per sync step),
-            # so probe 51 stops the run at step 25 of epoch 1 — tuple 800.
+            # The job seam: probed at both rendezvous of every seam, and with a
+            # checkpoint after every step each step ends in one — probe 51
+            # stops the run after the checkpoint of step 25, at tuple 800.
             probes = []
             died, interruption = TrainInterrupted, {
                 "should_stop": lambda: probes.append(None) or len(probes) > 50
