@@ -110,7 +110,7 @@ def test_fig05_measured_loader_stats(tmp_path, glm_problems):
         ) as loader:
             for epoch in range(2):
                 loader.set_epoch(epoch)
-                epoch_ids = [int(i) for batch in loader for i in batch.tuple_ids]
+                epoch_ids = [int(i) for batch in loader for i in batch.ids]
                 seen.append(len(set(epoch_ids)))
         wall_s = time.perf_counter() - wall_t0
 

@@ -102,12 +102,11 @@ def test_fig13_measured_overlap(glm_problems):
         op.open()
         sink = 0.0
         for epoch in range(2):
-            record = op.next()
-            while record is not None:
-                # A stand-in for the per-tuple SGD update the read side performs.
-                features = np.asarray(record.features, dtype=np.float64)
-                sink += float(features @ features)
-                record = op.next()
+            while (batch := op.next_batch()) is not None:
+                for i in range(len(batch)):
+                    # A stand-in for the per-tuple SGD update the read side performs.
+                    features = batch.row(i)
+                    sink += float(features @ features)
             if epoch == 0:
                 op.rescan()
         op.close()

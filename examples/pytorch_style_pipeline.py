@@ -8,8 +8,10 @@ Mirrors the paper's Section 5 listing::
 
 Materialises a clustered multiclass dataset as an on-disk block file with a
 sidecar index, streams it through the two-level shuffle with a small buffer,
-and trains an MLP from the loader batches — including a simulated 4-worker
-data-parallel epoch where each worker reads its own random block slice.
+and trains an MLP from the loader batches — ``TupleBatch``\ es cut from the
+dataset's shuffled buffer fills, read as ``features_matrix()`` / ``labels``
+— including a simulated 4-worker data-parallel epoch where each worker
+reads its own random block slice.
 
 Run:  python examples/pytorch_style_pipeline.py
 """
@@ -31,7 +33,7 @@ def train_epochs(loader_factory, model, epochs: int, lr: float) -> None:
     optimizer = SGD(model)
     for epoch in range(epochs):
         for batch in loader_factory(epoch):
-            grads = model.gradient(batch.X, batch.y.astype(np.int64))
+            grads = model.gradient(batch.features_matrix(), batch.labels.astype(np.int64))
             optimizer.step(grads, lr * 0.95**epoch)
 
 
@@ -82,7 +84,9 @@ def main() -> None:
                     break
                 grads_sum = None
                 for batch in batches:
-                    grads = model_mp.gradient(batch.X, batch.y.astype(np.int64))
+                    grads = model_mp.gradient(
+                        batch.features_matrix(), batch.labels.astype(np.int64)
+                    )
                     if grads_sum is None:
                         grads_sum = grads
                     else:

@@ -913,7 +913,7 @@ def _cmd_chaos(args) -> int:
 
     import numpy as np
 
-    from .core import Batch, CorgiPileDataset, DataLoader as CoreDataLoader
+    from .core import CorgiPileDataset, DataLoader as CoreDataLoader
     from .faults import FaultPlan, InjectedCrash, chaos_report, faulty_reader_factory
     from .ml import CheckpointConfig, train_streaming, training_columns
     from .storage import write_block_file
@@ -953,10 +953,7 @@ def _cmd_chaos(args) -> int:
                     # Columnar mode: train fill-at-a-time off pruned chunk
                     # reads, so the fault plan decides per
                     # ("chunk", block*8+col) instead of whole blocks.
-                    return (
-                        Batch(fill.features_matrix(), fill.labels, fill.ids)
-                        for fill in view.fills(columns=training_columns(dataset.is_sparse))
-                    )
+                    return view.fills(columns=training_columns(dataset.is_sparse))
 
                 return train_streaming(
                     model,

@@ -2,7 +2,7 @@
 
 from .buffer import ShuffleBuffer, pipelined_time, serial_time
 from .corgipile import CorgiPileShuffle
-from .dataloader import Batch, DataLoader, collate
+from .dataloader import DataLoader
 from .dataset import CorgiPileDataset
 from .distributed import MultiProcessCorgiPile
 from .lifecycle import THREADS, ManagedProducer, ProducerChannel, ThreadRegistry
@@ -17,8 +17,6 @@ __all__ = [
     "serial_time",
     "CorgiPileDataset",
     "DataLoader",
-    "Batch",
-    "collate",
     "MultiProcessCorgiPile",
     "PrefetchLoader",
     "MultiWorkerLoader",

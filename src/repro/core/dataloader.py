@@ -1,75 +1,38 @@
 """A minimal ``DataLoader`` over :class:`CorgiPileDataset`.
 
-Collates the streamed :class:`~repro.storage.codec.TrainingTuple` records
-into mini-batches: dense features become a ``(batch, d)`` array, sparse
-features a :class:`~repro.data.sparse.SparseMatrix`, labels a vector.  The
-trainer consumes these batches exactly like PyTorch's ``train()`` loop
-consumes ``DataLoader`` batches in the paper's Section 5 listing.
+Cuts the dataset's shuffled buffer fills into ``batch_size``-row
+:class:`~repro.storage.codec.TupleBatch`\\ es with
+:meth:`~repro.storage.codec.RowStream.take`: a batch inside one fill is a
+zero-copy slice of it, one that straddles two fills is one ``concat``.  The
+trainer consumes these batches (``features_matrix()``, ``labels``, ``ids``)
+exactly like PyTorch's ``train()`` loop consumes ``DataLoader`` batches in
+the paper's Section 5 listing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-import numpy as np
-
-from ..data.sparse import SparseMatrix, SparseRow
-from ..storage.codec import TrainingTuple
+from ..storage.codec import RowStream, TupleBatch
 from .dataset import CorgiPileDataset
 
-__all__ = ["Batch", "DataLoader", "collate"]
-
-
-@dataclass
-class Batch:
-    """One collated mini-batch."""
-
-    X: np.ndarray | SparseMatrix
-    y: np.ndarray
-    tuple_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-
-def collate(records: list[TrainingTuple]) -> Batch:
-    """Stack a list of decoded tuples into a :class:`Batch`."""
-    if not records:
-        raise ValueError("cannot collate an empty batch")
-    y = np.array([r.label for r in records], dtype=np.float64)
-    ids = np.array([r.tuple_id for r in records], dtype=np.int64)
-    first = records[0].features
-    if isinstance(first, SparseRow):
-        X: np.ndarray | SparseMatrix = SparseMatrix.from_rows(
-            [r.features for r in records], first.n_features
-        )
-    else:
-        X = np.stack([r.features for r in records])
-    return Batch(X, y, ids)
+__all__ = ["DataLoader"]
 
 
 class DataLoader:
-    """Batches an iterable of training tuples."""
+    """Mini-batches of a dataset's fill stream, in visit order."""
 
-    def __init__(
-        self,
-        dataset: CorgiPileDataset | Iterable[TrainingTuple],
-        batch_size: int = 1,
-        drop_last: bool = False,
-    ):
+    def __init__(self, dataset: CorgiPileDataset, batch_size: int = 1, drop_last: bool = False):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.drop_last = bool(drop_last)
 
-    def __iter__(self) -> Iterator[Batch]:
-        pending: list[TrainingTuple] = []
-        for record in self.dataset:
-            pending.append(record)
-            if len(pending) == self.batch_size:
-                yield collate(pending)
-                pending = []
-        if pending and not self.drop_last:
-            yield collate(pending)
+    def __iter__(self) -> Iterator[TupleBatch]:
+        fills = self.dataset.fills()
+        stream = RowStream(lambda: next(fills, None))
+        while (batch := stream.take(self.batch_size)) is not None:
+            if self.drop_last and len(batch) < self.batch_size:
+                return
+            yield batch

@@ -10,9 +10,10 @@ This module rebuilds that API without PyTorch.  A :class:`CorgiPileDataset`
 wraps an on-disk block file (written by
 :func:`repro.storage.blockfile.write_block_file`): iterating it reads blocks
 in a fresh random order, buffers ``buffer_blocks`` blocks, shuffles the
-buffered tuples, and yields them — fill by fill (:meth:`~CorgiPileDataset.fills`)
-or one by one (``__iter__``) — i.e. the iterator *is* the two-level shuffle,
-streaming from real files.
+buffered tuples, and yields them fill by fill
+(:meth:`~CorgiPileDataset.fills`) — i.e. the fill stream *is* the two-level
+shuffle, streaming from real files; :class:`~repro.core.dataloader.DataLoader`
+cuts it into mini-batches.
 
 Call :meth:`CorgiPileDataset.set_epoch` between epochs to advance the
 shuffle seed (mirroring ``DistributedSampler.set_epoch`` in PyTorch).
@@ -28,14 +29,14 @@ import numpy as np
 from .. import obs
 from ..obs import LoaderMetrics
 from ..storage.blockfile import BlockFileReader
-from ..storage.codec import TrainingTuple, TupleBatch
+from ..storage.codec import TupleBatch
 from .seeding import epoch_rng, worker_rng
 
 __all__ = ["CorgiPileDataset"]
 
 
 class CorgiPileDataset:
-    """Iterable dataset performing the CorgiPile shuffle over a block file."""
+    """Dataset performing the CorgiPile shuffle over a block file, one fill at a time."""
 
     def __init__(
         self,
@@ -117,10 +118,6 @@ class CorgiPileDataset:
             stats.record_buffer_filled(n)
             stats.record_buffer_drained(n)
             yield fill.take(tuple_rng.permutation(n))
-
-    def __iter__(self) -> Iterator[TrainingTuple]:
-        for fill in self.fills():
-            yield from fill.to_tuples()
 
     def _read_block(self, block_id: int, columns):
         batch = self.reader.read_block_batch(block_id, columns=columns)

@@ -22,10 +22,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from .dataloader import Batch, DataLoader
+from ..obs import LoaderMetrics
+from ..storage.codec import TupleBatch
+from .dataloader import DataLoader
 from .dataset import CorgiPileDataset
 from .prefetch import PrefetchLoader
-from ..obs import LoaderMetrics
 
 __all__ = ["MultiWorkerLoader"]
 
@@ -41,7 +42,6 @@ class MultiWorkerLoader:
         batch_size: int,
         seed: int = 0,
         prefetch_depth: int = 2,
-        drop_last: bool = False,
         stats: LoaderMetrics | None = None,
         reader_factory=None,
     ):
@@ -50,7 +50,6 @@ class MultiWorkerLoader:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.batch_size = int(batch_size)
-        self.drop_last = bool(drop_last)
         self.prefetch_depth = int(prefetch_depth)
         self.stats = stats if stats is not None else LoaderMetrics("multiworker")
         self._workers = [
@@ -78,11 +77,11 @@ class MultiWorkerLoader:
         for worker in self._workers:
             worker.set_epoch(epoch)
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[TupleBatch]:
         streams = [
             iter(
                 PrefetchLoader(
-                    DataLoader(worker, batch_size=self.batch_size, drop_last=self.drop_last),
+                    DataLoader(worker, batch_size=self.batch_size),
                     depth=self.prefetch_depth,
                     stats=self.stats,
                     name=f"worker{index}",

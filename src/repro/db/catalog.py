@@ -23,19 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .. import obs
 from ..data.dataset import Dataset
-from ..data.sparse import SparseMatrix, SparseRow
+from ..data.sparse import SparseRow
 from ..storage.bufferpool import BufferPool
+from ..storage.codec import TupleBatch
 from ..storage.heapfile import HeapFile
 from ..storage.index import BPlusTree, idxlog
 from ..storage.page import DEFAULT_PAGE_BYTES
 from ..storage.rid import RID
 from .errors import EngineError, UnknownIndexError, UnknownTableError, UnsupportedLayoutError
-from .query import column_value
+from .query import column_value, column_values
 
 __all__ = ["TableIndex", "TableInfo", "Catalog"]
 
@@ -122,8 +124,8 @@ class TableInfo:
 
     @property
     def dataset(self) -> Dataset:
-        """The table's rows as arrays, in heap order; rebuilt from one heap
-        scan by the first reader after a write."""
+        """The table's rows as arrays, in heap order; rebuilt from the heap's
+        page batches by the first reader after a write."""
         if self._view_stale:
             obs.inc("db.catalog.view_rebuilds")
             self._view = _dataset_from_heap(self.heap, self._view)
@@ -264,17 +266,10 @@ class TableInfo:
 
     # ------------------------------------------------------------------
     def build_index(self, name: str, column: str, path: Path | None = None) -> TableIndex:
-        """``CREATE INDEX``: bulk-load a B+tree from one heap scan."""
+        """``CREATE INDEX``: bulk-load a B+tree from one pass over the pages."""
         if name in self.indexes:
             raise ValueError(f"index {name!r} already exists on table {self.name!r}")
-        pairs = []
-        for position, tup in enumerate(self.heap.scan()):
-            pairs.append(
-                (
-                    column_value(column, tup.label, tup.features),
-                    self.heap.rid_of(position),
-                )
-            )
+        pairs = _keyed_rids(self.heap, [column])[column]
         index = TableIndex(
             name=name, column=column, tree=BPlusTree.bulk_load(pairs), path=path
         )
@@ -299,18 +294,12 @@ class TableInfo:
         return None
 
     def verify_indexes(self) -> None:
-        """Audit every index against a fresh heap scan (tests + recovery)."""
-        expected = {}
-        for position, tup in enumerate(self.heap.scan()):
-            rid = self.heap.rid_of(position)
-            for index in self.indexes.values():
-                expected.setdefault(index.name, set()).add(
-                    (column_value(index.column, tup.label, tup.features), rid)
-                )
+        """Audit every index against a fresh pass over the pages (tests + recovery)."""
+        expected = _keyed_rids(self.heap, {index.column for index in self.indexes.values()})
         for index in self.indexes.values():
             index.tree.check_invariants()
             got = set(index.tree.items())
-            want = expected.get(index.name, set())
+            want = set(expected[index.column])
             if got != want:
                 missing = want - got
                 stray = got - want
@@ -348,19 +337,35 @@ def _assign_feature(features, k: int, value: float):
     return out
 
 
+def _page_batches(heap: HeapFile) -> Iterator[TupleBatch]:
+    """Every page in heap order, one bulk ``read_page_batch`` each — straight
+    off the heap, never through the pool: pool hits and misses drive the
+    simulated clock, and ``_run_heap`` clears the pool just before it reads
+    the view."""
+    heap.flush()
+    return (heap.read_page_batch(page_id) for page_id in range(heap.n_pages))
+
+
+def _keyed_rids(heap: HeapFile, columns) -> dict[str, list[tuple[float, RID]]]:
+    """``column -> [(key, rid), ...]`` over every live row, in heap order."""
+    out: dict[str, list[tuple[float, RID]]] = {column: [] for column in columns}
+    position = 0
+    for batch in _page_batches(heap):
+        rids = [heap.rid_of(position + row) for row in range(len(batch))]
+        position += len(rids)
+        X = batch.features_matrix()
+        for column, pairs in out.items():
+            pairs.extend(zip(column_values(column, X, batch.labels).tolist(), rids))
+    return out
+
+
 def _dataset_from_heap(heap: HeapFile, template: Dataset) -> Dataset:
-    """The logical dataset of one heap scan, in heap order (the lazy view)."""
-    tuples = list(heap.scan())
-    rows = [tup.features for tup in tuples]
-    if heap.schema.sparse:
-        X = SparseMatrix.from_rows(rows, heap.schema.n_features)
-    elif rows:
-        X = np.stack(rows)
-    else:
-        X = np.empty((0, heap.schema.n_features), dtype=np.float64)
+    """The logical dataset of the heap's pages, in heap order (the lazy view)."""
+    batches = list(_page_batches(heap))
+    batch = TupleBatch.concat(batches) if batches else TupleBatch.from_tuples([], heap.schema)
     return Dataset(
-        X=X,
-        y=np.asarray([tup.label for tup in tuples], dtype=np.float64),
+        X=batch.features_matrix(),
+        y=batch.labels,
         name=template.name,
         task=template.task,
         metadata=template.metadata,

@@ -51,7 +51,7 @@ from ..core.seeding import (
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import load_checkpoint
 from ..ml.trainer import CheckpointConfig, ConvergenceHistory, run_epochs
-from ..storage.codec import RowStream, TrainingTuple, TupleBatch
+from ..storage.codec import RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
 from .catalog import TableInfo
 from .errors import StorageError
@@ -80,8 +80,6 @@ class PhysicalOperator(ABC):
     #: The pass ``open()`` starts; ``rescan`` advances it.  Every epoch-
     #: dependent draw is a pure function of ``(seed, _epoch)``.
     _epoch = 0
-    #: The ``next()`` adapter's place in the last batch it pulled.
-    _rows = iter(())
 
     def seek(self, epoch: int) -> None:
         """Before ``open()``: start at the pass the ``epoch``-th rescan begins.
@@ -95,7 +93,6 @@ class PhysicalOperator(ABC):
 
     def open(self) -> None:
         """Start pass ``_epoch`` (ExecInit): the child first, then own state."""
-        self._rows = iter(())
         if self.child is not None:
             self.child.open()
         self._reset()
@@ -114,25 +111,6 @@ class PhysicalOperator(ABC):
 
     def close(self) -> None:  # noqa: B027 - optional hook
         """Release resources."""
-
-    def next(self) -> TrainingTuple | None:
-        """Per-tuple adapter over :meth:`next_batch` (getNext).
-
-        For consumers that really want one tuple at a time — the per-tuple
-        references in ``tests/test_operator_batches.py`` / ``test_db_operators.py``;
-        nothing under ``src/repro`` calls it.  It pulls a batch only once the
-        previous one is used up, so it obeys the carry rule too.
-        """
-        for record in self._rows:
-            return record
-        batch = self.next_batch()
-        if batch is None:
-            return None
-        self._rows = iter(batch.to_tuples())
-        return next(self._rows)
-
-    def __iter__(self):
-        return iter(self.next, None)
 
 
 def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool, int]:

@@ -36,6 +36,7 @@ __all__ = [
     "CreateIndexQuery",
     "DropIndexQuery",
     "column_value",
+    "column_values",
     "parse_predicate",
     "parse_query",
     "parse_size",
@@ -175,21 +176,9 @@ class Predicate:
 
     def mask(self, X, y) -> np.ndarray:
         """Vectorized evaluation over a whole table → boolean row mask."""
-        n = len(y)
-        out = np.ones(n, dtype=bool)
+        out = np.ones(len(y), dtype=bool)
         for term in self.terms:
-            if term.column == "label":
-                values = np.asarray(y, dtype=np.float64)
-            else:
-                k = int(term.column[1:])
-                if isinstance(X, SparseMatrix):
-                    values = np.zeros(n, dtype=np.float64)
-                    rows = np.repeat(np.arange(n), np.diff(X.indptr))
-                    hit = X.indices == k
-                    values[rows[hit]] = X.data[hit]
-                else:
-                    values = np.asarray(X[:, k], dtype=np.float64)
-            out &= _COMPARE_FNS[term.op](values, term.value)
+            out &= _COMPARE_FNS[term.op](column_values(term.column, X, y), term.value)
         return out
 
     def interval_for(self, column: str):
@@ -223,6 +212,21 @@ class Predicate:
         if not bounded:
             return None
         return (lo, hi, lo_incl, hi_incl)
+
+
+def column_values(column: str, X, y) -> np.ndarray:
+    """``column`` of every row of ``(X, y)`` — :func:`column_value`, vectorised."""
+    if column == "label":
+        return np.asarray(y, dtype=np.float64)
+    k = int(column[1:])
+    if not isinstance(X, SparseMatrix):
+        return np.asarray(X[:, k], dtype=np.float64)
+    n = len(y)
+    values = np.zeros(n, dtype=np.float64)
+    rows = np.repeat(np.arange(n), np.diff(X.indptr))
+    hit = X.indices == k
+    values[rows[hit]] = X.data[hit]
+    return values
 
 
 def column_value(column: str, label: float, features) -> float:

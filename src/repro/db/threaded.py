@@ -74,7 +74,6 @@ class ThreadedTupleShuffleOperator(PhysicalOperator):
                 return  # cancelled, or the child ran dry mid-fill
 
     def _start_producer(self) -> None:
-        self._rows = iter(())
         self._finished = False
         epoch = self._epoch
 

@@ -3,9 +3,11 @@
 The PyTorch-side integration (Section 5) never materialises the dataset —
 ``train()`` pulls batches from the ``DataLoader`` wrapped around a
 ``CorgiPileDataset``.  :func:`train_streaming` is that loop as library
-code: one loader pass per epoch, per-tuple or mini-batch updates, optional
-evaluation sets, optional prefetching (real double buffering) — so training
-from an on-disk block file needs no custom loop.
+code over any stream of :class:`~repro.storage.codec.TupleBatch`\\ es (a
+``DataLoader``, a ``MultiWorkerLoader``, or ``fills()`` itself): one pass
+per epoch, per-tuple or mini-batch updates, optional evaluation sets,
+optional prefetching (real double buffering) — so training from an on-disk
+block file needs no custom loop.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..core.dataloader import Batch
 from ..data.dataset import Dataset
+from ..storage.codec import TupleBatch
 from .optim import Optimizer, SGD
 from .models.base import SupervisedModel
 from .persistence import CheckpointState
@@ -42,7 +44,7 @@ def training_columns(sparse: bool, with_ids: bool = False) -> tuple[str, ...]:
 
 def train_streaming(
     model: SupervisedModel,
-    loader_factory: Callable[[int], Iterable[Batch]],
+    loader_factory: Callable[[int], Iterable[TupleBatch]],
     *,
     epochs: int,
     schedule=None,
@@ -52,7 +54,6 @@ def train_streaming(
     train_eval: Dataset | None = None,
     test: Dataset | None = None,
     prefetch_depth: int = 0,
-    classification_int_labels: bool = True,
     checkpoint: CheckpointConfig | None = None,
     resume_from: CheckpointState | str | Path | None = None,
     fault_plan=None,
@@ -85,10 +86,10 @@ def train_streaming(
         optimizer = None  # one update per tuple: no optimiser in the loop
     elif optimizer is None:
         optimizer = SGD(model)
-    int_labels = classification_int_labels and not per_tuple and _looks_multiclass(model)
+    int_labels = not per_tuple and _looks_multiclass(model)
 
     def units(epoch: int, cursor: int, tuples_seen: int):
-        loader: Iterable[Batch] = loader_factory(epoch)
+        loader: Iterable[TupleBatch] = loader_factory(epoch)
         if prefetch_depth > 0:
             from ..core.prefetch import PrefetchLoader
 
@@ -100,7 +101,8 @@ def train_streaming(
                 budget = fault_plan.tuples_before_crash(tuples_seen)
                 if budget is not None and budget < len(batch):
                     fault_plan.fire_crash(f"epoch {epoch}, batch {index}")
-            yield batch.X, batch.y.astype(np.int64) if int_labels else batch.y, None, index + 1
+            y = batch.labels.astype(np.int64) if int_labels else batch.labels
+            yield batch.features_matrix(), y, None, index + 1
             tuples_seen += len(batch)
 
     def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:

@@ -39,7 +39,7 @@ import numpy as np
 from .. import obs
 from ..data.dataset import Dataset
 from ..data.sparse import SparseMatrix
-from .codec import TrainingTuple, TupleBatch, TupleSchema, decode_block, encode_rows
+from .codec import TupleBatch, TupleSchema, decode_block, encode_rows
 from .columnar import (
     ChunkRef,
     LazyTupleBatch,
@@ -230,10 +230,6 @@ class BlockFileReader:
     @property
     def n_blocks(self) -> int:
         return len(self.entries)
-
-    def read_block(self, block_id: int) -> list[TrainingTuple]:
-        """Read one block as per-tuple records (decoded via the bulk path)."""
-        return self.read_block_batch(block_id).to_tuples()
 
     # ------------------------------------------------------------------
     def _read_raw(self, entry: BlockIndexEntry, attempt: int) -> bytes:

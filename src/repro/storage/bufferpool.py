@@ -8,11 +8,9 @@ effects (small datasets become memory-resident after the first epoch —
 Section 7.3.4's observation about higgs/susy/epsilon per-epoch times).
 
 Pages are decoded in bulk into a columnar
-:class:`~repro.storage.codec.TupleBatch` (one ``decode_page`` call per miss);
-the Volcano operators read that batch (``get_batch_traced``); the per-tuple
-view (``get_page``) is materialised lazily from the cached batch, so batch
-consumers and tuple consumers share one LRU entry and the decode work is
-paid once either way.
+:class:`~repro.storage.codec.TupleBatch` (one ``decode_page`` call per miss),
+and that batch is the cache entry the Volcano operators read
+(``get_batch_traced``).
 
 The pool is also the heap side's fault boundary: with a
 :class:`~repro.storage.retry.RetryPolicy` attached, page reads that raise a
@@ -30,47 +28,29 @@ from collections import OrderedDict
 from typing import Any
 
 from .. import obs
-from .codec import TrainingTuple, TupleBatch
+from .codec import TupleBatch
 from .heapfile import HeapFile
 from .retry import RetryPolicy
 
 __all__ = ["BufferPool"]
 
 
-class _PageEntry:
-    """One cached page: the decoded batch plus a lazy per-tuple view."""
+def _decoded_nbytes(batch: TupleBatch) -> int:
+    """Real decoded memory a cached batch pins (not the encoded page size).
 
-    __slots__ = ("batch", "_tuples")
-
-    def __init__(self, batch: TupleBatch):
-        self.batch = batch
-        self._tuples: tuple[TrainingTuple, ...] | None = None
-
-    def tuples(self) -> tuple[TrainingTuple, ...]:
-        if self._tuples is None:
-            # Immutable tuple: the cached entry is shared by every reader, so
-            # a mutable list would let one caller corrupt the page for all
-            # later readers.
-            self._tuples = tuple(self.batch.to_tuples())
-        return self._tuples
-
-    def decoded_nbytes(self) -> int:
-        """Real decoded memory this entry pins (not the encoded page size).
-
-        Lazy columnar batches report only the chunks materialised so far —
-        the figure *grows* as consumers touch more columns, which is why the
-        pool re-enforces its byte budget on every access, not just on insert.
-        """
-        batch = self.batch
-        lazy = getattr(batch, "decoded_nbytes", None)
-        if lazy is not None:
-            return int(lazy)
-        total = batch.ids.nbytes + batch.labels.nbytes
-        if batch.is_sparse:
-            total += batch.indptr.nbytes + batch.indices.nbytes + batch.values.nbytes
-        else:
-            total += batch.dense.nbytes
-        return total
+    Lazy columnar batches report only the chunks materialised so far — the
+    figure *grows* as consumers touch more columns, which is why the pool
+    re-enforces its byte budget on every access, not just on insert.
+    """
+    lazy = getattr(batch, "decoded_nbytes", None)
+    if lazy is not None:
+        return int(lazy)
+    total = batch.ids.nbytes + batch.labels.nbytes
+    if batch.is_sparse:
+        total += batch.indptr.nbytes + batch.indices.nbytes + batch.values.nbytes
+    else:
+        total += batch.dense.nbytes
+    return total
 
 
 class BufferPool:
@@ -96,7 +76,7 @@ class BufferPool:
         self.capacity_bytes = capacity_bytes
         self.retry = retry
         self.storage_stats = storage_stats
-        self._cache: OrderedDict[int, _PageEntry] = OrderedDict()
+        self._cache: OrderedDict[int, TupleBatch] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -121,7 +101,17 @@ class BufferPool:
             on_retry=on_retry,
         )
 
-    def _entry_traced(self, page_id: int) -> tuple[_PageEntry, bool]:
+    def get_batch(self, page_id: int) -> TupleBatch:
+        """The page as a columnar batch, via the cache."""
+        return self.get_batch_traced(page_id)[0]
+
+    def get_batch_traced(self, page_id: int) -> tuple[TupleBatch, bool]:
+        """Like :meth:`get_batch`, also reporting whether it was a cache hit.
+
+        The hit flag lets callers charge the read at memory speed instead of
+        device speed (the experiments' "cached after the first epoch"
+        behaviour on small datasets).
+        """
         # Page access is the hottest storage seam, so the registry counters
         # are published only while telemetry is on; the local hit/miss ints
         # stay always-available for hit_rate and the planner.
@@ -138,10 +128,9 @@ class BufferPool:
         self.misses += 1
         if obs.enabled():
             obs.inc("storage.bufferpool.misses")
-        entry = _PageEntry(self._read_batch(page_id))
-        self._cache[page_id] = entry
+        batch = self._cache[page_id] = self._read_batch(page_id)
         self._enforce_capacity()
-        return entry, False
+        return batch, False
 
     def _enforce_capacity(self) -> None:
         while len(self._cache) > self.capacity_pages or (
@@ -152,29 +141,6 @@ class BufferPool:
             self._cache.popitem(last=False)
             self.evictions += 1
             obs.inc("storage.bufferpool.evictions")
-
-    def get_page(self, page_id: int) -> tuple[TrainingTuple, ...]:
-        """Return the decoded tuples of ``page_id``, via the cache."""
-        return self.get_page_traced(page_id)[0]
-
-    def get_page_traced(self, page_id: int) -> tuple[tuple[TrainingTuple, ...], bool]:
-        """Like :meth:`get_page`, also reporting whether it was a cache hit.
-
-        The hit flag lets callers charge the read at memory speed instead of
-        device speed (the experiments' "cached after the first epoch"
-        behaviour on small datasets).
-        """
-        entry, hit = self._entry_traced(page_id)
-        return entry.tuples(), hit
-
-    def get_batch(self, page_id: int) -> TupleBatch:
-        """The page as a columnar batch (decoded once, shared with tuples)."""
-        return self.get_batch_traced(page_id)[0]
-
-    def get_batch_traced(self, page_id: int) -> tuple[TupleBatch, bool]:
-        """Like :meth:`get_batch`, also reporting whether it was a cache hit."""
-        entry, hit = self._entry_traced(page_id)
-        return entry.batch, hit
 
     # ------------------------------------------------------------------
     def invalidate(self, page_id: int) -> bool:
@@ -189,11 +155,6 @@ class BufferPool:
             (self.storage_stats or obs.SESSION_STORAGE).record_cache_invalidation()
         return dropped
 
-    def refresh(self, page_id: int) -> tuple[TrainingTuple, ...]:
-        """Invalidate and re-read one page through the verified path."""
-        self.invalidate(page_id)
-        return self.get_page(page_id)
-
     @property
     def cached_pages(self) -> int:
         return len(self._cache)
@@ -201,7 +162,7 @@ class BufferPool:
     @property
     def decoded_bytes(self) -> int:
         """Decoded bytes currently pinned by the cache (what eviction charges)."""
-        return sum(entry.decoded_nbytes() for entry in self._cache.values())
+        return sum(_decoded_nbytes(batch) for batch in self._cache.values())
 
     def is_cached(self, page_id: int) -> bool:
         return page_id in self._cache

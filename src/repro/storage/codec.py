@@ -93,9 +93,9 @@ class TupleBatch:
     ``indptr``/``indices``/``values`` describes ``n`` sparse rows over
     ``n_features`` columns.  ``ids``/``labels`` are parallel per-row arrays.
 
-    Rows handed out by :meth:`row` / :meth:`to_tuples` are views into the
-    columnar arrays (not copies): the batch is the single owner of the
-    decoded data, which is what makes block-granular decode cheap.
+    Rows handed out by :meth:`row` are views into the columnar arrays (not
+    copies): the batch is the single owner of the decoded data, which is
+    what makes block-granular decode cheap.
 
     :meth:`slice` and :meth:`take` are the two primitives the batch-at-a-time
     operators move rows with.  Both read only the column attributes, so
@@ -131,14 +131,6 @@ class TupleBatch:
             return self.dense[i]
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseRow(self.indices[lo:hi], self.values[lo:hi], self.n_features)
-
-    def to_tuples(self) -> list[TrainingTuple]:
-        """Materialise the per-tuple view (the operators' ``next()`` adapter, ``get_page``)."""
-        ids = self.ids.tolist()
-        labels = self.labels.tolist()
-        return [
-            TrainingTuple(ids[i], labels[i], self.row(i)) for i in range(len(self))
-        ]
 
     def features_matrix(self) -> np.ndarray | SparseMatrix:
         """The features as a dense matrix or :class:`SparseMatrix`."""

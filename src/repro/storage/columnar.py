@@ -43,7 +43,7 @@ import numpy as np
 
 from .. import obs
 from ..data.sparse import SparseMatrix, SparseRow
-from .codec import TrainingTuple, TupleBatch, TupleSchema
+from .codec import TupleBatch, TupleSchema
 from .retry import ChecksumError
 
 __all__ = [
@@ -302,7 +302,7 @@ class LazyTupleBatch:
 
     Mirrors the :class:`~repro.storage.codec.TupleBatch` read interface
     (``ids``/``labels``/``dense``/``indptr``/``indices``/``values``,
-    ``row``, ``to_tuples``, ``features_matrix``) but decodes nothing up
+    ``row``, ``features_matrix``) but decodes nothing up
     front: each property decodes its chunk on first touch — a zero-copy
     ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
@@ -429,11 +429,6 @@ class LazyTupleBatch:
         indptr = self.indptr
         lo, hi = indptr[i], indptr[i + 1]
         return SparseRow(self.indices[lo:hi], self.values[lo:hi], self.n_features)
-
-    def to_tuples(self) -> list[TrainingTuple]:
-        ids = self.ids.tolist()
-        labels = self.labels.tolist()
-        return [TrainingTuple(ids[i], labels[i], self.row(i)) for i in range(self._n)]
 
     def features_matrix(self) -> np.ndarray | SparseMatrix:
         if not self._sparse:

@@ -345,18 +345,13 @@ class HeapFile:
         return sum(p.used_bytes for p in self.pages)
 
     # ------------------------------------------------------------------
-    def _decode(self, payload: bytes) -> TrainingTuple:
-        if self.compress:
-            raw_len = int.from_bytes(payload[:4], "little")
-            payload = zlib.decompress(payload[4:])
-            assert len(payload) == raw_len
-        self.decode_count += 1
-        decoded, _ = decode_tuple(payload, 0, self.schema)
-        return decoded
-
-    def read_page(self, page_id: int) -> list[TrainingTuple]:
-        """Decode every tuple stored on ``page_id`` (in slot order)."""
-        return self.read_page_batch(page_id).to_tuples()
+    def _uncompressed(self, payload: bytes) -> bytes:
+        """The tuple bytes of one stored payload (undoes :meth:`_compressed`)."""
+        if not self.compress:
+            return payload
+        raw = zlib.decompress(payload[4:])
+        assert len(raw) == int.from_bytes(payload[:4], "little")
+        return raw
 
     def _read_page_payloads(self, page_id: int, attempt: int = 1) -> list[bytes]:
         """The raw stored tuple payloads of one page — the *read* step.
@@ -402,17 +397,8 @@ class HeapFile:
             batch = decode_block_columnar(payload, self.schema)
             self.decode_count += len(batch)
             return batch
-        if self.compress:
-            chunks = []
-            for payload in payloads:
-                raw_len = int.from_bytes(payload[:4], "little")
-                raw = zlib.decompress(payload[4:])
-                assert len(raw) == raw_len
-                chunks.append(raw)
-            buffer = b"".join(chunks)
-        else:
-            buffer = b"".join(payloads)
         self.decode_count += page.n_tuples
+        buffer = b"".join(map(self._uncompressed, payloads))
         return decode_page(buffer, page.n_tuples, self.schema)
 
     def read_tuple(self, position: int) -> TrainingTuple:
@@ -436,18 +422,8 @@ class HeapFile:
             payload = self.pages[rid.page_id].payload(rid.slot)
         except (IndexError, ValueError):
             raise KeyError(rid) from None
-        return self._decode(payload)
-
-    def scan(self):
-        """Sequentially decode every tuple in heap order."""
-        self.flush()
-        if self.layout == "columnar":
-            for page_id in range(len(self.pages)):
-                yield from self.read_page_batch(page_id).to_tuples()
-            return
-        for page in self.pages:
-            for payload in page.tuple_payloads():
-                yield self._decode(payload)
+        self.decode_count += 1
+        return decode_tuple(self._uncompressed(payload), 0, self.schema)[0]
 
     # ------------------------------------------------------------------
     def pages_per_block(self, block_bytes: int) -> int:
@@ -467,9 +443,3 @@ class HeapFile:
             raise IndexError(f"block {block_id} out of range [0, {n})")
         lo = block_id * per
         return range(lo, min(lo + per, self.n_pages))
-
-    def read_block(self, block_id: int, block_bytes: int) -> list[TrainingTuple]:
-        out: list[TrainingTuple] = []
-        for page_id in self.block_pages(block_id, block_bytes):
-            out.extend(self.read_page(page_id))
-        return out

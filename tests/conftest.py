@@ -47,3 +47,8 @@ def layout_600() -> BlockLayout:
 def assert_is_permutation(order: np.ndarray, n: int) -> None:
     assert order.shape == (n,)
     assert sorted(order.tolist()) == list(range(n))
+
+
+def pass_ids(op) -> list[int]:
+    """The tuple ids of one operator pass, drained a batch at a time."""
+    return [int(i) for batch in iter(op.next_batch, None) for i in batch.ids]

@@ -42,22 +42,22 @@ class TestRead:
         with BlockFileReader(path) as reader:
             ids = []
             for b in range(reader.n_blocks):
-                ids.extend(t.tuple_id for t in reader.read_block(b))
+                ids.extend(reader.read_block_batch(b).ids.tolist())
         assert sorted(ids) == list(range(dense_binary.n_tuples))
 
     def test_block_content_matches_dataset(self, dense_file, dense_binary):
         path, _ = dense_file
         with BlockFileReader(path) as reader:
-            records = reader.read_block(2)
-        for record in records:
-            np.testing.assert_allclose(record.features, dense_binary.X[record.tuple_id])
-            assert record.label == dense_binary.y[record.tuple_id]
+            batch = reader.read_block_batch(2)
+        for i, tuple_id in enumerate(batch.ids):
+            np.testing.assert_allclose(batch.row(i), dense_binary.X[tuple_id])
+            assert batch.labels[i] == dense_binary.y[tuple_id]
 
     def test_byte_accounting(self, dense_file):
         path, entries = dense_file
         with BlockFileReader(path) as reader:
-            reader.read_block(0)
-            reader.read_block(3)
+            reader.read_block_batch(0)
+            reader.read_block_batch(3)
             assert reader.blocks_read == 2
             assert reader.bytes_read == entries[0].length + entries[3].length
 
@@ -65,19 +65,17 @@ class TestRead:
         path = tmp_path / "sparse.blocks"
         write_block_file(sparse_binary, path, tuples_per_block=32)
         with BlockFileReader(path) as reader:
-            records = reader.read_block(0)
-            assert records[0].is_sparse
-            np.testing.assert_allclose(
-                records[0].features.to_dense(), sparse_binary.X.to_dense()[0]
-            )
+            batch = reader.read_block_batch(0)
+            assert batch.is_sparse
+            np.testing.assert_allclose(batch.row(0).to_dense(), sparse_binary.X.to_dense()[0])
 
     def test_random_block_access_out_of_order(self, dense_file):
         path, _ = dense_file
         with BlockFileReader(path) as reader:
-            last = reader.read_block(reader.n_blocks - 1)
-            first = reader.read_block(0)
-        assert first[0].tuple_id == 0
-        assert last[-1].tuple_id > first[-1].tuple_id
+            last = reader.read_block_batch(reader.n_blocks - 1)
+            first = reader.read_block_batch(0)
+        assert first.ids[0] == 0
+        assert last.ids[-1] > first.ids[-1]
 
 
 # ----------------------------------------------------------------------

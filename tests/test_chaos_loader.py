@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core import CorgiPileDataset, MultiWorkerLoader, PrefetchLoader
+from repro.core import CorgiPileDataset, DataLoader, MultiWorkerLoader, PrefetchLoader
 from repro.data import make_binary_dense
 from repro.faults import FaultPlan, FaultSpec, faulty_reader_factory
 from repro.obs import StorageMetrics
@@ -43,17 +43,13 @@ def block_file(tmp_path_factory):
     return path, ds
 
 
-def _tuple_ids(dataset) -> list[int]:
-    return [record.tuple_id for record in dataset]
-
-
 class TestPrefetchLoaderChaos:
     @pytest.mark.parametrize("seed", [CHAOS_SEED * 2 + k for k in range(2)])
     def test_retried_reads_preserve_tuple_order(self, block_file, seed):
         path, _ = block_file
         baseline = threading.active_count()
         with CorgiPileDataset(path, buffer_blocks=2, seed=seed) as clean_view:
-            expected = list(PrefetchLoader(clean_view, depth=2))
+            expected = list(PrefetchLoader(DataLoader(clean_view, 16), depth=2))
 
         plan = FaultPlan.random(seed, p_transient=0.5, p_torn=0.3, max_failures=2)
         stats = StorageMetrics("prefetch-chaos")
@@ -63,10 +59,10 @@ class TestPrefetchLoaderChaos:
             seed=seed,
             reader_factory=faulty_reader_factory(plan, stats=stats),
         ) as faulty_view:
-            got = list(PrefetchLoader(faulty_view, depth=2))
+            got = list(PrefetchLoader(DataLoader(faulty_view, 16), depth=2))
 
         assert stats.retries > 0, "plan injected no faults; test is vacuous"
-        assert [r.tuple_id for r in got] == [r.tuple_id for r in expected]
+        assert [i for b in got for i in b.ids] == [i for b in expected for i in b.ids]
         assert settled_thread_count(baseline) == baseline
 
     def test_unrecoverable_fault_propagates_and_joins_threads(self, block_file):
@@ -79,7 +75,7 @@ class TestPrefetchLoaderChaos:
             plan, stats=stats, retry=RetryPolicy(max_attempts=2)
         )
         with CorgiPileDataset(path, buffer_blocks=2, seed=0, reader_factory=factory) as view:
-            loader = PrefetchLoader(view, depth=2)
+            loader = PrefetchLoader(DataLoader(view, 16), depth=2)
             with pytest.raises(ReadExhaustedError):
                 for _ in loader:
                     pass
@@ -103,7 +99,7 @@ class TestMultiWorkerLoaderChaos:
             seed=seed,
             reader_factory=faulty_reader_factory(plan, stats=stats),
         ) as loader:
-            ids = sorted(int(i) for batch in loader for i in batch.tuple_ids)
+            ids = sorted(int(i) for batch in loader for i in batch.ids)
             assert loader.stats.live_threads == 0
         assert stats.retries > 0, "plan injected no faults; test is vacuous"
         assert ids == list(range(ds.n_tuples))
@@ -113,7 +109,7 @@ class TestMultiWorkerLoaderChaos:
         """Transient faults must not even *reorder* the interleave."""
         path, _ = block_file
         with MultiWorkerLoader(path, 2, 2, batch_size=16, seed=7) as loader:
-            expected = [tuple(batch.tuple_ids) for batch in loader]
+            expected = [tuple(batch.ids) for batch in loader]
         plan = FaultPlan.random(7, p_transient=0.6, max_failures=2)
         with MultiWorkerLoader(
             path,
@@ -123,7 +119,7 @@ class TestMultiWorkerLoaderChaos:
             seed=7,
             reader_factory=faulty_reader_factory(plan),
         ) as loader:
-            got = [tuple(batch.tuple_ids) for batch in loader]
+            got = [tuple(batch.ids) for batch in loader]
         assert got == expected
 
     def test_unrecoverable_fault_joins_all_workers(self, block_file):

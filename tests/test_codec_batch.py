@@ -210,24 +210,20 @@ class TestTupleBatch:
         assert isinstance(mat, SparseMatrix)
         np.testing.assert_array_equal(mat.to_dense(), [[1.0, 0.0, 0.0, 0.0, -1.0]])
 
-    def test_to_tuples_roundtrip(self):
-        rng = np.random.default_rng(3)
-        schema = TupleSchema(4)
-        buf = _encode_run([(float(i), rng.standard_normal(4)) for i in range(5)])
-        records = decode_page(buf, 5, schema).to_tuples()
-        assert [r.tuple_id for r in records] == list(range(5))
-        again = TupleBatch.from_tuples(records, schema)
-        np.testing.assert_array_equal(again.dense, decode_page(buf, 5, schema).dense)
-
 
 class TestStorageIntegration:
     def test_read_block_batch_matches_read_block(self, tmp_path, dense_binary):
         path = tmp_path / "batch.blocks"
         write_block_file(dense_binary, path, tuples_per_block=50)
         with BlockFileReader(path) as reader:
+            raw = path.read_bytes()
             for block_id in range(reader.n_blocks):
                 batch = reader.read_block_batch(block_id)
-                records = reader.read_block(block_id)
+                entry, records = reader.entries[block_id], []
+                offset = entry.offset
+                for _ in range(entry.n_tuples):  # the scalar reference decode
+                    record, offset = decode_tuple(raw, offset, reader.schema)
+                    records.append(record)
                 assert len(batch) == len(records)
                 for i, rec in enumerate(records):
                     assert batch.ids[i] == rec.tuple_id
@@ -241,10 +237,6 @@ class TestStorageIntegration:
         again, hit = pool.get_batch_traced(0)
         assert hit is True
         assert again is batch  # same cached entry, one decode
-        # Tuple and batch consumers share the LRU entry.
-        tuples, hit = pool.get_page_traced(0)
-        assert hit is True
-        assert len(tuples) == len(batch)
 
 
 # ----------------------------------------------------------------------

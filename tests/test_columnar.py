@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Batch, CorgiPileDataset
+from repro.core import CorgiPileDataset
 from repro.core.seeding import FAULT_UNIT_CODES, fault_unit_rng
 from repro.data import make_binary_sparse
 from repro.db import MiniDB, ParseError, SelectQuery, parse_query
@@ -28,10 +28,10 @@ from repro.storage import (
     TupleSchema,
     decode_block_columnar,
     encode_block_columnar,
-    encode_tuple,
     migrate_file,
     write_block_file,
 )
+from repro.storage.codec import encode_rows
 from repro.storage.columnar import (
     COL_IDS,
     COL_VALUES,
@@ -90,11 +90,11 @@ class TestRoundTrip:
         decoded = decode_block_columnar(
             encode_block_columnar(batch), TupleSchema(30, sparse=True)
         )
-        for i, t in enumerate(decoded.to_tuples()):
-            assert t.tuple_id == batch.ids[i] and t.label == batch.labels[i]
-            row = batch.row(i)
-            np.testing.assert_array_equal(t.features.indices, row.indices)
-            np.testing.assert_array_equal(t.features.values, row.values)
+        for i in range(len(decoded)):
+            assert decoded.ids[i] == batch.ids[i] and decoded.labels[i] == batch.labels[i]
+            got, row = decoded.row(i), batch.row(i)
+            np.testing.assert_array_equal(got.indices, row.indices)
+            np.testing.assert_array_equal(got.values, row.values)
 
     def test_monotone_ids_are_delta_packed(self):
         batch = _random_batch(0, 64, 8, sparse=False)
@@ -124,9 +124,7 @@ class TestRoundTrip:
         else:
             d = 32
             batch = TupleBatch(ids, labels, d, dense=rng.standard_normal((n, d)))
-        row_bytes = sum(
-            len(encode_tuple(t.tuple_id, t.label, t.features)) for t in batch.to_tuples()
-        )
+        row_bytes = len(encode_rows(batch))
         col_bytes = len(encode_block_columnar(batch, TupleSchema(d, sparse=sparse)))
         assert col_bytes < bound * row_bytes
 
@@ -209,7 +207,7 @@ class TestColumnarBlockFile:
         write_block_file(sparse_binary, row_path, tuples_per_block=40)
         with CorgiPileDataset(row_path, buffer_blocks=2, seed=7) as row_view:
             row_view.set_epoch(1)
-            want = [t.tuple_id for t in row_view]
+            want = [int(i) for fill in row_view.fills() for i in fill.ids]
         with CorgiPileDataset(columnar_file, buffer_blocks=2, seed=7) as col_view:
             col_view.set_epoch(1)
             got = []
@@ -348,7 +346,7 @@ class TestMigrate:
         with BlockFileReader(path) as reader:
             assert reader.layout == "columnar"
             ids = sorted(
-                t.tuple_id for b in range(reader.n_blocks) for t in reader.read_block(b)
+                int(i) for b in range(reader.n_blocks) for i in reader.read_block_batch(b).ids
             )
         assert ids == list(range(sparse_binary.n_tuples))
 
@@ -377,7 +375,7 @@ class TestMigrate:
             migrate_file(path, _stop_after_blocks=1)
         with BlockFileReader(path) as reader:  # source untouched until finalize
             assert reader.layout == "row"
-            assert reader.read_block(0)
+            assert len(reader.read_block_batch(0))
 
     def test_heap_file_migration(self, tmp_path, sparse_binary):
         # Heap sources migrate into a columnar *block file* (the training
@@ -390,7 +388,7 @@ class TestMigrate:
         with BlockFileReader(path) as reader:
             assert reader.layout == "columnar"
             got = sorted(
-                t.tuple_id for b in range(reader.n_blocks) for t in reader.read_block(b)
+                int(i) for b in range(reader.n_blocks) for i in reader.read_block_batch(b).ids
             )
         assert got == list(range(sparse_binary.n_tuples))
 
@@ -409,7 +407,7 @@ class TestMigrate:
 
                 def fills(epoch, view=view):
                     view.set_epoch(epoch)
-                    return (Batch(f.features_matrix(), f.labels, f.ids) for f in view.fills())
+                    return view.fills()
 
                 train_streaming(model, fills, epochs=2, per_tuple=True, fused=True)
             weights.append({k: v.copy() for k, v in model.params.items()})
@@ -421,9 +419,11 @@ class TestColumnarHeap:
     def test_scan_matches_row_layout(self, sparse_binary):
         row = HeapFile.from_dataset(sparse_binary, page_bytes=2048)
         col = HeapFile.from_dataset(sparse_binary, page_bytes=2048, layout="columnar")
-        want = [(t.tuple_id, t.label) for t in row.scan()]
-        got = [(t.tuple_id, t.label) for t in col.scan()]
-        assert got == want
+        def scan(heap):
+            batches = [heap.read_page_batch(p) for p in range(heap.n_pages)]
+            return [(int(i), float(y)) for b in batches for i, y in zip(b.ids, b.labels)]
+
+        assert scan(col) == scan(row)
 
     def test_compress_plus_columnar_rejected(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Batch,
     CorgiPileDataset,
     DataLoader,
     ShuffleBuffer,
-    collate,
     pipelined_time,
     serial_time,
 )
-from repro.storage import write_block_file
+from repro.storage import TupleBatch, write_block_file
 
 
 class TestShuffleBuffer:
@@ -99,36 +97,40 @@ def block_file(tmp_path, dense_binary):
     return path
 
 
+def fill_ids(ds) -> list[int]:
+    return [int(i) for fill in ds.fills() for i in fill.ids]
+
+
 class TestCorgiPileDataset:
     def test_iterates_every_tuple_once(self, block_file, dense_binary):
         with CorgiPileDataset(block_file, buffer_blocks=4, seed=0) as ds:
-            ids = [r.tuple_id for r in ds]
+            ids = fill_ids(ds)
         assert sorted(ids) == list(range(dense_binary.n_tuples))
 
     def test_order_is_shuffled(self, block_file):
         with CorgiPileDataset(block_file, buffer_blocks=4, seed=0) as ds:
-            ids = np.array([r.tuple_id for r in ds])
+            ids = np.array(fill_ids(ds))
         assert not np.array_equal(ids, np.arange(ids.size))
 
     def test_set_epoch_changes_order(self, block_file):
         with CorgiPileDataset(block_file, buffer_blocks=4, seed=0) as ds:
-            first = [r.tuple_id for r in ds]
+            first = fill_ids(ds)
             ds.set_epoch(1)
-            second = [r.tuple_id for r in ds]
+            second = fill_ids(ds)
         assert first != second
         assert sorted(first) == sorted(second)
 
     def test_same_epoch_replays(self, block_file):
         with CorgiPileDataset(block_file, buffer_blocks=4, seed=0) as ds:
-            first = [r.tuple_id for r in ds]
-            second = [r.tuple_id for r in ds]
+            first = fill_ids(ds)
+            second = fill_ids(ds)
         assert first == second
 
     def test_workers_partition_data(self, block_file, dense_binary):
         ids: list[int] = []
         for w in range(3):
             with CorgiPileDataset(block_file, 2, seed=0, worker_id=w, n_workers=3) as ds:
-                ids.extend(r.tuple_id for r in ds)
+                ids.extend(fill_ids(ds))
         assert sorted(ids) == list(range(dense_binary.n_tuples))
 
     def test_invalid_args(self, block_file):
@@ -150,8 +152,8 @@ class TestDataLoader:
             loader = DataLoader(ds, batch_size=64)
             batches = list(loader)
         assert sum(len(b) for b in batches) == dense_binary.n_tuples
-        assert batches[0].X.shape == (64, dense_binary.n_features)
-        assert batches[0].y.shape == (64,)
+        assert batches[0].features_matrix().shape == (64, dense_binary.n_features)
+        assert batches[0].labels.shape == (64,)
 
     def test_drop_last(self, block_file, dense_binary):
         with CorgiPileDataset(block_file, 4, seed=0) as ds:
@@ -163,14 +165,11 @@ class TestDataLoader:
         write_block_file(sparse_binary, path, tuples_per_block=25)
         with CorgiPileDataset(path, 2, seed=0) as ds:
             batch = next(iter(DataLoader(ds, batch_size=16)))
-        assert batch.X.shape == (16, sparse_binary.n_features)
+        X = batch.features_matrix()
+        assert X.shape == (16, sparse_binary.n_features)
         # Batch rows must match the dataset rows they claim to be.
         dense = sparse_binary.X.to_dense()
-        np.testing.assert_allclose(batch.X.to_dense()[0], dense[batch.tuple_ids[0]])
-
-    def test_collate_empty_rejected(self):
-        with pytest.raises(ValueError):
-            collate([])
+        np.testing.assert_allclose(X.to_dense()[0], dense[batch.ids[0]])
 
     def test_invalid_batch_size(self, block_file):
         with pytest.raises(ValueError):
@@ -179,5 +178,5 @@ class TestDataLoader:
     def test_batch_labels_align(self, block_file, dense_binary):
         with CorgiPileDataset(block_file, 4, seed=1) as ds:
             batch = next(iter(DataLoader(ds, batch_size=32)))
-        assert isinstance(batch, Batch)
-        np.testing.assert_allclose(batch.y, dense_binary.y[batch.tuple_ids])
+        assert isinstance(batch, TupleBatch)
+        np.testing.assert_allclose(batch.labels, dense_binary.y[batch.ids])

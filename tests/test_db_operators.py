@@ -16,6 +16,8 @@ from repro.db.engine import ENGINE_PROFILE
 from repro.db.timing import RuntimeContext
 from repro.storage import SSD
 
+from .conftest import pass_ids
+
 
 @pytest.fixture()
 def table(dense_binary):
@@ -32,21 +34,21 @@ class TestSeqScan:
     def test_scans_in_heap_order(self, table, ctx):
         scan = SeqScanOperator(table, ctx)
         scan.open()
-        ids = [r.tuple_id for r in scan]
+        ids = pass_ids(scan)
         assert ids == list(range(table.n_tuples))
 
     def test_rescan_restarts(self, table, ctx):
         scan = SeqScanOperator(table, ctx)
         scan.open()
-        first = [scan.next().tuple_id for _ in range(5)]
+        first = scan.next_batch().ids[:5].tolist()
         scan.rescan()
-        second = [scan.next().tuple_id for _ in range(5)]
+        second = scan.next_batch().ids[:5].tolist()
         assert first == second == [0, 1, 2, 3, 4]
 
     def test_charges_io(self, table, ctx):
         scan = SeqScanOperator(table, ctx)
         scan.open()
-        list(scan)
+        pass_ids(scan)
         assert ctx.total_io_s > 0
 
 
@@ -54,13 +56,13 @@ class TestBlockShuffle:
     def test_covers_all_tuples(self, table, ctx):
         op = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=1)
         op.open()
-        ids = sorted(r.tuple_id for r in op)
+        ids = sorted(pass_ids(op))
         assert ids == list(range(table.n_tuples))
 
     def test_blocks_emitted_contiguously(self, table, ctx):
         op = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=1)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         # Within a block ids ascend by 1; only block boundaries may jump
         # (and adjacent shuffled blocks can coincidentally be consecutive).
         jumps = int(np.sum(np.diff(ids) != 1))
@@ -69,25 +71,25 @@ class TestBlockShuffle:
     def test_block_order_is_shuffled(self, table, ctx):
         op = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=1)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert ids != sorted(ids)
 
     def test_rescan_reshuffles(self, table, ctx):
         op = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=1)
         op.open()
-        first = [r.tuple_id for r in op]
+        first = pass_ids(op)
         op.rescan()
-        second = [r.tuple_id for r in op]
+        second = pass_ids(op)
         assert sorted(first) == sorted(second)
         assert first != second
 
     def test_buffer_pool_hits_cheaper_second_pass(self, table, ctx):
         op = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=1)
         op.open()
-        list(op)
+        pass_ids(op)
         cold_io = ctx.total_io_s
         op.rescan()
-        list(op)
+        pass_ids(op)
         warm_io = ctx.total_io_s - cold_io
         assert warm_io < cold_io / 10  # cached pages at memory speed
 
@@ -97,7 +99,7 @@ class TestTupleShuffle:
         child = BlockShuffleOperator(table, ctx, block_bytes=4096, seed=2)
         op = TupleShuffleOperator(child, ctx, buffer_tuples=100, seed=2)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert sorted(ids) == list(range(table.n_tuples))
         # Tuple-level shuffle destroys the within-block contiguity.
         assert np.mean(np.abs(np.diff(ids)) == 1) < 0.3
@@ -106,7 +108,7 @@ class TestTupleShuffle:
         child = SeqScanOperator(table, ctx)
         op = TupleShuffleOperator(child, ctx, buffer_tuples=100, seed=0)
         op.open()
-        list(op)
+        pass_ids(op)
         ctx.epoch_wall_time()
         assert ctx.tuples_processed == table.n_tuples
 
@@ -114,9 +116,9 @@ class TestTupleShuffle:
         child = SeqScanOperator(table, ctx)
         op = TupleShuffleOperator(child, ctx, buffer_tuples=50, seed=0)
         op.open()
-        first = [r.tuple_id for r in op]
+        first = pass_ids(op)
         op.rescan()
-        second = [r.tuple_id for r in op]
+        second = pass_ids(op)
         assert sorted(first) == sorted(second)
         assert first != second  # new epoch, new buffer shuffles
 
@@ -130,7 +132,7 @@ class TestPassThrough:
         child = SeqScanOperator(table, ctx)
         op = PassThroughAccountingOperator(child, ctx, chunk_tuples=64)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert ids == list(range(table.n_tuples))
         assert ctx.tuples_processed == table.n_tuples
 

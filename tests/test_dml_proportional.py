@@ -118,16 +118,16 @@ PREDICATES = (  # every shape tests/test_where_paths.py plans
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_lazy_view_and_rid_resolution_track_the_heap(sparse):
-    """After every op of the seeded stream: the view a reader gets equals a
-    fresh heap scan, the position directory round-trips every live RID, and
-    ``qualifying_rids`` returns the rows — in the order — the parent's
+    """After every op of the seeded stream: the view a reader gets equals
+    every live row decoded one at a time, the position directory round-trips
+    every live RID, and ``qualifying_rids`` returns the rows — in the order — the parent's
     ``index_qualifying_positions`` -> ``rid_of`` path did."""
     _catalog, info = workload.make_table(None, sparse=sparse)
     heap, index = info.heap, info.indexes["ix"]
     predicates = [parse_predicate(text) for text in PREDICATES]
 
     def check(_completed: int) -> None:
-        scanned = list(heap.scan())
+        scanned = [heap.read_rid(heap.rid_of(p)) for p in range(heap.n_tuples)]
         dataset = info.dataset
         assert info.n_tuples == dataset.n_tuples == len(scanned)
         np.testing.assert_array_equal(dataset.y, [tup.label for tup in scanned])

@@ -259,7 +259,7 @@ class TestFaultyStores:
         plan = FaultPlan(specs=[FaultSpec("crash", unit="block", target=0)])
         with FaultyBlockFileReader(path, plan, storage_stats=stats) as faulty:
             with pytest.raises(InjectedCrash):
-                faulty.read_block(0)
+                faulty.read_block_batch(0)
         assert stats.crashes_injected == 1
 
     def test_torn_block_read_is_caught_and_retried(self, block_file):
@@ -269,8 +269,8 @@ class TestFaultyStores:
         with BlockFileReader(path) as clean, FaultyBlockFileReader(
             path, plan, storage_stats=stats
         ) as faulty:
-            want = [t.tuple_id for t in clean.read_block(2)]
-            got = [t.tuple_id for t in faulty.read_block(2)]
+            want = clean.read_block_batch(2).ids.tolist()
+            got = faulty.read_block_batch(2).ids.tolist()
         assert got == want
         assert stats.checksum_failures == 1 and stats.retries == 1
 
@@ -281,7 +281,7 @@ class TestFaultyStores:
             path, plan, retry=RetryPolicy(max_attempts=3)
         ) as reader:
             with pytest.raises(ReadExhaustedError):
-                reader.read_block(0)
+                reader.read_block_batch(0)
             assert reader.blocks_read == 0  # only successful reads are charged
 
     def test_latency_injection_recorded(self, block_file):
@@ -289,7 +289,7 @@ class TestFaultyStores:
         stats = StorageMetrics("lat")
         plan = FaultPlan(specs=[FaultSpec("latency", target=1, delay_s=0.001)])
         with FaultyBlockFileReader(path, plan, storage_stats=stats) as reader:
-            reader.read_block(1)
+            reader.read_block_batch(1)
         assert stats.latency_events == 1
         assert stats.latency_injected_s == pytest.approx(0.001)
 
@@ -320,8 +320,8 @@ class TestFaultyStores:
         )
         assert swapped.name == table.name and swapped.dataset is table.dataset
         assert isinstance(swapped.heap, FaultyHeapFile)
-        want = [t.tuple_id for t in table.pool.get_page(0)]
-        got = [t.tuple_id for t in swapped.pool.get_page(0)]
+        want = table.pool.get_batch(0).ids.tolist()
+        got = swapped.pool.get_batch(0).ids.tolist()
         assert got == want  # transient fault absorbed by the pool's retry
         assert stats.transient_errors == 1 and stats.retries == 1
 

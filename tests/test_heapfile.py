@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_binary_dense, make_binary_sparse
-from repro.storage import DEFAULT_PAGE_BYTES, HeapFile, Page
+from repro.storage import DEFAULT_PAGE_BYTES, HeapFile, Page, TupleBatch
 
 
 class TestPage:
@@ -37,19 +37,24 @@ class TestPage:
         assert page.n_tuples == 2
 
 
+def _heap_batch(heap: HeapFile, pages=None) -> TupleBatch:
+    """``pages`` (all by default) read a page batch each, in heap order."""
+    pages = range(heap.n_pages) if pages is None else pages
+    return TupleBatch.concat([heap.read_page_batch(p) for p in pages])
+
+
 class TestHeapFile:
     def test_scan_preserves_order(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
-        ids = [t.tuple_id for t in heap.scan()]
+        ids = _heap_batch(heap).ids.tolist()
         assert ids == list(range(dense_binary.n_tuples))
 
     def test_scan_roundtrips_features(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
-        for i, record in enumerate(heap.scan()):
-            if i >= 20:
-                break
-            np.testing.assert_allclose(record.features, dense_binary.X[i])
-            assert record.label == dense_binary.y[i]
+        batch = _heap_batch(heap)
+        for i in range(20):
+            np.testing.assert_allclose(batch.row(i), dense_binary.X[i])
+            assert batch.labels[i] == dense_binary.y[i]
 
     def test_read_tuple_random_access(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
@@ -81,14 +86,14 @@ class TestHeapFile:
 
     def test_read_block_tuples(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
-        tuples = heap.read_block(0, 4096)
-        assert tuples[0].tuple_id == 0
-        assert len(tuples) > 1
+        block = _heap_batch(heap, heap.block_pages(0, 4096))
+        assert block.ids[0] == 0
+        assert len(block) > 1
 
     def test_block_out_of_range(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
         with pytest.raises(IndexError):
-            heap.read_block(999, 4096)
+            heap.block_pages(999, 4096)
 
     def test_block_smaller_than_page_rejected(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
@@ -117,7 +122,7 @@ class TestCompression:
     def test_decode_count_tracks_cpu_work(self, dense_binary):
         heap = HeapFile.from_dataset(dense_binary, page_bytes=1024)
         before = heap.decode_count
-        heap.read_page(0)
+        heap.read_page_batch(0)
         assert heap.decode_count > before
 
 

@@ -27,7 +27,7 @@ from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss
 from repro.ml.models.base import SupervisedModel
 from repro.ml.streaming import train_streaming
 from repro.ml.trainer import fixed_order_source
-from repro.core.dataloader import Batch
+from repro.storage import TupleBatch
 
 # LinearRegression diverges at lr=0.05 on d=64 standard-normal rows, which
 # exponentially amplifies rounding noise; use a stable rate for it.
@@ -153,7 +153,7 @@ class TestFusedPipelines:
         def loader(_epoch):
             for lo in range(0, data.n_tuples, 64):
                 hi = min(lo + 64, data.n_tuples)
-                yield Batch(data.X[lo:hi], data.y[lo:hi], np.arange(lo, hi))
+                yield TupleBatch(np.arange(lo, hi), data.y[lo:hi], data.n_features, dense=data.X[lo:hi])
 
         def run(fused):
             model = LogisticRegression(data.n_features, l2=1e-3)

@@ -1,4 +1,4 @@
-"""One block-file fill: ``CorgiPileDataset.fills()`` is what ``__iter__`` explodes.
+"""One block-file fill: ``CorgiPileDataset.fills()`` is what ``DataLoader`` cuts.
 
 * **Goldens** (``tests/goldens/loader_order.json``) recorded at the last
   commit whose ``__iter__`` ran the per-tuple ``ShuffleBuffer`` loop
@@ -9,7 +9,8 @@
   geometries (a buffer of several blocks, a buffer that does not divide the
   worker's share, a one-block buffer, a buffer larger than the file).  Ids
   are integers, so the goldens do not depend on the platform.
-* ``fills()`` and ``__iter__`` are both held to them, fill sizes to the
+* ``fills()`` and the ``DataLoader`` batches cut from them (batch sizes 1,
+  7 and 64; ``drop_last``) are held to them, fill sizes to the
   ``buffer_blocks`` grouping, and a column-pruned fill to the bytes it may
   read.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import CorgiPileDataset
+from repro.core import CorgiPileDataset, DataLoader
 from repro.data import make_binary_dense, make_binary_sparse
 from repro.storage import write_block_file
 
@@ -84,12 +85,15 @@ def _stream_digests(case, path, ids_of) -> list[str]:
     return digests
 
 
-def _iter_ids(view) -> list[int]:
-    return [record.tuple_id for record in view]
-
-
 def _fill_ids(view) -> list[int]:
     return [int(i) for fill in view.fills() for i in fill.ids]
+
+
+def _loader_ids(batch_size: int):
+    def ids_of(view) -> list[int]:
+        return [int(i) for batch in DataLoader(view, batch_size) for i in batch.ids]
+
+    return ids_of
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +105,17 @@ def goldens() -> dict:
 def test_iter_and_fills_reproduce_the_recorded_id_stream(case, goldens, tmp_path):
     path = _write(case, tmp_path)
     want = goldens[case_id(case)]
-    assert _stream_digests(case, path, _iter_ids) == want
     assert _stream_digests(case, path, _fill_ids) == want
+    for batch_size in (1, 7, 64):
+        assert _stream_digests(case, path, _loader_ids(batch_size)) == want
+    # drop_last cuts each epoch's stream to its whole batches, nothing else.
+    for view in _views(case, path):
+        for epoch in range(2):
+            view.set_epoch(epoch)
+            full = _fill_ids(view)
+            batches = list(DataLoader(view, 7, drop_last=True))
+            assert all(len(batch) == 7 for batch in batches)
+            assert [int(i) for b in batches for i in b.ids] == full[: len(full) // 7 * 7]
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -222,6 +235,9 @@ if __name__ == "__main__":  # --regen, against the per-tuple parent checkout
     recorded = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            recorded[case_id(case)] = _stream_digests(case, _write(case, tmp), _iter_ids)
+            # That checkout's ``__iter__`` was the per-tuple ShuffleBuffer loop.
+            recorded[case_id(case)] = _stream_digests(
+                case, _write(case, tmp), lambda view: [record.tuple_id for record in view]
+            )
     GOLDENS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(recorded)} cases to {GOLDENS}")

@@ -24,6 +24,8 @@ from repro.db.timing import RuntimeContext
 from repro.obs import LoaderMetrics
 from repro.storage import SSD, write_block_file
 
+from .conftest import pass_ids
+
 
 def settled_thread_count(baseline: int, timeout: float = 5.0) -> int:
     """Wait for the thread count to settle back toward ``baseline``."""
@@ -103,7 +105,7 @@ class TestMultiWorkerLoaderStress:
             iterator = iter(loader)
             next(iterator)
             iterator.close()
-            ids = sorted(int(i) for batch in loader for i in batch.tuple_ids)
+            ids = sorted(int(i) for batch in loader for i in batch.ids)
         assert ids == list(range(ds.n_tuples))
 
     def test_stats_aggregate_across_workers(self, block_file):
@@ -129,7 +131,7 @@ class TestThreadedOperatorStress:
         for _ in range(5):
             op = ThreadedTupleShuffleOperator(SeqScanOperator(table, _ctx()), 50, seed=0)
             op.open()
-            op.next()
+            op.next_batch()
             op.close()
             assert op._producer is None
         assert settled_thread_count(baseline) == baseline
@@ -139,7 +141,7 @@ class TestThreadedOperatorStress:
         baseline = threading.active_count()
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, _ctx()), 10, seed=0)
         op.open()
-        op.next()
+        op.next_batch()
         time.sleep(0.1)  # writer fills the depth-1 queue and blocks
         op.close()
         assert settled_thread_count(baseline) == baseline
@@ -150,7 +152,7 @@ class TestThreadedOperatorStress:
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, _ctx()), 60, seed=3)
         op.open()
         for _ in range(5):
-            op.next()
+            op.next_batch()
             op.rescan()
         op.close()
         assert settled_thread_count(baseline) == baseline
@@ -160,21 +162,21 @@ class TestThreadedOperatorStress:
     def test_epoch_multiset_correct_after_abandonment(self, table):
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, _ctx()), 50, seed=0)
         op.open()
-        op.next()  # abandon the first epoch after one tuple
+        op.next_batch()  # abandon the first epoch after one fill
         op.rescan()
-        ids = sorted(r.tuple_id for r in op)
+        ids = sorted(pass_ids(op))
         op.close()
         assert ids == list(range(table.n_tuples))
 
     def test_reopen_after_close_restarts_at_epoch_zero(self, table):
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, _ctx()), 50, seed=4)
         op.open()
-        first = [r.tuple_id for r in op]
+        first = pass_ids(op)
         op.rescan()
-        later = [r.tuple_id for r in op]
+        later = pass_ids(op)
         op.close()
         op.open()
-        reopened = [r.tuple_id for r in op]
+        reopened = pass_ids(op)
         op.close()
         assert reopened == first
         assert later != first
@@ -196,7 +198,7 @@ class TestThreadedOperatorStress:
         baseline = threading.active_count()
         op = ThreadedTupleShuffleOperator(Broken(table, _ctx()), 10, seed=0)
         op.open()
-        op.next()
+        op.next_batch()
         time.sleep(0.1)  # writer hits the error while the queue is full
         op.close()  # must cancel the terminal Failure put and join
         assert settled_thread_count(baseline) == baseline
@@ -207,8 +209,7 @@ class TestThreadedOperatorStress:
             SeqScanOperator(table, _ctx()), 100, seed=0, stats=stats
         )
         op.open()
-        while op.next() is not None:
-            pass
+        pass_ids(op)
         op.close()
         d = stats.as_dict()
         assert d["buffers_filled"] == d["buffers_drained"] == int(np.ceil(table.n_tuples / 100))

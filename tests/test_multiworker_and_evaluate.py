@@ -23,7 +23,7 @@ def block_file(tmp_path, dense_binary):
 class TestMultiWorkerLoader:
     def test_covers_dataset_once(self, block_file, dense_binary):
         with MultiWorkerLoader(block_file, 3, 2, batch_size=32, seed=0) as loader:
-            ids = [int(i) for batch in loader for i in batch.tuple_ids]
+            ids = [int(i) for batch in loader for i in batch.ids]
         assert sorted(ids) == list(range(dense_binary.n_tuples))
 
     def test_round_robin_interleaves_workers(self, block_file):
@@ -31,13 +31,13 @@ class TestMultiWorkerLoader:
             batches = list(loader)
         # First two batches come from different workers: they draw from
         # disjoint block slices, so their tuple-id ranges cannot coincide.
-        assert set(batches[0].tuple_ids.tolist()).isdisjoint(batches[1].tuple_ids.tolist())
+        assert set(batches[0].ids.tolist()).isdisjoint(batches[1].ids.tolist())
 
     def test_set_epoch_changes_order(self, block_file):
         with MultiWorkerLoader(block_file, 2, 2, batch_size=32, seed=0) as loader:
-            first = [int(i) for b in loader for i in b.tuple_ids]
+            first = [int(i) for b in loader for i in b.ids]
             loader.set_epoch(1)
-            second = [int(i) for b in loader for i in b.tuple_ids]
+            second = [int(i) for b in loader for i in b.ids]
         assert first != second
         assert sorted(first) == sorted(second)
 

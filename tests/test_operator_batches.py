@@ -13,9 +13,11 @@ Three layers of evidence:
 * **Properties** over drawn geometries: the carry logic (a fill that ends
   inside a block, a unit that ends inside a fill, pages emptied by DELETE,
   a buffer larger than the table, a resume cursor inside a fill) against a
-  per-tuple reference kept here, built on the ``next()`` adapter.
-* **The round trip cannot come back**: a fused TRAIN with the per-tuple
-  explode/collate entry points patched to raise.
+  per-tuple reference kept here, built on the deleted ``next()`` adapter
+  (:func:`tuples`, also kept here).
+* **The round trip cannot come back**: a fused TRAIN builds no
+  ``TrainingTuple``; the source guard in ``tests/test_update_unit_loop.py``
+  keeps the per-tuple read API itself out of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffer import ShuffleBuffer
-from repro.core.dataloader import collate
 from repro.core.seeding import TUPLE_SHUFFLE_STREAM, stream_rng
-from repro.data import clustered_by_label, make_binary_dense, make_binary_sparse
+from repro.data import (
+    SparseMatrix,
+    SparseRow,
+    clustered_by_label,
+    make_binary_dense,
+    make_binary_sparse,
+)
 from repro.db import MiniDB
 from repro.db.engine import ENGINE_PROFILE
 from repro.db.operators import (
@@ -60,9 +67,7 @@ from repro.ml.optim import SGD
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig, TrainInterrupted
 from repro.storage import SSD
-from repro.storage.bufferpool import BufferPool
-from repro.storage.codec import TupleBatch
-from repro.storage.columnar import LazyTupleBatch
+from repro.storage.codec import TrainingTuple
 
 GOLDENS = Path(__file__).parent / "goldens" / "operator_batches.json"
 SEED = 7
@@ -207,9 +212,27 @@ def test_visit_order_and_simulated_clock_equal_the_per_tuple_goldens(case, golde
 # ----------------------------------------------------------------------
 #
 # The oracles below are the deleted per-tuple bodies, kept verbatim: they
-# run over the ``next()`` adapter, which loads a child batch exactly when
-# the old per-class ``next()`` loaded its page or block — on the first row
-# that needs it.
+# run over the deleted ``next()`` adapter (``tuples``), which loads a child
+# batch exactly when the old per-class ``next()`` loaded its page or block —
+# on the first row that needs it.
+
+
+def tuples(op):
+    """One pass of ``op`` a record at a time, pulling a child batch only once
+    the previous one is used up (the deleted ``next()`` / ``to_tuples``)."""
+    while (batch := op.next_batch()) is not None:
+        ids, labels = batch.ids.tolist(), batch.labels.tolist()
+        for i in range(len(batch)):
+            yield TrainingTuple(ids[i], labels[i], batch.row(i))
+
+
+def collate(records: list[TrainingTuple]):
+    """The deleted ``core.dataloader.collate``: stack records into ``(X, y)``."""
+    y = np.array([r.label for r in records], dtype=np.float64)
+    first = records[0].features
+    if isinstance(first, SparseRow):
+        return SparseMatrix.from_rows([r.features for r in records], first.n_features), y
+    return np.stack([r.features for r in records]), y
 
 
 def _fills(ctx: RuntimeContext) -> list[list[float]]:
@@ -242,11 +265,11 @@ def drain_batches(op, ctx, epochs: int = 2):
 
 
 def drain_tuples(op, ctx, epochs: int = 2):
-    """The same, through the per-tuple ``next()`` adapter."""
+    """The same, through the per-tuple adapter."""
     out = []
     op.open()
     for epoch in range(epochs):
-        ids = [record.tuple_id for record in op]
+        ids = [record.tuple_id for record in tuples(op)]
         out.append((ids, _fills(ctx)))
         if epoch + 1 < epochs:
             op.rescan()
@@ -261,12 +284,13 @@ def reference_tuple_shuffle(child, ctx, buffer_tuples: int, seed: int, epochs: i
     child.open()
     for epoch in range(epochs):
         rng = stream_rng(seed, epoch, TUPLE_SHUFFLE_STREAM)
+        rows = tuples(child)
         ids: list[int] = []
         exhausted = False
         while not exhausted:
             buffer = ShuffleBuffer(buffer_tuples, rng)
             while not buffer.full:
-                record = child.next()
+                record = next(rows, None)
                 if record is None:
                     exhausted = True
                     break
@@ -289,7 +313,7 @@ def reference_pass_through(child, ctx, chunk_tuples: int, epochs: int = 2):
     for epoch in range(epochs):
         ids: list[int] = []
         since_fill = 0
-        for record in child:
+        for record in tuples(child):
             ids.append(record.tuple_id)
             since_fill += 1
             if since_fill >= chunk_tuples:
@@ -460,16 +484,16 @@ def reference_model(db: MiniDB, spec: TrainSpec):
     unit = 256 if spec.batch_size == 1 else spec.batch_size
 
     def apply(pending, lr):
-        batch = collate(pending)
+        X, y = collate(pending)
         if optimizer is not None:
-            optimizer.step(model.gradient(batch.X, batch.y), lr)
+            optimizer.step(model.gradient(X, y), lr)
         else:
-            model.step_block(batch.X, batch.y, lr)
+            model.step_block(X, y, lr)
 
     pipeline.open()
     for epoch in range(spec.epochs):
         lr, pending = float(schedule(epoch)), []
-        for record in pipeline:
+        for record in tuples(pipeline):
             pending.append(record)
             if len(pending) == unit:
                 apply(pending, lr)
@@ -533,6 +557,7 @@ def test_units_are_cut_at_the_same_rows_and_resume_lands_mid_fill(
     np.testing.assert_array_equal(_weights(resumed.model), want)
 
 
+
 # ----------------------------------------------------------------------
 # The round trip cannot come back
 # ----------------------------------------------------------------------
@@ -541,20 +566,14 @@ def test_units_are_cut_at_the_same_rows_and_resume_lands_mid_fill(
 @pytest.mark.parametrize("batch_size", [1, 32])
 @pytest.mark.parametrize("kind, layout", [("dense", "row"), ("sparse", "columnar")])
 def test_a_fused_train_never_explodes_a_batch_into_tuples(monkeypatch, kind, layout, batch_size):
-    import repro.core.dataloader
+    """No per-tuple record is built between the page decode and the kernel."""
 
-    def forbidden(name):
-        def raiser(*args, **kwargs):
-            raise AssertionError(f"{name} called on the fused TRAIN path")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a TrainingTuple was built on the fused TRAIN path")
 
-        return raiser
-
-    monkeypatch.setattr(TupleBatch, "to_tuples", forbidden("TupleBatch.to_tuples"))
-    monkeypatch.setattr(LazyTupleBatch, "to_tuples", forbidden("LazyTupleBatch.to_tuples"))
-    monkeypatch.setattr(repro.core.dataloader, "collate", forbidden("collate"))
-    monkeypatch.setattr(BufferPool, "get_page_traced", forbidden("BufferPool.get_page_traced"))
     db = MiniDB(page_bytes=1024, pool_pages=8)
     db.create_table("t", _dataset(kind), layout=layout)
+    monkeypatch.setattr(TrainingTuple, "__init__", forbidden)
     result = db.execute(
         "SELECT * FROM t TRAIN BY svm WITH max_epoch_num = 2, learning_rate = 0.05, "
         f"block_size = 2KB, fused = true, batch_size = {batch_size}"

@@ -20,6 +20,8 @@ from repro.db.timing import RuntimeContext
 from repro.storage import SSD
 from repro.theory import position_rank_correlation
 
+from .conftest import pass_ids
+
 
 class TestPrefetchLoader:
     def test_preserves_items_and_order(self):
@@ -101,23 +103,23 @@ class TestSlidingWindowOperator:
         table, ctx, _ = engine_table
         op = SlidingWindowOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert sorted(ids) == list(range(table.n_tuples))
 
     def test_keeps_locality(self, engine_table):
         table, ctx, _ = engine_table
         op = SlidingWindowOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        ids = np.array([r.tuple_id for r in op])
+        ids = np.array(pass_ids(op))
         assert position_rank_correlation(ids) > 0.85
 
     def test_rescan_differs(self, engine_table):
         table, ctx, _ = engine_table
         op = SlidingWindowOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        first = [r.tuple_id for r in op]
+        first = pass_ids(op)
         op.rescan()
-        second = [r.tuple_id for r in op]
+        second = pass_ids(op)
         assert first != second
 
     def test_invalid_window(self, engine_table):
@@ -131,7 +133,7 @@ class TestMultiplexedReservoirOperator:
         table, ctx, _ = engine_table
         op = MultiplexedReservoirOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert len(ids) == table.n_tuples
         assert min(ids) >= 0 and max(ids) < table.n_tuples
 
@@ -139,14 +141,14 @@ class TestMultiplexedReservoirOperator:
         table, ctx, _ = engine_table
         op = MultiplexedReservoirOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert len(set(ids)) < len(ids)
 
     def test_partial_shuffle_between_window_and_full(self, engine_table):
         table, ctx, _ = engine_table
         op = MultiplexedReservoirOperator(SeqScanOperator(table, ctx), 80, seed=0)
         op.open()
-        corr = position_rank_correlation(np.array([r.tuple_id for r in op]))
+        corr = position_rank_correlation(np.array(pass_ids(op)))
         assert 0.2 < corr < 0.95
 
     def test_validation(self, engine_table):

@@ -24,6 +24,8 @@ from repro.shuffle import MRSShuffle, make_strategy
 from repro.storage import SSD, AccessTrace, HeapFile
 from repro.theory import label_mixing_deviation
 
+from .conftest import pass_ids
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -100,7 +102,7 @@ def test_property_operators_cover_table_across_rescans(name):
     op = OPERATOR_BUILDERS[name](table, ctx)
     op.open()
     for _ in range(3):
-        ids = sorted(r.tuple_id for r in op)
+        ids = sorted(pass_ids(op))
         assert ids == list(range(300)), name
         op.rescan()
 
@@ -112,7 +114,7 @@ def test_property_mrs_operator_valid_ids_across_rescans():
     op = MultiplexedReservoirOperator(SeqScanOperator(table, ctx), 40, seed=3)
     op.open()
     for _ in range(2):
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert len(ids) == 300
         assert set(ids) <= set(range(300))
         op.rescan()

@@ -1,17 +1,14 @@
 """Coverage for remaining library paths: base-model fallback, streaming
-evaluation, buffer-fill edge cases."""
+evaluation."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core import DataLoader
-from repro.core.dataloader import collate
 from repro.data import make_multiclass_dense
 from repro.ml import ExponentialDecay, MLPClassifier
 from repro.ml.streaming import train_streaming
-from repro.storage.codec import TrainingTuple
+from repro.storage.blockfile import dataset_block_batch
 
 
 class TestBaseModelFallback:
@@ -37,19 +34,18 @@ class TestBaseModelFallback:
 
 
 class TestStreamingEvaluation:
-    def _records(self, ds):
-        return [
-            TrainingTuple(i, float(ds.y[i]), ds.X[i]) for i in range(ds.n_tuples)
-        ]
+    def _batches(self, ds):
+        n = ds.n_tuples
+        return [dataset_block_batch(ds, lo, min(lo + 16, n)) for lo in range(0, n, 16)]
 
     def test_without_eval_sets_loss_is_nan(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
         model = MLPClassifier(5, 8, 3, seed=0)
-        records = self._records(ds)
+        batches = self._batches(ds)
 
         history = train_streaming(
             model,
-            lambda epoch: DataLoader(records, batch_size=16),
+            lambda epoch: batches,
             epochs=2,
             schedule=ExponentialDecay(0.1),
         )
@@ -60,10 +56,10 @@ class TestStreamingEvaluation:
     def test_with_train_eval(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
         model = MLPClassifier(5, 8, 3, seed=0)
-        records = self._records(ds)
+        batches = self._batches(ds)
         history = train_streaming(
             model,
-            lambda epoch: DataLoader(records, batch_size=16),
+            lambda epoch: batches,
             epochs=3,
             schedule=ExponentialDecay(0.2),
             train_eval=ds,
@@ -71,12 +67,3 @@ class TestStreamingEvaluation:
         )
         assert history.train_losses[-1] < history.train_losses[0]
         assert history.final.test_score > 0.8
-
-
-class TestCollateEdge:
-    def test_single_record(self):
-        record = TrainingTuple(3, 1.0, np.array([1.0, 2.0]))
-        batch = collate([record])
-        assert batch.X.shape == (1, 2)
-        assert batch.y.tolist() == [1.0]
-        assert len(batch) == 1

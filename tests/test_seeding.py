@@ -152,7 +152,7 @@ class TestDatasetUsesSharedStreams:
         write_block_file(ds_src, path, tuples_per_block=10)
         with CorgiPileDataset(path, buffer_blocks=4, seed=9) as ds:
             ds.set_epoch(2)
-            seen = [int(t.tuple_id) for t in ds]
+            seen = [int(i) for fill in ds.fills() for i in fill.ids]
         # buffer covers the whole table -> one fill, shuffled by worker_rng
         order = epoch_rng(9, 2).permutation(4)
         expected = np.concatenate([np.arange(b * 10, b * 10 + 10) for b in order])

@@ -14,6 +14,8 @@ from repro.db.timing import RuntimeContext
 from repro.storage import HeapFile
 from repro.storage.filestore import load_heap, save_heap
 
+from .conftest import pass_ids
+
 
 @pytest.fixture()
 def table(dense_binary):
@@ -31,7 +33,7 @@ class TestThreadedTupleShuffle:
         ctx = _ctx()
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, ctx), 100, seed=1)
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         op.close()
         assert sorted(ids) == list(range(table.n_tuples))
 
@@ -42,8 +44,8 @@ class TestThreadedTupleShuffle:
         sync = TupleShuffleOperator(SeqScanOperator(table, ctx2), ctx2, 100, seed=5)
         threaded.open()
         sync.open()
-        threaded_ids = [r.tuple_id for r in threaded]
-        sync_ids = [r.tuple_id for r in sync]
+        threaded_ids = pass_ids(threaded)
+        sync_ids = pass_ids(sync)
         threaded.close()
         assert threaded_ids == sync_ids
 
@@ -58,7 +60,7 @@ class TestThreadedTupleShuffle:
         threaded.open()
         sync.open()
         for _ in range(3):
-            assert [r.tuple_id for r in threaded] == [r.tuple_id for r in sync]
+            assert pass_ids(threaded) == pass_ids(sync)
             threaded.rescan()
             sync.rescan()
         threaded.close()
@@ -67,7 +69,7 @@ class TestThreadedTupleShuffle:
         ctx = _ctx()
         op = ThreadedTupleShuffleOperator(SeqScanOperator(table, ctx), 50, seed=0)
         op.open()
-        op.next()
+        op.next_batch()
         op.close()  # must not hang
         assert op._producer is None
 
@@ -80,8 +82,7 @@ class TestThreadedTupleShuffle:
         op = ThreadedTupleShuffleOperator(Broken(table, ctx), 10, seed=0)
         op.open()
         with pytest.raises(RuntimeError, match="disk on fire"):
-            while op.next() is not None:
-                pass
+            pass_ids(op)
         op.close()
 
     def test_invalid_buffer(self, table):
@@ -122,8 +123,8 @@ class TestHeapPersistence:
         heap = HeapFile.from_dataset(dense_binary, page_bytes=512)
         loaded = load_heap(save_heap(heap, tmp_path / "t.heap"))
         assert loaded.n_blocks(2048) == heap.n_blocks(2048)
-        original = [t.tuple_id for t in heap.read_block(1, 2048)]
-        restored = [t.tuple_id for t in loaded.read_block(1, 2048)]
+        original = [int(i) for p in heap.block_pages(1, 2048) for i in heap.read_page_batch(p).ids]
+        restored = [int(i) for p in loaded.block_pages(1, 2048) for i in loaded.read_page_batch(p).ids]
         assert original == restored
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -15,6 +15,8 @@ from repro.shuffle import ShuffleOnce
 from repro.storage import HDD_SCALED, SSD
 from repro.theory import GradientStatsTracker
 
+from .conftest import pass_ids
+
 
 @pytest.fixture()
 def clustered_problem():
@@ -95,7 +97,7 @@ class TestPermutedScan:
         ctx = RuntimeContext(device=SSD, compute=ENGINE_PROFILE)
         op = PermutedScanOperator(table, ctx, seed=1, charge="random_tuple")
         op.open()
-        ids = [r.tuple_id for r in op]
+        ids = pass_ids(op)
         assert sorted(ids) == list(range(table.n_tuples))
         assert ids != sorted(ids)
 
@@ -103,9 +105,9 @@ class TestPermutedScan:
         ctx = RuntimeContext(device=SSD, compute=ENGINE_PROFILE)
         op = PermutedScanOperator(table, ctx, seed=1, charge="sort")
         op.open()
-        first = [r.tuple_id for r in op]
+        first = pass_ids(op)
         op.rescan()
-        second = [r.tuple_id for r in op]
+        second = pass_ids(op)
         assert first != second
         assert sorted(first) == sorted(second)
 

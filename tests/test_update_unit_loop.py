@@ -249,13 +249,45 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     )
     assert files_calling(deleted.pattern) == set()
     assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
-    # Operators move batches: the per-tuple next() adapter is for tests only.
-    assert files_calling(r"\w\.next\(\)") <= {"db/operators.py"}
     # A spawned worker's import path must not grow: parallel/ stays off db/.
     assert not any(
         re.search(r"^\s*(from|import)\s+(\.\.db|repro\.db)\b", code, re.M)
         for name, code in sources.items() if name.startswith("parallel/")
     )
+
+
+def test_one_row_api_the_per_tuple_read_path_is_gone():
+    """``TupleBatch`` is the only bulk row unit: no layer defines or calls the
+    per-tuple read API again, and ``TrainingTuple`` is the single-row record
+    of DML and point reads only."""
+    import repro.core
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    sources = {p.relative_to(src).as_posix(): p.read_text() for p in src.rglob("*.py")}
+    deleted = {
+        "TupleBatch.to_tuples / LazyTupleBatch.to_tuples": r"\bto_tuples\b",
+        "BufferPool.get_page / get_page_traced": r"\bget_page(_traced)?\b",
+        "BufferPool.refresh": r"\brefresh\b",
+        "HeapFile.scan": r"\.scan\(|def scan\(self",
+        "HeapFile.read_page": r"\bread_page\(",
+        "HeapFile.read_block / BlockFileReader.read_block": r"\bread_block\(",
+        "PhysicalOperator.next": r"\.next\(\)|def next\(",
+        "core.dataloader.collate": r"\bcollate\b",
+        "core.dataloader.Batch": r"\bBatch\b",
+    }
+    for name, pattern in deleted.items():
+        assert [f for f, code in sources.items() if re.search(pattern, code)] == [], name
+    for module in ("db/operators.py", "core/dataset.py"):  # operators and the dataset
+        assert "def __iter__" not in sources[module]
+    assert {f for f, code in sources.items() if "TrainingTuple" in code} == {
+        "storage/codec.py", "storage/heapfile.py", "storage/__init__.py",
+    }
+    assert repro.core.__all__ == [
+        "CorgiPileShuffle", "ShuffleBuffer", "pipelined_time", "serial_time",
+        "CorgiPileDataset", "DataLoader", "MultiProcessCorgiPile", "PrefetchLoader",
+        "MultiWorkerLoader", "derive_rng", "epoch_rng", "worker_rng", "stream_rng",
+        "fault_unit_rng", "ManagedProducer", "ProducerChannel", "ThreadRegistry", "THREADS",
+    ]
 
 
 def test_one_stopwatch_and_one_block_file_fill():
