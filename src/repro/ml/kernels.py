@@ -20,15 +20,42 @@ The kernels perform *exactly* one update per tuple in the given order, so
 they are semantically equivalent to the ``step_example`` reference loop;
 ``tests/test_kernels.py`` enforces agreement to 1e-9 (the only divergence is
 floating-point rounding from the lazy scaling).
+
+:func:`glm_step` — what ``GeneralizedLinearModel.step_block`` calls — runs the
+same loops compiled (``_glm.c``, one foreign call per update unit) and falls
+back to :func:`glm_epoch_dense` / :func:`glm_epoch_sparse`, which stay the
+reference.  The two are **bit-identical**: the C loop calls numpy's own
+``cblas_ddot`` the way numpy's ``x @ w`` does and repeats the rest of the
+arithmetic in the same IEEE order.  Importing this module builds (once, into
+``__pycache__``) and loads the loop; it is used only when it builds, numpy's
+``ddot`` resolves, and a probe gives the numpy kernels' bits.  :data:`IMPL`
+says which one runs (``"c"`` or ``"numpy"``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from .losses import ScalarLoss
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
+from ..data.sparse import SparseMatrix
+from .losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 
 __all__ = [
+    "IMPL",
+    "glm_step",
     "glm_epoch_dense",
     "glm_epoch_sparse",
     "csr_rows_unique",
@@ -143,3 +170,206 @@ def csr_rows_unique(indptr: np.ndarray, indices: np.ndarray) -> bool:
     boundaries = boundaries[(boundaries >= 0) & (boundaries < diffs.size)]
     mask[boundaries] = False
     return bool(np.all(diffs[mask] > 0))
+
+
+def glm_step(
+    w: np.ndarray,
+    b: np.ndarray,
+    loss: ScalarLoss,
+    X,
+    y: np.ndarray,
+    lr: float,
+    l2: float,
+    fit_intercept: bool,
+    order: np.ndarray | None = None,
+) -> None:
+    """One update unit: per-tuple SGD over rows ``order`` of ``X`` (all when ``None``).
+
+    Updates ``w`` and the one-element intercept array ``b`` in place, through
+    the compiled loop when it is loaded and can address this input, else
+    through :func:`glm_epoch_dense` / :func:`glm_epoch_sparse` — the same bits
+    either way.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if order is not None:
+        order = np.asarray(order, dtype=np.int64)
+    if not isinstance(X, SparseMatrix):
+        X = np.asarray(X, dtype=np.float64)
+    code = _LOSS_CODES.get(type(loss))
+    if _LIB is not None and code is not None:
+        if _compiled(_LIB, w, b, code, X, y, order, lr, l2, fit_intercept):
+            return
+    if order is None:
+        order = np.arange(y.size, dtype=np.int64)
+    _numpy_step(w, b, loss, X, y, order, lr, l2, fit_intercept)
+
+
+def _numpy_step(w, b, loss, X, y, order, lr, l2, fit_intercept) -> None:
+    if isinstance(X, SparseMatrix):
+        args = (X.indptr, X.indices, X.data, y, order, lr, l2, fit_intercept)
+        b[0] = glm_epoch_sparse(w, float(b[0]), loss, *args)
+    else:
+        b[0] = glm_epoch_dense(w, float(b[0]), loss, X, y, order, lr, l2, fit_intercept)
+
+
+# ----------------------------------------------------------------------
+# The compiled loop (_glm.c) and the checks that gate it
+# ----------------------------------------------------------------------
+
+_LOSS_CODES = {LogisticLoss: 0, HingeLoss: 1, SquaredLoss: 2}
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+_SOURCE = Path(__file__).with_name("_glm.c")
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+# numpy's cblas_ddot under the names its BLAS builds export; the ILP64
+# ("64_") ones take 64-bit counts and strides.
+_DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
+
+# An ndarray's data pointer is the first field after its PyObject header
+# (numpy's PyArrayObject_fields).  Reading it there costs ~0.15 us where
+# ``a.ctypes.data`` costs ~1.2 us; _load() checks the two agree first.
+_DATA_AT = object.__basicsize__
+_pointer_at = ctypes.c_void_p.from_address
+
+
+def _addr(a: np.ndarray) -> int | None:
+    return _pointer_at(id(a) + _DATA_AT).value
+
+
+def _plain(a, dtype: np.dtype) -> bool:
+    """A 1-D ndarray the loop may address as a packed C array of ``dtype``."""
+    return (
+        type(a) is np.ndarray
+        and a.dtype is dtype
+        and a.ndim == 1
+        and a.flags.c_contiguous
+        and a.flags.aligned
+    )
+
+
+def _compiled(lib, w, b, code, X, y, order, lr, l2, fit_intercept) -> bool:
+    """Run one unit through the compiled loop; False (nothing written) when it cannot.
+
+    Python checks types, dtypes and layout here; the loop itself checks every
+    order entry, CSR pointer and column index it will visit before it writes.
+    """
+    if not (
+        _plain(w, _F64)
+        and w.flags.writeable
+        and _plain(b, _F64)
+        and b.flags.writeable
+        and b.size == 1
+        and _plain(y, _F64)
+    ):
+        return False
+    if order is None:
+        m, order_at = y.size, None
+    elif _plain(order, _I64):
+        m, order_at = order.size, _addr(order)
+    else:
+        return False
+    if isinstance(X, SparseMatrix):
+        indptr, indices, values = X.indptr, X.indices, X.data
+        if not (_plain(indptr, _I64) and _plain(indices, _I64) and _plain(values, _F64)):
+            return False
+        rc = lib.glm_epoch_sparse(
+            _addr(w), w.size, _addr(b), code,
+            _addr(indptr), _addr(indices), _addr(values),
+            min(indptr.size - 1, y.size), min(indices.size, values.size),
+            _addr(y), order_at, m, lr, l2, fit_intercept,
+        )
+    else:
+        if not (
+            type(X) is np.ndarray
+            and X.dtype is _F64
+            and X.ndim == 2
+            and X.shape[1] == w.size
+            and X.flags.aligned
+        ):
+            return False
+        rc = lib.glm_epoch_dense(
+            _addr(w), w.size, _addr(b), code,
+            _addr(X), min(X.shape[0], y.size), X.strides[0], X.strides[1],
+            _addr(y), order_at, m, lr, l2, fit_intercept,
+        )
+    return rc == 0
+
+
+def _build() -> Path | None:
+    """``_glm.c`` compiled once into ``__pycache__``, keyed by source + flags.
+
+    Beside the source, not under ``TMPDIR``, so every process of every run
+    finds it built.  Concurrent builders each write a private file and
+    rename it into place.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    out = _SOURCE.parent / "__pycache__" / f"_glm.{key[:16]}.so"
+    if out.exists():
+        return out
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        out.parent.mkdir(exist_ok=True)
+        cmd = [cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE), "-lm"]
+        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+        os.replace(tmp, out)
+    except (OSError, subprocess.SubprocessError):
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        return None
+    return out
+
+
+def _probe(lib) -> bool:
+    """Does the compiled loop give the numpy kernels' bits on a fixed problem?"""
+    # Deterministic without numpy.random, which nothing else imports this early.
+    cells = np.arange(12 * 37.0).reshape(12, 37)
+    X = np.where(cells % 3 == 0, 0.0, 2.0 * np.sin(0.7 * cells))
+    y = np.where(np.sin(1.3 * np.arange(12)) > 0, 1.0, -1.0)
+    order = (5 * np.arange(40)) % 12
+    for loss in (LogisticLoss(), HingeLoss(), SquaredLoss()):
+        for A in (X, np.asfortranarray(X), SparseMatrix.from_dense(X)):
+            w, b = np.full(37, 0.01), np.zeros(1)
+            if not _compiled(lib, w, b, _LOSS_CODES[type(loss)], A, y, order, 0.1, 0.3, True):
+                return False
+            ref_w, ref_b = np.full(37, 0.01), np.zeros(1)
+            _numpy_step(ref_w, ref_b, loss, A, y, order, 0.1, 0.3, True)
+            if not (np.array_equal(w, ref_w) and np.array_equal(b, ref_b)):
+                return False
+    return True
+
+
+def _load():
+    """The compiled loop bound to numpy's ``ddot``, or ``None`` (numpy kernels run)."""
+    probe = np.arange(4.0)[1:]
+    if sys.implementation.name != "cpython" or _addr(probe) != probe.ctypes.data:
+        return None
+    path = _build()
+    if path is None:
+        return None
+    try:
+        # dlsym through numpy's own extension module finds the BLAS it linked.
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    name = next((n for n in _DDOT_NAMES if hasattr(blas, n)), None)
+    if name is None:
+        return None
+    c_int64, c_int, c_double, ptr = ctypes.c_int64, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    lib.glm_set_ddot.argtypes = [ptr, c_int]
+    lib.glm_set_ddot.restype = None
+    lib.glm_set_ddot(ctypes.cast(getattr(blas, name), ptr), name.endswith("64_"))
+    head = [ptr, c_int64, ptr, c_int]  # w, d, b, loss
+    tail = [ptr, ptr, c_int64, c_double, c_double, c_int]  # y, order, m, lr, l2, fit_intercept
+    lib.glm_epoch_dense.argtypes = [*head, ptr, c_int64, c_int64, c_int64, *tail]
+    lib.glm_epoch_sparse.argtypes = [*head, ptr, ptr, ptr, c_int64, c_int64, *tail]
+    lib.glm_epoch_dense.restype = lib.glm_epoch_sparse.restype = c_int
+    return lib if _probe(lib) else None
+
+
+_LIB = _load()
+#: Which per-tuple GLM loop runs: ``"c"`` (compiled) or ``"numpy"``.
+IMPL = "numpy" if _LIB is None else "c"

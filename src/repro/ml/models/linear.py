@@ -14,7 +14,7 @@ import numpy as np
 
 from ...data.dataset import FeatureMatrix
 from ...data.sparse import SparseMatrix, SparseRow
-from ..kernels import glm_epoch_dense, glm_epoch_sparse
+from ..kernels import glm_step
 from ..losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 from .base import Params, SupervisedModel
 
@@ -123,45 +123,14 @@ class GeneralizedLinearModel(SupervisedModel):
         """Fused per-tuple SGD over ``X`` rows in visit order.
 
         Same update-per-tuple semantics as repeated :meth:`step_example`
-        (enforced to 1e-9 by test), executed by the vectorized kernels in
-        :mod:`repro.ml.kernels` (lazy-L2 scaling, scalar loss derivatives,
-        duplicate-free scatter-add fast path).
+        (enforced to 1e-9 by test), executed by :func:`repro.ml.kernels.glm_step`
+        — the compiled loop, or the numpy kernels it is bit-identical to
+        (lazy-L2 scaling, scalar loss derivatives).
         """
-        y = np.asarray(y, dtype=np.float64)
-        order = (
-            np.arange(y.size, dtype=np.int64)
-            if order is None
-            else np.asarray(order, dtype=np.int64)
+        params = self._params
+        glm_step(
+            params["w"], params["b"], self.loss_fn, X, y, lr, self.l2, self.fit_intercept, order
         )
-        w = self._params["w"]
-        b = float(self._params["b"][0])
-        if isinstance(X, SparseMatrix):
-            b = glm_epoch_sparse(
-                w,
-                b,
-                self.loss_fn,
-                X.indptr,
-                X.indices,
-                X.data,
-                y,
-                order,
-                lr,
-                self.l2,
-                self.fit_intercept,
-            )
-        else:
-            b = glm_epoch_dense(
-                w,
-                b,
-                self.loss_fn,
-                np.asarray(X, dtype=np.float64),
-                y,
-                order,
-                lr,
-                self.l2,
-                self.fit_intercept,
-            )
-        self._params["b"][0] = b
 
 
 class LogisticRegression(GeneralizedLinearModel):

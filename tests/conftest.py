@@ -13,6 +13,7 @@ from repro.data import (
     make_binary_sparse,
     make_multiclass_dense,
 )
+from repro.ml import kernels
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,14 @@ def sparse_binary() -> Dataset:
 def multiclass_dense() -> Dataset:
     """500 tuples, 4 classes."""
     return make_multiclass_dense(500, 16, 4, separation=2.5, seed=17)
+
+
+@pytest.fixture()
+def numpy_kernels(monkeypatch):
+    """The GLM per-tuple loop on its numpy fallback, as on a host without ``cc``."""
+    monkeypatch.setattr(kernels, "_LIB", None)
+    monkeypatch.setattr(kernels, "IMPL", "numpy")
+    return kernels
 
 
 @pytest.fixture()

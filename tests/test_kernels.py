@@ -1,10 +1,11 @@
 """Fused ``step_block`` kernels: equivalence with the per-tuple reference path.
 
 The fused kernels must preserve per-tuple standard-SGD semantics exactly —
-same visit order, one update per tuple — so every test here compares the
+same visit order, one update per tuple — so the tests here compare the
 fused path against the ``step_example`` reference loop (reachable as the
-unbound ``SupervisedModel.step_block``) and asserts the parameters agree to
-1e-9 or better.
+unbound ``SupervisedModel.step_block``) and assert the parameters agree to
+1e-9 or better.  The compiled loop (``repro.ml.kernels.IMPL == "c"``) is
+held to more: ``assert_array_equal`` with the numpy kernels it replaces.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from repro.ml import (
     LogisticRegression,
     Trainer,
     csr_rows_unique,
+    glm_epoch_dense,
+    glm_epoch_sparse,
+    kernels,
 )
 from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss
 from repro.ml.models.base import SupervisedModel
@@ -238,3 +242,166 @@ class TestSparseRowScatter:
             (2, 4),
         )
         assert csr_rows_unique(boundary.indptr, boundary.indices)
+
+
+# ----------------------------------------------------------------------
+# The compiled loop: bit-identical to the numpy kernels
+# ----------------------------------------------------------------------
+
+requires_c = pytest.mark.skipif(kernels.IMPL != "c", reason="compiled GLM loop not loaded")
+_LOSSES = [LogisticLoss(), HingeLoss(), SquaredLoss()]
+# decay = 1 - lr*l2 = 0.01 underflows the lazy scale past _MIN_SCALE every
+# 65 tuples, so its re-materialisation runs several times per call.
+_L2S = [0.0, 1e-4, 9.9]
+
+
+def _dense_layout(layout: str, n: int, d: int, rng) -> np.ndarray:
+    X = rng.standard_normal((n, d))
+    if layout == "C":
+        return X
+    if layout == "F":
+        return np.asfortranarray(X)
+    if layout == "row-strided":
+        big = np.zeros((2 * n, d))
+        big[::2] = X
+        return big[::2]
+    big = np.zeros((n, 2 * d))  # col-strided: ddot with incx = 2
+    big[:, ::2] = X
+    return big[:, ::2]
+
+
+def _assert_c_equals_numpy(loss, X, y, orders, lr, l2, fit_intercept):
+    """Each order through the compiled loop and the numpy kernel, bits compared."""
+    d = X.shape[1]
+    w_c, b_c = np.linspace(-0.1, 0.1, d), np.array([0.05])
+    w_n, b_n = w_c.copy(), b_c.copy()
+    code = kernels._LOSS_CODES[type(loss)]
+    for order in orders:
+        assert kernels._compiled(kernels._LIB, w_c, b_c, code, X, y, order, lr, l2, fit_intercept)
+        if order is None:
+            order = np.arange(y.size)
+        if isinstance(X, SparseMatrix):
+            args = (X.indptr, X.indices, X.data, y, order, lr, l2, fit_intercept)
+            b_n[0] = glm_epoch_sparse(w_n, b_n[0], loss, *args)
+        else:
+            b_n[0] = glm_epoch_dense(w_n, b_n[0], loss, X, y, order, lr, l2, fit_intercept)
+        np.testing.assert_array_equal(w_c, w_n)
+        np.testing.assert_array_equal(b_c, b_n)
+
+
+@requires_c
+class TestCompiledLoop:
+    @pytest.mark.parametrize("loss", _LOSSES, ids=lambda loss: loss.name)
+    @pytest.mark.parametrize("layout", ["C", "F", "row-strided", "col-strided", "csr"])
+    @pytest.mark.parametrize("l2", _L2S)
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_bit_identical_to_numpy(self, loss, layout, l2, fit_intercept):
+        rng = np.random.default_rng(3)
+        lr = 0.01 if isinstance(loss, SquaredLoss) and l2 < 1 else 0.1
+        for d in (1, 4, 17, 64):
+            X = _dense_layout("C" if layout == "csr" else layout, 120, d, rng)
+            if layout == "csr":
+                X[rng.random(X.shape) < 0.6] = 0.0
+                X = SparseMatrix.from_dense(X)
+            y = np.where(rng.random(120) < 0.5, -1.0, 1.0)
+            # A permutation, a slice with repeats, and None (all rows in order).
+            orders = [rng.permutation(120), rng.integers(0, 120, size=200), None]
+            _assert_c_equals_numpy(loss, X, y, orders, lr, l2, fit_intercept)
+
+    @pytest.mark.parametrize("loss", _LOSSES, ids=lambda loss: loss.name)
+    @pytest.mark.parametrize("l2", _L2S)
+    def test_csr_empty_rows_duplicates_and_unsorted_indices(self, loss, l2):
+        # Rows: empty, duplicated column, unsorted, a column three times, empty.
+        indptr = np.array([0, 0, 3, 6, 10, 10])
+        indices = np.array([2, 2, 5, 7, 1, 4, 3, 3, 0, 3])
+        values = np.array([0.5, -1.0, 2.0, 1.5, -0.5, 0.25, 1.0, 2.0, -1.0, 0.5])
+        X = SparseMatrix(indptr, indices, values, (5, 8))
+        assert not csr_rows_unique(X.indptr, X.indices)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        rng = np.random.default_rng(5)
+        orders = [rng.integers(0, 5, size=90), None]
+        _assert_c_equals_numpy(loss, X, y, orders, 0.05, l2, True)
+
+    @pytest.mark.parametrize("layout", ["C", "csr"])
+    def test_logistic_clip_at_500(self, layout):
+        # Every margin y z is over 800, so every coef is -y * exp(-500): the
+        # clip is all that keeps it from underflowing to 0, and the weight the
+        # helper starts at exactly 0 (the middle one) holds what it adds.
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((200, 5)) * 1e4
+        z = X @ np.linspace(-0.1, 0.1, 5) + 0.05
+        X, y = X[np.abs(z) > 800], np.sign(z[np.abs(z) > 800])
+        X = X if layout == "C" else SparseMatrix.from_dense(X)
+        _assert_c_equals_numpy(LogisticLoss(), X, y, [rng.permutation(y.size)], 0.1, 1e-4, True)
+
+    def test_step_block_runs_the_compiled_loop(self, monkeypatch):
+        def numpy_kernel(*args, **kwargs):
+            raise AssertionError("the numpy kernel ran")
+
+        monkeypatch.setattr(kernels, "glm_epoch_dense", numpy_kernel)
+        monkeypatch.setattr(kernels, "glm_epoch_sparse", numpy_kernel)
+        X, y = _dense_problem(n=40, d=8)
+        LinearSVM(8).step_block(X, y, 0.05)
+        Xs, ys = _sparse_problem(n=40, d=30, nnz=4)
+        LinearSVM(30).step_block(Xs, ys, 0.05, order=np.arange(40)[::-1].copy())
+
+    def test_build_is_cached_beside_the_source(self):
+        path = kernels._build()
+        assert path == kernels._build()
+        assert path.parent == kernels._SOURCE.parent / "__pycache__"
+        assert path.name.startswith("_glm.") and path.suffix == ".so"
+
+
+class TestBadInputRaisesAsNumpy:
+    """Either loop: out-of-range rows / columns behave exactly as the numpy kernels."""
+
+    def _both(self, X, y, order, monkeypatch):
+        """(outcome, w, b) of step_block on the default loop, then on numpy."""
+        outcomes = []
+        for impl in ("default", "numpy"):
+            model = LogisticRegression(X.shape[1], l2=1e-3)
+            with monkeypatch.context() as patch:
+                if impl == "numpy":
+                    patch.setattr(kernels, "_LIB", None)
+                try:
+                    model.step_block(X, y, 0.1, order=order)
+                    outcome = None
+                except IndexError:
+                    outcome = IndexError
+            outcomes.append((outcome, model.w.copy(), model.b))
+        (got, w, b), (want, ref_w, ref_b) = outcomes
+        assert got is want
+        np.testing.assert_array_equal(w, ref_w)
+        assert b == ref_b
+        return got
+
+    def test_dense_order_out_of_range(self, monkeypatch):
+        X, y = _dense_problem(n=30, d=5)
+        assert self._both(X, y, np.array([3, 7, 30, 1]), monkeypatch) is IndexError
+        # Negative entries index from the end, as numpy does: no error.
+        assert self._both(X, y, np.array([3, -1, -30]), monkeypatch) is None
+        assert self._both(X, y, np.array([3, -31]), monkeypatch) is IndexError
+
+    def test_labels_shorter_than_rows(self, monkeypatch):
+        X, y = _dense_problem(n=30, d=5)
+        assert self._both(X, y[:20], None, monkeypatch) is None
+        assert self._both(X, y[:20], np.array([2, 25]), monkeypatch) is IndexError
+
+    def test_sparse_order_and_column_out_of_range(self, monkeypatch):
+        X, y = _sparse_problem(n=20, d=30, nnz=4)
+        assert self._both(X, y, np.array([0, 5, 20]), monkeypatch) is IndexError
+        bad = SparseMatrix(X.indptr, X.indices.copy(), X.data, X.shape)
+        bad.indices[9] = 30  # row 2; the model has 30 weights
+        assert self._both(bad, y, np.array([0, 1, 2, 3]), monkeypatch) is IndexError
+        assert self._both(bad, y, np.array([0, 1, 3]), monkeypatch) is None
+        bad.indices[9] = -2  # wraps in numpy
+        assert self._both(bad, y, np.array([0, 2, 3]), monkeypatch) is None
+
+    @requires_c
+    def test_rejected_input_is_not_written(self):
+        X, y = _dense_problem(n=10, d=4)
+        w, b = np.ones(4), np.ones(1)
+        order = np.array([0, 1, 10])
+        assert not kernels._compiled(kernels._LIB, w, b, 0, X, y, order, 0.1, 0.1, True)
+        np.testing.assert_array_equal(w, np.ones(4))
+        assert b[0] == 1.0

@@ -126,6 +126,12 @@ def test_streaming_weights_equal_the_per_tuple_loaders(case, goldens, tmp_path):
     assert _weights_digest(case, tmp_path) == goldens["weights"][weight_id(case)]
 
 
+@pytest.mark.parametrize("case", WEIGHT_CASES, ids=weight_id)
+def test_streaming_weights_on_the_numpy_kernels(case, goldens, tmp_path, numpy_kernels):
+    # One golden set covers both GLM loops: the fallback gives the same bits.
+    assert _weights_digest(case, tmp_path) == goldens["weights"][weight_id(case)]
+
+
 @pytest.mark.parametrize("case", ID_CASES, ids=id_stream_id)
 def test_multiworker_id_stream_equals_the_per_tuple_loaders(case, goldens, tmp_path):
     assert _id_stream_digest(case, tmp_path) == goldens["multiworker_ids"][id_stream_id(case)]
