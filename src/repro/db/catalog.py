@@ -9,9 +9,10 @@ that readers build on demand.
 A write costs what the statement touches: :meth:`TableInfo.insert_rows` /
 :meth:`delete_rids` / :meth:`update_rids` check every row and assignment
 first (a statement that cannot finish changes nothing), then go through the
-heap's slot-level DML, synchronously maintain every B+tree, invalidate the
-buffer pool's cached batch of each rewritten page (a cached batch must never
-outlive the bytes it decoded) and mark the view stale — the next reader
+heap's slot-level DML, synchronously maintain every B+tree and mark the view
+stale.  A slot write bumps its page's ``version``, which the buffer pool
+checks on every access, so a cached batch never outlives the bytes it
+decoded without the writer touching the pool.  The next reader of the view
 rebuilds it once, a writer never does.  With a ``data_dir`` configured each
 index makes the statement's ``(insert | delete, key, rid)`` ops durable
 before the statement returns, as one fsynced frame of the redo log beside
@@ -190,8 +191,7 @@ class TableInfo:
 
         Features are dense arrays or :class:`SparseRow`\\ s matching the
         table schema.  Every index gains an entry per row before the call
-        returns (synchronous maintenance), and the pages written are evicted
-        from the buffer pool.
+        returns (synchronous maintenance).
         """
         self._require_row_layout("INSERT")
         rows = [(float(label), self._row_features(features)) for label, features in rows]
@@ -200,7 +200,6 @@ class TableInfo:
             tuple_id = self.next_tuple_id
             self.next_tuple_id += 1
             rid = self.heap.insert(tuple_id, label, features)
-            self.pool.invalidate(rid.page_id)
             for index in self.indexes.values():
                 index.insert(column_value(index.column, label, features), rid)
             rids.append(rid)
@@ -213,7 +212,6 @@ class TableInfo:
         doomed = [(rid, self.heap.read_rid(rid)) for rid in rids]
         for rid, tup in doomed:
             self.heap.delete(rid)
-            self.pool.invalidate(rid.page_id)
             for index in self.indexes.values():
                 index.delete(column_value(index.column, tup.label, tup.features), rid)
         self._commit()
@@ -245,9 +243,6 @@ class TableInfo:
         moved: list[tuple[RID, RID]] = []
         for rid, tup, label, features in versions:
             new_rid = self.heap.update(rid, tup.tuple_id, label, features)
-            self.pool.invalidate(rid.page_id)
-            if new_rid.page_id != rid.page_id:
-                self.pool.invalidate(new_rid.page_id)
             for index in self.indexes.values():
                 old_key = column_value(index.column, tup.label, tup.features)
                 new_key = column_value(index.column, label, features)
@@ -340,8 +335,8 @@ def _assign_feature(features, k: int, value: float):
 def _page_batches(heap: HeapFile) -> Iterator[TupleBatch]:
     """Every page in heap order, one bulk ``read_page_batch`` each — straight
     off the heap, never through the pool: pool hits and misses drive the
-    simulated clock, and ``_run_heap`` clears the pool just before it reads
-    the view."""
+    simulated clock, and ``_run_heap`` cold-starts the pool just before it
+    reads the view."""
     heap.flush()
     return (heap.read_page_batch(page_id) for page_id in range(heap.n_pages))
 

@@ -436,7 +436,7 @@ class MiniDB:
         CorgiPile over that copy — without writing it.
         """
         spec = plan.spec
-        table.pool.clear()  # every statement starts on a cold cache
+        table.pool.cold_start()  # every statement starts on a cold cache
         source, extra_disk = table, 0.0
         if plan.strategy == "shuffle_once":
             order = np.random.default_rng(spec.seed).permutation(table.n_tuples)

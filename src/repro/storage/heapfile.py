@@ -33,6 +33,7 @@ from .codec import (
     encoded_row_bounds,
 )
 from .columnar import decode_block_columnar, encode_block_columnar
+from .fsm import FreeSpaceMap
 from .page import DEFAULT_PAGE_BYTES, Page
 from .retry import ChecksumError
 from .rid import RID, rid_run
@@ -91,6 +92,9 @@ class HeapFile:
         # heap order (page-major, slot order) on the next positional access.
         self._refs_dirty = False
         self._pos_map: dict[RID, int] | None = None
+        # Free space map for INSERT's first fit, built by the first insert
+        # and kept current by every row-layout write after it.
+        self._fsm: FreeSpaceMap | None = None
         self.decode_count = 0  # tuples decoded (CPU accounting)
         # Verify every page read against the page's CRC32 before decoding.
         # Off by default (the in-memory heap cannot tear); the fault plane's
@@ -149,6 +153,7 @@ class HeapFile:
             room = int(ends[i]) - size + page.free_bytes
             j = int(np.searchsorted(ends, room, side="right"))
             first = page.extend(payloads[i:j])
+            self._note_free(page)
             self._refs.extend(rid_run(page.page_id, first, j - i))
             i = j
         self._n_live += n
@@ -186,6 +191,7 @@ class HeapFile:
             self.pages.append(Page(len(self.pages), capacity=max(self.page_bytes, len(payload))))
         page = self.pages[-1]
         slot = page.append(payload)
+        self._note_free(page)
         self._refs.append(RID(page.page_id, slot))
         self._n_live += 1
         self._pos_map = None
@@ -247,24 +253,34 @@ class HeapFile:
                 "is only supported on row-layout tables"
             )
 
+    def _note_free(self, page: Page) -> None:
+        """Keep the free space map current after a write to ``page``."""
+        if self._fsm is not None:
+            self._fsm.set(page.page_id, page.capacity - page.live_bytes)
+
+    def _first_fit(self, n_bytes: int) -> Page | None:
+        """The lowest page that ``can_fit(n_bytes)``, via the free space map."""
+        if self._fsm is None or self._fsm.n_pages != len(self.pages):
+            self._fsm = FreeSpaceMap([p.capacity - p.live_bytes for p in self.pages])
+        page_id = self._fsm.first_fit(n_bytes)
+        return None if page_id is None else self.pages[page_id]
+
     def insert(self, tuple_id: int, label: float, features) -> RID:
         """Insert one tuple, reusing dead slots / free space first-fit.
 
         Returns the RID of the stored tuple.  Unlike :meth:`append` (bulk
-        load, always fills the tail page) inserts scan for the first page
-        with room — dead-slot reuse keeps churned tables compact.
+        load, always fills the tail page) inserts take the first page with
+        room — dead-slot reuse keeps churned tables compact — found through
+        the free space map, not a scan.
         """
         self._require_mutable()
         payload = self.encode_payload(tuple_id, label, features)
-        page = None
-        for candidate in self.pages:
-            if candidate.can_fit(len(payload)):
-                page = candidate
-                break
+        page = self._first_fit(len(payload))
         if page is None:
             page = Page(len(self.pages), capacity=max(self.page_bytes, len(payload)))
             self.pages.append(page)
         slot = page.append(payload)
+        self._note_free(page)
         self._n_live += 1
         self._refs_dirty = True
         return RID(page.page_id, slot)
@@ -273,7 +289,9 @@ class HeapFile:
         """Delete the tuple at ``rid`` (its slot goes dead, RIDs elsewhere
         are untouched)."""
         self._require_mutable()
-        self.pages[rid.page_id].delete(rid.slot)
+        page = self.pages[rid.page_id]
+        page.delete(rid.slot)
+        self._note_free(page)
         self._n_live -= 1
         self._refs_dirty = True
 
@@ -289,6 +307,7 @@ class HeapFile:
         page = self.pages[rid.page_id]
         try:
             page.replace(rid.slot, payload)
+            self._note_free(page)
             self._refs_dirty = True
             return rid
         except ValueError:
@@ -370,19 +389,18 @@ class HeapFile:
         return self.pages[page_id].checksum()
 
     def read_page_batch(self, page_id: int, attempt: int = 1) -> TupleBatch:
-        """Decode a whole page in bulk into a columnar :class:`TupleBatch`.
+        """Read and decode a whole page in bulk into a columnar :class:`TupleBatch`."""
+        return self.decode_payloads(page_id, self.read_page_verified(page_id, attempt))
+
+    def read_page_verified(self, page_id: int, attempt: int = 1) -> list[bytes]:
+        """One page read, without the decode: its stored payloads.
 
         With :attr:`verify_checksums` set, the bytes read are CRC-checked
-        against the page's stored checksum *before* decoding and a mismatch
-        raises :class:`~repro.storage.retry.ChecksumError` — a retryable
-        fault the buffer pool's bounded-retry read path absorbs.
-
-        Compressed (TOAST-like) pages are decompressed tuple-by-tuple — that
-        cost is inherent to the format — but the byte parse is still one bulk
-        :func:`~repro.storage.codec.decode_page` call over the concatenation.
+        against the page's stored checksum and a mismatch raises
+        :class:`~repro.storage.retry.ChecksumError` — a retryable fault the
+        buffer pool's bounded-retry read path absorbs.
         """
         self.flush()
-        page = self.pages[page_id]
         payloads = self._read_page_payloads(page_id, attempt)
         if self.verify_checksums:
             got = zlib.crc32(b"".join(payloads))
@@ -392,6 +410,16 @@ class HeapFile:
                     f"page {page_id}: checksum mismatch "
                     f"(got {got:#010x}, want {want:#010x})"
                 )
+        return payloads
+
+    def decode_payloads(self, page_id: int, payloads: list[bytes]) -> TupleBatch:
+        """Decode the payloads :meth:`read_page_verified` returned for ``page_id``.
+
+        Compressed (TOAST-like) pages are decompressed tuple-by-tuple — that
+        cost is inherent to the format — but the byte parse is still one bulk
+        :func:`~repro.storage.codec.decode_page` call over the concatenation.
+        """
+        page = self.pages[page_id]
         if self.layout == "columnar":
             (payload,) = payloads  # columnar pages hold exactly one payload
             batch = decode_block_columnar(payload, self.schema)

@@ -40,6 +40,9 @@ class Page:
     _dead: int = 0
     #: Live slots (maintained, so :attr:`n_tuples` is not a directory walk).
     _n_live: int = 0
+    #: Write version, bumped by every mutator: a decoded copy of the page is
+    #: current iff it was made at this version (the buffer pool's check).
+    version: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -85,6 +88,7 @@ class Page:
             if not self.fits_after_compact(len(payload)):
                 raise ValueError("page full")
             self.compact()
+        self.version += 1
         self._live += len(payload)
         self._n_live += 1
         if self._n_live <= len(self._slots):  # a dead slot exists: lowest first
@@ -101,6 +105,7 @@ class Page:
         if self._n_live != len(self._slots) or not self.fits(size):
             raise ValueError("bulk append needs room and a page without dead slots")
         first = len(self._slots)
+        self.version += 1
         self._slots.extend(payloads)
         self._live += size
         self._n_live += len(payloads)
@@ -113,6 +118,7 @@ class Page:
         :meth:`compact` — deleting does not shrink the page.
         """
         payload = self.payload(slot)
+        self.version += 1
         self._slots[slot] = None
         self._n_live -= 1
         self._live -= len(payload)
@@ -132,6 +138,7 @@ class Page:
         if self._live - len(old) + len(payload) > self.capacity:
             raise ValueError("page full")
         # The old version is dead the moment the slot repoints.
+        self.version += 1
         self._live -= len(old)
         self._dead += len(old)
         if self._live + self._dead + len(payload) > self.capacity:
@@ -146,6 +153,7 @@ class Page:
         ids as zero-length line pointers.  Returns the bytes reclaimed.
         """
         freed = self._dead
+        self.version += 1
         self._dead = 0
         return freed
 

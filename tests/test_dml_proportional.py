@@ -22,6 +22,7 @@ from repro.db.catalog import Catalog
 from repro.db.query import parse_predicate
 from repro.db.where import index_qualifying_positions, qualifying_positions, qualifying_rids
 from repro.storage.index import idxlog, load_index
+from repro.storage.page import Page
 
 from tests import _dml_workload as workload
 
@@ -44,9 +45,18 @@ def _dir_bytes(path) -> int:
 
 
 class TestProportionalByCount:
-    def _write_costs(self, n_rows: int, data_dir) -> list[tuple]:
+    def _write_costs(self, n_rows: int, data_dir, monkeypatch) -> list[tuple]:
         """Per write statement of three ``dml_mixed`` rounds: ``(decoded,
-        bytes made durable, frames, view rebuilds, directory rebuilds)``."""
+        bytes made durable, frames, view rebuilds, directory rebuilds,
+        page can_fit calls)``."""
+        can_fit_calls = [0]
+        can_fit = Page.can_fit
+
+        def counted_can_fit(page, n_bytes):
+            can_fit_calls[0] += 1
+            return can_fit(page, n_bytes)
+
+        monkeypatch.setattr(Page, "can_fit", counted_can_fit)
         db = MiniDB(page_bytes=8192)
         db.catalog.data_dir = data_dir
         db.create_table("t", make_binary_dense(n_rows, 6, seed=0))
@@ -64,6 +74,7 @@ class TestProportionalByCount:
             ]
             for sql in statements:
                 decoded, on_disk, before = table.heap.decode_count, _dir_bytes(data_dir), _counters()
+                fit_checks = can_fit_calls[0]
                 out = db.execute(sql)
                 if sql.startswith("SELECT"):
                     assert out["returned"] == 1 and out["via_index"] == "ix0"
@@ -80,20 +91,25 @@ class TestProportionalByCount:
                         after["db.catalog.view_rebuilds"] - before["db.catalog.view_rebuilds"],
                         after["storage.heapfile.directory_rebuilds"]
                         - before["storage.heapfile.directory_rebuilds"],
+                        can_fit_calls[0] - fit_checks,
                     )
                 )
         table.verify_indexes()
         return costs
 
-    def test_write_cost_is_flat_in_table_size(self, tmp_path):
-        by_size = {n: self._write_costs(n, tmp_path / str(n)) for n in (1_000, 4_000, 16_000)}
+    def test_write_cost_is_flat_in_table_size(self, tmp_path, monkeypatch):
+        by_size = {
+            n: self._write_costs(n, tmp_path / str(n), monkeypatch)
+            for n in (1_000, 4_000, 16_000)
+        }
         assert by_size[1_000] == by_size[4_000] == by_size[16_000]
         insert, update, delete = by_size[1_000][:3]
         # decoded tuples, log bytes (16 B header + 15 B per index op), frames,
-        # view rebuilds, directory rebuilds
-        assert insert == (0, 31, 1, 0, 0)
-        assert update == (2, 0, 0, 0, 0)  # f1 is not indexed: no frame, no fsync
-        assert delete == (2, 31, 1, 0, 0)
+        # view rebuilds, directory rebuilds, can_fit calls (first fit goes
+        # through the free space map and checks no page)
+        assert insert == (0, 31, 1, 0, 0, 0)
+        assert update == (2, 0, 0, 0, 0, 0)  # f1 is not indexed: no frame, no fsync
+        assert delete == (2, 31, 1, 0, 0, 0)
 
     def test_daemon_stats_report_the_same_counters(self, tmp_path):
         from repro.serve import ReproServer

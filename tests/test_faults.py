@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import CorgiPileDataset, DataLoader
 from repro.data import make_binary_dense
+from repro.db import MiniDB
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -390,3 +391,30 @@ class TestFaultInvisibility:
         )
         for key in clean.params:
             assert np.array_equal(clean.params[key], faulty.params[key])
+
+
+class TestWarmPoolFaultLedger:
+    """Decoded batches that outlive a TRAIN change no read the fault plane
+    sees: two TRAINs back to back on a faulty table keep the ledger of an
+    engine whose every statement clears its pool."""
+
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 2KB, seed = 1"
+
+    def _run(self):
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", make_binary_dense(600, 12, separation=1.2, seed=11))
+        plan = FaultPlan.random(CHAOS_SEED + 5, p_transient=0.3, p_torn=0.3, max_failures=2)
+        stats = db.inject_faults("t", plan)
+        models = [db.execute(self.SQL).model for _ in range(2)]
+        return stats.as_dict(), models, db.catalog.get("t").heap.decode_count
+
+    def test_ledger_equals_a_clearing_engine(self, monkeypatch):
+        warm, warm_models, warm_decoded = self._run()
+        monkeypatch.setattr(BufferPool, "cold_start", BufferPool.clear)
+        cold, cold_models, cold_decoded = self._run()
+        assert warm["retries"] > 0 and warm["checksum_failures"] > 0
+        assert warm == cold
+        assert warm_decoded < cold_decoded
+        for warm_model, cold_model in zip(warm_models, cold_models):
+            for key in warm_model.params:
+                np.testing.assert_array_equal(warm_model.params[key], cold_model.params[key])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.sparse import SparseRow
 from repro.db import Catalog, UnsupportedLayoutError
 from repro.storage.heapfile import ColumnarMutationError, HeapFile
 from repro.storage.page import Page
@@ -194,3 +195,53 @@ class TestBufferPoolInvalidation:
         after, hit = info.pool.get_batch_traced(page_id)
         assert not hit
         assert len(after.ids) == len(before.ids) + 1
+
+
+def _linear_first_fit(heap: HeapFile, n_bytes: int) -> Page | None:
+    """The oracle: the first-fit page scan the free space map replaces."""
+    return next((page for page in heap.pages if page.can_fit(n_bytes)), None)
+
+
+class TestFreeSpaceMap:
+    """INSERT's first fit through the free space map picks the page the
+    linear ``can_fit`` scan picks, under any churn of writes."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "compressed"])
+    def test_churn_gives_the_linear_scan_rids(self, kind, dense_binary, sparse_binary):
+        dataset = sparse_binary if kind == "sparse" else dense_binary
+        heaps = [
+            HeapFile.from_dataset(dataset, page_bytes=1024, compress=kind == "compressed")
+            for _ in range(2)
+        ]
+        oracle = heaps[1]
+        oracle._first_fit = lambda n_bytes: _linear_first_fit(oracle, n_bytes)
+        rng = np.random.default_rng(29)
+        d = dataset.n_features
+
+        def features():
+            if kind != "sparse":
+                # Few distinct values: compressed payloads vary in size.
+                return rng.integers(0, rng.integers(1, 40), size=d).astype(np.float64)
+            nnz = int(rng.integers(1, 40))
+            cols = np.sort(rng.choice(d, size=nnz, replace=False))
+            return SparseRow(cols.astype(np.int64), rng.standard_normal(nnz), d)
+
+        next_id = dataset.n_tuples
+        for _ in range(600):
+            op = rng.choice(["insert", "delete", "update"], p=[0.4, 0.3, 0.3])
+            live = [RID(p.page_id, s) for p in heaps[0].pages for s in p.live_slots()]
+            if op == "insert":
+                row = (next_id, float(rng.integers(0, 2)), features())
+                next_id += 1
+                got = [heap.insert(*row) for heap in heaps]
+            elif op == "delete":
+                rid = live[int(rng.integers(len(live)))]
+                got = [heap.delete(rid) for heap in heaps]
+            else:
+                rid = live[int(rng.integers(len(live)))]
+                row = (next_id, 1.0, features())
+                got = [heap.update(rid, *row) for heap in heaps]
+            assert got[0] == got[1], op
+        assert [p.slot_lengths() for p in heaps[0].pages] == [
+            p.slot_lengths() for p in heaps[1].pages
+        ]
