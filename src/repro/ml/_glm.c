@@ -139,3 +139,24 @@ int glm_epoch_sparse(double *w, int64_t d, double *b, int loss, const int64_t *i
     *b = bb;
     return 0;
 }
+
+/* X @ w for CSR X: row i sums values[t] * w[indices[t]] from 0.0 in element
+ * order, which is how np.bincount(row_ids, weights=values * w[indices])
+ * accumulates it.  Returns -1 with nothing written unless indptr runs from 0
+ * to nnz without decreasing and every index lies in [0, d). */
+int glm_csr_dot(const int64_t *indptr, const int64_t *indices, const double *values,
+                int64_t n, int64_t nnz, const double *w, int64_t d, double *out)
+{
+    if (indptr[0] != 0 || indptr[n] != nnz) return -1;
+    for (int64_t i = 0; i < n; i++)
+        if (indptr[i + 1] < indptr[i]) return -1;
+    int bad = 0;
+    for (int64_t t = 0; t < nnz; t++) bad |= (uint64_t)indices[t] >= (uint64_t)d;
+    if (bad) return -1;
+    for (int64_t i = 0; i < n; i++) {
+        double sum = 0.0;
+        for (int64_t t = indptr[i]; t < indptr[i + 1]; t++) sum += values[t] * w[indices[t]];
+        out[i] = sum;
+    }
+    return 0;
+}

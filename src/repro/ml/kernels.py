@@ -29,7 +29,9 @@ reference.  The two are **bit-identical**: the C loop calls numpy's own
 arithmetic in the same IEEE order.  Importing this module builds (once, into
 ``__pycache__``) and loads the loop; it is used only when it builds, numpy's
 ``ddot`` resolves, and a probe gives the numpy kernels' bits.  :data:`IMPL`
-says which one runs (``"c"`` or ``"numpy"``).
+says which one runs (``"c"`` or ``"numpy"``).  :func:`csr_dot` — the
+sparse ``X @ w`` of ``GeneralizedLinearModel.decision_function`` — is
+compiled the same way and gives :meth:`SparseMatrix.dot`'s bits.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 
 __all__ = [
     "IMPL",
+    "csr_dot",
     "glm_step",
     "glm_epoch_dense",
     "glm_epoch_sparse",
@@ -204,6 +207,16 @@ def glm_step(
     _numpy_step(w, b, loss, X, y, order, lr, l2, fit_intercept)
 
 
+def csr_dot(X: SparseMatrix, w: np.ndarray) -> np.ndarray:
+    """``X @ w`` for a CSR matrix: the compiled loop when it is loaded and can
+    address the input, else :meth:`SparseMatrix.dot` — the same bits either way."""
+    if _LIB is not None:
+        out = _compiled_csr_dot(_LIB, X, w)
+        if out is not None:
+            return out
+    return X.dot(w)
+
+
 def _numpy_step(w, b, loss, X, y, order, lr, l2, fit_intercept) -> None:
     if isinstance(X, SparseMatrix):
         args = (X.indptr, X.indices, X.data, y, order, lr, l2, fit_intercept)
@@ -295,6 +308,26 @@ def _compiled(lib, w, b, code, X, y, order, lr, l2, fit_intercept) -> bool:
     return rc == 0
 
 
+def _compiled_csr_dot(lib, X: SparseMatrix, w) -> np.ndarray | None:
+    """``X @ w`` through the compiled loop; ``None`` when it cannot address the input."""
+    indptr, indices, values = X.indptr, X.indices, X.data
+    if not (
+        _plain(indptr, _I64)
+        and _plain(indices, _I64)
+        and _plain(values, _F64)
+        and _plain(w, _F64)
+        and indptr.size == X.n_rows + 1
+        and indices.size == values.size
+    ):
+        return None
+    out = np.empty(X.n_rows, dtype=np.float64)
+    rc = lib.glm_csr_dot(
+        _addr(indptr), _addr(indices), _addr(values), X.n_rows, indices.size,
+        _addr(w), w.size, _addr(out),
+    )
+    return out if rc == 0 else None
+
+
 def _build() -> Path | None:
     """``_glm.c`` compiled once into ``__pycache__``, keyed by source + flags.
 
@@ -338,7 +371,9 @@ def _probe(lib) -> bool:
             _numpy_step(ref_w, ref_b, loss, A, y, order, 0.1, 0.3, True)
             if not (np.array_equal(w, ref_w) and np.array_equal(b, ref_b)):
                 return False
-    return True
+    A, w = SparseMatrix.from_dense(X), np.sin(np.arange(37.0))
+    z = _compiled_csr_dot(lib, A, w)
+    return z is not None and np.array_equal(z, A.dot(w))
 
 
 def _load():
@@ -366,7 +401,8 @@ def _load():
     tail = [ptr, ptr, c_int64, c_double, c_double, c_int]  # y, order, m, lr, l2, fit_intercept
     lib.glm_epoch_dense.argtypes = [*head, ptr, c_int64, c_int64, c_int64, *tail]
     lib.glm_epoch_sparse.argtypes = [*head, ptr, ptr, ptr, c_int64, c_int64, *tail]
-    lib.glm_epoch_dense.restype = lib.glm_epoch_sparse.restype = c_int
+    lib.glm_csr_dot.argtypes = [ptr, ptr, ptr, c_int64, c_int64, ptr, c_int64, ptr]
+    lib.glm_epoch_dense.restype = lib.glm_epoch_sparse.restype = lib.glm_csr_dot.restype = c_int
     return lib if _probe(lib) else None
 
 

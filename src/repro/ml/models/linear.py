@@ -14,7 +14,7 @@ import numpy as np
 
 from ...data.dataset import FeatureMatrix
 from ...data.sparse import SparseMatrix, SparseRow
-from ..kernels import glm_step
+from ..kernels import csr_dot, glm_step
 from ..losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 from .base import Params, SupervisedModel
 
@@ -61,7 +61,7 @@ class GeneralizedLinearModel(SupervisedModel):
     # ------------------------------------------------------------------
     def decision_function(self, X: FeatureMatrix) -> np.ndarray:
         if isinstance(X, SparseMatrix):
-            z = X.dot(self.w)
+            z = csr_dot(X, self.w)
         else:
             z = np.asarray(X, dtype=np.float64) @ self.w
         if self.fit_intercept:

@@ -199,6 +199,10 @@ class TupleBatch:
             raise ValueError("cannot concat zero batches")
         if len(batches) == 1:
             return batches[0]
+        if not all(type(b) is TupleBatch for b in batches):
+            from .columnar import concat_pages  # lazy pages decode as one run
+
+            return concat_pages(batches)
         first = batches[0]
         ids = np.concatenate([b.ids for b in batches])
         labels = np.concatenate([b.labels for b in batches])
@@ -209,17 +213,26 @@ class TupleBatch:
                 first.n_features,
                 dense=np.concatenate([b.dense for b in batches], axis=0),
             )
-        counts = np.concatenate([np.diff(b.indptr) for b in batches])
-        indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
         return cls(
             ids,
             labels,
             first.n_features,
-            indptr=indptr,
+            indptr=stack_column([b.indptr for b in batches], "indptr"),
             indices=np.concatenate([b.indices for b in batches]),
             values=np.concatenate([b.values for b in batches]),
         )
+
+
+def stack_column(parts: Sequence[np.ndarray], name: str) -> np.ndarray:
+    """Column ``name`` of a run of batches, from each batch's own column:
+    the parts end to end, ``indptr`` re-based so each batch's rows follow
+    the previous batch's."""
+    if name != "indptr":
+        return np.concatenate(parts)
+    counts = np.concatenate([np.diff(part) for part in parts])
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
 class RowStream:

@@ -27,23 +27,28 @@ row-major ``n x d`` float64 run) or the CSR triple ``indptr``/``indices``/
   what shrinks sparse ``indices`` (width follows the feature-space size)
   and ``ids``/``indptr`` (deltas are tiny) well below the row format.
 
-:func:`decode_block_columnar` returns a :class:`LazyTupleBatch`: no column
-is decoded up front; each array materialises on first attribute access and
-is cached on the batch.  Per-chunk CRC32s in the directory let pruned
-readers verify only the bytes they actually read.
+:func:`decode_block_columnar` returns a :class:`LazyTupleBatch` after one
+``unpack_from`` of the header + directory: no column is decoded up front;
+each array materialises on first attribute access and is cached on the
+batch.  A run of pages (a block) handed to ``TupleBatch.concat`` decodes
+each column once for the whole run (:func:`concat_pages`) and caches nothing
+on the pages.  Per-chunk CRC32s in the directory let pruned readers verify
+only the bytes they actually read.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..data.sparse import SparseMatrix, SparseRow
-from .codec import TupleBatch, TupleSchema
+from .codec import TupleBatch, TupleSchema, stack_column
 from .retry import ChecksumError
 
 __all__ = [
@@ -62,6 +67,7 @@ __all__ = [
     "decode_block_columnar",
     "read_columnar_header",
     "columns_for",
+    "concat_pages",
 ]
 
 COLUMNAR_MAGIC = b"CPB1"
@@ -96,12 +102,13 @@ ENC_PACKED = 2  # unsigned ints, optional delta, packed to ``width`` bytes
 
 _ALIGN = 8
 _PACK_WIDTHS = (1, 2, 4)  # candidate packed widths below the raw 8 bytes
-_PACK_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+_PACK_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+_RAW_DTYPES = {ENC_F64: np.dtype("<f8"), ENC_I64: np.dtype("<i8")}
+_N_COLS_AT = 14  # byte offset of ``n_cols`` in the header
 
 
-@dataclass(frozen=True)
-class ChunkRef:
-    """One column chunk's directory entry."""
+class ChunkRef(NamedTuple):
+    """One column chunk's directory entry, in directory field order."""
 
     col: int
     enc: int
@@ -184,28 +191,6 @@ def _encode_ints(arr: np.ndarray) -> tuple[int, int, int, bytes]:
     return ENC_PACKED, 8, delta, stored.astype("<u8").tobytes()
 
 
-def _decode_chunk(buffer, ref: ChunkRef, base: int) -> np.ndarray:
-    """Materialise one chunk from ``buffer`` at ``base + ref.offset``.
-
-    Raw float64/int64 chunks come back as zero-copy ``np.frombuffer`` views;
-    packed chunks pay one vectorized widen (+ cumsum when delta-encoded).
-    """
-    offset = base + ref.offset
-    if ref.enc == ENC_F64:
-        return np.frombuffer(buffer, dtype="<f8", count=ref.n_values, offset=offset)
-    if ref.enc == ENC_I64:
-        return np.frombuffer(buffer, dtype="<i8", count=ref.n_values, offset=offset)
-    if ref.enc == ENC_PACKED:
-        packed = np.frombuffer(
-            buffer, dtype=_PACK_DTYPES[ref.width], count=ref.n_values, offset=offset
-        )
-        out = packed.astype(np.int64)
-        if ref.delta:
-            np.cumsum(out, out=out)
-        return out
-    raise ValueError(f"unknown chunk encoding {ref.enc}")
-
-
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------
@@ -269,6 +254,46 @@ def encode_block_columnar(batch: TupleBatch, schema: TupleSchema | None = None) 
 # Decode
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _directory_struct(n_cols: int) -> struct.Struct:
+    """Header + an ``n_cols``-entry directory, parsed by one ``unpack_from``."""
+    return struct.Struct(_HEADER.format + _DIR_ENTRY.format[1:] * n_cols)
+
+
+def _read_directory(buffer, offset: int = 0) -> tuple[int, int, bool, tuple]:
+    """Parse a columnar payload's header + directory in one ``unpack_from``.
+
+    Returns ``(n_tuples, n_features, sparse, entries)``: ``entries`` is the
+    flat run of directory fields, eight per chunk in :class:`ChunkRef`
+    order.  Raises ``ValueError`` for a non-columnar or truncated buffer and
+    for a chunk whose byte range runs past the payload.
+    """
+    size = len(buffer) - offset
+    if size < _HEADER.size:
+        raise ValueError("buffer too short for a columnar block header")
+    layout = _directory_struct(buffer[offset + _N_COLS_AT])
+    if size < layout.size:
+        fields = _HEADER.unpack_from(buffer, offset)
+    else:
+        fields = layout.unpack_from(buffer, offset)
+    if fields[0] != COLUMNAR_MAGIC:
+        raise ValueError(f"not a columnar block (magic {fields[0]!r})")
+    if fields[1] != COLUMNAR_VERSION:
+        raise ValueError(f"unsupported columnar version {fields[1]}")
+    if size < layout.size:
+        raise ValueError(
+            f"columnar directory truncated: {size} of {layout.size} header bytes"
+        )
+    entries = fields[6:]
+    for i in range(0, len(entries), 8):
+        if entries[i + 4] + entries[i + 5] > size:
+            raise ValueError(
+                f"column chunk {ChunkRef(*entries[i : i + 8]).name!r} runs past "
+                f"the {size}-byte payload"
+            )
+    return fields[2], fields[3], bool(fields[5] & _FLAG_SPARSE), entries
+
+
 def read_columnar_header(
     buffer, offset: int = 0
 ) -> tuple[int, int, bool, list[ChunkRef]]:
@@ -276,25 +301,12 @@ def read_columnar_header(
 
     Returns ``(n_tuples, n_features, sparse, chunk_refs)``; raises
     ``ValueError`` for a non-columnar buffer (callers use this to sniff the
-    layout of a stored page image).
+    layout of a stored page image), a truncated directory, or a chunk that
+    runs past the payload.
     """
-    if len(buffer) - offset < _HEADER.size:
-        raise ValueError("buffer too short for a columnar block header")
-    magic, version, n_tuples, n_features, n_cols, flags = _HEADER.unpack_from(buffer, offset)
-    if magic != COLUMNAR_MAGIC:
-        raise ValueError(f"not a columnar block (magic {magic!r})")
-    if version != COLUMNAR_VERSION:
-        raise ValueError(f"unsupported columnar version {version}")
-    refs = [
-        ChunkRef(*_DIR_ENTRY.unpack_from(buffer, offset + _HEADER.size + i * _DIR_ENTRY.size))
-        for i in range(n_cols)
-    ]
-    return int(n_tuples), int(n_features), bool(flags & _FLAG_SPARSE), refs
-
-
-def directory_size(n_cols: int) -> int:
-    """Bytes occupied by the header + directory of an ``n_cols`` block."""
-    return _HEADER.size + _DIR_ENTRY.size * n_cols
+    n_tuples, n_features, sparse, entries = _read_directory(buffer, offset)
+    refs = [ChunkRef._make(entries[i : i + 8]) for i in range(0, len(entries), 8)]
+    return n_tuples, n_features, sparse, refs
 
 
 class LazyTupleBatch:
@@ -306,12 +318,15 @@ class LazyTupleBatch:
     front: each property decodes its chunk on first touch — a zero-copy
     ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
-    the buffer pool can charge real memory, not potential memory.
+    the buffer pool can charge real memory, not potential memory.  A run of
+    pages handed to ``TupleBatch.concat`` decodes as one (:func:`concat_pages`)
+    and caches no array here, so a page a pool keeps is decoded again by
+    every run that reads it.
 
     The backing store is either one whole block buffer (``buffer`` +
     per-chunk offsets) or, after a column-pruned read, individual chunk
     buffers — absent columns raise ``KeyError`` on access.  Chunk CRCs are
-    verified at materialisation time when ``verify_chunks`` is set (the
+    verified the first time a chunk is read when ``verify_chunks`` is set (the
     pruned read path verifies at read time instead, before bytes are
     trusted enough to cache).
 
@@ -325,7 +340,7 @@ class LazyTupleBatch:
         n_tuples: int,
         n_features: int,
         sparse: bool,
-        sources: dict[int, tuple], # col -> (buffer, base_offset, ChunkRef)
+        sources: dict[int, tuple],  # col -> (memoryview, base_offset, directory entry)
         verify_chunks: bool = False,
     ):
         self._n = int(n_tuples)
@@ -333,6 +348,9 @@ class LazyTupleBatch:
         self._sparse = bool(sparse)
         self._sources = sources
         self._cache: dict[int, np.ndarray] = {}
+        # col -> (run kind, stored dtype, delta, values memoryview, n_values,
+        # chunk length): checked chunk metadata, no decoded bytes (see _store)
+        self._stored: dict[int, tuple] = {}
         self.verify_chunks = bool(verify_chunks)
 
     # -- construction ---------------------------------------------------
@@ -340,15 +358,14 @@ class LazyTupleBatch:
     def from_block(
         cls, buffer, offset: int = 0, columns=None, verify_chunks: bool = False
     ) -> "LazyTupleBatch":
-        n_tuples, n_features, sparse, refs = read_columnar_header(buffer, offset)
-        if columns is not None:
-            columns = set(columns)
+        n_tuples, n_features, sparse, entries = _read_directory(buffer, offset)
+        view = memoryview(buffer)
         sources = {
-            ref.col: (buffer, offset, ref)
-            for ref in refs
-            if columns is None or ref.col in columns
+            entries[i]: (view, offset, entries[i : i + 8]) for i in range(0, len(entries), 8)
         }
-        return cls(n_tuples, n_features, sparse, sources, verify_chunks=verify_chunks)
+        if columns is not None:
+            sources = {col: source for col, source in sources.items() if col in columns}
+        return cls(n_tuples, n_features, sparse, sources, verify_chunks)
 
     @classmethod
     def from_chunks(
@@ -360,36 +377,72 @@ class LazyTupleBatch:
     ) -> "LazyTupleBatch":
         """Build from individually read (already CRC-verified) chunks."""
         sources = {
-            col: (payload, -ref.offset, ref) for col, (payload, ref) in chunks.items()
+            col: (memoryview(payload), -ref.offset, ref) for col, (payload, ref) in chunks.items()
         }
         return cls(n_tuples, n_features, sparse, sources)
 
     # -- core accessors -------------------------------------------------
-    def _get(self, col: int) -> np.ndarray:
-        cached = self._cache.get(col)
-        if cached is not None:
-            return cached
+    def _store(self, col: int) -> tuple:
+        """Check column ``col``'s chunk once per page and keep where its
+        stored values are: inside the chunk's byte range (a ``memoryview``
+        slice would truncate them silently), ``n x d`` of them for a dense
+        chunk, and with ``verify_chunks`` a range that matches its directory
+        CRC32.  The run kind is what :func:`_decode_run` needs equal across a
+        run's non-empty chunks: stored dtype, delta flag (a one-value packed
+        chunk decodes the same either way, so it counts as delta-coded) and
+        dense width; an empty chunk has none."""
         try:
-            buffer, base, ref = self._sources[col]
+            view, base, entry = self._sources[col]
         except KeyError:
             raise KeyError(
                 f"column {COLUMN_NAMES.get(col, col)!r} was pruned from this read"
             ) from None
-        if self.verify_chunks and ref.length:
-            got = zlib.crc32(memoryview(buffer)[base + ref.offset : base + ref.offset + ref.length])
-            if got != ref.crc32:
+        _col, enc, width, delta, offset, length, n_values, crc = entry
+        if enc == ENC_PACKED:
+            dtype = _PACK_DTYPES.get(width)
+            delta = delta != 0 or n_values == 1
+        else:
+            dtype = _RAW_DTYPES.get(enc)
+            delta = False
+        if dtype is None:
+            raise _chunk_error(entry, f"unknown encoding {enc} (width {width})")
+        start = base + offset
+        end = start + n_values * dtype.itemsize
+        if end > start + length:
+            raise _chunk_error(entry, f"{n_values} values overrun its {length}-byte range")
+        if col == COL_DENSE and n_values != self._n * self.n_features:
+            raise _chunk_error(entry, f"{n_values} values for {self._n} x {self.n_features}")
+        if self.verify_chunks and length:
+            got = zlib.crc32(view[start : start + length])
+            if got != crc:
                 raise ChecksumError(
-                    f"column chunk {ref.name!r}: checksum mismatch "
-                    f"(got {got:#010x}, want {ref.crc32:#010x})"
+                    f"column chunk {ChunkRef._make(entry).name!r}: checksum mismatch "
+                    f"(got {got:#010x}, want {crc:#010x})"
                 )
-        array = _decode_chunk(buffer, ref, base)
+        kind = (dtype, delta, self.n_features if col == COL_DENSE else 0) if n_values else None
+        stored = self._stored[col] = (kind, dtype, delta, view[start:end], n_values, length)
+        return stored
+
+    def _decode(self, col: int) -> np.ndarray:
+        """Column ``col`` of this page, uncached: a zero-copy view of a raw
+        chunk, a widened (and cumsummed, when delta-coded) copy of a packed one."""
+        stored = self._stored.get(col) or self._store(col)
+        _kind, dtype, delta, span, _n, length = stored
+        array = np.frombuffer(span, dtype)
+        if dtype.kind == "u":  # packed
+            array = array.astype(np.int64)
+            if delta:
+                array.cumsum(out=array)
         if col == COL_DENSE:
             array = array.reshape(self._n, self.n_features)
-        self._cache[col] = array
-        if obs.enabled():
-            obs.inc("storage.columnar.chunks_decoded")
-            obs.inc("storage.columnar.chunk_bytes_decoded", ref.length)
+        _count_decoded((stored,))
         return array
+
+    def _get(self, col: int) -> np.ndarray:
+        cached = self._cache.get(col)
+        if cached is None:
+            cached = self._cache[col] = self._decode(col)
+        return cached
 
     @property
     def ids(self) -> np.ndarray:
@@ -474,6 +527,99 @@ class LazyTupleBatch:
         )
 
 
+def concat_pages(pages: Sequence) -> TupleBatch:
+    """``TupleBatch.concat`` of a run holding lazy pages: each column comes
+    from :func:`_decode_run`, once for the whole run."""
+    first = pages[0]
+    ids, labels = _decode_run(pages, "ids"), _decode_run(pages, "labels")
+    if not first.is_sparse:
+        return TupleBatch(ids, labels, first.n_features, dense=_decode_run(pages, "dense"))
+    return TupleBatch(
+        ids,
+        labels,
+        first.n_features,
+        indptr=_decode_run(pages, "indptr"),
+        indices=_decode_run(pages, "indices"),
+        values=_decode_run(pages, "values"),
+    )
+
+
+def _decode_run(pages: Sequence, name: str) -> np.ndarray:
+    """Column ``name`` of a run of pages, some of them lazy, as one array.
+
+    Equal to :func:`~repro.storage.codec.stack_column` over every page's
+    decoded column.  A run whose pages all hold the column materialised
+    stacks those arrays.  A run of lazy pages whose non-empty chunks share one run kind
+    (see ``LazyTupleBatch._store``) decodes in one pass: one ``bytearray``
+    join of the stored values and one ``frombuffer`` (+ one widen);
+    ``indptr`` is one cumsum of the stored row lengths with each page's
+    leading 0 dropped, delta-coded ints one cumsum restarted per page.
+    Any other run decodes page by page.  Nothing is cached on the pages:
+    the arrays belong to the run, not to the pool.
+    """
+    col = _NAME_TO_COL[name]
+    try:
+        if col in pages[0]._cache and all(col in page._cache for page in pages):
+            return stack_column([page._cache[col] for page in pages], name)
+        stored = [page._stored.get(col) or page._store(col) for page in pages]
+    except AttributeError:  # an eager batch in the run
+        return stack_column([_page_column(page, col, name) for page in pages], name)
+    kinds = {s[0] for s in stored}
+    kinds.discard(None)
+    is_indptr = col == COL_INDPTR
+    if len(kinds) == 1:
+        ((dtype, delta, width),) = kinds
+    if len(kinds) != 1 or (is_indptr and not delta):
+        return stack_column([_page_column(page, col, name) for page in pages], name)
+    _count_decoded(stored)
+    if is_indptr:  # the stored row lengths, after each page's leading 0
+        spans = [s[3][dtype.itemsize :] for s in stored]
+    else:
+        spans = [s[3] for s in stored]
+    out = np.frombuffer(bytearray().join(spans), dtype)
+    if dtype.kind == "u":  # packed
+        if dtype.itemsize == 8:  # u8 wraps to int64, as ``astype`` does
+            out = out.view(np.int64)
+        if is_indptr:
+            lengths = out
+            out = np.empty(lengths.size + 1, dtype=np.int64)
+            out[0] = 0
+            lengths.cumsum(dtype=np.int64, out=out[1:])
+        else:
+            out = out.astype(np.int64, copy=False)  # writable: it reads a bytearray
+            if delta:
+                # A page's first stored value is absolute: less the previous
+                # page's total, one cumsum restarts at every page.
+                counts = [s[4] for s in stored]
+                at = accumulate(counts, initial=0)
+                starts = np.array([start for start, n in zip(at, counts) if n])
+                if starts.size > 1:
+                    out[starts[1:]] -= np.add.reduceat(out, starts)[:-1]
+                out.cumsum(out=out)
+    if col == COL_DENSE:
+        out = out.reshape(-1, width)
+    return out
+
+
+def _page_column(page, col: int, name: str) -> np.ndarray:
+    """One page's column for a page-by-page stack: a lazy page's cached
+    array or an uncached decode, an eager batch's own array."""
+    if not isinstance(page, LazyTupleBatch):
+        return getattr(page, name)
+    cached = page._cache.get(col)
+    return page._decode(col) if cached is None else cached
+
+
+def _chunk_error(entry: tuple, problem: str) -> ValueError:
+    return ValueError(f"column chunk {ChunkRef._make(entry).name!r}: {problem}")
+
+
+def _count_decoded(stored: Sequence[tuple]) -> None:
+    if obs.enabled():
+        obs.inc("storage.columnar.chunks_decoded", len(stored))
+        obs.inc("storage.columnar.chunk_bytes_decoded", sum(s[5] for s in stored))
+
+
 def decode_block_columnar(
     buffer,
     schema: TupleSchema | None = None,
@@ -493,11 +639,9 @@ def decode_block_columnar(
         columns = {
             c if isinstance(c, int) else _NAME_TO_COL[c] for c in columns
         }
-    batch = LazyTupleBatch.from_block(
-        buffer, offset=offset, columns=columns, verify_chunks=verify_chunks
-    )
+    batch = LazyTupleBatch.from_block(buffer, offset, columns, verify_chunks)
     if schema is not None:
-        if batch.n_features != schema.n_features or batch.is_sparse != bool(schema.sparse):
+        if batch.n_features != schema.n_features or batch._sparse != bool(schema.sparse):
             raise ValueError(
                 f"columnar block is ({batch.n_features}, sparse={batch.is_sparse}); "
                 f"schema says ({schema.n_features}, sparse={schema.sparse})"

@@ -1,6 +1,7 @@
 """Tests for the columnar block format: codec round-trips, lazy views,
-chunk-pruned reads, chunk-level fault injection, byte-budget buffer pooling,
-SQL column projection, and the in-place row -> columnar migration."""
+run decodes of page runs, chunk-pruned reads, chunk-level fault injection,
+byte-budget buffer pooling, SQL column projection, and the in-place
+row -> columnar migration."""
 
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ from repro.storage.codec import encode_rows
 from repro.storage.columnar import (
     COL_IDS,
     COL_VALUES,
+    COLUMN_NAMES,
+    ENC_I64,
     ENC_PACKED,
     read_columnar_header,
 )
@@ -143,6 +146,37 @@ class TestRoundTrip:
         with pytest.raises(ChecksumError):
             lazy.dense  # noqa: B018 - materialisation triggers the CRC check
 
+    def test_truncated_directory_raises_value_error(self):
+        payload = encode_block_columnar(_random_batch(1, 4, 3, False))
+        for cut in (16, 20, 35):
+            with pytest.raises(ValueError, match="truncated"):
+                read_columnar_header(payload[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                decode_block_columnar(payload[:cut])
+
+    def test_chunk_past_the_payload_raises_value_error(self):
+        payload = encode_block_columnar(_random_batch(2, 6, 3, True))
+        last = max(read_columnar_header(payload)[3], key=lambda r: r.offset)
+        cut = payload[: last.offset + last.length - 1]
+        with pytest.raises(ValueError, match=f"{last.name}.*runs past"):
+            read_columnar_header(cut)
+        with pytest.raises(ValueError, match="runs past"):
+            decode_block_columnar(cut, verify_chunks=True)
+
+    def test_values_past_the_chunk_range_raise_value_error(self):
+        # A directory whose n_values overruns the chunk's byte range must not
+        # decode the neighbouring chunk's bytes.
+        payload = bytearray(encode_block_columnar(_random_batch(3, 8, 4, False)))
+        refs = read_columnar_header(bytes(payload))[3]
+        i = next(k for k, r in enumerate(refs) if r.col == COL_IDS)
+        n_values_at = 16 + 20 * i + 12
+        payload[n_values_at : n_values_at + 4] = (refs[i].n_values + 1).to_bytes(4, "little")
+        pages = [decode_block_columnar(bytes(payload)) for _ in range(2)]
+        with pytest.raises(ValueError, match="'ids'.*overrun"):
+            pages[0].ids  # noqa: B018
+        with pytest.raises(ValueError, match="'ids'.*overrun"):
+            TupleBatch.concat(pages)
+
 
 class TestLazyViews:
     def test_columns_materialize_on_touch(self):
@@ -170,6 +204,147 @@ class TestLazyViews:
         np.testing.assert_array_equal(lazy.labels, batch.labels)
         with pytest.raises(KeyError):
             lazy.dense  # noqa: B018
+
+
+# ----------------------------------------------------------------------
+# Run decode: TupleBatch.concat over lazy pages
+# ----------------------------------------------------------------------
+
+_WIDE = 70_000  # sparse indices above 2**16 pack to width 4
+
+
+@st.composite
+def _page(draw, sparse: bool, d: int) -> TupleBatch:
+    """One page's batch: empty pages, zero-nnz rows, every ids encoding."""
+    n = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ids_kind = draw(st.sampled_from(["sorted", "shuffled", "negative", "wide"]))
+    base = {"sorted": 0, "shuffled": 0, "negative": -50, "wide": 1 << 33}[ids_kind]
+    ids = base + np.sort(rng.choice(400, size=n, replace=False)).astype(np.int64)
+    if ids_kind == "shuffled":
+        ids = rng.permutation(ids)
+    labels = rng.standard_normal(n)
+    if not sparse:
+        return TupleBatch(ids, labels, d, dense=rng.standard_normal((n, d)))
+    high = draw(st.sampled_from([d, min(d, 200)]))  # mixed packed widths
+    nnz = rng.integers(0, min(high, 4) + 1, size=n) * (rng.random(n) < 0.8)  # zero-nnz rows too
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nnz, out=indptr[1:])
+    indices = np.concatenate(
+        [np.sort(rng.choice(high, size=k, replace=False)) for k in nnz] + [np.zeros(0, int)]
+    ).astype(np.int64)
+    return TupleBatch(
+        ids, labels, d, indptr=indptr, indices=indices, values=rng.standard_normal(indices.size)
+    )
+
+
+@st.composite
+def _run(draw):
+    sparse = draw(st.booleans())
+    d = draw(st.sampled_from([3, 40, _WIDE])) if sparse else draw(st.integers(1, 6))
+    return [draw(_page(sparse, d)) for _ in range(draw(st.integers(1, 12)))]
+
+
+def _lazy_pages(payloads, touched=(), verify=False):
+    pages = [decode_block_columnar(p, verify_chunks=verify) for p in payloads]
+    for i, name in touched:
+        getattr(pages[i], name)  # a column some single-page consumer materialised
+    return pages
+
+
+class TestRunDecode:
+    """A run of lazy pages decodes column by column in one pass, equal to
+    materialising every page and concatenating."""
+
+    @given(batches=_run(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_page_materialize_then_concat(self, batches, data):
+        payloads = [encode_block_columnar(b) for b in batches]
+        sparse = batches[0].is_sparse
+        names = ("ids", "labels") + (("indptr", "indices", "values") if sparse else ("dense",))
+        page_column = st.tuples(st.integers(0, len(batches) - 1), st.sampled_from(names))
+        touched = data.draw(st.lists(page_column, max_size=4))
+        pages = _lazy_pages(payloads, touched)
+        got = TupleBatch.concat(pages)
+        want = TupleBatch.concat([p.materialize() for p in _lazy_pages(payloads)])
+        if len(pages) == 1:
+            assert got is pages[0]  # a one-page run stays the lazy page
+            got = got.materialize()
+        for name in names:
+            a, b = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            if len(pages) > 1:
+                assert a.flags.c_contiguous and a.flags.writeable, name
+        if len(pages) > 1:  # the run's arrays belong to the block, not the pages
+            assert [p.materialized_columns for p in pages] == [
+                p.materialized_columns for p in _lazy_pages(payloads, touched)
+            ]
+
+    def test_mixed_encodings_in_one_run(self):
+        """Raw int64 ids, packed widths 1/2/4/8 and delta/plain pages side by side."""
+        batches = [
+            _random_batch(0, 5, 3, False),
+            TupleBatch(np.array([7, -3, 2]), np.zeros(3), 3, dense=np.ones((3, 3))),
+            TupleBatch(np.array([9]), np.zeros(1), 3, dense=np.ones((1, 3))),
+            TupleBatch(np.array([1 << 40, 5]), np.zeros(2), 3, dense=np.ones((2, 3))),
+            TupleBatch(np.zeros(0, np.int64), np.zeros(0), 3, dense=np.ones((0, 3))),
+            TupleBatch(np.array([300, 70_000]), np.zeros(2), 3, dense=np.ones((2, 3))),
+        ]
+        refs = [read_columnar_header(encode_block_columnar(b))[3][0] for b in batches]
+        assert {(r.enc, r.width, r.delta) for r in refs} >= {(ENC_I64, 8, 0), (ENC_PACKED, 8, 0)}
+        payloads = [encode_block_columnar(b) for b in batches]
+        got = TupleBatch.concat(_lazy_pages(payloads))
+        np.testing.assert_array_equal(got.ids, np.concatenate([b.ids for b in batches]))
+        np.testing.assert_array_equal(got.dense, np.concatenate([b.dense for b in batches]))
+
+    def test_eager_batches_in_a_lazy_run(self):
+        batches = [_random_batch(s, 6, 30, True) for s in range(4)]
+        pages = _lazy_pages([encode_block_columnar(b) for b in batches])
+        run = [pages[0].slice(2, 6), pages[1], batches[2], pages[3]]
+        got = TupleBatch.concat(run)
+        want = TupleBatch.concat([p if isinstance(p, TupleBatch) else p.materialize() for p in run])
+        _assert_batches_equal(want, got)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_kept_pages_decode_again_and_stack_materialised_columns(self, sparse):
+        """Pages a pool keeps are run-decoded again on every use, and once
+        every page holds a column its arrays are stacked instead."""
+        batches = [_random_batch(s, 9, 30, sparse) for s in range(5)]
+        pages = _lazy_pages([encode_block_columnar(b) for b in batches])
+        want = TupleBatch.concat(batches)
+        first, second = TupleBatch.concat(pages), TupleBatch.concat(pages)
+        assert not any(p.materialized_columns for p in pages)
+        for page in pages:
+            page.materialize()
+        third = TupleBatch.concat(pages)
+        for got in (first, second, third):
+            _assert_batches_equal(want, got)
+            assert got.ids.flags.writeable
+        assert not np.shares_memory(first.labels, second.labels)
+        assert not np.shares_memory(third.labels, pages[0].labels)
+
+    @given(batches=_run(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_flipped_chunk_byte_fails_its_crc(self, batches, data):
+        payloads = [bytearray(encode_block_columnar(b)) for b in batches]
+        chunks = [
+            (i, ref)
+            for i, p in enumerate(payloads)
+            for ref in read_columnar_header(bytes(p))[3]
+            if ref.length
+        ]
+        if not chunks:
+            return
+        i, ref = data.draw(st.sampled_from(chunks))
+        payloads[i][ref.offset + data.draw(st.integers(0, ref.length - 1))] ^= 0x5A
+        pages = _lazy_pages([bytes(p) for p in payloads], verify=True)
+        with pytest.raises(ChecksumError, match=f"column chunk {COLUMN_NAMES[ref.col]!r}"):
+            if len(pages) > 1:
+                TupleBatch.concat(pages)
+            else:
+                pages[0].materialize()
 
 
 @pytest.fixture()

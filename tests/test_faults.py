@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CorgiPileDataset, DataLoader
-from repro.data import make_binary_dense
+from repro.data import make_binary_dense, make_binary_sparse
 from repro.db import MiniDB
 from repro.faults import (
     FaultPlan,
@@ -38,9 +38,11 @@ from repro.storage import (
     BufferPool,
     ChecksumError,
     HeapFile,
+    LazyTupleBatch,
     ReadExhaustedError,
     RetryPolicy,
     TransientReadError,
+    TupleBatch,
     write_block_file,
 )
 
@@ -418,3 +420,37 @@ class TestWarmPoolFaultLedger:
         for warm_model, cold_model in zip(warm_models, cold_models):
             for key in warm_model.params:
                 np.testing.assert_array_equal(warm_model.params[key], cold_model.params[key])
+
+
+class TestRunDecodeFaultLedger:
+    """A block of columnar pages decoded as one run reads what a per-page
+    materialise reads: two TRAINs on a faulty sparse columnar table keep the
+    ledger and the weights of an engine whose ``concat`` materialises every
+    page before stacking."""
+
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1"
+
+    def _run(self):
+        db = MiniDB(page_bytes=1024, pool_pages=6)
+        data = make_binary_sparse(600, 300, nnz_per_row=8, separation=1.0, seed=11)
+        db.create_table("t", data, layout="columnar")
+        plan = FaultPlan.random(CHAOS_SEED + 5, p_transient=0.3, p_torn=0.3, max_failures=2)
+        stats = db.inject_faults("t", plan)
+        models = [db.execute(self.SQL).model for _ in range(2)]
+        return stats.as_dict(), models
+
+    def test_ledger_equals_per_page_materialize(self, monkeypatch):
+        run, run_models = self._run()
+        stack = TupleBatch.concat.__func__
+
+        def per_page(cls, batches):
+            pages = [b.materialize() if isinstance(b, LazyTupleBatch) else b for b in batches]
+            return stack(cls, pages)
+
+        monkeypatch.setattr(TupleBatch, "concat", classmethod(per_page))
+        ref, ref_models = self._run()
+        assert run["retries"] > 0 and run["checksum_failures"] > 0
+        assert run == ref
+        for model, ref_model in zip(run_models, ref_models):
+            for key in model.params:
+                np.testing.assert_array_equal(model.params[key], ref_model.params[key])

@@ -405,3 +405,60 @@ class TestBadInputRaisesAsNumpy:
         assert not kernels._compiled(kernels._LIB, w, b, 0, X, y, order, 0.1, 0.1, True)
         np.testing.assert_array_equal(w, np.ones(4))
         assert b[0] == 1.0
+
+
+class TestCsrDot:
+    """The sparse decision ``X @ w``: the compiled loop gives ``SparseMatrix.dot``'s
+    bits, and input it cannot address falls back to it."""
+
+    @staticmethod
+    def _matrices():
+        X, _ = _sparse_problem(n=60, d=80, nnz=7, seed=3)
+        empty = SparseRow(np.zeros(0, int), np.zeros(0), 80)
+        rows = [X.row(i) if i % 7 else empty for i in range(60)]
+        with_empty_rows = SparseMatrix.from_rows(rows, 80)
+        zero_nnz = SparseMatrix(np.zeros(5, np.int64), np.zeros(0, np.int64), np.zeros(0), (4, 80))
+        return [X, with_empty_rows, zero_nnz, SparseMatrix.from_rows([], 80)]
+
+    @pytest.mark.parametrize("impl", ["default", "numpy"])
+    def test_bitwise_equal_to_numpy(self, impl, monkeypatch):
+        if impl == "numpy":
+            monkeypatch.setattr(kernels, "_LIB", None)
+        for X in self._matrices():
+            for seed in range(5):
+                model = LogisticRegression(80, init_scale=1.0, seed=seed)
+                model.params["b"][0] = 0.25
+                want = X.dot(model.w)
+                np.testing.assert_array_equal(kernels.csr_dot(X, model.w), want)
+                np.testing.assert_array_equal(model.decision_function(X), want + 0.25)
+
+    @requires_c
+    def test_compiled_path_runs(self):
+        X = self._matrices()[1]
+        w = np.random.default_rng(0).standard_normal(80)
+        np.testing.assert_array_equal(kernels._compiled_csr_dot(kernels._LIB, X, w), X.dot(w))
+
+    @requires_c
+    def test_unaddressable_input_falls_back(self):
+        X = self._matrices()[0]
+        w = np.random.default_rng(1).standard_normal(80)
+        strided_w = np.repeat(w, 2)[::2]
+        int32 = SparseMatrix(X.indptr, X.indices, X.data, X.shape)
+        int32.indices = X.indices.astype(np.int32)
+        strided = SparseMatrix(X.indptr, X.indices, X.data, X.shape)
+        strided.data = np.repeat(X.data, 2)[::2]
+        for A, v in ((X, strided_w), (int32, w), (strided, w)):
+            assert kernels._compiled_csr_dot(kernels._LIB, A, v) is None
+            np.testing.assert_array_equal(kernels.csr_dot(A, v), X.dot(w))
+
+    def test_bad_indices_behave_as_numpy(self):
+        X = self._matrices()[0]
+        w = np.random.default_rng(2).standard_normal(80)
+        bad = SparseMatrix(X.indptr, X.indices.copy(), X.data, X.shape)
+        bad.indices[3] = -2  # numpy wraps a negative index
+        np.testing.assert_array_equal(kernels.csr_dot(bad, w), bad.dot(w))
+        bad.indices[3] = 80
+        with pytest.raises(IndexError):
+            kernels.csr_dot(bad, w)
+        if kernels.IMPL == "c":
+            assert kernels._compiled_csr_dot(kernels._LIB, bad, w) is None
