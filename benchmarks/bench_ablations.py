@@ -21,7 +21,7 @@ from conftest import emit, report_table
 
 from repro.core import CorgiPileShuffle
 from repro.data import BlockLayout
-from repro.db import MiniDB, SegmentedMiniDB, TrainQuery
+from repro.db import MiniDB, SegmentedMiniDB, TrainSpec
 from repro.ml import ExponentialDecay, LogisticRegression, Trainer
 from repro.shuffle import BlockOnlyShuffle
 from repro.storage import SSD_SCALED
@@ -117,8 +117,8 @@ def test_ablation_tuple_shuffle_vs_block_size(benchmark, glm_problems):
 
 def test_ablation_distributed_scaling(benchmark, glm_problems):
     train, test = glm_problems["susy"]
-    query = TrainQuery(
-        table="t", model="lr", learning_rate=0.5, max_epoch_num=5,
+    spec = TrainSpec(
+        table="t", model="lr", lr=0.5, epochs=5,
         block_size=4096, batch_size=64, strategy="corgipile",
     )
 
@@ -129,14 +129,14 @@ def test_ablation_distributed_scaling(benchmark, glm_problems):
             {
                 "segments": 1,
                 "final_acc": round(
-                    single.train(query, test=test).history.final.test_score, 4
+                    single.train(spec, test=test).history.final.test_score, 4
                 ),
             }
         ]
         for n_segments in (2, 4):
             db = SegmentedMiniDB(n_segments, device=SSD_SCALED)
             db.create_table("t", train, distribution_block=40)
-            result = db.train(query, test=test)
+            result = db.train(spec, test=test)
             rows.append(
                 {
                     "segments": n_segments,

@@ -51,7 +51,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.data import load, ordered_by_feature  # noqa: E402
-from repro.db import MiniDB, TrainQuery  # noqa: E402
+from repro.db import MiniDB, TrainSpec  # noqa: E402
 from repro.db.query import CreateIndexQuery, parse_predicate  # noqa: E402
 
 SNAPSHOT_PATH = REPO_ROOT / "BENCH_index.json"
@@ -73,18 +73,18 @@ def _table(db: MiniDB, n_tuples: int):
 
 
 def _run(db: MiniDB, predicate: str) -> dict:
-    query = TrainQuery(
+    spec = TrainSpec(
         table="t",
         model="lr",
         strategy="corgipile",
-        max_epoch_num=EPOCHS,
-        learning_rate=0.05,
+        epochs=EPOCHS,
+        lr=0.05,
         block_size=8 * 1024,
         buffer_fraction=0.1,
         seed=0,
         where=parse_predicate(predicate),
     )
-    decision = db.train(query).query.extra["where"]
+    decision = db.train(spec).query.extra["where"]
     return {
         "predicate": predicate,
         "n_matching": decision["n_matching"],

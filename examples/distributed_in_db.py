@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.bench import format_table
 from repro.data import clustered_by_label, make_binary_dense
-from repro.db import MiniDB, SegmentedMiniDB, TrainQuery
+from repro.db import MiniDB, SegmentedMiniDB, TrainSpec
 from repro.storage import SSD_SCALED
 
 
@@ -22,11 +22,11 @@ def main() -> None:
     train, test = dataset.split(0.9, seed=1)
     clustered = clustered_by_label(train, seed=0)
 
-    query = TrainQuery(
+    spec = TrainSpec(
         table="t",
         model="lr",
-        learning_rate=0.5,
-        max_epoch_num=8,
+        lr=0.5,
+        epochs=8,
         block_size=4096,
         batch_size=64,
         strategy="corgipile",
@@ -35,7 +35,7 @@ def main() -> None:
     rows = []
     single = MiniDB(device=SSD_SCALED, page_bytes=1024)
     single.create_table("t", clustered)
-    local = single.train(query, test=test)
+    local = single.train(spec, test=test)
     rows.append(
         {
             "engine": "single",
@@ -48,7 +48,7 @@ def main() -> None:
     for n_segments in (2, 4, 8):
         db = SegmentedMiniDB(n_segments, device=SSD_SCALED)
         db.create_table("t", clustered, distribution_block=40)
-        result = db.train(query, test=test)
+        result = db.train(spec, test=test)
         rows.append(
             {
                 "engine": "segmented",

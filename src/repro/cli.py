@@ -21,8 +21,8 @@ Commands
               is bit-identical to the fault-free run; ``--layout columnar``
               drives the chunk-pruned read path so faults land on column
               chunks
-``migrate``   rewrite a row-format block file or heap file as columnar in
-              place (atomic, CRC-verified, resumable) and print the report
+``migrate``   rewrite a row block file as columnar in place (atomic,
+              CRC-verified, resumable) and print the report
 ``obs-report``  render (and optionally validate) an exported trace file as
               the human span-tree/metrics summary
 ``serve``     run the long-lived multi-client training daemon (sessions,
@@ -55,7 +55,7 @@ from .data import (
     write_csv,
     write_libsvm,
 )
-from .db import MiniDB, TrainQuery
+from .db import MiniDB, TrainSpec
 from .db.plan import STRATEGIES
 from .ml import (
     ExponentialDecay,
@@ -321,16 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     mig = sub.add_parser(
         "migrate",
-        help="rewrite a row block file or heap file as columnar, in place",
+        help="rewrite a row block file as columnar, in place",
     )
-    mig.add_argument("path", help="data file (block file with index sidecar, or heap file)")
+    mig.add_argument("path", help="row block file (with its index sidecar)")
     mig.add_argument(
         "--no-verify", action="store_true",
         help="skip the per-block decode round-trip check before accepting blocks",
-    )
-    mig.add_argument(
-        "--block-bytes", type=int, default=64 * 1024,
-        help="heap sources only: page-run grouping per columnar block (default 64KB)",
     )
     mig.add_argument("--json", help="also write the migration report to this path")
 
@@ -488,18 +484,43 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _where_and_grid(args, db: MiniDB, table: str):
-    """The ``--where`` / ``--index`` / ``--grid`` flags ``train`` and
-    ``explain`` share: build the index first, so the planner can pick it."""
-    from .db.query import CreateIndexQuery, _parse_grid, parse_predicate
+def _where_and_grid(args) -> dict:
+    """The ``--where`` / ``--grid`` flags ``train`` and ``explain`` share, as
+    ``TrainSpec`` fields."""
+    from .db.query import _parse_grid, parse_predicate
+
+    return {
+        "where": parse_predicate(args.where) if args.where else None,
+        "grid": _parse_grid(args.grid) if args.grid else None,
+    }
+
+
+def _create_index(args, db: MiniDB, table: str) -> None:
+    """``--index``: built before planning, so the planner can pick it."""
+    from .db.query import CreateIndexQuery
 
     if args.index:
         db.create_index(
             CreateIndexQuery(name=f"ix_{args.index}", table=table, column=args.index)
         )
-    return (
-        parse_predicate(args.where) if args.where else None,
-        _parse_grid(args.grid) if args.grid else None,
+
+
+def _train_spec(args, table: str, tuple_bytes: float) -> TrainSpec:
+    """The TRAIN statement the ``train`` flags spell, on ``table``."""
+    return TrainSpec(
+        table=table,
+        model=args.model,
+        strategy=args.strategy,
+        lr=args.lr,
+        decay=args.decay,
+        epochs=min(args.epochs, 3) if args.quick else args.epochs,
+        batch_size=args.batch_size,
+        buffer_fraction=args.buffer_fraction,
+        block_size=max(4096, int(args.block_tuples * tuple_bytes)),
+        seed=args.seed,
+        fused=True,
+        workers=args.workers,
+        **_where_and_grid(args),
     )
 
 
@@ -517,25 +538,9 @@ def _cmd_train(args) -> int:
     train_set, test_set = dataset.split(1.0 - args.test_fraction, seed=args.seed)
     with MiniDB(page_bytes=4096) as db:
         info = db.create_table("t", train_set)
-        where, grid = _where_and_grid(args, db, "t")
-        query = TrainQuery(
-            table="t",
-            model=args.model,
-            strategy=args.strategy,
-            learning_rate=args.lr,
-            decay=args.decay,
-            max_epoch_num=min(args.epochs, 3) if args.quick else args.epochs,
-            batch_size=args.batch_size,
-            buffer_fraction=args.buffer_fraction,
-            block_size=max(4096, int(args.block_tuples * info.tuple_bytes)),
-            seed=args.seed,
-            fused=True,
-            workers=args.workers,
-            where=where,
-            grid=grid,
-        )
+        _create_index(args, db, "t")
         try:
-            result = db.train(query, test=test_set)
+            result = db.train(_train_spec(args, "t", info.tuple_bytes), test=test_set)
         except EngineError as exc:
             raise SystemExit(f"train: {exc}") from None
     if args.grid:
@@ -628,17 +633,16 @@ def _cmd_explain(args) -> int:
     dataset = _apply_order(load(args.dataset, seed=0), args.order, 0)
     db = MiniDB(device=device_by_name(args.device), page_bytes=1024)
     db.create_table(args.dataset, dataset)
-    where, grid = _where_and_grid(args, db, args.dataset)
-    query = TrainQuery(
+    _create_index(args, db, args.dataset)
+    spec = TrainSpec(
         table=args.dataset,
         model=args.model,
         strategy=args.strategy,
         block_size=args.block_size,
         buffer_fraction=args.buffer_fraction,
-        where=where,
-        grid=grid,
+        **_where_and_grid(args),
     )
-    print(db.explain(query))
+    print(db.explain(spec))
     return 0
 
 
@@ -1014,10 +1018,9 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_migrate(args) -> int:
-    """Rewrite a row-format data file as columnar in place and report.
+    """Rewrite a row block file as columnar in place and report.
 
-    Detects the source kind (block file with index sidecar vs heap file),
-    converts block by block with per-block CRC + optional decode round-trip
+    Converts block by block with per-block CRC + optional decode round-trip
     verification, journals progress so an interrupted run resumes, and
     finishes with an atomic replace — an already-columnar file is a no-op.
     """
@@ -1025,9 +1028,7 @@ def _cmd_migrate(args) -> int:
 
     from .storage import migrate_file
 
-    report = migrate_file(
-        args.path, verify=not args.no_verify, block_bytes=args.block_bytes
-    )
+    report = migrate_file(args.path, verify=not args.no_verify)
     doc = report.to_doc()
     if report.skipped:
         print(f"{args.path}: already columnar ({report.n_blocks} blocks), nothing to do")

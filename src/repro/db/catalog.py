@@ -344,10 +344,8 @@ def _page_batches(heap: HeapFile) -> Iterator[TupleBatch]:
 def _keyed_rids(heap: HeapFile, columns) -> dict[str, list[tuple[float, RID]]]:
     """``column -> [(key, rid), ...]`` over every live row, in heap order."""
     out: dict[str, list[tuple[float, RID]]] = {column: [] for column in columns}
-    position = 0
-    for batch in _page_batches(heap):
-        rids = [heap.rid_of(position + row) for row in range(len(batch))]
-        position += len(rids)
+    for page_id, batch in enumerate(_page_batches(heap)):
+        rids = [RID(page_id, slot) for slot in heap.batch_slots(page_id, len(batch))]
         X = batch.features_matrix()
         for column, pairs in out.items():
             pairs.extend(zip(column_values(column, X, batch.labels).tolist(), rids))

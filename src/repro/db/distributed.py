@@ -32,10 +32,10 @@ from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record, run_epoc
 from ..storage.codec import RowStream, TupleBatch
 from ..storage.iomodel import SSD, DeviceModel
 from .catalog import Catalog, TableInfo
-from .engine import ENGINE_PROFILE
+from .engine import ENGINE_PROFILE, build_model
 from .errors import EngineError, UnknownTableError
 from .operators import BlockShuffleOperator, TupleShuffleOperator
-from .query import TrainQuery
+from .spec import TrainSpec
 from .timeline import Timeline
 from .timing import ComputeProfile, RuntimeContext
 
@@ -119,41 +119,39 @@ class SegmentedMiniDB:
             raise UnknownTableError(name) from None
 
     # ------------------------------------------------------------------
-    def train(self, query: TrainQuery, test: Dataset | None = None) -> DistributedTrainResult:
+    def train(self, spec: TrainSpec, test: Dataset | None = None) -> DistributedTrainResult:
         """Run a distributed TRAIN query with gradient-synchronised SGD."""
-        if query.strategy != "corgipile":
+        if spec.strategy != "corgipile":
             raise EngineError(
                 "the distributed engine implements the corgipile access path"
             )
-        if query.batch_size % self.n_segments != 0:
+        if spec.batch_size % self.n_segments != 0:
             raise EngineError(
-                f"batch_size ({query.batch_size}) must be divisible by "
+                f"batch_size ({spec.batch_size}) must be divisible by "
                 f"n_segments ({self.n_segments}) for gradient synchronisation"
             )
-        tables = self.segment_tables(query.table)
-        full_dataset = self._datasets[query.table]
+        tables = self.segment_tables(spec.table)
+        full_dataset = self._datasets[spec.table]
 
-        from .engine import MiniDB  # reuse the model factory
-
-        model = MiniDB()._build_model(query.spec(), tables[0])
+        model = build_model(spec, tables[0])
         optimizer: Optimizer = SGD(model)
-        schedule = ExponentialDecay(query.learning_rate, query.decay)
-        per_segment_batch = max(1, query.batch_size // self.n_segments)
+        schedule = ExponentialDecay(spec.lr, spec.decay)
+        per_segment_batch = max(1, spec.batch_size // self.n_segments)
 
         contexts = [
             RuntimeContext(
                 device=self.device,
                 compute=self.compute,
-                double_buffer=query.double_buffer,
+                double_buffer=spec.double_buffer,
                 values_per_tuple=table.values_per_tuple,
             )
             for table in tables
         ]
         pipelines = []
         for table, ctx in zip(tables, contexts):
-            scan = BlockShuffleOperator(table, ctx, query.block_size, seed=query.seed)
-            buffer_tuples = max(1, round(query.buffer_fraction * table.n_tuples))
-            pipelines.append(TupleShuffleOperator(scan, ctx, buffer_tuples, seed=query.seed))
+            scan = BlockShuffleOperator(table, ctx, spec.block_size, seed=spec.seed)
+            buffer_tuples = max(1, round(spec.buffer_fraction * table.n_tuples))
+            pipelines.append(TupleShuffleOperator(scan, ctx, buffer_tuples, seed=spec.seed))
         history = ConvergenceHistory(
             strategy=f"distributed-corgipile x{self.n_segments}",
             model=type(model).__name__,
@@ -206,7 +204,7 @@ class SegmentedMiniDB:
                 units,
                 evaluate,
                 history=history,
-                epochs=query.max_epoch_num,
+                epochs=spec.epochs,
                 schedule=schedule,
                 fused=False,
                 knobs={},

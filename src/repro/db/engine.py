@@ -70,7 +70,6 @@ from .query import (
     InsertQuery,
     PredictQuery,
     SelectQuery,
-    TrainQuery,
     UpdateQuery,
     parse_query,
 )
@@ -98,6 +97,28 @@ ENGINE_PROFILE = ComputeProfile(
 
 # The table task each model family trains on.
 _MODEL_TASK = {"lr": "binary", "svm": "binary", "linreg": "regression", "softmax": "multiclass"}
+
+
+def build_model(spec: TrainSpec, table: TableInfo, l2: float | None = None) -> SupervisedModel:
+    """A fresh model of ``spec``'s family sized for ``table``; ``l2``
+    overrides the spec's (a grid config's own regulariser).  A model whose
+    task the table does not hold is an :class:`EngineError`."""
+    from ..ml.models.linear import LinearRegression, LinearSVM, LogisticRegression
+    from ..ml.models.softmax import SoftmaxRegression
+
+    dataset = table.dataset
+    needs = _MODEL_TASK[spec.model]
+    if dataset.task != needs:
+        raise EngineError(
+            f"model {spec.model!r} needs a {needs} table; "
+            f"{table.name!r} is {dataset.task}"
+        )
+    l2 = spec.l2 if l2 is None else l2
+    kwargs = {} if l2 is None else {"l2": float(l2)}
+    if spec.model == "softmax":
+        return SoftmaxRegression(dataset.n_features, dataset.n_classes, **kwargs)
+    family = {"lr": LogisticRegression, "svm": LinearSVM, "linreg": LinearRegression}
+    return family[spec.model](dataset.n_features, **kwargs)
 
 
 @dataclass
@@ -128,7 +149,8 @@ class TrainResult:
     history: ConvergenceHistory
     timeline: Timeline
     resources: ResourceUsage
-    query: TrainQuery
+    #: The statement as run: the strategy resolved, ``extra`` filled in.
+    query: TrainSpec
 
 
 @dataclass
@@ -255,15 +277,14 @@ class MiniDB:
             return self.drop_index(query)
         return self.train(query, test=test)
 
-    def plan(self, query: TrainQuery) -> PhysicalPlan:
-        """The :class:`~repro.db.plan.PhysicalPlan` ``query`` runs as.
+    def plan(self, spec: TrainSpec) -> PhysicalPlan:
+        """The :class:`~repro.db.plan.PhysicalPlan` ``spec`` runs as.
 
         The one place a TRAIN statement meets this engine's catalog, device,
         compute profile and the table's κ history — ``train`` executes the
         result, ``explain`` renders it, and the serve daemon admits a job by
         planning it here.
         """
-        spec = TrainSpec.from_query(query)
         return physical_plan(
             spec,
             self.catalog.get(spec.table),
@@ -272,24 +293,11 @@ class MiniDB:
             self._kappa_history.get(spec.table),
         )
 
-    def explain(self, query: TrainQuery) -> str:
-        """Render the physical plan a TRAIN query would execute."""
-        return explain_train_plan(self.plan(query))
+    def explain(self, spec: TrainSpec) -> str:
+        """Render the physical plan a TRAIN statement would execute."""
+        return explain_train_plan(self.plan(spec))
 
     # ------------------------------------------------------------------
-    def _build_model(
-        self, spec: TrainSpec, table: TableInfo, l2: float | None = None
-    ) -> SupervisedModel:
-        dataset = table.dataset
-        needs = _MODEL_TASK[spec.model]
-        if dataset.task != needs:
-            raise EngineError(
-                f"model {spec.model!r} needs a {needs} table; "
-                f"{table.name!r} is {dataset.task}"
-            )
-        n_classes = dataset.n_classes if needs == "multiclass" else None
-        return spec.build_model(dataset.n_features, n_classes, l2=l2)
-
     def _build_pipeline(self, plan: PhysicalPlan, table: TableInfo, ctx: RuntimeContext):
         """Instantiate the plan tree's operators; ``(pipeline, leaf scan)``."""
         spec, seed = plan.spec, plan.spec.seed
@@ -387,7 +395,7 @@ class MiniDB:
 
     def train(
         self,
-        query: TrainQuery,
+        spec: TrainSpec,
         test: Dataset | None = None,
         *,
         checkpoint: CheckpointConfig | None = None,
@@ -396,9 +404,10 @@ class MiniDB:
     ) -> TrainResult:
         """Plan the statement, run the plan on its executor, finish once.
 
-        ``query.extra`` is the output channel: the plan document
-        (``"plan"``, what EXPLAIN renders), the advisor's and the WHERE
-        planner's decisions, and what the executor measured.
+        The result's ``query`` is ``spec`` with the planned strategy, and its
+        ``extra`` is the output channel: the plan document (``"plan"``, what
+        EXPLAIN renders), the advisor's and the WHERE planner's decisions,
+        and what the executor measured.
 
         The keyword arguments are the job seam, reachable from no SQL: the
         executor saves ``checkpoint`` on its cadence and resumes from the
@@ -409,22 +418,22 @@ class MiniDB:
         calls ``on_progress(doc)`` per finished epoch on the heap executor
         and per slot for a grid (a data-parallel run reports none).
         """
-        plan = self.plan(query)
-        query = replace(query, strategy=plan.strategy)
-        query.extra["plan"] = plan.to_doc()
+        plan = self.plan(spec)
+        spec = replace(spec, strategy=plan.strategy)
+        spec.extra["plan"] = plan.to_doc()
         if plan.advisor is not None:
-            query.extra["planner"] = plan.advisor.describe()
-            query.extra["advisor"] = plan.advisor.to_doc()
+            spec.extra["planner"] = plan.advisor.describe()
+            spec.extra["advisor"] = plan.advisor.to_doc()
         if plan.where is not None:
-            query.extra["where"] = dict(plan.where)
+            spec.extra["where"] = dict(plan.where)
         run = self._run_heap if plan.executor == "heap" else self._run_blockfile
         return run(
-            plan, self.catalog.get(query.table), query, test,
+            plan, self.catalog.get(spec.table), spec, test,
             checkpoint, should_stop, on_progress,
         )
 
     def _run_heap(
-        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None,
+        self, plan: PhysicalPlan, table: TableInfo, spec: TrainSpec, test: Dataset | None,
         checkpoint, should_stop, on_progress,
     ) -> TrainResult:
         """The Volcano pipeline over the table's heap, on the simulated clock.
@@ -435,7 +444,6 @@ class MiniDB:
         the block/buffer shuffle visits tuples bit-identically to plain
         CorgiPile over that copy — without writing it.
         """
-        spec = plan.spec
         table.pool.cold_start()  # every statement starts on a cold cache
         source, extra_disk = table, 0.0
         if plan.strategy == "shuffle_once":
@@ -462,7 +470,7 @@ class MiniDB:
             values_per_tuple=values_per_tuple,
             compressed_bytes_per_tuple=stored_tuple_bytes if source.heap.compress else 0.0,
         )
-        model = self._warm_start(spec, self._build_model(spec, source))
+        model = self._warm_start(spec, build_model(spec, source))
         pipeline, scan = self._build_pipeline(plan, source, ctx)
         sgd = SGDOperator(
             pipeline,
@@ -508,7 +516,7 @@ class MiniDB:
             ) from exc
 
         if isinstance(scan, RidBlockShuffleOperator):
-            query.extra["where"]["physical"] = {
+            spec.extra["where"]["physical"] = {
                 "blocks_loaded": scan.blocks_loaded,
                 "pages_fetched": scan.pages_fetched,
                 "device_page_reads": scan.device_page_reads,
@@ -525,12 +533,12 @@ class MiniDB:
             compute_seconds=ctx.total_compute_s,
         )
         return self._finish(
-            plan, query, model, history, sgd.epoch_wall_times, plan.setup_s, resources,
+            plan, spec, model, history, sgd.epoch_wall_times, plan.setup_s, resources,
             measured_walls=sgd.measured_wall_times,
         )
 
     def _run_blockfile(
-        self, plan: PhysicalPlan, table: TableInfo, query: TrainQuery, test: Dataset | None,
+        self, plan: PhysicalPlan, table: TableInfo, spec: TrainSpec, test: Dataset | None,
         checkpoint, should_stop, on_progress,
     ) -> TrainResult:
         """Sharded CorgiPile over a block file, in real worker processes.
@@ -555,13 +563,13 @@ class MiniDB:
         from ..parallel import HopperEngine, ParallelTrainer
         from ..storage import write_block_file
 
-        spec, dataset, P = plan.spec, table.dataset, plan.n_shards
+        dataset, P = table.dataset, plan.n_shards
         if spec.grid is None:
-            models = [self._build_model(spec, table)]
+            models = [build_model(spec, table)]
         else:
             configs = spec.grid.configs()
             resolved = [c.resolve(spec) for c in configs]
-            models = [self._build_model(spec, table, l2=r["l2"]) for r in resolved]
+            models = [build_model(spec, table, l2=r["l2"]) for r in resolved]
         per_worker = max(1, math.ceil(spec.batch_size / P))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{table.name}.blocks"
@@ -625,7 +633,7 @@ class MiniDB:
                     "never holds that many; lower batch_size or workers"
                 )
             model, history, walls = models[0], result.history, result.epoch_walls
-            query.extra["parallel"] = {
+            spec.extra["parallel"] = {
                 "n_workers": result.n_workers,
                 "mode": result.mode,
                 "sync_steps": result.sync_steps,
@@ -649,13 +657,13 @@ class MiniDB:
                 for e in range(len(history.records))
             ]
             buffer_memory += len(models) * model.parameter_vector().size * 8
-            query.extra["hopper"] = {
+            spec.extra["hopper"] = {
                 "schedule": result.schedule.to_doc(),
                 "tuples_processed": result.tuples_processed,
                 "wall_seconds": round(result.wall_seconds, 6),
                 "plan": result.plan,
             }
-            query.extra["grid"] = {
+            spec.extra["grid"] = {
                 "n_configs": len(models),
                 "axes": {name: list(values) for name, values in spec.grid.axes},
                 "leaderboard": [
@@ -673,12 +681,12 @@ class MiniDB:
             io_seconds=0.0,
             compute_seconds=result.wall_seconds,
         )
-        return self._finish(plan, query, model, history, walls, setup_s, resources, grid=grid)
+        return self._finish(plan, spec, model, history, walls, setup_s, resources, grid=grid)
 
     def _finish(
         self,
         plan: PhysicalPlan,
-        query: TrainQuery,
+        spec: TrainSpec,
         model: SupervisedModel,
         history: ConvergenceHistory,
         epoch_walls,
@@ -702,13 +710,13 @@ class MiniDB:
             # learner is fed the *simulated* ones, which share units with the
             # device cost model the advisor prices candidates in (see
             # repro.db.advisor.learn_kappa).
-            query.extra.setdefault("advisor", {})["observed"] = {
+            spec.extra.setdefault("advisor", {})["observed"] = {
                 "epoch_wall_s": [round(w, 6) for w in measured_walls],
                 "total_wall_s": round(sum(measured_walls), 6),
                 "simulated_epoch_wall_s": [round(w, 6) for w in epoch_walls],
             }
             if epoch_walls:
-                self._kappa_history.setdefault(query.table, []).append(
+                self._kappa_history.setdefault(spec.table, []).append(
                     {
                         "strategy": plan.strategy,
                         "epoch_wall_s": [float(w) for w in epoch_walls],
@@ -716,8 +724,8 @@ class MiniDB:
                 )
         model_id = self.register_model(model)
         if grid is None:
-            return TrainResult(model_id, model, history, timeline, resources, query)
-        return GridTrainResult(model_id, model, history, timeline, resources, query, **grid)
+            return TrainResult(model_id, model, history, timeline, resources, spec)
+        return GridTrainResult(model_id, model, history, timeline, resources, spec, **grid)
 
     # ------------------------------------------------------------------
     def register_model(self, model: SupervisedModel, model_id: str | None = None) -> str:

@@ -15,7 +15,9 @@ parallelism knobs (``workers``, ``aggregation``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+import functools
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .errors import ParseError
 __all__ = [
     "Comparison",
     "Predicate",
-    "TrainQuery",
     "PredictQuery",
     "EvaluateQuery",
     "ExplainQuery",
@@ -258,52 +259,6 @@ def parse_predicate(text: str) -> Predicate:
     return Predicate(tuple(terms))
 
 
-@dataclass
-class TrainQuery:
-    """A parsed ``TRAIN BY`` statement."""
-
-    table: str
-    model: str
-    learning_rate: float = 0.1
-    decay: float = 0.95
-    max_epoch_num: int = 20
-    block_size: int = 10 * 1024**2
-    buffer_fraction: float = 0.1
-    batch_size: int = 1
-    strategy: str = "corgipile"
-    seed: int = 0
-    double_buffer: bool = True
-    #: Route per-tuple SGD through the fused step_block kernels.
-    fused: bool = False
-    #: Train with this many real worker processes (Section 5).  ``1`` keeps
-    #: the classic single-process Volcano pipeline; ``> 1`` routes the query
-    #: through :class:`repro.parallel.ParallelTrainer` over a materialised
-    #: block file, with ``aggregation`` picking the sync/epoch/async mode.
-    workers: int = 1
-    aggregation: str = "sync"
-    #: ``WHERE`` pushdown: train over the qualifying subset only, with the
-    #: planner choosing index-range scan vs full scan for the fetch.
-    where: Predicate | None = None
-    #: L2 regularisation override; ``None`` keeps each model's default.
-    l2: float | None = None
-    #: Device model name (``WITH device = 'nvm'``) the advisor costs against.
-    device: str | None = None
-    #: Start from a registered model id or ``.npz`` path instead of zeros.
-    warm_start: str | None = None
-    #: Hyperparameter sweep (``WITH grid = (lr = 0.1 | 0.01, ...)``) — a
-    #: :class:`repro.db.spec.GridSpec`; routes the query through the
-    #: model-hopper engine and returns a leaderboard.
-    grid: object | None = None
-    #: The engine's *output* channel (planner/advisor/where/parallel docs).
-    extra: dict = field(default_factory=dict)
-
-    def spec(self):
-        """The validated :class:`repro.db.spec.TrainSpec` for this query."""
-        from .spec import TrainSpec
-
-        return TrainSpec.from_query(self)
-
-
 @dataclass(frozen=True)
 class PredictQuery:
     """A parsed ``PREDICT BY`` statement."""
@@ -342,7 +297,7 @@ class EvaluateQuery:
 class ExplainQuery:
     """An ``EXPLAIN`` wrapper around a training statement."""
 
-    inner: TrainQuery
+    inner: TrainSpec
 
 
 @dataclass(frozen=True)
@@ -408,12 +363,16 @@ def _parse_value(raw: str):
 
 def parse_query(
     sql: str,
-) -> TrainQuery | PredictQuery | EvaluateQuery | ExplainQuery | SelectQuery:
-    """Parse one statement; raises :class:`ParseError` on malformed input."""
+) -> TrainSpec | PredictQuery | EvaluateQuery | ExplainQuery | SelectQuery:
+    """Parse one statement; raises :class:`ParseError` on malformed input
+    (and :class:`~repro.db.errors.SpecError` on a TRAIN knob value the
+    :class:`~repro.db.spec.TrainSpec` rejects)."""
+    from .spec import TrainSpec
+
     stripped = sql.lstrip()
     if stripped[:8].upper() == "EXPLAIN ":
         inner = parse_query(stripped[8:])
-        if not isinstance(inner, TrainQuery):
+        if not isinstance(inner, TrainSpec):
             raise ParseError("EXPLAIN is only supported for TRAIN BY statements")
         return ExplainQuery(inner)
     match = _CREATE_INDEX_RE.match(sql)
@@ -520,16 +479,26 @@ def parse_query(
 
 _GRID_RE = re.compile(r"grid\s*=\s*\(([^()]*)\)\s*,?", re.IGNORECASE)
 
-#: ``TrainQuery`` fields a ``WITH`` assignment may not set.
-_NOT_WITH_KNOBS = ("table", "model", "extra", "where")
+#: The two ``WITH`` keys spelled as in the paper's SQL, not as the field.
+_SQL_SPELLING = {"lr": "learning_rate", "epochs": "max_epoch_num"}
 
-#: Typed TrainQuery fields whose default is ``None`` — the generic
-#: ``type(default)(value)`` coercion below cannot handle them.
-_OPTIONAL_FIELD_COERCE = {
-    "l2": float,
-    "device": str,
-    "warm_start": str,
-}
+
+@functools.cache
+def _with_knobs() -> dict[str, tuple[str, type]]:
+    """``WITH`` key → (``TrainSpec`` field, the type its value is coerced
+    to): every field but the ``FROM`` / ``BY`` / ``WHERE`` clauses and the
+    output-only ``extra``."""
+    from .spec import TrainSpec
+
+    hints = typing.get_type_hints(TrainSpec)
+    knobs = {}
+    for f in fields(TrainSpec):
+        if f.init and f.name not in ("table", "model", "where"):
+            kind = hints[f.name]
+            # ``float | None`` and friends coerce to their non-None type.
+            kind = next((t for t in typing.get_args(kind) if t is not type(None)), kind)
+            knobs[_SQL_SPELLING.get(f.name, f.name)] = (f.name, kind)
+    return dict(sorted(knobs.items()))
 
 
 def _parse_grid(text: str):
@@ -560,27 +529,27 @@ def _parse_grid(text: str):
     return GridSpec.from_axes(axes)
 
 
-def _parse_train(match) -> TrainQuery:
+def _parse_train(match) -> TrainSpec:
+    from .spec import TrainSpec
+
     table, where_text, model, params_text = (
         match.group(1),
         match.group(2),
         match.group(3).lower(),
-        match.group(4),
+        match.group(4) or "",
     )
     if model not in MODEL_NAMES:
         raise ParseError(f"unknown model {model!r}; supported: {', '.join(MODEL_NAMES)}")
-    query = TrainQuery(table=table, model=model)
+    values: dict = {}
     if where_text:
-        query.where = parse_predicate(where_text)
-    if not params_text:
-        return query
+        values["where"] = parse_predicate(where_text)
     # The grid's parenthesised value list contains commas and ``=``; lift
     # it out whole before the flat per-assignment comma split below.
     grid_match = _GRID_RE.search(params_text)
     if grid_match:
-        query.grid = _parse_grid(grid_match.group(1))
+        values["grid"] = _parse_grid(grid_match.group(1))
         params_text = params_text[: grid_match.start()] + params_text[grid_match.end():]
-    knobs = sorted(f.name for f in fields(query) if f.name not in _NOT_WITH_KNOBS)
+    knobs = _with_knobs()
     for assignment in params_text.split(","):
         if not assignment.strip():
             continue
@@ -599,9 +568,9 @@ def _parse_train(match) -> TrainQuery:
                 f"unknown TRAIN knob {key!r}; WITH takes the typed fields of "
                 f"repro.db.spec.TrainSpec, spelled: {', '.join(knobs)}"
             )
-        coerce = _OPTIONAL_FIELD_COERCE.get(key) or type(getattr(query, key))
+        name, coerce = knobs[key]
         try:
-            setattr(query, key, coerce(_parse_value(raw)))
+            values[name] = coerce(_parse_value(raw))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad value for {key}: {raw.strip()!r}") from exc
-    return query
+    return TrainSpec(table=table, model=model, **values)

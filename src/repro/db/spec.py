@@ -1,17 +1,16 @@
-"""The typed TRAIN specification — one validated object for every entry point.
+"""The typed TRAIN specification — one frozen object for every entry point.
 
-``TrainQuery`` is the *parse* artifact: a mutable bag the SQL layer fills
-in.  Historically the knobs that had no typed field (``warm_start``,
-``device``, …) rode in ``query.extra`` alongside the engine's *output*
-annotations (planner/advisor/where docs), so a typo'd knob vanished
-silently and the serve journal had no canonical shape.  :class:`TrainSpec`
-is the redesign: a frozen, validated dataclass that the parser builds, the
-engine / job manager / CLI consume, and the wire protocol carries as one
-canonical document (``to_doc``/``from_doc``).
+:class:`TrainSpec` *is* the TRAIN statement: the parser builds it
+(``parse_query``), ``MiniDB.train`` / ``plan`` / ``explain``, the serve job
+manager and the CLI consume it unchanged, and the wire protocol carries it
+as one canonical document (``to_doc``/``from_doc``).  Its fields are typed
+and validated on construction, so a bad value is a :class:`SpecError`
+naming the field wherever the statement came from.
 
-``extra`` is the engine's **output** channel only (the planner writes its
-decision docs there).  An input knob left there (``warm_start``, ``device``,
-``l2``, ``grid``) is a :class:`SpecError` naming the typed field.
+``extra`` is the engine's **output** channel only: ``MiniDB.train`` writes
+its plan, advisor, WHERE and executor documents there on the resolved spec
+it returns as ``TrainResult.query``.  It is not a constructor argument, not
+part of equality and not in the document.
 
 Grids
 -----
@@ -27,10 +26,10 @@ makes every grid member bit-identical to training it alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import SpecError
-from .query import MODEL_NAMES, Predicate, TrainQuery
+from .query import MODEL_NAMES, Predicate
 
 __all__ = ["GridConfig", "GridSpec", "TrainSpec", "AGGREGATION_MODES"]
 
@@ -48,11 +47,6 @@ GRID_AXES = ("lr", "decay", "l2")
 
 #: Aliases accepted in grid axis names (SQL uses ``learning_rate``).
 _AXIS_ALIASES = {"learning_rate": "lr"}
-
-#: Typed input fields that once rode in ``extra={...}``; finding one there
-#: now is an error, never a silently ignored knob.  Anything else in
-#: ``extra`` is engine output and is left alone.
-_INPUT_FIELDS = ("warm_start", "device", "l2", "grid")
 
 
 def _positive(name: str, value, kind=float):
@@ -208,6 +202,8 @@ class TrainSpec:
     warm_start: str | None = None
     where: Predicate | None = None
     grid: GridSpec | None = None
+    #: The engine's output channel (plan / advisor / where / executor docs).
+    extra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.table or not isinstance(self.table, str):
@@ -233,6 +229,9 @@ class TrainSpec:
             raise SpecError(f"buffer_fraction must be in (0, 1], got {self.buffer_fraction!r}")
         object.__setattr__(self, "buffer_fraction", frac)
         object.__setattr__(self, "workers", _positive("workers", self.workers, int))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "double_buffer", bool(self.double_buffer))
+        object.__setattr__(self, "fused", bool(self.fused))
         if self.aggregation not in AGGREGATION_MODES:
             raise SpecError(
                 f"unknown aggregation {self.aggregation!r}; "
@@ -255,118 +254,22 @@ class TrainSpec:
                 )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_query(cls, query) -> "TrainSpec":
-        """Build the validated spec from a parsed :class:`TrainQuery`."""
-        for key in _INPUT_FIELDS:
-            if key in (query.extra or {}):
-                raise SpecError(
-                    f"{key!r} in extra={{...}} is not an input: set the typed "
-                    f"TrainQuery.{key} field (or the WITH {key} = ... knob)"
-                )
-        return cls(
-            table=query.table,
-            model=query.model,
-            strategy=query.strategy,
-            epochs=query.max_epoch_num,
-            lr=query.learning_rate,
-            decay=query.decay,
-            l2=query.l2,
-            batch_size=query.batch_size,
-            block_size=query.block_size,
-            buffer_fraction=query.buffer_fraction,
-            seed=int(query.seed),
-            double_buffer=bool(query.double_buffer),
-            fused=bool(query.fused),
-            workers=query.workers,
-            aggregation=query.aggregation,
-            device=query.device,
-            warm_start=query.warm_start,
-            where=query.where,
-            grid=query.grid,
-        )
-
-    def to_query(self) -> TrainQuery:
-        """The :class:`TrainQuery` ``from_query`` reads this spec back from —
-        how a journalled or flag-built spec enters ``MiniDB.train``."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["learning_rate"] = values.pop("lr")
-        values["max_epoch_num"] = values.pop("epochs")
-        return TrainQuery(**values)
-
-    def build_model(self, n_features: int, n_classes: int | None = None, l2=None):
-        """A fresh model of this spec's family (``l2`` overrides the spec's:
-        a grid config's own regulariser)."""
-        from ..ml.models.linear import LinearRegression, LinearSVM, LogisticRegression
-        from ..ml.models.softmax import SoftmaxRegression
-
-        l2 = self.l2 if l2 is None else l2
-        kwargs = {} if l2 is None else {"l2": float(l2)}
-        if self.model == "softmax":
-            return SoftmaxRegression(n_features, n_classes, **kwargs)
-        family = {"lr": LogisticRegression, "svm": LinearSVM, "linreg": LinearRegression}
-        return family[self.model](n_features, **kwargs)
-
-    # ------------------------------------------------------------------
     def to_doc(self) -> dict:
         """The canonical JSON document (wire protocol / job journal form)."""
-        return {
-            "version": 1,
-            "table": self.table,
-            "model": self.model,
-            "strategy": self.strategy,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "decay": self.decay,
-            "l2": self.l2,
-            "batch_size": self.batch_size,
-            "block_size": self.block_size,
-            "buffer_fraction": self.buffer_fraction,
-            "seed": self.seed,
-            "double_buffer": self.double_buffer,
-            "fused": self.fused,
-            "workers": self.workers,
-            "aggregation": self.aggregation,
-            "device": self.device,
-            "warm_start": self.warm_start,
-            "where": None if self.where is None else self.where.to_doc(),
-            "grid": None if self.grid is None else self.grid.to_doc(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        doc["where"] = None if self.where is None else self.where.to_doc()
+        doc["grid"] = None if self.grid is None else self.grid.to_doc()
+        return {"version": 1, **doc}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TrainSpec":
         version = doc.get("version", 1)
         if version != 1:
             raise SpecError(f"unknown TrainSpec document version {version!r}")
-        known = {f.name for f in fields(cls)}
+        known = {f.name for f in fields(cls) if f.init}
         values = {k: v for k, v in doc.items() if k in known}
-        values["epochs"] = doc.get("epochs", 20)
         if doc.get("where") is not None:
             values["where"] = Predicate.from_doc(doc["where"])
         if doc.get("grid") is not None:
             values["grid"] = GridSpec.from_doc(doc["grid"])
         return cls(**values)
-
-    def without_grid(self) -> "TrainSpec":
-        return replace(self, grid=None)
-
-    def describe(self) -> str:
-        parts = [
-            f"TRAIN {self.model} ON {self.table}",
-            f"strategy={self.strategy}",
-            f"epochs={self.epochs}",
-            f"lr={self.lr:g}",
-        ]
-        if self.l2 is not None:
-            parts.append(f"l2={self.l2:g}")
-        if self.workers > 1:
-            parts.append(f"workers={self.workers} ({self.aggregation})")
-        if self.where is not None:
-            parts.append(f"where={self.where.render()}")
-        if self.grid is not None:
-            parts.append(f"grid=({self.grid.render()})")
-        return " ".join(parts)
-
-
-# Re-exported for callers that only need the field list (CLI help text).
-TRAIN_SPEC_FIELDS = tuple(f.name for f in fields(TrainSpec))

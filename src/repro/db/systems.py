@@ -33,7 +33,7 @@ from ..shuffle.registry import make_strategy
 from ..storage.codec import TupleSchema
 from ..storage.iomodel import MEMORY, DeviceModel
 from .engine import ENGINE_PROFILE, MiniDB, TrainResult
-from .query import TrainQuery
+from .spec import TrainSpec
 from .timeline import Timeline
 from .timing import ComputeProfile
 
@@ -125,18 +125,18 @@ def run_in_db_system(
     )
     db = MiniDB(device=device, compute=profile, page_bytes=page_bytes)
     db.create_table("t", train, compress=compress)
-    query = TrainQuery(
+    spec = TrainSpec(
         table="t",
         model=model_name,
-        learning_rate=learning_rate,
-        max_epoch_num=epochs,
+        lr=learning_rate,
+        epochs=epochs,
         block_size=block_size,
         buffer_fraction=buffer_fraction,
         batch_size=batch_size,
         strategy=strategy,
         seed=seed,
     )
-    result = db.train(query, test=test)
+    result = db.train(spec, test=test)
     result.timeline.system = f"{system}/{strategy}"
     return result
 

@@ -64,7 +64,6 @@ from pathlib import Path
 
 from .. import obs
 from ..db.engine import MiniDB
-from ..db.query import TrainQuery
 from ..db.spec import TrainSpec
 from ..ml.persistence import durable_write, model_to_bytes
 from ..ml.trainer import CheckpointConfig, TrainInterrupted
@@ -273,11 +272,11 @@ class JobManager:
     # ------------------------------------------------------------------
     # Submission / polling / cancellation
     # ------------------------------------------------------------------
-    def submit(self, session_id: str, sql: str, query: TrainQuery, db) -> Job:
+    def submit(self, session_id: str, sql: str, asked: TrainSpec, db) -> Job:
         """Admit one TRAIN statement; raises :class:`Saturated` when full.
 
         ``db`` is the submitting session's engine.  The statement is planned
-        there with the plain ``db.plan(query)`` — same catalog, device and κ
+        there with the plain ``db.plan(asked)`` — same catalog, device and κ
         history as that session's EXPLAIN — so whatever the inline engine
         rejects (a strategy with no such plan, a WHERE matching nothing),
         admission rejects with the same message.  What the plan decided is
@@ -289,8 +288,7 @@ class JobManager:
             obs.inc("serve.jobs.rejected")
             raise Saturated(self._retry_after(depth), depth)
 
-        plan = db.plan(query)
-        asked = plan.spec
+        plan = db.plan(asked)
         table = db.catalog.get(asked.table)
         dataset = table.dataset
         where_doc = None
@@ -524,7 +522,7 @@ class JobManager:
                 layout=doc["layout"],
             )
             result = db.train(
-                spec.to_query(),
+                spec,
                 checkpoint=CheckpointConfig(job.ckpt_path, doc["checkpoint_every_tuples"]),
                 should_stop=lambda: self._stop.is_set() or job.cancel_event.is_set(),
                 # A grid journals its slot progress.  A plain job's progress is

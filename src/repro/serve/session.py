@@ -36,10 +36,10 @@ from ..db.query import (
     InsertQuery,
     PredictQuery,
     SelectQuery,
-    TrainQuery,
     UpdateQuery,
     parse_query,
 )
+from ..db.spec import TrainSpec
 from ..storage.iomodel import device_by_name
 from .jobs import Saturated
 from .protocol import encode_blob, err, ok
@@ -146,7 +146,7 @@ class Session:
         if not sql or not isinstance(sql, str):
             return err("bad_request", "sql requires a 'sql' string field")
         query = parse_query(sql)
-        if isinstance(query, TrainQuery):
+        if isinstance(query, TrainSpec):
             job = self.server.jobs.submit(self.session_id, sql, query, self.db)
             return ok(job_id=job.job_id, state=job.state)
         if isinstance(query, SelectQuery):

@@ -17,7 +17,6 @@ from .columnar import (
     decode_block_columnar,
     encode_block_columnar,
 )
-from .filestore import load_heap, save_heap
 from .index import (
     BPlusTree,
     IndexFileReader,
@@ -85,8 +84,6 @@ __all__ = [
     "IndexFormatError",
     "read_index_header",
     "save_index",
-    "save_heap",
-    "load_heap",
     "BufferPool",
     "BlockFileReader",
     "BlockIndexEntry",

@@ -15,6 +15,7 @@ the effect the paper observes on the epsilon/yfcc datasets (Section 7.3.4).
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -340,6 +341,14 @@ class HeapFile:
         if self._pos_map is None:
             self._pos_map = {rid: pos for pos, rid in enumerate(self._refs)}
         return self._pos_map[rid]
+
+    def batch_slots(self, page_id: int, n_rows: int) -> Sequence[int]:
+        """The RID slot of each row of page ``page_id``'s decoded batch, in
+        batch order: the page's live slots, or ``range(n_rows)`` on a
+        columnar page, whose rows share one stored slot."""
+        if self.layout == "columnar":
+            return range(n_rows)
+        return self.pages[page_id].live_slots()
 
     def slot_row_map(self, page_id: int) -> dict[int, int]:
         """slot id → row index within the page's decoded batch (live order)."""

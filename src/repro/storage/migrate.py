@@ -1,11 +1,8 @@
-"""In-place migration of row-format files to the columnar block format.
+"""In-place migration of row block files to the columnar block format.
 
-``repro migrate`` (and :func:`migrate_file` underneath) converts
-
-* v1/v2 row block files (``*.index.json`` sidecar) and
-* ``CORGIHEAP1`` heap files written by :func:`~repro.storage.filestore.save_heap`
-
-into v3 columnar block files at the same path.  The conversion is
+``repro migrate`` (and :func:`migrate_file` underneath) converts v1/v2 row
+block files (``*.index.json`` sidecar) into v3 columnar block files at the
+same path.  The conversion is
 
 * **atomic** — the new data file is assembled in a ``.migrate.tmp`` sibling
   and moved into place with fsync + ``os.replace`` (the index sidecar goes
@@ -18,10 +15,9 @@ into v3 columnar block files at the same path.  The conversion is
   ``.migrate.state.json`` sidecar; re-running after a crash picks up at the
   first unconverted block instead of starting over.
 
-Block boundaries are preserved exactly (heap files group pages the same
-way ``block_pages`` would), so CorgiPile's block-level shuffle visits
-tuples in the identical order before and after migration — training on a
-migrated file is bit-identical to training on the source.
+Block boundaries are preserved exactly, so CorgiPile's block-level shuffle
+visits tuples in the identical order before and after migration — training
+on a migrated file is bit-identical to training on the source.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -42,15 +37,13 @@ from .blockfile import (
     BlockIndexEntry,
     _index_doc,
 )
-from .codec import TupleBatch, TupleSchema
+from .codec import TupleBatch
 from .columnar import (
     COLUMNAR_MAGIC,
     decode_block_columnar,
     encode_block_columnar,
     read_columnar_header,
 )
-from .filestore import _MAGIC as _HEAP_MAGIC
-from .filestore import load_heap
 
 __all__ = ["MigrationReport", "migrate_file"]
 
@@ -63,7 +56,7 @@ class MigrationReport:
     """What one :func:`migrate_file` call did."""
 
     path: str
-    kind: str  # "block" | "heap"
+    kind: str  # "block"
     skipped: bool = False  # already columnar — nothing to do
     n_blocks: int = 0
     n_tuples: int = 0
@@ -125,46 +118,6 @@ def _load_state(state_path: Path, fingerprint: dict) -> dict | None:
     return state
 
 
-def _heap_block_batches(
-    heap, block_bytes: int
-) -> tuple[TupleSchema, list[Callable[[], TupleBatch]]]:
-    """Per-block batch thunks for a heap file, grouped like ``block_pages``."""
-    n_blocks = heap.n_blocks(block_bytes) if heap.n_pages else 0
-
-    def make(block_id: int) -> Callable[[], TupleBatch]:
-        def read() -> TupleBatch:
-            pages = [
-                heap.read_page_batch(pid)
-                for pid in heap.block_pages(block_id, block_bytes)
-            ]
-            ids = np.concatenate([p.ids for p in pages])
-            labels = np.concatenate([p.labels for p in pages])
-            if heap.schema.sparse:
-                indptr = [np.asarray([0], dtype=np.int64)]
-                nnz = 0
-                for p in pages:
-                    indptr.append(p.indptr[1:] + nnz)
-                    nnz += int(p.indptr[-1])
-                return TupleBatch(
-                    ids=ids,
-                    labels=labels,
-                    n_features=heap.schema.n_features,
-                    indptr=np.concatenate(indptr),
-                    indices=np.concatenate([p.indices for p in pages]),
-                    values=np.concatenate([p.values for p in pages]),
-                )
-            return TupleBatch(
-                ids=ids,
-                labels=labels,
-                n_features=heap.schema.n_features,
-                dense=np.concatenate([p.dense for p in pages]),
-            )
-
-        return read
-
-    return heap.schema, [make(i) for i in range(n_blocks)]
-
-
 def _finish_interrupted_finalize(
     path: Path, index_path: Path, state_path: Path
 ) -> MigrationReport:
@@ -223,15 +176,12 @@ def _finish_interrupted_finalize(
 def migrate_file(
     path: str | Path,
     verify: bool = True,
-    block_bytes: int = 64 * 1024,
     _stop_after_blocks: int | None = None,
 ) -> MigrationReport:
-    """Convert a row block file or heap file at ``path`` to columnar, in place.
+    """Convert the row block file at ``path`` to columnar, in place.
 
     ``verify`` round-trips every converted block (decode + element-wise
-    compare against the source batch) before accepting it.  ``block_bytes``
-    only applies to heap sources, where it sets the page-run block grouping
-    (the same grouping ``HeapFile.block_pages`` would use).
+    compare against the source batch) before accepting it.
 
     ``_stop_after_blocks`` is a test-only crash hook: the migration raises
     ``KeyboardInterrupt`` after journalling that many blocks, leaving a
@@ -243,7 +193,7 @@ def migrate_file(
     tmp_path = Path(str(path) + _TMP_SUFFIX)
 
     with open(path, "rb") as f:
-        head = f.read(max(len(_HEAP_MAGIC), len(COLUMNAR_MAGIC)))
+        head = f.read(len(COLUMNAR_MAGIC))
     source_bytes = path.stat().st_size
 
     if head.startswith(COLUMNAR_MAGIC) and state_path.exists():
@@ -251,46 +201,30 @@ def migrate_file(
         # data file is already columnar, the journal has the final entries.
         return _finish_interrupted_finalize(path, index_path, state_path)
 
-    if head.startswith(_HEAP_MAGIC):
-        kind = "heap"
-        heap = load_heap(path)
-        schema, thunks = _heap_block_batches(heap, block_bytes)
-        n_tuples = heap.n_tuples
-        meta = {
-            "n_features": schema.n_features,
-            "sparse": schema.sparse,
-            "n_tuples": n_tuples,
-        }
-        reader = None
-    elif index_path.exists():
-        kind = "block"
-        reader = BlockFileReader(path)
-        if reader.layout == "columnar":
-            reader.close()
-            return MigrationReport(
-                path=str(path),
-                kind=kind,
-                skipped=True,
-                n_blocks=0,
-                n_tuples=reader.n_tuples,
-                bytes_before=source_bytes,
-                bytes_after=source_bytes,
-                notes=["already columnar"],
-            )
-        schema = reader.schema
-        n_tuples = reader.n_tuples
-        meta = {
-            "n_features": schema.n_features,
-            "sparse": schema.sparse,
-            "n_tuples": n_tuples,
-        }
-        thunks = [
-            (lambda i=i: reader.read_block_batch(i)) for i in range(reader.n_blocks)
-        ]
-    else:
-        raise ValueError(
-            f"{path}: not a migratable file (no heap magic, no {_INDEX_SUFFIX} sidecar)"
+    if not index_path.exists():
+        raise ValueError(f"{path}: not a migratable file (no {_INDEX_SUFFIX} sidecar)")
+    kind = "block"
+    reader = BlockFileReader(path)
+    if reader.layout == "columnar":
+        reader.close()
+        return MigrationReport(
+            path=str(path),
+            kind=kind,
+            skipped=True,
+            n_blocks=0,
+            n_tuples=reader.n_tuples,
+            bytes_before=source_bytes,
+            bytes_after=source_bytes,
+            notes=["already columnar"],
         )
+    schema = reader.schema
+    n_tuples = reader.n_tuples
+    meta = {
+        "n_features": schema.n_features,
+        "sparse": schema.sparse,
+        "n_tuples": n_tuples,
+    }
+    thunks = [(lambda i=i: reader.read_block_batch(i)) for i in range(reader.n_blocks)]
 
     fingerprint = {"source_bytes": source_bytes, "n_blocks": len(thunks), "kind": kind}
     state = _load_state(state_path, fingerprint)
@@ -380,8 +314,7 @@ def migrate_file(
                     f"migration stopped after {_stop_after_blocks} blocks (test hook)"
                 )
 
-    if reader is not None:
-        reader.close()
+    reader.close()
 
     # Rebuild the chunk directories from the tmp payloads (cheap header
     # parses) so the index mirrors each block's binary directory.

@@ -41,7 +41,6 @@ from repro.storage.columnar import (
     ENC_PACKED,
     read_columnar_header,
 )
-from repro.storage.filestore import save_heap
 from repro.storage.retry import ReadExhaustedError
 
 
@@ -551,21 +550,6 @@ class TestMigrate:
         with BlockFileReader(path) as reader:  # source untouched until finalize
             assert reader.layout == "row"
             assert len(reader.read_block_batch(0))
-
-    def test_heap_file_migration(self, tmp_path, sparse_binary):
-        # Heap sources migrate into a columnar *block file* (the training
-        # format), preserving block_pages grouping as the block boundaries.
-        heap = HeapFile.from_dataset(sparse_binary, page_bytes=2048)
-        path = tmp_path / "table.heap"
-        save_heap(heap, path)
-        report = migrate_file(path)
-        assert report.kind == "heap" and not report.skipped
-        with BlockFileReader(path) as reader:
-            assert reader.layout == "columnar"
-            got = sorted(
-                int(i) for b in range(reader.n_blocks) for i in reader.read_block_batch(b).ids
-            )
-        assert got == list(range(sparse_binary.n_tuples))
 
     def test_training_bit_identical_after_migration(self, tmp_path, sparse_binary):
         row_path = self._block_file(tmp_path, sparse_binary, "row.blocks")

@@ -2,7 +2,7 @@
 
 The same resolved :class:`~repro.db.spec.TrainSpec` is trained through
 
-* the Python API      ``MiniDB.train(spec.to_query())``
+* the Python API      ``MiniDB.train(spec)``
 * SQL                 ``MiniDB.execute("SELECT ... TRAIN BY ...")``
 * the CLI             ``repro train ... --save-model``
 * the serve daemon    an in-process ``ReproServer`` job
@@ -74,7 +74,7 @@ def to_sql(spec: TrainSpec) -> str:
     if spec.grid is not None:
         text += f", grid = ({spec.grid.render()})"
     sql = f"SELECT * FROM {spec.table}{where} TRAIN BY {spec.model} WITH {text}"
-    assert parse_query(sql).spec() == spec
+    assert parse_query(sql) == spec
     return sql
 
 
@@ -168,7 +168,7 @@ def test_every_entry_point_trains_the_same_model(
         where=parse_predicate(where) if where else None,
     )
     sql = to_sql(spec)
-    reference = weights(make_db(train_set, layout, index).train(spec.to_query()).model)
+    reference = weights(make_db(train_set, layout, index).train(spec).model)
     assert np.any(reference != 0.0)
 
     via_sql = make_db(train_set, layout, index).execute(sql).model
@@ -195,7 +195,7 @@ def test_what_the_engine_rejects_admission_rejects_with_the_same_message(data, s
     ):
         spec = spec_for(train_set, **fields)
         with pytest.raises(EngineError) as inline:
-            make_db(train_set, layout).train(spec.to_query())
+            make_db(train_set, layout).train(spec)
         with pytest.raises(ServerError) as served:
             serve_job(server, to_sql(spec), train_set, layout)
         assert served.value.code == "engine_error"
@@ -223,7 +223,7 @@ def test_drawn_specs_agree_between_api_sql_and_a_job(
         buffer_fraction=buffer_fraction,
     )
     sql = to_sql(spec)
-    reference = weights(make_db(dataset).train(spec.to_query()).model)
+    reference = weights(make_db(dataset).train(spec).model)
     np.testing.assert_array_equal(weights(make_db(dataset).execute(sql).model), reference)
     manager = JobManager(tmp_path_factory.mktemp("jobs"), checkpoint_every_tuples=256)
     job = manager.submit("s1", sql, parse_query(sql), make_db(dataset))
@@ -282,7 +282,7 @@ def test_served_batch_size_is_mini_batch_sgd(data, server):
         for bs in (1, 32)
     }
     assert np.any(weights(models[1]) != weights(models[32]))
-    inline = make_db(train_set).train(spec_for(train_set, batch_size=32).to_query())
+    inline = make_db(train_set).train(spec_for(train_set, batch_size=32))
     np.testing.assert_array_equal(weights(models[32]), weights(inline.model))
 
 
@@ -294,7 +294,7 @@ def test_served_auto_runs_and_journals_the_advisors_pick(data, server):
     model, final = serve_job(server, sql, train_set)
     picked = final["advisor"]["strategy"]
     assert final["strategy"] == final["spec"]["strategy"] == picked
-    inline = make_db(train_set).train(spec_for(train_set, strategy=picked).to_query())
+    inline = make_db(train_set).train(spec_for(train_set, strategy=picked))
     np.testing.assert_array_equal(weights(model), weights(inline.model))
 
 
@@ -375,7 +375,7 @@ def test_sgd_operator_resumes_bit_exactly_from_a_mid_epoch_checkpoint(
     ``seek`` + discard, not by serialising their buffers."""
     _csv, dataset = data
     spec = spec_for(dataset, strategy=strategy, epochs=3, **mode)
-    reference = make_db(dataset).train(spec.to_query())
+    reference = make_db(dataset).train(spec)
 
     checkpoint = CheckpointConfig(tmp_path / "run.ckpt.npz", every_tuples=200)
     unit = 256 if spec.batch_size == 1 else spec.batch_size
@@ -389,14 +389,14 @@ def test_sgd_operator_resumes_bit_exactly_from_a_mid_epoch_checkpoint(
     progress = []
     with pytest.raises(TrainInterrupted):
         make_db(dataset).train(
-            spec.to_query(), checkpoint=checkpoint, should_stop=should_stop,
+            spec, checkpoint=checkpoint, should_stop=should_stop,
             on_progress=progress.append,
         )
     assert [p["epochs_done"] for p in progress] == [1]
     state = load_checkpoint(checkpoint.path)
     assert state.epoch == 1 and 0 < state.cursor < dataset.n_tuples  # mid-epoch
 
-    resumed = make_db(dataset).train(spec.to_query(), checkpoint=checkpoint)
+    resumed = make_db(dataset).train(spec, checkpoint=checkpoint)
     np.testing.assert_array_equal(weights(resumed.model), weights(reference.model))
     assert [r.train_loss for r in resumed.history.records] == [
         r.train_loss for r in reference.history.records
@@ -408,7 +408,7 @@ def test_sgd_operator_resumes_bit_exactly_from_a_mid_epoch_checkpoint(
     (tmp_path / "other.ckpt.npz").write_bytes(checkpoint.path.read_bytes())
     with pytest.raises(ValueError, match="seed"):
         make_db(dataset).train(
-            other.to_query(), checkpoint=CheckpointConfig(tmp_path / "other.ckpt.npz")
+            other, checkpoint=CheckpointConfig(tmp_path / "other.ckpt.npz")
         )
 
 

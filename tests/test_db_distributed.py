@@ -11,7 +11,7 @@ from repro.db import (
     MiniDB,
     ParseError,
     SegmentedMiniDB,
-    TrainQuery,
+    TrainSpec,
     UnknownTableError,
     parse_query,
 )
@@ -26,18 +26,18 @@ def problem():
     return clustered_by_label(train, seed=0), test
 
 
-def _query(**overrides) -> TrainQuery:
+def _query(**overrides) -> TrainSpec:
     base = dict(
         table="t",
         model="lr",
-        learning_rate=0.5,
-        max_epoch_num=5,
+        lr=0.5,
+        epochs=5,
         block_size=4096,
         batch_size=32,
         strategy="corgipile",
     )
     base.update(overrides)
-    return TrainQuery(**base)
+    return TrainSpec(**base)
 
 
 class TestSegmentedCreate:
@@ -84,7 +84,7 @@ class TestSegmentedTraining:
         train, test = problem
         db = SegmentedMiniDB(4, device=SSD_SCALED)
         db.create_table("t", train, distribution_block=40)
-        result = db.train(_query(max_epoch_num=6), test=test)
+        result = db.train(_query(epochs=6), test=test)
         assert result.history.final.test_score > 0.8
         assert result.n_segments == 4
 
@@ -92,11 +92,11 @@ class TestSegmentedTraining:
         train, test = problem
         seg = SegmentedMiniDB(4, device=SSD_SCALED)
         seg.create_table("t", train, distribution_block=40)
-        distributed = seg.train(_query(max_epoch_num=6), test=test)
+        distributed = seg.train(_query(epochs=6), test=test)
 
         single = MiniDB(device=SSD_SCALED, page_bytes=1024)
         single.create_table("t", train)
-        local = single.train(_query(max_epoch_num=6), test=test)
+        local = single.train(_query(epochs=6), test=test)
         assert abs(
             distributed.history.final.test_score - local.history.final.test_score
         ) < 0.06
@@ -105,7 +105,7 @@ class TestSegmentedTraining:
         train, test = problem
         db = SegmentedMiniDB(4, device=SSD_SCALED)
         db.create_table("t", train, distribution_block=40)
-        result = db.train(_query(max_epoch_num=2), test=test)
+        result = db.train(_query(epochs=2), test=test)
         counts = result.per_segment_tuples
         assert max(counts) - min(counts) <= 2 * 8 * 2  # ragged tails only
 
@@ -113,7 +113,7 @@ class TestSegmentedTraining:
         train, test = problem
         db = SegmentedMiniDB(2, device=SSD_SCALED)
         db.create_table("t", train, distribution_block=40)
-        result = db.train(_query(max_epoch_num=3), test=test)
+        result = db.train(_query(epochs=3), test=test)
         times = [p.time_s for p in result.timeline.points]
         assert times == sorted(times)
         assert times[0] > 0

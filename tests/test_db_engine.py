@@ -9,7 +9,7 @@ from repro.data import clustered_by_label, make_binary_dense, make_binary_sparse
 from repro.db import (
     MiniDB,
     Timeline,
-    TrainQuery,
+    TrainSpec,
     UnknownModelError,
     UnknownTableError,
     madlib_supports,
@@ -150,7 +150,7 @@ class TestStrategies:
         assert double.timeline.total_time_s <= single.timeline.total_time_s
 
     def test_unknown_strategy(self, db):
-        query = TrainQuery(table="higgs", model="lr", strategy="chaos")
+        query = TrainSpec(table="higgs", model="lr", strategy="chaos")
         with pytest.raises(Exception):
             db.train(query)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import ParseError, PredictQuery, TrainQuery, parse_query, parse_size
+from repro.db import ParseError, PredictQuery, TrainSpec, parse_query, parse_size
 
 
 class TestParseSize:
@@ -31,11 +31,11 @@ class TestTrainQueries:
             "SELECT * FROM forest TRAIN BY svm WITH learning_rate = 0.1, "
             "max_epoch_num = 20, block_size = 10MB"
         )
-        assert isinstance(q, TrainQuery)
+        assert isinstance(q, TrainSpec)
         assert q.table == "forest"
         assert q.model == "svm"
-        assert q.learning_rate == 0.1
-        assert q.max_epoch_num == 20
+        assert q.lr == 0.1
+        assert q.epochs == 20
         assert q.block_size == 10 * 1024**2
 
     def test_defaults(self):
@@ -68,7 +68,7 @@ class TestTrainQueries:
     def test_case_insensitive_keywords(self):
         q = parse_query("select * from t train by svm with learning_rate = 0.5")
         assert q.model == "svm"
-        assert q.learning_rate == 0.5
+        assert q.lr == 0.5
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ParseError):
@@ -136,8 +136,8 @@ class TestParserFuzz:
             f"learning_rate = {lr!r}, max_epoch_num = {epochs}"
         )
         assert query.table == table
-        assert query.learning_rate == pytest.approx(lr)
-        assert query.max_epoch_num == epochs
+        assert query.lr == pytest.approx(lr)
+        assert query.epochs == epochs
 
 
 class TestParallelKnobs:
@@ -145,7 +145,7 @@ class TestParallelKnobs:
         q = parse_query(
             "SELECT * FROM t TRAIN BY lr WITH workers = 4, aggregation = 'epoch'"
         )
-        assert isinstance(q, TrainQuery)
+        assert isinstance(q, TrainSpec)
         assert q.workers == 4
         assert q.aggregation == "epoch"
 

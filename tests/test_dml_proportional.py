@@ -252,3 +252,27 @@ class TestDroppedIndexFiles:
         workload.apply_ops(info, 6, seed=9)
         assert index.lsn == 18
         assert list(load_index(path).items()) == list(index.tree.items())
+
+
+@pytest.mark.parametrize("layout", ["row", "columnar"])
+def test_index_audit_and_build_read_rids_off_the_page(layout):
+    """``CREATE INDEX`` and ``verify_indexes`` key each row by the RID of the
+    slot it sits in — after DML, the RIDs INSERT returned — without
+    rebuilding the O(table) position directory."""
+    db = MiniDB(page_bytes=1024)
+    db.create_table("t", make_binary_dense(300, 6, seed=0), layout=layout)
+    table = db.catalog.get("t")
+    inserted = []
+    if layout == "row":
+        # Holes in the pages: a row's scan position is no longer its slot.
+        assert db.execute("DELETE FROM t WHERE f0 < 0")["deleted"] > 0
+        rows = ", ".join(f"({label}, {key}, 0, 0, 0, 0, 0)" for label, key in ((1, 1000), (-1, 1001)))
+        inserted = db.execute(f"INSERT INTO t VALUES {rows}")["rids"]
+    registry = obs.get_registry()
+    before = registry.counter("storage.heapfile.directory_rebuilds")
+    db.execute("CREATE INDEX ix0 ON t (f0)")
+    table.verify_indexes()
+    assert registry.counter("storage.heapfile.directory_rebuilds") == before
+    keyed = dict(table.indexes["ix0"].tree.items())
+    assert [list(keyed[key]) for key in (1000.0, 1001.0) if key in keyed] == inserted
+    assert sorted(keyed.values()) == [table.heap.rid_of(p) for p in range(table.n_tuples)]

@@ -10,6 +10,8 @@ same bits, including through the SQL ``TRAIN ... WITH grid`` surface.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,12 +266,11 @@ class TestGridTrain:
             )
 
     def test_grid_rejects_where(self, db):
-        query = parse_query(GRID_SQL)
-        query.where = parse_query(
+        where = parse_query(
             "SELECT * FROM t WHERE f0 >= 0 TRAIN BY lr WITH max_epoch_num = 1"
         ).where
         with pytest.raises(Exception, match="grid"):
-            db.train(query)
+            db.train(replace(parse_query(GRID_SQL), where=where))
 
     def test_explain_shows_hop_schedule(self, db):
         plan = db.explain(parse_query(GRID_SQL))

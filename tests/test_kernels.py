@@ -15,7 +15,7 @@ import pytest
 
 from repro.data import make_binary_dense, make_binary_sparse
 from repro.data.sparse import SparseMatrix, SparseRow
-from repro.db import MiniDB, TrainQuery
+from repro.db import MiniDB, TrainSpec
 from repro.ml import (
     ExponentialDecay,
     LinearRegression,
@@ -180,11 +180,11 @@ class TestFusedPipelines:
         def run(fused):
             db = MiniDB(page_bytes=1024)
             db.create_table("t", data)
-            query = TrainQuery(
+            query = TrainSpec(
                 table="t",
                 model="lr",
                 strategy="corgipile",
-                max_epoch_num=2,
+                epochs=2,
                 block_size=2048,
                 seed=0,
                 fused=fused,

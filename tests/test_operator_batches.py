@@ -43,7 +43,7 @@ from repro.data import (
     make_binary_sparse,
 )
 from repro.db import MiniDB
-from repro.db.engine import ENGINE_PROFILE
+from repro.db.engine import ENGINE_PROFILE, build_model
 from repro.db.operators import (
     BlockShuffleOperator,
     FilteredSeqScanOperator,
@@ -179,7 +179,7 @@ def observe(db: MiniDB, spec: TrainSpec, monkeypatch) -> dict:
 
     monkeypatch.setattr(SGDOperator, "__init__", init)
     monkeypatch.setattr(RuntimeContext, "epoch_wall_time", wall)
-    result = db.train(spec.to_query())
+    result = db.train(spec)
     stream = np.concatenate(ids)
     where = result.query.extra.get("where")
     return {
@@ -475,10 +475,10 @@ def test_the_next_adapter_reads_the_same_stream_as_next_batch(name, kind):
 def reference_model(db: MiniDB, spec: TrainSpec):
     """``SGDOperator._run_epoch`` as it was: pull tuples one at a time,
     ``collate`` every ``unit`` of them, step."""
-    plan, table = db.plan(spec.to_query()), db.catalog.get("t")
+    plan, table = db.plan(spec), db.catalog.get("t")
     ctx = _ctx(plan.double_buffer)
     pipeline, _scan = db._build_pipeline(plan, table, ctx)
-    model = db._build_model(spec, table)
+    model = build_model(spec, table)
     optimizer = SGD(model) if spec.batch_size > 1 else None
     schedule = ExponentialDecay(spec.lr, spec.decay)
     unit = 256 if spec.batch_size == 1 else spec.batch_size
@@ -538,7 +538,7 @@ def test_units_are_cut_at_the_same_rows_and_resume_lands_mid_fill(
     # LinearSVM has l2 != 0: the lazy-scale rematerialisation at the end of
     # every step_block makes the unit boundaries part of the bits.
     want = _weights(reference_model(engine(), spec))
-    np.testing.assert_array_equal(_weights(engine().train(spec.to_query()).model), want)
+    np.testing.assert_array_equal(_weights(engine().train(spec).model), want)
 
     checkpoint = CheckpointConfig(
         tmp_path_factory.mktemp("resume") / "run.ckpt.npz", every_tuples=every_tuples
@@ -552,8 +552,8 @@ def test_units_are_cut_at_the_same_rows_and_resume_lands_mid_fill(
         return len(probes) >= stop_after
 
     with pytest.raises(TrainInterrupted):
-        engine().train(spec.to_query(), checkpoint=checkpoint, should_stop=should_stop)
-    resumed = engine().train(spec.to_query(), checkpoint=checkpoint)
+        engine().train(spec, checkpoint=checkpoint, should_stop=should_stop)
+    resumed = engine().train(spec, checkpoint=checkpoint)
     np.testing.assert_array_equal(_weights(resumed.model), want)
 
 

@@ -1,18 +1,26 @@
 """The typed TrainSpec API: validation, grids, docs.
 
-Every TRAIN entry point (engine, serve jobs, CLI) funnels through
-``TrainSpec.from_query`` — so these tests pin the contract: bad knobs fail
-loudly with :class:`SpecError`, the canonical document round-trips, and
-``extra={...}`` is the engine's output channel only.
+A TRAIN statement is one :class:`TrainSpec` at every entry point — the
+parser builds it, and the engine, serve jobs and the CLI consume it — so
+these tests pin the contract: bad knobs fail loudly with
+:class:`SpecError`, the canonical document round-trips, every spelling of
+one statement yields an equal spec, and ``extra`` is the engine's output
+channel only.
 """
 
 from __future__ import annotations
 
-import pytest
+import json
+from dataclasses import replace
 
-from repro.db import MiniDB, parse_query
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _train_spec, build_parser
+from repro.db import MiniDB, ParseError, parse_query
 from repro.db.errors import SpecError
-from repro.db.query import TrainQuery
+from repro.db.plan import STRATEGIES
 from repro.db.spec import AGGREGATION_MODES, GridConfig, GridSpec, TrainSpec
 
 
@@ -110,7 +118,7 @@ class TestGridSpec:
 
 
 # ----------------------------------------------------------------------
-# from_query / documents
+# The parsed statement / documents
 # ----------------------------------------------------------------------
 
 
@@ -122,7 +130,8 @@ GRID_SQL = (
 
 class TestTrainSpecFromQuery:
     def test_sql_parse_builds_full_spec(self):
-        spec = TrainSpec.from_query(parse_query(GRID_SQL))
+        spec = parse_query(GRID_SQL)
+        assert isinstance(spec, TrainSpec)
         assert spec.table == "t"
         assert spec.model == "svm"
         assert spec.epochs == 4
@@ -132,31 +141,125 @@ class TestTrainSpecFromQuery:
         assert spec.grid is not None and spec.grid.n_configs == 2
 
     def test_doc_round_trip(self):
-        spec = TrainSpec.from_query(parse_query(GRID_SQL))
+        spec = parse_query(GRID_SQL)
         doc = spec.to_doc()
         assert doc["version"] == 1
         assert TrainSpec.from_doc(doc) == spec
 
     def test_where_doc_round_trip(self):
-        query = parse_query(
+        spec = parse_query(
             "SELECT * FROM t WHERE f0 >= 0.5 AND f1 < 2 TRAIN BY lr "
             "WITH max_epoch_num = 2"
         )
-        spec = TrainSpec.from_query(query)
         clone = TrainSpec.from_doc(spec.to_doc())
         assert clone.where is not None
         assert clone.where.render() == spec.where.render()
 
     def test_invalid_sql_knob_fails_loudly(self):
-        query = parse_query("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2")
-        query.max_epoch_num = -1
         with pytest.raises(SpecError, match="epochs"):
-            TrainSpec.from_query(query)
+            parse_query("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = -1")
+
+
+#: The parent's message for a WITH key that is no knob, verbatim: the SQL
+#: spelling of the two renamed fields is part of the statement surface.
+UNKNOWN_LR = (
+    "unknown TRAIN knob 'lr'; WITH takes the typed fields of "
+    "repro.db.spec.TrainSpec, spelled: aggregation, batch_size, block_size, "
+    "buffer_fraction, decay, device, double_buffer, fused, grid, l2, "
+    "learning_rate, max_epoch_num, seed, strategy, warm_start, workers"
+)
+
+#: Tuple size the CLI test turns ``--block-tuples`` into ``block_size`` with.
+TUPLE_BYTES = 64.0
+
+
+def _sql_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def statements(draw):
+    """``(model, knobs, where, grid)``: every WITH knob of one statement, as
+    ``{sql_key: value}`` (``None`` leaves the knob out)."""
+    grid = draw(st.none() | st.sampled_from(["lr = 0.1 | 0.01", "decay = 0.9 | 0.5, l2 = 0 | 0.0001"]))
+    where = None if grid else draw(st.none() | st.sampled_from(["f0 >= 0.5", "label = 1 AND f2 < 3"]))
+    unit = st.floats(0.001, 1.0, allow_nan=False)
+    knobs = {
+        "strategy": draw(st.sampled_from(STRATEGIES)),
+        "max_epoch_num": draw(st.integers(1, 500)),
+        "learning_rate": draw(st.floats(1e-6, 10.0, allow_nan=False)),
+        "decay": draw(unit),
+        "l2": draw(st.none() | st.floats(0.0, 1.0, allow_nan=False)),
+        "batch_size": 1 if grid else draw(st.integers(1, 256)),
+        "block_tuples": draw(st.integers(1, 10**5)),
+        "buffer_fraction": draw(unit),
+        "seed": draw(st.integers(0, 2**31)),
+        "double_buffer": draw(st.booleans()),
+        "fused": draw(st.booleans()),
+        "workers": draw(st.integers(1, 8)),
+        "aggregation": draw(st.sampled_from(AGGREGATION_MODES)),
+        "device": draw(st.none() | st.sampled_from(["hdd", "ssd", "nvm"])),
+        "warm_start": None if grid else draw(st.none() | st.just("model_3")),
+    }
+    return draw(st.sampled_from(["lr", "svm", "linreg", "softmax"])), knobs, where, grid
+
+
+def _statement(model: str, knobs: dict, where, grid) -> str:
+    knobs = dict(knobs)
+    # The CLI's one block-size flag counts tuples; SQL spells bytes.
+    knobs["block_size"] = max(4096, int(knobs.pop("block_tuples") * TUPLE_BYTES))
+    text = ", ".join(f"{k} = {_sql_value(v)}" for k, v in knobs.items() if v is not None)
+    if grid:
+        text += f", grid = ({grid})"
+    return f"SELECT * FROM t{f' WHERE {where}' if where else ''} TRAIN BY {model} WITH {text}"
+
+
+class TestOneStatementObject:
+    """Every entry point that spells one statement yields one equal spec."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(statements())
+    def test_sql_explain_doc_and_cli_agree(self, drawn):
+        model, knobs, where, grid = drawn
+        sql = _statement(model, knobs, where, grid)
+        spec = parse_query(sql)
+        assert isinstance(spec, TrainSpec)
+        assert parse_query("EXPLAIN " + sql).inner == spec
+        assert TrainSpec.from_doc(json.loads(json.dumps(spec.to_doc()))) == spec
+        assert spec.lr == knobs["learning_rate"] and spec.epochs == knobs["max_epoch_num"]
+
+        # The CLI has flags for a subset of the knobs and always runs fused.
+        flags = {
+            "strategy": "--strategy", "max_epoch_num": "--epochs",
+            "learning_rate": "--lr", "decay": "--decay", "batch_size": "--batch-size",
+            "buffer_fraction": "--buffer-fraction", "block_tuples": "--block-tuples",
+            "seed": "--seed", "workers": "--workers",
+        }
+        argv = ["train", "--dataset", "higgs", "--model", model]
+        for key, flag in flags.items():
+            argv += [flag, _sql_value(knobs[key])]
+        argv += ["--where", where] if where else []
+        argv += ["--grid", grid] if grid else []
+        cli_spec = _train_spec(build_parser().parse_args(argv), "t", TUPLE_BYTES)
+        cli_knobs = {key: knobs[key] for key in flags}
+        assert cli_spec == parse_query(_statement(model, {**cli_knobs, "fused": True}, where, grid))
+
+        for field_name, sql_key in (("lr", "learning_rate"), ("epochs", "max_epoch_num")):
+            renamed = sql.replace(f" {sql_key} =", f" {field_name} =")
+            with pytest.raises(ParseError, match=f"unknown TRAIN knob {field_name!r}"):
+                parse_query(renamed)
+
+    def test_unknown_knob_message_is_unchanged(self):
+        with pytest.raises(ParseError) as exc:
+            parse_query("SELECT * FROM t TRAIN BY lr WITH lr = 0.1")
+        assert str(exc.value) == UNKNOWN_LR
 
 
 class TestExtraIsOutputOnly:
-    """The PR 10 ``extra={...}`` input shim is gone: an input knob left in
-    ``extra`` is an error naming the typed field, never silently ignored."""
+    """``extra`` is what the engine writes on the spec it returns: never a
+    constructor argument, never part of equality or the document."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -167,19 +270,24 @@ class TestExtraIsOutputOnly:
             ("grid", {"lr": [0.1, 0.01]}),
         ],
     )
-    def test_input_key_in_extra_is_a_spec_error(self, key, value):
-        query = TrainQuery(table="t", model="lr", extra={key: value})
-        with pytest.raises(SpecError, match=f"TrainQuery.{key}"):
-            TrainSpec.from_query(query)
+    def test_input_key_in_extra_is_refused(self, key, value):
+        with pytest.raises(TypeError, match="extra"):
+            TrainSpec(table="t", model="lr", extra={key: value})
 
     def test_engine_rejects_before_training(self, dense_binary):
         db = MiniDB(page_bytes=1024)
         db.create_table("t", dense_binary)
-        query = TrainQuery(table="t", model="lr", extra={"device": "hdd"})
-        with pytest.raises(SpecError, match="device"):
-            db.train(query)
+        with pytest.raises(SpecError, match="aggregation"):
+            db.execute("SELECT * FROM t TRAIN BY lr WITH aggregation = 'gossip'")
         assert db.model_ids() == []
 
-    def test_engine_output_keys_in_extra_are_left_alone(self):
-        query = TrainQuery(table="t", model="lr", extra={"planner": "x", "where": {}})
-        assert TrainSpec.from_query(query).table == "t"
+    def test_engine_output_keys_in_extra_are_left_alone(self, dense_binary):
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", dense_binary)
+        spec = parse_query("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 1")
+        result = db.train(spec)
+        assert set(result.query.extra) >= {"plan", "advisor"}
+        assert spec.extra == {}  # the caller's statement is not written to
+        assert result.query == spec and result.query.to_doc() == spec.to_doc()
+        assert "extra" not in spec.to_doc()
+        assert replace(result.query).extra == {}

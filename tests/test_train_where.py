@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import ordered_by_feature
-from repro.db import EngineError, MiniDB, TrainQuery
+from repro.db import EngineError, MiniDB, TrainSpec
 from repro.db.plan import WHERE_STRATEGIES
 from repro.db.query import CreateIndexQuery, parse_predicate
 
@@ -22,12 +22,12 @@ def _filtered_db(dataset, *, index: bool = True) -> MiniDB:
     return db
 
 
-def _where_query(predicate: str, strategy: str = "corgipile", **kwargs) -> TrainQuery:
-    return TrainQuery(
+def _where_query(predicate: str, strategy: str = "corgipile", **kwargs) -> TrainSpec:
+    return TrainSpec(
         table="t",
         model="lr",
         strategy=strategy,
-        max_epoch_num=EPOCHS,
+        epochs=EPOCHS,
         block_size=BLOCK,
         buffer_fraction=0.2,
         seed=7,
@@ -42,11 +42,11 @@ def _reference(dataset, predicate: str, strategy: str):
     subset = dataset.subset(np.flatnonzero(mask))
     db = MiniDB(page_bytes=1024)
     db.create_table("t", subset)
-    query = TrainQuery(
+    query = TrainSpec(
         table="t",
         model="lr",
         strategy=strategy,
-        max_epoch_num=EPOCHS,
+        epochs=EPOCHS,
         block_size=BLOCK,
         buffer_fraction=0.2,
         seed=7,
@@ -200,9 +200,9 @@ class TestWarmStart:
     def test_warm_start_type_mismatch_rejected(self, dense_binary):
         db = _filtered_db(dense_binary)
         svm = db.train(
-            TrainQuery(
+            TrainSpec(
                 table="t", model="svm", strategy="corgipile",
-                max_epoch_num=1, block_size=BLOCK, seed=7,
+                epochs=1, block_size=BLOCK, seed=7,
             )
         )
         with pytest.raises(EngineError):

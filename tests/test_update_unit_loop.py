@@ -63,7 +63,7 @@ def _weights(model) -> np.ndarray:
 
 def _pipeline_orders(db: MiniDB, spec: TrainSpec) -> list[np.ndarray]:
     """The tuple ids the plan's operator tree emits, one array per epoch."""
-    plan, table = db.plan(spec.to_query()), db.catalog.get("t")
+    plan, table = db.plan(spec), db.catalog.get("t")
     ctx = RuntimeContext(
         device=SSD, compute=ENGINE_PROFILE, double_buffer=plan.double_buffer,
         values_per_tuple=table.values_per_tuple,
@@ -103,7 +103,7 @@ def test_trainer_fed_the_pipeline_order_equals_the_engine(kind, layout, mode):
         schedule=ExponentialDecay(spec.lr, spec.decay), batch_size=spec.batch_size,
         fused=spec.fused,
     ).run()
-    np.testing.assert_array_equal(_weights(model), _weights(engine().train(spec.to_query()).model))
+    np.testing.assert_array_equal(_weights(model), _weights(engine().train(spec).model))
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_sgd_operator_checkpoint_keeps_its_meta_keys_and_row_cursor(tmp_path):
     probes = []
     with pytest.raises(TrainInterrupted, match="stopped in epoch 0 after 512 tuples"):
         db.train(
-            spec.to_query(), checkpoint=checkpoint,
+            spec, checkpoint=checkpoint,
             should_stop=lambda: probes.append(None) or len(probes) >= 2,
         )
     state = load_checkpoint(checkpoint.path)
