@@ -53,6 +53,7 @@ from ..ml.persistence import load_checkpoint
 from ..ml.trainer import CheckpointConfig, ConvergenceHistory, run_epochs
 from ..storage.codec import RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
+from ..storage.rid import SLOT_MASK, page_runs
 from .catalog import TableInfo
 from .errors import StorageError
 from .timing import RuntimeContext
@@ -168,17 +169,15 @@ class FilteredSeqScanOperator(SeqScanOperator):
 
     def __init__(self, table: TableInfo, ctx: RuntimeContext, positions):
         super().__init__(table, ctx)
-        # page_id -> qualifying rows of the page's batch, ascending (heap
-        # order is page-major, slot-ascending, so sorted positions land here
-        # already ordered).  Resolved once per statement.
-        rows: dict[int, list[int]] = {}
-        row_maps: dict[int, dict[int, int]] = {}
-        for position in positions:
-            rid = table.heap.rid_of(int(position))
-            if rid.page_id not in row_maps:
-                row_maps[rid.page_id] = table.heap.slot_row_map(rid.page_id)
-            rows.setdefault(rid.page_id, []).append(row_maps[rid.page_id][rid.slot])
-        self._rows_by_page = {page: np.asarray(r, dtype=np.int64) for page, r in rows.items()}
+        # page_id -> qualifying rows of the page's batch, ascending (sorted
+        # positions are ascending RIDs: page-major, slot-ascending).
+        # Resolved once per statement.
+        heap = table.heap
+        rids = heap.rids_at(positions)
+        self._rows_by_page = {
+            page_id: heap.slot_rows(page_id, rids[lo:hi] & SLOT_MASK)
+            for page_id, lo, hi in page_runs(rids)
+        }
 
     def next_batch(self) -> TupleBatch | None:
         while self._page < self.table.heap.n_pages:
@@ -310,10 +309,9 @@ class RidBlockShuffleOperator(PhysicalOperator):
         # Epoch-local decoded-page cache: many virtual blocks can touch the
         # same heap page; fetch (and charge) it once per epoch.
         self._page_cache: dict[int, TupleBatch] = {}
-        # block_id -> its entries' rows in the concat of the block's pages;
+        # block_id -> its RIDs' rows in the concat of the block's pages;
         # the layout is fixed for the statement, so resolved once per block.
         self._gather: dict[int, np.ndarray] = {}
-        self._row_maps: dict[int, dict[int, int]] = {}
         # Physical counters for the bench gate: blocks/pages actually
         # touched, and pages that went to the device.
         self.blocks_loaded = 0
@@ -370,18 +368,13 @@ class RidBlockShuffleOperator(PhysicalOperator):
             self.ctx.charge_memory_read(memory_bytes)
 
     def _gather_rows(self, block) -> np.ndarray:
-        offsets: dict[int, int] = {}
-        total = 0
-        for page_id in block.page_ids:
-            if page_id not in self._row_maps:
-                self._row_maps[page_id] = self.table.heap.slot_row_map(page_id)
-            offsets[page_id] = total
-            total += len(self._row_maps[page_id])
-        return np.asarray(
-            [offsets[rid.page_id] + self._row_maps[rid.page_id][rid.slot]
-             for _position, rid in block.entries],
-            dtype=np.int64,
-        )
+        heap = self.table.heap
+        rows = np.empty(block.rids.size, dtype=np.int64)
+        offset = 0  # the page's first row in the concat of the block's pages
+        for page_id, lo, hi in page_runs(block.rids):
+            rows[lo:hi] = offset + heap.slot_rows(page_id, block.rids[lo:hi] & SLOT_MASK)
+            offset += heap.pages[page_id].n_tuples
+        return rows
 
     def _load_next_block(self) -> TupleBatch | None:
         if self._block_pos >= self._block_order.size:

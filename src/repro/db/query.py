@@ -175,11 +175,12 @@ class Predicate:
             for term in self.terms
         )
 
-    def mask(self, X, y) -> np.ndarray:
-        """Vectorized evaluation over a whole table → boolean row mask."""
-        out = np.ones(len(y), dtype=bool)
+    def mask(self, X, y, rows=None) -> np.ndarray:
+        """Vectorized evaluation over a whole table → boolean row mask
+        (over ``rows`` of it only, when given: one entry per row)."""
+        out = np.ones(len(y) if rows is None else len(rows), dtype=bool)
         for term in self.terms:
-            out &= _COMPARE_FNS[term.op](column_values(term.column, X, y), term.value)
+            out &= _COMPARE_FNS[term.op](column_values(term.column, X, y, rows), term.value)
         return out
 
     def interval_for(self, column: str):
@@ -215,18 +216,21 @@ class Predicate:
         return (lo, hi, lo_incl, hi_incl)
 
 
-def column_values(column: str, X, y) -> np.ndarray:
-    """``column`` of every row of ``(X, y)`` — :func:`column_value`, vectorised."""
+def column_values(column: str, X, y, rows=None) -> np.ndarray:
+    """``column`` of every row of ``(X, y)``, or of ``rows`` of it only —
+    :func:`column_value`, vectorised."""
     if column == "label":
-        return np.asarray(y, dtype=np.float64)
+        return np.asarray(y if rows is None else y[rows], dtype=np.float64)
     k = int(column[1:])
     if not isinstance(X, SparseMatrix):
-        return np.asarray(X[:, k], dtype=np.float64)
+        return np.asarray(X[:, k] if rows is None else X[rows, k], dtype=np.float64)
+    if rows is not None:
+        X, y = X.take_rows(rows), y[rows]
     n = len(y)
     values = np.zeros(n, dtype=np.float64)
-    rows = np.repeat(np.arange(n), np.diff(X.indptr))
+    row_of = np.repeat(np.arange(n), np.diff(X.indptr))
     hit = X.indices == k
-    values[rows[hit]] = X.data[hit]
+    values[row_of[hit]] = X.data[hit]
     return values
 
 

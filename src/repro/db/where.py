@@ -1,42 +1,48 @@
-"""``WHERE`` pushdown for TRAIN/SELECT/DML: positions, paths, partitions.
+"""``WHERE`` pushdown for TRAIN/SELECT/DML: RID sets, paths, partitions.
 
-Three pieces live here:
+A set of qualifying tuples is one sorted ``int64`` array of packed RIDs
+(``page_id << SLOT_BITS | slot``, :mod:`repro.storage.rid`).  That order is
+heap order, so intersecting, grouping by page and counting page runs are
+numpy calls, not loops over rows.  Three pieces live here:
 
-* :func:`qualifying_positions` / :func:`index_qualifying_positions` —
-  resolve a :class:`~repro.db.query.Predicate` to the heap positions that
-  satisfy it, either by a vectorised scan of the logical arrays or by a
-  B+tree range probe plus residual filter.  Both return the same set, in
-  heap order — the physical path only changes what I/O gets *charged*.
-  :func:`qualifying_rids` is the same answer as RIDs, for the statements
-  that address tuples (UPDATE / DELETE / SELECT): through an index it
-  reads only the candidates, so its cost follows the predicate.
+* :func:`plan_where_access` — the costed access path.  Each usable index
+  is probed once (:meth:`~repro.storage.index.BPlusTree.range_rids`), every
+  path (full scan, one probe per index, their intersection) is charged by
+  the pages its candidates touch, and the cheapest resolves the answer:
+  the full predicate re-checked on the candidate rows only.  Every path
+  returns the same tuples; only the charged I/O differs.  The answer comes
+  back as heap positions, derived once from the RIDs, because the eval set
+  is a subset of the table's arrays.  :func:`qualifying_rids` is the same
+  answer streamed as RIDs, for UPDATE / DELETE / SELECT.
 
-* :func:`choose_where_path` — the planner rule.  An index-ordered block
-  fetch pays one random positioning per qualifying-page run; a full scan
-  pays one sequential pass over the whole heap.  The cheaper estimate (on
-  the query's device) wins, so high selectivity flips the plan to the
-  scan exactly as in a real optimiser.
+* :func:`choose_where_path` — the fetch rule.  An index-ordered block fetch
+  pays one random positioning per qualifying-page run; a full scan pays one
+  sequential pass over the whole heap.  The cheaper estimate (on the
+  query's device) wins, so high selectivity flips the plan to the scan
+  exactly as in a real optimiser.
 
 * :func:`subset_partition` — the bit-exactness keystone.  ``TRAIN ...
   WHERE`` must visit tuples in the same order CorgiPile would visit a
   *materialised* copy of the filtered subset (``HeapFile.from_dataset``
-  over ``dataset.subset(positions)``).  Instead of copying, we replay the
-  heap's page-packing rule over the qualifying tuples' payload lengths,
-  producing *virtual* pages and blocks that partition the RID list exactly
-  as the copy's real pages would.  The block-shuffle permutation then acts
-  on virtual block ids, and every fetch resolves through the original
-  heap's buffer pool.
+  over ``dataset.subset(positions)``).  Instead of copying, it replays the
+  heap's page-packing rule over the qualifying tuples' stored lengths,
+  producing *virtual* pages and blocks that cut the RID array exactly where
+  the copy's real pages would.  The block-shuffle permutation then acts on
+  virtual block ids, and every fetch resolves through the original heap's
+  buffer pool.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from ..storage.heapfile import HeapFile
-from ..storage.rid import RID
+from ..storage.rid import RID, SLOT_BITS, SLOT_MASK, page_runs
 from .catalog import TableIndex, TableInfo
 from .errors import UnsupportedPredicateError
 from .query import Predicate
@@ -81,13 +87,16 @@ def index_qualifying_positions(
     """
     if predicate.interval_for(index.column) is None:
         return qualifying_positions(table, predicate)
-    candidates = index_candidates(table, index, predicate)
-    if not candidates.size:
-        return candidates
-    # Residual: the interval covered only the key column; re-check the full
-    # predicate (extra terms, != terms) over the candidate rows.
+    return _residual(table, predicate, index_candidates(table, index, predicate))
+
+
+def _residual(table: TableInfo, predicate: Predicate, rids: np.ndarray) -> np.ndarray:
+    """Heap positions of the candidate ``rids`` that satisfy all of
+    ``predicate``: an index interval covers only its key column, so the
+    other terms are re-checked, on the candidate rows alone."""
+    positions = table.heap.positions_of(rids)
     dataset = table.dataset
-    return candidates[predicate.mask(dataset.X, dataset.y)[candidates]]
+    return positions[predicate.mask(dataset.X, dataset.y, rows=positions)]
 
 
 def qualifying_rids(
@@ -96,10 +105,11 @@ def qualifying_rids(
     """RIDs satisfying ``predicate``, streamed in heap order, and the index
     that served them (``None``: full scan of the view).
 
-    An index probe yields RIDs, sorted ``(page_id, slot)`` *is* heap order,
-    and the residual is :meth:`Predicate.matches` (``mask``, a row at a
-    time) on each candidate as it is reached, read by RID — no directory,
-    no view, and a ``LIMIT`` reads only the rows it returns.
+    Through an index: the probe's RIDs, sorted ``(page_id, slot)`` *is*
+    heap order, and the residual is :meth:`Predicate.matches` on each
+    candidate as it is reached, read by RID — no directory, no view, and a
+    ``LIMIT`` reads only the rows it returns.  Without one: a mask over the
+    view, each qualifying position mapped through the position directory.
     """
     heap = table.heap
     indexes = usable_indexes(table, predicate)
@@ -112,22 +122,21 @@ def qualifying_rids(
 
 def _index_range(index: TableIndex, predicate: Predicate) -> Iterator[RID]:
     """The RIDs inside the index's usable interval, in key order."""
-    interval = predicate.interval_for(index.column)
-    if interval is None:
-        raise ValueError(f"index {index.name!r} has no usable interval for this predicate")
-    lo, hi, lo_incl, hi_incl = interval
-    return (
-        rid
-        for _key, rid in index.tree.range(lo, hi, lo_inclusive=lo_incl, hi_inclusive=hi_incl)
-    )
+    lo, hi, lo_incl, hi_incl = _interval(index, predicate)
+    return (rid for _key, rid in index.tree.range(lo, hi, lo_incl, hi_incl))
 
 
 def index_candidates(table: TableInfo, index: TableIndex, predicate: Predicate) -> np.ndarray:
-    """Sorted heap positions inside the index's usable interval (pre-residual)."""
-    position_of = table.heap.position_of
-    return np.asarray(
-        sorted(position_of(rid) for rid in _index_range(index, predicate)), dtype=np.int64
-    )
+    """The packed RIDs inside the index's usable interval (pre-residual),
+    in heap order: one array probe of the B+tree."""
+    return np.sort(index.tree.range_rids(*_interval(index, predicate)))
+
+
+def _interval(index: TableIndex, predicate: Predicate) -> tuple:
+    interval = predicate.interval_for(index.column)
+    if interval is None:
+        raise ValueError(f"index {index.name!r} has no usable interval for this predicate")
+    return interval
 
 
 def usable_indexes(table: TableInfo, predicate: Predicate) -> list[TableIndex]:
@@ -157,18 +166,20 @@ def check_supported_shape(predicate: Predicate) -> None:
             )
 
 
-def _page_fetch_estimate(heap: HeapFile, positions, device) -> tuple[float, int, int]:
-    """``(est_s, n_pages, runs)`` of an index-ordered fetch of ``positions``."""
-    qual_pages = sorted({heap.rid_of(int(p)).page_id for p in positions})
-    runs = 0
-    prev = None
-    for page_id in qual_pages:
-        if prev is None or page_id != prev + 1:
-            runs += 1
-        prev = page_id
+def _page_fetch_estimate(heap: HeapFile, rids: np.ndarray, device) -> tuple[float, int, int]:
+    """``(est_s, n_pages, runs)`` of an index-ordered fetch of the ascending ``rids``."""
+    steps = np.diff(rids >> SLOT_BITS)
+    n_pages = int(rids.size and 1 + np.count_nonzero(steps))
+    runs = int(rids.size and 1 + np.count_nonzero(steps > 1))
     avg_page_bytes = heap.payload_bytes / max(1, heap.n_pages)
-    est = device.random_time(avg_page_bytes * len(qual_pages) / max(1, runs), runs)
-    return est, len(qual_pages), runs
+    est = device.random_time(avg_page_bytes * n_pages / max(1, runs), runs)
+    return est, n_pages, runs
+
+
+def _fetch_path(heap: HeapFile, rids: np.ndarray, device) -> dict:
+    """The path-table row of an index-ordered fetch of candidates ``rids``."""
+    est, n_pages, runs = _page_fetch_estimate(heap, rids, device)
+    return {"est_s": est, "n_candidates": int(rids.size), "n_pages": n_pages, "page_runs": runs}
 
 
 def plan_where_access(
@@ -178,10 +189,10 @@ def plan_where_access(
 
     Enumerates every access path — full scan, one range probe per usable
     index, and (with two or more usable indexes) their *intersection* —
-    charges each by the pages its candidate set touches, and resolves the
-    qualifying positions through the cheapest.  All paths return the same
-    positions (the full predicate is always re-applied as a residual
-    filter); only the charged I/O differs.
+    charges each by the pages its candidate RIDs touch, and resolves the
+    qualifying positions through the cheapest, reusing its probe.  All
+    paths return the same positions (the full predicate is always
+    re-applied as a residual filter); only the charged I/O differs.
 
     Returns ``(positions, index, doc)``: ``index`` is the probe index when
     a single-index path won (``None`` for scan/intersect) and ``doc`` is
@@ -198,25 +209,14 @@ def plan_where_access(
         }
     }
     for ix in indexes:
-        cand = candidates[ix.name]
-        est, n_pages, runs = _page_fetch_estimate(heap, cand, device)
-        paths[f"index:{ix.name}"] = {
-            "est_s": est,
-            "n_candidates": int(cand.size),
-            "n_pages": n_pages,
-            "page_runs": runs,
-        }
+        paths[f"index:{ix.name}"] = _fetch_path(heap, candidates[ix.name], device)
     inter = None
     if len(indexes) >= 2:
         inter = candidates[indexes[0].name]
         for ix in indexes[1:]:
             inter = np.intersect1d(inter, candidates[ix.name], assume_unique=True)
-        est, n_pages, runs = _page_fetch_estimate(heap, inter, device)
         paths["intersect"] = {
-            "est_s": est,
-            "n_candidates": int(inter.size),
-            "n_pages": n_pages,
-            "page_runs": runs,
+            **_fetch_path(heap, inter, device),
             "indexes": [ix.name for ix in indexes],
         }
     # Cheapest wins; an exact tie resolves to the scan (simplest plan, and
@@ -225,13 +225,10 @@ def plan_where_access(
     index = None
     if access == "scan":
         positions = qualifying_positions(table, predicate)
-    elif access == "intersect":
-        dataset = table.dataset
-        mask = predicate.mask(dataset.X, dataset.y)
-        positions = inter[mask[inter]] if inter.size else inter
     else:
-        index = next(ix for ix in indexes if f"index:{ix.name}" == access)
-        positions = index_qualifying_positions(table, index, predicate)
+        if access != "intersect":
+            index = next(ix for ix in indexes if f"index:{ix.name}" == access)
+        positions = _residual(table, predicate, inter if index is None else candidates[index.name])
     doc = {
         "access": access,
         "paths": {
@@ -242,15 +239,15 @@ def plan_where_access(
     return positions, index, doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualBlock:
     """One virtual block: the qualifying tuples a materialised copy's
     block would hold, addressed by their *original* heap locations."""
 
     block_id: int
-    #: ``(position, rid)`` in visit order (virtual page, then slot order).
-    entries: tuple[tuple[int, RID], ...]
-    #: Distinct real heap pages the entries live on, in first-touch order.
+    #: Packed RIDs in visit order (heap order): a slice of the subset's.
+    rids: np.ndarray
+    #: Distinct real heap pages the RIDs live on, ascending.
     page_ids: tuple[int, ...]
 
 
@@ -282,59 +279,51 @@ def subset_partition(
     A materialised copy would re-encode tuple ``positions[i]`` with the new
     id ``i`` and append it; a page closes when the next payload no longer
     fits.  Uncompressed payloads have id-independent length (fixed-width
-    header), so the stored slot length is the copy's length; compressed
-    payloads are re-encoded with the new id to get the exact zlib size.
-    Blocks then group virtual pages by the heap's page-run rule.
+    header), so the stored slot length is the copy's length, read per heap
+    page; compressed payloads are re-encoded with the new id to get the
+    exact zlib size.  A virtual page that starts at tuple ``i`` holds the
+    tuples whose running length fits ``max(page_bytes, length[i])``: one
+    search of the cumulative lengths per page.  Blocks then group virtual
+    pages by the heap's page-run rule.
     """
     if block_bytes < heap.page_bytes:
         raise ValueError("block_bytes must be at least one page")
-    pages: list[list[tuple[int, RID]]] = []
-    used = 0
-    capacity = 0
-    total_payload = 0
-    for new_id, position in enumerate(positions):
-        position = int(position)
-        rid = heap.rid_of(position)
-        if heap.compress:
-            tup = heap.read_rid(rid)
-            length = len(heap.encode_payload(new_id, tup.label, tup.features))
-        else:
-            length = heap.pages[rid.page_id].payload_length(rid.slot)
-        if not pages or used + length > capacity:
-            pages.append([])
-            used = 0
-            capacity = max(heap.page_bytes, length)
-        pages[-1].append((position, rid))
-        used += length
-        total_payload += length
-
+    rids = heap.rids_at(positions)
+    runs = page_runs(rids)
+    if heap.compress:
+        tuples = map(heap.read_rid, map(RID.from_packed, rids))
+        lengths = [len(heap.encode_payload(i, t.label, t.features)) for i, t in enumerate(tuples)]
+    else:
+        # The qualifying pages' slot lengths end to end, then one gather.
+        slot_lengths = [heap.pages[page_id].slot_lengths() for page_id, _lo, _hi in runs]
+        page_offset = np.cumsum([0, *map(len, slot_lengths)])[:-1]
+        rids_per_page = [hi - lo for _page_id, lo, hi in runs]
+        lengths = np.fromiter(chain.from_iterable(slot_lengths), np.int64)[
+            np.repeat(page_offset, rids_per_page) + (rids & SLOT_MASK)
+        ]
+    ends = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]  # bytes before tuple i
+    bounds = [0]  # virtual page k holds rids[bounds[k]:bounds[k + 1]]
+    while bounds[-1] < rids.size:
+        i = bounds[-1]
+        room = ends[i] + max(heap.page_bytes, ends[i + 1] - ends[i])
+        bounds.append(bisect_right(ends, room) - 1)
     per = max(1, int(block_bytes) // heap.page_bytes)
-    blocks: list[VirtualBlock] = []
-    for block_id in range(0, -(-len(pages) // per) if pages else 0):
-        entries: list[tuple[int, RID]] = []
-        for vpage in pages[block_id * per : (block_id + 1) * per]:
-            entries.extend(vpage)
-        page_ids: list[int] = []
-        seen: set[int] = set()
-        for _position, rid in entries:
-            if rid.page_id not in seen:
-                seen.add(rid.page_id)
-                page_ids.append(rid.page_id)
-        blocks.append(
-            VirtualBlock(
-                block_id=block_id, entries=tuple(entries), page_ids=tuple(page_ids)
-            )
-        )
-    all_pages = {rid.page_id for block in blocks for _p, rid in block.entries}
+    run_pages = [page_id for page_id, _lo, _hi in runs]
+    run_starts = [lo for _page_id, lo, _hi in runs]
+    blocks = []
+    for block_id, first in enumerate(range(0, len(bounds) - 1, per)):
+        lo, hi = bounds[first], bounds[min(first + per, len(bounds) - 1)]
+        pages = run_pages[bisect_right(run_starts, lo) - 1 : bisect_left(run_starts, hi)]
+        blocks.append(VirtualBlock(block_id, rids[lo:hi], tuple(pages)))
     return SubsetPartition(
         blocks=tuple(blocks),
-        n_tuples=int(len(positions)),
-        n_virtual_pages=len(pages),
+        n_tuples=int(rids.size),
+        n_virtual_pages=len(bounds) - 1,
         pages_per_block=per,
         page_bytes=heap.page_bytes,
         block_bytes=int(block_bytes),
-        n_heap_pages=len(all_pages),
-        payload_bytes=total_payload,
+        n_heap_pages=len(runs),
+        payload_bytes=ends[-1],
     )
 
 
@@ -356,17 +345,7 @@ def choose_where_path(
     """
     heap = table.heap
     n_qual = int(len(positions))
-    qual_pages = sorted({heap.rid_of(int(p)).page_id for p in positions})
-    runs = 0
-    prev = None
-    for page_id in qual_pages:
-        if prev is None or page_id != prev + 1:
-            runs += 1
-        prev = page_id
-    avg_page_bytes = heap.payload_bytes / max(1, heap.n_pages)
-    est_index_s = device.random_time(
-        avg_page_bytes * len(qual_pages) / max(1, runs), runs
-    )
+    est_index_s, n_qual_pages, runs = _page_fetch_estimate(heap, heap.rids_at(positions), device)
     est_scan_s = device.sequential_time(float(heap.payload_bytes))
     # With a plan_where_access decision the candidate enumeration is
     # settled: any non-scan access knows the qualifying pages up front, so
@@ -397,7 +376,7 @@ def choose_where_path(
         "n_matching": n_qual,
         "n_tuples": int(table.n_tuples),
         "selectivity": n_qual / max(1, table.n_tuples),
-        "n_qualifying_pages": len(qual_pages),
+        "n_qualifying_pages": n_qual_pages,
         "n_heap_pages": int(heap.n_pages),
         "page_runs": runs,
         "est_index_s": est_index_s,

@@ -156,10 +156,11 @@ class FaultyHeapFile(_InjectorMixin, HeapFile):
         )
         # Alias (not copy) the inner heap's storage: the fault plane changes
         # what reads *return*, never what is stored.
-        inner._ensure_refs()  # DML may have left the directory stale
         self.pages = inner.pages
-        self._refs = inner._refs
+        self._rids = inner.directory()  # rebuilt first if DML left it stale
         self._n_live = inner._n_live
+        self._payload_bytes = inner._payload_bytes
+        self._total_bytes = inner._total_bytes
         self.inner = inner
         self.fault_plan = plan
         self.storage_stats = storage_stats

@@ -37,7 +37,7 @@ from .columnar import decode_block_columnar, encode_block_columnar
 from .fsm import FreeSpaceMap
 from .page import DEFAULT_PAGE_BYTES, Page
 from .retry import ChecksumError
-from .rid import RID, rid_run
+from .rid import RID, SLOT_BITS
 
 __all__ = ["HeapFile", "ColumnarMutationError"]
 
@@ -84,15 +84,21 @@ class HeapFile:
         self.compress = compress
         self.layout = layout
         self.pages: list[Page] = []
-        self._refs: list[RID] = []  # position -> RID, heap order
-        self._n_live = 0  # tuples in pages, maintained by every write
+        # The position directory: position -> packed RID (``page_id <<
+        # SLOT_BITS | slot``), ascending because heap order is page-major,
+        # slot-ascending.  Appends add runs that the next reader joins on.
+        self._rids = np.empty(0, dtype=np.int64)
+        self._rid_runs: list[np.ndarray] = []
+        # Maintained by every write, so none of them is a walk over pages.
+        self._n_live = 0  # tuples in pages
+        self._payload_bytes = 0  # sum of page.used_bytes
+        self._total_bytes = 0  # sum of page.capacity
         # Columnar append buffer: rows not yet flushed into a page.
         self._pending: list[tuple[int, float, object]] = []
         self._pending_bytes = 0
-        # DML marks the position directory stale; it is rebuilt lazily in
-        # heap order (page-major, slot order) on the next positional access.
+        # DML marks the position directory stale; it is rebuilt page by page
+        # on the next positional access.
         self._refs_dirty = False
-        self._pos_map: dict[RID, int] | None = None
         # Free space map for INSERT's first fit, built by the first insert
         # and kept current by every row-layout write after it.
         self._fsm: FreeSpaceMap | None = None
@@ -149,16 +155,18 @@ class HeapFile:
         while i < n:
             size = len(payloads[i])
             if not self.pages or not self.pages[-1].fits(size):
-                self.pages.append(Page(len(self.pages), capacity=max(self.page_bytes, size)))
+                self._new_page(size)
             page = self.pages[-1]
+            used = page.used_bytes
             room = int(ends[i]) - size + page.free_bytes
             j = int(np.searchsorted(ends, room, side="right"))
             first = page.extend(payloads[i:j])
-            self._note_free(page)
-            self._refs.extend(rid_run(page.page_id, first, j - i))
+            self._note_write(page, used)
+            self._rid_runs.append(
+                (page.page_id << SLOT_BITS) + np.arange(first, first + j - i, dtype=np.int64)
+            )
             i = j
         self._n_live += n
-        self._pos_map = None
 
     def _load_columnar(self, dataset: Dataset) -> None:
         """One columnar page per run of rows whose ``append`` size estimates
@@ -189,13 +197,13 @@ class HeapFile:
             return
         payload = self.encode_payload(tuple_id, label, features)
         if not self.pages or not self.pages[-1].fits(len(payload)):
-            self.pages.append(Page(len(self.pages), capacity=max(self.page_bytes, len(payload))))
+            self._new_page(len(payload))
         page = self.pages[-1]
+        used = page.used_bytes
         slot = page.append(payload)
-        self._note_free(page)
-        self._refs.append(RID(page.page_id, slot))
+        self._note_write(page, used)
+        self._rid_runs.append(np.array([RID(page.page_id, slot).packed()], dtype=np.int64))
         self._n_live += 1
-        self._pos_map = None
 
     def flush(self) -> None:
         """Flush buffered columnar rows into one single-slot page (no-op for row)."""
@@ -229,12 +237,13 @@ class HeapFile:
     def _append_columnar_page(self, batch: TupleBatch) -> None:
         """Store ``batch`` as one single-slot columnar page."""
         payload = encode_block_columnar(batch, self.schema)
-        page = Page(len(self.pages), capacity=max(self.page_bytes, len(payload)))
+        page = self._new_page(len(payload))
         page.append(payload)
-        self.pages.append(page)
-        self._refs.extend(rid_run(page.page_id, 0, len(batch)))
+        self._note_write(page, 0)
+        # A columnar page's rows share its one stored slot: a RID's slot is
+        # the row's index in the page's batch.
+        self._rid_runs.append((page.page_id << SLOT_BITS) + np.arange(len(batch), dtype=np.int64))
         self._n_live += len(batch)
-        self._pos_map = None
 
     # ------------------------------------------------------------------
     # DML: slot-level mutation of row-layout heaps.
@@ -254,8 +263,18 @@ class HeapFile:
                 "is only supported on row-layout tables"
             )
 
-    def _note_free(self, page: Page) -> None:
-        """Keep the free space map current after a write to ``page``."""
+    def _new_page(self, n_bytes: int) -> Page:
+        """Append an empty page that holds at least ``n_bytes``."""
+        page = Page(len(self.pages), capacity=max(self.page_bytes, n_bytes))
+        self.pages.append(page)
+        self._total_bytes += page.capacity
+        return page
+
+    def _note_write(self, page: Page, used_before: int) -> None:
+        """Keep the byte total and the free space map current after a write
+        to ``page`` (``used_before``: its ``used_bytes`` before the write,
+        which may also have compacted it)."""
+        self._payload_bytes += page.used_bytes - used_before
         if self._fsm is not None:
             self._fsm.set(page.page_id, page.capacity - page.live_bytes)
 
@@ -278,10 +297,10 @@ class HeapFile:
         payload = self.encode_payload(tuple_id, label, features)
         page = self._first_fit(len(payload))
         if page is None:
-            page = Page(len(self.pages), capacity=max(self.page_bytes, len(payload)))
-            self.pages.append(page)
+            page = self._new_page(len(payload))
+        used = page.used_bytes
         slot = page.append(payload)
-        self._note_free(page)
+        self._note_write(page, used)
         self._n_live += 1
         self._refs_dirty = True
         return RID(page.page_id, slot)
@@ -291,8 +310,9 @@ class HeapFile:
         are untouched)."""
         self._require_mutable()
         page = self.pages[rid.page_id]
+        used = page.used_bytes
         page.delete(rid.slot)
-        self._note_free(page)
+        self._note_write(page, used)
         self._n_live -= 1
         self._refs_dirty = True
 
@@ -306,41 +326,73 @@ class HeapFile:
         self._require_mutable()
         payload = self.encode_payload(tuple_id, label, features)
         page = self.pages[rid.page_id]
+        used = page.used_bytes
         try:
             page.replace(rid.slot, payload)
-            self._note_free(page)
+            self._note_write(page, used)
             self._refs_dirty = True
             return rid
         except ValueError:
             self.delete(rid)
             return self.insert(tuple_id, label, features)
 
-    def _ensure_refs(self) -> None:
-        """Rebuild the position directory after DML (heap order)."""
-        if not self._refs_dirty:
-            return
-        obs.inc("storage.heapfile.directory_rebuilds")
-        self._refs = [
-            RID(page.page_id, slot)
-            for page in self.pages
-            for slot in page.live_slots()
-        ]
-        self._refs_dirty = False
-        self._pos_map = None
+    def directory(self) -> np.ndarray:
+        """The position directory: every live tuple's packed RID, in heap
+        order (so ascending).  After DML it is rebuilt page by page."""
+        self.flush()
+        if self._refs_dirty:
+            obs.inc("storage.heapfile.directory_rebuilds")
+            runs = [(p.page_id << SLOT_BITS) + self.live_slots(p.page_id) for p in self.pages]
+            self._rids = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+            self._rid_runs.clear()
+            self._refs_dirty = False
+        elif self._rid_runs:
+            self._rids = np.concatenate([self._rids, *self._rid_runs])
+            self._rid_runs.clear()
+        return self._rids
+
+    def rids_at(self, positions) -> np.ndarray:
+        """The packed RIDs of the tuples at heap ``positions``."""
+        return self.directory()[np.asarray(positions, dtype=np.int64)]
+
+    def positions_of(self, rids) -> np.ndarray:
+        """Inverse of :meth:`rids_at`; raises ``KeyError`` for a dead RID."""
+        directory = self.directory()
+        rids = np.asarray(rids, dtype=np.int64)
+        positions = np.searchsorted(directory, rids)
+        if rids.size and (
+            not directory.size
+            or not np.array_equal(directory[np.minimum(positions, directory.size - 1)], rids)
+        ):
+            raise KeyError(RID.from_packed(np.setdiff1d(rids, directory)[0]))
+        return positions
 
     def rid_of(self, position: int) -> RID:
         """The RID of the tuple at heap position ``position`` (scan order)."""
-        self.flush()
-        self._ensure_refs()
-        return self._refs[position]
+        return RID.from_packed(self.directory()[position])
 
     def position_of(self, rid: RID) -> int:
         """Inverse of :meth:`rid_of`; raises ``KeyError`` for dead RIDs."""
-        self.flush()
-        self._ensure_refs()
-        if self._pos_map is None:
-            self._pos_map = {rid: pos for pos, rid in enumerate(self._refs)}
-        return self._pos_map[rid]
+        return int(self.positions_of([RID(*rid).packed()])[0])
+
+    def live_slots(self, page_id: int) -> np.ndarray:
+        """The live slot ids of row-layout page ``page_id``, ascending."""
+        page = self.pages[page_id]
+        if page.n_tuples == page.n_slots:
+            return np.arange(page.n_slots, dtype=np.int64)
+        return np.asarray(page.live_slots(), dtype=np.int64)
+
+    def slot_rows(self, page_id: int, slots) -> np.ndarray:
+        """The row of each of ``slots`` in page ``page_id``'s decoded batch
+        (:meth:`batch_slots` inverted); raises ``KeyError`` on a dead slot."""
+        slots = np.asarray(slots, dtype=np.int64)
+        if self.layout == "columnar":
+            return slots
+        live = self.live_slots(page_id)
+        rows = np.searchsorted(live, slots)
+        if rows.size and (int(rows.max()) >= live.size or not np.array_equal(live[rows], slots)):
+            raise KeyError(f"page {page_id}: a dead slot among {slots.tolist()}")
+        return rows
 
     def batch_slots(self, page_id: int, n_rows: int) -> Sequence[int]:
         """The RID slot of each row of page ``page_id``'s decoded batch, in
@@ -366,11 +418,11 @@ class HeapFile:
     @property
     def total_bytes(self) -> int:
         """On-disk footprint (pages are padded to their capacity)."""
-        return sum(p.capacity for p in self.pages)
+        return self._total_bytes
 
     @property
     def payload_bytes(self) -> int:
-        return sum(p.used_bytes for p in self.pages)
+        return self._payload_bytes
 
     # ------------------------------------------------------------------
     def _uncompressed(self, payload: bytes) -> bytes:

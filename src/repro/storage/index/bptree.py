@@ -11,6 +11,11 @@ entries.  Deletion takes the lazy route (no rebalancing): an underfull or
 empty leaf simply stays in the chain, which keeps scans correct because
 separators remain valid bounds.  The on-disk base is rewritten whole at
 every checkpoint, which restores compactness there anyway.
+
+A leaf also keeps its keys and packed RIDs (``page_id << 16 | slot``) as two
+numpy arrays, built by the first :meth:`BPlusTree.range_rids` that reaches
+it and dropped by any write to it: a range probe returns one ``int64``
+array, and writes pay nothing for it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterator
 
-from ..rid import RID
+import numpy as np
+
+from ..rid import RID, SLOT_BITS
 
 __all__ = ["BPlusTree", "DEFAULT_ORDER"]
 
@@ -32,14 +39,27 @@ _MAX_RID = RID(2**32 - 1, 2**16 - 1)
 
 
 class _Leaf:
-    __slots__ = ("entries", "next")
+    __slots__ = ("entries", "next", "_arrays")
 
     def __init__(self, entries=None):
         #: Sorted list of ``(key, RID)`` tuples (lexicographic composite).
         self.entries: list[tuple[float, RID]] = entries or []
         self.next: _Leaf | None = None
+        #: ``(keys, packed rids)`` of ``entries``; ``None`` until asked for
+        #: and after every write to the leaf.
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     is_leaf = True
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            keys = np.array([key for key, _rid in self.entries], dtype=np.float64)
+            rids = np.array(
+                [(page_id << SLOT_BITS) | slot for _key, (page_id, slot) in self.entries],
+                dtype=np.int64,
+            )
+            self._arrays = keys, rids
+        return self._arrays
 
 
 class _Inner:
@@ -121,6 +141,7 @@ class BPlusTree:
         """Recursive insert; returns ``(separator, new_right)`` on split."""
         if node.is_leaf:
             insort(node.entries, entry)
+            node._arrays = None
             if len(node.entries) <= self.order:
                 return None
             mid = len(node.entries) // 2
@@ -158,6 +179,7 @@ class BPlusTree:
         idx = bisect_left(node.entries, entry)
         if idx < len(node.entries) and node.entries[idx] == entry:
             del node.entries[idx]
+            node._arrays = None
             self._n_entries -= 1
             return True
         return False
@@ -195,6 +217,37 @@ class BPlusTree:
                 yield key, rid
                 idx += 1
             leaf, idx = leaf.next, 0
+
+    def range_rids(
+        self,
+        lo: float | None = None,
+        hi: float | None = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ) -> np.ndarray:
+        """The packed RIDs (``page_id << 16 | slot``) :meth:`range` yields,
+        in the same composite order, as one ``int64`` array.
+
+        Each leaf is bounded with one ``searchsorted`` over its key array
+        (keys are non-decreasing along the chain: the composite order sorts
+        by key first).
+        """
+        side_hi = "right" if hi_inclusive else "left"
+        if lo is None:
+            leaf, first = self._leftmost(), 0
+        else:
+            leaf = self._leaf_for((float(lo), _MIN_RID if lo_inclusive else _MAX_RID))
+            first = int(np.searchsorted(leaf.arrays()[0], lo, "left" if lo_inclusive else "right"))
+        runs: list[np.ndarray] = []
+        while leaf is not None:
+            keys, rids = leaf.arrays()
+            end = keys.size if hi is None else int(np.searchsorted(keys, hi, side_hi))
+            if first < end:
+                runs.append(rids[first:end])
+            if end < keys.size:
+                break
+            leaf, first = leaf.next, 0
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
     def search(self, key: float) -> list[RID]:
         """All RIDs stored under exactly ``key`` (heap order)."""

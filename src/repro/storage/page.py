@@ -220,4 +220,6 @@ class Page:
 
     def slot_lengths(self) -> list[int]:
         """Per-slot payload lengths; dead slots render as 0 (Snippet-2 style)."""
+        if self._n_live == len(self._slots):
+            return list(map(len, self._slots))
         return [0 if stored is None else len(stored) for stored in self._slots]

@@ -7,20 +7,29 @@ id, so a RID recorded in a secondary index stays valid until that exact
 tuple is deleted or moved by a non-in-place ``UPDATE``.
 
 The serialized form is 6 bytes big-endian — ``page_id:uint32`` +
-``slot:uint16`` — the packed-RID layout B+tree leaves store.
+``slot:uint16`` — the packed-RID layout B+tree leaves store.  In memory a
+set of RIDs is one ``int64`` array of ``page_id << SLOT_BITS | slot``: that
+integer order is heap order (page-major, slot-ascending), so sorting,
+intersecting and page grouping are numpy calls.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import partial
-from itertools import repeat
 from typing import NamedTuple
 
-__all__ = ["RID", "RID_BYTES", "rid_run", "pack_rids", "unpack_rids"]
+import numpy as np
+
+__all__ = [
+    "RID", "RID_BYTES", "SLOT_BITS", "SLOT_MASK", "page_runs", "pack_rids", "unpack_rids",
+]
 
 _RID_STRUCT = struct.Struct(">IH")
 RID_BYTES = _RID_STRUCT.size  # 6
+
+#: A packed RID is ``page_id << SLOT_BITS | slot``; ``& SLOT_MASK`` is the slot.
+SLOT_BITS = 16
+SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class RID(NamedTuple):
@@ -33,19 +42,27 @@ class RID(NamedTuple):
         """6-byte big-endian serialized form (``page:u32 + slot:u16``)."""
         return _RID_STRUCT.pack(self.page_id, self.slot)
 
+    def packed(self) -> int:
+        """The sortable integer form, ``page_id << SLOT_BITS | slot``."""
+        return (self.page_id << SLOT_BITS) | self.slot
+
+    @classmethod
+    def from_packed(cls, value) -> "RID":
+        value = int(value)
+        return cls(value >> SLOT_BITS, value & SLOT_MASK)
+
     @classmethod
     def unpack(cls, data: bytes, offset: int = 0) -> "RID":
         page_id, slot = _RID_STRUCT.unpack_from(data, offset)
         return cls(page_id, slot)
 
 
-def rid_run(page_id: int, first: int, count: int):
-    """The RIDs of ``count`` consecutive slots of one page, from ``first``
-    (built without a Python-level call per RID: bulk loads make one a row)."""
-    return map(_RID_FROM_PAIR, zip(repeat(page_id), range(first, first + count)))
-
-
-_RID_FROM_PAIR = partial(tuple.__new__, RID)
+def page_runs(rids: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(page_id, lo, hi)`` for each page of the ascending packed ``rids``:
+    ``rids[lo:hi]`` are the ones on that page."""
+    pages = rids >> SLOT_BITS
+    starts = [0, *(np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist()] if rids.size else []
+    return list(zip(pages[starts].tolist(), starts, [*starts[1:], len(rids)]))
 
 
 def pack_rids(rids) -> bytes:

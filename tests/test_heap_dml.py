@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.sparse import SparseRow
 from repro.db import Catalog, UnsupportedLayoutError
 from repro.storage.heapfile import ColumnarMutationError, HeapFile
 from repro.storage.page import Page
 from repro.storage.rid import RID
+
+from tests import _dml_workload as workload
 
 
 class TestPageCompaction:
@@ -245,3 +249,29 @@ class TestFreeSpaceMap:
         assert [p.slot_lengths() for p in heaps[0].pages] == [
             p.slot_lengths() for p in heaps[1].pages
         ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_ops=st.integers(1, 90),
+    page_bytes=st.sampled_from([256, 512, 1024]),
+    sparse=st.booleans(),
+)
+def test_byte_totals_track_every_write(seed, n_ops, page_bytes, sparse):
+    """``payload_bytes`` / ``total_bytes`` are kept by the writes, not summed
+    per read: after every op of a seeded DML stream (inserts into reused
+    slots and fresh pages, deletes, in-place and moving updates, compaction)
+    they equal the sums over the pages, and a bulk append after DML too."""
+    _catalog, info = workload.make_table(None, page_bytes=page_bytes, sparse=sparse)
+    heap = info.heap
+
+    def check(_completed: int) -> None:
+        assert heap.payload_bytes == sum(page.used_bytes for page in heap.pages)
+        assert heap.total_bytes == sum(page.capacity for page in heap.pages)
+
+    check(0)
+    workload.apply_ops(info, n_ops, seed=seed, progress=check)
+    tup = heap.read_tuple(0)
+    heap.append(10**6, tup.label, tup.features)
+    check(n_ops + 1)
