@@ -32,7 +32,7 @@ BATCH = 64
 def test_fig05_order_equivalence(benchmark, glm_problems):
     train, test = glm_problems["susy"]
     layout = train.layout(40)
-    mp = MultiProcessCorgiPile(layout, N_WORKERS, buffer_blocks_per_worker=4, seed=0)
+    mp = MultiProcessCorgiPile(layout, N_WORKERS, buffer_blocks=4, seed=0)
     single = mp.equivalent_single_process()
 
     def run():

@@ -15,11 +15,11 @@ import numpy as np
 from conftest import ENGINE_BLOCK_BYTES, GLM_DATASETS, report_loader_stats, report_table
 
 from repro import obs
+from repro.core import PrefetchLoader
 from repro.obs import LoaderMetrics
 from repro.db import Catalog, overlap_crosscheck, run_in_db_system
 from repro.db.engine import ENGINE_PROFILE
-from repro.db.operators import SeqScanOperator
-from repro.db.threaded import ThreadedTupleShuffleOperator
+from repro.db.operators import SeqScanOperator, TupleShuffleOperator
 from repro.db.timing import RuntimeContext
 from repro.storage import HDD_SCALED, SSD_SCALED
 
@@ -76,12 +76,13 @@ def test_fig13_per_epoch_overhead(benchmark, glm_problems):
 
 
 def test_fig13_measured_overlap(glm_problems):
-    """Measured double-buffering overlap from the real threaded operator.
+    """Measured double-buffering overlap from a real write thread.
 
     The table above charges double buffering through the analytic
     ``pipelined_time`` model; here the actual two-thread TupleShuffle of
-    Section 6.3 runs over a real heap table, and the loader-observability
-    counters report how much of the cross-thread waiting the write thread
+    Section 6.3 (the TupleShuffle operator filling on a depth-1
+    ``PrefetchLoader`` thread) runs over a real heap table, and the
+    loader-observability counters report how much of the cross-thread waiting the write thread
     absorbed (overlap_fraction → 1.0 means filling was fully hidden behind
     consumption).
     """
@@ -92,9 +93,7 @@ def test_fig13_measured_overlap(glm_problems):
     baseline_threads = threading.active_count()
     stats = LoaderMetrics("threaded-tuple-shuffle")
     ctx = RuntimeContext(device=SSD_SCALED, compute=ENGINE_PROFILE)
-    op = ThreadedTupleShuffleOperator(
-        SeqScanOperator(table, ctx), buffer_tuples, seed=0, stats=stats
-    )
+    op = TupleShuffleOperator(SeqScanOperator(table, ctx), ctx, buffer_tuples, seed=0, stats=stats)
     # Trace the run so the span-derived overlap can audit the counters.
     obs.reset()
     with obs.trace_to() as (tracer, _registry):
@@ -102,7 +101,7 @@ def test_fig13_measured_overlap(glm_problems):
         op.open()
         sink = 0.0
         for epoch in range(2):
-            while (batch := op.next_batch()) is not None:
+            for batch in PrefetchLoader(iter(op.next_batch, None), depth=1, stats=stats):
                 for i in range(len(batch)):
                     # A stand-in for the per-tuple SGD update the read side performs.
                     features = batch.row(i)

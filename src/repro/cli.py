@@ -818,8 +818,7 @@ def _cmd_loader_stats(args) -> int:
     )
     from .db import Catalog, overlap_report
     from .db.engine import ENGINE_PROFILE
-    from .db.operators import SeqScanOperator
-    from .db.threaded import ThreadedTupleShuffleOperator
+    from .db.operators import SeqScanOperator, TupleShuffleOperator
     from .db.timing import RuntimeContext
     from .storage import SSD, write_block_file
 
@@ -863,15 +862,18 @@ def _cmd_loader_stats(args) -> int:
             drain(multi, multi)
         rows.append(overlap_report(multi_stats))
 
+    # Section 6.3's write thread: the synchronous TupleShuffle operator
+    # filling the next buffer on a prefetch thread while this one drains.
     threaded_stats = obs.LoaderMetrics("threaded-tuple-shuffle")
     table = Catalog(page_bytes=1024).create_table(args.dataset, dataset)
     ctx = RuntimeContext(device=SSD, compute=ENGINE_PROFILE)
-    op = ThreadedTupleShuffleOperator(
-        SeqScanOperator(table, ctx), args.buffer_tuples, seed=args.seed, stats=threaded_stats
+    op = TupleShuffleOperator(
+        SeqScanOperator(table, ctx), ctx, args.buffer_tuples, seed=args.seed,
+        stats=threaded_stats,
     )
     op.open()
     for epoch in range(args.epochs):
-        while op.next_batch() is not None:
+        for _ in PrefetchLoader(iter(op.next_batch, None), depth=1, stats=threaded_stats):
             pass
         if epoch + 1 < args.epochs:
             op.rescan()

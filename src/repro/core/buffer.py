@@ -1,15 +1,18 @@
 """Shuffle buffers and the double-buffering pipeline model.
 
-:class:`ShuffleBuffer` is the in-memory tuple buffer of the
-``CorgiPileDataset`` iterator (Section 5): fill with tuples pulled from the
-block reader, shuffle, drain.  The in-DB TupleShuffle operator (Section 6.2)
-does the same over whole batches (``repro.db.operators.shuffled_fill``).
+:class:`ShuffleBuffer` is a tuple-at-a-time shuffle buffer — fill with
+tuples, shuffle, drain — the per-tuple reference the batch operators are
+checked against (``tests/test_operator_batches.py`` holds the in-DB
+TupleShuffle operator, which shuffles whole fills in
+:mod:`repro.db.operators`, to it).
 
-:func:`pipelined_time` computes the wall-clock of a producer/consumer
+:func:`pipelined_time` is the simulated clock of a producer/consumer
 pipeline with double buffering (Section 6.3): while SGD consumes buffer A,
 the write thread fills buffer B, so per-fill wall time is the *max* of fill
 (I/O) and consume (compute) instead of their sum.  :func:`serial_time` is the
-single-buffer baseline the paper's Figure 13 compares against.
+single-buffer baseline the paper's Figure 13 compares against.  The real
+write thread is a :class:`~repro.core.prefetch.PrefetchLoader` over that
+operator; it measures what this model charges.
 """
 
 from __future__ import annotations

@@ -111,9 +111,6 @@ class CorgiPileShuffle(BlockAwareStrategy):
             return self.buffer_blocks
         return self.layout.n_blocks
 
-    def tuples_per_epoch(self, epoch: int = 0) -> int:
-        return int(sum(self.layout.block_size(b) for b in self.epoch_block_order(epoch)))
-
     def epoch_trace(self, tuple_bytes: float) -> AccessTrace:
         trace = AccessTrace()
         trace.add(

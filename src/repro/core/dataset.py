@@ -30,7 +30,8 @@ from .. import obs
 from ..obs import LoaderMetrics
 from ..storage.blockfile import BlockFileReader
 from ..storage.codec import TupleBatch
-from .seeding import epoch_rng, worker_rng
+from .distributed import MultiProcessCorgiPile
+from .seeding import worker_rng
 
 __all__ = ["CorgiPileDataset"]
 
@@ -55,10 +56,13 @@ class CorgiPileDataset:
         # ``reader_factory`` swaps the storage layer under the shuffle — e.g.
         # repro.faults.faulty_reader_factory injects a fault plan here.
         self.reader = (reader_factory or BlockFileReader)(path)
-        self.buffer_blocks = int(buffer_blocks)
         self.seed = int(seed)
         self.worker_id = int(worker_id)
-        self.n_workers = int(n_workers)
+        #: The Section 5 plan this worker's fills follow (block split, groups).
+        self.plan = MultiProcessCorgiPile.for_blocks(
+            self.reader.n_tuples, [e.n_tuples for e in self.reader.entries],
+            n_workers, buffer_blocks, self.seed,
+        )
         self.epoch = 0
         #: Optional private scope: counts this dataset's buffer fills/drains.
         self.stats = stats
@@ -78,24 +82,14 @@ class CorgiPileDataset:
         self.epoch = int(epoch)
 
     # ------------------------------------------------------------------
-    def _worker_blocks(self, rng: np.random.Generator) -> np.ndarray:
-        """Block-level shuffle + split across workers (Section 5.1 step 2).
-
-        All workers draw the *same* shuffled block index (same seed), then
-        worker ``i`` takes the ``i``-th contiguous slice — so workers see
-        disjoint random block sets.
-        """
-        order = rng.permutation(self.n_blocks)
-        slices = np.array_split(order, self.n_workers)
-        return slices[self.worker_id]
-
     def fills(self, columns=None, start: int = 0) -> Iterator[TupleBatch]:
         """The two-level shuffle, one buffer fill at a time.
 
-        The worker's share of the shuffled block ids is read ``buffer_blocks``
-        blocks at a time; each group is one fill — the ``concat`` of its
-        blocks, permuted once with the worker-local tuple-shuffle stream — so
-        a consumer that trains on whole fills never sees a per-tuple object.
+        The worker's share of the shuffled block ids is read in the plan's
+        groups of ``buffer_blocks`` blocks (``self.plan.fill_groups``); each
+        group is one fill — the ``concat`` of its blocks, permuted once with
+        the worker-local tuple-shuffle stream — so a consumer that trains on
+        whole fills never sees a per-tuple object.
         On a columnar file ``columns`` (names) prunes the read to the chunks
         the consumer touches, e.g. ``training_columns(sparse)``; a fill read
         without the ``ids`` chunk carries ``-1`` ids.  ``start`` is the index
@@ -105,11 +99,10 @@ class CorgiPileDataset:
         """
         # The block-shuffle RNG is shared across workers (same seed, same
         # epoch); the tuple-shuffle RNG is worker-local.
-        my_blocks = self._worker_blocks(epoch_rng(self.seed, self.epoch))
+        groups = self.plan.fill_groups(self.epoch, self.worker_id)
         tuple_rng = worker_rng(self.seed, self.epoch, self.worker_id)
         stats = self.stats or obs.SESSION_LOADER
-        for i, lo in enumerate(range(0, len(my_blocks), self.buffer_blocks)):
-            group = my_blocks[lo : lo + self.buffer_blocks]
+        for i, group in enumerate(groups):
             if i < start:
                 tuple_rng.permutation(sum(self.reader.entries[int(b)].n_tuples for b in group))
                 continue

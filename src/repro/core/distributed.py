@@ -1,4 +1,4 @@
-"""Multi-process CorgiPile (Section 5.1-5.2).
+"""Multi-process CorgiPile (Section 5.1-5.2): the one shard plan.
 
 PyTorch's DDP mode runs ``PN`` processes, each with its own GPU.  CorgiPile
 extends to this setting by (1) sharing the block-level shuffle across
@@ -10,18 +10,27 @@ interleaving of the per-process streams batch-slice by batch-slice, which
 Section 5.2 argues is equivalent to single-process CorgiPile with a
 ``PN``-times-larger buffer.
 
-This module simulates that execution faithfully at the index level: the
-per-worker streams, the ``bs/PN`` batch slices, and the AllReduce
-concatenation, so the equivalence claim is *testable* (see Figure 5 bench).
+:class:`MultiProcessCorgiPile` is that plan, and it serves both sides: it
+simulates the execution at the index level (per-worker streams, ``bs/PN``
+batch slices, the AllReduce concatenation — so the equivalence claim is
+testable, see the Figure 5 bench), and it is what executes it — every
+:class:`~repro.core.dataset.CorgiPileDataset` reads its fills in the
+plan's block groups, and the engine in :mod:`repro.parallel` takes shard
+sizes and the synchronised step count from it.  The plan is a pure function
+of ``(layout, n_workers, buffer_blocks, seed)``: the coordinator and every
+spawned worker build identical ones, with no coordination.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import json
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..data.dataset import BlockLayout
+from ..storage.blockfile import _INDEX_SUFFIX
 from .corgipile import CorgiPileShuffle
 from .seeding import epoch_rng, worker_rng
 
@@ -29,23 +38,72 @@ __all__ = ["MultiProcessCorgiPile"]
 
 
 class MultiProcessCorgiPile:
-    """Simulated DDP execution of CorgiPile over ``n_workers`` processes."""
+    """CorgiPile over ``n_workers`` processes, ``buffer_blocks`` blocks a fill."""
 
     def __init__(
         self,
         layout: BlockLayout,
         n_workers: int,
-        buffer_blocks_per_worker: int,
+        buffer_blocks: int,
         seed: int = 0,
     ):
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
-        if buffer_blocks_per_worker <= 0:
-            raise ValueError("buffer_blocks_per_worker must be positive")
+        if buffer_blocks <= 0:
+            raise ValueError("buffer_blocks must be positive")
         self.layout = layout
         self.n_workers = int(n_workers)
-        self.buffer_blocks_per_worker = int(buffer_blocks_per_worker)
+        self.buffer_blocks = int(buffer_blocks)
         self.seed = int(seed)
+
+    @classmethod
+    def for_blocks(
+        cls,
+        n_tuples: int,
+        block_sizes: Sequence[int],
+        n_workers: int,
+        buffer_blocks: int,
+        seed: int = 0,
+    ) -> "MultiProcessCorgiPile":
+        """The plan over a block file whose blocks hold ``block_sizes`` tuples.
+
+        Block files store contiguous fixed-size blocks (a short final block
+        is fine — exactly :class:`BlockLayout`'s shape), so the sizes pin
+        the layout.
+        """
+        if not block_sizes:
+            raise ValueError("a block file with no blocks has no shard plan")
+        layout = BlockLayout(int(n_tuples), max(int(n) for n in block_sizes))
+        return cls(layout, n_workers, buffer_blocks, seed)
+
+    @classmethod
+    def for_block_file(
+        cls,
+        path: str | Path,
+        n_workers: int,
+        buffer_blocks: int,
+        seed: int = 0,
+    ) -> "MultiProcessCorgiPile":
+        """The plan over the block file at ``path``, from its sidecar index
+        alone (no data bytes are read)."""
+        with open(str(Path(path)) + _INDEX_SUFFIX) as f:
+            doc = json.load(f)
+        sizes = [int(b["n_tuples"]) for b in doc["blocks"]]
+        return cls.for_blocks(int(doc["n_tuples"]), sizes, n_workers, buffer_blocks, seed)
+
+    @property
+    def n_blocks(self) -> int:
+        return self.layout.n_blocks
+
+    def describe(self) -> dict:
+        return {
+            "n_tuples": self.layout.n_tuples,
+            "tuples_per_block": self.layout.tuples_per_block,
+            "n_blocks": self.n_blocks,
+            "n_workers": self.n_workers,
+            "buffer_blocks": self.buffer_blocks,
+            "seed": self.seed,
+        }
 
     # ------------------------------------------------------------------
     def worker_blocks(self, epoch: int) -> list[np.ndarray]:
@@ -58,22 +116,40 @@ class MultiProcessCorgiPile:
         order = epoch_rng(self.seed, epoch).permutation(self.layout.n_blocks)
         return list(np.array_split(order, self.n_workers))
 
+    def fill_groups(self, epoch: int, worker_id: int) -> list[np.ndarray]:
+        """Worker ``worker_id``'s blocks for ``epoch``, ``buffer_blocks`` at a
+        time: one group per tuple-buffer fill, in read order."""
+        if not 0 <= worker_id < self.n_workers:
+            raise IndexError("worker_id out of range")
+        blocks = self.worker_blocks(epoch)[worker_id]
+        step = self.buffer_blocks
+        return [blocks[lo : lo + step] for lo in range(0, blocks.size, step)]
+
+    def fill_sizes(self, epoch: int, worker_id: int) -> list[int]:
+        """Tuples in each of the worker's fills (no shuffle is drawn)."""
+        return [
+            sum(self.layout.block_size(int(b)) for b in group)
+            for group in self.fill_groups(epoch, worker_id)
+        ]
+
+    def shard_sizes(self, epoch: int) -> list[int]:
+        """Tuples owned by each worker this epoch (uneven splits allowed)."""
+        return [
+            int(sum(self.layout.block_size(int(b)) for b in blocks))
+            for blocks in self.worker_blocks(epoch)
+        ]
+
     def worker_buffer_fills(self, epoch: int, worker_id: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Worker ``worker_id``'s stream, one entry per tuple-buffer fill.
 
         Each entry is ``(block_group, shuffled_indices)``: the blocks read
-        into the buffer and the tuple visit order the drain produces.  The
-        executing engine (:mod:`repro.parallel`) consumes this form — one
-        fill is its unit of I/O — while :meth:`worker_epoch_indices` is the
-        flat concatenation, so execution provably matches the simulation.
+        into the buffer and the tuple visit order the drain produces — the
+        order :meth:`~repro.core.dataset.CorgiPileDataset.fills` executes.
+        :meth:`worker_epoch_indices` is the flat concatenation.
         """
-        if not 0 <= worker_id < self.n_workers:
-            raise IndexError("worker_id out of range")
-        blocks = self.worker_blocks(epoch)[worker_id]
         rng = worker_rng(self.seed, epoch, worker_id)
         fills: list[tuple[np.ndarray, np.ndarray]] = []
-        for lo in range(0, blocks.size, self.buffer_blocks_per_worker):
-            group = blocks[lo : lo + self.buffer_blocks_per_worker]
+        for group in self.fill_groups(epoch, worker_id):
             indices = np.concatenate([self.layout.block_indices(b) for b in group])
             rng.shuffle(indices)
             fills.append((group, indices))
@@ -94,6 +170,15 @@ class MultiProcessCorgiPile:
         if global_batch_size % self.n_workers != 0:
             raise ValueError("global_batch_size must be divisible by n_workers")
         return global_batch_size // self.n_workers
+
+    def sync_steps(self, epoch: int, global_batch_size: int) -> int:
+        """Gradient-sync steps this epoch (limited by the smallest shard).
+
+        Every worker derives the same number independently, so the barrier
+        protocol needs no negotiation; ``0`` means the epoch has no full
+        global batch (e.g. fewer tuples per shard than ``bs/PN``).
+        """
+        return min(self.shard_sizes(epoch)) // self.per_worker_batch(global_batch_size)
 
     def global_batches(self, epoch: int, global_batch_size: int) -> Iterator[np.ndarray]:
         """The AllReduce-equivalent global batch stream.
@@ -126,6 +211,6 @@ class MultiProcessCorgiPile:
         """
         return CorgiPileShuffle(
             self.layout,
-            self.buffer_blocks_per_worker * self.n_workers,
+            self.buffer_blocks * self.n_workers,
             seed=self.seed,
         )

@@ -2,11 +2,11 @@
 
 CorgiPile's speedup rests on its concurrent loading path — the two
 data-loading workers of Section 5.1 and the double-buffered TupleShuffle of
-Section 6.3.  Every loader in this repo that spawns a producer thread
-(:class:`~repro.core.prefetch.PrefetchLoader`,
-:class:`~repro.core.multiworker.MultiWorkerLoader`,
-:class:`~repro.db.threaded.ThreadedTupleShuffleOperator`) builds on the
-primitives here, which provide the guarantees a per-loader thread cannot:
+Section 6.3.  One loader spawns producer threads,
+:class:`~repro.core.prefetch.PrefetchLoader`, on the primitives here; the
+:class:`~repro.core.multiworker.MultiWorkerLoader` runs one per worker, and
+Section 6.3's write thread is one over the synchronous TupleShuffle
+operator.  The primitives provide the guarantees a per-loader thread cannot:
 
 * **Cooperative cancellation.**  :class:`ProducerChannel` wraps a bounded
   queue whose *every* blocking ``put`` — including the terminal sentinel put

@@ -51,6 +51,7 @@ from ..core.seeding import (
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import load_checkpoint
 from ..ml.trainer import CheckpointConfig, ConvergenceHistory, run_epochs
+from ..obs import LoaderMetrics
 from ..storage.codec import RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
 from ..storage.rid import SLOT_MASK, page_runs
@@ -70,7 +71,6 @@ __all__ = [
     "SlidingWindowOperator",
     "MultiplexedReservoirOperator",
     "SGDOperator",
-    "shuffled_fill",
 ]
 
 
@@ -397,32 +397,21 @@ class RidBlockShuffleOperator(PhysicalOperator):
         return self._load_next_block()  # a virtual block is never empty
 
 
-def shuffled_fill(
-    stream: RowStream, buffer_tuples: int, rng: np.random.Generator, **span_attrs
-) -> TupleBatch | None:
-    """One TupleShuffle fill: buffer, shuffle, hand over (``None`` when dry).
-
-    Pulls child batches until exactly ``buffer_tuples`` rows are buffered —
-    the batch that crosses the boundary is cut there and its tail carried by
-    ``stream`` into the next fill — then draws one ``rng.permutation`` over
-    the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills` does for
-    the block-file loaders.  The caller records the drain when it hands the
-    fill on (the threaded operator does that on its consumer side).
-    """
-    with obs.span("db.fill", **span_attrs) as sp:
-        fill = stream.take(buffer_tuples)
-        sp.set(n_tuples=0 if fill is None else len(fill))
-    if fill is None:
-        return None
-    return fill.take(rng.permutation(len(fill)))
-
-
 class TupleShuffleOperator(PhysicalOperator):
     """Buffer a batch of blocks' tuples and shuffle them (operator 2).
 
-    Each :func:`shuffled_fill` is emitted as one batch and reported to the
-    runtime context so the executor can overlap the next fill with SGD
-    compute (double buffering, Section 6.3).
+    A fill pulls child batches until exactly ``buffer_tuples`` rows are
+    buffered — the batch that crosses the boundary is cut there and its
+    tail carried into the next fill — then draws one ``rng.permutation``
+    over the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills`
+    does for the block-file loaders.  Each fill is emitted as one batch and
+    reported to the runtime context so the executor can overlap the next
+    fill with SGD compute (double buffering, Section 6.3).  The section's
+    real write thread is this operator behind a prefetcher:
+    ``PrefetchLoader(iter(op.next_batch, None), depth=1, stats=op.stats)``
+    fills one buffer while the consumer drains the other.  ``stats`` (a
+    :class:`~repro.obs.LoaderMetrics` scope) counts the fills and drains;
+    without one they go to the session's loader scope.
     """
 
     def __init__(
@@ -431,6 +420,7 @@ class TupleShuffleOperator(PhysicalOperator):
         ctx: RuntimeContext,
         buffer_tuples: int,
         seed: int = 0,
+        stats: LoaderMetrics | None = None,
     ):
         if buffer_tuples <= 0:
             raise ValueError("buffer_tuples must be positive")
@@ -438,6 +428,7 @@ class TupleShuffleOperator(PhysicalOperator):
         self.ctx = ctx
         self.buffer_tuples = int(buffer_tuples)
         self.seed = int(seed)
+        self.stats = stats
 
     def _reset(self) -> None:
         self._rng = stream_rng(self.seed, self._epoch, TUPLE_SHUFFLE_STREAM)
@@ -447,12 +438,19 @@ class TupleShuffleOperator(PhysicalOperator):
     def _refill(self) -> TupleBatch | None:
         if self._exhausted:
             return None
-        fill = shuffled_fill(self._stream, self.buffer_tuples, self._rng)
+        with obs.span("db.fill") as sp:
+            fill = self._stream.take(self.buffer_tuples)
+            sp.set(n_tuples=0 if fill is None else len(fill))
         if fill is None or len(fill) < self.buffer_tuples:
             self._exhausted = True
-        if fill is not None:
-            obs.SESSION_LOADER.record_buffer_drained(len(fill))
-            self.ctx.end_fill(len(fill))
+        if fill is None:
+            return None
+        n = len(fill)
+        fill = fill.take(self._rng.permutation(n))
+        stats = self.stats or obs.SESSION_LOADER
+        stats.record_buffer_filled(n)
+        stats.record_buffer_drained(n)
+        self.ctx.end_fill(n)
         return fill
 
     def next_batch(self) -> TupleBatch | None:

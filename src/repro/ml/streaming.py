@@ -4,10 +4,11 @@ The PyTorch-side integration (Section 5) never materialises the dataset —
 ``train()`` pulls batches from the ``DataLoader`` wrapped around a
 ``CorgiPileDataset``.  :func:`train_streaming` is that loop as library
 code over any stream of :class:`~repro.storage.codec.TupleBatch`\\ es (a
-``DataLoader``, a ``MultiWorkerLoader``, or ``fills()`` itself): one pass
-per epoch, per-tuple or mini-batch updates, optional evaluation sets,
-optional prefetching (real double buffering) — so training from an on-disk
-block file needs no custom loop.
+``DataLoader``, a ``MultiWorkerLoader``, ``fills()`` itself, or any of them
+wrapped in a :class:`~repro.core.prefetch.PrefetchLoader` for real double
+buffering): one pass per epoch, per-tuple or mini-batch updates, optional
+evaluation sets — so training from an on-disk block file needs no custom
+loop.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ def train_streaming(
     fused: bool = False,
     train_eval: Dataset | None = None,
     test: Dataset | None = None,
-    prefetch_depth: int = 0,
     checkpoint: CheckpointConfig | None = None,
     resume_from: CheckpointState | str | Path | None = None,
     fault_plan=None,
@@ -64,9 +64,7 @@ def train_streaming(
     standard-SGD mode); otherwise each batch is one (mini-batch) step via
     ``optimizer`` (plain SGD by default).  ``fused=True`` routes the
     per-tuple updates through the models' ``step_block`` kernels (same
-    in-batch visit order, one update per tuple).  ``prefetch_depth > 0``
-    wraps the loader in a background
-    :class:`~repro.core.prefetch.PrefetchLoader`.  Loss/score are evaluated
+    in-batch visit order, one update per tuple).  Loss/score are evaluated
     on ``train_eval``/``test`` when given; without ``train_eval`` the loss
     column is NaN (nothing is materialised).
 
@@ -89,12 +87,7 @@ def train_streaming(
     int_labels = not per_tuple and _looks_multiclass(model)
 
     def units(epoch: int, cursor: int, tuples_seen: int):
-        loader: Iterable[TupleBatch] = loader_factory(epoch)
-        if prefetch_depth > 0:
-            from ..core.prefetch import PrefetchLoader
-
-            loader = PrefetchLoader(loader, depth=prefetch_depth)
-        for index, batch in enumerate(loader):
+        for index, batch in enumerate(loader_factory(epoch)):
             if index < cursor:
                 continue  # applied before the interruption
             if fault_plan is not None:

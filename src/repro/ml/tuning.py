@@ -35,9 +35,6 @@ class GridResult:
     best_history: ConvergenceHistory
     trials: list[dict] = field(default_factory=list)
 
-    def as_rows(self) -> list[dict]:
-        return self.trials
-
 
 def grid_search(
     model_factory: Callable[[], object],

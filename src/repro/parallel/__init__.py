@@ -1,10 +1,11 @@
 """repro.parallel — the executing multi-process data-parallel engine.
 
-Turns :class:`~repro.core.distributed.MultiProcessCorgiPile` from an
-index-level simulation into real training: a coordinator spawns ``PN``
-worker processes (spawn-safe), each reading its shard of the shared
-per-epoch block permutation through its own
-:class:`~repro.storage.blockfile.BlockFileReader`, with pluggable
+Executes :class:`~repro.core.distributed.MultiProcessCorgiPile`, the one
+shard plan (the same class is the index-level simulation): a coordinator
+spawns ``PN`` worker processes (spawn-safe), each reading its shard of the
+shared per-epoch block permutation through its own
+:class:`~repro.core.dataset.CorgiPileDataset`, whose fills follow that
+plan's block groups, with pluggable
 aggregation (``sync`` per-batch gradient averaging on per-worker replicas,
 ``epoch`` model averaging, ``async`` Hogwild), atomic coordinator
 checkpoints at seams, and per-worker stats merged into one cross-process
@@ -31,12 +32,10 @@ from .hopper import (
     HopperSchedule,
     run_hopper_inprocess,
 )
-from .plan import ShardPlanner
 from .worker import WorkerConfig
 
 __all__ = [
     "AGGREGATION_MODES",
-    "ShardPlanner",
     "WorkerConfig",
     "ParallelTrainer",
     "ParallelResult",

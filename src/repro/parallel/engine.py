@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
+from ..core.distributed import MultiProcessCorgiPile
 from ..obs import LoaderMetrics, StorageMetrics
 from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
@@ -71,7 +72,6 @@ from ..storage.blockfile import BlockFileReader
 from ..storage.codec import TupleBatch
 from .aggregate import AGGREGATION_MODES, weighted_average_models
 from .fleet import WorkerError, WorkerFleet, running_fleet
-from .plan import ShardPlanner
 from .shm import shared_arrays
 from .worker import BARRIER_TIMEOUT_S, WorkerConfig, worker_main
 
@@ -206,7 +206,7 @@ class ParallelTrainer:
         self.should_stop = should_stop
         #: The fleet to run on; ``None`` opens one for the length of ``run``.
         self.fleet = fleet
-        self.planner = ShardPlanner.for_block_file(
+        self.planner = MultiProcessCorgiPile.for_block_file(
             self.path, n_workers, buffer_blocks, seed=self.seed
         )
         self.n_workers = self.planner.n_workers
@@ -467,7 +467,7 @@ def sync_reference_trainer(
     mean, so per-batch gradient averaging across ``PN`` processes applies
     numerically the same update sequence as this trainer.
     """
-    planner = ShardPlanner.for_block_file(path, n_workers, buffer_blocks, seed=seed)
+    planner = MultiProcessCorgiPile.for_block_file(path, n_workers, buffer_blocks, seed=seed)
     orders = [planner.epoch_indices(e, global_batch_size) for e in range(epochs)]
     train = load_block_dataset(path, task=task)
     return Trainer(

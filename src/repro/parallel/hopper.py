@@ -57,13 +57,13 @@ import numpy as np
 
 from .. import obs
 from ..core.dataset import CorgiPileDataset
+from ..core.distributed import MultiProcessCorgiPile
 from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
 from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record
 from .engine import load_block_dataset
 from .fleet import WorkerFleet, running_fleet
-from .plan import ShardPlanner
 from .shm import shared_arrays
 from .worker import step_shard
 
@@ -352,7 +352,7 @@ class HopperEngine:
         self.on_slot = on_slot
         #: The fleet to run on; ``None`` opens one for the length of ``run``.
         self.fleet = fleet
-        self.planner = ShardPlanner.for_block_file(
+        self.planner = MultiProcessCorgiPile.for_block_file(
             self.path, n_workers, buffer_blocks, seed=self.seed
         )
         self.schedule = HopperSchedule(

@@ -46,7 +46,6 @@ from ..ml.persistence import model_from_bytes
 from ..storage.blockfile import BlockFileReader
 from ..storage.codec import RowStream
 from .aggregate import average_gradient_slots, pack_gradients, unpack_gradients
-from .plan import ShardPlanner
 from .shm import attach_arrays
 
 __all__ = ["WorkerConfig", "SyncPoints", "worker_loop", "worker_main", "BARRIER_TIMEOUT_S"]
@@ -211,7 +210,7 @@ def _fill_stream(shard: CorgiPileDataset, epoch: int, start: int = 0) -> RowStre
     return RowStream(lambda: next(fills, None))
 
 
-def _epoch_slices(cfg, planner, shard, epoch: int, skip: int):
+def _epoch_slices(cfg, shard, epoch: int, skip: int):
     """Yield the epoch's per-step slices of ``bs/PN`` rows, after ``skip`` steps.
 
     Fills are read lazily; whole fills that fall before the resume offset
@@ -219,11 +218,11 @@ def _epoch_slices(cfg, planner, shard, epoch: int, skip: int):
     (seed, epoch)-pure, so nothing needs replaying).
     """
     per_worker = cfg.global_batch_size // cfg.n_workers
-    n_steps = planner.sync_steps(epoch, cfg.global_batch_size)
+    n_steps = shard.plan.sync_steps(epoch, cfg.global_batch_size)
     to_skip = skip * per_worker
     first = 0
     if to_skip:
-        sizes = [ids.size for _, ids in planner.worker_buffer_fills(epoch, cfg.worker_id)]
+        sizes = shard.plan.fill_sizes(epoch, cfg.worker_id)
         while first < len(sizes) and to_skip >= sizes[first]:
             to_skip -= int(sizes[first])
             first += 1
@@ -245,11 +244,9 @@ def _run_sync(cfg, shard, model, params, grads, sync, results) -> int:
     (``cfg.seams``: a count of applied steps) each worker leaves its replica
     in its row of the idle slab and the coordinator joins to read them.
 
-    The shard plan (step counts, fill sizes) is derived locally: it is a pure
-    function of the seed, so no plan bytes cross the process boundary."""
-    planner = ShardPlanner.for_block_file(
-        cfg.path, cfg.n_workers, cfg.buffer_blocks, seed=cfg.seed
-    )
+    The shard plan (step counts, fill sizes) is the shard's own
+    ``shard.plan``: a pure function of the seed, so no plan bytes cross the
+    process boundary."""
     optimizer = cfg.optimizer
     optimizer.model = model
     seams = list(reversed(cfg.seams))
@@ -268,7 +265,7 @@ def _run_sync(cfg, shard, model, params, grads, sync, results) -> int:
     for epoch in range(cfg.start_epoch, cfg.epochs):
         lr = float(cfg.schedule(epoch))
         skip = cfg.start_step if epoch == cfg.start_epoch else 0
-        for unit in _epoch_slices(cfg, planner, shard, epoch, skip):
+        for unit in _epoch_slices(cfg, shard, epoch, skip):
             slab = grads[steps & 1]
             slab[cfg.worker_id, :] = pack_gradients(
                 model.gradient(unit.features_matrix(), unit.labels), model

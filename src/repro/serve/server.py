@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..ml.persistence import durable_write, model_from_bytes
+from ..ml.persistence import durable_write
 from .jobs import JobManager
 from .protocol import (
     MIN_PROTOCOL_VERSION,
@@ -270,10 +270,6 @@ class ReproServer:
             session = self._sessions.get(job.session_id)
         if session is not None:
             session.db.register_model(model, model_id=job.job_id)
-
-    def restore_model(self, job_id: str):
-        """Load a finished job's model from its durable file."""
-        return model_from_bytes(self.jobs.model_bytes(job_id))
 
     # ------------------------------------------------------------------
     # The live stats surface (the ``\\bpstat`` idea)

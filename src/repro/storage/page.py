@@ -45,23 +45,6 @@ class Page:
     version: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_slots(
-        cls, page_id: int, capacity: int, payloads: list[bytes | None]
-    ) -> "Page":
-        """Rebuild a page image with its slot directory (``None`` = dead).
-
-        Used by the file loader: dead slots come back as zero-length line
-        pointers whose space was already reclaimed at save time, so they
-        carry no dead bytes.
-        """
-        page = cls(page_id, capacity=capacity)
-        page._slots = list(payloads)
-        page._live = sum(len(p) for p in payloads if p is not None)
-        page._n_live = sum(1 for p in payloads if p is not None)
-        return page
-
-    # ------------------------------------------------------------------
     def fits(self, n_bytes: int) -> bool:
         """Would ``n_bytes`` fit in the page *as it stands* (no compaction)?"""
         return self._live + self._dead + n_bytes <= self.capacity

@@ -63,8 +63,5 @@ class GradientStatsTracker:
             raise ValueError("tracker has not observed any epochs")
         return self.history[-1]
 
-    def sigma2_series(self) -> list[float]:
-        return [s.sigma2 for s in self.history]
-
     def hd_series(self) -> list[float]:
         return [s.hd for s in self.history]

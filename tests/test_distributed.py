@@ -13,7 +13,7 @@ from repro.theory import label_mixing_deviation
 @pytest.fixture()
 def mp() -> MultiProcessCorgiPile:
     layout = BlockLayout(640, 20)  # 32 blocks
-    return MultiProcessCorgiPile(layout, n_workers=4, buffer_blocks_per_worker=2, seed=5)
+    return MultiProcessCorgiPile(layout, n_workers=4, buffer_blocks=2, seed=5)
 
 
 class TestBlockAssignment:

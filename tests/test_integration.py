@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CorgiPileDataset, DataLoader
+from repro.core import CorgiPileDataset, DataLoader, PrefetchLoader
 from repro.data import clustered_by_label, make_binary_dense, read_libsvm, write_libsvm
 from repro.db import MiniDB, run_in_db_system
 from repro.ml import (
@@ -53,7 +53,7 @@ class TestFileToModelPipeline:
 
             def loader(epoch: int):
                 dataset.set_epoch(epoch)
-                return DataLoader(dataset, batch_size=32)
+                return PrefetchLoader(DataLoader(dataset, batch_size=32), depth=2)
 
             history = train_streaming(
                 model,
@@ -61,7 +61,6 @@ class TestFileToModelPipeline:
                 epochs=6,
                 schedule=ExponentialDecay(0.5),
                 test=test,
-                prefetch_depth=2,
             )
         assert history.final.test_score > 0.8
         assert history.final.tuples_seen == 6 * train.n_tuples

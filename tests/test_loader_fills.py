@@ -159,15 +159,15 @@ def test_fill_rows_carry_their_own_labels_and_features(tmp_path):
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_fills_are_the_shard_planners_fills(kind, n_workers, tmp_path):
     """Worker ``w``'s ``fills()`` are §5's simulated buffer fills — the plan
-    the coordinator derives (``ShardPlanner.worker_buffer_fills``) — row for
+    the coordinator derives (``MultiProcessCorgiPile.worker_buffer_fills``) — row for
     row: same blocks per fill, same visit order, each row's own label and
     features.  So the fleet workers can read through ``fills()``."""
-    from repro.parallel import ShardPlanner
+    from repro.core.distributed import MultiProcessCorgiPile
 
     dataset = _dataset(kind)
     case = (kind, "row", (33, 2, n_workers))
     path = _write(case, tmp_path)
-    planner = ShardPlanner.for_block_file(path, n_workers, 2, seed=SEED)
+    planner = MultiProcessCorgiPile.for_block_file(path, n_workers, 2, seed=SEED)
     for worker, view in enumerate(_views(case, path)):
         for epoch in range(2):
             view.set_epoch(epoch)

@@ -60,7 +60,6 @@ from repro.db.operators import (
 from repro.db.plan import RID_STRATEGIES, STRATEGIES, WHERE_STRATEGIES
 from repro.db.query import parse_predicate
 from repro.db.spec import TrainSpec
-from repro.db.threaded import ThreadedTupleShuffleOperator
 from repro.db.timing import RuntimeContext
 from repro.db.where import subset_partition
 from repro.ml.optim import SGD
@@ -447,9 +446,6 @@ OPERATORS = {
     "SlidingWindow": lambda t, ctx: SlidingWindowOperator(SeqScanOperator(t, ctx), 55, seed=3),
     "MultiplexedReservoir": lambda t, ctx: MultiplexedReservoirOperator(
         SeqScanOperator(t, ctx), 55, seed=3
-    ),
-    "ThreadedTupleShuffle": lambda t, ctx: ThreadedTupleShuffleOperator(
-        BlockShuffleOperator(t, ctx, 2048, seed=3), 55, seed=3
     ),
 }
 

@@ -114,7 +114,7 @@ class TestMultiProcessPins:
 
         return MultiProcessCorgiPile(
             BlockLayout(n_tuples=640, tuples_per_block=20), n_workers=4,
-            buffer_blocks_per_worker=2, seed=5,
+            buffer_blocks=2, seed=5,
         )
 
     def test_worker_blocks_pin(self, mp):

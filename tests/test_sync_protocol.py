@@ -40,7 +40,8 @@ from repro.ml.models import LogisticRegression
 from repro.ml.optim import SGD, Adam
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig, TrainInterrupted
-from repro.parallel import ParallelTrainer, ShardPlanner, WorkerError, sync_reference_trainer
+from repro.core.distributed import MultiProcessCorgiPile
+from repro.parallel import ParallelTrainer, WorkerError, sync_reference_trainer
 from repro.parallel.worker import BARRIER_TIMEOUT_S
 from repro.storage import write_block_file
 
@@ -265,7 +266,7 @@ def test_a_worker_failing_mid_epoch_is_reported_as_itself(
     path.write_bytes(block_file.read_bytes())
     index = Path(str(block_file) + ".index.json").read_text()
     Path(str(path) + ".index.json").write_text(index)
-    fills = ShardPlanner.for_block_file(path, 3, 2, seed=5).worker_buffer_fills(0, failing)
+    fills = MultiProcessCorgiPile.for_block_file(path, 3, 2, seed=5).worker_buffer_fills(0, failing)
     assert len(fills) >= 5
     blocks, _ = fills[len(fills) // 2]
     entry = json.loads(index)["blocks"][int(blocks[0])]

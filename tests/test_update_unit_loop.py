@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import CorgiPileDataset, DataLoader
+from repro.core import CorgiPileDataset, DataLoader, PrefetchLoader
 from repro.data import make_binary_dense, make_binary_sparse
 from repro.db import MiniDB
 from repro.db.engine import ENGINE_PROFILE
@@ -162,12 +162,13 @@ def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
     write_block_file(dataset, path, tuples_per_block=25)
     ckpath = tmp_path / "stream.ckpt.npz"
 
-    def run(model, **kwargs):
+    def run(model, prefetch=False, **kwargs):
         with CorgiPileDataset(path, buffer_blocks=2, seed=SEED) as view:
 
             def loader_factory(epoch):
                 view.set_epoch(epoch)
-                return DataLoader(view, batch_size=32)
+                loader = DataLoader(view, batch_size=32)
+                return PrefetchLoader(loader, depth=2) if prefetch else loader
 
             return train_streaming(
                 model, loader_factory, epochs=2, per_tuple=per_tuple, fused=per_tuple,
@@ -187,7 +188,7 @@ def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
     state = load_checkpoint(ckpath)
     assert (state.epoch, state.cursor, state.meta["cursor_unit"]) == (1, 4, "batches")
     resumed = LinearSVM(dataset.n_features)
-    resumed_history = run(resumed, resume_from=ckpath, prefetch_depth=2)
+    resumed_history = run(resumed, prefetch=True, resume_from=ckpath)
     np.testing.assert_array_equal(_weights(resumed), _weights(clean))
     assert resumed_history.final.tuples_seen == clean_history.final.tuples_seen
     with pytest.raises(ValueError, match="checkpoint was taken with per_tuple="):
@@ -307,3 +308,27 @@ def test_one_stopwatch_and_one_block_file_fill():
     }
     (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
     assert "kernel-bench" not in commands.choices and len(commands.choices) == 14
+
+
+def test_one_prefetcher_and_one_shard_plan():
+    """Section 6.3's write thread is a ``PrefetchLoader`` over the synchronous
+    TupleShuffle operator, and Section 5's shard plan is one class: the fill
+    is defined once, one module starts producer threads for loaders, one
+    splits a block permutation across workers, and the second copies are
+    gone."""
+    import importlib
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    sources = {p.relative_to(src).as_posix(): p.read_text() for p in src.rglob("*.py")}
+
+    def files_matching(pattern: str) -> set[str]:
+        return {name for name, code in sources.items() if re.search(pattern, code)}
+
+    # The tuple-shuffle fill: one TUPLE_SHUFFLE_STREAM draw, in one class.
+    assert files_matching(r"stream_rng\([^)]*TUPLE_SHUFFLE_STREAM") == {"db/operators.py"}
+    assert files_matching(r"\bshuffled_fill\b") == set()
+    assert files_matching(r"\bManagedProducer\(") == {"core/prefetch.py"}
+    assert files_matching(r"np\.array_split\(") == {"core/distributed.py"}
+    for gone in ("repro.db.threaded", "repro.parallel.plan"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
