@@ -28,7 +28,7 @@ import numpy as np
 from ..data.dataset import Dataset
 from ..ml.optim import SGD, Optimizer
 from ..ml.schedules import ExponentialDecay
-from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record, run_epochs
+from ..ml.trainer import ConvergenceHistory, EpochRecord, apply_unit, epoch_record, run_epochs
 from ..storage.codec import RowStream, TupleBatch
 from ..storage.iomodel import SSD, DeviceModel
 from .catalog import Catalog, TableInfo
@@ -173,14 +173,15 @@ class SegmentedMiniDB:
                 parts.append(part)
             return TupleBatch.concat(parts)
 
-        def units(epoch: int, cursor: int, tuples_seen: int):
+        def units(epoch: int, lr: float, cursor: int, tuples_seen: int):
             if epoch:
                 for pipeline in pipelines:
                     pipeline.rescan()
             streams = [RowStream(pipeline.next_batch) for pipeline in pipelines]
             sync_steps = 0
             while (batch := step_batch(streams)) is not None:
-                yield batch.features_matrix(), batch.labels, None, None
+                apply_unit(model, optimizer, batch.features_matrix(), batch.labels, lr, False)
+                yield len(batch), None
                 sync_steps += 1
             # Parallel epoch time: slowest segment + AllReduce charges.
             segment_walls = [ctx.epoch_wall_time() for ctx in contexts]

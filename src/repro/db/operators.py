@@ -50,7 +50,7 @@ from ..core.seeding import (
 )
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import load_checkpoint
-from ..ml.trainer import CheckpointConfig, ConvergenceHistory, run_epochs
+from ..ml.trainer import CheckpointConfig, ConvergenceHistory, apply_unit, run_epochs
 from ..obs import LoaderMetrics
 from ..storage.codec import RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
@@ -563,7 +563,7 @@ class SGDOperator:
         self._tuples_seen = 0
         self._opened_epoch = 0
 
-    def _units(self, epoch: int, cursor: int, tuples_seen: int):
+    def _units(self, epoch: int, lr: float, cursor: int, tuples_seen: int):
         """The pass's rows after the first ``cursor``, cut into update units."""
         if epoch != self._opened_epoch:
             self.child.rescan()
@@ -576,7 +576,10 @@ class SGDOperator:
             cursor += unit_rows
             # The short tail of the pass has no seam after it.
             full = len(unit) == unit_rows
-            yield unit.features_matrix(), unit.labels, None, cursor if full else None
+            apply_unit(
+                self.model, self.optimizer, unit.features_matrix(), unit.labels, lr, self.fused
+            )
+            yield len(unit), cursor if full else None
             self._tuples_seen += len(unit)
             if not full:
                 break

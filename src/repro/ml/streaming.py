@@ -28,6 +28,7 @@ from .trainer import (
     CheckpointConfig,
     ConvergenceHistory,
     EpochRecord,
+    apply_unit,
     epoch_record,
     run_epochs,
 )
@@ -86,7 +87,7 @@ def train_streaming(
         optimizer = SGD(model)
     int_labels = not per_tuple and _looks_multiclass(model)
 
-    def units(epoch: int, cursor: int, tuples_seen: int):
+    def units(epoch: int, lr: float, cursor: int, tuples_seen: int):
         for index, batch in enumerate(loader_factory(epoch)):
             if index < cursor:
                 continue  # applied before the interruption
@@ -95,7 +96,8 @@ def train_streaming(
                 if budget is not None and budget < len(batch):
                     fault_plan.fire_crash(f"epoch {epoch}, batch {index}")
             y = batch.labels.astype(np.int64) if int_labels else batch.labels
-            yield batch.features_matrix(), y, None, index + 1
+            apply_unit(model, optimizer, batch.features_matrix(), y, lr, fused)
+            yield len(batch), index + 1
             tuples_seen += len(batch)
 
     def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:

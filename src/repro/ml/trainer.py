@@ -1,10 +1,12 @@
 """The training loop: any model × any shuffle strategy × any optimiser.
 
-:func:`run_epochs` is the one update-unit loop — resume, checkpoint
-cadence, stop probe, history — that every single-process driver runs:
-:class:`Trainer` here, :func:`~repro.ml.streaming.train_streaming`, the
-engine's :class:`~repro.db.operators.SGDOperator`.  Each supplies only
-where its update units come from and how an epoch is evaluated.
+:func:`run_epochs` is the one epoch loop — resume, checkpoint cadence,
+stop probe, history — and every trainer runs it: :class:`Trainer` here,
+:func:`~repro.ml.streaming.train_streaming`, the engine's
+:class:`~repro.db.operators.SGDOperator`, the segmented
+:class:`~repro.db.distributed.SegmentedMiniDB` and the data-parallel
+coordinator :class:`~repro.parallel.engine.ParallelTrainer`.  Each supplies
+only its update units and how an epoch is evaluated.
 
 :class:`Trainer` is the statistical-efficiency half of the evaluation
 harness.  It consumes an *index source* — anything exposing
@@ -31,6 +33,7 @@ that is the resume-equivalence guarantee the chaos suite asserts at 1e-12.
 
 from __future__ import annotations
 
+import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -54,6 +57,7 @@ __all__ = [
     "CheckpointConfig",
     "TrainInterrupted",
     "epoch_record",
+    "check_knobs",
     "restore_run",
     "apply_unit",
     "run_epochs",
@@ -229,6 +233,20 @@ def epoch_record(
     )
 
 
+def check_knobs(recorded: dict, knobs: dict) -> None:
+    """Refuse a resume whose ``knobs`` (``None`` = not known here) differ
+    from the ``recorded`` ones: it would not continue the interrupted update
+    sequence.  ``mode`` names the trainer that wrote the file, so it must be
+    there; another knob the file lacks is not held against it."""
+    for knob, have in knobs.items():
+        want = recorded.get(knob)
+        if have is not None and want != have and (want is not None or knob == "mode"):
+            raise ValueError(
+                f"checkpoint was taken with {knob}={want!r}; resuming with "
+                f"{have!r} would change the update sequence"
+            )
+
+
 def restore_run(
     resume_from: CheckpointState | str | Path,
     model: SupervisedModel,
@@ -238,24 +256,13 @@ def restore_run(
 ) -> CheckpointState:
     """Load a checkpoint into a run about to resume — for every trainer.
 
-    ``knobs`` holds what this run would record under the same ``meta`` keys
-    (``None`` = not known here).  One the checkpoint recorded differently
-    means the resumed run would not continue the interrupted update
-    sequence, so it is refused rather than silently diverging.  Returns the
-    loaded state (``epoch``, ``cursor``, ``tuples_seen`` are the caller's).
+    ``knobs`` are held against its ``meta`` (:func:`check_knobs`).  Returns
+    the loaded state (``epoch``, ``cursor``, ``tuples_seen`` are the caller's).
     """
     state = (
         resume_from if isinstance(resume_from, CheckpointState) else load_checkpoint(resume_from)
     )
-    for knob, have in knobs.items():
-        want = state.meta.get(knob)
-        # ``mode`` names the trainer that wrote the file, so it must be
-        # there; another knob the file lacks is not held against it.
-        if have is not None and want != have and (want is not None or knob == "mode"):
-            raise ValueError(
-                f"checkpoint was taken with {knob}={want!r}; resuming with "
-                f"{have!r} would change the update sequence"
-            )
+    check_knobs(state.meta, knobs)
     for key, value in state.model.params.items():
         model.params[key][...] = value
     if optimizer is not None:
@@ -314,17 +321,19 @@ def run_epochs(
     epoch_end=None,
     span: str = "ml.epoch",
 ) -> ConvergenceHistory:
-    """The update-unit loop every single-process trainer runs.
+    """The epoch loop every trainer runs.
 
     Owns what comes *after* the visit order: resume (``restore_run`` against
     ``knobs``), the initial / cadence / epoch-end checkpoints (``knobs`` +
-    ``meta`` recorded), the ``should_stop`` probe, ``tuples_seen`` and the
+    ``meta`` recorded), the ``should_stop`` probe, ``tuples_seen``, the
+    epoch span (``span``, with the units' ``wall_s``) and counter, and the
     history.  A client supplies what differs:
 
-    * ``units(epoch, cursor, tuples_seen)`` — a generator over the epoch's
-      update units after the first ``cursor`` (the client's own measure:
-      rows, tuples, loader batches) as ``(X, y, order, seam)``, each handed
-      to :func:`apply_unit`.  ``seam`` is the cursor once the unit is
+    * ``units(epoch, lr, cursor, tuples_seen)`` — a generator over the
+      epoch's update units after the first ``cursor`` (the client's own
+      measure: rows, tuples, loader batches, sync steps).  It applies each
+      unit itself (:func:`apply_unit`, or a worker fleet's step) and then
+      yields ``(n_rows, seam)``: ``seam`` is the cursor once the unit is
       applied — a point the run may be saved at, stopped at and resumed
       from — or ``None`` where the client allows no seam (the short tail of
       a pass, a unit cut short by an injected crash).  Epoch-local work
@@ -366,11 +375,10 @@ def run_epochs(
         since_save = 0
         epoch_start = tuples_seen
         with obs.span(span, epoch=epoch, lr=lr, strategy=history.strategy) as sp:
+            t0 = time.perf_counter()
             try:
-                with closing(units(epoch, cursor, tuples_seen)) as stream:
-                    for X, y, order, seam in stream:
-                        apply_unit(model, optimizer, X, y, lr, fused, order)
-                        n_rows = len(y) if order is None else len(order)
+                with closing(units(epoch, lr, cursor, tuples_seen)) as stream:
+                    for n_rows, seam in stream:
                         tuples_seen += n_rows
                         since_save += n_rows
                         if seam is None:
@@ -385,9 +393,9 @@ def run_epochs(
                 # ~20 us and a counter bump ~0.4 us of it.
                 if fused and optimizer is None:
                     obs.inc("ml.fused_tuples", tuples_seen - epoch_start)
-            sp.set(tuples_seen=tuples_seen)
+            sp.set(tuples_seen=tuples_seen, wall_s=time.perf_counter() - t0)
         cursor = 0
-        obs.inc(span + "s")  # ml.epochs / db.epochs
+        obs.inc(span + "s")  # ml.epochs / db.epochs / parallel.epochs
         history.append(evaluate(epoch, lr, tuples_seen))
         save(epoch + 1, 0)
         if epoch_end is not None and epoch_end(history.final):
@@ -485,7 +493,7 @@ class Trainer:
             every = max(self.batch_size, (every // self.batch_size) * self.batch_size)
         return every
 
-    def _units(self, epoch: int, cursor: int, tuples_seen: int):
+    def _units(self, epoch: int, lr: float, cursor: int, tuples_seen: int):
         """``order[cursor:]`` as update units, checkpoint-chunked.
 
         Chunk boundaries sit at fixed multiples of the checkpoint cadence
@@ -512,8 +520,8 @@ class Trainer:
                     hi = crash_at = cursor + budget
             for lo in range(cursor, hi, step):
                 end = min(lo + step, hi)
-                seam = None if crash_at is not None or end == n else end
-                yield X, y, order[lo:end], seam
+                apply_unit(self.model, self.optimizer, X, y, lr, self.fused, order[lo:end])
+                yield end - lo, None if crash_at is not None or end == n else end
             if crash_at is not None:
                 self.fault_plan.fire_crash(f"epoch {epoch}, tuple {crash_at}")
             tuples_seen += hi - cursor

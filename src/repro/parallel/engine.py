@@ -29,36 +29,37 @@ workers get the step counts with their task.
 over the results queue); ``async`` mode lets workers push Hogwild deltas
 into the shared vector and only frames epochs with barriers.
 
-Checkpointing reuses PR 3's atomic format: the coordinator persists
-(model, optimiser slots, epoch, in-epoch tuple cursor) at seams — worker 0
-ships its optimiser state with its replica when a checkpoint is configured
-— and because worker streams are ``(seed, epoch)``-pure, a resumed run
-skips to the stored step and continues over the *exact* remaining update
-sequence — killed sync runs finish bit-exact (asserted at 1e-12 by
-``tests/test_parallel_engine.py``).
+The coordinator is a :func:`~repro.ml.trainer.run_epochs` client like every
+other trainer: the shared loop restores a checkpoint, saves it (initial,
+cadence, epoch end), counts tuples and keeps the history, and the
+coordinator's update units are the step ranges between seams (one unit an
+epoch in ``epoch`` / ``async`` mode).  Worker 0 ships its optimiser state
+with its replica when a checkpoint is configured, and because worker
+streams are ``(seed, epoch)``-pure, a resumed run skips to the stored step
+and continues over the *exact* remaining update sequence — killed sync runs
+finish bit-exact (asserted at 1e-12 by ``tests/test_parallel_engine.py``).
 
 Failure discipline: a dead or raising worker aborts both barriers;
 the coordinator translates that into :class:`WorkerError` (with the
 worker's traceback) and closes the fleet, which reaps its children — no
-leaked processes, mirroring PR 1's no-leaked-threads guarantee.
+leaked processes.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .. import obs
 from ..core.distributed import MultiProcessCorgiPile
 from ..obs import LoaderMetrics, StorageMetrics
 from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
 from ..ml.optim import SGD, Optimizer
-from ..ml.persistence import CheckpointState, model_to_bytes, save_checkpoint
+from ..ml.persistence import CheckpointState, model_to_bytes
 from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import (
     CheckpointConfig,
@@ -66,7 +67,7 @@ from ..ml.trainer import (
     Trainer,
     epoch_record,
     fixed_order_source,
-    restore_run,
+    run_epochs,
 )
 from ..storage.blockfile import BlockFileReader
 from ..storage.codec import TupleBatch
@@ -214,90 +215,116 @@ class ParallelTrainer:
         self.eval_set = (
             eval_set if eval_set is not None else load_block_dataset(self.path, task=task)
         )
-        self._tuples_seen = 0
 
     # ------------------------------------------------------------------
     def run(self, resume_from: CheckpointState | str | Path | None = None) -> ParallelResult:
         history = ConvergenceHistory(
             strategy=f"parallel-{self.mode}", model=type(self.model).__name__
         )
-        start_epoch = 0
-        start_step = 0
-        self._tuples_seen = 0
-        if resume_from is not None:
-            start_epoch, start_step = self._restore(resume_from, history)
-        self._save_checkpoint(start_epoch, start_step * self.global_batch_size, history)
-
+        bs = self.global_batch_size
         dim = int(self.model.parameter_vector().size)
-        blob = model_to_bytes(self.model)
-        replica = copy.copy(self.optimizer)
-        replica.model = None  # each worker binds its own
-        seams = self._sync_seams(start_epoch, start_step) if self.mode == "sync" else []
+        seams: list[_Seam] = []
         epoch_walls: list[float] = []
-        total_steps = 0
+        steps = 0  # sync steps this run applied (one an epoch in epoch / async mode)
+        armed = False
         # The fleet is entered last so an abort reaps it before the arrays'
         # names are unlinked (see repro.parallel.shm).
         with (
             shared_arrays((dim,), (2, self.n_workers, dim)) as ((params, grads), handles),
             running_fleet(self.fleet, self.n_workers) as fleet,
         ):
-            params[:] = self.model.parameter_vector()
-            fleet.arm(
-                worker_main,
-                [
-                    WorkerConfig(
-                        worker_id=w,
-                        n_workers=self.n_workers,
-                        path=self.path,
-                        model_blob=blob,
-                        seed=self.seed,
-                        epochs=self.epochs,
-                        buffer_blocks=self.planner.buffer_blocks,
-                        mode=self.mode,
-                        global_batch_size=self.global_batch_size,
-                        schedule=self.schedule,
-                        start_epoch=start_epoch,
-                        start_step=start_step,
-                        optimizer=replica,
-                        seams=tuple(seam.steps for seam in seams),
-                        ship_optimizer_state=self.checkpoint is not None,
+
+            def arm(epoch: int, cursor: int, tuples_seen: int) -> None:
+                # The workers start from the (restored) model at the run's first unit.
+                nonlocal armed
+                if cursor % bs != 0:
+                    raise ValueError(
+                        f"cursor {cursor} is not a sync-point multiple of the "
+                        f"global batch size {bs}"
                     )
-                    for w in range(self.n_workers)
-                ],
-                handles,
-                label="parallel",
-                should_stop=self.should_stop,
-            )
-            for epoch in range(start_epoch, self.epochs):
-                t0 = time.perf_counter()
-                lr = float(self.schedule(epoch))
-                skip = start_step if epoch == start_epoch else 0
-                with obs.span(
-                    "parallel.epoch", epoch=epoch, mode=self.mode
-                ) as sp:
-                    if self.mode == "sync":
-                        total_steps += self._sync_epoch(
-                            [seam for seam in seams if seam.epoch == epoch],
-                            skip, grads, fleet, history,
-                        )
-                    elif self.mode == "epoch":
-                        self._epoch_mode_epoch(epoch, params, fleet)
-                        total_steps += 1
-                    else:
-                        self._async_epoch(params, fleet)
-                        total_steps += 1
-                    wall = time.perf_counter() - t0
-                    sp.set(wall_s=wall)
-                epoch_walls.append(wall)
-                obs.inc("parallel.epochs")
-                history.append(
-                    epoch_record(
-                        self.model, self.eval_set, self.test_set, epoch, lr, self._tuples_seen
-                    )
+                if self.mode == "async" and cursor:
+                    raise ValueError("async mode only supports epoch-boundary resume")
+                if self.mode == "sync":
+                    seams.extend(self._sync_seams(epoch, cursor // bs, tuples_seen))
+                params[:] = self.model.parameter_vector()
+                replica = copy.copy(self.optimizer)
+                replica.model = None  # each worker binds its own
+                task = dict(
+                    n_workers=self.n_workers, path=self.path, seed=self.seed,
+                    model_blob=model_to_bytes(self.model), epochs=self.epochs,
+                    buffer_blocks=self.planner.buffer_blocks, mode=self.mode,
+                    global_batch_size=bs, schedule=self.schedule, start_epoch=epoch,
+                    start_step=cursor // bs, optimizer=replica,
+                    seams=tuple(seam.steps for seam in seams),
+                    ship_optimizer_state=self.checkpoint is not None,
                 )
-                self._save_checkpoint(epoch + 1, 0, history)
+                fleet.arm(
+                    worker_main,
+                    [WorkerConfig(worker_id=w, **task) for w in range(self.n_workers)],
+                    handles,
+                    label="parallel",
+                    should_stop=self.should_stop,
+                )
+                armed = True
+
+            def units(epoch: int, lr: float, cursor: int, tuples_seen: int):
+                nonlocal steps
+                if not armed:
+                    arm(epoch, cursor, tuples_seen)
+                t0 = time.perf_counter()
+                if self.mode == "sync":
+                    # Each seam closes one unit; the epoch-end seam is left
+                    # open for ``epoch_end``, after the evaluation and save.
+                    for seam in [s for s in seams if s.epoch == epoch]:
+                        fleet.rendezvous()  # A: every replica is in the idle slab
+                        self._adopt_replicas(grads[seam.steps & 1], fleet)
+                        if seam.kind == "crash":
+                            self.fault_plan.fire_crash(
+                                f"parallel sync epoch {seam.epoch}, step {seam.cursor}"
+                            )
+                        is_checkpoint = seam.kind == "checkpoint"
+                        yield (
+                            seam.tuples_seen - tuples_seen,
+                            seam.cursor * bs if is_checkpoint else None,
+                        )
+                        tuples_seen = seam.tuples_seen
+                        if is_checkpoint:
+                            fleet.rendezvous()  # B: workers resume
+                    steps += self.planner.sync_steps(epoch, bs) - cursor // bs
+                elif self.mode == "epoch":
+                    yield self._epoch_mode_epoch(epoch, params, fleet), None
+                    steps += 1
+                else:
+                    self._async_epoch(params, fleet)
+                    yield int(self.eval_set.n_tuples), None
+                    steps += 1
+                epoch_walls.append(time.perf_counter() - t0)
+
+            def epoch_end(record) -> bool:
                 if self.mode == "sync":
                     fleet.rendezvous()  # B of the epoch-end seam: workers resume
+                return False
+
+            run_epochs(
+                self.model,
+                self.optimizer,
+                units,
+                lambda epoch, lr, tuples_seen: epoch_record(
+                    self.model, self.eval_set, self.test_set, epoch, lr, tuples_seen
+                ),
+                history=history,
+                epochs=self.epochs,
+                schedule=self.schedule,
+                fused=False,
+                knobs=self._knobs(),
+                meta={"strategy": history.strategy},
+                checkpoint=self.checkpoint,
+                resume_from=resume_from,
+                epoch_end=epoch_end,
+                span="parallel.epoch",
+            )
+            if not armed:  # resumed a finished run: the workers have nothing to do
+                arm(self.epochs, 0, 0)
             per_worker, merged_loader, merged_storage, worker_tuples = fleet.collect()
 
         return ParallelResult(
@@ -306,7 +333,7 @@ class ParallelTrainer:
             mode=self.mode,
             n_workers=self.n_workers,
             epochs_run=len(epoch_walls),
-            sync_steps=total_steps,
+            sync_steps=steps,
             tuples_processed=worker_tuples,
             epoch_walls=epoch_walls,
             loader_stats=merged_loader,
@@ -316,13 +343,14 @@ class ParallelTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _sync_seams(self, start_epoch: int, start_step: int) -> list[_Seam]:
+    def _sync_seams(self, start_epoch: int, start_step: int, seen: int) -> list[_Seam]:
         """Where the coordinator joins a sync run, in order: every epoch end,
         the checkpoint cadence, and the step a scheduled crash lands on (the
-        run ends there).  A pure function of the plan and the resume point."""
+        run ends there).  A pure function of the plan and the resume point
+        (``seen`` tuples applied by then)."""
         bs = self.global_batch_size
         every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
-        seen = checkpointed = self._tuples_seen
+        checkpointed = seen
         seams: list[_Seam] = []
         steps = 0
         for epoch in range(start_epoch, self.epochs):
@@ -345,25 +373,6 @@ class ParallelTrainer:
             checkpointed = seen
         return seams
 
-    def _sync_epoch(self, seams, start_step, grads, fleet, history) -> int:
-        """Join the workers at each of one epoch's seams; returns its steps.
-
-        The epoch-end seam is left open: ``run`` evaluates and checkpoints
-        inside it like every mode does, then releases the workers.
-        """
-        for seam in seams:
-            fleet.rendezvous()  # A: every replica is in the idle slab
-            self._adopt_replicas(grads[seam.steps & 1], fleet)
-            self._tuples_seen = seam.tuples_seen
-            if seam.kind == "crash":
-                self.fault_plan.fire_crash(
-                    f"parallel sync epoch {seam.epoch}, step {seam.cursor}"
-                )
-            if seam.kind == "checkpoint":
-                self._save_checkpoint(seam.epoch, seam.cursor * self.global_batch_size, history)
-                fleet.rendezvous()  # B: workers resume
-        return max(0, seams[-1].cursor - start_step)
-
     def _adopt_replicas(self, replicas: np.ndarray, fleet) -> None:
         """Take the workers' state at a seam: their replicas must be the
         same bits (they applied the same updates to the same start), so any
@@ -376,7 +385,9 @@ class ParallelTrainer:
         if self.checkpoint is not None:
             self.optimizer.load_state_dict(fleet.receive(BARRIER_TIMEOUT_S)[2])
 
-    def _epoch_mode_epoch(self, epoch, params, fleet) -> None:
+    def _epoch_mode_epoch(self, epoch, params, fleet) -> int:
+        """One epoch-mode epoch: the workers' tuple-count-weighted model
+        average becomes the model; returns the tuples they applied."""
         fleet.rendezvous()  # A: averaged params published
         vectors: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
@@ -395,29 +406,13 @@ class ParallelTrainer:
         )
         self.model.load_parameter_vector(averaged)
         params[:] = averaged
-        self._tuples_seen += int(sum(counts.values()))
         fleet.rendezvous()  # B: release workers into next epoch
+        return int(sum(counts.values()))
 
     def _async_epoch(self, params, fleet) -> None:
         fleet.rendezvous()  # A: epoch start
         fleet.rendezvous()  # B: all workers finished the epoch
         self.model.load_parameter_vector(params)
-        self._tuples_seen += int(self.eval_set.n_tuples)
-
-    # ------------------------------------------------------------------
-    def _save_checkpoint(self, epoch: int, cursor: int, history: ConvergenceHistory) -> None:
-        if self.checkpoint is None:
-            return
-        save_checkpoint(
-            self.checkpoint.path,
-            self.model,
-            epoch=epoch,
-            cursor=cursor,
-            tuples_seen=self._tuples_seen,
-            optimizer_state=self.optimizer.state_dict(),
-            history=[asdict(r) for r in history.records],
-            meta={"strategy": f"parallel-{self.mode}", **self._knobs()},
-        )
 
     def _knobs(self) -> dict:
         """What pins the update sequence: checkpointed, and held equal on resume."""
@@ -429,18 +424,6 @@ class ParallelTrainer:
             "index_seed": self.seed,
             "model": type(self.model).__name__,
         }
-
-    def _restore(self, resume_from, history: ConvergenceHistory) -> tuple[int, int]:
-        state = restore_run(resume_from, self.model, self.optimizer, history, self._knobs())
-        if state.cursor % self.global_batch_size != 0:
-            raise ValueError(
-                f"cursor {state.cursor} is not a sync-point multiple of the "
-                f"global batch size {self.global_batch_size}"
-            )
-        if self.mode == "async" and state.cursor:
-            raise ValueError("async mode only supports epoch-boundary resume")
-        self._tuples_seen = state.tuples_seen
-        return state.epoch, state.cursor // self.global_batch_size
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from ..core.distributed import MultiProcessCorgiPile
 from ..obs import LoaderMetrics, StorageMetrics
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
-from ..ml.trainer import ConvergenceHistory, EpochRecord, epoch_record
+from ..ml.trainer import ConvergenceHistory, EpochRecord, check_knobs, epoch_record
 from .engine import load_block_dataset
 from .fleet import WorkerFleet, running_fleet
 from .shm import shared_arrays
@@ -464,21 +464,23 @@ class HopperEngine:
 
     # -- checkpointing ---------------------------------------------------
     def _checkpoint_meta(self) -> dict:
+        """What pins the grid's update sequences: checkpointed, and held
+        equal on resume (:func:`~repro.ml.trainer.check_knobs`)."""
         return {
             "n_models": self.schedule.n_models,
             "n_workers": self.planner.n_workers,
             "epochs": self.epochs,
             "buffer_blocks": self.planner.buffer_blocks,
             "seed": self.seed,
+            "labels": self.labels,
+            "lrs": self.lrs,
+            "decays": self.decays,
         }
 
     def _save_checkpoint(self, slots_done, slab, histories) -> None:
         header = {
             "hopper_checkpoint_version": _CKPT_VERSION,
             "slots_done": int(slots_done),
-            "labels": self.labels,
-            "lrs": self.lrs,
-            "decays": self.decays,
             "histories": [[asdict(r) for r in h.records] for h in histories],
             "meta": self._checkpoint_meta(),
         }
@@ -502,14 +504,7 @@ class HopperEngine:
                 f"unsupported hopper checkpoint version "
                 f"{header.get('hopper_checkpoint_version')!r}"
             )
-        meta = header.get("meta", {})
-        for knob, have in self._checkpoint_meta().items():
-            want = meta.get(knob)
-            if want is not None and want != have:
-                raise ValueError(
-                    f"hopper checkpoint was taken with {knob}={want!r}; resuming "
-                    f"with {have!r} would change the update sequence"
-                )
+        check_knobs(header.get("meta", {}), self._checkpoint_meta())
         if slab.shape != (self.schedule.n_models, self.dim):
             raise ValueError(
                 f"hopper checkpoint slab shape {slab.shape} does not match "

@@ -205,6 +205,28 @@ class TestHopperEngine:
             for ra, rb in zip(hf.records, hr.records):
                 assert ra.train_loss == rb.train_loss
 
+    def test_resume_with_another_grid_is_refused(self, block_file, tmp_path):
+        """The slab holds one model per config: resumed under permuted
+        learning rates, each row would continue under another config's lr."""
+
+        class Boom(Exception):
+            pass
+
+        ckpt = tmp_path / "grid.ckpt.npz"
+
+        def killer(slot, _doc):
+            if slot == 6:
+                raise Boom()
+
+        with pytest.raises(Boom):
+            HopperEngine(
+                block_file, _models(), checkpoint_path=ckpt, on_slot=killer, **_KW
+            ).run()
+        permuted = {**_KW, "lrs": _KW["lrs"][::-1]}
+        assert permuted["lrs"] != _KW["lrs"]
+        with pytest.raises(ValueError, match="checkpoint was taken with lrs="):
+            HopperEngine(block_file, _models(), checkpoint_path=ckpt, **permuted).run()
+
 
 # ----------------------------------------------------------------------
 # The SQL surface

@@ -253,6 +253,24 @@ class TestOtherModes:
             vecs.append(result.model.parameter_vector())
         assert np.array_equal(vecs[0], vecs[1])
 
+    def test_epoch_mode_resume_equals_the_uninterrupted_run(self, dense_block_file, tmp_path):
+        def trainer(model, epochs, **kwargs):
+            return ParallelTrainer(
+                dense_block_file, model, n_workers=2, mode="epoch", epochs=epochs,
+                global_batch_size=GBS, seed=SEED, schedule=SCHEDULE, **kwargs,
+            )
+
+        clean = LogisticRegression(N_FEATURES, seed=1)
+        trainer(clean, 3).run()
+        cp = CheckpointConfig(path=tmp_path / "epoch.ckpt")
+        trainer(LogisticRegression(N_FEATURES, seed=1), 1, checkpoint=cp).run()
+        resumed = LogisticRegression(N_FEATURES, seed=1)
+        result = trainer(resumed, 3, checkpoint=cp).run(resume_from=cp.path)
+        assert_no_leaked_children()
+        np.testing.assert_array_equal(resumed.parameter_vector(), clean.parameter_vector())
+        assert result.epochs_run == 2
+        assert [r.epoch for r in result.history.records] == [0, 1, 2]
+
     def test_epoch_mode_with_empty_shards(self, tmp_path):
         # 2 blocks over 4 workers: two shards are empty every epoch; the
         # weighted model average must skip them, not dilute the update.

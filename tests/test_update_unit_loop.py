@@ -1,5 +1,6 @@
-"""One update-unit loop: ``Trainer``, ``train_streaming`` and ``SGDOperator``
-run ``repro.ml.trainer.run_epochs``.
+"""One epoch loop: ``Trainer``, ``train_streaming``, ``SGDOperator``,
+``SegmentedMiniDB`` and the data-parallel ``ParallelTrainer`` run
+``repro.ml.trainer.run_epochs``.
 
 * **The cross-driver invariant** the fold rests on: fed the id stream the
   plan's pipeline emits, the array ``Trainer`` and the engine's
@@ -16,6 +17,7 @@ run ``repro.ml.trainer.run_epochs``.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -239,10 +241,19 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     def files_calling(pattern: str) -> set[str]:
         return {name for name, code in sources.items() if re.search(pattern, code)}
 
-    assert files_calling(r"\brestore_run\(") == {"ml/trainer.py", "parallel/engine.py"}
-    assert files_calling(r"\bsave_checkpoint\(") - {"ml/persistence.py"} == {
-        "ml/trainer.py", "parallel/engine.py",
+    assert files_calling(r"\brestore_run\(") == {"ml/trainer.py"}
+    assert files_calling(r"\bsave_checkpoint\(") - {"ml/persistence.py"} == {"ml/trainer.py"}
+    # The data-parallel coordinator is a run_epochs client, not a second
+    # loop: the one method there that walks the run's epochs is the seam
+    # planner, a pure function of the plan that trains nothing.
+    epoch_loops = {
+        fn.name
+        for fn in ast.walk(ast.parse(sources["parallel/engine.py"]))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.For) and ast.unparse(node.target) == "epoch"
     }
+    assert epoch_loops == {"_sync_seams"}
     assert all(name.startswith("ml/models/") for name in files_calling(r"\bstep_example\("))
     deleted = re.compile(
         r"step_chunks|iter_fills|ChunkFill|train_streaming_chunks|glm_epoch_\w+_chunks|"
