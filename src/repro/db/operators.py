@@ -8,8 +8,9 @@ pull-based pipeline::
 Each operator implements ``open() / next_batch() / close() / rescan()``.
 What moves between operators is a :class:`~repro.storage.codec.TupleBatch`
 — a run of one or more rows **in visit order** — never a single tuple: a
-page is decoded in bulk by the buffer pool, a block is the ``concat`` of its
-pages, a shuffle is one ``take(permutation)``, and the SGD root slices its
+page is decoded in bulk by the buffer pool, a block is one pool call
+(``BufferPool.get_run``; a warm block is a kept run, read with no
+``concat``), a shuffle is one ``take(permutation)``, and the SGD root slices its
 update units straight out of the stream.  ``rescan`` is the re-scan
 mechanism the SGD operator invokes between epochs (resetting buffers and
 re-shuffling block ids, like PostgreSQL's NestedLoopJoin re-scans its
@@ -114,12 +115,16 @@ class PhysicalOperator(ABC):
         """Release resources."""
 
 
+def _read_failed(table: TableInfo, what: str, exc: ReadExhaustedError) -> StorageError:
+    return StorageError(f"{what} of table {table.name!r}: {exc}")
+
+
 def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool, int]:
     """One page through the buffer pool: ``(batch, pool hit, stored bytes)``."""
     try:
         batch, hit = table.pool.get_batch_traced(page_id)
     except ReadExhaustedError as exc:
-        raise StorageError(f"{what} of table {table.name!r}: {exc}") from exc
+        raise _read_failed(table, what, exc) from exc
     return batch, hit, table.heap.pages[page_id].used_bytes
 
 
@@ -193,8 +198,9 @@ class BlockShuffleOperator(PhysicalOperator):
     """Random block-order scan (Section 6.2 operator 1).
 
     Computes ``BN = page_num · page_size / block_size``, shuffles the block
-    ids, and emits each block — the ``concat`` of its pages' batches — as
-    one batch.  A fresh shuffle is drawn on every ``rescan`` (one per epoch).
+    ids, and emits each block — its pages' batches end to end, one
+    ``BufferPool.get_run`` — as one batch.  A fresh shuffle is drawn on
+    every ``rescan`` (one per epoch).
 
     ``within`` selects the in-block traversal (the Learning-to-Shuffle
     refinements): ``"keep"`` streams page order (plain block shuffle),
@@ -217,6 +223,7 @@ class BlockShuffleOperator(PhysicalOperator):
         self.table = table
         self.ctx = ctx
         self.block_bytes = int(block_bytes)
+        self._pages_per_block = table.heap.pages_per_block(self.block_bytes)
         self.seed = int(seed)
         self.within = within
 
@@ -234,20 +241,22 @@ class BlockShuffleOperator(PhysicalOperator):
             return None
         block_id = int(self._block_order[self._block_pos])
         self._block_pos += 1
-        pages: list[TupleBatch] = []
+        heap = self.table.heap
+        lo = block_id * self._pages_per_block
+        page_ids = range(lo, min(lo + self._pages_per_block, heap.n_pages))
         device_bytes = 0.0
         memory_bytes = 0.0
         with obs.span("db.block", block_id=block_id) as sp:
-            for page_id in self.table.heap.block_pages(block_id, self.block_bytes):
-                batch, hit, page_bytes = _read_page(
-                    self.table, page_id, f"block shuffle scan (block {block_id})"
-                )
+            try:
+                block, hits = self.table.pool.get_run(page_ids)
+            except ReadExhaustedError as exc:
+                what = f"block shuffle scan (block {block_id})"
+                raise _read_failed(self.table, what, exc) from exc
+            for page_id, hit in zip(page_ids, hits):  # in page order: bit-equal sums
                 if hit:
-                    memory_bytes += page_bytes
+                    memory_bytes += heap.pages[page_id].used_bytes
                 else:
-                    device_bytes += page_bytes
-                pages.append(batch)
-            block = TupleBatch.concat(pages)
+                    device_bytes += heap.pages[page_id].used_bytes
             sp.set(n_tuples=len(block), device_bytes=device_bytes)
         # One random positioning per block; the pages inside a block are
         # contiguous, so they transfer at sequential bandwidth.

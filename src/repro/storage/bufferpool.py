@@ -9,7 +9,15 @@ Section 7.3.4's observation about higgs/susy/epsilon per-epoch times).
 
 Pages are decoded in bulk into a columnar
 :class:`~repro.storage.codec.TupleBatch` (one ``decode_page`` call), and that
-batch is the cache entry the Volcano operators read (``get_batch_traced``).
+batch is the cache entry a page scan reads (``get_batch_traced``).  A block
+is one pool call, :meth:`BufferPool.get_run`: the same per-page books in page
+order, then the pages' batches end to end.  A block whose pages all hit is
+*kept* as that one run, and each page's entry becomes a zero-copy ``slice``
+of it, so a warm block is read with no ``concat`` (and a warm columnar block
+with no decode).  A run is served only while every page's entry is still
+the view it handed out; evicting, invalidating or re-decoding (after a
+write) any of its pages drops it.  A byte-budget pool keeps no runs: a view
+pins its whole run, which the budget could not see.
 
 The pool keeps two caches in one LRU.  The *simulated* cache — which accesses
 the device clock charges as hits — is a generation stamp: :meth:`cold_start`
@@ -38,7 +46,8 @@ its page succeeded (regression-tested in ``tests/test_bufferpool.py``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any
+from operator import is_
+from typing import Any, NamedTuple, Sequence
 
 from .. import obs
 from .codec import TupleBatch
@@ -66,6 +75,14 @@ def _decoded_nbytes(batch: TupleBatch) -> int:
     return total
 
 
+class _Run(NamedTuple):
+    """A kept block: its batch and the page views it handed to the cache."""
+
+    page_ids: tuple[int, ...]
+    batch: TupleBatch
+    views: tuple[TupleBatch, ...]
+
+
 class BufferPool:
     """Caches decoded pages of a single heap file."""
 
@@ -91,6 +108,8 @@ class BufferPool:
         self.storage_stats = storage_stats
         # page id -> (decoded batch, page version it decodes, generation)
         self._cache: OrderedDict[int, tuple[TupleBatch, int, int]] = OrderedDict()
+        # page id -> the kept run whose view is the page's entry
+        self._runs: dict[int, _Run] = {}
         self._generation = 0
         self.hits = 0
         self.misses = 0
@@ -125,7 +144,10 @@ class BufferPool:
         def attempt_read(attempt: int) -> TupleBatch:
             payloads = self.heap.read_page_verified(page_id, attempt)
             batch = self._reusable(page_id)
-            return self.heap.decode_payloads(page_id, payloads) if batch is None else batch
+            if batch is not None:
+                return batch
+            self._drop_run(page_id)  # the page is decoded afresh: its run is stale
+            return self.heap.decode_payloads(page_id, payloads)
 
         if self.retry is None:
             return attempt_read(1)
@@ -155,6 +177,37 @@ class BufferPool:
         device speed (the experiments' "cached after the first epoch"
         behaviour on small datasets).
         """
+        return self._access(page_id)
+
+    def get_run(self, page_ids: Sequence[int]) -> tuple[TupleBatch, list[bool]]:
+        """A block: its pages' batches end to end, and each page's hit flag.
+
+        Every page is accessed in order exactly as :meth:`get_batch_traced`
+        would (hits, misses, LRU moves, evictions, fault-plane reads).  A
+        block whose pages all hit is kept as the returned run; a later read
+        returns that run, without a ``concat``, as long as every page's entry
+        is still the view the run handed out.
+        """
+        pages: list[TupleBatch] = []
+        hits: list[bool] = []
+        for page_id in page_ids:
+            batch, hit = self._access(page_id)
+            pages.append(batch)
+            hits.append(hit)
+        if len(pages) == 1:
+            return pages[0], hits
+        kept = self._runs.get(page_ids[0])
+        if kept is not None and len(kept.views) == len(pages) and all(map(is_, kept.views, pages)):
+            return kept.batch, hits
+        run = TupleBatch.concat(pages)
+        # All hits means every page was resident throughout (a hit inserts
+        # nothing, so a page budget evicts nothing), so each still has its entry.
+        if self.capacity_bytes is None and all(hits):
+            self._keep_run(tuple(page_ids), run, pages)
+        return run, hits
+
+    def _access(self, page_id: int) -> tuple[TupleBatch, bool]:
+        """One page through the cache: ``(batch, hit)``, books updated."""
         # Page access is the hottest storage seam, so the registry counters
         # are published only while telemetry is on; the local hit/miss ints
         # stay always-available for hit_rate and the planner.
@@ -170,8 +223,10 @@ class BufferPool:
                 obs.inc("storage.bufferpool.hits")
             # Lazy entries grow between accesses (columns materialise after
             # the batch left the pool), so the byte budget is re-checked on
-            # hits too — the just-touched page is protected as MRU.
-            self._enforce_capacity()
+            # hits too — the just-touched page is protected as MRU.  A hit
+            # adds no entry, so a page budget has nothing to enforce.
+            if self.capacity_bytes is not None:
+                self._enforce_capacity()
             return entry[0], True
         self.misses += 1
         if obs.enabled():
@@ -182,6 +237,32 @@ class BufferPool:
         self._enforce_capacity()
         return batch, False
 
+    def _keep_run(self, page_ids: tuple[int, ...], run: TupleBatch, pages) -> None:
+        """Make each page's entry a zero-copy view of ``run`` (LRU order and
+        residency unchanged), so the pages' own batches can be freed."""
+        for page_id in page_ids:
+            self._drop_run(page_id)  # a run of another block geometry
+        views = []
+        lo = 0
+        for page_id, page in zip(page_ids, pages):
+            hi = lo + len(page)
+            view = run.slice(lo, hi)
+            _batch, version, generation = self._cache[page_id]
+            self._cache[page_id] = (view, version, generation)
+            views.append(view)
+            lo = hi
+        kept = _Run(page_ids, run, tuple(views))
+        for page_id in page_ids:
+            self._runs[page_id] = kept
+
+    def _drop_run(self, page_id: int) -> None:
+        """Forget the kept run holding ``page_id``, if any (its views stay
+        valid page entries; the run is just no longer served)."""
+        kept = self._runs.get(page_id)
+        if kept is not None:
+            for run_page in kept.page_ids:
+                del self._runs[run_page]
+
     def _enforce_capacity(self) -> None:
         # Entries outside the simulated cache sit at the LRU front, so they
         # go first, and only a resident entry's eviction is counted.
@@ -191,6 +272,7 @@ class BufferPool:
             and self.decoded_bytes > self.capacity_bytes
         ):
             page_id, entry = self._cache.popitem(last=False)
+            self._drop_run(page_id)
             if self._resident(page_id, entry):
                 self.evictions += 1
                 obs.inc("storage.bufferpool.evictions")
@@ -205,6 +287,7 @@ class BufferPool:
         (and records) whether the page was in the simulated cache.
         """
         entry = self._cache.pop(page_id, None)
+        self._drop_run(page_id)
         dropped = entry is not None and self._resident(page_id, entry)
         if dropped:
             (self.storage_stats or obs.SESSION_STORAGE).record_cache_invalidation()
@@ -238,8 +321,9 @@ class BufferPool:
         self._generation += 1
 
     def clear(self) -> None:
-        """Drop all cached pages, decoded batches included."""
+        """Drop all cached pages, decoded batches and kept runs included."""
         self._cache.clear()
+        self._runs.clear()
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -320,8 +320,8 @@ class LazyTupleBatch:
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
     the buffer pool can charge real memory, not potential memory.  A run of
     pages handed to ``TupleBatch.concat`` decodes as one (:func:`concat_pages`)
-    and caches no array here, so a page a pool keeps is decoded again by
-    every run that reads it.
+    and caches no array here; the buffer pool keeps a warm block's decoded
+    run instead (``BufferPool.get_run``).
 
     The backing store is either one whole block buffer (``buffer`` +
     per-chunk offsets) or, after a column-pruned read, individual chunk

@@ -14,6 +14,7 @@ from repro.data import (
     make_multiclass_dense,
 )
 from repro.ml import kernels
+from repro.storage import TupleBatch
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,14 @@ def assert_is_permutation(order: np.ndarray, n: int) -> None:
 def pass_ids(op) -> list[int]:
     """The tuple ids of one operator pass, drained a batch at a time."""
     return [int(i) for batch in iter(op.next_batch, None) for i in batch.ids]
+
+
+def per_page_run(pool, page_ids):
+    """A block read as one ``get_batch_traced`` per page, then one ``concat``:
+    the reference ``BufferPool.get_run`` must answer as."""
+    pages, hits = [], []
+    for page_id in page_ids:
+        batch, hit = pool.get_batch_traced(page_id)
+        pages.append(batch)
+        hits.append(hit)
+    return TupleBatch.concat(pages), hits

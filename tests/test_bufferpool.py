@@ -12,6 +12,9 @@ from repro.db import MiniDB
 from repro.obs import StorageMetrics
 from repro.faults import FaultPlan, FaultSpec, FaultyHeapFile
 from repro.storage import BufferPool, HeapFile, ReadExhaustedError, RetryPolicy
+from repro.storage.codec import TupleBatch
+
+from .conftest import per_page_run
 
 
 @pytest.fixture()
@@ -296,6 +299,154 @@ class TestResidencyGeneration:
         pool.retry = RetryPolicy(max_attempts=3)  # outlasts the torn attempts
         pool.get_batch(1)  # its third attempt is clean, but the batch is gone
         assert faulty.decode_count == 2 * decoded
+
+
+# ----------------------------------------------------------------------
+# Kept runs: get_run keeps a block whose pages all hit as one batch.  The
+# oracle is a pool that reads the block page by page and concats.
+# ----------------------------------------------------------------------
+
+
+class _PerPagePool(BufferPool):
+    get_run = per_page_run
+
+
+_COLUMNS = ("ids", "labels", "dense", "indptr", "indices", "values")
+
+
+def _assert_same_batch(got, want) -> None:
+    assert got.is_sparse == want.is_sparse and len(got) == len(want)
+    for name in _COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+#: One step: ("read", block), ("cold",), or a row-heap write at a position.
+#: Reads and writes stay in the first few blocks, so kept runs meet writes.
+_block_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), st.integers(0, 3)),
+        st.just(("cold",)),
+        st.tuples(st.sampled_from(["insert", "update", "delete"]), st.integers(0, 63)),
+    ),
+    max_size=60,
+)
+
+
+def _write(heap: HeapFile, kind: str, at: int) -> None:
+    d = heap.schema.n_features
+    if kind == "insert":
+        heap.insert(100_000 + at, 1.0, np.full(d, 0.25))
+    elif kind == "update":
+        heap.update(heap.rid_of(at % heap.n_tuples), 200_000 + at, -1.0, np.full(d, 0.5))
+    else:
+        heap.delete(heap.rid_of(at % heap.n_tuples))
+
+
+def _assert_runs_match_per_page(make_heap, steps, per_block, touch=False, **pool_args):
+    """Step by step, the run pool answers every block read as the per-page
+    pool does — rows, hit flags, counters, LRU order — and never decodes
+    more than it."""
+    pool, ref = BufferPool(make_heap(), **pool_args), _PerPagePool(make_heap(), **pool_args)
+    for step in steps:
+        if step[0] == "cold":
+            pool.cold_start()
+            ref.cold_start()
+        elif step[0] != "read":
+            if pool.heap.layout == "row":
+                _write(pool.heap, *step)
+                _write(ref.heap, *step)
+        else:
+            n_pages = pool.heap.n_pages
+            lo = step[1] % -(-n_pages // per_block) * per_block
+            page_ids = range(lo, min(lo + per_block, n_pages))
+            batch, hits = pool.get_run(page_ids)
+            want, want_hits = ref.get_run(page_ids)
+            _assert_same_batch(batch, want)
+            assert hits == want_hits
+            if touch and hasattr(batch, "materialize"):  # a one-page lazy block
+                batch.materialize()
+                want.materialize()
+        assert (pool.hits, pool.misses, pool.evictions) == (ref.hits, ref.misses, ref.evictions)
+        assert pool.cached_pages == ref.cached_pages
+        assert list(pool._cache) == list(ref._cache)
+    assert pool.heap.decode_count <= ref.heap.decode_count
+
+
+class TestBlockRuns:
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_block_steps, per_block=st.integers(1, 4), capacity=st.integers(1, 2 * _N_PAGES))
+    def test_page_budget_pool_matches_per_page_reads(self, layout, steps, per_block, capacity):
+        def make_heap():
+            return HeapFile.from_dataset(_DENSE, page_bytes=1024, layout=layout)
+
+        _assert_runs_match_per_page(make_heap, steps, per_block, capacity_pages=capacity)
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=_block_steps,
+        per_block=st.integers(1, 4),
+        budget=st.integers(1024, 64 * 1024),
+        touch=st.booleans(),
+    )
+    def test_byte_budget_pool_matches_per_page_reads(self, layout, steps, per_block, budget, touch):
+        def make_heap():
+            return HeapFile.from_dataset(_SPARSE, page_bytes=2048, layout=layout)
+
+        _assert_runs_match_per_page(
+            make_heap, steps, per_block, touch=touch, capacity_pages=1024, capacity_bytes=budget
+        )
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_a_warm_block_is_one_kept_run(self, layout):
+        heap = HeapFile.from_dataset(_DENSE, page_bytes=1024, layout=layout)
+        pool = BufferPool(heap, capacity_pages=16)
+        block = range(2, 6)
+        cold, hits = pool.get_run(block)
+        assert hits == [False] * 4
+        kept, hits = pool.get_run(block)  # all hits: concatenated and kept
+        assert hits == [True] * 4 and kept is not cold
+        assert pool.get_run(block) == (kept, [True] * 4)
+        for page_id in block:  # the entries are views into the run
+            assert np.shares_memory(pool.get_batch(page_id).ids, kept.ids)
+        decoded = heap.decode_count
+        pool.cold_start()
+        assert pool.get_run(block) == (kept, [False] * 4)  # misses, no decode
+        assert heap.decode_count == decoded
+        _assert_same_batch(kept, TupleBatch.concat([heap.read_page_batch(p) for p in block]))
+
+    @pytest.mark.parametrize("drop", ["invalidate", "write", "evict", "clear"])
+    def test_losing_a_page_drops_the_run(self, drop):
+        heap = HeapFile.from_dataset(_DENSE, page_bytes=1024)
+        pool = BufferPool(heap, capacity_pages=4)
+        block = range(0, 4)
+        pool.get_run(block)
+        kept, _ = pool.get_run(block)
+        if drop == "invalidate":
+            pool.invalidate(2)
+        elif drop == "write":
+            on_page_2 = heap.rid_of(heap.pages[0].n_tuples + heap.pages[1].n_tuples)
+            heap.update(on_page_2, 7, 1.0, np.zeros(heap.schema.n_features))
+        elif drop == "evict":
+            pool.get_batch(5)  # page 0 is the LRU page
+        else:
+            pool.clear()
+        again, hits = pool.get_run(block)  # a write is seen here, on access
+        assert again is not kept and not all(hits) and not pool._runs
+        _assert_same_batch(again, TupleBatch.concat([heap.read_page_batch(p) for p in block]))
+
+    def test_a_byte_budget_pool_keeps_no_runs(self):
+        heap = HeapFile.from_dataset(_DENSE, page_bytes=1024)
+        pool = BufferPool(heap, capacity_pages=16, capacity_bytes=1 << 30)
+        block = range(0, 4)
+        pool.get_run(block)
+        first, hits = pool.get_run(block)
+        assert hits == [True] * 4 and not pool._runs
+        assert pool.get_run(block)[0] is not first
 
 
 class TestWarmStatements:

@@ -5,16 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.data import make_binary_dense
 from repro.db import (
     BlockShuffleOperator,
     Catalog,
+    MiniDB,
     PassThroughAccountingOperator,
     SeqScanOperator,
     TupleShuffleOperator,
 )
 from repro.db.engine import ENGINE_PROFILE
 from repro.db.timing import RuntimeContext
-from repro.storage import SSD
+from repro.storage import SSD, TupleBatch
 
 from .conftest import pass_ids
 
@@ -92,6 +95,55 @@ class TestBlockShuffle:
         pass_ids(op)
         warm_io = ctx.total_io_s - cold_io
         assert warm_io < cold_io / 10  # cached pages at memory speed
+
+
+class TestWarmBlocks:
+    """A second TRAIN on a table the default pool keeps reads every block as
+    a kept run: no ``concat`` in the block scan, no columnar chunk decoded,
+    and the same weights."""
+
+    SQL = "SELECT * FROM t TRAIN BY svm WITH max_epoch_num = 2, block_size = 4KB, seed = 3"
+
+    def _warm_train(self, layout, monkeypatch):
+        """``(concats in BlockShuffleOperator, chunks decoded)`` of the second TRAIN."""
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", make_binary_dense(600, 12, separation=1.2, seed=11), layout=layout)
+        first = db.execute(self.SQL)
+
+        depth, concats = [0], [0]
+        load, concat = BlockShuffleOperator._load_next_block, TupleBatch.concat.__func__
+
+        def counted_load(op):
+            depth[0] += 1
+            try:
+                return load(op)
+            finally:
+                depth[0] -= 1
+
+        def counted_concat(cls, batches):
+            concats[0] += depth[0] > 0
+            return concat(cls, batches)
+
+        monkeypatch.setattr(BlockShuffleOperator, "_load_next_block", counted_load)
+        monkeypatch.setattr(TupleBatch, "concat", classmethod(counted_concat))
+        was_on, registry = obs.enabled(), obs.get_registry()
+        obs.enable()
+        decoded = registry.counter("storage.columnar.chunks_decoded")
+        try:
+            second = db.execute(self.SQL)
+        finally:
+            if not was_on:
+                obs.disable()
+        decoded = registry.counter("storage.columnar.chunks_decoded") - decoded
+        for key in first.model.params:
+            np.testing.assert_array_equal(first.model.params[key], second.model.params[key])
+        return concats[0], decoded
+
+    def test_a_warm_row_train_makes_no_block_concat(self, monkeypatch):
+        assert self._warm_train("row", monkeypatch)[0] == 0
+
+    def test_a_warm_columnar_train_decodes_no_chunk(self, monkeypatch):
+        assert self._warm_train("columnar", monkeypatch) == (0, 0)
 
 
 class TestTupleShuffle:

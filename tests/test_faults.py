@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import CorgiPileDataset, DataLoader
 from repro.data import make_binary_dense, make_binary_sparse
-from repro.db import MiniDB
+from repro.db import MiniDB, StorageError
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -45,6 +45,8 @@ from repro.storage import (
     TupleBatch,
     write_block_file,
 )
+
+from .conftest import per_page_run
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -420,6 +422,73 @@ class TestWarmPoolFaultLedger:
         for warm_model, cold_model in zip(warm_models, cold_models):
             for key in warm_model.params:
                 np.testing.assert_array_equal(warm_model.params[key], cold_model.params[key])
+
+
+class TestKeptRunFaultLedger:
+    """A warm block served as one kept run changes no read the fault plane
+    sees: two TRAINs on a faulty row heap and on a faulty dense columnar
+    heap keep the ledger and the weights of an engine that reads every block
+    page by page and concats."""
+
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 2KB, seed = 1"
+
+    @staticmethod
+    def _db(layout="row"):
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", make_binary_dense(600, 12, separation=1.2, seed=11), layout=layout)
+        return db
+
+    def _run(self, layout):
+        db = self._db(layout)
+        plan = FaultPlan.random(CHAOS_SEED + 5, p_transient=0.3, p_torn=0.3, max_failures=2)
+        stats = db.inject_faults("t", plan)
+        models = [db.execute(self.SQL).model for _ in range(2)]
+        return stats.as_dict(), models, db.catalog.get("t").pool
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_ledger_equals_per_page_reads(self, layout, monkeypatch):
+        kept, kept_models, pool = self._run(layout)
+        assert pool._runs  # warm blocks were kept
+        monkeypatch.setattr(BufferPool, "get_run", per_page_run)
+        ref, ref_models, _ = self._run(layout)
+        assert kept["retries"] > 0 and kept["checksum_failures"] > 0
+        assert kept == ref
+        for model, ref_model in zip(kept_models, ref_models):
+            for key in model.params:
+                np.testing.assert_array_equal(model.params[key], ref_model.params[key])
+
+    def test_a_torn_page_in_a_kept_run_is_never_served(self):
+        heap = HeapFile.from_dataset(make_binary_dense(600, 12, seed=11), page_bytes=1024)
+        stats = StorageMetrics("kept-run")
+        plan = FaultPlan(specs=[FaultSpec("torn", unit="page", target=2, times=1, from_read=2)])
+        faulty = FaultyHeapFile(heap, plan, storage_stats=stats)
+        pool = BufferPool(
+            faulty, capacity_pages=8, retry=RetryPolicy(max_attempts=2), storage_stats=stats
+        )
+        block = range(0, 4)
+        pool.get_run(block)
+        kept, hits = pool.get_run(block)
+        assert hits == [True] * 4 and pool._runs
+        decoded = faulty.decode_count
+        pool.cold_start()
+        again, hits = pool.get_run(block)  # page 2's second read call is torn once
+        assert hits == [False] * 4 and stats.checksum_failures == 1
+        assert again is not kept and not pool._runs
+        assert faulty.decode_count == decoded + heap.pages[2].n_tuples  # re-decoded
+        np.testing.assert_array_equal(again.dense, kept.dense)  # from the clean retry
+
+    def test_an_exhausted_read_names_the_block(self):
+        db = self._db()
+        plan = FaultPlan(specs=[FaultSpec("torn", unit="page", target=3, times=99, from_read=2)])
+        db.inject_faults("t", plan, retry=RetryPolicy(max_attempts=3))
+        db.execute(self.SQL)  # page 3 is read once, cleanly, then kept in block 1's run
+        assert 3 in db.catalog.get("t").pool._runs
+        with pytest.raises(StorageError) as info:
+            db.execute(self.SQL)  # its next read is torn on every attempt
+        assert (
+            "aborted: block shuffle scan (block 1) of table 't': page 3: "
+            "still failing after 3 attempt(s): page 3: checksum mismatch (got "
+        ) in str(info.value)
 
 
 class TestRunDecodeFaultLedger:
