@@ -5,10 +5,9 @@ Commands
 ``info``      list the bundled datasets (scaled Table 2) and strategies
 ``generate``  write a synthetic dataset to a LIBSVM or CSV file
 ``train``     train a model over a data file (or bundled dataset) with a
-              chosen shuffling strategy; optionally save the model
-``parallel-train``  train with real worker processes — sharded CorgiPile
-              with sync/epoch/async aggregation (Section 5); can verify
-              equivalence against the single-process reference
+              chosen shuffling strategy; ``--workers N`` runs sharded
+              CorgiPile in real worker processes with ``--aggregation
+              sync|epoch|async`` (Section 5); optionally save the model
 ``predict``   score a saved model against a data file
 ``explain``   print the physical plan a TRAIN query would execute
 ``advise``    run the cost-based shuffle advisor over a dataset and print
@@ -57,21 +56,13 @@ from .data import (
 )
 from .db import MiniDB, TrainSpec
 from .db.plan import STRATEGIES
-from .ml import (
-    ExponentialDecay,
-    LinearRegression,
-    LinearSVM,
-    LogisticRegression,
-    SoftmaxRegression,
-    load_model,
-    save_model,
-)
+from .db.query import MODEL_NAMES
+from .db.spec import AGGREGATION_MODES
+from .ml import LogisticRegression, load_model, save_model
 from .shuffle import STRATEGY_NAMES
 from .storage import DEVICE_MODELS, device_by_name, random_vs_sequential_curve
 
 __all__ = ["main", "build_parser"]
-
-_MODELS = ("lr", "svm", "linreg", "softmax")
 
 
 def _add_common_options(
@@ -163,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--dataset", choices=sorted(DATASETS), help="bundled dataset")
     train.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     train.add_argument("--task", choices=("binary", "multiclass", "regression"), default="binary")
-    train.add_argument("--model", choices=_MODELS, default="lr")
+    train.add_argument("--model", choices=MODEL_NAMES, default="lr")
     train.add_argument("--strategy", choices=STRATEGIES + ("auto",), default="corgipile")
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--lr", type=float, default=0.05)
@@ -190,35 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
         "over P shard workers) and prints the leaderboard; each config's "
         "weights are bit-identical to training it alone",
     )
+    train.add_argument(
+        "--aggregation", choices=AGGREGATION_MODES, default="sync",
+        help="with --workers > 1: per-batch gradient averaging | epoch-end "
+        "model averaging | Hogwild (default sync)",
+    )
     train.add_argument("--save-model", help="write the trained model to this .npz path")
     _add_common_options(train, workers=1)
-
-    par = sub.add_parser(
-        "parallel-train",
-        help="multi-process data-parallel training (sharded CorgiPile, Section 5)",
-    )
-    par.add_argument("--dataset", choices=sorted(DATASETS), default="susy")
-    par.add_argument("--model", choices=_MODELS, default="lr")
-    par.add_argument(
-        "--mode", choices=("sync", "epoch", "async"), default="sync",
-        help="aggregation: per-batch gradient averaging | epoch-end model "
-        "averaging | Hogwild (default sync)",
-    )
-    par.add_argument("--epochs", type=int, default=5)
-    par.add_argument("--lr", type=float, default=0.05)
-    par.add_argument("--decay", type=float, default=0.95)
-    par.add_argument("--global-batch-size", type=int, default=32)
-    par.add_argument("--block-tuples", type=int, default=40)
-    par.add_argument("--buffer-blocks", type=int, default=2)
-    par.add_argument(
-        "--compare-single",
-        action="store_true",
-        help="also run the equivalent single-process reference and verify the "
-        "parallel model matches (sync: params within 1e-6; all modes: final "
-        "accuracy within 0.5 pp); non-zero exit on mismatch",
-    )
-    par.add_argument("--json", help="write the full run report to this path")
-    _add_common_options(par, workers=2)
 
     predict = sub.add_parser("predict", help="score a saved model on a data file")
     predict.add_argument("--model", required=True, help="saved .npz model")
@@ -228,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser("explain", help="print the TRAIN physical plan")
     explain.add_argument("--dataset", choices=sorted(DATASETS), default="higgs")
-    explain.add_argument("--model", choices=_MODELS, default="svm")
+    explain.add_argument("--model", choices=MODEL_NAMES, default="svm")
     explain.add_argument(
         "--strategy", default="corgipile",
         help="access path, or 'auto' to show the cost advisor's decision",
@@ -448,16 +417,6 @@ def _apply_order(dataset: Dataset, order: str, seed: int) -> Dataset:
     raise SystemExit(f"unknown --order {order!r}")
 
 
-def _build_model(name: str, dataset: Dataset):
-    if name == "lr":
-        return LogisticRegression(dataset.n_features)
-    if name == "svm":
-        return LinearSVM(dataset.n_features)
-    if name == "linreg":
-        return LinearRegression(dataset.n_features)
-    return SoftmaxRegression(dataset.n_features, dataset.n_classes)
-
-
 def _cmd_info(_args) -> int:
     rows = [
         {
@@ -520,6 +479,7 @@ def _train_spec(args, table: str, tuple_bytes: float) -> TrainSpec:
         seed=args.seed,
         fused=True,
         workers=args.workers,
+        aggregation=args.aggregation,
         **_where_and_grid(args),
     )
 
@@ -568,7 +528,7 @@ def _print_train_result(args, result) -> None:
     if args.where:
         title += f" WHERE {args.where}"
     if args.workers > 1:
-        title += f" x{args.workers} workers"
+        title += f" x{args.workers} workers ({args.aggregation})"
     print(format_table(rows, title=title))
     d = result.query.extra.get("where")
     if d is None:
@@ -690,119 +650,6 @@ def _cmd_bench_io(args) -> int:
     ]
     print(format_table(rows, title=f"{device.name}: random vs sequential"))
     return 0
-
-
-def _cmd_parallel_train(args) -> int:
-    """Train with real worker processes; optionally verify against single-process.
-
-    ``--compare-single`` re-runs the equivalent single-process reference
-    over the same block file and checks the Section 5 equivalence for real:
-    in sync mode the parallel parameters must match the reference within
-    1e-6 (they match at float rounding), and in every mode the final
-    training accuracy must land within 0.5 pp.  Exit code 0 iff the checks
-    pass — the CI ``parallel-smoke`` job runs exactly this.
-    """
-    import json
-    import tempfile
-    from pathlib import Path
-
-    import numpy as np
-
-    from .parallel import ParallelTrainer, sync_reference_trainer
-    from .storage import write_block_file
-
-    dataset = load(args.dataset, seed=args.seed)
-    epochs = args.epochs
-    if args.quick:
-        epochs = min(epochs, 3)
-        if dataset.n_tuples > 1600:
-            dataset = dataset.subset(range(1600))
-    # Rounded up to a multiple of the worker count.
-    gbs = max(1, -(-args.global_batch_size // args.workers)) * args.workers
-    model = _build_model(args.model, dataset)
-    ok = True
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "parallel.blocks"
-        write_block_file(dataset, path, args.block_tuples)
-        result = ParallelTrainer(
-            path,
-            model,
-            n_workers=args.workers,
-            mode=args.mode,
-            epochs=epochs,
-            global_batch_size=gbs,
-            buffer_blocks=args.buffer_blocks,
-            seed=args.seed,
-            schedule=ExponentialDecay(args.lr, args.decay),
-            eval_set=dataset,
-        ).run()
-
-        rows = [
-            {
-                "epoch": r.epoch,
-                "lr": round(r.lr, 5),
-                "train_loss": round(r.train_loss, 4),
-                "train_score": round(r.train_score, 4),
-                "wall_s": round(result.epoch_walls[i], 3),
-            }
-            for i, r in enumerate(result.history.records)
-        ]
-        print(
-            format_table(
-                rows,
-                title=f"{args.model} x{result.n_workers} workers ({result.mode})",
-            )
-        )
-        loader = result.loader_stats.as_dict()
-        print(
-            f"\n{result.tuples_processed} tuples in {result.wall_seconds:.2f}s "
-            f"({result.tuples_per_second:,.0f} tuples/s); "
-            f"{loader['buffers_filled']} buffer fills across "
-            f"{len(result.per_worker)} workers, {loader['live_threads']} live threads"
-        )
-
-        if args.compare_single:
-            ref_model = _build_model(args.model, dataset)
-            ref = sync_reference_trainer(
-                path,
-                ref_model,
-                n_workers=args.workers,
-                epochs=epochs,
-                global_batch_size=gbs,
-                buffer_blocks=args.buffer_blocks,
-                seed=args.seed,
-                schedule=ExponentialDecay(args.lr, args.decay),
-                task=dataset.task,
-            ).run()
-            acc_gap = abs(result.history.final.train_score - ref.final.train_score)
-            print(
-                f"single-process reference accuracy {ref.final.train_score:.4f} "
-                f"vs parallel {result.history.final.train_score:.4f} "
-                f"(gap {100 * acc_gap:.3f} pp)"
-            )
-            ok &= acc_gap <= 0.005
-            if args.mode == "sync":
-                diff = float(
-                    np.max(
-                        np.abs(
-                            model.parameter_vector() - ref_model.parameter_vector()
-                        )
-                    )
-                )
-                print(f"max parameter diff vs reference: {diff:.3e}")
-                ok &= diff <= 1e-6
-            print(f"equivalence verdict: {'PASS' if ok else 'FAIL'}")
-
-    if args.json:
-        report = result.describe()
-        report["dataset"] = args.dataset
-        report["seed"] = args.seed
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
 
 
 def _cmd_loader_stats(args) -> int:
@@ -927,7 +774,7 @@ def _cmd_chaos(args) -> int:
     if args.quick:
         args.epochs = min(args.epochs, 1)
     dataset = load(args.dataset, seed=args.seed)
-    model_clean = _build_model("lr", dataset)
+    model_clean = LogisticRegression(dataset.n_features)
     plan = FaultPlan(
         seed=args.seed,
         p_transient=args.p_transient,
@@ -973,7 +820,7 @@ def _cmd_chaos(args) -> int:
 
         run(model_clean)
 
-        model_faulty = _build_model("lr", dataset)
+        model_faulty = LogisticRegression(dataset.n_features)
         run(model_faulty, reader_factory=faulty_reader_factory(plan, stats=stats))
         identical = all(
             np.array_equal(model_clean.params[k], model_faulty.params[k])
@@ -993,7 +840,7 @@ def _cmd_chaos(args) -> int:
         if args.crash_at is not None:
             ckpath = Path(tmp) / "chaos.ckpt.npz"
             crash_plan = FaultPlan(seed=args.seed, crash_at_tuple=args.crash_at)
-            model_crash = _build_model("lr", dataset)
+            model_crash = LogisticRegression(dataset.n_features)
             try:
                 run(
                     model_crash,
@@ -1002,7 +849,7 @@ def _cmd_chaos(args) -> int:
                 )
                 print(f"\ncrash-at {args.crash_at}: run finished before the crash point")
             except InjectedCrash as exc:
-                model_resumed = _build_model("lr", dataset)
+                model_resumed = LogisticRegression(dataset.n_features)
                 run(model_resumed, resume_from=ckpath)
                 diff = max(
                     float(np.max(np.abs(model_clean.params[k] - model_resumed.params[k])))
@@ -1197,7 +1044,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "generate": _cmd_generate,
     "train": _cmd_train,
-    "parallel-train": _cmd_parallel_train,
     "predict": _cmd_predict,
     "explain": _cmd_explain,
     "advise": _cmd_advise,

@@ -35,7 +35,9 @@ We charge ``epochs · epoch_io · (1 + κ·(h_eff − 1))`` with
 ``κ = PENALTY_EPOCHS_PER_HD`` extra epochs per unit of residual ``h``:
 an analytic stand-in for "epochs to target loss" that the statistical test
 suite (``tests/test_shuffle_quality.py``) and ``benchmarks/bench_advisor.py``
-validate end to end against real SGD runs.
+validate end to end against real SGD runs.  κ is a constant, not fitted from
+earlier runs' walls: a per-epoch wall does not depend on ``h_eff``, so the
+decision is a function of the statement and the table alone.
 """
 
 from __future__ import annotations
@@ -59,11 +61,8 @@ __all__ = [
     "estimate_hd",
     "advise_from_stats",
     "advise_strategy",
-    "learn_kappa",
     "ADVISOR_CANDIDATES",
     "PENALTY_EPOCHS_PER_HD",
-    "KAPPA_MAX",
-    "MIN_KAPPA_EPOCHS",
 ]
 
 # Defaults mirroring the paper's setup: ~90 % of sequential bandwidth is
@@ -95,14 +94,6 @@ ADVISOR_CANDIDATES = (
 #: GLM convergence sweeps: one extra unit of h_D costs roughly a third of an
 #: epoch of progress per epoch trained.
 PENALTY_EPOCHS_PER_HD = 0.3
-
-#: Sanity clamp on a learned κ — a fit outside [0, KAPPA_MAX] means the
-#: observations do not look like the penalty model at all.
-KAPPA_MAX = 2.0
-
-#: Observed epochs required before the advisor trusts a learned κ over the
-#: calibrated default.
-MIN_KAPPA_EPOCHS = 2
 
 #: Fraction of the clustering (``h_D − 1``) each strategy leaves in the SGD
 #: stream.  See the module docstring for the derivations; buffered
@@ -382,12 +373,6 @@ class AdvisorDecision:
     block_bytes: int
     hd: HdEstimate
     costs: tuple[StrategyCost, ...]
-    #: The clustering penalty used when costing the candidates, and where it
-    #: came from: ``"default"`` (the calibrated constant) or ``"observed"``
-    #: (least-squares fit over ``kappa_observations`` recorded epoch walls).
-    kappa: float = PENALTY_EPOCHS_PER_HD
-    kappa_source: str = "default"
-    kappa_observations: int = 0
 
     @property
     def chosen(self) -> StrategyCost:
@@ -428,15 +413,11 @@ class AdvisorDecision:
             "block_bytes": int(self.block_bytes),
             "hd": self.hd.to_doc(),
             "costs": [c.to_doc() for c in self.costs],
-            "kappa": {
-                "value": round(float(self.kappa), 6),
-                "source": self.kappa_source,
-                "n_observations": int(self.kappa_observations),
-            },
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AdvisorDecision":
+        # Keys this class does not write (a journalled ``"kappa"``) are ignored.
         return cls(
             strategy=str(doc["strategy"]),
             device=str(doc["device"]),
@@ -445,9 +426,6 @@ class AdvisorDecision:
             block_bytes=int(doc["block_bytes"]),
             hd=HdEstimate.from_doc(doc["hd"]),
             costs=tuple(StrategyCost.from_doc(c) for c in doc["costs"]),
-            kappa=float(doc.get("kappa", {}).get("value", PENALTY_EPOCHS_PER_HD)),
-            kappa_source=str(doc.get("kappa", {}).get("source", "default")),
-            kappa_observations=int(doc.get("kappa", {}).get("n_observations", 0)),
         )
 
 
@@ -479,7 +457,6 @@ def advise_from_stats(
     epochs: int = 20,
     compute=None,
     candidates: tuple[str, ...] = ADVISOR_CANDIDATES,
-    kappa: float = PENALTY_EPOCHS_PER_HD,
 ) -> AdvisorDecision:
     """Cost every candidate from pure table statistics and pick the cheapest.
 
@@ -559,7 +536,7 @@ def advise_from_stats(
             )
         residual = _residual_clustering(name, buffer_blocks, group_blocks)
         h_eff = 1.0 + max(0.0, estimate.hd - 1.0) * residual
-        multiplier = 1.0 + kappa * (h_eff - 1.0)
+        multiplier = 1.0 + PENALTY_EPOCHS_PER_HD * (h_eff - 1.0)
         setup = setup_by_strategy[name]
         epoch_io = epoch_io_by_strategy[name]
         costs.append(
@@ -586,56 +563,6 @@ def advise_from_stats(
     )
 
 
-def learn_kappa(
-    observations,
-    costs: tuple[StrategyCost, ...],
-    *,
-    default: float = PENALTY_EPOCHS_PER_HD,
-    min_epochs: int = MIN_KAPPA_EPOCHS,
-) -> tuple[float, int, str]:
-    """Fit the clustering penalty κ from recorded per-epoch walls.
-
-    The cost model prices one epoch of strategy ``s`` as
-    ``epoch_io_s · (1 + κ·(h_eff − 1))``, so each observed run with known
-    ``(epoch_io_s, h_eff)`` and a mean epoch wall ``w`` gives one point on
-    the line ``w − epoch_io_s = κ · epoch_io_s·(h_eff − 1)``.  We fit κ by
-    least squares through the origin, weighting each run by its epoch
-    count, and clamp to ``[0, KAPPA_MAX]`` — a fit outside that range means
-    the walls do not follow the penalty model and the default is safer.
-
-    ``observations`` is a list of ``{"strategy": str, "epoch_wall_s": [..]}``
-    docs (the engine records the *simulated* walls, which share units with
-    the device cost model).  ``costs`` is a prior decision's evidence table
-    supplying ``epoch_io_s`` / ``effective_hd`` per strategy.
-
-    Returns ``(kappa, n_epochs, source)`` where ``source`` is ``"observed"``
-    when the fit was used and ``"default"`` otherwise.
-    """
-    by_strategy = {c.strategy: c for c in costs}
-    sxx = 0.0
-    sxy = 0.0
-    n_epochs = 0
-    for ob in observations or ():
-        cost = by_strategy.get(ob.get("strategy"))
-        walls = [float(w) for w in ob.get("epoch_wall_s") or () if float(w) > 0.0]
-        if cost is None or not walls:
-            continue
-        x = cost.epoch_io_s * (cost.effective_hd - 1.0)
-        if x <= 0.0:
-            # An unclustered (or fully-shuffling) run carries no signal
-            # about the penalty slope.
-            continue
-        y = sum(walls) / len(walls) - cost.epoch_io_s
-        n = len(walls)
-        sxx += n * x * x
-        sxy += n * x * y
-        n_epochs += n
-    if n_epochs < min_epochs or sxx <= 0.0:
-        return default, n_epochs, "default"
-    kappa = min(KAPPA_MAX, max(0.0, sxy / sxx))
-    return kappa, n_epochs, "observed"
-
-
 def advise_strategy(
     table,
     device: DeviceModel,
@@ -647,8 +574,6 @@ def advise_strategy(
     hd: float | None = None,
     max_probe_tuples: int = 20_000,
     candidates: tuple[str, ...] = ADVISOR_CANDIDATES,
-    kappa: float = PENALTY_EPOCHS_PER_HD,
-    history=None,
 ) -> AdvisorDecision:
     """The plan-time step: sample ``h_D``, cost the candidates, decide.
 
@@ -657,15 +582,7 @@ def advise_strategy(
     decision is also counted into ``repro.obs`` (``advisor.choice.*`` and
     the measured ``advisor.hd`` gauge) so the serve layer's live stats see
     every plan-time choice.
-
-    ``history`` is an optional list of earlier per-epoch wall observations
-    for this table (``{"strategy", "epoch_wall_s"}`` docs).  When it holds
-    at least :data:`MIN_KAPPA_EPOCHS` epochs of usable signal the advisor
-    re-costs the candidates with the :func:`learn_kappa` fit instead of the
-    calibrated default, and records the provenance on the decision.
     """
-    import dataclasses
-
     from .. import obs
 
     estimate = (
@@ -683,26 +600,7 @@ def advise_strategy(
         epochs=epochs,
         compute=compute,
         candidates=candidates,
-        kappa=kappa,
     )
-    if history:
-        learned, n_obs, source = learn_kappa(history, decision.costs, default=kappa)
-        if source == "observed":
-            decision = advise_from_stats(
-                n_tuples=table.n_tuples,
-                tuple_bytes=table.tuple_bytes,
-                hd=estimate,
-                device=device,
-                block_bytes=block_bytes,
-                buffer_fraction=buffer_fraction,
-                epochs=epochs,
-                compute=compute,
-                candidates=candidates,
-                kappa=learned,
-            )
-        decision = dataclasses.replace(
-            decision, kappa=learned, kappa_source=source, kappa_observations=n_obs
-        )
     obs.inc(f"advisor.choice.{decision.strategy}")
     obs.set_max("advisor.hd", decision.hd.hd)
     return decision

@@ -183,10 +183,6 @@ class MiniDB:
         self.catalog = Catalog(page_bytes=page_bytes, pool_pages=pool_pages)
         self._models: dict[str, SupervisedModel] = {}
         self._model_counter = 0
-        # Per-table per-epoch wall observations from finished TRAINs; the
-        # auto planner fits the clustering penalty κ from these
-        # (see repro.db.advisor.learn_kappa).
-        self._kappa_history: dict[str, list[dict]] = {}
         # Model-store mutations are the only cross-thread shared state in
         # one MiniDB; the lock makes the engine re-entrant from worker
         # threads (the serve daemon registers job-trained models into a
@@ -280,18 +276,11 @@ class MiniDB:
     def plan(self, spec: TrainSpec) -> PhysicalPlan:
         """The :class:`~repro.db.plan.PhysicalPlan` ``spec`` runs as.
 
-        The one place a TRAIN statement meets this engine's catalog, device,
-        compute profile and the table's κ history — ``train`` executes the
-        result, ``explain`` renders it, and the serve daemon admits a job by
-        planning it here.
+        The one place a TRAIN statement meets this engine's catalog, device
+        and compute profile — ``train`` executes the result, ``explain``
+        renders it, and the serve daemon admits a job by planning it here.
         """
-        return physical_plan(
-            spec,
-            self.catalog.get(spec.table),
-            self.device,
-            self.compute,
-            self._kappa_history.get(spec.table),
-        )
+        return physical_plan(spec, self.catalog.get(spec.table), self.device, self.compute)
 
     def explain(self, spec: TrainSpec) -> str:
         """Render the physical plan a TRAIN statement would execute."""
@@ -706,22 +695,13 @@ class MiniDB:
             )
         resources.wall_seconds = timeline.total_time_s
         if measured_walls is not None:
-            # Measured walls are the advisor's feedback channel; the κ
-            # learner is fed the *simulated* ones, which share units with the
-            # device cost model the advisor prices candidates in (see
-            # repro.db.advisor.learn_kappa).
+            # Reported beside the advisor's estimate (serve job summaries
+            # read it); no later plan reads it back.
             spec.extra.setdefault("advisor", {})["observed"] = {
                 "epoch_wall_s": [round(w, 6) for w in measured_walls],
                 "total_wall_s": round(sum(measured_walls), 6),
                 "simulated_epoch_wall_s": [round(w, 6) for w in epoch_walls],
             }
-            if epoch_walls:
-                self._kappa_history.setdefault(spec.table, []).append(
-                    {
-                        "strategy": plan.strategy,
-                        "epoch_wall_s": [float(w) for w in epoch_walls],
-                    }
-                )
         model_id = self.register_model(model)
         if grid is None:
             return TrainResult(model_id, model, history, timeline, resources, spec)

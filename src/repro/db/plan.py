@@ -3,8 +3,8 @@
 Section 6 integrates CorgiPile as one plan shape — BlockShuffle →
 TupleShuffle → SGD — that the planner chooses once and the executor then
 runs.  :func:`physical_plan` is that planner.  It is a pure function of the
-typed :class:`~repro.db.spec.TrainSpec`, the catalog table, the device, the
-compute profile and the table's κ history, and it returns a
+typed :class:`~repro.db.spec.TrainSpec`, the catalog table, the device and
+the compute profile — no earlier statement feeds it — and it returns a
 :class:`PhysicalPlan`: the resolved strategy with the advisor / WHERE
 decision documents, the operator tree as data, the buffer and block
 geometry, the setup charge, and which of the two executors runs it —
@@ -182,13 +182,11 @@ def physical_plan(
     table,
     device: DeviceModel,
     compute,
-    history=None,
 ) -> PhysicalPlan:
     """Plan one TRAIN statement over ``table``; touches nothing.
 
     ``device`` is the engine's; ``WITH device = '...'`` overrides it here,
     once, for the advisor, the WHERE costing and the simulated clock alike.
-    ``history`` is the table's per-epoch wall observations (κ learning).
     """
     if spec.device:
         try:
@@ -207,11 +205,10 @@ def physical_plan(
         # shuffle-safe default rather than probing the subset.
         strategy = "corgipile"
     elif strategy == "auto":
-        # ``device`` already carries any ``WITH device`` override; ``history``
-        # lets the advisor fit κ from this table's earlier per-epoch walls.
+        # ``device`` already carries any ``WITH device`` override.
         advisor = advise_strategy(
             table, device, block_bytes=spec.block_size, epochs=spec.epochs,
-            buffer_fraction=spec.buffer_fraction, compute=compute, history=history,
+            buffer_fraction=spec.buffer_fraction, compute=compute,
         )
         strategy = advisor.strategy
     if strategy not in STRATEGIES:

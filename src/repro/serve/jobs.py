@@ -276,10 +276,10 @@ class JobManager:
         """Admit one TRAIN statement; raises :class:`Saturated` when full.
 
         ``db`` is the submitting session's engine.  The statement is planned
-        there with the plain ``db.plan(asked)`` — same catalog, device and κ
-        history as that session's EXPLAIN — so whatever the inline engine
-        rejects (a strategy with no such plan, a WHERE matching nothing),
-        admission rejects with the same message.  What the plan decided is
+        there with the plain ``db.plan(asked)`` — same catalog and device as
+        that session's EXPLAIN — so whatever the inline engine rejects (a
+        strategy with no such plan, a WHERE matching nothing), admission
+        rejects with the same message.  What the plan decided is
         folded into the journalled spec (module docstring) and the rows are
         snapshotted: the job survives the session, the daemon and later DML.
         """

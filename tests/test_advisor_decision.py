@@ -258,3 +258,44 @@ class TestHdProbeConvergence:
         )
         assert decision.hd.hd == pytest.approx(7.5)
         assert decision.hd.n_sampled == 0  # marks "given, not probed"
+
+
+class TestRepeatedAuto:
+    """Repeating a ``strategy = auto`` TRAIN plans, and trains, the same.
+
+    Was: each heap TRAIN fed its simulated epoch walls back into a κ fit.
+    On a pool-resident table epochs 2+ are charged at memory speed, so the
+    fit clamped κ to 0 and every later ``auto`` TRAIN on the table picked
+    ``no_shuffle`` — test accuracy 0.497 where the first run's ``corgipile``
+    reached 0.788.
+    """
+
+    SQL = (
+        "SELECT * FROM t TRAIN BY svm WITH strategy = {}, max_epoch_num = 4, "
+        "block_size = 64KB, seed = 0"
+    )
+
+    def test_three_auto_trains_pick_one_strategy_that_trains(self):
+        from repro.db import MiniDB
+        from repro.storage import HDD_SCALED
+
+        train, test = make_binary_dense(7500, 40, separation=1.0, seed=0).split(0.8, seed=0)
+        db = MiniDB(device=HDD_SCALED)
+        db.create_table("t", clustered_by_label(train, seed=0))
+        assert db.catalog.get("t").n_tuples == 6000
+        runs = [db.execute(self.SQL.format("auto"), test=test) for _ in range(3)]
+        picked = {r.query.strategy for r in runs}
+        assert len(picked) == 1, picked
+        reference = db.execute(self.SQL.format("corgipile"), test=test)
+        for run in runs:
+            assert abs(
+                run.history.final.test_score - reference.history.final.test_score
+            ) <= 0.02
+
+
+class TestJournalledDoc:
+    def test_doc_with_the_retired_kappa_key_still_loads(self):
+        doc = _advise(2.0, "ssd", 0.1, 20).to_doc()
+        assert "kappa" not in doc
+        legacy = dict(doc, kappa={"value": 0.0, "source": "observed", "n_observations": 8})
+        assert AdvisorDecision.from_doc(legacy).to_doc() == doc

@@ -136,7 +136,7 @@ class TestCommonOptionGroup:
         "argv",
         [
             ["train", "--dataset", "susy"],
-            ["parallel-train"],
+            ["advise"],
             ["loader-stats"],
             ["chaos"],
             ["generate", "susy", "--out", "x"],
@@ -153,11 +153,10 @@ class TestCommonOptionGroup:
 
         parser = build_parser()
         assert parser.parse_args(["train", "--dataset", "susy"]).workers == 1
-        assert parser.parse_args(["parallel-train"]).workers == 2
         assert parser.parse_args(["loader-stats"]).workers == 2
 
     @pytest.mark.parametrize(
-        "argv", [["train", "--dataset", "susy"], ["parallel-train"], ["chaos"]]
+        "argv", [["train", "--dataset", "susy"], ["loader-stats"], ["chaos"]]
     )
     def test_quick_flag_available(self, argv):
         from repro.cli import build_parser
@@ -167,55 +166,9 @@ class TestCommonOptionGroup:
 
 
 class TestParallelTrain:
-    def test_quick_sync_with_equivalence_check(self, capsys):
-        assert (
-            main(
-                [
-                    "parallel-train",
-                    "--dataset",
-                    "susy",
-                    "--workers",
-                    "2",
-                    "--quick",
-                    "--epochs",
-                    "2",
-                    "--compare-single",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "x2 workers (sync)" in out
-        assert "equivalence verdict: PASS" in out
-        assert "0 live threads" in out
-
-    def test_json_report(self, tmp_path, capsys):
-        import json
-
-        report_path = tmp_path / "par.json"
-        assert (
-            main(
-                [
-                    "parallel-train",
-                    "--dataset",
-                    "susy",
-                    "--workers",
-                    "2",
-                    "--mode",
-                    "epoch",
-                    "--quick",
-                    "--epochs",
-                    "1",
-                    "--json",
-                    str(report_path),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(report_path.read_text())
-        assert report["mode"] == "epoch"
-        assert report["n_workers"] == 2
-        assert report["tuples_processed"] == 1600
+    """``train --workers N`` is the CLI's one route to the engine's sharded
+    CorgiPile (``test_conformance.py`` holds its ``--aggregation`` runs to
+    the SQL and served bits)."""
 
     def test_train_workers_routes_to_parallel_engine(self, capsys):
         assert (
@@ -235,7 +188,7 @@ class TestParallelTrain:
             )
             == 0
         )
-        assert "x2 workers" in capsys.readouterr().out
+        assert "x2 workers (sync)" in capsys.readouterr().out
 
     def test_train_workers_rejects_non_corgipile(self):
         with pytest.raises(SystemExit):

@@ -68,7 +68,7 @@ def to_sql(spec: TrainSpec) -> str:
         "batch_size": spec.batch_size, "block_size": spec.block_size,
         "buffer_fraction": spec.buffer_fraction, "strategy": spec.strategy,
         "seed": spec.seed, "fused": "true" if spec.fused else "false",
-        "workers": spec.workers,
+        "workers": spec.workers, "aggregation": spec.aggregation,
     }
     text = ", ".join(f"{k} = {v}" for k, v in knobs.items())
     if spec.grid is not None:
@@ -85,7 +85,7 @@ def cli_args(spec: TrainSpec, csv_path, model_path, index=None) -> list[str]:
         "--decay", repr(spec.decay), "--batch-size", str(spec.batch_size),
         "--buffer-fraction", repr(spec.buffer_fraction), "--block-tuples", str(BLOCK_TUPLES),
         "--seed", str(spec.seed), "--workers", str(spec.workers),
-        "--save-model", str(model_path),
+        "--aggregation", spec.aggregation, "--save-model", str(model_path),
     ]
     if spec.where is not None:
         args += ["--where", spec.where.render()]
@@ -241,6 +241,7 @@ def test_drawn_specs_agree_between_api_sql_and_a_job(
     "fields",
     [
         pytest.param({"workers": 2, "batch_size": 32}, id="workers2"),
+        pytest.param({"workers": 2, "aggregation": "epoch"}, id="workers2-epoch"),
         pytest.param({"grid": {"lr": [0.1, 0.01]}}, id="grid"),
     ],
 )

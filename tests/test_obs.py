@@ -426,7 +426,7 @@ class TestOverlapCrosscheck:
 
 
 class TestParallelMergedTrace:
-    """The PR's headline acceptance test: a 4-worker parallel-train run
+    """The headline acceptance test: a 4-worker ParallelTrainer run
     produces a *single* merged trace and registry on the coordinator.
 
     Workers trace locally (a spawned process starts with a fresh, disabled

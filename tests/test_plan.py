@@ -92,20 +92,23 @@ def test_explain_workers_shows_the_block_file_plan():
     assert "[setup: materialise block file (250 tuples/block)]" in text
 
 
-def test_explain_after_train_uses_the_next_trains_kappa_history():
-    """Was: EXPLAIN called the advisor without the table's observed walls,
-    so it could show a different pick than the TRAIN that followed."""
+def test_plan_is_a_pure_function_of_the_statement():
+    """Was: each heap TRAIN appended its simulated epoch walls to a per-table
+    history that the next ``auto`` plan fitted κ from, so EXPLAIN changed
+    after a TRAIN, and on a pool-resident table the refit κ = 0 flipped the
+    pick to ``no_shuffle``."""
     db = _db(1200)
-    sql = (
+    spec = parse_query(
         "SELECT * FROM t TRAIN BY lr WITH strategy = auto, max_epoch_num = 3, "
         "block_size = 8KB, seed = 1"
     )
-    db.execute(sql)  # records three simulated epoch walls for table t
-    explained = db.plan(parse_query(sql))
-    assert db.execute("EXPLAIN " + sql) == explain_train_plan(explained)
-    trained = db.execute(sql)
-    assert explained.advisor.kappa_observations >= 3
-    assert explained.advisor.to_doc() == trained.query.extra["plan"]["advisor"]
+    text, doc = db.explain(spec), db.plan(spec).to_doc()
+    assert doc["advisor"] is not None
+    for _ in range(2):
+        trained = db.train(spec)
+        assert trained.query.extra["plan"] == doc
+    assert db.explain(spec) == text
+    assert db.plan(spec).to_doc() == doc
 
 
 def test_plan_is_side_effect_free():

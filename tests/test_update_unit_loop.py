@@ -318,7 +318,9 @@ def test_one_stopwatch_and_one_block_file_fill():
         "ConvergenceSweep", "run_convergence_sweep", "history_row", "time_best",
     }
     (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
-    assert "kernel-bench" not in commands.choices and len(commands.choices) == 14
+    assert "kernel-bench" not in commands.choices and len(commands.choices) == 13
+    # ``train --workers N`` is the one CLI route to the parallel engine.
+    assert "parallel-train" not in commands.choices
 
 
 def test_one_prefetcher_and_one_shard_plan():
