@@ -237,6 +237,11 @@ class TrainSpec:
                 f"unknown aggregation {self.aggregation!r}; "
                 f"supported: {', '.join(AGGREGATION_MODES)}"
             )
+        if self.aggregation != "sync" and self.workers == 1:
+            raise SpecError(
+                f"aggregation = {self.aggregation!r} requires data-parallel workers "
+                "(workers > 1); got workers = 1"
+            )
         if self.warm_start is not None and not str(self.warm_start):
             raise SpecError("warm_start must be a model id or .npz path")
         if self.grid is not None:

@@ -7,11 +7,13 @@ an LRU policy and counts hits/misses, so experiments can report OS-cache-like
 effects (small datasets become memory-resident after the first epoch —
 Section 7.3.4's observation about higgs/susy/epsilon per-epoch times).
 
-Pages are decoded in bulk into a columnar
-:class:`~repro.storage.codec.TupleBatch` (one ``decode_page`` call), and that
-batch is the cache entry a page scan reads (``get_batch_traced``).  A block
-is one pool call, :meth:`BufferPool.get_run`: the same per-page books in page
-order, then the pages' batches end to end.  A block whose pages all hit is
+A row page is decoded in bulk into a :class:`~repro.storage.codec.TupleBatch`
+(one ``decode_page`` call); a columnar page's entry is its verified payload
+plus its parsed directory (a lazy batch).  The books are one loop over page
+ids, run once per read: a page scan's ``get_batch_traced`` reads one page,
+and a block is one pool call, :meth:`BufferPool.get_run`, the books in page
+order and then the pages' batches end to end (a columnar block decoding
+there, once per column).  A block whose pages all hit is
 *kept* as that one run, and each page's entry becomes a zero-copy ``slice``
 of it, so a warm block is read with no ``concat`` (and a warm columnar block
 with no decode).  A run is served only while every page's entry is still
@@ -171,29 +173,26 @@ class BufferPool:
         return self.get_batch_traced(page_id)[0]
 
     def get_batch_traced(self, page_id: int) -> tuple[TupleBatch, bool]:
-        """Like :meth:`get_batch`, also reporting whether it was a cache hit.
+        """Like :meth:`get_batch`, also reporting whether it was a cache hit
+        (a one-page read through the books).
 
         The hit flag lets callers charge the read at memory speed instead of
         device speed (the experiments' "cached after the first epoch"
         behaviour on small datasets).
         """
-        return self._access(page_id)
+        batches, hits = self._get_pages((page_id,))
+        return batches[0], hits[0]
 
     def get_run(self, page_ids: Sequence[int]) -> tuple[TupleBatch, list[bool]]:
         """A block: its pages' batches end to end, and each page's hit flag.
 
-        Every page is accessed in order exactly as :meth:`get_batch_traced`
-        would (hits, misses, LRU moves, evictions, fault-plane reads).  A
-        block whose pages all hit is kept as the returned run; a later read
-        returns that run, without a ``concat``, as long as every page's entry
-        is still the view the run handed out.
+        Every page is accessed in order through the books, exactly as one
+        :meth:`get_batch_traced` after another would.  A block whose pages
+        all hit is kept as the returned run; a later read returns that run,
+        without a ``concat``, as long as every page's entry is still the
+        view the run handed out.
         """
-        pages: list[TupleBatch] = []
-        hits: list[bool] = []
-        for page_id in page_ids:
-            batch, hit = self._access(page_id)
-            pages.append(batch)
-            hits.append(hit)
+        pages, hits = self._get_pages(page_ids)
         if len(pages) == 1:
             return pages[0], hits
         kept = self._runs.get(page_ids[0])
@@ -206,36 +205,57 @@ class BufferPool:
             self._keep_run(tuple(page_ids), run, pages)
         return run, hits
 
-    def _access(self, page_id: int) -> tuple[TupleBatch, bool]:
-        """One page through the cache: ``(batch, hit)``, books updated."""
-        # Page access is the hottest storage seam, so the registry counters
-        # are published only while telemetry is on; the local hit/miss ints
-        # stay always-available for hit_rate and the planner.
-        entry = self._cache.get(page_id)
-        if (  # the hot path: _resident inlined
-            entry is not None
-            and entry[2] == self._generation
-            and entry[1] == self.heap.pages[page_id].version
-        ):
-            self._cache.move_to_end(page_id)
-            self.hits += 1
+    def _get_pages(self, page_ids: Sequence[int]) -> tuple[list[TupleBatch], list[bool]]:
+        """The books, one loop for every read: each page in order through
+        the cache, ``(batches, hit flags)``.  A hit moves its entry to the LRU
+        end; a miss reads the page (:meth:`_read_batch`) and inserts it; then
+        the LRU front is evicted while a budget is exceeded.  Entries outside
+        the simulated cache sit at the front, so they go first, and only a
+        resident entry's eviction counts.  A byte budget is re-checked on hits
+        too: lazy entries grow after they leave the pool.  The counters are
+        published once per call, also when a read fails (a miss) part-way.
+        """
+        cache, pages = self._cache, self.heap.pages
+        gen, capacity, budget = self._generation, self.capacity_pages, self.capacity_bytes
+        batches: list[TupleBatch] = []
+        hits: list[bool] = []
+        n_misses = n_evictions = 0
+        try:
+            for page_id in page_ids:
+                entry = cache.get(page_id)
+                hit = (  # the hot path: _resident inlined
+                    entry is not None and entry[2] == gen and entry[1] == pages[page_id].version
+                )
+                if hit:
+                    cache.move_to_end(page_id)
+                    batch = entry[0]
+                else:
+                    n_misses += 1
+                    batch = self._read_batch(page_id)
+                    cache[page_id] = (batch, pages[page_id].version, gen)
+                    cache.move_to_end(page_id)
+                batches.append(batch)
+                hits.append(hit)
+                while len(cache) > capacity or (
+                    budget is not None and len(cache) > 1 and self.decoded_bytes > budget
+                ):
+                    evicted, old = cache.popitem(last=False)
+                    self._drop_run(evicted)
+                    n_evictions += self._resident(evicted, old)
+        finally:
+            n_hits = hits.count(True)
+            self.hits += n_hits
+            self.misses += n_misses
+            self.evictions += n_evictions
+            # The hottest storage seam: the hit/miss registry counters are
+            # published only while telemetry is on.
             if obs.enabled():
-                obs.inc("storage.bufferpool.hits")
-            # Lazy entries grow between accesses (columns materialise after
-            # the batch left the pool), so the byte budget is re-checked on
-            # hits too — the just-touched page is protected as MRU.  A hit
-            # adds no entry, so a page budget has nothing to enforce.
-            if self.capacity_bytes is not None:
-                self._enforce_capacity()
-            return entry[0], True
-        self.misses += 1
-        if obs.enabled():
-            obs.inc("storage.bufferpool.misses")
-        batch = self._read_batch(page_id)
-        self._cache[page_id] = (batch, self.heap.pages[page_id].version, self._generation)
-        self._cache.move_to_end(page_id)
-        self._enforce_capacity()
-        return batch, False
+                for name, n in (("hits", n_hits), ("misses", n_misses)):
+                    if n:
+                        obs.inc(f"storage.bufferpool.{name}", n)
+            if n_evictions:
+                obs.inc("storage.bufferpool.evictions", n_evictions)
+        return batches, hits
 
     def _keep_run(self, page_ids: tuple[int, ...], run: TupleBatch, pages) -> None:
         """Make each page's entry a zero-copy view of ``run`` (LRU order and
@@ -262,20 +282,6 @@ class BufferPool:
         if kept is not None:
             for run_page in kept.page_ids:
                 del self._runs[run_page]
-
-    def _enforce_capacity(self) -> None:
-        # Entries outside the simulated cache sit at the LRU front, so they
-        # go first, and only a resident entry's eviction is counted.
-        while len(self._cache) > self.capacity_pages or (
-            self.capacity_bytes is not None
-            and len(self._cache) > 1
-            and self.decoded_bytes > self.capacity_bytes
-        ):
-            page_id, entry = self._cache.popitem(last=False)
-            self._drop_run(page_id)
-            if self._resident(page_id, entry):
-                self.evictions += 1
-                obs.inc("storage.bufferpool.evictions")
 
     # ------------------------------------------------------------------
     def invalidate(self, page_id: int) -> bool:

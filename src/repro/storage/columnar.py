@@ -30,10 +30,11 @@ row-major ``n x d`` float64 run) or the CSR triple ``indptr``/``indices``/
 :func:`decode_block_columnar` returns a :class:`LazyTupleBatch` after one
 ``unpack_from`` of the header + directory: no column is decoded up front;
 each array materialises on first attribute access and is cached on the
-batch.  A run of pages (a block) handed to ``TupleBatch.concat`` decodes
-each column once for the whole run (:func:`concat_pages`) and caches nothing
-on the pages.  Per-chunk CRC32s in the directory let pruned readers verify
-only the bytes they actually read.
+batch.  A run of pages (a block) handed to ``TupleBatch.concat`` is
+checked and decoded column by column from the pages' kept directory entries,
+once for the whole run (:func:`concat_pages`), and caches nothing on the
+pages.  Per-chunk CRC32s in the directory let pruned readers verify only the
+bytes they actually read.
 """
 
 from __future__ import annotations
@@ -318,10 +319,12 @@ class LazyTupleBatch:
     front: each property decodes its chunk on first touch — a zero-copy
     ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
-    the buffer pool can charge real memory, not potential memory.  A run of
-    pages handed to ``TupleBatch.concat`` decodes as one (:func:`concat_pages`)
-    and caches no array here; the buffer pool keeps a warm block's decoded
-    run instead (``BufferPool.get_run``).
+    the buffer pool can charge real memory, not potential memory.  A batch
+    is built from its buffer and parsed directory alone; a single-page
+    consumer checks the one chunk it touches (``_store``).  A run of pages
+    handed to ``TupleBatch.concat`` decodes once per column from the pages'
+    directory entries (:func:`concat_pages`) and caches no array here; the
+    buffer pool keeps a warm block's decoded run instead.
 
     The backing store is either one whole block buffer (``buffer`` +
     per-chunk offsets) or, after a column-pruned read, individual chunk
@@ -340,32 +343,31 @@ class LazyTupleBatch:
         n_tuples: int,
         n_features: int,
         sparse: bool,
-        sources: dict[int, tuple],  # col -> (memoryview, base_offset, directory entry)
+        entries: tuple,  # directory fields, eight per readable chunk (ChunkRef order)
+        buffers: tuple,  # per chunk: (memoryview, base offset of its directory offsets)
         verify_chunks: bool = False,
     ):
-        self._n = int(n_tuples)
-        self.n_features = int(n_features)
-        self._sparse = bool(sparse)
-        self._sources = sources
+        self._n = n_tuples
+        self.n_features = n_features
+        self._sparse = sparse
+        self._entries = entries
+        self._cols = entries[::8]
+        self._buffers = buffers
         self._cache: dict[int, np.ndarray] = {}
-        # col -> (run kind, stored dtype, delta, values memoryview, n_values,
-        # chunk length): checked chunk metadata, no decoded bytes (see _store)
-        self._stored: dict[int, tuple] = {}
-        self.verify_chunks = bool(verify_chunks)
+        self.verify_chunks = verify_chunks
 
     # -- construction ---------------------------------------------------
     @classmethod
     def from_block(
         cls, buffer, offset: int = 0, columns=None, verify_chunks: bool = False
     ) -> "LazyTupleBatch":
+        """The block's verified buffer and its parsed directory, nothing more."""
         n_tuples, n_features, sparse, entries = _read_directory(buffer, offset)
-        view = memoryview(buffer)
-        sources = {
-            entries[i]: (view, offset, entries[i : i + 8]) for i in range(0, len(entries), 8)
-        }
-        if columns is not None:
-            sources = {col: source for col, source in sources.items() if col in columns}
-        return cls(n_tuples, n_features, sparse, sources, verify_chunks)
+        if columns is not None:  # a pruned read: only these chunks
+            chunks = (entries[i : i + 8] for i in range(0, len(entries), 8))
+            entries = sum((chunk for chunk in chunks if chunk[0] in columns), ())
+        buffers = ((memoryview(buffer), offset),) * (len(entries) // 8)
+        return cls(n_tuples, n_features, sparse, entries, buffers, verify_chunks)
 
     @classmethod
     def from_chunks(
@@ -376,66 +378,29 @@ class LazyTupleBatch:
         chunks: dict[int, tuple],  # col -> (chunk_bytes, ChunkRef)
     ) -> "LazyTupleBatch":
         """Build from individually read (already CRC-verified) chunks."""
-        sources = {
-            col: (memoryview(payload), -ref.offset, ref) for col, (payload, ref) in chunks.items()
-        }
-        return cls(n_tuples, n_features, sparse, sources)
+        entries = tuple(field for _payload, ref in chunks.values() for field in ref)
+        buffers = tuple((memoryview(payload), -ref.offset) for payload, ref in chunks.values())
+        return cls(n_tuples, n_features, sparse, entries, buffers)
 
     # -- core accessors -------------------------------------------------
     def _store(self, col: int) -> tuple:
-        """Check column ``col``'s chunk once per page and keep where its
-        stored values are: inside the chunk's byte range (a ``memoryview``
-        slice would truncate them silently), ``n x d`` of them for a dense
-        chunk, and with ``verify_chunks`` a range that matches its directory
-        CRC32.  The run kind is what :func:`_decode_run` needs equal across a
-        run's non-empty chunks: stored dtype, delta flag (a one-value packed
-        chunk decodes the same either way, so it counts as delta-coded) and
-        dense width; an empty chunk has none."""
-        try:
-            view, base, entry = self._sources[col]
-        except KeyError:
-            raise KeyError(
-                f"column {COLUMN_NAMES.get(col, col)!r} was pruned from this read"
-            ) from None
-        _col, enc, width, delta, offset, length, n_values, crc = entry
-        if enc == ENC_PACKED:
-            dtype = _PACK_DTYPES.get(width)
-            delta = delta != 0 or n_values == 1
-        else:
-            dtype = _RAW_DTYPES.get(enc)
-            delta = False
-        if dtype is None:
-            raise _chunk_error(entry, f"unknown encoding {enc} (width {width})")
-        start = base + offset
-        end = start + n_values * dtype.itemsize
-        if end > start + length:
-            raise _chunk_error(entry, f"{n_values} values overrun its {length}-byte range")
-        if col == COL_DENSE and n_values != self._n * self.n_features:
-            raise _chunk_error(entry, f"{n_values} values for {self._n} x {self.n_features}")
-        if self.verify_chunks and length:
-            got = zlib.crc32(view[start : start + length])
-            if got != crc:
-                raise ChecksumError(
-                    f"column chunk {ChunkRef._make(entry).name!r}: checksum mismatch "
-                    f"(got {got:#010x}, want {crc:#010x})"
-                )
-        kind = (dtype, delta, self.n_features if col == COL_DENSE else 0) if n_values else None
-        stored = self._stored[col] = (kind, dtype, delta, view[start:end], n_values, length)
-        return stored
+        """Column ``col``'s chunk on a single-page read, checked
+        (:func:`_checked_chunks`): ``(stored dtype, delta, values, bytes)``."""
+        (dtype, delta, _width), (span,), _counts, nbytes = _checked_chunks((self,), col)
+        return dtype, delta, span, nbytes
 
     def _decode(self, col: int) -> np.ndarray:
         """Column ``col`` of this page, uncached: a zero-copy view of a raw
         chunk, a widened (and cumsummed, when delta-coded) copy of a packed one."""
-        stored = self._stored.get(col) or self._store(col)
-        _kind, dtype, delta, span, _n, length = stored
+        dtype, delta, span, length = self._store(col)
         array = np.frombuffer(span, dtype)
         if dtype.kind == "u":  # packed
             array = array.astype(np.int64)
             if delta:
-                array.cumsum(out=array)
+                np.add.accumulate(array, out=array)
         if col == COL_DENSE:
             array = array.reshape(self._n, self.n_features)
-        _count_decoded((stored,))
+        _count_decoded(1, length)
         return array
 
     def _get(self, col: int) -> np.ndarray:
@@ -497,7 +462,7 @@ class LazyTupleBatch:
     # -- introspection ---------------------------------------------------
     @property
     def available_columns(self) -> frozenset[str]:
-        return frozenset(COLUMN_NAMES[c] for c in self._sources)
+        return frozenset(COLUMN_NAMES[c] for c in self._cols)
 
     @property
     def materialized_columns(self) -> frozenset[str]:
@@ -549,75 +514,131 @@ def _decode_run(pages: Sequence, name: str) -> np.ndarray:
 
     Equal to :func:`~repro.storage.codec.stack_column` over every page's
     decoded column.  A run whose pages all hold the column materialised
-    stacks those arrays.  A run of lazy pages whose non-empty chunks share one run kind
-    (see ``LazyTupleBatch._store``) decodes in one pass: one ``bytearray``
-    join of the stored values and one ``frombuffer`` (+ one widen);
-    ``indptr`` is one cumsum of the stored row lengths with each page's
-    leading 0 dropped, delta-coded ints one cumsum restarted per page.
-    Any other run decodes page by page.  Nothing is cached on the pages:
-    the arrays belong to the run, not to the pool.
+    stacks those arrays.  A run of lazy pages is checked in one pass over
+    their directory entries (:func:`_checked_chunks`); when its non-empty
+    chunks share one kind it decodes in one go: one ``bytearray`` join of
+    the stored values, one ``frombuffer`` (+ one widen); ``indptr`` one
+    cumsum of the stored row lengths, delta-coded ints one cumsum restarted
+    per page.  Any other run (mixed packed widths, say) stacks its pages'
+    one-page runs.  Nothing is cached on the pages.
     """
     col = _NAME_TO_COL[name]
     try:
         if col in pages[0]._cache and all(col in page._cache for page in pages):
             return stack_column([page._cache[col] for page in pages], name)
-        stored = [page._stored.get(col) or page._store(col) for page in pages]
+        kind, spans, counts, nbytes = _checked_chunks(pages, col)
     except AttributeError:  # an eager batch in the run
         return stack_column([_page_column(page, col, name) for page in pages], name)
-    kinds = {s[0] for s in stored}
-    kinds.discard(None)
     is_indptr = col == COL_INDPTR
-    if len(kinds) == 1:
-        ((dtype, delta, width),) = kinds
-    if len(kinds) != 1 or (is_indptr and not delta):
+    if kind is None or (is_indptr and not kind[1]):
+        if len(pages) == 1:  # an indptr stored without deltas: as the page decodes it
+            return pages[0]._decode(col)
         return stack_column([_page_column(page, col, name) for page in pages], name)
-    _count_decoded(stored)
+    dtype, delta, width = kind
+    _count_decoded(len(spans), nbytes)
     if is_indptr:  # the stored row lengths, after each page's leading 0
-        spans = [s[3][dtype.itemsize :] for s in stored]
-    else:
-        spans = [s[3] for s in stored]
+        spans = [span[dtype.itemsize :] for span in spans]
     out = np.frombuffer(bytearray().join(spans), dtype)
     if dtype.kind == "u":  # packed
         if dtype.itemsize == 8:  # u8 wraps to int64, as ``astype`` does
             out = out.view(np.int64)
         if is_indptr:
             lengths = out
-            out = np.empty(lengths.size + 1, dtype=np.int64)
-            out[0] = 0
-            lengths.cumsum(dtype=np.int64, out=out[1:])
+            out = np.zeros(lengths.size + 1, dtype=np.int64)
+            np.add.accumulate(lengths, dtype=np.int64, out=out[1:])
         else:
             out = out.astype(np.int64, copy=False)  # writable: it reads a bytearray
             if delta:
                 # A page's first stored value is absolute: less the previous
                 # page's total, one cumsum restarts at every page.
-                counts = [s[4] for s in stored]
                 at = accumulate(counts, initial=0)
                 starts = np.array([start for start, n in zip(at, counts) if n])
                 if starts.size > 1:
                     out[starts[1:]] -= np.add.reduceat(out, starts)[:-1]
-                out.cumsum(out=out)
+                np.add.accumulate(out, out=out)  # a cumsum, without its ``out=`` overhead
     if col == COL_DENSE:
         out = out.reshape(-1, width)
     return out
 
 
+def _checked_chunks(pages: Sequence, col: int) -> tuple:
+    """Column ``col``'s chunk on each lazy page, checked in one pass over the
+    pages' directory entries: ``(kind, spans, counts, chunk bytes)``.
+
+    A chunk's stored values must lie inside its byte range (a ``memoryview``
+    slice would truncate them silently), ``n x d`` of them for a dense chunk,
+    and with ``verify_chunks`` the range must match its CRC32.  ``kind`` is
+    what :func:`_decode_run` needs equal across a run's non-empty chunks:
+    ``(stored dtype, delta flag, dense width)``, a one-value packed chunk
+    counting as delta-coded (it decodes the same either way).  It is
+    ``None`` when they disagree, the last chunk's own when all are empty.
+    """
+    spans, counts = [], []
+    nbytes = 0
+    kind = None
+    mixed = False
+    dense = col == COL_DENSE
+    for page in pages:
+        try:
+            k = page._cols.index(col)
+        except ValueError:
+            raise KeyError(
+                f"column {COLUMN_NAMES.get(col, col)!r} was pruned from this read"
+            ) from None
+        view, base = page._buffers[k]
+        entry = page._entries[8 * k : 8 * k + 8]
+        _col, enc, width, delta, offset, length, n_values, crc = entry
+        if enc == ENC_PACKED:
+            dtype, size = _PACK_DTYPES.get(width), width
+            delta = delta != 0 or n_values == 1
+        else:
+            dtype, size = _RAW_DTYPES.get(enc), 8
+            delta = False
+        if dtype is None:
+            raise _chunk_error(entry, f"unknown encoding {enc} (width {width})")
+        start = base + offset
+        end = start + n_values * size
+        if end > start + length:
+            raise _chunk_error(entry, f"{n_values} values overrun its {length}-byte range")
+        if dense and n_values != page._n * page.n_features:
+            raise _chunk_error(entry, f"{n_values} values for {page._n} x {page.n_features}")
+        if page.verify_chunks and length:
+            got = zlib.crc32(view[start : start + length])
+            if got != crc:
+                raise ChecksumError(
+                    f"column chunk {ChunkRef._make(entry).name!r}: checksum mismatch "
+                    f"(got {got:#010x}, want {crc:#010x})"
+                )
+        if n_values:
+            if kind is None:
+                kind = (dtype, delta, page.n_features if dense else 0)
+            elif dtype is not kind[0] or delta != kind[1] or (dense and page.n_features != kind[2]):
+                mixed = True
+        spans.append(view[start:end])
+        counts.append(n_values)
+        nbytes += length
+    if kind is None:  # every chunk empty: the last one's kind
+        kind = (dtype, delta, page.n_features if dense else 0)
+    return (None if mixed else kind), spans, counts, nbytes
+
+
 def _page_column(page, col: int, name: str) -> np.ndarray:
-    """One page's column for a page-by-page stack: a lazy page's cached
-    array or an uncached decode, an eager batch's own array."""
+    """One page's column for a page-by-page stack: an eager batch's array, a
+    lazy page's cached array, or the page decoded as a one-page run."""
     if not isinstance(page, LazyTupleBatch):
         return getattr(page, name)
     cached = page._cache.get(col)
-    return page._decode(col) if cached is None else cached
+    return _decode_run((page,), name) if cached is None else cached
 
 
 def _chunk_error(entry: tuple, problem: str) -> ValueError:
     return ValueError(f"column chunk {ChunkRef._make(entry).name!r}: {problem}")
 
 
-def _count_decoded(stored: Sequence[tuple]) -> None:
+def _count_decoded(n_chunks: int, nbytes: int) -> None:
     if obs.enabled():
-        obs.inc("storage.columnar.chunks_decoded", len(stored))
-        obs.inc("storage.columnar.chunk_bytes_decoded", sum(s[5] for s in stored))
+        obs.inc("storage.columnar.chunks_decoded", n_chunks)
+        obs.inc("storage.columnar.chunk_bytes_decoded", nbytes)
 
 
 def decode_block_columnar(

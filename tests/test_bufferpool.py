@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.data import make_binary_dense, make_binary_sparse
+from repro.data.sparse import SparseRow
 from repro.db import MiniDB
 from repro.obs import StorageMetrics
 from repro.faults import FaultPlan, FaultSpec, FaultyHeapFile
-from repro.storage import BufferPool, HeapFile, ReadExhaustedError, RetryPolicy
-from repro.storage.codec import TupleBatch
+from repro.storage import BufferPool, HeapFile, LazyTupleBatch, ReadExhaustedError, RetryPolicy
+from repro.storage.codec import TupleBatch, TupleSchema
 
 from .conftest import per_page_run
 
@@ -498,3 +500,114 @@ class TestWarmStatements:
         assert heap.decode_count - decoded == sum(p.n_tuples for p in written)
         table.pool.clear()  # the parent's cold cache: decode everything
         self._assert_same_run(warm, db.execute(self.SQL))
+
+
+# ----------------------------------------------------------------------
+# A block is one decode: the pool reads each page's verified payload and
+# parses its directory; the block's columns are checked and decoded once,
+# from the pages' kept directory entries.  The oracle is per_page_run.
+# ----------------------------------------------------------------------
+
+
+def _broken(payload: bytes, how: str) -> bytes:
+    """One page payload made unreadable at its directory parse."""
+    if how == "truncated":  # the header survives, the directory is cut short
+        return payload[:16 + 7]
+    if how == "magic":
+        return b"XXXX" + payload[4:]
+    # "past": the first chunk's length now runs past the payload
+    at = 16 + 8  # directory entry 0, its u32 length field
+    return payload[:at] + len(payload).to_bytes(4, "little") + payload[at + 4 :]
+
+
+def _heap_with_a_bad_page(bad: int, how: str) -> HeapFile:
+    heap = HeapFile.from_dataset(_SPARSE, page_bytes=2048, layout="columnar")
+    broken = _broken(heap.pages[bad].tuple_payloads()[0], how)
+    read = heap._read_page_payloads  # the fault seam
+
+    def seam(page_id: int, attempt: int = 1) -> list[bytes]:
+        return [broken] if page_id == bad else read(page_id, attempt)
+
+    heap._read_page_payloads = seam
+    return heap
+
+
+def _sparse_pages(pages) -> HeapFile:
+    """A columnar heap with one page per entry of ``pages``: each a list of
+    rows, each row its feature indices."""
+    d = 3000
+    heap = HeapFile(TupleSchema(d, sparse=True), page_bytes=1 << 20, layout="columnar")
+    tuple_id = 0
+    for rows in pages:
+        for indices in rows:
+            indices = np.asarray(indices, dtype=np.int64)
+            heap.append(tuple_id, float(tuple_id % 2), SparseRow(indices, indices * 0.5 + 1.0, d))
+            tuple_id += 1
+        heap.flush()
+    assert heap.n_pages == len(pages)
+    return heap
+
+
+class TestBlockDecode:
+    @pytest.mark.parametrize("how", ["truncated", "magic", "past"])
+    def test_a_bad_page_raises_what_a_page_read_raises(self, how):
+        bad, block = 2, range(0, 4)
+        with pytest.raises(ValueError) as want:
+            _heap_with_a_bad_page(bad, how).read_page_batch(bad)
+        pool = BufferPool(_heap_with_a_bad_page(bad, how), capacity_pages=8)
+        ref = _PerPagePool(_heap_with_a_bad_page(bad, how), capacity_pages=8)
+        obs.reset()
+        obs.enable()
+        try:
+            with pytest.raises(ValueError) as got:
+                pool.get_run(block)
+            counters = obs.get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        with pytest.raises(ValueError) as ref_got:
+            ref.get_run(block)
+        assert str(got.value) == str(want.value) == str(ref_got.value)
+        assert bad not in pool._cache and not pool.is_cached(bad)
+        assert list(pool._cache) == list(ref._cache) == [0, 1]
+        assert (pool.hits, pool.misses, pool.evictions) == (ref.hits, ref.misses, ref.evictions)
+        assert counters["storage.bufferpool.misses"] == pool.misses == bad + 1
+        assert pool.heap.decode_count == ref.heap.decode_count
+
+    def test_mixed_packed_widths_and_an_empty_page_equal_per_page_reads(self):
+        pages = [
+            [[3, 17, 200], [1, 2], [9]],  # indices packed in 1 byte
+            [[5, 2999], [40, 1000, 2500]],  # indices packed in 2 bytes
+            [[], []],  # no stored features: empty indices / values chunks
+            [[7]],  # one value: delta-coded or not, it decodes the same
+            [[0, 1, 2, 3], [255]],
+        ]
+        for block in (range(0, 5), range(1, 4), range(2, 4)):
+            pool = BufferPool(_sparse_pages(pages), capacity_pages=8)
+            ref = _PerPagePool(_sparse_pages(pages), capacity_pages=8)
+            got, hits = pool.get_run(block)
+            want, want_hits = ref.get_run(block)
+            _assert_same_batch(got, want)
+            assert hits == want_hits == [False] * len(block)
+            eager = TupleBatch.concat([ref.heap.read_page_batch(p).materialize() for p in block])
+            _assert_same_batch(got, eager)
+
+    def test_a_cold_train_checks_no_chunk_page_by_page(self, monkeypatch):
+        """The block path never takes the single-page column decode: every
+        chunk of a cold sparse columnar TRAIN is checked by the run decode."""
+        db = MiniDB(page_bytes=1024, pool_pages=4)
+        data = make_binary_sparse(600, 300, nnz_per_row=8, separation=1.0, seed=11)
+        db.create_table("t", data, layout="columnar")
+        heap = db.catalog.get("t").heap
+        assert heap.n_pages > 8 and heap.n_pages % 4 != 1  # no one-page block
+        stores = []
+        store = LazyTupleBatch._store
+
+        def counted(self, col):
+            stores.append(col)
+            return store(self, col)
+
+        monkeypatch.setattr(LazyTupleBatch, "_store", counted)
+        db.execute("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1")
+        assert db.catalog.get("t").pool.misses > 2 * heap.n_pages - 1
+        assert stores == []

@@ -11,13 +11,14 @@ channel only.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _train_spec, build_parser
+from repro.cli import _train_spec, build_parser, main
 from repro.db import MiniDB, ParseError, parse_query
 from repro.db.errors import SpecError
 from repro.db.plan import STRATEGIES
@@ -66,6 +67,31 @@ class TestTrainSpecValidation:
             TrainSpec(table="t", model="lr", grid=grid, batch_size=8)
         with pytest.raises(SpecError, match="warm_start"):
             TrainSpec(table="t", model="lr", grid=grid, warm_start="m0")
+
+    @pytest.mark.parametrize("aggregation", ["epoch", "async"])
+    def test_aggregation_without_workers_is_refused(self, aggregation, dense_binary):
+        """An aggregation mode needs workers to aggregate: with one process it
+        cannot apply, so it is refused, not silently run as single-process SGD."""
+        want = (
+            f"aggregation = {aggregation!r} requires data-parallel workers "
+            "(workers > 1); got workers = 1"
+        )
+        with pytest.raises(SpecError) as exc:
+            TrainSpec(table="t", model="lr", aggregation=aggregation)
+        assert str(exc.value) == want
+        assert TrainSpec(table="t", model="lr", workers=2, aggregation=aggregation).workers == 2
+
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", dense_binary)
+        with pytest.raises(SpecError, match=re.escape(want)):
+            db.execute(f"SELECT * FROM t TRAIN BY lr WITH aggregation = '{aggregation}'")
+        assert db.model_ids() == []
+
+        argv = ["train", "--dataset", "higgs", "--aggregation", aggregation]
+        with pytest.raises(SpecError, match=re.escape(want)):
+            _train_spec(build_parser().parse_args(argv), "t", TUPLE_BYTES)
+        with pytest.raises(SystemExit, match=re.escape(f"train: {want}")):
+            main(argv + ["--quick"])
 
     def test_aggregation_modes_pinned(self):
         # Two definitions on purpose (see repro.db.spec): drift fails here.
@@ -186,6 +212,7 @@ def statements(draw):
     grid = draw(st.none() | st.sampled_from(["lr = 0.1 | 0.01", "decay = 0.9 | 0.5, l2 = 0 | 0.0001"]))
     where = None if grid else draw(st.none() | st.sampled_from(["f0 >= 0.5", "label = 1 AND f2 < 3"]))
     unit = st.floats(0.001, 1.0, allow_nan=False)
+    workers = draw(st.integers(1, 8))
     knobs = {
         "strategy": draw(st.sampled_from(STRATEGIES)),
         "max_epoch_num": draw(st.integers(1, 500)),
@@ -198,8 +225,9 @@ def statements(draw):
         "seed": draw(st.integers(0, 2**31)),
         "double_buffer": draw(st.booleans()),
         "fused": draw(st.booleans()),
-        "workers": draw(st.integers(1, 8)),
-        "aggregation": draw(st.sampled_from(AGGREGATION_MODES)),
+        "workers": workers,
+        # epoch / async aggregation needs workers > 1 (a SpecError otherwise)
+        "aggregation": draw(st.sampled_from(AGGREGATION_MODES)) if workers > 1 else "sync",
         "device": draw(st.none() | st.sampled_from(["hdd", "ssd", "nvm"])),
         "warm_start": None if grid else draw(st.none() | st.just("model_3")),
     }
