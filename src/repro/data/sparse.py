@@ -19,6 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import _native
+from .._native import F64, I64, addr, plain
+
 __all__ = ["SparseMatrix", "SparseRow", "segment_positions", "gather_csr_rows"]
 
 
@@ -43,14 +46,62 @@ def gather_csr_rows(
     """The CSR triple of ``rows`` (any order, repeats allowed), in one gather.
 
     The single row-gather behind :meth:`SparseMatrix.take_rows` and
-    :meth:`~repro.storage.codec.TupleBatch.take`.
+    :meth:`~repro.storage.codec.TupleBatch.take`.  Contiguous ``int64`` /
+    ``float64`` input with every row in ``[0, n)`` is copied row segment by
+    row segment in the compiled library (:mod:`repro._native`); anything else
+    — and every host without the library — runs :func:`_numpy_gather`, the
+    reference, which the compiled gather equals bit for bit.
     """
+    if _LIB is not None:
+        out = _compiled_gather(_LIB, indptr, indices, data, rows)
+        if out is not None:
+            return out
+    return _numpy_gather(indptr, indices, data, rows)
+
+
+def _numpy_gather(indptr, indices, data, rows):
+    """The numpy gather: the reference, and the path for any input the
+    compiled gather does not take."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     positions = segment_positions(starts, counts)
     out_indptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(counts, out=out_indptr[1:])
     return out_indptr, indices[positions], data[positions]
+
+
+def _compiled_gather(lib, indptr, indices, data, rows):
+    """:func:`gather_csr_rows` in two compiled calls; ``None`` when the input
+    is not plain ``int64`` / ``float64`` arrays or a row or segment is out of
+    range (numpy then wraps or raises as it does)."""
+    if not (
+        plain(indptr, I64) and plain(indices, I64) and plain(data, F64) and plain(rows, I64)
+    ) or not indptr.size:
+        return None
+    n, nnz, m = indptr.size - 1, min(indices.size, data.size), rows.size
+    out_indptr = np.empty(m + 1, dtype=np.int64)
+    total = lib.csr_gather_plan(addr(indptr), n, nnz, addr(rows), m, addr(out_indptr))
+    if total < 0:
+        return None
+    out_indices, out_data = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float64)
+    rc = lib.csr_gather_copy(
+        addr(indptr), n, nnz, addr(rows), m, addr(out_indptr),
+        addr(indices), addr(data), addr(out_indices), addr(out_data),
+    )
+    return (out_indptr, out_indices, out_data) if rc == 0 else None
+
+
+def _probe(lib) -> bool:
+    """Does the compiled gather give :func:`_numpy_gather`'s arrays on a fixed matrix?"""
+    indptr = np.array([0, 2, 2, 5, 6], dtype=np.int64)  # row 1 is empty
+    indices = np.array([3, 1, 0, 2, 4, 1], dtype=np.int64)
+    data = np.sin(np.arange(6.0))
+    rows = np.array([3, 0, 1, 3, 2], dtype=np.int64)
+    got = _compiled_gather(lib, indptr, indices, data, rows)
+    want = _numpy_gather(indptr, indices, data, rows)
+    return got is not None and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)
+    )
 
 
 class SparseRow:
@@ -230,3 +281,7 @@ class SparseMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+#: The compiled row gather, when the library loaded and its probe passed.
+_LIB = _native.LIB if _native.LIB is not None and _probe(_native.LIB) else None

@@ -26,32 +26,22 @@ same loops compiled (``_glm.c``, one foreign call per update unit) and falls
 back to :func:`glm_epoch_dense` / :func:`glm_epoch_sparse`, which stay the
 reference.  The two are **bit-identical**: the C loop calls numpy's own
 ``cblas_ddot`` the way numpy's ``x @ w`` does and repeats the rest of the
-arithmetic in the same IEEE order.  Importing this module builds (once, into
-``__pycache__``) and loads the loop; it is used only when it builds, numpy's
-``ddot`` resolves, and a probe gives the numpy kernels' bits.  :data:`IMPL`
-says which one runs (``"c"`` or ``"numpy"``).  :func:`csr_dot` — the
-sparse ``X @ w`` of ``GeneralizedLinearModel.decision_function`` — is
-compiled the same way and gives :meth:`SparseMatrix.dot`'s bits.
+arithmetic in the same IEEE order.  The loop is in the package's one compiled
+library (:mod:`repro._native`, built once into ``__pycache__``); it is used
+only when that builds, numpy's ``ddot`` resolves, and a probe at import gives
+the numpy kernels' bits.  :data:`IMPL` says which one runs (``"c"`` or
+``"numpy"``).  :func:`csr_dot` — the sparse ``X @ w`` of
+``GeneralizedLinearModel.decision_function`` — is compiled the same way and
+gives :meth:`SparseMatrix.dot`'s bits.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy < 2
-    from numpy.core import _multiarray_umath
-
+from .. import _native
+from .._native import F64 as _F64, I64 as _I64, addr as _addr, plain as _plain
+from .._native import SOURCE as _SOURCE, build as _build  # noqa: F401  (tests find the build here)
 from ..data.sparse import SparseMatrix
 from .losses import HingeLoss, LogisticLoss, ScalarLoss, SquaredLoss
 
@@ -230,34 +220,6 @@ def _numpy_step(w, b, loss, X, y, order, lr, l2, fit_intercept) -> None:
 # ----------------------------------------------------------------------
 
 _LOSS_CODES = {LogisticLoss: 0, HingeLoss: 1, SquaredLoss: 2}
-_F64 = np.dtype(np.float64)
-_I64 = np.dtype(np.int64)
-_SOURCE = Path(__file__).with_name("_glm.c")
-_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
-# numpy's cblas_ddot under the names its BLAS builds export; the ILP64
-# ("64_") ones take 64-bit counts and strides.
-_DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
-
-# An ndarray's data pointer is the first field after its PyObject header
-# (numpy's PyArrayObject_fields).  Reading it there costs ~0.15 us where
-# ``a.ctypes.data`` costs ~1.2 us; _load() checks the two agree first.
-_DATA_AT = object.__basicsize__
-_pointer_at = ctypes.c_void_p.from_address
-
-
-def _addr(a: np.ndarray) -> int | None:
-    return _pointer_at(id(a) + _DATA_AT).value
-
-
-def _plain(a, dtype: np.dtype) -> bool:
-    """A 1-D ndarray the loop may address as a packed C array of ``dtype``."""
-    return (
-        type(a) is np.ndarray
-        and a.dtype is dtype
-        and a.ndim == 1
-        and a.flags.c_contiguous
-        and a.flags.aligned
-    )
 
 
 def _compiled(lib, w, b, code, X, y, order, lr, l2, fit_intercept) -> bool:
@@ -328,33 +290,6 @@ def _compiled_csr_dot(lib, X: SparseMatrix, w) -> np.ndarray | None:
     return out if rc == 0 else None
 
 
-def _build() -> Path | None:
-    """``_glm.c`` compiled once into ``__pycache__``, keyed by source + flags.
-
-    Beside the source, not under ``TMPDIR``, so every process of every run
-    finds it built.  Concurrent builders each write a private file and
-    rename it into place.
-    """
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-    out = _SOURCE.parent / "__pycache__" / f"_glm.{key[:16]}.so"
-    if out.exists():
-        return out
-    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    try:
-        out.parent.mkdir(exist_ok=True)
-        cmd = [cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE), "-lm"]
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-        os.replace(tmp, out)
-    except (OSError, subprocess.SubprocessError):
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        return None
-    return out
-
-
 def _probe(lib) -> bool:
     """Does the compiled loop give the numpy kernels' bits on a fixed problem?"""
     # Deterministic without numpy.random, which nothing else imports this early.
@@ -376,36 +311,6 @@ def _probe(lib) -> bool:
     return z is not None and np.array_equal(z, A.dot(w))
 
 
-def _load():
-    """The compiled loop bound to numpy's ``ddot``, or ``None`` (numpy kernels run)."""
-    probe = np.arange(4.0)[1:]
-    if sys.implementation.name != "cpython" or _addr(probe) != probe.ctypes.data:
-        return None
-    path = _build()
-    if path is None:
-        return None
-    try:
-        # dlsym through numpy's own extension module finds the BLAS it linked.
-        blas = ctypes.CDLL(_multiarray_umath.__file__)
-        lib = ctypes.CDLL(str(path))
-    except OSError:
-        return None
-    name = next((n for n in _DDOT_NAMES if hasattr(blas, n)), None)
-    if name is None:
-        return None
-    c_int64, c_int, c_double, ptr = ctypes.c_int64, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-    lib.glm_set_ddot.argtypes = [ptr, c_int]
-    lib.glm_set_ddot.restype = None
-    lib.glm_set_ddot(ctypes.cast(getattr(blas, name), ptr), name.endswith("64_"))
-    head = [ptr, c_int64, ptr, c_int]  # w, d, b, loss
-    tail = [ptr, ptr, c_int64, c_double, c_double, c_int]  # y, order, m, lr, l2, fit_intercept
-    lib.glm_epoch_dense.argtypes = [*head, ptr, c_int64, c_int64, c_int64, *tail]
-    lib.glm_epoch_sparse.argtypes = [*head, ptr, ptr, ptr, c_int64, c_int64, *tail]
-    lib.glm_csr_dot.argtypes = [ptr, ptr, ptr, c_int64, c_int64, ptr, c_int64, ptr]
-    lib.glm_epoch_dense.restype = lib.glm_epoch_sparse.restype = lib.glm_csr_dot.restype = c_int
-    return lib if _probe(lib) else None
-
-
-_LIB = _load()
+_LIB = _native.LIB if _native.LIB is not None and _probe(_native.LIB) else None
 #: Which per-tuple GLM loop runs: ``"c"`` (compiled) or ``"numpy"``.
 IMPL = "numpy" if _LIB is None else "c"

@@ -31,10 +31,12 @@ row-major ``n x d`` float64 run) or the CSR triple ``indptr``/``indices``/
 ``unpack_from`` of the header + directory: no column is decoded up front;
 each array materialises on first attribute access and is cached on the
 batch.  A run of pages (a block) handed to ``TupleBatch.concat`` is
-checked and decoded column by column from the pages' kept directory entries,
-once for the whole run (:func:`concat_pages`), and caches nothing on the
-pages.  Per-chunk CRC32s in the directory let pruned readers verify only the
-bytes they actually read.
+checked and decoded once for the whole run (:func:`concat_pages`) and caches
+nothing on the pages: a run of whole blocks in two calls into the compiled
+library (:mod:`repro._native`), any other run — and any the library
+refuses — column by column from the pages' kept directory entries in
+Python, the reference.  Per-chunk CRC32s in the directory let pruned
+readers verify only the bytes they actually read.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .. import obs
+from .. import _native, obs
+from .._native import F64, I64
 from ..data.sparse import SparseMatrix, SparseRow
 from .codec import TupleBatch, TupleSchema, stack_column
 from .retry import ChecksumError
@@ -355,6 +358,7 @@ class LazyTupleBatch:
         self._buffers = buffers
         self._cache: dict[int, np.ndarray] = {}
         self.verify_chunks = verify_chunks
+        self._block: bytes | None = None  # a whole block the compiled run decode may read
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -367,7 +371,10 @@ class LazyTupleBatch:
             chunks = (entries[i : i + 8] for i in range(0, len(entries), 8))
             entries = sum((chunk for chunk in chunks if chunk[0] in columns), ())
         buffers = ((memoryview(buffer), offset),) * (len(entries) // 8)
-        return cls(n_tuples, n_features, sparse, entries, buffers, verify_chunks)
+        batch = cls(n_tuples, n_features, sparse, entries, buffers, verify_chunks)
+        if columns is None and offset == 0 and not verify_chunks and type(buffer) is bytes:
+            batch._block = buffer
+        return batch
 
     @classmethod
     def from_chunks(
@@ -492,21 +499,62 @@ class LazyTupleBatch:
         )
 
 
+_RUN_COLUMNS = {
+    False: (COL_IDS, COL_LABELS, COL_DENSE),
+    True: (COL_IDS, COL_LABELS, COL_INDPTR, COL_INDICES, COL_VALUES),
+}
+_FLOAT_COLUMNS = frozenset({COL_LABELS, COL_DENSE, COL_VALUES})
+
+
 def concat_pages(pages: Sequence) -> TupleBatch:
-    """``TupleBatch.concat`` of a run holding lazy pages: each column comes
-    from :func:`_decode_run`, once for the whole run."""
+    """``TupleBatch.concat`` of a run holding lazy pages, every column decoded
+    once for the whole run.
+
+    A run of whole-block lazy pages (nothing materialised, no
+    ``verify_chunks``) goes to the compiled library (:mod:`repro._native`):
+    one call walks every page's directory with :func:`_checked_chunks`'
+    checks and sizes the columns, a second decodes each page's chunks, by
+    their own stored kind, into arrays allocated here.  Any other run, and
+    any run that call refuses (a chunk that check rejects, an unusual
+    encoding), goes column by column through :func:`_decode_run` — the
+    reference, which the compiled decode equals bit for bit and which
+    raises every error.
+    """
     first = pages[0]
-    ids, labels = _decode_run(pages, "ids"), _decode_run(pages, "labels")
-    if not first.is_sparse:
-        return TupleBatch(ids, labels, first.n_features, dense=_decode_run(pages, "dense"))
-    return TupleBatch(
-        ids,
-        labels,
-        first.n_features,
-        indptr=_decode_run(pages, "indptr"),
-        indices=_decode_run(pages, "indices"),
-        values=_decode_run(pages, "values"),
-    )
+    cols = _RUN_COLUMNS[first.is_sparse]
+    arrays = None if _LIB is None else _compiled_run(_LIB, pages, first.is_sparse, first.n_features)
+    if arrays is None:
+        arrays = [_decode_run(pages, COLUMN_NAMES[col]) for col in cols]
+    ids, labels, *features = arrays
+    names = (COLUMN_NAMES[col] for col in cols[2:])
+    return TupleBatch(ids, labels, first.n_features, **dict(zip(names, features)))
+
+
+def _compiled_run(lib, pages: Sequence, sparse: bool, n_features: int) -> list | None:
+    """The run's columns in :data:`_RUN_COLUMNS` order from the compiled
+    decode; ``None`` (nothing counted) when a page is not a whole lazy block
+    or the library refuses the run."""
+    spans = []  # address, size per page; the pages keep their blocks alive
+    for page in pages:
+        block = getattr(page, "_block", None)  # an eager batch has none
+        if block is None or page._cache:
+            return None
+        spans += (_native.bytes_addr(block), len(block))
+    k, spans = len(pages), np.array(spans, dtype=np.int64)
+    plan = np.zeros(COL_VALUES + 1, dtype=np.int64)
+    addr = _native.addr
+    if lib.columnar_run(addr(spans), k, sparse, n_features, addr(plan), None) != 0:
+        return None
+    cols, lengths = _RUN_COLUMNS[sparse], plan.tolist()
+    arrays = [np.empty(lengths[col], F64 if col in _FLOAT_COLUMNS else I64) for col in cols]
+    outs = np.zeros(COL_VALUES + 1, dtype=np.int64)
+    outs[list(cols)] = [addr(array) for array in arrays]
+    if lib.columnar_run(addr(spans), k, sparse, n_features, addr(plan), addr(outs)) != 0:
+        return None
+    _count_decoded(k * len(cols), lengths[0])
+    if not sparse:
+        arrays[2] = arrays[2].reshape(-1, n_features)
+    return arrays
 
 
 def _decode_run(pages: Sequence, name: str) -> np.ndarray:
@@ -670,3 +718,46 @@ def decode_block_columnar(
     if obs.enabled():
         obs.inc("storage.columnar.blocks_decoded")
     return batch
+
+
+def _probe(lib) -> bool:
+    """Does the compiled run decode give :func:`_decode_run`'s arrays on fixed runs?
+
+    A sparse run (delta-coded ids, indices packed in 2 bytes on one page and
+    1 on another, an empty page, a zero-nnz row) and a dense one.
+    """
+    cells = np.arange(24.0)
+    sparse = [
+        TupleBatch(
+            np.array([3, 4, 9]), np.sin(cells[:3]), 600,
+            indptr=np.array([0, 2, 2, 5]), indices=np.array([7, 3, 599, 2, 300]),
+            values=np.cos(cells[:5]),
+        ),
+        TupleBatch(
+            np.zeros(0, np.int64), np.zeros(0), 600,
+            indptr=np.zeros(1, np.int64), indices=np.zeros(0, np.int64), values=np.zeros(0),
+        ),
+        TupleBatch(
+            np.array([12, 250]), np.sin(cells[3:5]), 600,
+            indptr=np.array([0, 3, 4]), indices=np.array([90, 1, 5, 200]),
+            values=np.cos(cells[5:9]),
+        ),
+    ]
+    dense = [
+        TupleBatch(np.array([5, 1]), cells[:2], 3, dense=cells[:6].reshape(2, 3)),
+        TupleBatch(np.array([8, 2, 0]), cells[2:5], 3, dense=cells[6:15].reshape(3, 3)),
+    ]
+    for run in (sparse, dense):
+        pages = [LazyTupleBatch.from_block(encode_block_columnar(b)) for b in run]
+        got = _compiled_run(lib, pages, run[0].is_sparse, run[0].n_features)
+        want = [_decode_run(pages, COLUMN_NAMES[col]) for col in _RUN_COLUMNS[run[0].is_sparse]]
+        if got is None or not all(
+            a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            for a, b in zip(got, want)
+        ):
+            return False
+    return True
+
+
+#: The compiled run decode, when the library loaded and its probe passed.
+_LIB = _native.LIB if _native.LIB is not None and _probe(_native.LIB) else None

@@ -13,8 +13,9 @@ from repro.data import (
     make_binary_sparse,
     make_multiclass_dense,
 )
+from repro.data import sparse
 from repro.ml import kernels
-from repro.storage import TupleBatch
+from repro.storage import TupleBatch, columnar
 
 
 @pytest.fixture(scope="session")
@@ -37,9 +38,13 @@ def multiclass_dense() -> Dataset:
 
 @pytest.fixture()
 def numpy_kernels(monkeypatch):
-    """The GLM per-tuple loop on its numpy fallback, as on a host without ``cc``."""
+    """Every compiled loop on its numpy / Python twin, as on a host without
+    ``cc``: the GLM step and sparse dot, the columnar run decode and the CSR
+    row gather."""
     monkeypatch.setattr(kernels, "_LIB", None)
     monkeypatch.setattr(kernels, "IMPL", "numpy")
+    monkeypatch.setattr(columnar, "_LIB", None)
+    monkeypatch.setattr(sparse, "_LIB", None)
     return kernels
 
 

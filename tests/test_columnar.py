@@ -6,6 +6,7 @@ row -> columnar migration."""
 from __future__ import annotations
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import CorgiPileDataset
 from repro.core.seeding import FAULT_UNIT_CODES, fault_unit_rng
-from repro.data import make_binary_sparse
+from repro.data import make_binary_sparse, sparse
 from repro.db import MiniDB, ParseError, SelectQuery, parse_query
 from repro.faults import FaultPlan, FaultSpec, FaultyBlockFileReader, chunk_fault_target
 from repro.ml import LogisticRegression, train_streaming, training_columns
@@ -32,9 +33,13 @@ from repro.storage import (
     migrate_file,
     write_block_file,
 )
+from repro.storage import columnar
 from repro.storage.codec import encode_rows
 from repro.storage.columnar import (
+    COL_DENSE,
     COL_IDS,
+    COL_INDICES,
+    COL_INDPTR,
     COL_VALUES,
     COLUMN_NAMES,
     ENC_I64,
@@ -344,6 +349,275 @@ class TestRunDecode:
                 TupleBatch.concat(pages)
             else:
                 pages[0].materialize()
+
+
+# ----------------------------------------------------------------------
+# The compiled run decode: the same arrays as the Python one, or a refusal
+# ----------------------------------------------------------------------
+
+requires_lib = pytest.mark.skipif(columnar._LIB is None, reason="compiled library not loaded")
+_IMPLS = ("compiled", "python") if columnar._LIB is not None else ("python",)
+
+
+def _concat_on(impl, pages):
+    """``TupleBatch.concat(pages)`` with the run decode on ``impl``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if impl == "python":
+            patch.setattr(columnar, "_LIB", None)
+        return TupleBatch.concat(pages)
+
+
+def _compiled(pages):
+    """The compiled decode of ``pages`` as a batch, or ``None`` where it refuses."""
+    first = pages[0]
+    arrays = columnar._compiled_run(columnar._LIB, pages, first.is_sparse, first.n_features)
+    if arrays is None:
+        return None
+    ids, labels, *features = arrays
+    names = ("indptr", "indices", "values") if first.is_sparse else ("dense",)
+    return TupleBatch(ids, labels, first.n_features, **dict(zip(names, features)))
+
+
+def _assert_run_equal(got, want) -> None:
+    """Equal values, dtypes and shapes; the run's arrays writable and C-contiguous."""
+    names = ("ids", "labels") + (("indptr", "indices", "values") if want.is_sparse else ("dense",))
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags.c_contiguous and a.flags.writeable, name
+
+
+def _sparse_page(ids, rows, d=5000) -> TupleBatch:
+    """A sparse batch of ``ids`` whose row ``i`` stores column indices ``rows[i]``."""
+    lengths = [len(row) for row in rows]
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    indices = np.array([c for row in rows for c in row], dtype=np.int64)
+    return TupleBatch(
+        np.array(ids, dtype=np.int64), np.cos(np.arange(len(ids), dtype=float)), d,
+        indptr=indptr, indices=indices, values=np.sin(np.arange(indices.size, dtype=float)),
+    )
+
+
+def _one_kind_run(width: int, delta: bool) -> list[TupleBatch]:
+    """Four sparse pages whose ids chunks all pack to ``width`` bytes, delta-coded
+    (ascending ids) or not (descending), and whose indices all pack to 2 bytes."""
+    base = {1: 0, 2: 300, 4: 70_000, 8: 1 << 40}[width]
+    pages = []
+    for p in range(4):
+        ids = [base + 10 * p + k for k in range(3)]
+        ids = ids if delta else ids[::-1]
+        pages.append(_sparse_page(ids, [[4000 - p, 7], [], [12, 300 + p, 9]]))
+    return pages
+
+
+def _patched(payload: bytes, col: int, **fields) -> bytes:
+    """``payload`` with column ``col``'s directory entry fields replaced."""
+    refs = read_columnar_header(payload)[3]
+    at = 16 + 20 * next(i for i, ref in enumerate(refs) if ref.col == col)
+    entry = dict(zip(refs[0]._fields, struct.unpack_from("<BBBBIIII", payload, at)))
+    entry.update(fields)
+    out = bytearray(payload)
+    struct.pack_into("<BBBBIIII", out, at, *entry.values())
+    return bytes(out)
+
+
+class TestCompiledRunDecode:
+    """The run decode in the compiled library equals the Python one — the
+    reference, per-page ``materialize()`` + concat — or refuses the run, which
+    then decodes (and raises) through the Python path."""
+
+    @given(batches=_run(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_both_paths_equal_per_page_materialize_then_concat(self, batches, data):
+        payloads = [encode_block_columnar(b) for b in batches]
+        sparse_run = batches[0].is_sparse
+        names = ("ids", "labels") + (("indptr", "indices", "values") if sparse_run else ("dense",))
+        page_column = st.tuples(st.integers(0, len(batches) - 1), st.sampled_from(names))
+        touched = data.draw(st.lists(page_column, max_size=2))
+        want = TupleBatch.concat([p.materialize() for p in _lazy_pages(payloads)])
+        for impl in _IMPLS:
+            pages = _lazy_pages(payloads, touched)
+            caches = [dict(p._cache) for p in pages]
+            got = _concat_on(impl, pages)
+            assert [p._cache for p in pages] == caches
+            if len(pages) == 1:
+                assert got is pages[0]
+                continue
+            _assert_run_equal(got, want)
+        if columnar._LIB is not None and len(batches) > 1:
+            compiled = _compiled(_lazy_pages(payloads))
+            if compiled is not None:
+                _assert_run_equal(compiled, want)
+
+    @requires_lib
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_packed_widths(self, width, delta):
+        batches = _one_kind_run(width, delta)
+        payloads = [encode_block_columnar(b) for b in batches]
+        refs = [read_columnar_header(p)[3][0] for p in payloads]
+        assert {(ref.enc, ref.width, ref.delta) for ref in refs} == {(ENC_PACKED, width, int(delta))}
+        want = TupleBatch.concat(batches)
+        got = _compiled(_lazy_pages(payloads))
+        assert got is not None
+        _assert_run_equal(got, want)
+
+    @requires_lib
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_u8_wraps_to_int64(self, delta):
+        """A stored 8-byte value past 2**63 wraps, as numpy's int64 does."""
+        payloads = []
+        for batch in _one_kind_run(8, delta):
+            payload = bytearray(encode_block_columnar(batch))
+            ref = read_columnar_header(bytes(payload))[3][0]
+            payload[ref.offset + 8 + 7] |= 0x80  # the second stored id's top byte
+            payloads.append(bytes(payload))
+        want = TupleBatch.concat([p.materialize() for p in _lazy_pages(payloads)])
+        assert want.ids.min() < 0
+        for impl in _IMPLS:
+            _assert_run_equal(_concat_on(impl, _lazy_pages(payloads)), want)
+        _assert_run_equal(_compiled(_lazy_pages(payloads)), want)
+
+    @requires_lib
+    def test_delta_chunks_with_one_value_pages(self):
+        """A one-value packed chunk (stored without the delta flag) decodes
+        in one run with delta-coded ones."""
+        batches = [
+            _sparse_page([3, 5, 9], [[1, 2], [3], [4]]),
+            _sparse_page([11], [[8, 40]]),
+            _sparse_page([20, 21, 30, 31], [[5], [6], [7], [200]]),
+            _sparse_page([40], [[250]]),
+        ]
+        payloads = [encode_block_columnar(b) for b in batches]
+        flags = [read_columnar_header(p)[3][0].delta for p in payloads]
+        assert flags == [1, 0, 1, 0]
+        got = _compiled(_lazy_pages(payloads))
+        assert got is not None
+        _assert_run_equal(got, TupleBatch.concat(batches))
+
+    @requires_lib
+    def test_empty_pages_and_zero_nnz_rows(self):
+        empty = _sparse_page([], [])
+        runs = [
+            [empty, empty, empty],
+            [empty, _sparse_page([1, 2], [[], []]), empty, _sparse_page([7], [[3, 4]])],
+            [_sparse_page([4, 6], [[], [9]]), _sparse_page([8, 9, 10], [[], [], []])],
+        ]
+        for batches in runs:
+            payloads = [encode_block_columnar(b) for b in batches]
+            got = _compiled(_lazy_pages(payloads))
+            assert got is not None
+            want = TupleBatch.concat([p.materialize() for p in _lazy_pages(payloads)])
+            _assert_run_equal(got, want)
+            for impl in _IMPLS:
+                _assert_run_equal(_concat_on(impl, _lazy_pages(payloads)), want)
+
+    @requires_lib
+    def test_dense_runs(self):
+        for d in (1, 3, 28):
+            batches = [_random_batch(s, n, d, False) for s, n in enumerate((5, 0, 9, 1))]
+            payloads = [encode_block_columnar(b) for b in batches]
+            got = _compiled(_lazy_pages(payloads))
+            assert got is not None and got.dense.shape == (15, d)
+            _assert_run_equal(got, TupleBatch.concat(batches))
+
+    @requires_lib
+    def test_mixed_packed_widths_decode_page_by_page(self):
+        """ids in 1 byte beside ids in 8, indices in 1 byte beside 2, raw int64
+        ids and delta flags that differ: each page's chunk decodes by its own
+        kind, as the Python path's page-by-page stack does."""
+        batches = [
+            _sparse_page([3, 1], [[1], [2]]),
+            _sparse_page([900, 4], [[3], [4000]]),
+            _sparse_page([5, 6, 7], [[5, 9], [], [250]]),
+            _sparse_page([1 << 40, 5], [[1, 2, 3], []]),
+            _sparse_page([-4, 2], [[8], [9]]),
+        ]
+        payloads = [encode_block_columnar(b) for b in batches]
+        ids = {(r.enc, r.width, r.delta) for r in (read_columnar_header(p)[3][0] for p in payloads)}
+        assert len(ids) == 5
+        assert columnar._checked_chunks(_lazy_pages(payloads), COL_IDS)[0] is None  # mixed
+        got = _compiled(_lazy_pages(payloads))
+        assert got is not None
+        _assert_run_equal(got, TupleBatch.concat(batches))
+        _assert_run_equal(got, _concat_on("python", _lazy_pages(payloads)))
+
+    @requires_lib
+    def test_a_run_the_compiled_decode_refuses_falls_back(self, monkeypatch):
+        """One page's indptr stored without delta coding: the compiled decode
+        refuses the run, and the Python path decodes it as it always has."""
+        batches = [_sparse_page([p, p + 1], [[1, 5], [2]]) for p in range(4)]
+        payloads = [encode_block_columnar(b) for b in batches]
+        payloads[1] = _patched(payloads[1], COL_INDPTR, delta=0)
+        assert _compiled(_lazy_pages(payloads)) is None
+        runs = []
+        decode_run = columnar._decode_run
+        monkeypatch.setattr(
+            columnar, "_decode_run", lambda pages, name: runs.append(name) or decode_run(pages, name)
+        )
+        got = TupleBatch.concat(_lazy_pages(payloads))
+        # (the mixed indptr column stacks its pages, each a one-page _decode_run)
+        assert list(dict.fromkeys(runs)) == ["ids", "labels", "indptr", "indices", "values"]
+        monkeypatch.undo()
+        _assert_run_equal(got, TupleBatch.concat([p.materialize() for p in _lazy_pages(payloads)]))
+
+    @pytest.mark.parametrize(
+        "how, col, problem",
+        [
+            ("encoding", COL_INDICES, "unknown encoding 7 (width 2)"),
+            ("overrun", COL_INDICES, "values overrun its"),
+            ("shape", COL_DENSE, "values for 3 x 4"),
+        ],
+    )
+    def test_a_bad_page_raises_the_reference_error(self, how, col, problem):
+        """One bad page inside a 4-page run: both paths raise the Python
+        path's ValueError, word for word."""
+        if col == COL_DENSE:
+            batches = [_random_batch(s, 3, 4, False) for s in range(4)]
+        else:
+            batches = [_sparse_page([p, p + 1, p + 2], [[300, 2], [], [4000]]) for p in range(4)]
+        payloads = [encode_block_columnar(b) for b in batches]
+        ref = next(r for r in read_columnar_header(payloads[2])[3] if r.col == col)
+        fields = {
+            "encoding": {"enc": 7},
+            "overrun": {"n_values": ref.length // 2 + 1},
+            "shape": {"n_values": ref.n_values - 1},
+        }[how]
+        payloads[2] = _patched(payloads[2], col, **fields)
+        errors = []
+        for impl in ("python",) + _IMPLS:
+            with pytest.raises(ValueError) as got:
+                _concat_on(impl, _lazy_pages(payloads))
+            errors.append(str(got.value))
+        assert problem in errors[0]
+        assert errors == [errors[0]] * len(errors)
+
+    def test_a_cold_train_runs_no_python_chunk_walk_or_gather(self, monkeypatch):
+        """A cold 2-epoch sparse columnar TRAIN with a 4-page pool: with the
+        library loaded, no chunk is checked and no row gathered in Python, and
+        the weights equal the same TRAIN with every compiled loop off."""
+        data = make_binary_sparse(600, 300, nnz_per_row=8, separation=1.0, seed=11)
+        sql = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1"
+
+        def train():
+            db = MiniDB(page_bytes=1024, pool_pages=4)
+            db.create_table("t", data, layout="columnar")
+            heap = db.catalog.get("t").heap
+            assert heap.n_pages > 8 and heap.n_pages % 4 != 1  # no one-page block
+            return db.execute(sql).model.parameter_vector()
+
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((columnar, "_checked_chunks"), (sparse, "segment_positions")):
+                fn = getattr(module, name)
+                patch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+            weights = train()
+        if columnar._LIB is not None and sparse._LIB is not None:
+            assert calls == []
+        for module in (columnar, sparse):
+            monkeypatch.setattr(module, "_LIB", None)
+        np.testing.assert_array_equal(weights, train())
 
 
 @pytest.fixture()
