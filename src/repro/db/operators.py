@@ -17,14 +17,14 @@ re-shuffling block ids, like PostgreSQL's NestedLoopJoin re-scans its
 inner).
 
 Operators log their physical reads into a
-:class:`~repro.db.timing.RuntimeContext`: the scans charge page reads
-(device-speed on buffer-pool misses, memory-speed on hits) and the
-TupleShuffle operator marks buffer-fill boundaries so double buffering can
-overlap fill I/O with SGD compute.  The simulated clock depends on *when* a
-charge lands relative to those boundaries, which gives the batch contract
-its one rule — **the carry rule**: an operator asks its child for the next
-batch only when it holds no row it has not yet handed on
-(:class:`~repro.storage.codec.RowStream`), so no block is loaded, or
+:class:`~repro.db.timing.RuntimeContext`: every heap read is priced by
+:func:`_charge_read` (device speed on buffer-pool misses, memory speed on
+hits) and the TupleShuffle operator marks buffer-fill boundaries so double
+buffering can overlap fill I/O with SGD compute.  The simulated clock
+depends on *when* a charge lands relative to those boundaries, which gives
+the batch contract its one rule — **the carry rule**: an operator asks its
+child for the next batch only when it holds no row it has not yet handed
+on (:class:`~repro.storage.codec.RowStream`), so no block is loaded, or
 charged, earlier than the row that needs it.
 
 ``SeqScanOperator`` is the No-Shuffle access path (MADlib/Bismarck without a
@@ -119,26 +119,50 @@ def _read_failed(table: TableInfo, what: str, exc: ReadExhaustedError) -> Storag
     return StorageError(f"{what} of table {table.name!r}: {exc}")
 
 
-def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool, int]:
-    """One page through the buffer pool: ``(batch, pool hit, stored bytes)``."""
+def _read_page(table: TableInfo, page_id: int, what: str) -> tuple[TupleBatch, bool]:
+    """One page through the buffer pool: ``(batch, pool hit)``."""
     try:
-        batch, hit = table.pool.get_batch_traced(page_id)
+        return table.pool.get_batch_traced(page_id)
     except ReadExhaustedError as exc:
         raise _read_failed(table, what, exc) from exc
-    return batch, hit, table.heap.pages[page_id].used_bytes
+
+
+def _charge_read(
+    ctx: RuntimeContext, heap, page_ids, hits, seeks: str
+) -> tuple[float, float, int]:
+    """Price one read on the simulated clock: each page's stored bytes at
+    device speed on a pool miss, at memory speed on a hit; returns
+    ``(device bytes, memory bytes, random positionings)``.
+
+    ``seeks`` is how the device head reaches the missed bytes: ``"stream"``
+    as a sequential transfer (``sequential_time``, which adds one access
+    latency per call), ``"block"`` by one random positioning (a block's
+    pages are contiguous), ``"runs"`` by one per run of consecutive missed
+    page ids.  A page keeps the bytes of every tuple written to it (DELETE
+    leaves dead space), so a miss always has bytes to charge.
+    """
+    pages = heap.pages
+    device = memory = 0.0
+    runs = last = 0
+    for page_id, hit in zip(page_ids, hits):  # in page order: bit-equal sums
+        if hit:
+            memory += pages[page_id].used_bytes
+        else:
+            device += pages[page_id].used_bytes
+            runs += runs == 0 or page_id != last + 1
+            last = page_id
+    count = runs if seeks == "runs" else 1
+    if runs:
+        ctx.charge_device_read(device / count, random=seeks != "stream", count=count)
+    if memory:
+        ctx.charge_memory_read(memory)
+    return device, memory, count if runs and seeks != "stream" else 0
 
 
 def _stream_page(table: TableInfo, ctx: RuntimeContext, page_id: int, what: str):
-    """Read and charge one page of a sequential pass; ``(batch, pool hit)``.
-
-    Sequential page reads have no per-page positioning cost beyond the
-    stream itself: a miss is charged as sequential transfer.
-    """
-    batch, hit, page_bytes = _read_page(table, page_id, what)
-    if hit:
-        ctx.charge_memory_read(page_bytes)
-    else:
-        ctx.charge_device_read(page_bytes, random=False)
+    """Read and charge one page of a sequential pass; ``(batch, pool hit)``."""
+    batch, hit = _read_page(table, page_id, what)
+    _charge_read(ctx, table.heap, (page_id,), (hit,), "stream")
     return batch, hit
 
 
@@ -244,26 +268,14 @@ class BlockShuffleOperator(PhysicalOperator):
         heap = self.table.heap
         lo = block_id * self._pages_per_block
         page_ids = range(lo, min(lo + self._pages_per_block, heap.n_pages))
-        device_bytes = 0.0
-        memory_bytes = 0.0
         with obs.span("db.block", block_id=block_id) as sp:
             try:
                 block, hits = self.table.pool.get_run(page_ids)
             except ReadExhaustedError as exc:
                 what = f"block shuffle scan (block {block_id})"
                 raise _read_failed(self.table, what, exc) from exc
-            for page_id, hit in zip(page_ids, hits):  # in page order: bit-equal sums
-                if hit:
-                    memory_bytes += heap.pages[page_id].used_bytes
-                else:
-                    device_bytes += heap.pages[page_id].used_bytes
+            device_bytes = _charge_read(self.ctx, heap, page_ids, hits, "block")[0]
             sp.set(n_tuples=len(block), device_bytes=device_bytes)
-        # One random positioning per block; the pages inside a block are
-        # contiguous, so they transfer at sequential bandwidth.
-        if device_bytes:
-            self.ctx.charge_device_read(device_bytes, random=True)
-        if memory_bytes:
-            self.ctx.charge_memory_read(memory_bytes)
         obs.inc("db.blocks_loaded")
         if self.within == "shuffle":
             rng = derive_rng(self.seed, self._epoch, BLOCK_RESHUFFLE_STREAM, block_id)
@@ -350,31 +362,17 @@ class RidBlockShuffleOperator(PhysicalOperator):
                 self.device_page_reads += 1
 
     def _fetch_pages(self, block) -> None:
-        """Index path: pull the block's heap pages through the pool."""
-        missed: list[int] = []
-        device_bytes = 0.0
-        memory_bytes = 0.0
-        for page_id in block.page_ids:
-            if page_id in self._page_cache:
-                continue
-            batch, hit, page_bytes = _read_page(
-                self.table, page_id, f"index block fetch (block {block.block_id})"
-            )
-            self._page_cache[page_id] = batch
+        """Index path: pull the block's heap pages not yet fetched this pass
+        through the pool, charged one positioning per run of missed pages."""
+        page_ids = [p for p in block.page_ids if p not in self._page_cache]
+        what = f"index block fetch (block {block.block_id})"
+        hits = []
+        for page_id in page_ids:
+            self._page_cache[page_id], hit = _read_page(self.table, page_id, what)
+            hits.append(hit)
             self.pages_fetched += 1
-            if hit:
-                memory_bytes += page_bytes
-            else:
-                missed.append(page_id)
-                device_bytes += page_bytes
-                self.device_page_reads += 1
-        if missed:
-            # One random positioning per contiguous run of missed pages;
-            # within a run the transfer is sequential.
-            runs = 1 + sum(1 for a, b in zip(missed, missed[1:]) if b != a + 1)
-            self.ctx.charge_device_read(device_bytes / runs, random=True, count=runs)
-        if memory_bytes:
-            self.ctx.charge_memory_read(memory_bytes)
+            self.device_page_reads += not hit
+        _charge_read(self.ctx, self.table.heap, page_ids, hits, "runs")
 
     def _gather_rows(self, block) -> np.ndarray:
         heap = self.table.heap
@@ -697,9 +695,10 @@ class PermutedScanOperator(PhysicalOperator):
             return None
         position = int(self._perm[self._pos])
         self._pos += 1
-        page, hit, page_bytes = _read_page(self.table, self._page_of[position], "permuted scan")
-        if self.charge == "random_tuple" and not hit:
-            self.ctx.charge_device_read(page_bytes, random=True)
+        page_id = self._page_of[position]
+        page, hit = _read_page(self.table, page_id, "permuted scan")
+        if self.charge == "random_tuple" and not hit:  # one page, one seek
+            _charge_read(self.ctx, self.table.heap, (page_id,), (hit,), "block")
         else:
             self.ctx.charge_memory_read(self.table.tuple_bytes)
         row = self._row_of[position]

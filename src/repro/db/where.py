@@ -51,7 +51,6 @@ __all__ = [
     "VirtualBlock",
     "SubsetPartition",
     "qualifying_positions",
-    "index_qualifying_positions",
     "qualifying_rids",
     "index_candidates",
     "usable_indexes",
@@ -73,21 +72,6 @@ def qualifying_positions(table: TableInfo, predicate: Predicate) -> np.ndarray:
     dataset = table.dataset
     mask = predicate.mask(dataset.X, dataset.y)
     return np.flatnonzero(mask)
-
-
-def index_qualifying_positions(
-    table: TableInfo, index: TableIndex, predicate: Predicate
-) -> np.ndarray:
-    """Heap positions satisfying ``predicate``, via a B+tree range probe.
-
-    The index bounds the candidates with ``predicate.interval_for`` on its
-    key column; the remaining terms are applied as a residual filter.  The
-    result is sorted into heap order so downstream block partitioning sees
-    the same sequence as a filtered scan.
-    """
-    if predicate.interval_for(index.column) is None:
-        return qualifying_positions(table, predicate)
-    return _residual(table, predicate, index_candidates(table, index, predicate))
 
 
 def _residual(table: TableInfo, predicate: Predicate, rids: np.ndarray) -> np.ndarray:
@@ -332,33 +316,27 @@ def choose_where_path(
     predicate: Predicate,
     positions: np.ndarray,
     device,
-    index: TableIndex | None = None,
-    access: str | None = None,
+    index: TableIndex | None,
+    access: str,
 ) -> dict:
     """Pick ``index`` vs ``scan`` fetch for a filtered query; returns the
     decision document stored in ``query.extra["where"]`` and rendered by
     EXPLAIN.
 
-    The index path touches only the pages holding qualifying tuples — one
-    random positioning per contiguous page run — so its cost tracks
-    *selectivity*; the scan path streams the whole heap once regardless.
+    ``index`` and ``access`` are :func:`plan_where_access`'s decision: any
+    non-scan access knows the qualifying pages up front, so the physical
+    fetch may position into them directly.  The index path touches only the
+    pages holding qualifying tuples — one random positioning per contiguous
+    page run — so its cost tracks *selectivity*; the scan path streams the
+    whole heap once regardless.
     """
     heap = table.heap
     n_qual = int(len(positions))
     est_index_s, n_qual_pages, runs = _page_fetch_estimate(heap, heap.rids_at(positions), device)
     est_scan_s = device.sequential_time(float(heap.payload_bytes))
-    # With a plan_where_access decision the candidate enumeration is
-    # settled: any non-scan access knows the qualifying pages up front, so
-    # the physical fetch may position into them directly.
-    if access is not None:
-        usable_index = access != "scan"
-    else:
-        usable_index = (
-            index is not None and predicate.interval_for(index.column) is not None
-        )
     # Strict <: a tie means the "random" fetch degenerated into one
     # sequential pass anyway, so take the plain scan.
-    fetch = "index" if usable_index and est_index_s < est_scan_s else "scan"
+    fetch = "index" if access != "scan" and est_index_s < est_scan_s else "scan"
     interval = None
     if index is not None and predicate.interval_for(index.column) is not None:
         lo, hi, lo_incl, hi_incl = predicate.interval_for(index.column)

@@ -108,16 +108,14 @@ def glm_epoch_sparse(
     lr: float,
     l2: float,
     fit_intercept: bool,
-    unique_indices: bool | None = None,
 ) -> float:
     """Per-tuple SGD over CSR rows in ``order``, mutating ``w`` in place.
 
-    ``unique_indices`` asserts that no row repeats a column index (enabling
-    the fancy-index scatter-add); when ``None`` it is detected once via
-    :func:`csr_rows_unique`.  Returns the updated intercept.
+    When no row repeats a column index (:func:`csr_rows_unique`, checked
+    once) the update is a fancy-index scatter-add.  Returns the updated
+    intercept.
     """
-    if unique_indices is None:
-        unique_indices = csr_rows_unique(indptr, indices)
+    unique_indices = csr_rows_unique(indptr, indices)
     decay = 1.0 - lr * l2
     s = 1.0
     dldz = loss.dloss_dz_scalar

@@ -3,9 +3,12 @@
 PostgreSQL reads pages through its buffer manager; CorgiPile's deep
 integration sits below the UDA layer precisely so it can drive block-granular
 page reads through this component.  The pool here caches decoded pages with
-an LRU policy and counts hits/misses, so experiments can report OS-cache-like
-effects (small datasets become memory-resident after the first epoch —
-Section 7.3.4's observation about higgs/susy/epsilon per-epoch times).
+an LRU policy under one budget, a page count (``capacity_pages``, like
+PostgreSQL's ``shared_buffers``), and counts hits, misses and evictions, so
+experiments can report OS-cache-like effects (small datasets become
+memory-resident after the first epoch — Section 7.3.4's observation about
+higgs/susy/epsilon per-epoch times).  What a read costs on the simulated
+clock is priced by the operators from the hit flags returned here.
 
 A row page is decoded in bulk into a :class:`~repro.storage.codec.TupleBatch`
 (one ``decode_page`` call); a columnar page's entry is its verified payload
@@ -18,8 +21,7 @@ there, once per column).  A block whose pages all hit is
 of it, so a warm block is read with no ``concat`` (and a warm columnar block
 with no decode).  A run is served only while every page's entry is still
 the view it handed out; evicting, invalidating or re-decoding (after a
-write) any of its pages drops it.  A byte-budget pool keeps no runs: a view
-pins its whole run, which the budget could not see.
+write) any of its pages drops it.
 
 The pool keeps two caches in one LRU.  The *simulated* cache — which accesses
 the device clock charges as hits — is a generation stamp: :meth:`cold_start`
@@ -59,24 +61,6 @@ from .retry import RetryPolicy
 __all__ = ["BufferPool"]
 
 
-def _decoded_nbytes(batch: TupleBatch) -> int:
-    """Real decoded memory a cached batch pins (not the encoded page size).
-
-    Lazy columnar batches report only the chunks materialised so far — the
-    figure *grows* as consumers touch more columns, which is why the pool
-    re-enforces its byte budget on every access, not just on insert.
-    """
-    lazy = getattr(batch, "decoded_nbytes", None)
-    if lazy is not None:
-        return int(lazy)
-    total = batch.ids.nbytes + batch.labels.nbytes
-    if batch.is_sparse:
-        total += batch.indptr.nbytes + batch.indices.nbytes + batch.values.nbytes
-    else:
-        total += batch.dense.nbytes
-    return total
-
-
 class _Run(NamedTuple):
     """A kept block: its batch and the page views it handed to the cache."""
 
@@ -94,18 +78,11 @@ class BufferPool:
         capacity_pages: int,
         retry: RetryPolicy | None = None,
         storage_stats: Any | None = None,
-        capacity_bytes: int | None = None,
     ):
         if capacity_pages <= 0:
             raise ValueError("capacity_pages must be positive")
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive when given")
         self.heap = heap
         self.capacity_pages = capacity_pages
-        #: Optional budget on *decoded* bytes cached — the real RSS the pool
-        #: pins, not the encoded page size (a zlib'd or bit-packed page can
-        #: decode to many times its stored footprint).
-        self.capacity_bytes = capacity_bytes
         self.retry = retry
         self.storage_stats = storage_stats
         # page id -> (decoded batch, page version it decodes, generation)
@@ -123,16 +100,10 @@ class BufferPool:
         return entry[2] == self._generation and entry[1] == self.heap.pages[page_id].version
 
     def _reusable(self, page_id: int) -> TupleBatch | None:
-        """The cached batch of ``page_id`` if it still decodes the page.
-
-        A lazy columnar batch under a byte budget is not reused: it carries
-        the columns earlier statements materialised, so it would charge the
-        budget for bytes a fresh decode has not yet grown.
-        """
+        """The cached batch of ``page_id`` if it still decodes the page (its
+        generation aside: a surviving batch is reused by a simulated miss)."""
         entry = self._cache.get(page_id)
         if entry is None or entry[1] != self.heap.pages[page_id].version:
-            return None
-        if self.capacity_bytes is not None and hasattr(entry[0], "decoded_nbytes"):
             return None
         return entry[0]
 
@@ -190,7 +161,8 @@ class BufferPool:
         :meth:`get_batch_traced` after another would.  A block whose pages
         all hit is kept as the returned run; a later read returns that run,
         without a ``concat``, as long as every page's entry is still the
-        view the run handed out.
+        view the run handed out.  The hit flags are what the caller prices
+        the read by.
         """
         pages, hits = self._get_pages(page_ids)
         if len(pages) == 1:
@@ -200,23 +172,22 @@ class BufferPool:
             return kept.batch, hits
         run = TupleBatch.concat(pages)
         # All hits means every page was resident throughout (a hit inserts
-        # nothing, so a page budget evicts nothing), so each still has its entry.
-        if self.capacity_bytes is None and all(hits):
+        # nothing, so nothing is evicted), so each still has its entry.
+        if all(hits):
             self._keep_run(tuple(page_ids), run, pages)
         return run, hits
 
     def _get_pages(self, page_ids: Sequence[int]) -> tuple[list[TupleBatch], list[bool]]:
         """The books, one loop for every read: each page in order through
         the cache, ``(batches, hit flags)``.  A hit moves its entry to the LRU
-        end; a miss reads the page (:meth:`_read_batch`) and inserts it; then
-        the LRU front is evicted while a budget is exceeded.  Entries outside
-        the simulated cache sit at the front, so they go first, and only a
-        resident entry's eviction counts.  A byte budget is re-checked on hits
-        too: lazy entries grow after they leave the pool.  The counters are
-        published once per call, also when a read fails (a miss) part-way.
+        end; a miss reads the page (:meth:`_read_batch`), inserts it and, past
+        ``capacity_pages``, evicts the LRU front.  Entries outside the
+        simulated cache sit at the front, so they go first, and only a
+        resident entry's eviction counts.  The counters are published once
+        per call, also when a read fails (a miss) part-way.
         """
         cache, pages = self._cache, self.heap.pages
-        gen, capacity, budget = self._generation, self.capacity_pages, self.capacity_bytes
+        gen, capacity = self._generation, self.capacity_pages
         batches: list[TupleBatch] = []
         hits: list[bool] = []
         n_misses = n_evictions = 0
@@ -234,14 +205,12 @@ class BufferPool:
                     batch = self._read_batch(page_id)
                     cache[page_id] = (batch, pages[page_id].version, gen)
                     cache.move_to_end(page_id)
+                    if len(cache) > capacity:  # one insert: one eviction at most
+                        evicted, old = cache.popitem(last=False)
+                        self._drop_run(evicted)
+                        n_evictions += self._resident(evicted, old)
                 batches.append(batch)
                 hits.append(hit)
-                while len(cache) > capacity or (
-                    budget is not None and len(cache) > 1 and self.decoded_bytes > budget
-                ):
-                    evicted, old = cache.popitem(last=False)
-                    self._drop_run(evicted)
-                    n_evictions += self._resident(evicted, old)
         finally:
             n_hits = hits.count(True)
             self.hits += n_hits
@@ -303,11 +272,6 @@ class BufferPool:
     def cached_pages(self) -> int:
         """Pages in the simulated cache (what an access would hit)."""
         return sum(self._resident(pid, entry) for pid, entry in self._cache.items())
-
-    @property
-    def decoded_bytes(self) -> int:
-        """Decoded bytes currently pinned by the cache (what eviction charges)."""
-        return sum(_decoded_nbytes(entry[0]) for entry in self._cache.values())
 
     def is_cached(self, page_id: int) -> bool:
         entry = self._cache.get(page_id)

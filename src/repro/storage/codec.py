@@ -48,8 +48,6 @@ __all__ = [
     "decode_tuple",
     "decode_page",
     "decode_block",
-    "encode_block_columnar",
-    "decode_block_columnar",
 ]
 
 _HEADER = struct.Struct("<qdi")
@@ -477,19 +475,3 @@ def _as_sparse_row(features: np.ndarray | SparseRow, n_features: int) -> SparseR
     dense = np.asarray(features, dtype=np.float64)
     nz = np.nonzero(dense)[0]
     return SparseRow(nz, dense[nz], n_features)
-
-
-def encode_block_columnar(batch, schema=None):
-    """Columnar-tier encode; see :mod:`repro.storage.columnar`."""
-    from .columnar import encode_block_columnar as _encode
-
-    return _encode(batch, schema)
-
-
-def decode_block_columnar(buffer, schema=None, offset=0, columns=None, verify_chunks=False):
-    """Columnar-tier lazy decode; see :mod:`repro.storage.columnar`."""
-    from .columnar import decode_block_columnar as _decode
-
-    return _decode(
-        buffer, schema, offset=offset, columns=columns, verify_chunks=verify_chunks
-    )

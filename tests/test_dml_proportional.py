@@ -20,7 +20,8 @@ from repro.data import make_binary_dense
 from repro.db import EngineError, MiniDB
 from repro.db.catalog import Catalog
 from repro.db.query import parse_predicate
-from repro.db.where import index_qualifying_positions, qualifying_positions, qualifying_rids
+from repro.db.where import plan_where_access, qualifying_positions, qualifying_rids
+from repro.storage import SSD
 from repro.storage.index import idxlog, load_index
 from repro.storage.page import Page
 
@@ -136,8 +137,9 @@ PREDICATES = (  # every shape tests/test_where_paths.py plans
 def test_lazy_view_and_rid_resolution_track_the_heap(sparse):
     """After every op of the seeded stream: the view a reader gets equals
     every live row decoded one at a time, the position directory round-trips
-    every live RID, and ``qualifying_rids`` returns the rows — in the order — the parent's
-    ``index_qualifying_positions`` -> ``rid_of`` path did."""
+    every live RID, and ``qualifying_rids`` returns the rows — in the order — the
+    TRAIN planner's positions (a mask over the view for a ``!=`` shape it
+    refuses) map to through ``rid_of``."""
     _catalog, info = workload.make_table(None, sparse=sparse)
     heap, index = info.heap, info.indexes["ix"]
     predicates = [parse_predicate(text) for text in PREDICATES]
@@ -155,10 +157,10 @@ def test_lazy_view_and_rid_resolution_track_the_heap(sparse):
                 rid = (page.page_id, slot)
                 assert heap.rid_of(heap.position_of(rid)) == rid
         for predicate in predicates:
-            if predicate.interval_for("f0") is None:
+            if any(term.op == "!=" for term in predicate.terms):
                 positions = qualifying_positions(info, predicate)
             else:
-                positions = index_qualifying_positions(info, index, predicate)
+                positions = plan_where_access(info, predicate, SSD)[0]
             rids, via = qualifying_rids(info, predicate)
             assert list(rids) == [heap.rid_of(int(p)) for p in positions]
             assert (via is index) == (predicate.interval_for("f0") is not None)

@@ -235,7 +235,7 @@ def test_planning_equals_the_per_row_oracle(planned):
         )
         mask = predicate.mask(table.dataset.X, table.dataset.y)
         np.testing.assert_array_equal(
-            where.index_qualifying_positions(table, index, predicate), cand[mask[cand]]
+            where.qualifying_positions(table, predicate), cand[mask[cand]]
         )
 
     positions, _index, access_doc = where.plan_where_access(table, predicate, device)
