@@ -52,7 +52,7 @@ TITLES = {
     "theory_identities": "Appendix B: proof identities (analytic vs Monte Carlo)",
     "ablation_sampled": "Ablation: sampled vs full-pass CorgiPile",
     "ablation_blockonly": "Ablation: tuple-level shuffle vs block size",
-    "ablation_distributed": "Ablation: segmented-engine scaling",
+    "ablation_distributed": "Ablation: data-parallel workers",
 }
 
 

@@ -3,10 +3,9 @@
 :func:`run_epochs` is the one epoch loop — resume, checkpoint cadence,
 stop probe, history — and every trainer runs it: :class:`Trainer` here,
 :func:`~repro.ml.streaming.train_streaming`, the engine's
-:class:`~repro.db.operators.SGDOperator`, the segmented
-:class:`~repro.db.distributed.SegmentedMiniDB` and the data-parallel
-coordinator :class:`~repro.parallel.engine.ParallelTrainer`.  Each supplies
-only its update units and how an epoch is evaluated.
+:class:`~repro.db.operators.SGDOperator` and the data-parallel coordinator
+:class:`~repro.parallel.engine.ParallelTrainer`.  Each supplies only its
+update units and how an epoch is evaluated.
 
 :class:`Trainer` is the statistical-efficiency half of the evaluation
 harness.  It consumes an *index source* — anything exposing

@@ -7,14 +7,14 @@ This module implements that format for real: a data file of concatenated
 encoded tuples plus a sidecar index recording ``(offset, length, n_tuples)``
 per block.
 
-Index format v2 additionally records a CRC32 per block, and the reader
-verifies every block read against it before decoding (torn/corrupt reads
-raise :class:`~repro.storage.retry.ChecksumError`).  A
+Index format v2 records a CRC32 per block, and the reader verifies every
+block read against it before decoding (torn/corrupt reads raise
+:class:`~repro.storage.retry.ChecksumError`).  A
 :class:`~repro.storage.retry.RetryPolicy` can be attached so transient
 faults and checksum failures are absorbed by bounded re-reads — the fault
 plane (:mod:`repro.faults`) injects underneath this path via
-``FaultyBlockFileReader``.  v1 indexes (no checksums) still load; their
-reads simply skip verification.
+``FaultyBlockFileReader``.  An index whose blocks carry no checksum (v1) is
+refused when the reader opens it.
 
 Index format v3 (``layout = "columnar"``) stores each block as the
 columnar payload of :mod:`repro.storage.columnar` and mirrors the block's
@@ -22,7 +22,7 @@ binary column directory into the index, so
 :meth:`BlockFileReader.read_block_batch` can either map a whole block into
 a lazy :class:`~repro.storage.columnar.LazyTupleBatch` or — given
 ``columns=...`` — seek to and read *only* the requested column chunks,
-each verified against its own CRC32.  ``repro migrate`` converts v1/v2 row
+each verified against its own CRC32.  ``repro migrate`` converts v2 row
 files in place; the row format stays fully readable.
 """
 
@@ -65,7 +65,7 @@ class BlockIndexEntry:
     offset: int
     length: int
     n_tuples: int
-    crc32: int | None = None  # None for v1 indexes written without checksums
+    crc32: int
     #: Column-chunk directory (columnar layout only): offsets relative to
     #: ``offset``, so a pruned read seeks straight to ``offset + ref.offset``.
     chunks: tuple[ChunkRef, ...] | None = None
@@ -183,12 +183,12 @@ def write_block_file(
 class BlockFileReader:
     """Random block-granular reader over a block file written above.
 
-    Every block read is CRC-verified (when the index carries checksums)
-    before decoding.  With a ``retry`` policy, transient read errors and
-    checksum mismatches are retried up to the policy's budget; without one,
-    the first failure propagates.  ``storage_stats`` (a
-    :class:`~repro.obs.StorageMetrics` scope) counts attempts and faults
-    either way.
+    Every block read is CRC-verified before decoding; an index whose blocks
+    carry no checksum is refused at open.  With a ``retry`` policy,
+    transient read errors and checksum mismatches are retried up to the
+    policy's budget; without one, the first failure propagates.
+    ``storage_stats`` (a :class:`~repro.obs.StorageMetrics` scope) counts
+    attempts and faults either way.
     """
 
     def __init__(
@@ -196,24 +196,28 @@ class BlockFileReader:
         path: str | Path,
         retry: RetryPolicy | None = None,
         storage_stats: Any | None = None,
-        verify_checksums: bool = True,
     ):
         self.path = Path(path)
         with open(str(self.path) + _INDEX_SUFFIX) as f:
             doc = json.load(f)
         self.schema = TupleSchema(doc["n_features"], sparse=doc["sparse"])
         self.n_tuples = int(doc["n_tuples"])
-        self.index_format = int(doc.get("format", 1))
         self.layout = doc.get("layout", "row")
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown block-file layout {self.layout!r}")
+        for b in doc["blocks"]:
+            if b.get("crc32") is None:
+                raise ValueError(
+                    f"{self.path}: block {b['block_id']} has no crc32 in its index "
+                    "(v1); block files are only read verified"
+                )
         self.entries = [
             BlockIndexEntry(
                 b["block_id"],
                 b["offset"],
                 b["length"],
                 b["n_tuples"],
-                b.get("crc32"),
+                b["crc32"],
                 tuple(ChunkRef.from_doc(c) for c in b["chunks"])
                 if "chunks" in b
                 else None,
@@ -223,7 +227,6 @@ class BlockFileReader:
         self._file = open(self.path, "rb")
         self.retry = retry
         self.storage_stats = storage_stats
-        self.verify_checksums = bool(verify_checksums)
         self.bytes_read = 0
         self.blocks_read = 0
 
@@ -245,13 +248,12 @@ class BlockFileReader:
 
     def _read_verified(self, entry: BlockIndexEntry, attempt: int) -> bytes:
         buffer = self._read_raw(entry, attempt)
-        if self.verify_checksums and entry.crc32 is not None:
-            got = zlib.crc32(buffer)
-            if got != entry.crc32:
-                raise ChecksumError(
-                    f"block {entry.block_id}: checksum mismatch "
-                    f"(got {got:#010x}, want {entry.crc32:#010x})"
-                )
+        got = zlib.crc32(buffer)
+        if got != entry.crc32:
+            raise ChecksumError(
+                f"block {entry.block_id}: checksum mismatch "
+                f"(got {got:#010x}, want {entry.crc32:#010x})"
+            )
         return buffer
 
     def _run_read(self, fn, describe: str) -> bytes:
@@ -284,13 +286,12 @@ class BlockFileReader:
         self, entry: BlockIndexEntry, ref: ChunkRef, attempt: int
     ) -> bytes:
         buffer = self._read_chunk_raw(entry, ref, attempt)
-        if self.verify_checksums:
-            got = zlib.crc32(buffer)
-            if got != ref.crc32:
-                raise ChecksumError(
-                    f"block {entry.block_id} chunk {ref.name}: checksum mismatch "
-                    f"(got {got:#010x}, want {ref.crc32:#010x})"
-                )
+        got = zlib.crc32(buffer)
+        if got != ref.crc32:
+            raise ChecksumError(
+                f"block {entry.block_id} chunk {ref.name}: checksum mismatch "
+                f"(got {got:#010x}, want {ref.crc32:#010x})"
+            )
         return buffer
 
     def read_block_batch(

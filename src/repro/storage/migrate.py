@@ -1,6 +1,6 @@
 """In-place migration of row block files to the columnar block format.
 
-``repro migrate`` (and :func:`migrate_file` underneath) converts v1/v2 row
+``repro migrate`` (and :func:`migrate_file` underneath) converts v2 row
 block files (``*.index.json`` sidecar) into v3 columnar block files at the
 same path.  The conversion is
 

@@ -147,3 +147,20 @@ class TestBulkRowWriter:
         write_block_file(narrow, bulk, 50)
         _write_per_tuple(narrow, reference, 50)
         assert bulk.read_bytes() == reference.read_bytes()
+
+
+def test_index_without_checksums_is_refused(tmp_path, dense_binary):
+    """Was: a v1 index (blocks without ``crc32``) opened and its blocks were
+    read unverified.  Every block read is verified, so the reader refuses it."""
+    import json
+
+    path = tmp_path / "v1.blocks"
+    _write_per_tuple(dense_binary, path, 50)
+    index = tmp_path / "v1.blocks.index.json"
+    doc = json.loads(index.read_text())
+    doc["format"] = 1
+    for block in doc["blocks"]:
+        del block["crc32"]
+    index.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"v1\.blocks: block 0 has no crc32"):
+        BlockFileReader(path)

@@ -361,6 +361,23 @@ class TestParallelWorkers:
                 "aggregation = 'gossip'"
             )
 
+    def test_matches_single_engine_accuracy(self, db, problem):
+        # Averaging PN workers' gradients per step keeps the global order
+        # equal to one engine with a PN-times-larger buffer (Section 5.2), so
+        # two workers score what one does.
+        _, test = problem
+        scores = [
+            db.execute(
+                "SELECT * FROM higgs TRAIN BY lr WITH strategy = corgipile, "
+                f"workers = {workers}, max_epoch_num = 5, batch_size = 32, "
+                "learning_rate = 0.1, block_size = 16KB",
+                test=test,
+            ).history.final.test_score
+            for workers in (1, 2)
+        ]
+        assert scores[1] > 0.8
+        assert abs(scores[1] - scores[0]) < 0.06
+
     def test_non_corgipile_strategy_rejected(self, db):
         from repro.db import EngineError
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.data import clustered_by_label, make_binary_dense
-from repro.db import EngineError, MiniDB, explain_train_plan, parse_query
+from repro.db import EngineError, MiniDB, ParseError, explain_train_plan, parse_query
 from repro.db.plan import STRATEGIES
+from repro.db.query import ExplainQuery
 
 SHAPES = {
     "plain": ("", ""),
@@ -117,3 +118,50 @@ def test_plan_is_side_effect_free():
     db.plan(parse_query(_sql("corgi2", "plain")))
     assert db.model_ids() == []
     assert "t__shuffled_5" not in db.catalog and "t__corgi2_5" not in db.catalog
+
+
+@pytest.fixture(scope="module")
+def problem():
+    ds = make_binary_dense(2400, 12, separation=1.2, seed=0)
+    train, test = ds.split(0.9, seed=1)
+    return clustered_by_label(train, seed=0), test
+
+
+class TestExplain:
+    def test_parse_explain(self):
+        query = parse_query("EXPLAIN SELECT * FROM t TRAIN BY svm")
+        assert isinstance(query, ExplainQuery)
+        assert query.inner.model == "svm"
+
+    def test_explain_predict_rejected(self):
+        with pytest.raises(ParseError):
+            parse_query("EXPLAIN SELECT * FROM t PREDICT BY model_1")
+
+    @pytest.mark.parametrize(
+        "strategy,expected",
+        [
+            ("corgipile", "TupleShuffle"),
+            ("corgipile_single_buffer", "single-buffered"),
+            ("block_only", "BlockShuffle"),
+            ("no_shuffle", "SeqScan"),
+            ("shuffle_once", "pre-shuffled copy"),
+        ],
+    )
+    def test_plans_per_strategy(self, problem, strategy, expected):
+        train, _ = problem
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", train)
+        plan = db.execute(
+            f"EXPLAIN SELECT * FROM t TRAIN BY lr WITH strategy = {strategy}, "
+            "block_size = 4KB"
+        )
+        assert expected in plan
+        assert "Heap 't'" in plan
+        assert plan.startswith("SGD")
+
+    def test_explain_does_not_train(self, problem):
+        train, _ = problem
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", train)
+        db.execute("EXPLAIN SELECT * FROM t TRAIN BY lr")
+        assert db._models == {}

@@ -1,6 +1,5 @@
-"""One epoch loop: ``Trainer``, ``train_streaming``, ``SGDOperator``,
-``SegmentedMiniDB`` and the data-parallel ``ParallelTrainer`` run
-``repro.ml.trainer.run_epochs``.
+"""One epoch loop: ``Trainer``, ``train_streaming``, ``SGDOperator`` and the
+data-parallel ``ParallelTrainer`` run ``repro.ml.trainer.run_epochs``.
 
 * **The cross-driver invariant** the fold rests on: fed the id stream the
   plan's pipeline emits, the array ``Trainer`` and the engine's
@@ -257,7 +256,7 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     assert all(name.startswith("ml/models/") for name in files_calling(r"\bstep_example\("))
     deleted = re.compile(
         r"step_chunks|iter_fills|ChunkFill|train_streaming_chunks|glm_epoch_\w+_chunks|"
-        r"_concat_features|_stack_sparse"
+        r"_concat_features|_stack_sparse|SegmentedMiniDB|DistributedTrainResult"
     )
     assert files_calling(deleted.pattern) == set()
     assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
