@@ -6,13 +6,12 @@ device models), prints the same rows/series the paper reports, saves the raw
 records under ``benchmarks/results/``, and asserts the paper's *shape* claims
 (who wins, by roughly what factor).
 
-The printed tables are written to the unbuffered real stdout so they appear
-in the pytest output even without ``-s``.
+The printed tables are written with pytest's output capture suspended, so
+they appear in the pytest output even without ``-s``.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,9 +30,24 @@ TUPLES_PER_BLOCK = 40
 ENGINE_BLOCK_BYTES = 8 * 1024
 
 
+#: The running pytest's config (set by ``pytest_configure``), whose capture
+#: manager :func:`emit` suspends.
+_config = None
+
+
+def pytest_configure(config) -> None:
+    global _config
+    _config = config
+
+
 def emit(text: str) -> None:
-    """Write report text to the real stdout (bypasses pytest capture)."""
-    print(text, file=sys.__stdout__, flush=True)
+    """Print report text past pytest's output capture (``--capture=fd`` too)."""
+    capture = _config.pluginmanager.getplugin("capturemanager") if _config else None
+    if capture is None:
+        print(text, flush=True)
+        return
+    with capture.global_and_fixture_disabled():
+        print(text, flush=True)
 
 
 def report_table(rows, columns=None, title=None, json_name=None) -> None:

@@ -6,7 +6,8 @@ calls the loop only when the bits agree:
 
 * :mod:`repro.ml.kernels` — the per-tuple GLM step and the sparse
   ``X @ w``;
-* :mod:`repro.storage.columnar` — the decode of a run of columnar pages;
+* :mod:`repro.storage.columnar` — the check of a columnar page's header and
+  the decode of a run of columnar pages;
 * :mod:`repro.data.sparse` — the CSR row gather.
 
 This module imports nothing of the package, so ``repro.data`` and
@@ -131,6 +132,9 @@ def _load():
     lib.glm_epoch_dense.argtypes = [*head, ptr, c_int64, c_int64, c_int64, *tail]
     lib.glm_epoch_sparse.argtypes = [*head, ptr, ptr, ptr, c_int64, c_int64, *tail]
     lib.glm_csr_dot.argtypes = [ptr, ptr, ptr, c_int64, c_int64, ptr, c_int64, ptr]
+    # payload bytes, size, sparse, n_features: no argtypes, so the C ints
+    # cost no conversion (the call is once per pool miss)
+    lib.columnar_header.restype = c_int
     # spans (address, size per page), k, sparse, n_features, plan, outs
     lib.columnar_run.argtypes = [ptr, c_int64, c_int, c_int64, ptr, ptr]
     # indptr, n, nnz, rows, m, out_indptr (+ indices, data, out_indices, out_data)

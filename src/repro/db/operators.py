@@ -10,11 +10,13 @@ What moves between operators is a :class:`~repro.storage.codec.TupleBatch`
 — a run of one or more rows **in visit order** — never a single tuple: a
 page is decoded in bulk by the buffer pool, a block is one pool call
 (``BufferPool.get_run``; a warm block is a kept run, read with no
-``concat``), a shuffle is one ``take(permutation)``, and the SGD root slices its
-update units straight out of the stream.  ``rescan`` is the re-scan
-mechanism the SGD operator invokes between epochs (resetting buffers and
-re-shuffling block ids, like PostgreSQL's NestedLoopJoin re-scans its
-inner).
+``concat``), a shuffled fill is the fill as read plus its permutation
+(:class:`~repro.storage.codec.PermutedBatch`), and the SGD root cuts its
+update units straight out of the stream: a unit inside one fill is its
+slice of the permutation, applied off the unshuffled fill by index.
+``rescan`` is the re-scan mechanism the SGD operator invokes between epochs
+(resetting buffers and re-shuffling block ids, like PostgreSQL's
+NestedLoopJoin re-scans its inner).
 
 Operators log their physical reads into a
 :class:`~repro.db.timing.RuntimeContext`: every heap read is priced by
@@ -53,7 +55,7 @@ from ..ml.models.base import SupervisedModel
 from ..ml.persistence import load_checkpoint
 from ..ml.trainer import CheckpointConfig, ConvergenceHistory, apply_unit, run_epochs
 from ..obs import LoaderMetrics
-from ..storage.codec import RowStream, TupleBatch
+from ..storage.codec import PermutedBatch, RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
 from ..storage.rid import SLOT_MASK, page_runs
 from .catalog import TableInfo
@@ -411,9 +413,12 @@ class TupleShuffleOperator(PhysicalOperator):
     buffered — the batch that crosses the boundary is cut there and its
     tail carried into the next fill — then draws one ``rng.permutation``
     over the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills`
-    does for the block-file loaders.  Each fill is emitted as one batch and
-    reported to the runtime context so the executor can overlap the next
-    fill with SGD compute (double buffering, Section 6.3).  The section's
+    does for the block-file loaders.  Each fill is emitted as one batch, the
+    rows left where they were read with the permutation beside them (a
+    :class:`~repro.storage.codec.PermutedBatch`, gathered only for a reader
+    that touches its columns), and reported to the runtime context so the
+    executor can overlap the next fill with SGD compute (double buffering,
+    Section 6.3).  The section's
     real write thread is this operator behind a prefetcher:
     ``PrefetchLoader(iter(op.next_batch, None), depth=1, stats=op.stats)``
     fills one buffer while the consumer drains the other.  ``stats`` (a
@@ -453,7 +458,7 @@ class TupleShuffleOperator(PhysicalOperator):
         if fill is None:
             return None
         n = len(fill)
-        fill = fill.take(self._rng.permutation(n))
+        fill = PermutedBatch(fill, self._rng.permutation(n))
         stats = self.stats or obs.SESSION_LOADER
         stats.record_buffer_filled(n)
         stats.record_buffer_drained(n)
@@ -583,8 +588,12 @@ class SGDOperator:
             cursor += unit_rows
             # The short tail of the pass has no seam after it.
             full = len(unit) == unit_rows
+            # A unit inside one shuffled fill is its rows of the unshuffled
+            # fill, applied in order; a straddling one was gathered.
+            rows, order = (unit.base, unit.order) if type(unit) is PermutedBatch else (unit, None)
             apply_unit(
-                self.model, self.optimizer, unit.features_matrix(), unit.labels, lr, self.fused
+                self.model, self.optimizer, rows.features_matrix(), rows.labels, lr, self.fused,
+                order,
             )
             yield len(unit), cursor if full else None
             self._tuples_seen += len(unit)

@@ -1,5 +1,6 @@
 /* The compiled loops of repro: the per-tuple SGD epochs, the sparse X @ w,
- * the decode of a run of columnar pages and the CSR row gather.  Each one is
+ * the check of a columnar page's header, the decode of a run of columnar
+ * pages and the CSR row gather.  Each one is
  * bit-identical to the numpy / Python twin that stays its reference, and each
  * returns -1 with nothing written to its caller's arrays for any input it does
  * not take, so the caller runs the twin, which raises what it raises.
@@ -185,25 +186,50 @@ typedef struct {
     int kind, delta;        /* a one-value packed chunk counts as delta-coded */
 } chunk_t;
 
-/* Column `col`'s chunk of payload buf[0..size), checked as _checked_chunks
- * checks it (known encoding, values inside the chunk's bytes, n x d values
- * for a dense chunk), of a page of the run's sparsity and width: float64
- * columns stored raw, ints raw or packed, indptr packed and delta-coded.  0,
- * or -1 for anything else. */
-static int find_chunk(const uint8_t *buf, int64_t size, int sparse, int64_t d, int col, chunk_t *c)
+/* The row count of payload buf[0..size), checked as _read_directory and
+ * decode_block_columnar's schema check check it: magic, version, the
+ * directory and every chunk's byte range inside the payload, and a page of
+ * sparsity `sparse` and width d.  -1 for anything else. */
+static int64_t header_rows(const uint8_t *buf, int64_t size, int sparse, int64_t d)
 {
     if (size < HEADER_BYTES || memcmp(buf, "CPB1", 4) != 0 || buf[4] != 1 || buf[5] != 0)
         return -1;
-    int64_t n_tuples = u32_at(buf + 6), n_cols = buf[14];
+    int64_t n_cols = buf[14];
     if (u32_at(buf + 10) != d || (buf[15] & 1) != sparse || HEADER_BYTES + ENTRY_BYTES * n_cols > size)
         return -1;
     for (int64_t i = 0; i < n_cols; i++) {
+        const uint8_t *e = buf + HEADER_BYTES + ENTRY_BYTES * i;
+        if ((int64_t)u32_at(e + 4) + u32_at(e + 8) > size) return -1;
+    }
+    return u32_at(buf + 6);
+}
+
+/* header_rows of one page payload, for a pool miss.  Called without ctypes
+ * argtypes, whose per-argument conversion costs twice the check, so its
+ * arguments are C ints, masked to 32 bits: a masked size only shortens the
+ * prefix checked, a width past INT_MAX matches no stored u32 width, and a
+ * row count past INT_MAX is refused. */
+int columnar_header(const uint8_t *buf, int size, int sparse, int d)
+{
+    int64_t rows = header_rows(buf, size, sparse, d);
+    return rows <= INT_MAX ? (int)rows : -1;
+}
+
+/* Column `col`'s chunk of payload buf[0..size), checked as _checked_chunks
+ * checks it (known encoding, values inside the chunk's bytes, n x d values
+ * for a dense chunk), of a page header_rows accepts for the run's
+ * sparsity and width: float64 columns stored raw, ints raw or packed, indptr
+ * packed and delta-coded.  0, or -1 for anything else. */
+static int find_chunk(const uint8_t *buf, int64_t size, int sparse, int64_t d, int col, chunk_t *c)
+{
+    int64_t n_tuples = header_rows(buf, size, sparse, d);
+    if (n_tuples < 0) return -1;
+    for (int64_t i = 0; i < buf[14]; i++) {
         const uint8_t *e = buf + HEADER_BYTES + ENTRY_BYTES * i;
         if (e[0] != col) continue;
         int64_t offset = u32_at(e + 4), item;
         c->length = u32_at(e + 8);
         c->n = u32_at(e + 12);
-        if (offset + c->length > size) return -1;
         if (e[1] == ENC_PACKED && (e[2] == 1 || e[2] == 2 || e[2] == 4 || e[2] == 8)) {
             c->kind = item = e[2];
             c->delta = e[3] != 0 || c->n == 1;

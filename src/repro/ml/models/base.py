@@ -45,6 +45,11 @@ class SupervisedModel(ABC):
     def score(self, X: FeatureMatrix, y: np.ndarray) -> float:
         """The task metric: accuracy for classifiers, R² for regression."""
 
+    def loss_and_score(self, X: FeatureMatrix, y: np.ndarray) -> tuple[float, float]:
+        """``(loss(X, y), score(X, y))``; a model that can derive both from
+        one forward pass overrides this to make it."""
+        return self.loss(X, y), self.score(X, y)
+
     def step_example(
         self, features: np.ndarray | SparseRow, label: float, lr: float
     ) -> None:

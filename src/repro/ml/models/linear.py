@@ -10,6 +10,8 @@ scatter-add for criteo-style rows).
 
 from __future__ import annotations
 
+from abc import abstractmethod
+
 import numpy as np
 
 from ...data.dataset import FeatureMatrix
@@ -69,11 +71,22 @@ class GeneralizedLinearModel(SupervisedModel):
         return z
 
     def loss(self, X: FeatureMatrix, y: np.ndarray) -> float:
+        return self._loss_of(self.decision_function(X), y)
+
+    def loss_and_score(self, X: FeatureMatrix, y: np.ndarray) -> tuple[float, float]:
+        """Both metrics off one ``decision_function`` pass over ``X``."""
         z = self.decision_function(X)
+        return self._loss_of(z, y), self._score_of(z, y)
+
+    def _loss_of(self, z: np.ndarray, y: np.ndarray) -> float:
         base = self.loss_fn.mean_value(z, y)
         if self.l2:
             base += 0.5 * self.l2 * float(self.w @ self.w)
         return base
+
+    @abstractmethod
+    def _score_of(self, z: np.ndarray, y: np.ndarray) -> float:
+        """The task metric from the scores ``z`` of the rows labelled ``y``."""
 
     def gradient(self, X: FeatureMatrix, y: np.ndarray) -> Params:
         z = self.decision_function(X)
@@ -133,6 +146,11 @@ class GeneralizedLinearModel(SupervisedModel):
         )
 
 
+def _accuracy(z: np.ndarray, y: np.ndarray) -> float:
+    """The share of rows whose sign of ``z`` (0 counts as +1) is their label."""
+    return float(np.mean(np.where(z >= 0.0, 1.0, -1.0) == np.asarray(y)))
+
+
 class LogisticRegression(GeneralizedLinearModel):
     """Binary logistic regression over {-1, +1} labels."""
 
@@ -143,7 +161,9 @@ class LogisticRegression(GeneralizedLinearModel):
         return np.where(self.decision_function(X) >= 0.0, 1.0, -1.0)
 
     def score(self, X: FeatureMatrix, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        return _accuracy(self.decision_function(X), y)
+
+    _score_of = staticmethod(_accuracy)
 
 
 class LinearSVM(GeneralizedLinearModel):
@@ -156,7 +176,9 @@ class LinearSVM(GeneralizedLinearModel):
         return np.where(self.decision_function(X) >= 0.0, 1.0, -1.0)
 
     def score(self, X: FeatureMatrix, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        return _accuracy(self.decision_function(X), y)
+
+    _score_of = staticmethod(_accuracy)
 
 
 class LinearRegression(GeneralizedLinearModel):
@@ -169,8 +191,11 @@ class LinearRegression(GeneralizedLinearModel):
         return self.decision_function(X)
 
     def score(self, X: FeatureMatrix, y: np.ndarray) -> float:
+        return self._score_of(self.decision_function(X), y)
+
+    def _score_of(self, z: np.ndarray, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=np.float64)
-        residual = y - self.predict(X)
+        residual = y - z
         ss_res = float(residual @ residual)
         centred = y - y.mean()
         ss_tot = float(centred @ centred)

@@ -221,12 +221,17 @@ def epoch_record(
     tuples_seen: int,
 ) -> EpochRecord:
     """The end-of-epoch metrics: loss/score on ``train`` (NaN without one —
-    nothing is materialised for it), score on ``test`` when given."""
+    nothing is materialised for it), one pass over it
+    (:meth:`~repro.ml.models.base.SupervisedModel.loss_and_score`), and score
+    on ``test`` when given."""
+    train_loss = train_score = float("nan")
+    if train is not None:
+        train_loss, train_score = model.loss_and_score(train.X, train.y)
     return EpochRecord(
         epoch=epoch,
         lr=lr,
-        train_loss=model.loss(train.X, train.y) if train is not None else float("nan"),
-        train_score=model.score(train.X, train.y) if train is not None else float("nan"),
+        train_loss=train_loss,
+        train_score=train_score,
         test_score=model.score(test.X, test.y) if test is not None else None,
         tuples_seen=tuples_seen,
     )

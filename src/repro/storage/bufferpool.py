@@ -12,11 +12,14 @@ clock is priced by the operators from the hit flags returned here.
 
 A row page is decoded in bulk into a :class:`~repro.storage.codec.TupleBatch`
 (one ``decode_page`` call); a columnar page's entry is its verified payload
-plus its parsed directory (a lazy batch).  The books are one loop over page
-ids, run once per read: a page scan's ``get_batch_traced`` reads one page,
-and a block is one pool call, :meth:`BufferPool.get_run`, the books in page
-order and then the pages' batches end to end (a columnar block decoding
-there, once per column).  A block whose pages all hit is
+bytes, its header checked by one compiled call and its directory unparsed (a
+lazy batch that a single-page reader parses on first touch; a page the check
+refuses is parsed at the miss, which raises what a damaged page raises).  The
+books are one loop over page ids, run once per read: a page scan's
+``get_batch_traced`` reads one page, and a block is one pool call,
+:meth:`BufferPool.get_run`, the books in page order and then the pages'
+batches end to end (a columnar block decoding there off the pages' bytes,
+once per column).  A block whose pages all hit is
 *kept* as that one run, and each page's entry becomes a zero-copy ``slice``
 of it, so a warm block is read with no ``concat`` (and a warm columnar block
 with no decode).  A run is served only while every page's entry is still

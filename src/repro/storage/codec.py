@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "TupleSchema",
     "TrainingTuple",
     "TupleBatch",
+    "PermutedBatch",
     "RowStream",
     "encode_tuple",
     "encode_rows",
@@ -197,6 +199,7 @@ class TupleBatch:
             raise ValueError("cannot concat zero batches")
         if len(batches) == 1:
             return batches[0]
+        batches = [b.rows if type(b) is PermutedBatch else b for b in batches]
         if not all(type(b) is TupleBatch for b in batches):
             from .columnar import concat_pages  # lazy pages decode as one run
 
@@ -219,6 +222,52 @@ class TupleBatch:
             indices=np.concatenate([b.indices for b in batches]),
             values=np.concatenate([b.values for b in batches]),
         )
+
+
+class PermutedBatch:
+    """Rows ``order`` of ``base``, gathered into a batch on first touch.
+
+    A shuffled fill: the fill stays the run it was read as, and only its
+    permutation is drawn.  ``slice`` cuts the permutation, so the SGD
+    operator applies each update unit straight off ``base`` with its
+    ``order[lo:hi]`` (the kernels take ``order``) and no row is copied into
+    shuffled order.  Any other reader sees the :class:`TupleBatch` read
+    interface and pays one ``take`` of the rows it views (cached), like a
+    :class:`~repro.storage.columnar.LazyTupleBatch` column.
+    """
+
+    def __init__(self, base, order: np.ndarray):
+        self.base = base
+        self.order = order
+        self.n_features = base.n_features
+
+    @property
+    def is_sparse(self) -> bool:
+        return self.base.is_sparse
+
+    def __len__(self) -> int:
+        return int(self.order.size)
+
+    def slice(self, lo: int, hi: int) -> "PermutedBatch":
+        return PermutedBatch(self.base, self.order[lo:hi])
+
+    @cached_property
+    def rows(self) -> TupleBatch:
+        """The rows in order, gathered once."""
+        return self.base.take(self.order)
+
+    ids = property(lambda self: self.rows.ids)
+    labels = property(lambda self: self.rows.labels)
+    dense = property(lambda self: self.rows.dense)
+    indptr = property(lambda self: self.rows.indptr)
+    indices = property(lambda self: self.rows.indices)
+    values = property(lambda self: self.rows.values)
+
+    def row(self, i: int) -> np.ndarray | SparseRow:
+        return self.rows.row(i)
+
+    def features_matrix(self) -> np.ndarray | SparseMatrix:
+        return self.rows.features_matrix()
 
 
 def stack_column(parts: Sequence[np.ndarray], name: str) -> np.ndarray:
@@ -269,7 +318,8 @@ class RowStream:
         """The next ``n_rows`` rows as one batch (fewer only at end of pass).
 
         A run inside one source batch stays a zero-copy slice; a run that
-        straddles batches is one C-contiguous ``concat``.
+        straddles batches is one C-contiguous ``concat`` (a
+        :class:`PermutedBatch` part gathered first).
         """
         parts, got = [], 0
         while got < n_rows and (part := self.pull(n_rows - got)) is not None:

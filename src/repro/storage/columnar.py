@@ -30,20 +30,23 @@ row-major ``n x d`` float64 run) or the CSR triple ``indptr``/``indices``/
 :func:`decode_block_columnar` returns a :class:`LazyTupleBatch` after one
 ``unpack_from`` of the header + directory: no column is decoded up front;
 each array materialises on first attribute access and is cached on the
-batch.  A run of pages (a block) handed to ``TupleBatch.concat`` is
-checked and decoded once for the whole run (:func:`concat_pages`) and caches
-nothing on the pages: a run of whole blocks in two calls into the compiled
-library (:mod:`repro._native`), any other run — and any the library
-refuses — column by column from the pages' kept directory entries in
-Python, the reference.  Per-chunk CRC32s in the directory let pruned
-readers verify only the bytes they actually read.
+batch.  A heap page read on a buffer-pool miss is not even parsed
+(:meth:`LazyTupleBatch.of_checked_block`): one compiled call checks its
+header, and its directory is parsed on first touch by a single-page reader.
+A run of pages (a block) handed to ``TupleBatch.concat`` is checked and
+decoded once for the whole run (:func:`concat_pages`) and caches nothing on
+the pages: a run of whole blocks in two calls into the compiled library
+(:mod:`repro._native`) straight off the pages' bytes, any other run — and
+any the library refuses — column by column from the pages' directory
+entries in Python, the reference.  Per-chunk CRC32s in the directory let
+pruned readers verify only the bytes they actually read.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -323,11 +326,12 @@ class LazyTupleBatch:
     ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
     the buffer pool can charge real memory, not potential memory.  A batch
-    is built from its buffer and parsed directory alone; a single-page
-    consumer checks the one chunk it touches (``_store``).  A run of pages
-    handed to ``TupleBatch.concat`` decodes once per column from the pages'
-    directory entries (:func:`concat_pages`) and caches no array here; the
-    buffer pool keeps a warm block's decoded run instead.
+    is built from its buffer and parsed directory alone — or, on a pool miss,
+    from its buffer and a checked header, the directory parsed on first
+    touch; a single-page consumer checks the one chunk it touches
+    (``_store``).  A run of pages handed to ``TupleBatch.concat`` decodes once
+    per column (:func:`concat_pages`) and caches no array here; the buffer
+    pool keeps a warm block's decoded run instead.
 
     The backing store is either one whole block buffer (``buffer`` +
     per-chunk offsets) or, after a column-pruned read, individual chunk
@@ -346,21 +350,51 @@ class LazyTupleBatch:
         n_tuples: int,
         n_features: int,
         sparse: bool,
-        entries: tuple,  # directory fields, eight per readable chunk (ChunkRef order)
-        buffers: tuple,  # per chunk: (memoryview, base offset of its directory offsets)
+        entries: tuple | None,  # directory fields, eight per readable chunk (ChunkRef order)
+        buffers: tuple | None,  # per chunk: (memoryview, base offset of its directory offsets)
         verify_chunks: bool = False,
     ):
         self._n = n_tuples
         self.n_features = n_features
         self._sparse = sparse
-        self._entries = entries
-        self._cols = entries[::8]
-        self._buffers = buffers
+        if entries is not None:  # else parsed from ``_block`` on first touch
+            self._entries = entries
+            self._cols = entries[::8]
+            self._buffers = buffers
         self._cache: dict[int, np.ndarray] = {}
         self.verify_chunks = verify_chunks
         self._block: bytes | None = None  # a whole block the compiled run decode may read
 
     # -- construction ---------------------------------------------------
+    @classmethod
+    def of_checked_block(cls, block: bytes, schema: TupleSchema) -> "LazyTupleBatch | None":
+        """A whole-block payload of ``schema`` whose header the compiled check
+        accepts, with nothing parsed: its directory is read on first touch by
+        a single-page consumer, and a run of such pages goes to the compiled
+        decode as its bytes.  ``None`` when the check cannot run or refuses
+        the block, which :func:`decode_block_columnar` then parses (and
+        raises for)."""
+        if _LIB is None or type(block) is not bytes:
+            return None
+        n_tuples = _LIB.columnar_header(block, len(block), schema.sparse, schema.n_features)
+        if n_tuples < 0:
+            return None
+        batch = cls(n_tuples, schema.n_features, bool(schema.sparse), None, None)
+        batch._block = block
+        return batch
+
+    @cached_property
+    def _entries(self) -> tuple:
+        return _read_directory(self._block)[3]
+
+    @cached_property
+    def _cols(self) -> tuple:
+        return self._entries[::8]
+
+    @cached_property
+    def _buffers(self) -> tuple:
+        return ((memoryview(self._block), 0),) * len(self._cols)
+
     @classmethod
     def from_block(
         cls, buffer, offset: int = 0, columns=None, verify_chunks: bool = False
@@ -721,7 +755,9 @@ def decode_block_columnar(
 
 
 def _probe(lib) -> bool:
-    """Does the compiled run decode give :func:`_decode_run`'s arrays on fixed runs?
+    """Does the compiled header check count each page's rows (and refuse it
+    one byte short, or at another width), and the compiled run decode give
+    :func:`_decode_run`'s arrays, on fixed runs?
 
     A sparse run (delta-coded ids, indices packed in 2 bytes on one page and
     1 on another, an empty page, a zero-nnz row) and a dense one.
@@ -748,7 +784,15 @@ def _probe(lib) -> bool:
         TupleBatch(np.array([8, 2, 0]), cells[2:5], 3, dense=cells[6:15].reshape(3, 3)),
     ]
     for run in (sparse, dense):
-        pages = [LazyTupleBatch.from_block(encode_block_columnar(b)) for b in run]
+        payloads = [encode_block_columnar(b) for b in run]
+        for payload, batch in zip(payloads, run):
+            sparse_flag, d, size = batch.is_sparse, batch.n_features, len(payload)
+            checked = lib.columnar_header(payload, size, sparse_flag, d)
+            short = lib.columnar_header(payload, size - 1, sparse_flag, d)
+            wide = lib.columnar_header(payload, size, sparse_flag, d + 1)
+            if (checked, short, wide) != (len(batch), -1, -1):
+                return False
+        pages = [LazyTupleBatch.from_block(payload) for payload in payloads]
         got = _compiled_run(lib, pages, run[0].is_sparse, run[0].n_features)
         want = [_decode_run(pages, COLUMN_NAMES[col]) for col in _RUN_COLUMNS[run[0].is_sparse]]
         if got is None or not all(
@@ -759,5 +803,6 @@ def _probe(lib) -> bool:
     return True
 
 
-#: The compiled run decode, when the library loaded and its probe passed.
+#: The compiled header check and run decode, when the library loaded and its
+#: probe passed.
 _LIB = _native.LIB if _native.LIB is not None and _probe(_native.LIB) else None

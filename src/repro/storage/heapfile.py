@@ -33,7 +33,7 @@ from .codec import (
     encode_tuple,
     encoded_row_bounds,
 )
-from .columnar import decode_block_columnar, encode_block_columnar
+from .columnar import LazyTupleBatch, decode_block_columnar, encode_block_columnar
 from .fsm import FreeSpaceMap
 from .page import DEFAULT_PAGE_BYTES, Page
 from .retry import ChecksumError
@@ -479,11 +479,18 @@ class HeapFile:
         Compressed (TOAST-like) pages are decompressed tuple-by-tuple — that
         cost is inherent to the format — but the byte parse is still one bulk
         :func:`~repro.storage.codec.decode_page` call over the concatenation.
+        A columnar page is its payload with the header checked in one
+        compiled call, its directory unparsed
+        (:meth:`~repro.storage.columnar.LazyTupleBatch.of_checked_block`);
+        a payload that check refuses is parsed here, which raises what a
+        damaged page raises.
         """
         page = self.pages[page_id]
         if self.layout == "columnar":
             (payload,) = payloads  # columnar pages hold exactly one payload
-            batch = decode_block_columnar(payload, self.schema)
+            batch = LazyTupleBatch.of_checked_block(payload, self.schema)
+            if batch is None:
+                batch = decode_block_columnar(payload, self.schema)
             self.decode_count += len(batch)
             return batch
         self.decode_count += page.n_tuples

@@ -620,6 +620,108 @@ class TestCompiledRunDecode:
         np.testing.assert_array_equal(weights, train())
 
 
+class TestMissedPageBytes:
+    """A columnar page read on a pool miss is its verified payload with its
+    header checked in one compiled call: a block of such pages goes to the
+    compiled run decode as their bytes, and only a single-page reader parses
+    a directory.  The oracle is the same table with the library off, whose
+    every miss parses the page in Python."""
+
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1"
+
+    @staticmethod
+    def _db():
+        db = MiniDB(page_bytes=1024, pool_pages=4)
+        data = make_binary_sparse(600, 300, nnz_per_row=8, separation=1.0, seed=11)
+        db.create_table("t", data, layout="columnar")
+        return db
+
+    @requires_lib
+    def test_a_cold_train_parses_no_directory_in_python(self, monkeypatch):
+        db = self._db()
+        table = db.catalog.get("t")
+        assert table.heap.n_pages > 2 * table.pool.capacity_pages  # the table outgrows its pool
+        parses = []
+        read_directory = columnar._read_directory
+        monkeypatch.setattr(
+            columnar, "_read_directory", lambda *a: parses.append(a) or read_directory(*a)
+        )
+        db.execute(self.SQL)
+        assert table.pool.misses >= 2 * table.heap.n_pages
+        assert parses == []
+
+    def _single_page_reads(self):
+        """A TRAIN, then what every single-page reader answers on its table."""
+        db = self._db()
+        result = db.execute(self.SQL)
+        table = db.catalog.get("t")
+        heap = table.heap
+        pages = [table.pool.get_batch(p).materialize() for p in range(heap.n_pages)]
+        rids = [heap.rid_of(position) for position in (0, 7, 299, heap.n_tuples - 1)]
+        tuples = [heap.read_rid(rid) for rid in rids]
+        return {
+            "select": db.execute("SELECT * FROM t LIMIT 30"),
+            "projection": db.execute("SELECT label, f3 FROM t LIMIT 30"),
+            "pages": pages,
+            "rid_ids": [t.tuple_id for t in tuples],
+            "rid_labels": [t.label for t in tuples],
+            "rid_features": [(t.features.indices, t.features.values) for t in tuples],
+            "predict": db.execute(f"SELECT * FROM t PREDICT BY {result.model_id}"),
+            "weights": result.model.parameter_vector(),
+            "decode_count": heap.decode_count,
+        }
+
+    def test_single_page_readers_and_decode_count_equal_the_parsing_miss(self, monkeypatch):
+        got = self._single_page_reads()
+        monkeypatch.setattr(columnar, "_LIB", None)
+        want = self._single_page_reads()
+        assert got["select"] == want["select"] and got["projection"] == want["projection"]
+        for a, b in zip(got["pages"], want["pages"]):
+            for name in ("ids", "labels", "indptr", "indices", "values"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        assert got["rid_ids"] == want["rid_ids"] and got["rid_labels"] == want["rid_labels"]
+        for (indices, values), (want_indices, want_values) in zip(
+            got["rid_features"], want["rid_features"]
+        ):
+            np.testing.assert_array_equal(indices, want_indices)
+            np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(got["predict"], want["predict"])
+        np.testing.assert_array_equal(got["weights"], want["weights"])
+        assert got["decode_count"] == want["decode_count"] > 0
+
+    @pytest.mark.parametrize("lib", ["loaded", "unloaded"])
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [({"enc": 7}, "unknown encoding 7"), ({"n_values": 10_000}, "values overrun its")],
+    )
+    def test_a_block_the_run_decode_refuses_raises_the_reference_error(
+        self, lib, fields, problem, monkeypatch
+    ):
+        """A page whose header passes but whose indices chunk the run decode
+        refuses: the block read raises what a single-page read of it raises,
+        with the library loaded (the compiled run refuses, the Python run
+        raises) or unloaded (the miss parses, the Python run raises)."""
+        heap = HeapFile.from_dataset(
+            make_binary_sparse(200, 300, nnz_per_row=8, seed=3), page_bytes=1024, layout="columnar"
+        )
+        bad = 2
+        broken = _patched(heap.pages[bad].tuple_payloads()[0], COL_INDICES, **fields)
+        read = heap._read_page_payloads  # the fault seam
+
+        def seam(page_id: int, attempt: int = 1) -> list[bytes]:
+            return [broken] if page_id == bad else read(page_id, attempt)
+
+        heap._read_page_payloads = seam
+        with pytest.raises(ValueError) as want:
+            heap.read_page_batch(bad).materialize()
+        if lib == "unloaded":
+            monkeypatch.setattr(columnar, "_LIB", None)
+        with pytest.raises(ValueError) as got:
+            BufferPool(heap, capacity_pages=8).get_run(range(0, 4))
+        assert problem in str(want.value)
+        assert str(got.value) == str(want.value)
+
+
 @pytest.fixture()
 def columnar_file(tmp_path, sparse_binary):
     path = tmp_path / "sparse.columnar.blocks"

@@ -15,9 +15,11 @@ from repro.db import (
     SeqScanOperator,
     TupleShuffleOperator,
 )
+from repro.db import operators
 from repro.db.engine import ENGINE_PROFILE
 from repro.db.timing import RuntimeContext
 from repro.storage import SSD, TupleBatch
+from repro.storage.codec import PermutedBatch
 
 from .conftest import pass_ids
 
@@ -177,6 +179,49 @@ class TestTupleShuffle:
     def test_invalid_buffer(self, table, ctx):
         with pytest.raises(ValueError):
             TupleShuffleOperator(SeqScanOperator(table, ctx), ctx, buffer_tuples=0)
+
+
+class TestShuffledFillByIndex:
+    """A TupleShuffle fill is emitted unshuffled with its permutation, and
+    the SGD operator applies each update unit off it by index: a per-tuple
+    fused TRAIN gathers no row into shuffled order except for a unit that
+    straddles two fills, and trains the bits of gathering every fill."""
+
+    SQL = (
+        "SELECT * FROM t TRAIN BY svm WITH max_epoch_num = 2, block_size = 4KB, "
+        "buffer_fraction = 0.2, fused = true, seed = 3"
+    )
+    UNIT = 256  # SGDOperator's default fuse_chunk: the fused update unit
+
+    def _train(self):
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", make_binary_dense(3000, 12, separation=1.2, seed=11))
+        return db.execute(self.SQL).model.parameter_vector()
+
+    def test_a_fused_train_gathers_at_most_one_unit_at_a_time(self, monkeypatch):
+        sizes = []
+        take = TupleBatch.take
+        monkeypatch.setattr(
+            TupleBatch, "take", lambda batch, rows: sizes.append(len(rows)) or take(batch, rows)
+        )
+        weights = self._train()
+        # A 600-row fill is no whole number of 256-row units: units straddle.
+        assert sizes and max(sizes) <= self.UNIT
+        monkeypatch.undo()
+        monkeypatch.setattr(operators, "PermutedBatch", lambda base, order: base.take(order))
+        np.testing.assert_array_equal(weights, self._train())
+
+    def test_the_emitted_fill_reads_as_its_shuffled_rows(self, table, ctx):
+        op = TupleShuffleOperator(SeqScanOperator(table, ctx), ctx, buffer_tuples=100, seed=2)
+        op.open()
+        fill = op.next_batch()
+        assert isinstance(fill, PermutedBatch) and len(fill) == 100
+        rows = fill.base.take(fill.order)
+        np.testing.assert_array_equal(fill.ids, rows.ids)
+        np.testing.assert_array_equal(fill.features_matrix(), rows.dense)
+        np.testing.assert_array_equal(fill.slice(10, 20).ids, rows.ids[10:20])
+        part = TupleBatch.concat([fill.slice(90, 100), op.next_batch().slice(0, 5)])
+        assert type(part) is TupleBatch and len(part) == 15
 
 
 class TestPassThrough:

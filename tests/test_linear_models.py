@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import make_binary_dense, make_binary_sparse, make_regression
+from repro.data import make_binary_dense, make_binary_sparse, make_multiclass_dense, make_regression
 from repro.data.sparse import SparseMatrix
-from repro.ml import LinearRegression, LinearSVM, LogisticRegression
+from repro.ml import (
+    LinearRegression,
+    LinearSVM,
+    LogisticRegression,
+    MLPClassifier,
+    SoftmaxRegression,
+)
 
 
 def numeric_gradient(model, X, y, eps=1e-6):
@@ -159,3 +165,34 @@ class TestScoresAndPredictions:
         model = LogisticRegression(3)
         vec = model.parameter_vector()
         assert vec.shape == (4,)  # 3 weights + bias
+
+
+class TestLossAndScore:
+    """The end-of-epoch metrics in one pass equal ``loss`` and ``score`` taken
+    one after the other, bit for bit (the GLMs share one decision function
+    between them; the other models keep the two calls)."""
+
+    @staticmethod
+    def _problem(kind: str):
+        if kind in ("lr", "svm"):
+            ds = make_binary_dense(300, 9, seed=4)
+            model = {"lr": LogisticRegression, "svm": LinearSVM}[kind](9, l2=1e-3)
+        elif kind == "linreg":
+            ds = make_regression(300, 9, seed=4)
+            model = LinearRegression(9, l2=1e-3)
+        else:
+            ds = make_multiclass_dense(300, 9, 3, seed=4)
+            model = MLPClassifier(9, 5, 3, seed=1) if kind == "mlp" else SoftmaxRegression(9, 3)
+        # Off the zero start, so the scores are no single value.
+        model.step_block(ds.X, ds.y, lr=0.05)
+        return model, ds.X, ds.y
+
+    @pytest.mark.parametrize("kind", ["lr", "svm", "linreg", "mlp", "softmax"])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_one_pass_equals_separate_metrics(self, kind, layout):
+        model, X, y = self._problem(kind)
+        if layout == "sparse":
+            X = SparseMatrix.from_dense(np.where(np.abs(X) > 0.5, X, 0.0))
+        loss, score = model.loss_and_score(X, y)
+        assert loss == model.loss(X, y) and score == model.score(X, y)
+        assert np.isfinite(loss) and 0.0 < abs(score)
