@@ -17,11 +17,7 @@ Commands
               observability counters (queue depth, stall/wait, overlap)
 ``chaos``     train through fault-injected storage (transient errors, torn
               pages, latency, optional crash+resume) and verify the result
-              is bit-identical to the fault-free run; ``--layout columnar``
-              drives the chunk-pruned read path so faults land on column
-              chunks
-``migrate``   rewrite a row block file as columnar in place (atomic,
-              CRC-verified, resumable) and print the report
+              is bit-identical to the fault-free run
 ``obs-report``  render (and optionally validate) an exported trace file as
               the human span-tree/metrics summary
 ``serve``     run the long-lived multi-client training daemon (sessions,
@@ -281,23 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--block-tuples", type=int, default=40)
     chaos.add_argument("--buffer-blocks", type=int, default=2)
     chaos.add_argument("--batch-size", type=int, default=64)
-    chaos.add_argument(
-        "--layout", choices=("row", "columnar"), default="row",
-        help="block-file layout; columnar trains off pruned chunk reads, so "
-        "injected faults address individual column chunks",
-    )
     _add_common_options(chaos)
-
-    mig = sub.add_parser(
-        "migrate",
-        help="rewrite a row block file as columnar, in place",
-    )
-    mig.add_argument("path", help="row block file (with its index sidecar)")
-    mig.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the per-block decode round-trip check before accepting blocks",
-    )
-    mig.add_argument("--json", help="also write the migration report to this path")
 
     obsr = sub.add_parser(
         "obs-report",
@@ -768,7 +748,7 @@ def _cmd_chaos(args) -> int:
 
     from .core import CorgiPileDataset, DataLoader as CoreDataLoader
     from .faults import FaultPlan, InjectedCrash, chaos_report, faulty_reader_factory
-    from .ml import CheckpointConfig, train_streaming, training_columns
+    from .ml import CheckpointConfig, train_streaming
     from .storage import write_block_file
 
     if args.quick:
@@ -789,7 +769,7 @@ def _cmd_chaos(args) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chaos.blocks"
-        write_block_file(dataset, path, args.block_tuples, layout=args.layout)
+        write_block_file(dataset, path, args.block_tuples)
 
         def run(model, reader_factory=None, fault_plan=None, **kwargs):
             with CorgiPileDataset(
@@ -801,12 +781,7 @@ def _cmd_chaos(args) -> int:
 
                 def loader_factory(epoch):
                     view.set_epoch(epoch)
-                    if args.layout != "columnar":
-                        return CoreDataLoader(view, batch_size=args.batch_size)
-                    # Columnar mode: train fill-at-a-time off pruned chunk
-                    # reads, so the fault plan decides per
-                    # ("chunk", block*8+col) instead of whole blocks.
-                    return view.fills(columns=training_columns(dataset.is_sparse))
+                    return CoreDataLoader(view, batch_size=args.batch_size)
 
                 return train_streaming(
                     model,
@@ -864,41 +839,6 @@ def _cmd_chaos(args) -> int:
 
     print(f"\nchaos verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def _cmd_migrate(args) -> int:
-    """Rewrite a row block file as columnar in place and report.
-
-    Converts block by block with per-block CRC + optional decode round-trip
-    verification, journals progress so an interrupted run resumes, and
-    finishes with an atomic replace — an already-columnar file is a no-op.
-    """
-    import json
-
-    from .storage import migrate_file
-
-    report = migrate_file(args.path, verify=not args.no_verify)
-    doc = report.to_doc()
-    if report.skipped:
-        print(f"{args.path}: already columnar ({report.n_blocks} blocks), nothing to do")
-    else:
-        resumed = (
-            f", resumed at block {report.resumed_at_block}"
-            if report.resumed_at_block
-            else ""
-        )
-        print(
-            f"migrated {args.path} ({report.kind}): {report.n_blocks} blocks, "
-            f"{report.n_tuples} tuples, {report.bytes_per_tuple_before:.1f} -> "
-            f"{report.bytes_per_tuple_after:.1f} bytes/tuple "
-            f"({report.verified_blocks} blocks verified{resumed})"
-        )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
 
 
 def _cmd_obs_report(args) -> int:
@@ -1050,7 +990,6 @@ _COMMANDS = {
     "bench-io": _cmd_bench_io,
     "loader-stats": _cmd_loader_stats,
     "chaos": _cmd_chaos,
-    "migrate": _cmd_migrate,
     "obs-report": _cmd_obs_report,
     "serve": _cmd_serve,
     "client": _cmd_client,

@@ -24,8 +24,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .. import obs
 from ..obs import LoaderMetrics
 from ..storage.blockfile import BlockFileReader
@@ -82,17 +80,14 @@ class CorgiPileDataset:
         self.epoch = int(epoch)
 
     # ------------------------------------------------------------------
-    def fills(self, columns=None, start: int = 0) -> Iterator[TupleBatch]:
+    def fills(self, start: int = 0) -> Iterator[TupleBatch]:
         """The two-level shuffle, one buffer fill at a time.
 
         The worker's share of the shuffled block ids is read in the plan's
         groups of ``buffer_blocks`` blocks (``self.plan.fill_groups``); each
         group is one fill — the ``concat`` of its blocks, permuted once with
         the worker-local tuple-shuffle stream — so a consumer that trains on
-        whole fills never sees a per-tuple object.
-        On a columnar file ``columns`` (names) prunes the read to the chunks
-        the consumer touches, e.g. ``training_columns(sparse)``; a fill read
-        without the ``ids`` chunk carries ``-1`` ids.  ``start`` is the index
+        whole fills never sees a per-tuple object.  ``start`` is the index
         of the first fill wanted: the fills before it are never read (a
         resumed worker skips them), only their draws are taken from the
         tuple-shuffle stream so the rest of the epoch is unchanged.
@@ -106,21 +101,11 @@ class CorgiPileDataset:
             if i < start:
                 tuple_rng.permutation(sum(self.reader.entries[int(b)].n_tuples for b in group))
                 continue
-            fill = TupleBatch.concat([self._read_block(int(b), columns) for b in group])
+            fill = TupleBatch.concat([self.reader.read_block_batch(int(b)) for b in group])
             n = len(fill)
             stats.record_buffer_filled(n)
             stats.record_buffer_drained(n)
             yield fill.take(tuple_rng.permutation(n))
-
-    def _read_block(self, block_id: int, columns):
-        batch = self.reader.read_block_batch(block_id, columns=columns)
-        if "ids" in getattr(batch, "available_columns", ("ids",)):
-            return batch
-        # Rows move as whole batches, which need an ids column to move.
-        return TupleBatch(
-            np.full(len(batch), -1, dtype=np.int64), batch.labels, batch.n_features,
-            dense=batch.dense, indptr=batch.indptr, indices=batch.indices, values=batch.values,
-        )
 
     def close(self) -> None:
         self.reader.close()

@@ -42,11 +42,10 @@ __all__ = [
 ]
 
 # Stable small codes so the per-unit fault RNG stream is independent per
-# unit kind (block-file blocks vs heap pages vs columnar column chunks vs
-# B+tree index nodes).  A chunk's target id packs (block_id, column code) —
-# see ``repro.faults.store.chunk_fault_target``; an index_node's target is
-# the node id within its ``.idx`` file.
-FAULT_UNIT_CODES = {"block": 1, "page": 2, "chunk": 3, "index_node": 4}
+# unit kind (block-file blocks vs heap pages vs B+tree index nodes); an
+# index_node's target is the node id within its ``.idx`` file.  Code 3 is
+# retired, not reused, so every remaining unit's draws stay bit-equal.
+FAULT_UNIT_CODES = {"block": 1, "page": 2, "index_node": 4}
 
 # Operator stream codes: fixed odd integers appended to (seed, epoch) so
 # each operator kind owns a distinct stream.  Worker streams use

@@ -18,7 +18,6 @@ from .plan import FaultDecision, FaultPlan, FaultSpec, InjectedCrash
 from .store import (
     FaultyBlockFileReader,
     FaultyHeapFile,
-    chunk_fault_target,
     corrupt_bytes,
 )
 from .harness import chaos_report, faulty_reader_factory, faulty_table
@@ -30,7 +29,6 @@ __all__ = [
     "InjectedCrash",
     "FaultyBlockFileReader",
     "FaultyHeapFile",
-    "chunk_fault_target",
     "corrupt_bytes",
     "faulty_reader_factory",
     "faulty_table",

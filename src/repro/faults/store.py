@@ -18,7 +18,6 @@ from typing import Any
 
 from .. import obs
 from ..storage.blockfile import BlockFileReader, BlockIndexEntry
-from ..storage.columnar import ChunkRef
 from ..storage.heapfile import HeapFile
 from ..storage.index import IndexFileReader
 from ..storage.retry import RetryPolicy, TransientReadError
@@ -26,22 +25,10 @@ from .plan import FaultDecision, FaultPlan
 
 __all__ = [
     "corrupt_bytes",
-    "chunk_fault_target",
     "FaultyBlockFileReader",
     "FaultyHeapFile",
     "FaultyIndexReader",
 ]
-
-
-def chunk_fault_target(block_id: int, col: int) -> int:
-    """The ``chunk``-unit target id addressing one column chunk of one block.
-
-    Column codes are small (1..6 today, < 8 by construction), so packing as
-    ``block_id * 8 + col`` keeps targets unique and stable across plans —
-    a spec can pin "block 3's values chunk tears once" independently of how
-    many columns the read prunes down to.
-    """
-    return int(block_id) * 8 + int(col)
 
 
 def corrupt_bytes(payload: bytes, salt: int = 0) -> bytes:
@@ -108,22 +95,6 @@ class FaultyBlockFileReader(_InjectorMixin, BlockFileReader):
         decision = self.fault_plan.decide("block", entry.block_id, attempt)
         tear = self._apply_decision(decision, "block", entry.block_id)
         buffer = super()._read_raw(entry, attempt)
-        if tear:
-            buffer = corrupt_bytes(buffer, salt=attempt)
-        return buffer
-
-    def _read_chunk_raw(self, entry: BlockIndexEntry, ref: ChunkRef, attempt: int) -> bytes:
-        """Chunk-pruned columnar reads consult the plan per column chunk.
-
-        A pruned read never touches the whole block, so the ``block`` unit
-        would be the wrong granularity: plans address ``("chunk",
-        chunk_fault_target(block_id, col))`` and can tear a single column's
-        bytes while the others decode cleanly.
-        """
-        target = chunk_fault_target(entry.block_id, ref.col)
-        decision = self.fault_plan.decide("chunk", target, attempt)
-        tear = self._apply_decision(decision, "chunk", target)
-        buffer = super()._read_chunk_raw(entry, ref, attempt)
         if tear:
             buffer = corrupt_bytes(buffer, salt=attempt)
         return buffer

@@ -24,7 +24,7 @@ from .persistence import (
     save_checkpoint,
     save_model,
 )
-from .streaming import train_streaming, training_columns
+from .streaming import train_streaming
 from .tuning import GridResult, SeedStats, grid_search, multi_seed
 from .trainer import (
     CheckpointConfig,
@@ -83,5 +83,4 @@ __all__ = [
     "multi_seed",
     "SeedStats",
     "train_streaming",
-    "training_columns",
 ]

@@ -33,15 +33,7 @@ from .trainer import (
     run_epochs,
 )
 
-__all__ = ["train_streaming", "training_columns"]
-
-
-def training_columns(sparse: bool, with_ids: bool = False) -> tuple[str, ...]:
-    """The column projection a fused training pass actually touches."""
-    cols = ("ids",) if with_ids else ()
-    if sparse:
-        return cols + ("labels", "indptr", "indices", "values")
-    return cols + ("labels", "dense")
+__all__ = ["train_streaming"]
 
 
 def train_streaming(

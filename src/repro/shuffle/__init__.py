@@ -3,7 +3,7 @@
 from .base import ShuffleStrategy, StrategyTraits, epoch_rng
 from .baselines import EpochShuffle, MRSShuffle, NoShuffle, ShuffleOnce, SlidingWindowShuffle
 from .block_only import BlockOnlyShuffle
-from .corgi2 import Corgi2Shuffle, corgi2_offline_order, materialize_corgi2
+from .corgi2 import Corgi2Shuffle, corgi2_offline_order
 from .learned import BlockReshuffle, BlockReversal
 from .registry import STRATEGY_NAMES, make_strategy
 
@@ -21,7 +21,6 @@ __all__ = [
     "BlockReversal",
     "Corgi2Shuffle",
     "corgi2_offline_order",
-    "materialize_corgi2",
     "STRATEGY_NAMES",
     "make_strategy",
 ]

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.dataset import BlockLayout, Dataset
+from ..data.dataset import BlockLayout
 from ..storage.iomodel import AccessTrace
 from .base import BlockAwareStrategy, StrategyTraits
 
-__all__ = ["Corgi2Shuffle", "corgi2_offline_order", "materialize_corgi2"]
+__all__ = ["Corgi2Shuffle", "corgi2_offline_order"]
 
 
 def corgi2_offline_order(layout: BlockLayout, group_blocks: int, seed: int) -> np.ndarray:
@@ -54,29 +54,6 @@ def corgi2_offline_order(layout: BlockLayout, group_blocks: int, seed: int) -> n
         rng.shuffle(indices)
         pieces.append(indices)
     return np.concatenate(pieces)
-
-
-def materialize_corgi2(
-    dataset: Dataset,
-    path,
-    tuples_per_block: int,
-    group_blocks: int,
-    seed: int = 0,
-    layout: str = "row",
-):
-    """Write the Corgi² re-grouped copy of ``dataset`` as a block file.
-
-    The offline pass is materialised through the existing block-file writer
-    (:func:`repro.storage.write_block_file`), so the copy supports every
-    downstream consumer — streaming trainers, the parallel engine, serve
-    jobs — exactly like any other block file.  Returns the block index.
-    """
-    from ..storage.blockfile import write_block_file
-
-    block_layout = BlockLayout(dataset.n_tuples, tuples_per_block)
-    order = corgi2_offline_order(block_layout, group_blocks, seed)
-    regrouped = dataset.reorder(order, suffix="corgi2")
-    return write_block_file(regrouped, path, tuples_per_block, layout=layout)
 
 
 class Corgi2Shuffle(BlockAwareStrategy):

@@ -24,7 +24,6 @@ from .index import (
     read_index_header,
     save_index,
 )
-from .migrate import MigrationReport, migrate_file
 from .heapfile import ColumnarMutationError, HeapFile
 from .rid import RID, RID_BYTES, pack_rids, unpack_rids
 from .iomodel import (
@@ -69,8 +68,6 @@ __all__ = [
     "LazyTupleBatch",
     "encode_block_columnar",
     "decode_block_columnar",
-    "MigrationReport",
-    "migrate_file",
     "Page",
     "DEFAULT_PAGE_BYTES",
     "HeapFile",

@@ -1,10 +1,12 @@
-"""Columnar compressed block format with lazy zero-copy views.
+"""Columnar compressed page format with lazy zero-copy views.
 
 The row codec (:mod:`repro.storage.codec`) interleaves every tuple's id,
 label, and features, so a reader pays the full decode even for columns it
-never touches.  This module adds the columnar tier (ROADMAP item 4): one
-block is stored as *per-column chunks* behind a binary column directory, so
-readers can seek to — and decode — exactly the columns a consumer needs.
+never touches.  This module is the columnar tier of the heap
+(``HeapFile(layout="columnar")``): each heap page's payload is one block
+stored as *per-column chunks* behind a binary column directory, so readers
+decode exactly the columns a consumer touches.  Block files stay row
+records (:mod:`repro.storage.blockfile`).
 
 Block payload layout (all little-endian; pinned in
 ``docs/storage_format.md``)::
@@ -39,7 +41,7 @@ the pages: a run of whole blocks in two calls into the compiled library
 (:mod:`repro._native`) straight off the pages' bytes, any other run — and
 any the library refuses — column by column from the pages' directory
 entries in Python, the reference.  Per-chunk CRC32s in the directory let
-pruned readers verify only the bytes they actually read.
+a reader (``verify_chunks``) check each chunk the first time it touches it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ __all__ = [
     "encode_block_columnar",
     "decode_block_columnar",
     "read_columnar_header",
-    "columns_for",
     "concat_pages",
 ]
 
@@ -129,44 +130,6 @@ class ChunkRef(NamedTuple):
     @property
     def name(self) -> str:
         return COLUMN_NAMES.get(self.col, f"col{self.col}")
-
-    def to_doc(self) -> dict:
-        """JSON form for the block index sidecar."""
-        return {
-            "col": self.name,
-            "enc": self.enc,
-            "width": self.width,
-            "delta": self.delta,
-            "offset": self.offset,
-            "length": self.length,
-            "n_values": self.n_values,
-            "crc32": self.crc32,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ChunkRef":
-        return cls(
-            col=_NAME_TO_COL[doc["col"]],
-            enc=int(doc["enc"]),
-            width=int(doc["width"]),
-            delta=int(doc["delta"]),
-            offset=int(doc["offset"]),
-            length=int(doc["length"]),
-            n_values=int(doc["n_values"]),
-            crc32=int(doc["crc32"]),
-        )
-
-
-def columns_for(names) -> frozenset[int]:
-    """Map column names (``"labels"``, ...) to directory codes."""
-    out = set()
-    for name in names:
-        if name not in _NAME_TO_COL:
-            raise ValueError(
-                f"unknown column {name!r}; one of {sorted(_NAME_TO_COL)}"
-            )
-        out.add(_NAME_TO_COL[name])
-    return frozenset(out)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +230,7 @@ def _directory_struct(n_cols: int) -> struct.Struct:
     return struct.Struct(_HEADER.format + _DIR_ENTRY.format[1:] * n_cols)
 
 
-def _read_directory(buffer, offset: int = 0) -> tuple[int, int, bool, tuple]:
+def _read_directory(buffer) -> tuple[int, int, bool, tuple]:
     """Parse a columnar payload's header + directory in one ``unpack_from``.
 
     Returns ``(n_tuples, n_features, sparse, entries)``: ``entries`` is the
@@ -275,14 +238,14 @@ def _read_directory(buffer, offset: int = 0) -> tuple[int, int, bool, tuple]:
     order.  Raises ``ValueError`` for a non-columnar or truncated buffer and
     for a chunk whose byte range runs past the payload.
     """
-    size = len(buffer) - offset
+    size = len(buffer)
     if size < _HEADER.size:
         raise ValueError("buffer too short for a columnar block header")
-    layout = _directory_struct(buffer[offset + _N_COLS_AT])
+    layout = _directory_struct(buffer[_N_COLS_AT])
     if size < layout.size:
-        fields = _HEADER.unpack_from(buffer, offset)
+        fields = _HEADER.unpack_from(buffer)
     else:
-        fields = layout.unpack_from(buffer, offset)
+        fields = layout.unpack_from(buffer)
     if fields[0] != COLUMNAR_MAGIC:
         raise ValueError(f"not a columnar block (magic {fields[0]!r})")
     if fields[1] != COLUMNAR_VERSION:
@@ -301,9 +264,7 @@ def _read_directory(buffer, offset: int = 0) -> tuple[int, int, bool, tuple]:
     return fields[2], fields[3], bool(fields[5] & _FLAG_SPARSE), entries
 
 
-def read_columnar_header(
-    buffer, offset: int = 0
-) -> tuple[int, int, bool, list[ChunkRef]]:
+def read_columnar_header(buffer) -> tuple[int, int, bool, list[ChunkRef]]:
     """Parse a columnar payload's header + directory.
 
     Returns ``(n_tuples, n_features, sparse, chunk_refs)``; raises
@@ -311,7 +272,7 @@ def read_columnar_header(
     layout of a stored page image), a truncated directory, or a chunk that
     runs past the payload.
     """
-    n_tuples, n_features, sparse, entries = _read_directory(buffer, offset)
+    n_tuples, n_features, sparse, entries = _read_directory(buffer)
     refs = [ChunkRef._make(entries[i : i + 8]) for i in range(0, len(entries), 8)]
     return n_tuples, n_features, sparse, refs
 
@@ -326,19 +287,13 @@ class LazyTupleBatch:
     ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
     array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
     the buffer pool can charge real memory, not potential memory.  A batch
-    is built from its buffer and parsed directory alone — or, on a pool miss,
-    from its buffer and a checked header, the directory parsed on first
-    touch; a single-page consumer checks the one chunk it touches
+    is built from its whole-block buffer and parsed directory alone — or, on
+    a pool miss, from its buffer and a checked header, the directory parsed
+    on first touch; a single-page consumer checks the one chunk it touches
     (``_store``).  A run of pages handed to ``TupleBatch.concat`` decodes once
     per column (:func:`concat_pages`) and caches no array here; the buffer
-    pool keeps a warm block's decoded run instead.
-
-    The backing store is either one whole block buffer (``buffer`` +
-    per-chunk offsets) or, after a column-pruned read, individual chunk
-    buffers — absent columns raise ``KeyError`` on access.  Chunk CRCs are
-    verified the first time a chunk is read when ``verify_chunks`` is set (the
-    pruned read path verifies at read time instead, before bytes are
-    trusted enough to cache).
+    pool keeps a warm block's decoded run instead.  Chunk CRCs are verified
+    the first time a chunk is read when ``verify_chunks`` is set.
 
     Lazy-view lifetime rule: views alias the encoded buffer, so the buffer
     stays referenced by the batch for as long as any view may live — do not
@@ -350,8 +305,8 @@ class LazyTupleBatch:
         n_tuples: int,
         n_features: int,
         sparse: bool,
-        entries: tuple | None,  # directory fields, eight per readable chunk (ChunkRef order)
-        buffers: tuple | None,  # per chunk: (memoryview, base offset of its directory offsets)
+        entries: tuple | None,  # directory fields, eight per chunk (ChunkRef order)
+        buffer=None,  # the whole block the directory offsets point into
         verify_chunks: bool = False,
     ):
         self._n = n_tuples
@@ -360,7 +315,7 @@ class LazyTupleBatch:
         if entries is not None:  # else parsed from ``_block`` on first touch
             self._entries = entries
             self._cols = entries[::8]
-            self._buffers = buffers
+            self._view = memoryview(buffer)
         self._cache: dict[int, np.ndarray] = {}
         self.verify_chunks = verify_chunks
         self._block: bytes | None = None  # a whole block the compiled run decode may read
@@ -379,7 +334,7 @@ class LazyTupleBatch:
         n_tuples = _LIB.columnar_header(block, len(block), schema.sparse, schema.n_features)
         if n_tuples < 0:
             return None
-        batch = cls(n_tuples, schema.n_features, bool(schema.sparse), None, None)
+        batch = cls(n_tuples, schema.n_features, bool(schema.sparse), None)
         batch._block = block
         return batch
 
@@ -392,36 +347,17 @@ class LazyTupleBatch:
         return self._entries[::8]
 
     @cached_property
-    def _buffers(self) -> tuple:
-        return ((memoryview(self._block), 0),) * len(self._cols)
+    def _view(self) -> memoryview:
+        return memoryview(self._block)
 
     @classmethod
-    def from_block(
-        cls, buffer, offset: int = 0, columns=None, verify_chunks: bool = False
-    ) -> "LazyTupleBatch":
+    def from_block(cls, buffer, verify_chunks: bool = False) -> "LazyTupleBatch":
         """The block's verified buffer and its parsed directory, nothing more."""
-        n_tuples, n_features, sparse, entries = _read_directory(buffer, offset)
-        if columns is not None:  # a pruned read: only these chunks
-            chunks = (entries[i : i + 8] for i in range(0, len(entries), 8))
-            entries = sum((chunk for chunk in chunks if chunk[0] in columns), ())
-        buffers = ((memoryview(buffer), offset),) * (len(entries) // 8)
-        batch = cls(n_tuples, n_features, sparse, entries, buffers, verify_chunks)
-        if columns is None and offset == 0 and not verify_chunks and type(buffer) is bytes:
+        n_tuples, n_features, sparse, entries = _read_directory(buffer)
+        batch = cls(n_tuples, n_features, sparse, entries, buffer, verify_chunks)
+        if not verify_chunks and type(buffer) is bytes:
             batch._block = buffer
         return batch
-
-    @classmethod
-    def from_chunks(
-        cls,
-        n_tuples: int,
-        n_features: int,
-        sparse: bool,
-        chunks: dict[int, tuple],  # col -> (chunk_bytes, ChunkRef)
-    ) -> "LazyTupleBatch":
-        """Build from individually read (already CRC-verified) chunks."""
-        entries = tuple(field for _payload, ref in chunks.values() for field in ref)
-        buffers = tuple((memoryview(payload), -ref.offset) for payload, ref in chunks.values())
-        return cls(n_tuples, n_features, sparse, entries, buffers)
 
     # -- core accessors -------------------------------------------------
     def _store(self, col: int) -> tuple:
@@ -502,10 +438,6 @@ class LazyTupleBatch:
 
     # -- introspection ---------------------------------------------------
     @property
-    def available_columns(self) -> frozenset[str]:
-        return frozenset(COLUMN_NAMES[c] for c in self._cols)
-
-    @property
     def materialized_columns(self) -> frozenset[str]:
         return frozenset(COLUMN_NAMES[c] for c in self._cache)
 
@@ -515,7 +447,7 @@ class LazyTupleBatch:
         return sum(a.nbytes for a in self._cache.values())
 
     def materialize(self) -> TupleBatch:
-        """Decode every available column into an eager ``TupleBatch``."""
+        """Decode every column into an eager ``TupleBatch``."""
         if self._sparse:
             return TupleBatch(
                 ids=np.asarray(self.ids),
@@ -661,13 +593,9 @@ def _checked_chunks(pages: Sequence, col: int) -> tuple:
     mixed = False
     dense = col == COL_DENSE
     for page in pages:
-        try:
-            k = page._cols.index(col)
-        except ValueError:
-            raise KeyError(
-                f"column {COLUMN_NAMES.get(col, col)!r} was pruned from this read"
-            ) from None
-        view, base = page._buffers[k]
+        if col not in page._cols:
+            raise ValueError(f"columnar page has no {COLUMN_NAMES.get(col, col)!r} chunk")
+        k = page._cols.index(col)
         entry = page._entries[8 * k : 8 * k + 8]
         _col, enc, width, delta, offset, length, n_values, crc = entry
         if enc == ENC_PACKED:
@@ -678,14 +606,13 @@ def _checked_chunks(pages: Sequence, col: int) -> tuple:
             delta = False
         if dtype is None:
             raise _chunk_error(entry, f"unknown encoding {enc} (width {width})")
-        start = base + offset
-        end = start + n_values * size
-        if end > start + length:
+        end = offset + n_values * size
+        if end > offset + length:
             raise _chunk_error(entry, f"{n_values} values overrun its {length}-byte range")
         if dense and n_values != page._n * page.n_features:
             raise _chunk_error(entry, f"{n_values} values for {page._n} x {page.n_features}")
         if page.verify_chunks and length:
-            got = zlib.crc32(view[start : start + length])
+            got = zlib.crc32(page._view[offset : offset + length])
             if got != crc:
                 raise ChecksumError(
                     f"column chunk {ChunkRef._make(entry).name!r}: checksum mismatch "
@@ -696,7 +623,7 @@ def _checked_chunks(pages: Sequence, col: int) -> tuple:
                 kind = (dtype, delta, page.n_features if dense else 0)
             elif dtype is not kind[0] or delta != kind[1] or (dense and page.n_features != kind[2]):
                 mixed = True
-        spans.append(view[start:end])
+        spans.append(page._view[offset:end])
         counts.append(n_values)
         nbytes += length
     if kind is None:  # every chunk empty: the last one's kind
@@ -724,25 +651,15 @@ def _count_decoded(n_chunks: int, nbytes: int) -> None:
 
 
 def decode_block_columnar(
-    buffer,
-    schema: TupleSchema | None = None,
-    offset: int = 0,
-    columns=None,
-    verify_chunks: bool = False,
+    buffer, schema: TupleSchema | None = None, verify_chunks: bool = False
 ) -> LazyTupleBatch:
     """Decode one columnar block payload into a :class:`LazyTupleBatch`.
 
     Nothing is materialised here beyond the 16-byte header and the column
-    directory; ``columns`` (an iterable of directory codes or names)
-    restricts which chunks the batch may materialise at all.  ``schema`` is
-    accepted for signature parity with the row codec and cross-checked when
-    given.
+    directory.  ``schema`` is accepted for signature parity with the row
+    codec and cross-checked when given.
     """
-    if columns is not None:
-        columns = {
-            c if isinstance(c, int) else _NAME_TO_COL[c] for c in columns
-        }
-    batch = LazyTupleBatch.from_block(buffer, offset, columns, verify_chunks)
+    batch = LazyTupleBatch.from_block(buffer, verify_chunks)
     if schema is not None:
         if batch.n_features != schema.n_features or batch._sparse != bool(schema.sparse):
             raise ValueError(

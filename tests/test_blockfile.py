@@ -164,3 +164,27 @@ def test_index_without_checksums_is_refused(tmp_path, dense_binary):
     index.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"v1\.blocks: block 0 has no crc32"):
         BlockFileReader(path)
+
+
+def test_columnar_index_is_refused(tmp_path, dense_binary):
+    """Was: an index marked columnar (``"format": 3`` or ``"layout":
+    "columnar"``) opened and its blocks decoded as column chunks.  Block
+    files are row records only, so the reader refuses it at open."""
+    import json
+    import zlib
+
+    from repro.storage import encode_block_columnar
+    from repro.storage.blockfile import dataset_block_batch
+
+    path = tmp_path / "v3.blocks"
+    payload = encode_block_columnar(dataset_block_batch(dense_binary, 0, 50))
+    path.write_bytes(payload)
+    block = {"block_id": 0, "offset": 0, "length": len(payload), "n_tuples": 50}
+    for marks in ({"format": 3, "layout": "columnar"}, {"format": 3}, {"layout": "columnar"}):
+        doc = {
+            "format": 2, "n_features": dense_binary.n_features, "sparse": False,
+            "n_tuples": 50, "blocks": [{**block, "crc32": zlib.crc32(payload)}], **marks,
+        }
+        (tmp_path / "v3.blocks.index.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"v3\.blocks: columnar block index"):
+            BlockFileReader(path)

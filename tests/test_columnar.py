@@ -1,11 +1,9 @@
-"""Tests for the columnar block format: codec round-trips, lazy views,
-run decodes of page runs, chunk-pruned reads, chunk-level fault injection,
-byte-budget buffer pooling, SQL column projection, and the in-place
-row -> columnar migration."""
+"""Tests for the columnar page format: codec round-trips, lazy views, run
+decodes of page runs, byte-budget buffer pooling, and SQL column
+projection."""
 
 from __future__ import annotations
 
-import shutil
 import struct
 
 import numpy as np
@@ -13,25 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CorgiPileDataset
-from repro.core.seeding import FAULT_UNIT_CODES, fault_unit_rng
 from repro.data import make_binary_sparse, sparse
 from repro.db import MiniDB, ParseError, SelectQuery, parse_query
-from repro.faults import FaultPlan, FaultSpec, FaultyBlockFileReader, chunk_fault_target
-from repro.ml import LogisticRegression, train_streaming, training_columns
 from repro.storage import (
-    BlockFileReader,
     BufferPool,
     ChecksumError,
     HeapFile,
-    LazyTupleBatch,
-    RetryPolicy,
     TupleBatch,
     TupleSchema,
     decode_block_columnar,
     encode_block_columnar,
-    migrate_file,
-    write_block_file,
 )
 from repro.storage import columnar
 from repro.storage.codec import encode_rows
@@ -40,13 +29,11 @@ from repro.storage.columnar import (
     COL_IDS,
     COL_INDICES,
     COL_INDPTR,
-    COL_VALUES,
     COLUMN_NAMES,
     ENC_I64,
     ENC_PACKED,
     read_columnar_header,
 )
-from repro.storage.retry import ReadExhaustedError
 
 
 def _random_batch(seed: int, n: int, d: int, sparse: bool) -> TupleBatch:
@@ -198,16 +185,6 @@ class TestLazyViews:
         batch = _random_batch(6, 10, 4, sparse=False)
         lazy = decode_block_columnar(encode_block_columnar(batch))
         assert not lazy.labels.flags.owndata  # np.frombuffer view, no copy
-
-    def test_pruned_decode_drops_columns(self):
-        batch = _random_batch(7, 8, 5, sparse=False)
-        lazy = decode_block_columnar(
-            encode_block_columnar(batch), columns=("labels",)
-        )
-        assert lazy.available_columns == frozenset({"labels"})
-        np.testing.assert_array_equal(lazy.labels, batch.labels)
-        with pytest.raises(KeyError):
-            lazy.dense  # noqa: B018
 
 
 # ----------------------------------------------------------------------
@@ -722,102 +699,6 @@ class TestMissedPageBytes:
         assert str(got.value) == str(want.value)
 
 
-@pytest.fixture()
-def columnar_file(tmp_path, sparse_binary):
-    path = tmp_path / "sparse.columnar.blocks"
-    write_block_file(sparse_binary, path, tuples_per_block=40, layout="columnar")
-    return path
-
-
-class TestColumnarBlockFile:
-    def test_reader_reports_layout_and_chunks(self, columnar_file):
-        with BlockFileReader(columnar_file) as reader:
-            assert reader.layout == "columnar"
-            assert all(e.chunks for e in reader.entries)
-            batch = reader.read_block_batch(0)
-            assert isinstance(batch, LazyTupleBatch)
-
-    def test_content_matches_row_layout(self, tmp_path, columnar_file, sparse_binary):
-        row_path = tmp_path / "sparse.row.blocks"
-        write_block_file(sparse_binary, row_path, tuples_per_block=40)
-        with BlockFileReader(row_path) as row, BlockFileReader(columnar_file) as col:
-            assert row.n_blocks == col.n_blocks
-            for b in range(row.n_blocks):
-                _assert_batches_equal(row.read_block_batch(b), col.read_block_batch(b))
-
-    def test_pruned_read_touches_only_requested_chunks(self, columnar_file):
-        with BlockFileReader(columnar_file) as reader:
-            batch = reader.read_block_batch(0, columns=("labels", "indptr"))
-            assert batch.available_columns == frozenset({"labels", "indptr"})
-            with pytest.raises(KeyError):
-                batch.values  # noqa: B018
-
-    def test_visit_order_identical_to_row_layout(self, tmp_path, sparse_binary, columnar_file):
-        row_path = tmp_path / "order.row.blocks"
-        write_block_file(sparse_binary, row_path, tuples_per_block=40)
-        with CorgiPileDataset(row_path, buffer_blocks=2, seed=7) as row_view:
-            row_view.set_epoch(1)
-            want = [int(i) for fill in row_view.fills() for i in fill.ids]
-        with CorgiPileDataset(columnar_file, buffer_blocks=2, seed=7) as col_view:
-            col_view.set_epoch(1)
-            got = []
-            for fill in col_view.fills(columns=training_columns(True, with_ids=True)):
-                got.extend(fill.ids.tolist())
-        assert got == want
-
-
-class TestChunkFaults:
-    def test_chunk_unit_registered(self):
-        assert FAULT_UNIT_CODES["chunk"] == 3
-        a = fault_unit_rng(0, "chunk", 5).random()
-        b = fault_unit_rng(0, "block", 5).random()
-        assert a != b  # chunk draws are an independent stream
-
-    def test_torn_chunk_absorbed_by_retry(self, columnar_file):
-        target = chunk_fault_target(0, COL_VALUES)
-        plan = FaultPlan(specs=[FaultSpec("torn", unit="chunk", target=target)])
-        with BlockFileReader(columnar_file) as clean:
-            want = clean.read_block_batch(0).materialize()
-        reader = FaultyBlockFileReader(columnar_file, plan)
-        try:
-            batch = reader.read_block_batch(0, columns=training_columns(True))
-            np.testing.assert_array_equal(batch.values, want.values)
-            np.testing.assert_array_equal(batch.labels, want.labels)
-        finally:
-            reader.close()
-
-    def test_torn_chunk_without_retry_raises(self, columnar_file):
-        target = chunk_fault_target(0, COL_VALUES)
-        plan = FaultPlan(specs=[FaultSpec("torn", unit="chunk", target=target, times=5)])
-        reader = FaultyBlockFileReader(
-            columnar_file, plan, retry=RetryPolicy(max_attempts=2, backoff_s=0.0)
-        )
-        try:
-            with pytest.raises(ReadExhaustedError):
-                reader.read_block_batch(0, columns=("values",))
-        finally:
-            reader.close()
-
-    def test_fault_on_untouched_chunk_is_invisible(self, columnar_file):
-        # The values chunk is poisoned, but a labels-only projection never
-        # reads it — pruned reads must not trip faults on pruned columns.
-        target = chunk_fault_target(0, COL_VALUES)
-        plan = FaultPlan(specs=[FaultSpec("torn", unit="chunk", target=target, times=99)])
-        reader = FaultyBlockFileReader(
-            columnar_file, plan, retry=RetryPolicy(max_attempts=1)
-        )
-        try:
-            batch = reader.read_block_batch(0, columns=("labels",))
-            assert batch.labels.size > 0
-        finally:
-            reader.close()
-
-    def test_spec_validates_chunk_unit(self):
-        FaultSpec("transient", unit="chunk", target=1)
-        with pytest.raises(ValueError):
-            FaultSpec("transient", unit="bogus", target=1)
-
-
 class TestBufferPoolDecodedBytes:
     def test_lazy_entries_charge_only_touched_columns(self):
         ds = make_binary_sparse(120, 2000, nnz_per_row=10, separation=1.0, seed=6)
@@ -862,75 +743,6 @@ class TestSelectProjection:
         assert rows[0]["f3"] == pytest.approx(float(dense_binary.X[0, 3]))
         with pytest.raises(Exception):
             db.execute("SELECT f99 FROM t LIMIT 1")
-
-
-class TestMigrate:
-    def _block_file(self, tmp_path, dataset, name="m.blocks"):
-        path = tmp_path / name
-        write_block_file(dataset, path, tuples_per_block=40)
-        return path
-
-    def test_block_file_roundtrip(self, tmp_path, sparse_binary):
-        path = self._block_file(tmp_path, sparse_binary)
-        report = migrate_file(path)
-        assert report.kind == "block" and not report.skipped
-        assert report.verified_blocks == report.n_blocks
-        assert report.bytes_after < report.bytes_before
-        with BlockFileReader(path) as reader:
-            assert reader.layout == "columnar"
-            ids = sorted(
-                int(i) for b in range(reader.n_blocks) for i in reader.read_block_batch(b).ids
-            )
-        assert ids == list(range(sparse_binary.n_tuples))
-
-    def test_migrate_is_idempotent(self, tmp_path, dense_binary):
-        path = self._block_file(tmp_path, dense_binary)
-        migrate_file(path)
-        report = migrate_file(path)
-        assert report.skipped
-
-    def test_interrupted_migration_resumes(self, tmp_path, sparse_binary):
-        path = self._block_file(tmp_path, sparse_binary)
-        with pytest.raises(KeyboardInterrupt):
-            migrate_file(path, _stop_after_blocks=2)
-        assert path.with_name(path.name + ".migrate.state.json").exists()
-        report = migrate_file(path)
-        assert report.resumed_at_block == 2
-        assert not path.with_name(path.name + ".migrate.state.json").exists()
-        with BlockFileReader(path) as reader:
-            assert reader.layout == "columnar"
-            total = sum(e.n_tuples for e in reader.entries)
-        assert total == sparse_binary.n_tuples
-
-    def test_interrupted_run_leaves_source_readable(self, tmp_path, dense_binary):
-        path = self._block_file(tmp_path, dense_binary)
-        with pytest.raises(KeyboardInterrupt):
-            migrate_file(path, _stop_after_blocks=1)
-        with BlockFileReader(path) as reader:  # source untouched until finalize
-            assert reader.layout == "row"
-            assert len(reader.read_block_batch(0))
-
-    def test_training_bit_identical_after_migration(self, tmp_path, sparse_binary):
-        row_path = self._block_file(tmp_path, sparse_binary, "row.blocks")
-        col_path = tmp_path / "col.blocks"
-        shutil.copy(row_path, col_path)
-        shutil.copy(
-            str(row_path) + ".index.json", str(col_path) + ".index.json"
-        )
-        migrate_file(col_path)
-        weights = []
-        for path in (row_path, col_path):
-            model = LogisticRegression(sparse_binary.n_features)
-            with CorgiPileDataset(path, buffer_blocks=2, seed=3) as view:
-
-                def fills(epoch, view=view):
-                    view.set_epoch(epoch)
-                    return view.fills()
-
-                train_streaming(model, fills, epochs=2, per_tuple=True, fused=True)
-            weights.append({k: v.copy() for k, v in model.params.items()})
-        for key in weights[0]:
-            np.testing.assert_array_equal(weights[0][key], weights[1][key])
 
 
 class TestColumnarHeap:

@@ -5,14 +5,15 @@
   (``8d1c4b9``), by running this file against that checkout
   (``PYTHONPATH=<parent>/src python tests/test_loader_fills.py --regen``):
   the sha256 of the 2-epoch tuple-id stream of every worker, for dense/sparse
-  × row/columnar × four ``(tuples_per_block, buffer_blocks, n_workers)``
-  geometries (a buffer of several blocks, a buffer that does not divide the
-  worker's share, a one-block buffer, a buffer larger than the file).  Ids
-  are integers, so the goldens do not depend on the platform.
+  × four ``(tuples_per_block, buffer_blocks, n_workers)`` geometries (a
+  buffer of several blocks, a buffer that does not divide the worker's
+  share, a one-block buffer, a buffer larger than the file).  Ids are
+  integers, so the goldens do not depend on the platform.  The file also
+  keeps the entries of the retired columnar block-file layout, each equal
+  to its row twin.
 * ``fills()`` and the ``DataLoader`` batches cut from them (batch sizes 1,
-  7 and 64; ``drop_last``) are held to them, fill sizes to the
-  ``buffer_blocks`` grouping, and a column-pruned fill to the bytes it may
-  read.
+  7 and 64; ``drop_last``) are held to them, and fill sizes to the
+  ``buffer_blocks`` grouping.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ GOLDENS = Path(__file__).parent / "goldens" / "loader_order.json"
 SEED = 7
 #: (tuples_per_block, buffer_blocks, n_workers)
 GEOMETRIES = [(40, 3, 1), (33, 4, 2), (50, 1, 3), (40, 100, 1)]
+LAYOUTS = ("row",)
 CASES = [
     (kind, layout, geometry)
     for kind in ("dense", "sparse")
-    for layout in ("row", "columnar")
+    for layout in LAYOUTS
     for geometry in GEOMETRIES
 ]
 
@@ -54,9 +56,9 @@ def _dataset(kind: str):
 
 
 def _write(case, directory) -> Path:
-    kind, layout, (tuples_per_block, _buffer_blocks, _n_workers) = case
+    kind, _layout, (tuples_per_block, _buffer_blocks, _n_workers) = case
     path = Path(directory) / f"{case_id(case)}.blocks"
-    write_block_file(_dataset(kind), path, tuples_per_block, layout=layout)
+    write_block_file(_dataset(kind), path, tuples_per_block)
     return path
 
 
@@ -143,7 +145,7 @@ def test_fill_rows_carry_their_own_labels_and_features(tmp_path):
     """The permutation moves whole rows: label and features follow the id."""
     for kind in ("dense", "sparse"):
         dataset = _dataset(kind)
-        case = (kind, "columnar", (40, 3, 1))
+        case = (kind, "row", (40, 3, 1))
         for view in _views(case, _write(case, tmp_path)):
             for fill in view.fills():
                 np.testing.assert_array_equal(fill.labels, dataset.y[fill.ids])
@@ -183,39 +185,6 @@ def test_fills_are_the_shard_planners_fills(kind, n_workers, tmp_path):
                 else:
                     want = dataset.X[indices]
                 np.testing.assert_array_equal(got, want)
-
-
-def test_pruned_fill_never_reads_the_ids_chunk(tmp_path):
-    from repro.ml import training_columns
-
-    case = ("sparse", "columnar", (40, 3, 1))
-    path = _write(case, tmp_path)
-    for full in _views(case, path):
-        want = list(full.fills())
-        full_bytes = full.reader.bytes_read
-    seen = []
-    for pruned in _views(case, path):
-        read_block_batch = pruned.reader.read_block_batch
-
-        def spy(block_id, columns=None):
-            batch = read_block_batch(block_id, columns=columns)
-            seen.append(batch.available_columns)
-            return batch
-
-        pruned.reader.read_block_batch = spy
-        got = list(pruned.fills(columns=training_columns(True)))
-        ids_bytes = sum(
-            ref.length for e in pruned.reader.entries for ref in e.chunks if ref.name == "ids"
-        )
-        assert ids_bytes > 0
-        assert pruned.reader.bytes_read <= full_bytes - ids_bytes
-    assert seen and all(cols == frozenset(training_columns(True)) for cols in seen)
-    # Same rows in the same order — only the ids were never read.
-    assert [len(f) for f in got] == [len(f) for f in want]
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.ids, b.ids)
 
 
 def test_fills_report_buffer_stats(tmp_path):

@@ -117,12 +117,12 @@ class TestShardFetcher:
     reads its shard through ``CorgiPileDataset.fills()`` (class name kept
     for the test ids)."""
 
-    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @pytest.mark.parametrize("layout", ["row"])
     @pytest.mark.parametrize("pn", [1, 2, 4])
     def test_every_worker_fill_follows_the_plan(self, tmp_path, pn, layout):
         ds = make_binary_dense(310, 6, seed=2)  # 16 blocks, the last one short
         path = tmp_path / f"plan-{layout}.blk"
-        write_block_file(ds, path, tuples_per_block=20, layout=layout)
+        write_block_file(ds, path, tuples_per_block=20)
         planner = MultiProcessCorgiPile.for_block_file(path, n_workers=pn, buffer_blocks=2, seed=5)
         for w in range(pn):
             stats = LoaderMetrics(f"fetch{w}")

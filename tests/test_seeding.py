@@ -67,10 +67,10 @@ class TestPinnedValues:
         assert TUPLE_SHUFFLE_STREAM == 7
         assert SLIDING_WINDOW_STREAM == 11
         assert MRS_STREAM == 13
-        # "chunk" (columnar) and "index_node" (B+tree files) were appended;
-        # the pre-existing codes must never move (they pin every historical
-        # fault plan's draws).
-        assert FAULT_UNIT_CODES == {"block": 1, "page": 2, "chunk": 3, "index_node": 4}
+        # "index_node" (B+tree files) was appended; code 3 (the retired
+        # columnar "chunk" unit) is not reused, and the remaining codes must
+        # never move (they pin every historical fault plan's draws).
+        assert FAULT_UNIT_CODES == {"block": 1, "page": 2, "index_node": 4}
 
     def test_epoch_permutation_pin(self):
         # Pre-refactor: SeedSequence([0, 0]).permutation(8)

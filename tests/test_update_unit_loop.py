@@ -303,13 +303,17 @@ def test_one_row_api_the_per_tuple_read_path_is_gone():
 
 def test_one_stopwatch_and_one_block_file_fill():
     """benchmarks/e2e is the only wall clock: the legacy bench engines, their
-    modeled walls and CLI command are gone, and so is the second fill."""
+    modeled walls and CLI command are gone, and so is the second fill.  Block
+    files are row records only: the columnar block-file layout, its pruned
+    chunk reads and fault unit, and ``repro migrate`` are gone."""
     import repro.bench
     from repro.cli import build_parser
 
     src = Path(__file__).resolve().parents[1] / "src"
     deleted = re.compile(
-        r"kernelbench|parallelbench|mopbench|modeled_walls|ShardFetcher|cold_cache_per_query"
+        r"kernelbench|parallelbench|mopbench|modeled_walls|ShardFetcher|cold_cache_per_query|"
+        r"migrate_file|MigrationReport|chunk_fault_target|from_chunks|columns_for|"
+        r"training_columns|materialize_corgi2|_read_chunk_"
     )
     assert [p.as_posix() for p in src.rglob("*.py") if deleted.search(p.read_text())] == []
     assert set(repro.bench.__all__) == {
@@ -317,7 +321,7 @@ def test_one_stopwatch_and_one_block_file_fill():
         "ConvergenceSweep", "run_convergence_sweep", "history_row", "time_best",
     }
     (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
-    assert "kernel-bench" not in commands.choices and len(commands.choices) == 13
+    assert "kernel-bench" not in commands.choices and len(commands.choices) == 12
     # ``train --workers N`` is the one CLI route to the parallel engine.
     assert "parallel-train" not in commands.choices
 
