@@ -457,7 +457,6 @@ def _train_spec(args, table: str, tuple_bytes: float) -> TrainSpec:
         buffer_fraction=args.buffer_fraction,
         block_size=max(4096, int(args.block_tuples * tuple_bytes)),
         seed=args.seed,
-        fused=True,
         workers=args.workers,
         aggregation=args.aggregation,
         **_where_and_grid(args),
@@ -470,7 +469,6 @@ def _cmd_train(args) -> int:
     Plain, ``--where``, ``--grid`` and ``--workers`` runs are the same call —
     the planner picks the executor exactly as it does for SQL — so what this
     prints is what ``MiniDB.execute`` of the equivalent statement returns.
-    Per-tuple SGD runs on the fused kernels (the serve daemon's policy too).
     """
     from .db.errors import EngineError
 
@@ -788,7 +786,6 @@ def _cmd_chaos(args) -> int:
                     loader_factory,
                     epochs=args.epochs,
                     per_tuple=True,
-                    fused=True,
                     fault_plan=fault_plan,
                     **kwargs,
                 )

@@ -402,7 +402,7 @@ class MiniDB:
         executor saves ``checkpoint`` on its cadence and resumes from the
         file when it exists (and matches the plan — otherwise
         ``ValueError``); it probes ``should_stop()`` at its unit boundaries
-        (fused run / mini-batch / sync point / hopper slot) and raises
+        (per-tuple unit / mini-batch / sync point / hopper slot) and raises
         :class:`~repro.ml.trainer.TrainInterrupted` once it is true; it
         calls ``on_progress(doc)`` per finished epoch on the heap executor
         and per slot for a grid (a data-parallel run reports none).
@@ -469,7 +469,6 @@ class MiniDB:
             epochs=spec.epochs,
             batch_size=spec.batch_size,
             optimizer=SGD(model) if spec.batch_size > 1 else None,
-            fused=spec.fused,
             checkpoint=checkpoint,
             should_stop=should_stop,
             knobs={

@@ -53,7 +53,13 @@ from ..core.seeding import (
 )
 from ..ml.models.base import SupervisedModel
 from ..ml.persistence import load_checkpoint
-from ..ml.trainer import CheckpointConfig, ConvergenceHistory, apply_unit, run_epochs
+from ..ml.trainer import (
+    CheckpointConfig,
+    ConvergenceHistory,
+    apply_unit,
+    per_tuple_knob,
+    run_epochs,
+)
 from ..obs import LoaderMetrics
 from ..storage.codec import PermutedBatch, RowStream, TupleBatch
 from ..storage.retry import ReadExhaustedError
@@ -74,7 +80,13 @@ __all__ = [
     "SlidingWindowOperator",
     "MultiplexedReservoirOperator",
     "SGDOperator",
+    "FUSE_CHUNK",
 ]
+
+#: Rows per per-tuple update unit: the SGD root hands ``step_block`` this
+#: many at a time.  The kernels flush their lazy L2 scaling per unit, so the
+#: size is part of the bits; it is recorded in every checkpoint.
+FUSE_CHUNK = 256
 
 
 class PhysicalOperator(ABC):
@@ -507,11 +519,11 @@ class SGDOperator:
     ``rescan`` on its child between epochs.
 
     It is a client of :func:`~repro.ml.trainer.run_epochs`, which owns the
-    loop; the operator supplies the *update units* — one fused run, one
-    mini-batch, or ``fuse_chunk`` unfused tuples, cut out of the batch
-    stream at the same row boundaries whatever the batch edges are — and
-    keeps what is the pipeline's: ``seek``/``rescan``/``close`` and the two
-    per-epoch wall clocks.  Between units ``checkpoint`` (a
+    loop; the operator supplies the *update units* — ``FUSE_CHUNK`` tuples
+    for the model's per-tuple ``step_block`` kernel, or one mini-batch, cut
+    out of the batch stream at the same row boundaries whatever the batch
+    edges are — and keeps what is the pipeline's: ``seek``/``rescan``/
+    ``close`` and the two per-epoch wall clocks.  Between units ``checkpoint`` (a
     :class:`~repro.ml.trainer.CheckpointConfig`) is saved on its cadence
     and ``should_stop`` is probed.  A run whose checkpoint
     file exists resumes from it: the pipeline is re-positioned at the stored
@@ -531,8 +543,6 @@ class SGDOperator:
         epochs: int,
         batch_size: int = 1,
         optimizer=None,
-        fused: bool = False,
-        fuse_chunk: int = 256,
         checkpoint: CheckpointConfig | None = None,
         should_stop=None,
         knobs: dict | None = None,
@@ -541,8 +551,6 @@ class SGDOperator:
             raise ValueError("epochs must be positive")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if fuse_chunk <= 0:
-            raise ValueError("fuse_chunk must be positive")
         if batch_size > 1 and optimizer is None:
             raise ValueError("batch_size > 1 (mini-batch mode) needs an optimizer")
         self.child = child
@@ -552,20 +560,14 @@ class SGDOperator:
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.optimizer = optimizer
-        # Fused mode hands runs of ``fuse_chunk`` rows to the models'
-        # vectorised ``step_block`` kernel — still one model update per
-        # tuple in pipeline order, so the visit-order semantics of the
-        # Volcano plan are unchanged.
-        self.fused = bool(fused)
-        self.fuse_chunk = int(fuse_chunk)
         self.checkpoint = checkpoint
         self.should_stop = should_stop
         self.knobs = {
             "mode": "sgd-operator",
             "model": type(model).__name__,
             "batch_size": self.batch_size,
-            "fused": self.fused,
-            "fuse_chunk": self.fuse_chunk,
+            "fused": per_tuple_knob(optimizer),
+            "fuse_chunk": FUSE_CHUNK,
             **(knobs or {}),
         }
         self.epoch_wall_times: list[float] = []
@@ -580,7 +582,7 @@ class SGDOperator:
         if epoch != self._opened_epoch:
             self.child.rescan()
         self._tuples_seen = tuples_seen
-        unit_rows = self.fuse_chunk if self.optimizer is None else self.batch_size
+        unit_rows = FUSE_CHUNK if self.optimizer is None else self.batch_size
         stream = RowStream(self.child.next_batch)
         t0 = time.perf_counter()
         stream.skip(cursor)  # already applied before the interruption
@@ -591,10 +593,7 @@ class SGDOperator:
             # A unit inside one shuffled fill is its rows of the unshuffled
             # fill, applied in order; a straddling one was gathered.
             rows, order = (unit.base, unit.order) if type(unit) is PermutedBatch else (unit, None)
-            apply_unit(
-                self.model, self.optimizer, rows.features_matrix(), rows.labels, lr, self.fused,
-                order,
-            )
+            apply_unit(self.model, self.optimizer, rows.features_matrix(), rows.labels, lr, order)
             yield len(unit), cursor if full else None
             self._tuples_seen += len(unit)
             if not full:
@@ -630,7 +629,6 @@ class SGDOperator:
                 history=history,
                 epochs=self.epochs,
                 schedule=self.schedule,
-                fused=self.fused,
                 knobs=self.knobs,
                 meta={
                     "epoch_wall_times": self.epoch_wall_times,

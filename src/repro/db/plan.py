@@ -267,13 +267,13 @@ def physical_plan(
     # (plain block_only overlaps I/O with compute, filtered block_only does
     # not); the plan records what each does rather than merging them.
     if spec.where is not None:
-        plan.double_buffer = strategy == "corgipile" and spec.double_buffer
+        plan.double_buffer = strategy == "corgipile"
         if strategy != "no_shuffle":
             plan.partition = _where.subset_partition(table.heap, positions, spec.block_size)
             where_doc["n_virtual_blocks"] = plan.partition.n_blocks
             where_doc["n_virtual_pages"] = plan.partition.n_virtual_pages
     else:
-        plan.double_buffer = strategy != "corgipile_single_buffer" and spec.double_buffer
+        plan.double_buffer = strategy != "corgipile_single_buffer"
     plan.system = f"minidb/{strategy}" + ("+where" if spec.where is not None else "")
     plan.tree = _heap_tree(plan, table)
     _plan_heap_setup(plan, table, compute)

@@ -8,8 +8,9 @@ Supported model names: ``lr`` (logistic regression), ``svm``, ``linreg``
 (linear regression), ``softmax``.  Parameters mirror the paper's examples
 (``learning_rate = 0.1``, ``max_epoch_num = 20``, ``block_size = 10MB``)
 plus the knobs the experiments sweep (``buffer_fraction``, ``batch_size``,
-``strategy``, ``decay``, ``seed``, ``double_buffer``) and the Section 5
-parallelism knobs (``workers``, ``aggregation``).
+``strategy``, ``decay``, ``seed``; ``strategy = corgipile_single_buffer``
+is single buffering) and the Section 5 parallelism knobs (``workers``,
+``aggregation``).
 """
 
 from __future__ import annotations
@@ -566,6 +567,18 @@ def _parse_train(match) -> TrainSpec:
                 "grid expects a parenthesised axis list: "
                 "grid = (lr = 0.1 | 0.01, ...)"
             )
+        if key == "fused":
+            # Per-tuple SGD is always the compiled kernel.  ``fused = true``
+            # is still accepted, as a no-op, because old statements, served
+            # journals and the e2e benchmark's ``COMMON_WITH`` spell it; the
+            # benchmark change that drops it there (ROADMAP item 0) drops
+            # this case too.
+            if _parse_value(raw) is not True:
+                raise ParseError(
+                    f"fused = {raw.strip()} is not supported: the per-tuple path "
+                    "is the compiled step_block kernel (fused = true is a no-op)"
+                )
+            continue
         if key not in knobs:
             # A typo'd knob must not train with the default in its place.
             raise ParseError(

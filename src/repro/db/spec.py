@@ -194,8 +194,6 @@ class TrainSpec:
     block_size: int = 10 * 1024**2
     buffer_fraction: float = 0.1
     seed: int = 0
-    double_buffer: bool = True
-    fused: bool = False
     workers: int = 1
     aggregation: str = "sync"
     device: str | None = None
@@ -230,8 +228,6 @@ class TrainSpec:
         object.__setattr__(self, "buffer_fraction", frac)
         object.__setattr__(self, "workers", _positive("workers", self.workers, int))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "double_buffer", bool(self.double_buffer))
-        object.__setattr__(self, "fused", bool(self.fused))
         if self.aggregation not in AGGREGATION_MODES:
             raise SpecError(
                 f"unknown aggregation {self.aggregation!r}; "

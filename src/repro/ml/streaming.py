@@ -30,6 +30,7 @@ from .trainer import (
     EpochRecord,
     apply_unit,
     epoch_record,
+    per_tuple_knob,
     run_epochs,
 )
 
@@ -44,7 +45,6 @@ def train_streaming(
     schedule=None,
     optimizer: Optimizer | None = None,
     per_tuple: bool = False,
-    fused: bool = False,
     train_eval: Dataset | None = None,
     test: Dataset | None = None,
     checkpoint: CheckpointConfig | None = None,
@@ -54,10 +54,9 @@ def train_streaming(
     """Train ``model`` from ``loader_factory(epoch)`` batch streams.
 
     ``per_tuple=True`` applies one update per tuple inside each batch (the
-    standard-SGD mode); otherwise each batch is one (mini-batch) step via
-    ``optimizer`` (plain SGD by default).  ``fused=True`` routes the
-    per-tuple updates through the models' ``step_block`` kernels (same
-    in-batch visit order, one update per tuple).  Loss/score are evaluated
+    standard-SGD mode, through the model's ``step_block`` kernel in batch
+    order); otherwise each batch is one (mini-batch) step via
+    ``optimizer`` (plain SGD by default).  Loss/score are evaluated
     on ``train_eval``/``test`` when given; without ``train_eval`` the loss
     column is NaN (nothing is materialised).
 
@@ -88,7 +87,7 @@ def train_streaming(
                 if budget is not None and budget < len(batch):
                     fault_plan.fire_crash(f"epoch {epoch}, batch {index}")
             y = batch.labels.astype(np.int64) if int_labels else batch.labels
-            apply_unit(model, optimizer, batch.features_matrix(), y, lr, fused)
+            apply_unit(model, optimizer, batch.features_matrix(), y, lr)
             yield len(batch), index + 1
             tuples_seen += len(batch)
 
@@ -103,13 +102,12 @@ def train_streaming(
         history=ConvergenceHistory(strategy="streaming", model=type(model).__name__),
         epochs=epochs,
         schedule=schedule if schedule is not None else ExponentialDecay(0.01),
-        fused=fused,
         # What pins the update sequence: checkpointed, and held equal on resume.
         knobs={
             "mode": "streaming",
             "model": type(model).__name__,
             "per_tuple": per_tuple,
-            "fused": fused,
+            "fused": per_tuple_knob(optimizer),
         },
         meta={"cursor_unit": "batches", "epochs": epochs},
         checkpoint=checkpoint,

@@ -14,7 +14,7 @@ a :class:`~repro.core.corgipile.CorgiPileShuffle`, or an adapter around the
 multi-process simulation) — and performs SGD in exactly that order:
 
 * ``batch_size == 1`` with no optimiser: the paper's *standard SGD*, one
-  model update per tuple, via the models' fast ``step_example`` path;
+  model update per tuple, via the models' ``step_block`` kernels;
 * ``batch_size > 1`` (or an explicit optimiser, e.g. Adam): mini-batch mode.
 
 Per-epoch train loss / train metric / test metric are recorded into a
@@ -25,7 +25,7 @@ resumable snapshot (model, optimiser slots, epoch + in-epoch cursor) via
 :mod:`repro.ml.persistence`; because index sources derive each epoch's order
 purely from ``(seed, epoch)``, ``run(resume_from=...)`` continues a killed
 run over the *exact* remaining visit order.  Checkpoint boundaries also
-chunk the fused/mini-batch kernels, so a resumed run and an uninterrupted
+chunk the per-tuple/mini-batch kernels, so a resumed run and an uninterrupted
 run with the same cadence apply numerically identical update sequences —
 that is the resume-equivalence guarantee the chaos suite asserts at 1e-12.
 """
@@ -86,7 +86,7 @@ class CheckpointConfig:
 class TrainInterrupted(Exception):
     """A training loop's ``should_stop`` probe returned true.
 
-    Raised at a unit boundary (a fused run, a mini-batch, a sync point, a
+    Raised at a unit boundary (a per-tuple unit, a mini-batch, a sync point, a
     hopper slot), never mid-update; the run's last checkpoint is intact, so
     running the same statement again over it resumes bit-exactly.
     """
@@ -237,6 +237,15 @@ def epoch_record(
     )
 
 
+def per_tuple_knob(optimizer: Optimizer | None) -> bool | None:
+    """The ``fused`` checkpoint knob: ``True`` for a per-tuple run, which is
+    always the ``step_block`` kernel, so a checkpoint an unfused run wrote
+    (``fused=False``, an older build's default) is refused rather than
+    resumed onto another update sequence; ``None`` (not checked) for a
+    mini-batch run, which the flag never changed."""
+    return True if optimizer is None else None
+
+
 def check_knobs(recorded: dict, knobs: dict) -> None:
     """Refuse a resume whose ``knobs`` (``None`` = not known here) differ
     from the ``recorded`` ones: it would not continue the interrupted update
@@ -284,27 +293,23 @@ def apply_unit(
     X,
     y: np.ndarray,
     lr: float,
-    fused: bool,
     order: np.ndarray | None = None,
 ) -> None:
     """Apply one update unit: rows ``order`` of ``(X, y)``, all of them when omitted.
 
     With an optimiser the unit is one mini-batch step on its mean gradient;
-    without, one model update per tuple in unit order — through the model's
-    fused ``step_block`` kernel, or (``fused=False``) through the reference
-    loop :meth:`SupervisedModel.step_block` itself, called unbound so a GLM's
-    override does not stand in for the ``step_example`` sequence it is
-    tested against.
+    without, one model update per tuple in unit order through the model's
+    ``step_block`` (a GLM's compiled kernel).  The unbound
+    :meth:`SupervisedModel.step_block` — the ``step_example`` loop — is the
+    reference the tests hold it to, and no trainer calls it.
     """
     if optimizer is not None:
         if order is not None:
             X = X.take_rows(order) if isinstance(X, SparseMatrix) else X[order]
             y = y[order]
         optimizer.step(model.gradient(X, y), lr)
-    elif fused:
-        model.step_block(X, y, lr, order)
     else:
-        SupervisedModel.step_block(model, X, y, lr, order)
+        model.step_block(X, y, lr, order)
 
 
 def run_epochs(
@@ -316,7 +321,6 @@ def run_epochs(
     history: ConvergenceHistory,
     epochs: int,
     schedule,
-    fused: bool,
     knobs: dict,
     meta: dict | None = None,
     checkpoint: CheckpointConfig | None = None,
@@ -395,7 +399,7 @@ def run_epochs(
             finally:
                 # Counted per epoch, not per unit: a compiled-kernel unit is
                 # ~20 us and a counter bump ~0.4 us of it.
-                if fused and optimizer is None:
+                if optimizer is None:
                     obs.inc("ml.fused_tuples", tuples_seen - epoch_start)
             sp.set(tuples_seen=tuples_seen, wall_s=time.perf_counter() - t0)
         cursor = 0
@@ -423,7 +427,6 @@ class Trainer:
         test: Dataset | None = None,
         early_stopping: EarlyStopping | None = None,
         callbacks: list | None = None,
-        fused: bool = False,
         checkpoint: CheckpointConfig | None = None,
         fault_plan=None,
     ):
@@ -443,10 +446,6 @@ class Trainer:
             self.optimizer = SGD(model)
         self.test_set = test
         self.early_stopping = early_stopping
-        # Fused mode routes the per-tuple epoch through the models'
-        # step_block kernels (same visit order and update-per-tuple
-        # semantics; mini-batch mode is already vectorised and unaffected).
-        self.fused = bool(fused)
         # Each callback is called as callback(epoch, model, record) once the
         # epoch is evaluated and saved (e.g. theory trackers, custom logs).
         self.callbacks = list(callbacks or [])
@@ -479,7 +478,6 @@ class Trainer:
             history=history,
             epochs=self.epochs,
             schedule=self.schedule,
-            fused=self.fused,
             knobs=self._knobs(),
             meta={"strategy": history.strategy, "epochs": self.epochs},
             checkpoint=checkpoint,
@@ -524,7 +522,7 @@ class Trainer:
                     hi = crash_at = cursor + budget
             for lo in range(cursor, hi, step):
                 end = min(lo + step, hi)
-                apply_unit(self.model, self.optimizer, X, y, lr, self.fused, order[lo:end])
+                apply_unit(self.model, self.optimizer, X, y, lr, order[lo:end])
                 yield end - lo, None if crash_at is not None or end == n else end
             if crash_at is not None:
                 self.fault_plan.fire_crash(f"epoch {epoch}, tuple {crash_at}")
@@ -536,7 +534,7 @@ class Trainer:
         return {
             "model": type(self.model).__name__,
             "batch_size": self.batch_size,
-            "fused": self.fused,
+            "fused": per_tuple_knob(self.optimizer),
             "index_seed": getattr(self.index_source, "seed", None),
         }
 

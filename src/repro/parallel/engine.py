@@ -315,7 +315,6 @@ class ParallelTrainer:
                 history=history,
                 epochs=self.epochs,
                 schedule=self.schedule,
-                fused=False,
                 knobs=self._knobs(),
                 meta={"strategy": history.strategy},
                 checkpoint=self.checkpoint,

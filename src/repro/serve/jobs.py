@@ -28,10 +28,9 @@ A job is not a second training stack: the worker rebuilds the snapshot as a
 table in a private :class:`~repro.db.engine.MiniDB` on the daemon's device
 and calls ``MiniDB.train`` with the journalled spec.  The statement is
 resolved **once**, at admission (``auto`` → the advisor's pick, ``WHERE`` →
-the qualifying rows, ``warm_start = job_N`` → that job's model file,
-``fused`` → ``true``: the daemon's one execution policy, unfused per-tuple
-SGD being 4-5x slower), so a served job is bit-identical to the inline
-``TRAIN`` of its ``spec`` over the same rows.  One caveat: the snapshot is
+the qualifying rows, ``warm_start = job_N`` → that job's model file), so a
+served job is bit-identical to the inline ``TRAIN`` of its ``spec`` over the
+same rows.  One caveat: the snapshot is
 *compacted* — on a table whose live heap has dead slots from DML the inline
 run packs pages around the holes and can visit tuples in another order.
 
@@ -303,7 +302,6 @@ class JobManager:
             where=None,
             warm_start=asked.warm_start
             and self._resolve_warm_start(asked.warm_start, asked.model),
-            fused=True,
         )
         with self._jobs_lock:
             self._counter += 1

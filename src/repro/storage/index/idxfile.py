@@ -35,10 +35,10 @@ behind — recovery sees either the old or the new base.  DML does not rewrite
 this file: it appends to the redo log beside it (:mod:`.idxlog`), and the
 ``lsn`` header key says which of that log's frames the base already holds.
 
-Version bumps follow the heap-file migration playbook (Snippet-2 style):
-readers reject unknown versions with :class:`IndexFormatError`, and a
-migration tool rewrites old files to the current version after backing the
-original up as ``<name>.idx.v<N>.bak``.
+Readers reject other versions with :class:`IndexFormatError`.  No
+migrator ships: every ``.idx`` is derivable from its heap, so the way off an
+old version is to drop and rebuild the index (``DROP INDEX`` /
+``CREATE INDEX``; ``docs/storage_format.md`` §5.5).
 """
 
 from __future__ import annotations
@@ -146,6 +146,13 @@ def save_index(tree: BPlusTree, column: str, path: str | Path, lsn: int = 0) -> 
 
 # ----------------------------------------------------------------------
 # Reading
+def _version_error(path, version: int) -> IndexFormatError:
+    return IndexFormatError(
+        f"{path}: format version {version} not supported (this build reads "
+        f"v{FORMAT_VERSION}; drop and rebuild the index with DROP INDEX / CREATE INDEX)"
+    )
+
+
 def read_index_header(path: str | Path) -> dict:
     """Parse and CRC-verify just the header (cheap metadata peek)."""
     with open(path, "rb") as fh:
@@ -156,11 +163,7 @@ def read_index_header(path: str | Path) -> dict:
         if magic != MAGIC:
             raise IndexFormatError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: format version {version} not supported "
-                f"(this build reads v{FORMAT_VERSION}; run the index "
-                "migration to rewrite it)"
-            )
+            raise _version_error(path, version)
         header_bytes = fh.read(header_len)
         (crc,) = struct.unpack(">I", fh.read(4))
     if zlib.crc32(header_bytes) != crc:
@@ -199,10 +202,7 @@ class IndexFileReader:
         if magic != MAGIC:
             raise IndexFormatError(f"{self.path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{self.path}: format version {version} not supported "
-                f"(this build reads v{FORMAT_VERSION})"
-            )
+            raise _version_error(self.path, version)
         pos = _PREAMBLE.size
         header_bytes = data[pos : pos + header_len]
         pos += header_len

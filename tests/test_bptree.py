@@ -163,6 +163,20 @@ class TestIdxFile:
         with pytest.raises(IndexFormatError):
             read_index_header(path)
 
+    def test_other_version_message_names_the_rebuild(self, tmp_path):
+        """No index migrator exists: the refusal points at the documented
+        way off an old version (``docs/storage_format.md`` §5.5)."""
+        path = save_index(BPlusTree.bulk_load(_pairs(20)), "f0", tmp_path / "t.idx")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(">H", blob, len(MAGIC), 2)
+        path.write_bytes(bytes(blob))
+        for read in (read_index_header, IndexFileReader):
+            with pytest.raises(IndexFormatError, match="format version 2") as excinfo:
+                read(path)
+            message = str(excinfo.value)
+            assert "DROP INDEX / CREATE INDEX" in message
+            assert "migrat" not in message
+
     def test_corrupt_header_crc_rejected(self, tmp_path):
         path = save_index(BPlusTree.bulk_load(_pairs(20)), "f0", tmp_path / "t.idx")
         blob = bytearray(path.read_bytes())

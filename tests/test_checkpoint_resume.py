@@ -2,9 +2,9 @@
 
 Satellite (b): a run killed at a randomized tuple N and resumed from its
 last checkpoint must produce final weights within 1e-12 of the
-uninterrupted run — for fused and scalar kernels, dense and sparse data,
+uninterrupted run — per-tuple and mini-batch, dense and sparse data,
 across ≥3 seeds.  The comparison baseline runs with the *same* checkpoint
-cadence, because the fused kernels flush their lazy L2 scaling at chunk
+cadence, because the per-tuple kernels flush their lazy L2 scaling at chunk
 boundaries (cadence is part of the numeric contract; see
 ``CheckpointConfig``).  ``CHAOS_SEED`` shifts the seed set per CI job.
 """
@@ -45,14 +45,13 @@ def _dataset(sparse: bool):
     return make_binary_dense(N_TUPLES, 10, separation=1.2, seed=11)
 
 
-def _trainer(dataset, seed, fused, ckpath=None, plan=None, batch_size=1, optimizer=None):
+def _trainer(dataset, seed, ckpath=None, plan=None, batch_size=1, optimizer=None):
     model = LogisticRegression(dataset.n_features)
     trainer = Trainer(
         model,
         dataset,
         EpochShuffle(dataset.n_tuples, seed=seed),
         epochs=EPOCHS,
-        fused=fused,
         batch_size=batch_size,
         optimizer=optimizer(model) if optimizer is not None else None,
         checkpoint=CheckpointConfig(ckpath, every_tuples=CADENCE) if ckpath else None,
@@ -69,31 +68,30 @@ def _crash_point(seed: int) -> int:
 
 class TestTrainerCrashResume:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_killed_run_resumes_to_identical_weights(self, tmp_path, seed, fused, sparse):
+    def test_killed_run_resumes_to_identical_weights(self, tmp_path, seed, sparse):
         dataset = _dataset(sparse)
         crash_at = _crash_point(seed)
         ckpath = tmp_path / "run.ckpt.npz"
 
         # Baseline: uninterrupted, same checkpoint cadence.
-        base_model, base = _trainer(dataset, seed, fused, ckpath=tmp_path / "base.npz")
+        base_model, base = _trainer(dataset, seed, ckpath=tmp_path / "base.npz")
         base_history = base.run()
 
         # Crashed run: killed after crash_at tuples.
         crash_model, crashed = _trainer(
-            dataset, seed, fused, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=crash_at)
+            dataset, seed, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=crash_at)
         )
         with pytest.raises(InjectedCrash):
             crashed.run()
 
         # Resume in a fresh process-equivalent: new model, new trainer.
-        resumed_model, resumed = _trainer(dataset, seed, fused, ckpath=ckpath)
+        resumed_model, resumed = _trainer(dataset, seed, ckpath=ckpath)
         resumed_history = resumed.run(resume_from=ckpath)
 
         for key in base_model.params:
             diff = np.max(np.abs(base_model.params[key] - resumed_model.params[key]))
-            assert diff <= 1e-12, (seed, fused, sparse, crash_at, diff)
+            assert diff <= 1e-12, (seed, sparse, crash_at, diff)
         assert len(resumed_history.records) == len(base_history.records)
         assert resumed_history.final.tuples_seen == EPOCHS * N_TUPLES
 
@@ -102,14 +100,13 @@ class TestTrainerCrashResume:
         dataset = _dataset(sparse=False)
         ckpath = tmp_path / "adam.ckpt.npz"
         base_model, base = _trainer(
-            dataset, seed, False, ckpath=tmp_path / "b.npz", batch_size=16, optimizer=Adam
+            dataset, seed, ckpath=tmp_path / "b.npz", batch_size=16, optimizer=Adam
         )
         base.run()
 
         crash_model, crashed = _trainer(
             dataset,
             seed,
-            False,
             ckpath=ckpath,
             plan=FaultPlan(crash_at_tuple=_crash_point(seed)),
             batch_size=16,
@@ -119,7 +116,7 @@ class TestTrainerCrashResume:
             crashed.run()
 
         resumed_model, resumed = _trainer(
-            dataset, seed, False, ckpath=ckpath, batch_size=16, optimizer=Adam
+            dataset, seed, ckpath=ckpath, batch_size=16, optimizer=Adam
         )
         resumed.run(resume_from=ckpath)
         for key in base_model.params:
@@ -131,7 +128,7 @@ class TestTrainerCrashResume:
         dataset = _dataset(sparse=False)
         ckpath = tmp_path / "early.ckpt.npz"
         _, crashed = _trainer(
-            dataset, 0, True, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=3)
+            dataset, 0, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=3)
         )
         with pytest.raises(InjectedCrash):
             crashed.run()
@@ -206,16 +203,53 @@ class TestCheckpointFormat:
     def test_resume_guards_reject_mismatched_run(self, tmp_path):
         dataset = _dataset(sparse=False)
         ckpath = tmp_path / "g.ckpt.npz"
-        _, t = _trainer(dataset, 0, fused=True, ckpath=ckpath)
+        _, t = _trainer(dataset, 0, ckpath=ckpath)
         t.run()
-        # fused mismatch changes the update sequence -> refuse
-        _, scalar = _trainer(dataset, 0, fused=False)
+        # A checkpoint an unfused run wrote (an older build's default) was
+        # taken on another update sequence -> refuse
+        state = load_checkpoint(ckpath)
+        assert state.meta["fused"] is True
+        unfused = tmp_path / "unfused.ckpt.npz"
+        save_checkpoint(
+            unfused, state.model, epoch=state.epoch, cursor=state.cursor,
+            tuples_seen=state.tuples_seen, history=state.history,
+            meta={**state.meta, "fused": False},
+        )
+        _, resumed = _trainer(dataset, 0)
         with pytest.raises(ValueError, match="fused"):
-            scalar.run(resume_from=ckpath)
+            resumed.run(resume_from=unfused)
         # different index seed replays a different order -> refuse
-        _, other_seed = _trainer(dataset, 1, fused=True)
+        _, other_seed = _trainer(dataset, 1)
         with pytest.raises(ValueError, match="seed"):
             other_seed.run(resume_from=ckpath)
+
+
+    def test_mini_batch_checkpoint_of_an_unfused_run_still_resumes(self, tmp_path):
+        """``fused`` never changed a mini-batch run, so its checkpoint is not
+        held to it: one an older build wrote with ``fused=False`` resumes to
+        the bits of the run that never stopped."""
+        dataset = _dataset(sparse=False)
+        base_model, base = _trainer(dataset, 0, batch_size=16)
+        base.run()
+        ckpath = tmp_path / "mb.ckpt.npz"
+        _, crashed = _trainer(
+            dataset, 0, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=N_TUPLES + 40),
+            batch_size=16,
+        )
+        with pytest.raises(InjectedCrash):
+            crashed.run()
+        state = load_checkpoint(ckpath)
+        assert state.meta["fused"] is None
+        save_checkpoint(
+            ckpath, state.model, epoch=state.epoch, cursor=state.cursor,
+            tuples_seen=state.tuples_seen, history=state.history,
+            optimizer_state=state.optimizer_state, meta={**state.meta, "fused": False},
+        )
+        resumed_model, resumed = _trainer(dataset, 0, batch_size=16)
+        resumed.run(resume_from=ckpath)
+        np.testing.assert_array_equal(
+            resumed_model.parameter_vector(), base_model.parameter_vector()
+        )
 
 
 class TestStreamingCrashResume:
@@ -238,7 +272,6 @@ class TestStreamingCrashResume:
                     loader_factory,
                     epochs=2,
                     per_tuple=True,
-                    fused=True,
                     fault_plan=plan,
                     checkpoint=checkpoint,
                     resume_from=resume_from,

@@ -9,8 +9,7 @@ The same resolved :class:`~repro.db.spec.TrainSpec` is trained through
 
 and every route must produce **bit-identical** weights — the system form of
 the repo's signature guarantee.  "Resolved" is what a served job journals:
-``fused = true`` (the daemon's one execution policy, and the CLI's), an
-explicit strategy, the rows a WHERE selects.
+an explicit strategy, the rows a WHERE selects.
 
 One caveat, by design: a job trains a *compacted snapshot* of the live rows.
 On a table whose heap has dead slots from DML the inline run packs pages
@@ -67,8 +66,7 @@ def to_sql(spec: TrainSpec) -> str:
         "learning_rate": spec.lr, "decay": spec.decay, "max_epoch_num": spec.epochs,
         "batch_size": spec.batch_size, "block_size": spec.block_size,
         "buffer_fraction": spec.buffer_fraction, "strategy": spec.strategy,
-        "seed": spec.seed, "fused": "true" if spec.fused else "false",
-        "workers": spec.workers, "aggregation": spec.aggregation,
+        "seed": spec.seed, "workers": spec.workers, "aggregation": spec.aggregation,
     }
     text = ", ".join(f"{k} = {v}" for k, v in knobs.items())
     if spec.grid is not None:
@@ -134,7 +132,7 @@ def serve_job(server, sql, dataset, layout="row", index=None):
 def spec_for(dataset, **fields) -> TrainSpec:
     base = dict(
         table="t", model="lr", epochs=2, lr=0.05, decay=0.9, buffer_fraction=0.2,
-        block_size=block_size(dataset), seed=SEED, fused=True,
+        block_size=block_size(dataset), seed=SEED,
     )
     return TrainSpec(**{**base, **fields})
 
@@ -365,7 +363,7 @@ def test_job_trains_the_compacted_snapshot(data, server):
 
 @pytest.mark.parametrize("strategy", ["corgipile", "sliding_window", "mrs", "block_reshuffle"])
 @pytest.mark.parametrize(
-    "mode", [{"fused": True}, {"fused": False}, {"batch_size": 32}], ids=["fused", "unfused", "minibatch"]
+    "mode", [{}, {"batch_size": 32}], ids=["fused", "minibatch"]
 )
 def test_sgd_operator_resumes_bit_exactly_from_a_mid_epoch_checkpoint(
     data, tmp_path, strategy, mode

@@ -107,15 +107,16 @@ class TestStrategies:
         ``t__shuffled_<seed>`` / ``t__corgi2_<seed>`` table (a heap, a Dataset
         and a pool each) is left in the catalog.  Weights and the disk charge
         are those of the registered-copy engine (digests recorded at
-        ``ee57411``)."""
+        ``ee57411`` with ``fused = true``: per-tuple SGD is the ``step_block``
+        kernel, so the statement's bits are that engine's kernel run)."""
         import hashlib
 
         engine = MiniDB()
         engine.create_table("t", clustered_by_label(make_binary_dense(600, 8, separation=1.4, seed=0)))
         want = {
-            ("shuffle_once", 0): "839f9e1ed1a4901b",
-            ("shuffle_once", 1): "92945841d0191bb4",
-            ("shuffle_once", 2): "ac91e4aa2931059a",
+            ("shuffle_once", 0): "24bfa93815fb97d3",
+            ("shuffle_once", 1): "6c16cbd6e8665917",
+            ("shuffle_once", 2): "bd9b86f3a7c4d60a",
             ("corgi2", 0): "df561c17ccc661d3",
         }
         for (strategy, seed), digest in want.items():

@@ -191,7 +191,7 @@ class TestShuffledFillByIndex:
         "SELECT * FROM t TRAIN BY svm WITH max_epoch_num = 2, block_size = 4KB, "
         "buffer_fraction = 0.2, fused = true, seed = 3"
     )
-    UNIT = 256  # SGDOperator's default fuse_chunk: the fused update unit
+    UNIT = 256  # SGDOperator's FUSE_CHUNK: the per-tuple update unit
 
     def _train(self):
         db = MiniDB(page_bytes=1024)

@@ -52,8 +52,22 @@ class TestTrainQueries:
         assert q.buffer_fraction == 0.02
 
     def test_boolean_param(self):
-        q = parse_query("SELECT * FROM t TRAIN BY lr WITH double_buffer = false")
-        assert q.double_buffer is False
+        # ``fused = true`` — the one boolean literal left, spelled by old
+        # statements and served journals — is a no-op.
+        plain = parse_query("SELECT * FROM t TRAIN BY lr WITH seed = 3")
+        assert parse_query("SELECT * FROM t TRAIN BY lr WITH fused = true, seed = 3") == plain
+        assert parse_query("SELECT * FROM t TRAIN BY lr WITH seed = 3, FUSED = TRUE") == plain
+
+    @pytest.mark.parametrize("value", ["false", "0", "1", "'true'"])
+    def test_fused_other_than_true_is_refused(self, value):
+        with pytest.raises(ParseError, match="per-tuple path is the compiled"):
+            parse_query(f"SELECT * FROM t TRAIN BY lr WITH fused = {value}")
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_double_buffer_is_not_a_knob(self, value):
+        # Single buffering is ``strategy = corgipile_single_buffer``.
+        with pytest.raises(ParseError, match="unknown TRAIN knob 'double_buffer'"):
+            parse_query(f"SELECT * FROM t TRAIN BY lr WITH double_buffer = {value}")
 
     def test_unknown_params_rejected(self):
         # A typo'd knob is an error naming it and the knobs that exist —

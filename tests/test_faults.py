@@ -349,7 +349,7 @@ def _train_through(path, reader_factory=None, seed=0, epochs=2):
             view.set_epoch(epoch)
             return DataLoader(view, batch_size=32)
 
-        train_streaming(model, loader_factory, epochs=epochs, per_tuple=True, fused=True)
+        train_streaming(model, loader_factory, epochs=epochs, per_tuple=True)
     return model
 
 

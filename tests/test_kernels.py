@@ -111,45 +111,48 @@ class TestFusedEquivalence:
         np.testing.assert_allclose(fused.w, ref.w, rtol=0, atol=1e-12)
 
 
+def _step_example_epochs(model, data, orders, schedule):
+    """The reference the trainers are held to: one ``step_example`` call per
+    tuple, in each epoch's visit order, at that epoch's rate."""
+    X = data.X
+    row = X.row if isinstance(X, SparseMatrix) else X.__getitem__
+    for epoch, order in enumerate(orders):
+        lr = float(schedule(epoch))
+        for i in order:
+            model.step_example(row(int(i)), float(data.y[i]), lr)
+    return model
+
+
 class TestFusedPipelines:
+    """Every trainer's per-tuple path is the kernel: each is checked against
+    an explicit ``step_example`` loop over the visit order it runs."""
+
     def test_trainer_fused_matches_scalar(self):
         data = make_binary_dense(300, 10, separation=1.0, seed=5)
         orders = [np.random.default_rng(7 + e).permutation(data.n_tuples) for e in range(3)]
-
-        def run(fused):
-            model = LogisticRegression(data.n_features, l2=1e-3)
-            Trainer(
-                model,
-                data,
-                fixed_order_source("fixed", orders),
-                epochs=3,
-                schedule=ExponentialDecay(0.05),
-                fused=fused,
-            ).run()
-            return model
-
-        scalar, fused = run(False), run(True)
-        np.testing.assert_allclose(fused.w, scalar.w, rtol=0, atol=1e-9)
-        assert abs(fused.b - scalar.b) <= 1e-9
+        model = LogisticRegression(data.n_features, l2=1e-3)
+        Trainer(
+            model, data, fixed_order_source("fixed", orders), epochs=3,
+            schedule=ExponentialDecay(0.05),
+        ).run()
+        scalar = _step_example_epochs(
+            LogisticRegression(data.n_features, l2=1e-3), data, orders, ExponentialDecay(0.05)
+        )
+        np.testing.assert_allclose(model.w, scalar.w, rtol=0, atol=1e-9)
+        assert abs(model.b - scalar.b) <= 1e-9
 
     def test_trainer_fused_sparse(self):
         data = make_binary_sparse(200, 80, nnz_per_row=8, separation=1.0, seed=3)
-        orders = [np.random.default_rng(11).permutation(data.n_tuples)]
-
-        def run(fused):
-            model = LinearSVM(data.n_features)
-            Trainer(
-                model,
-                data,
-                fixed_order_source("fixed", orders),
-                epochs=2,
-                schedule=ExponentialDecay(0.05),
-                fused=fused,
-            ).run()
-            return model
-
-        scalar, fused = run(False), run(True)
-        np.testing.assert_allclose(fused.w, scalar.w, rtol=0, atol=1e-9)
+        orders = [np.random.default_rng(11).permutation(data.n_tuples)] * 2
+        model = LinearSVM(data.n_features)
+        Trainer(
+            model, data, fixed_order_source("fixed", orders), epochs=2,
+            schedule=ExponentialDecay(0.05),
+        ).run()
+        scalar = _step_example_epochs(
+            LinearSVM(data.n_features), data, orders, ExponentialDecay(0.05)
+        )
+        np.testing.assert_allclose(model.w, scalar.w, rtol=0, atol=1e-9)
 
     def test_streaming_fused_matches_scalar(self):
         data = make_binary_dense(256, 6, separation=1.0, seed=2)
@@ -159,41 +162,53 @@ class TestFusedPipelines:
                 hi = min(lo + 64, data.n_tuples)
                 yield TupleBatch(np.arange(lo, hi), data.y[lo:hi], data.n_features, dense=data.X[lo:hi])
 
-        def run(fused):
-            model = LogisticRegression(data.n_features, l2=1e-3)
-            train_streaming(
-                model,
-                loader,
-                epochs=2,
-                schedule=ExponentialDecay(0.05),
-                per_tuple=True,
-                fused=fused,
-            )
-            return model
-
-        scalar, fused = run(False), run(True)
-        np.testing.assert_allclose(fused.w, scalar.w, rtol=0, atol=1e-9)
+        model = LogisticRegression(data.n_features, l2=1e-3)
+        train_streaming(
+            model, loader, epochs=2, schedule=ExponentialDecay(0.05), per_tuple=True
+        )
+        scalar = _step_example_epochs(
+            LogisticRegression(data.n_features, l2=1e-3), data,
+            [np.arange(data.n_tuples)] * 2, ExponentialDecay(0.05),
+        )
+        np.testing.assert_allclose(model.w, scalar.w, rtol=0, atol=1e-9)
 
     def test_db_operator_fused_matches_scalar(self):
-        data = make_binary_dense(200, 8, separation=1.2, seed=9)
+        """The engine's TRAIN against the reference over the ids its plan's
+        pipeline emits (``TrainResult`` carries no visit order, so the
+        orders are read off a second plan of the same statement)."""
+        from repro.db.engine import ENGINE_PROFILE
+        from repro.db.timing import RuntimeContext
+        from repro.storage import SSD
 
-        def run(fused):
+        data = make_binary_dense(200, 8, separation=1.2, seed=9)
+        spec = TrainSpec(
+            table="t", model="lr", strategy="corgipile", epochs=2, block_size=2048, seed=0
+        )
+
+        def engine() -> MiniDB:
             db = MiniDB(page_bytes=1024)
             db.create_table("t", data)
-            query = TrainSpec(
-                table="t",
-                model="lr",
-                strategy="corgipile",
-                epochs=2,
-                block_size=2048,
-                seed=0,
-                fused=fused,
-            )
-            return db.train(query).model
+            return db
 
-        scalar, fused = run(False), run(True)
-        np.testing.assert_allclose(fused.w, scalar.w, rtol=0, atol=1e-9)
-        assert abs(fused.b - scalar.b) <= 1e-9
+        db = engine()
+        plan, table = db.plan(spec), db.catalog.get("t")
+        ctx = RuntimeContext(device=SSD, compute=ENGINE_PROFILE, double_buffer=plan.double_buffer)
+        pipeline, _scan = db._build_pipeline(plan, table, ctx)
+        pipeline.open()
+        orders = []
+        for epoch in range(spec.epochs):
+            orders.append(np.concatenate([b.ids for b in iter(pipeline.next_batch, None)]))
+            if epoch + 1 < spec.epochs:
+                pipeline.rescan()
+        pipeline.close()
+
+        model = engine().train(spec).model
+        scalar = _step_example_epochs(
+            LogisticRegression(data.n_features), data, orders,
+            ExponentialDecay(spec.lr, spec.decay),
+        )
+        np.testing.assert_allclose(model.w, scalar.w, rtol=0, atol=1e-9)
+        assert abs(model.b - scalar.b) <= 1e-9
 
 
 class TestScalarLossDerivative:

@@ -244,7 +244,7 @@ class TestSpans:
 
 class TestDisabledOverhead:
     def test_disabled_tracing_under_five_percent_on_fused_epoch(self):
-        # What the engine runs: SGDOperator hands apply_unit fuse_chunk = 256
+        # What the engine runs: SGDOperator hands apply_unit FUSE_CHUNK = 256
         # rows at a time inside run_epochs' instrumentation (the epoch span,
         # the per-epoch counters), timed against bare step_block on the same
         # units.
@@ -263,7 +263,7 @@ class TestDisabledOverhead:
             model = LogisticRegression(16, l2=1e-4)
             with obs.span("ml.epoch", epoch=0):
                 for Xu, yu in units:
-                    apply_unit(model, None, Xu, yu, 0.05, True)
+                    apply_unit(model, None, Xu, yu, 0.05)
                 obs.inc("ml.fused_tuples", 4096)
             obs.inc("ml.epochs")
             return model.w

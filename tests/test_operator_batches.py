@@ -123,7 +123,7 @@ def _engine(case) -> tuple[MiniDB, TrainSpec]:
     if index is not None:
         db.execute(f"CREATE INDEX ix ON t ({index[kind]})")
     spec = TrainSpec(
-        table="t", model="svm", strategy=strategy, epochs=2, lr=0.05, decay=0.9, seed=SEED, fused=True,
+        table="t", model="svm", strategy=strategy, epochs=2, lr=0.05, decay=0.9, seed=SEED,
         # 2-page blocks; a buffer that is no multiple of a block's tuples.
         block_size=2048, buffer_fraction=0.13,
         where=parse_predicate(predicates[kind]) if predicates else None,
@@ -523,7 +523,7 @@ def test_units_are_cut_at_the_same_rows_and_resume_lands_mid_fill(
     dataset = _dataset(kind)
     spec = TrainSpec(
         table="t", model="svm", strategy=strategy, epochs=2, lr=0.05, decay=0.9, seed=SEED,
-        fused=True, batch_size=batch_size, block_size=2048, buffer_fraction=buffer_fraction,
+        batch_size=batch_size, block_size=2048, buffer_fraction=buffer_fraction,
     )
 
     def engine() -> MiniDB:

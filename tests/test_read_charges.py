@@ -103,7 +103,7 @@ def observe(case) -> dict:
         assert any(page.n_tuples == 0 for page in pages)  # an emptied page
     spec = TrainSpec(
         table="t", model="svm", strategy=strategy, epochs=2, lr=0.05, decay=0.9, seed=3,
-        fused=True, block_size=1024, buffer_fraction=0.2,
+        block_size=1024, buffer_fraction=0.2,
         where=parse_predicate(where) if where else None,
     )
     calls: list[tuple] = []

@@ -484,6 +484,38 @@ class TestRecover:
         assert started == job_ids
         assert [manager.get(j).state for j in job_ids] == ["done"] * len(job_ids)
 
+    def test_journal_with_retired_knobs_recovers_bit_exactly(self, tmp_path):
+        """A journal written while ``TrainSpec`` still had ``fused`` and
+        ``double_buffer`` (admission set ``fused`` to ``true``) loads, runs,
+        and trains the inline ``TRAIN`` of the same statement to the bit."""
+        from repro.data import make_binary_dense
+        from repro.db import MiniDB, parse_query
+        from repro.ml import load_model
+        from repro.serve.jobs import JobManager
+
+        (job_id,) = self._journal(tmp_path, 1)
+        spec_path = tmp_path / "jobs" / f"{job_id}.json"
+        journal = json.loads(spec_path.read_text())
+        journal["spec"].update({"fused": True, "double_buffer": True})
+        spec_path.write_text(json.dumps(journal))
+
+        manager = JobManager(tmp_path, workers=1)
+        assert manager.recover() == [job_id]
+        manager.start()
+        try:
+            manager._queue.join()
+        finally:
+            manager.stop()
+        job = manager.get(job_id)
+        assert job.state == "done", job.spec.get("error")
+
+        db = MiniDB(page_bytes=4096)
+        db.create_table("t", make_binary_dense(300, 6, seed=0))
+        inline = db.execute(self.SQL + ", fused = true").model
+        np.testing.assert_array_equal(
+            load_model(job.model_path).parameter_vector(), inline.parameter_vector()
+        )
+
     def test_job_journalled_by_the_previous_release_fails_loudly(self, tmp_path):
         from repro.serve.jobs import JobManager
 

@@ -191,7 +191,7 @@ class TestTrainSpecFromQuery:
 UNKNOWN_LR = (
     "unknown TRAIN knob 'lr'; WITH takes the typed fields of "
     "repro.db.spec.TrainSpec, spelled: aggregation, batch_size, block_size, "
-    "buffer_fraction, decay, device, double_buffer, fused, grid, l2, "
+    "buffer_fraction, decay, device, grid, l2, "
     "learning_rate, max_epoch_num, seed, strategy, warm_start, workers"
 )
 
@@ -223,8 +223,6 @@ def statements(draw):
         "block_tuples": draw(st.integers(1, 10**5)),
         "buffer_fraction": draw(unit),
         "seed": draw(st.integers(0, 2**31)),
-        "double_buffer": draw(st.booleans()),
-        "fused": draw(st.booleans()),
         "workers": workers,
         # epoch / async aggregation needs workers > 1 (a SpecError otherwise)
         "aggregation": draw(st.sampled_from(AGGREGATION_MODES)) if workers > 1 else "sync",
@@ -258,7 +256,7 @@ class TestOneStatementObject:
         assert TrainSpec.from_doc(json.loads(json.dumps(spec.to_doc()))) == spec
         assert spec.lr == knobs["learning_rate"] and spec.epochs == knobs["max_epoch_num"]
 
-        # The CLI has flags for a subset of the knobs and always runs fused.
+        # The CLI has flags for a subset of the knobs.
         flags = {
             "strategy": "--strategy", "max_epoch_num": "--epochs",
             "learning_rate": "--lr", "decay": "--decay", "batch_size": "--batch-size",
@@ -272,7 +270,7 @@ class TestOneStatementObject:
         argv += ["--grid", grid] if grid else []
         cli_spec = _train_spec(build_parser().parse_args(argv), "t", TUPLE_BYTES)
         cli_knobs = {key: knobs[key] for key in flags}
-        assert cli_spec == parse_query(_statement(model, {**cli_knobs, "fused": True}, where, grid))
+        assert cli_spec == parse_query(_statement(model, cli_knobs, where, grid))
 
         for field_name, sql_key in (("lr", "learning_rate"), ("epochs", "max_epoch_num")):
             renamed = sql.replace(f" {sql_key} =", f" {field_name} =")

@@ -40,7 +40,7 @@ SEED = 7
 TUPLES_PER_BLOCK = 25
 KINDS = ("dense", "sparse", "softmax")
 LAYOUTS = ("row",)
-#: name -> (per_tuple, batch_size); per-tuple runs are fused.
+#: name -> (per_tuple, batch_size).
 MODES = {"fused1": (True, 1), "fused32": (True, 32), "mini7": (False, 7), "mini32": (False, 32)}
 #: (n_workers, buffer_blocks_per_worker, batch_size)
 WORKER_GEOMETRIES = [(3, 2, 32), (2, 1, 7), (4, 3, 64)]
@@ -98,7 +98,7 @@ def _weights_digest(case, directory) -> str:
             return DataLoader(view, batch_size=batch_size)
 
         train_streaming(
-            model, loader_factory, epochs=2, per_tuple=per_tuple, fused=per_tuple,
+            model, loader_factory, epochs=2, per_tuple=per_tuple,
             schedule=ExponentialDecay(0.05, 0.9),
         )
     return _digest(np.asarray(model.parameter_vector(), dtype=np.float64))

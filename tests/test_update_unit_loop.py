@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from repro.shuffle import EpochShuffle
 from repro.storage import SSD, write_block_file
 
 SEED = 5
-MODES = {"fused": {"fused": True}, "unfused": {"fused": False}, "minibatch": {"batch_size": 32}}
+MODES = {"fused": {}, "minibatch": {"batch_size": 32}}
 
 
 def _dataset(kind: str):
@@ -87,7 +88,7 @@ def test_trainer_fed_the_pipeline_order_equals_the_engine(kind, layout, mode):
     dataset = _dataset(kind)
     spec = TrainSpec(
         table="t", model="lr", l2=0.0, strategy="corgipile", epochs=2, lr=0.05, decay=0.9,
-        seed=SEED, block_size=2048, buffer_fraction=0.2, **{"fused": False, **MODES[mode]},
+        seed=SEED, block_size=2048, buffer_fraction=0.2, **MODES[mode],
     )
 
     def engine() -> MiniDB:
@@ -102,7 +103,6 @@ def test_trainer_fed_the_pipeline_order_equals_the_engine(kind, layout, mode):
     Trainer(
         model, dataset, fixed_order_source("pipeline", orders), epochs=spec.epochs,
         schedule=ExponentialDecay(spec.lr, spec.decay), batch_size=spec.batch_size,
-        fused=spec.fused,
     ).run()
     np.testing.assert_array_equal(_weights(model), _weights(engine().train(spec).model))
 
@@ -128,7 +128,7 @@ def test_trainer_crashed_mid_chunk_resumes_to_the_uninterrupted_weights(tmp_path
             model, dataset, EpochShuffle(dataset.n_tuples, seed=SEED), epochs=epochs,
             schedule=ExponentialDecay(0.05, 0.9), fault_plan=plan,
             checkpoint=CheckpointConfig(ckpath, every_tuples=100),
-            **{"fused": False, **MODES[mode]},
+            **MODES[mode],
         )
 
     base_model, base = trainer(tmp_path / "base.npz")
@@ -147,10 +147,10 @@ def test_trainer_crashed_mid_chunk_resumes_to_the_uninterrupted_weights(tmp_path
     np.testing.assert_array_equal(_weights(resumed_model), _weights(base_model))
     assert resumed_history.train_losses == base_history.train_losses
     assert resumed_history.final.tuples_seen == epochs * dataset.n_tuples
-    with pytest.raises(ValueError, match="checkpoint was taken with fused="):
+    with pytest.raises(ValueError, match="checkpoint was taken with batch_size="):
         Trainer(
             LinearSVM(dataset.n_features), dataset, EpochShuffle(dataset.n_tuples, seed=SEED),
-            epochs=epochs, batch_size=MODES[mode].get("batch_size", 1), fused=mode != "fused",
+            epochs=epochs, batch_size=16,
         ).run(resume_from=ckpath)
 
 
@@ -172,7 +172,7 @@ def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
                 return PrefetchLoader(loader, depth=2) if prefetch else loader
 
             return train_streaming(
-                model, loader_factory, epochs=2, per_tuple=per_tuple, fused=per_tuple,
+                model, loader_factory, epochs=2, per_tuple=per_tuple,
                 schedule=ExponentialDecay(0.05, 0.9), **kwargs,
             )
 
@@ -196,7 +196,7 @@ def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
         with CorgiPileDataset(path, buffer_blocks=2, seed=SEED) as view:
             train_streaming(
                 LinearSVM(dataset.n_features), lambda epoch: DataLoader(view, batch_size=32),
-                epochs=2, per_tuple=not per_tuple, fused=per_tuple, resume_from=ckpath,
+                epochs=2, per_tuple=not per_tuple, resume_from=ckpath,
             )
 
 
@@ -210,7 +210,7 @@ def test_sgd_operator_checkpoint_keeps_its_meta_keys_and_row_cursor(tmp_path):
     db = MiniDB(page_bytes=1024, pool_pages=8)
     db.create_table("t", dataset)
     spec = TrainSpec(
-        table="t", model="lr", epochs=2, lr=0.05, seed=SEED, fused=True, block_size=2048
+        table="t", model="lr", epochs=2, lr=0.05, seed=SEED, block_size=2048
     )
     checkpoint = CheckpointConfig(tmp_path / "job.ckpt.npz", every_tuples=300)
     probes = []
@@ -226,6 +226,7 @@ def test_sgd_operator_checkpoint_keeps_its_meta_keys_and_row_cursor(tmp_path):
         "block_size", "buffer_tuples", "n_tuples", "epoch_wall_times", "measured_wall_times",
     }
     assert state.meta["mode"] == "sgd-operator"
+    assert (state.meta["fused"], state.meta["fuse_chunk"]) == (True, 256)
 
 
 # ----------------------------------------------------------------------
@@ -260,11 +261,31 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     )
     assert files_calling(deleted.pattern) == set()
     assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
+    # One per-tuple path: the unbound reference loop is reachable from tests
+    # only (test_one_per_tuple_update_path holds the signatures).
+    assert files_calling(r"\bSupervisedModel\.step_block\(") == set()
     # A spawned worker's import path must not grow: parallel/ stays off db/.
     assert not any(
         re.search(r"^\s*(from|import)\s+(\.\.db|repro\.db)\b", code, re.M)
         for name, code in sources.items() if name.startswith("parallel/")
     )
+
+
+def test_one_per_tuple_update_path():
+    """A per-tuple unit is always the model's ``step_block`` kernel: no
+    trainer, loop or operator takes a switch to the unfused reference loop
+    or a unit size, and a unit's size is the one ``FUSE_CHUNK``."""
+    import inspect
+
+    from repro.db.operators import FUSE_CHUNK, SGDOperator
+    from repro.ml.trainer import apply_unit, run_epochs
+
+    for fn in (apply_unit, run_epochs, Trainer, train_streaming, SGDOperator):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"fused", "fuse_chunk"}, fn.__name__
+    assert FUSE_CHUNK == 256
+    assert "fused" not in {f.name for f in fields(TrainSpec)}
+    assert "double_buffer" not in {f.name for f in fields(TrainSpec)}
 
 
 def test_one_row_api_the_per_tuple_read_path_is_gone():
