@@ -7,7 +7,7 @@ Commands
 ``train``     train a model over a data file (or bundled dataset) with a
               chosen shuffling strategy; ``--workers N`` runs sharded
               CorgiPile in real worker processes with ``--aggregation
-              sync|epoch|async`` (Section 5); optionally save the model
+              sync|epoch`` (Section 5); optionally save the model
 ``predict``   score a saved model against a data file
 ``explain``   print the physical plan a TRAIN query would execute
 ``advise``    run the cost-based shuffle advisor over a dataset and print
@@ -15,9 +15,10 @@ Commands
 ``bench-io``  print the Figure 20 random-vs-sequential throughput curve
 ``loader-stats``  drive the concurrent loaders and print their
               observability counters (queue depth, stall/wait, overlap)
-``chaos``     train through fault-injected storage (transient errors, torn
-              pages, latency, optional crash+resume) and verify the result
-              is bit-identical to the fault-free run
+``chaos``     run the ``train`` statement through ``MiniDB.train`` on a
+              fault-injected heap (transient errors, torn pages, latency,
+              optional page-read crash + resume from its checkpoint) and
+              verify the weights are bit-identical to the fault-free run
 ``obs-report``  render (and optionally validate) an exported trace file as
               the human span-tree/metrics summary
 ``serve``     run the long-lived multi-client training daemon (sessions,
@@ -54,7 +55,7 @@ from .db import MiniDB, TrainSpec
 from .db.plan import STRATEGIES
 from .db.query import MODEL_NAMES
 from .db.spec import AGGREGATION_MODES
-from .ml import LogisticRegression, load_model, save_model
+from .ml import load_model, save_model
 from .shuffle import STRATEGY_NAMES
 from .storage import DEVICE_MODELS, device_by_name, random_vs_sequential_curve
 
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--aggregation", choices=AGGREGATION_MODES, default="sync",
         help="with --workers > 1: per-batch gradient averaging | epoch-end "
-        "model averaging | Hogwild (default sync)",
+        "model averaging (default sync)",
     )
     train.add_argument("--save-model", help="write the trained model to this .npz path")
     _add_common_options(train, workers=1)
@@ -269,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--latency-ms", type=float, default=1.0)
     chaos.add_argument("--max-failures", type=int, default=2)
     chaos.add_argument(
-        "--crash-at",
+        "--crash-page",
         type=int,
         default=None,
-        help="also kill the run after N tuples and resume it from checkpoint",
+        help="also kill a run by crashing its read of heap page N, then run "
+        "the statement again over its checkpoint, which resumes it",
     )
     chaos.add_argument("--block-tuples", type=int, default=40)
-    chaos.add_argument("--buffer-blocks", type=int, default=2)
-    chaos.add_argument("--batch-size", type=int, default=64)
+    chaos.add_argument("--batch-size", type=int, default=1)
     _add_common_options(chaos)
 
     obsr = sub.add_parser(
@@ -731,28 +732,26 @@ def _cmd_loader_stats(args) -> int:
 def _cmd_chaos(args) -> int:
     """Train through fault-injected storage and verify equivalence.
 
-    Runs the streaming trainer twice over the same on-disk block file — once
-    clean, once through a seeded :class:`~repro.faults.FaultPlan` — and
-    checks the final weights are *bit-identical* (transient faults must be
-    fully absorbed by checksums + retries).  With ``--crash-at N`` it also
-    kills a third run after N tuples and resumes it from its checkpoint,
-    checking the resumed weights match the clean run.  Exit code 0 iff every
-    equivalence check passes.
+    The statement is the one ``repro train --dataset D`` builds
+    (:func:`_train_spec`), run on a heap table by ``MiniDB.train``: once on
+    clean storage, once under a seeded :class:`~repro.faults.FaultPlan`
+    (``MiniDB.inject_faults``), whose weights must be *bit-identical* —
+    checksums and bounded retries absorb every transient fault.  With
+    ``--crash-page N`` a third run is killed by a crash on its read of heap
+    page N, and the statement run again on clean storage with the same
+    ``checkpoint`` resumes it; its weights must equal the clean run's too.
+    Exit code 0 iff every equivalence check passes.
     """
     import tempfile
     from pathlib import Path
 
     import numpy as np
 
-    from .core import CorgiPileDataset, DataLoader as CoreDataLoader
-    from .faults import FaultPlan, InjectedCrash, chaos_report, faulty_reader_factory
-    from .ml import CheckpointConfig, train_streaming
-    from .storage import write_block_file
+    from .faults import FaultPlan, FaultSpec, InjectedCrash, chaos_report
+    from .ml import CheckpointConfig
 
     if args.quick:
         args.epochs = min(args.epochs, 1)
-    dataset = load(args.dataset, seed=args.seed)
-    model_clean = LogisticRegression(dataset.n_features)
     plan = FaultPlan(
         seed=args.seed,
         p_transient=args.p_transient,
@@ -760,78 +759,44 @@ def _cmd_chaos(args) -> int:
         p_latency=args.p_latency,
         latency_s=args.latency_ms / 1e3,
         max_failures=args.max_failures,
-        crash_at_tuple=args.crash_at,
     )
-    stats = obs.StorageMetrics("chaos")
-    ok = True
+    train_args = build_parser().parse_args([
+        "train", "--dataset", args.dataset, "--epochs", str(args.epochs),
+        "--batch-size", str(args.batch_size), "--block-tuples", str(args.block_tuples),
+        "--seed", str(args.seed),
+    ])
+    with MiniDB(page_bytes=4096) as db, tempfile.TemporaryDirectory() as tmp:
+        clean_table = db.create_table("t", load(args.dataset, seed=args.seed))
+        spec = _train_spec(train_args, "t", clean_table.tuple_bytes)
+        clean = db.train(spec).model.parameter_vector()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "chaos.blocks"
-        write_block_file(dataset, path, args.block_tuples)
-
-        def run(model, reader_factory=None, fault_plan=None, **kwargs):
-            with CorgiPileDataset(
-                path,
-                buffer_blocks=args.buffer_blocks,
-                seed=args.seed,
-                reader_factory=reader_factory,
-            ) as view:
-
-                def loader_factory(epoch):
-                    view.set_epoch(epoch)
-                    return CoreDataLoader(view, batch_size=args.batch_size)
-
-                return train_streaming(
-                    model,
-                    loader_factory,
-                    epochs=args.epochs,
-                    per_tuple=True,
-                    fault_plan=fault_plan,
-                    **kwargs,
-                )
-
-        run(model_clean)
-
-        model_faulty = LogisticRegression(dataset.n_features)
-        run(model_faulty, reader_factory=faulty_reader_factory(plan, stats=stats))
-        identical = all(
-            np.array_equal(model_clean.params[k], model_faulty.params[k])
-            for k in model_clean.params
-        )
-        ok &= identical
+        stats = db.inject_faults("t", plan, stats=obs.StorageMetrics("chaos"))
+        ok = identical = np.array_equal(clean, db.train(spec).model.parameter_vector())
         # The printed row also lands in --metrics-out, under ``chaos.`` (the
         # scope already forwarded its retries to ``storage.retry.retries``).
         stats.to_registry(obs.get_registry(), prefix="chaos")
-        print(format_table([chaos_report(stats.as_dict(), plan)], title="chaos run counters"))
+        print(format_table([chaos_report(stats, plan)], title="chaos run counters"))
         print(
             f"\nfaults injected: {stats.faults_injected}, retries: {stats.retries} — "
             f"faulty-run weights {'bit-identical to' if identical else 'DIFFER from'} "
             "clean run"
         )
 
-        if args.crash_at is not None:
-            ckpath = Path(tmp) / "chaos.ckpt.npz"
-            crash_plan = FaultPlan(seed=args.seed, crash_at_tuple=args.crash_at)
-            model_crash = LogisticRegression(dataset.n_features)
+        if args.crash_page is not None:
+            checkpoint = CheckpointConfig(Path(tmp) / "chaos.ckpt.npz", every_tuples=1)
+            crash = FaultSpec("crash", unit="page", target=args.crash_page)
+            db.inject_faults("t", FaultPlan(specs=[crash]))
             try:
-                run(
-                    model_crash,
-                    fault_plan=crash_plan,
-                    checkpoint=CheckpointConfig(ckpath, every_tuples=args.batch_size),
-                )
-                print(f"\ncrash-at {args.crash_at}: run finished before the crash point")
+                db.train(spec, checkpoint=checkpoint)
+                print(f"\ncrash-page {args.crash_page}: run finished before the crash point")
             except InjectedCrash as exc:
-                model_resumed = LogisticRegression(dataset.n_features)
-                run(model_resumed, resume_from=ckpath)
-                diff = max(
-                    float(np.max(np.abs(model_clean.params[k] - model_resumed.params[k])))
-                    for k in model_clean.params
-                )
-                ok &= diff <= 1e-12
+                db.catalog.replace_table("t", clean_table)
+                resumed = db.train(spec, checkpoint=checkpoint).model.parameter_vector()
+                diff = float(np.max(np.abs(clean - resumed)))
+                ok &= diff == 0.0
                 print(
-                    f"\ninjected crash ({exc}); resumed from {ckpath.name}: "
-                    f"max weight diff vs uninterrupted run = {diff:.3e} "
-                    f"({'OK' if diff <= 1e-12 else 'MISMATCH'})"
+                    f"\n{exc}; resumed from its checkpoint: max weight diff vs "
+                    f"uninterrupted run = {diff} ({'OK' if diff == 0.0 else 'MISMATCH'})"
                 )
 
     print(f"\nchaos verdict: {'PASS' if ok else 'FAIL'}")

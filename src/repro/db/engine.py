@@ -564,7 +564,6 @@ class MiniDB:
             t0 = time.perf_counter()
             write_block_file(dataset, path, plan.tuples_per_block)
             setup_s = time.perf_counter() - t0
-            ckpt_path = None if checkpoint is None else Path(checkpoint.path)
             # The table is materialised before the lock is taken: a second
             # block-file statement encodes while this one trains.
             with self._fleet_lock:
@@ -585,7 +584,7 @@ class MiniDB:
                         should_stop=should_stop,
                         fleet=fleet,
                         eval_set=dataset,
-                    ).run(resume_from=ckpt_path if ckpt_path and ckpt_path.exists() else None)
+                    ).run()
                 else:
 
                     def on_slot(slot: int, progress: dict) -> None:
@@ -604,7 +603,7 @@ class MiniDB:
                         buffer_blocks=plan.buffer_blocks,
                         seed=spec.seed,
                         labels=[c.label() for c in configs],
-                        checkpoint_path=ckpt_path,
+                        checkpoint_path=None if checkpoint is None else checkpoint.path,
                         on_slot=on_slot,
                         fleet=fleet,
                         eval_set=dataset,

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from pathlib import Path
 
 import numpy as np
 
@@ -52,12 +51,12 @@ from ..core.seeding import (
     stream_rng,
 )
 from ..ml.models.base import SupervisedModel
-from ..ml.persistence import load_checkpoint
 from ..ml.trainer import (
     CheckpointConfig,
     ConvergenceHistory,
     apply_unit,
     per_tuple_knob,
+    resume_state,
     run_epochs,
 )
 from ..obs import LoaderMetrics
@@ -610,9 +609,8 @@ class SGDOperator:
         is always closed, even on that path.
         """
         history = ConvergenceHistory(strategy="in-db", model=type(self.model).__name__)
-        state = None
-        if self.checkpoint is not None and Path(self.checkpoint.path).exists():
-            state = load_checkpoint(self.checkpoint.path)
+        state = resume_state(self.checkpoint)
+        if state is not None:
             # The finished epochs' walls ride in the checkpoint so a resumed
             # run still reports one wall per history record.
             self.epoch_wall_times = list(state.meta.get("epoch_wall_times", ()))
@@ -635,7 +633,7 @@ class SGDOperator:
                     "measured_wall_times": self.measured_wall_times,
                 },
                 checkpoint=self.checkpoint,
-                resume_from=state,
+                resume=state,
                 should_stop=self.should_stop,
                 span="db.epoch",
             )

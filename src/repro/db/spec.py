@@ -38,7 +38,7 @@ __all__ = ["GridConfig", "GridSpec", "TrainSpec", "AGGREGATION_MODES"]
 #: ``repro.parallel`` here would pull ``multiprocessing`` into every
 #: ``import repro.db``, and the reverse would put all of ``repro.db`` on every
 #: spawned worker's import path.  ``tests/test_spec.py`` fails if they drift.
-AGGREGATION_MODES = ("sync", "epoch", "async")
+AGGREGATION_MODES = ("sync", "epoch")
 
 #: Hyperparameters a grid may sweep.  All three only scale the update, so
 #: the CorgiPile visit order — and therefore the hopper's bit-exactness
@@ -231,7 +231,7 @@ class TrainSpec:
         if self.aggregation not in AGGREGATION_MODES:
             raise SpecError(
                 f"unknown aggregation {self.aggregation!r}; "
-                f"supported: {', '.join(AGGREGATION_MODES)}"
+                f"supported: {' | '.join(AGGREGATION_MODES)}"
             )
         if self.aggregation != "sync" and self.workers == 1:
             raise SpecError(

@@ -1,8 +1,9 @@
 """Fault plans: seeded, declarative schedules of storage/execution faults.
 
 A :class:`FaultPlan` answers one question for the storage wrappers: *what
-happens to attempt ``a`` of a read of unit ``u`` (block/page) ``i``?* — and
-one for the training loop: *after how many tuples does the process "die"?*
+happens to attempt ``a`` of a read of unit ``u`` (block/page/index node)
+``i``?*  The training loops never consult it: a run stops at its
+``should_stop`` probe, or dies — by SIGKILL, or by a read this plan crashes.
 
 Two ways to build a plan:
 
@@ -22,10 +23,9 @@ Faults come in four kinds:
 * ``torn`` — the attempt returns corrupted bytes; the reader's checksum
   verification catches it and retries;
 * ``latency`` — the read sleeps ``delay_s`` (spike injection);
-* ``crash`` — an :class:`InjectedCrash` is raised, simulating a killed
-  worker.  Read-level crashes fire on a specific read call; tuple-level
-  crashes (``crash_at_tuple``) fire in the training loop after exactly N
-  model updates, and fire *once* per plan so a resumed run survives.
+* ``crash`` — the read raises :class:`InjectedCrash`, simulating a process
+  killed mid-read.  It fires on one read *call* of its unit (``from_read``),
+  so a run resumed under the same plan reads that unit again and survives.
 
 ``transient``/``torn`` specs bound their failing attempts (``times``), so a
 retry budget of ``times + 1`` always succeeds — the invariant behind the
@@ -46,12 +46,13 @@ KINDS = ("transient", "torn", "latency", "crash")
 
 
 class InjectedCrash(RuntimeError):
-    """A simulated process kill (crash fault).
+    """A simulated process kill: a read the plan crashes (a ``crash`` spec).
 
     Deliberately *not* an ``IOError``: the storage retry loop only retries
     :class:`~repro.storage.retry.RetryableIOError`, so a crash always
-    propagates — through retry loops, prefetch threads, and operators —
-    exactly like a real ``kill -9`` would end the epoch.
+    propagates — through retry loops, prefetch threads, operators and the
+    training loop — and ends the run between two checkpoint saves, as a real
+    ``kill -9`` would; the run's checkpoint file is what it resumes from.
     """
 
 
@@ -126,7 +127,6 @@ class FaultPlan:
         p_latency: float = 0.0,
         latency_s: float = 0.0,
         max_failures: int = 2,
-        crash_at_tuple: int | None = None,
     ):
         for name, p in (("p_transient", p_transient), ("p_torn", p_torn), ("p_latency", p_latency)):
             if not 0.0 <= p <= 1.0:
@@ -135,8 +135,6 @@ class FaultPlan:
             raise ValueError("max_failures must be at least 1")
         if latency_s < 0:
             raise ValueError("latency_s must be non-negative")
-        if crash_at_tuple is not None and crash_at_tuple < 0:
-            raise ValueError("crash_at_tuple must be non-negative")
         self.seed = int(seed)
         self.specs = list(specs or [])
         self.p_transient = float(p_transient)
@@ -144,15 +142,13 @@ class FaultPlan:
         self.p_latency = float(p_latency)
         self.latency_s = float(latency_s)
         self.max_failures = int(max_failures)
-        self.crash_at_tuple = crash_at_tuple if crash_at_tuple is None else int(crash_at_tuple)
         self._lock = threading.Lock()
         self._draws: dict[tuple[str, int], _UnitDraw] = {}
         self._read_calls: dict[tuple[str, int], int] = {}
-        self._crash_fired = False
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle support: drop the lock, keep schedule + latch state.
+        """Pickle support: drop the lock, keep the schedule and read counters.
 
         The multi-process engine ships plans to spawned workers; random
         draws are pure functions of ``(seed, unit, id)`` so the memo cache
@@ -178,7 +174,6 @@ class FaultPlan:
         p_latency: float = 0.0,
         latency_s: float = 0.0002,
         max_failures: int = 2,
-        crash_at_tuple: int | None = None,
     ) -> "FaultPlan":
         """A purely random plan (no pinned specs) from probabilities."""
         return cls(
@@ -188,7 +183,6 @@ class FaultPlan:
             p_latency=p_latency,
             latency_s=latency_s,
             max_failures=max_failures,
-            crash_at_tuple=crash_at_tuple,
         )
 
     @property
@@ -198,7 +192,7 @@ class FaultPlan:
         Transient errors, torn reads (caught by checksum), and latency
         spikes are all absorbed; crashes are not.
         """
-        return self.crash_at_tuple is None and not any(s.kind == "crash" for s in self.specs)
+        return not any(s.kind == "crash" for s in self.specs)
 
     @property
     def max_consecutive_failures(self) -> int:
@@ -287,31 +281,6 @@ class FaultPlan:
             delay = max(delay, draw.delay_s)
         return FaultDecision(transient=transient, corrupt=corrupt, crash=crash, delay_s=delay)
 
-    # -- execution-side crash scheduling ---------------------------------
-    def tuples_before_crash(self, tuples_done: int) -> int | None:
-        """How many more tuples may be processed before the crash fires.
-
-        ``None`` means no crash is scheduled (or it already fired — a plan
-        crashes at most once, so a resumed run under the same plan
-        survives).  ``0`` means the crash is due immediately.
-        """
-        with self._lock:
-            if self.crash_at_tuple is None or self._crash_fired:
-                return None
-            return max(0, self.crash_at_tuple - int(tuples_done))
-
-    def fire_crash(self, where: str = "training loop") -> None:
-        """Raise the scheduled :class:`InjectedCrash` (once)."""
-        with self._lock:
-            self._crash_fired = True
-        raise InjectedCrash(f"injected crash in {where} at tuple {self.crash_at_tuple}")
-
-    def reset(self) -> None:
-        """Forget read-call counters and the crash latch (fresh run)."""
-        with self._lock:
-            self._read_calls.clear()
-            self._crash_fired = False
-
     def describe(self) -> dict:
         """A JSON-able summary (used by ``python -m repro chaos``)."""
         return {
@@ -321,7 +290,6 @@ class FaultPlan:
             "p_latency": self.p_latency,
             "latency_s": self.latency_s,
             "max_failures": self.max_failures,
-            "crash_at_tuple": self.crash_at_tuple,
             "specs": len(self.specs),
             "transient_only": self.transient_only,
         }

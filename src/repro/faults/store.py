@@ -21,7 +21,7 @@ from ..storage.blockfile import BlockFileReader, BlockIndexEntry
 from ..storage.heapfile import HeapFile
 from ..storage.index import IndexFileReader
 from ..storage.retry import RetryPolicy, TransientReadError
-from .plan import FaultDecision, FaultPlan
+from .plan import FaultDecision, FaultPlan, InjectedCrash
 
 __all__ = [
     "corrupt_bytes",
@@ -51,7 +51,7 @@ def corrupt_bytes(payload: bytes, salt: int = 0) -> bytes:
 class _InjectorMixin:
     """Shared decide-and-act logic for the two faulty stores."""
 
-    fault_plan: FaultPlan
+    plan: FaultPlan
     storage_stats: Any | None
     _sleep = staticmethod(time.sleep)
 
@@ -65,7 +65,7 @@ class _InjectorMixin:
             self._sleep(decision.delay_s)
         if decision.crash:
             stats.record_crash()
-            self.fault_plan.fire_crash(f"{unit} {target} read")
+            raise InjectedCrash(f"injected crash on {unit} {target} read")
         if decision.transient:
             raise TransientReadError(f"injected transient fault on {unit} {target}")
         return decision.corrupt
@@ -89,10 +89,10 @@ class FaultyBlockFileReader(_InjectorMixin, BlockFileReader):
         if retry is None:
             retry = RetryPolicy(max_attempts=plan.max_consecutive_failures + 1)
         super().__init__(path, retry=retry, storage_stats=storage_stats)
-        self.fault_plan = plan
+        self.plan = plan
 
     def _read_raw(self, entry: BlockIndexEntry, attempt: int) -> bytes:
-        decision = self.fault_plan.decide("block", entry.block_id, attempt)
+        decision = self.plan.decide("block", entry.block_id, attempt)
         tear = self._apply_decision(decision, "block", entry.block_id)
         buffer = super()._read_raw(entry, attempt)
         if tear:
@@ -133,12 +133,12 @@ class FaultyHeapFile(_InjectorMixin, HeapFile):
         self._payload_bytes = inner._payload_bytes
         self._total_bytes = inner._total_bytes
         self.inner = inner
-        self.fault_plan = plan
+        self.plan = plan
         self.storage_stats = storage_stats
         self.verify_checksums = True
 
     def _read_page_payloads(self, page_id: int, attempt: int = 1) -> list[bytes]:
-        decision = self.fault_plan.decide("page", page_id, attempt)
+        decision = self.plan.decide("page", page_id, attempt)
         tear = self._apply_decision(decision, "page", page_id)
         payloads = super()._read_page_payloads(page_id, attempt)
         if tear and payloads:
@@ -149,7 +149,7 @@ class FaultyHeapFile(_InjectorMixin, HeapFile):
 
     def recommended_retry(self) -> RetryPolicy:
         """A retry budget sized to this plan's worst consecutive failures."""
-        return RetryPolicy(max_attempts=self.fault_plan.max_consecutive_failures + 1)
+        return RetryPolicy(max_attempts=self.plan.max_consecutive_failures + 1)
 
 
 class FaultyIndexReader(_InjectorMixin, IndexFileReader):
@@ -173,10 +173,10 @@ class FaultyIndexReader(_InjectorMixin, IndexFileReader):
         if retry is None:
             retry = RetryPolicy(max_attempts=plan.max_consecutive_failures + 1)
         super().__init__(path, retry=retry, storage_stats=storage_stats)
-        self.fault_plan = plan
+        self.plan = plan
 
     def _read_node_raw(self, node_id: int, attempt: int = 1) -> bytes:
-        decision = self.fault_plan.decide("index_node", node_id, attempt)
+        decision = self.plan.decide("index_node", node_id, attempt)
         tear = self._apply_decision(decision, "index_node", node_id)
         raw = super()._read_node_raw(node_id, attempt)
         if tear:

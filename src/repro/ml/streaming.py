@@ -13,7 +13,6 @@ loop.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -22,7 +21,6 @@ from ..data.dataset import Dataset
 from ..storage.codec import TupleBatch
 from .optim import Optimizer, SGD
 from .models.base import SupervisedModel
-from .persistence import CheckpointState
 from .schedules import ExponentialDecay
 from .trainer import (
     CheckpointConfig,
@@ -31,6 +29,7 @@ from .trainer import (
     apply_unit,
     epoch_record,
     per_tuple_knob,
+    resume_state,
     run_epochs,
 )
 
@@ -48,8 +47,6 @@ def train_streaming(
     train_eval: Dataset | None = None,
     test: Dataset | None = None,
     checkpoint: CheckpointConfig | None = None,
-    resume_from: CheckpointState | str | Path | None = None,
-    fault_plan=None,
 ) -> ConvergenceHistory:
     """Train ``model`` from ``loader_factory(epoch)`` batch streams.
 
@@ -61,14 +58,13 @@ def train_streaming(
     column is NaN (nothing is materialised).
 
     With ``checkpoint``, a resumable snapshot is written at epoch ends and
-    (for ``every_tuples > 0``) at batch boundaries inside the epoch; the
-    cursor is the number of *batches* already consumed, so resuming requires
+    (for ``every_tuples > 0``) at batch boundaries inside the epoch, and a
+    run whose checkpoint file exists resumes from it; the cursor is the
+    number of *batches* already consumed, so resuming requires
     ``loader_factory(epoch)`` to be deterministic per epoch (CorgiPile
     loaders are: (seed, epoch) fully pin the stream).  Updates are per-batch
     either way, so — unlike the array trainer — checkpoint cadence never
-    changes the numeric result.  ``fault_plan`` (duck-typed
-    ``repro.faults.FaultPlan``) injects "crash after N tuples" at the batch
-    boundary where the budget runs out.
+    changes the numeric result.
     """
     if epochs <= 0:
         raise ValueError("epochs must be positive")
@@ -82,14 +78,9 @@ def train_streaming(
         for index, batch in enumerate(loader_factory(epoch)):
             if index < cursor:
                 continue  # applied before the interruption
-            if fault_plan is not None:
-                budget = fault_plan.tuples_before_crash(tuples_seen)
-                if budget is not None and budget < len(batch):
-                    fault_plan.fire_crash(f"epoch {epoch}, batch {index}")
             y = batch.labels.astype(np.int64) if int_labels else batch.labels
             apply_unit(model, optimizer, batch.features_matrix(), y, lr)
             yield len(batch), index + 1
-            tuples_seen += len(batch)
 
     def evaluate(epoch: int, lr: float, tuples_seen: int) -> EpochRecord:
         return epoch_record(model, train_eval, test, epoch, lr, tuples_seen)
@@ -111,7 +102,7 @@ def train_streaming(
         },
         meta={"cursor_unit": "batches", "epochs": epochs},
         checkpoint=checkpoint,
-        resume_from=resume_from,
+        resume=resume_state(checkpoint),
     )
 
 

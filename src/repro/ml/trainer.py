@@ -22,9 +22,10 @@ Per-epoch train loss / train metric / test metric are recorded into a
 
 With a :class:`CheckpointConfig` the trainer periodically persists a
 resumable snapshot (model, optimiser slots, epoch + in-epoch cursor) via
-:mod:`repro.ml.persistence`; because index sources derive each epoch's order
-purely from ``(seed, epoch)``, ``run(resume_from=...)`` continues a killed
-run over the *exact* remaining visit order.  Checkpoint boundaries also
+:mod:`repro.ml.persistence`, and a run whose checkpoint file exists resumes
+from it (:func:`resume_state`); because index sources derive each epoch's
+order purely from ``(seed, epoch)``, it continues a killed run over the
+*exact* remaining visit order.  Checkpoint boundaries also
 chunk the per-tuple/mini-batch kernels, so a resumed run and an uninterrupted
 run with the same cadence apply numerically identical update sequences —
 that is the resume-equivalence guarantee the chaos suite asserts at 1e-12.
@@ -57,6 +58,7 @@ __all__ = [
     "TrainInterrupted",
     "epoch_record",
     "check_knobs",
+    "resume_state",
     "restore_run",
     "apply_unit",
     "run_epochs",
@@ -260,21 +262,26 @@ def check_knobs(recorded: dict, knobs: dict) -> None:
             )
 
 
+def resume_state(checkpoint: CheckpointConfig | None) -> CheckpointState | None:
+    """The one resume rule, for every trainer: a run resumes if and only if
+    its ``checkpoint`` file exists, and this is the state it resumes from
+    (``None``: a fresh run).  :func:`restore_run` then refuses the state
+    when its knobs differ from the run's."""
+    if checkpoint is None or not Path(checkpoint.path).exists():
+        return None
+    return load_checkpoint(checkpoint.path)
+
+
 def restore_run(
-    resume_from: CheckpointState | str | Path,
+    state: CheckpointState,
     model: SupervisedModel,
     optimizer: Optimizer | None,
     history: ConvergenceHistory,
     knobs: dict,
-) -> CheckpointState:
-    """Load a checkpoint into a run about to resume — for every trainer.
-
-    ``knobs`` are held against its ``meta`` (:func:`check_knobs`).  Returns
-    the loaded state (``epoch``, ``cursor``, ``tuples_seen`` are the caller's).
+) -> None:
+    """Load a checkpoint's ``state`` into a run about to resume — for every
+    trainer.  ``knobs`` are held against its ``meta`` (:func:`check_knobs`).
     """
-    state = (
-        resume_from if isinstance(resume_from, CheckpointState) else load_checkpoint(resume_from)
-    )
     check_knobs(state.meta, knobs)
     for key, value in state.model.params.items():
         model.params[key][...] = value
@@ -284,7 +291,6 @@ def restore_run(
         raise ValueError("checkpoint carries optimizer state but the run has no optimizer")
     for record in state.history:
         history.append(EpochRecord(**record))
-    return state
 
 
 def apply_unit(
@@ -324,18 +330,20 @@ def run_epochs(
     knobs: dict,
     meta: dict | None = None,
     checkpoint: CheckpointConfig | None = None,
-    resume_from: CheckpointState | str | Path | None = None,
+    resume: CheckpointState | None = None,
     should_stop=None,
     epoch_end=None,
     span: str = "ml.epoch",
 ) -> ConvergenceHistory:
     """The epoch loop every trainer runs.
 
-    Owns what comes *after* the visit order: resume (``restore_run`` against
+    Owns what comes *after* the visit order: resume (``resume``, the state
+    :func:`resume_state` read from ``checkpoint``, restored against
     ``knobs``), the initial / cadence / epoch-end checkpoints (``knobs`` +
-    ``meta`` recorded), the ``should_stop`` probe, ``tuples_seen``, the
-    epoch span (``span``, with the units' ``wall_s``) and counter, and the
-    history.  A client supplies what differs:
+    ``meta`` recorded), the ``should_stop`` probe (the one place a run
+    stops short of a crash), ``tuples_seen``, the epoch span (``span``,
+    with the units' ``wall_s``) and counter, and the history.  A client
+    supplies what differs:
 
     * ``units(epoch, lr, cursor, tuples_seen)`` — a generator over the
       epoch's update units after the first ``cursor`` (the client's own
@@ -344,8 +352,7 @@ def run_epochs(
       yields ``(n_rows, seam)``: ``seam`` is the cursor once the unit is
       applied — a point the run may be saved at, stopped at and resumed
       from — or ``None`` where the client allows no seam (the short tail of
-      a pass, a unit cut short by an injected crash).  Epoch-local work
-      (rescan, wall clocks, fault injection) sits around its ``yield``;
+      a pass).  Epoch-local work (rescan, wall clocks) sits around its ``yield``;
       the generator is closed when the epoch ends, however it ends.
     * ``evaluate(epoch, lr, tuples_seen) -> EpochRecord``.
     * ``epoch_end(record) -> bool`` (optional), called after the epoch-end
@@ -357,9 +364,9 @@ def run_epochs(
     cadence saves exactly there.
     """
     start = cursor = tuples_seen = 0
-    if resume_from is not None:
-        state = restore_run(resume_from, model, optimizer, history, knobs)
-        start, cursor, tuples_seen = state.epoch, state.cursor, state.tuples_seen
+    if resume is not None:
+        restore_run(resume, model, optimizer, history, knobs)
+        start, cursor, tuples_seen = resume.epoch, resume.cursor, resume.tuples_seen
     every = checkpoint.every_tuples if checkpoint is not None else 0
 
     def save(epoch: int, cursor: int) -> None:
@@ -428,7 +435,6 @@ class Trainer:
         early_stopping: EarlyStopping | None = None,
         callbacks: list | None = None,
         checkpoint: CheckpointConfig | None = None,
-        fault_plan=None,
     ):
         if epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -450,15 +456,10 @@ class Trainer:
         # epoch is evaluated and saved (e.g. theory trackers, custom logs).
         self.callbacks = list(callbacks or [])
         self.checkpoint = checkpoint
-        # Duck-typed fault plan (repro.faults.FaultPlan): consulted for
-        # "crash after N tuples" injection; None in normal runs.
-        self.fault_plan = fault_plan
 
     # ------------------------------------------------------------------
-    def run(
-        self, resume_from: CheckpointState | str | Path | None = None
-    ) -> ConvergenceHistory:
-        """Train; with ``resume_from``, continue a killed run.
+    def run(self) -> ConvergenceHistory:
+        """Train; when the checkpoint file exists, continue the run it saved.
 
         Same index seed ⇒ same (seed, epoch)-pure visit orders ⇒ the stored
         cursor pins the exact remaining order.
@@ -481,7 +482,7 @@ class Trainer:
             knobs=self._knobs(),
             meta={"strategy": history.strategy, "epochs": self.epochs},
             checkpoint=checkpoint,
-            resume_from=resume_from,
+            resume=resume_state(checkpoint),
             epoch_end=self._epoch_end,
         )
 
@@ -513,20 +514,10 @@ class Trainer:
         step = self.batch_size if self.optimizer is not None else n
         while cursor < n:
             hi = min(n, (cursor // every + 1) * every) if every else n
-            crash_at = None
-            if self.fault_plan is not None:
-                budget = self.fault_plan.tuples_before_crash(tuples_seen)
-                if budget is not None and budget < hi - cursor:
-                    # The crash lands mid-chunk: apply what precedes it
-                    # (no seam — that state is lost), then die.
-                    hi = crash_at = cursor + budget
             for lo in range(cursor, hi, step):
                 end = min(lo + step, hi)
                 apply_unit(self.model, self.optimizer, X, y, lr, order[lo:end])
-                yield end - lo, None if crash_at is not None or end == n else end
-            if crash_at is not None:
-                self.fault_plan.fire_crash(f"epoch {epoch}, tuple {crash_at}")
-            tuples_seen += hi - cursor
+                yield end - lo, None if end == n else end
             cursor = hi
 
     def _knobs(self) -> dict:

@@ -7,7 +7,7 @@ shared per-epoch block permutation through its own
 :class:`~repro.core.dataset.CorgiPileDataset`, whose fills follow that
 plan's block groups, with pluggable
 aggregation (``sync`` per-batch gradient averaging on per-worker replicas,
-``epoch`` model averaging, ``async`` Hogwild), atomic coordinator
+``epoch`` model averaging), atomic coordinator
 checkpoints at seams, and per-worker stats merged into one cross-process
 report.
 """

@@ -1,6 +1,6 @@
 """Aggregation layer: how per-worker work folds into one global model.
 
-Three pluggable modes, in decreasing synchrony:
+Two modes, in decreasing synchrony; both are deterministic:
 
 * ``sync`` — per-batch gradient averaging.  Each worker computes the mean
   gradient of its ``bs/PN`` slice; the coordinator averages the ``PN``
@@ -12,12 +12,8 @@ Three pluggable modes, in decreasing synchrony:
 * ``epoch`` — epoch-end model averaging.  Workers run per-tuple SGD over
   their whole shard locally and the coordinator takes a tuple-count-
   weighted average of the resulting models (weights handle uneven and
-  empty shards).  Deterministic, one sync per epoch, but a different —
-  local-SGD / FedAvg-style — update sequence.
-* ``async`` — Hogwild-style.  Workers push parameter deltas straight into
-  the shared vector with no locks; last-writer-wins races are accepted for
-  zero synchronisation.  Not deterministic; offered for throughput
-  comparison, never for bit-exact guarantees.
+  empty shards).  One sync per epoch, but a different — local-SGD /
+  FedAvg-style — update sequence.
 
 The helpers here are the pure-numpy kernel of those modes; the process
 choreography lives in :mod:`repro.parallel.engine`/``worker``.
@@ -39,7 +35,7 @@ __all__ = [
 
 #: Also defined (for spec validation) in ``repro.db.spec``, which says why
 #: neither imports the other; ``tests/test_spec.py`` holds the two equal.
-AGGREGATION_MODES = ("sync", "async", "epoch")
+AGGREGATION_MODES = ("sync", "epoch")
 
 
 def pack_gradients(grads: Params, model: SupervisedModel) -> np.ndarray:

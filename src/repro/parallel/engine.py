@@ -17,27 +17,28 @@ optimizer)`` and nothing but the workers sits on a step's critical path::
     barrier A (PN + 1)  ───────────────▶    barrier A
                                             check the replicas agree, adopt
                                             one; evaluate / checkpoint /
-                                            probe should_stop / fire a crash
+                                            probe should_stop
     barrier B  ◀───────────────────────    barrier B
 
 The seams are a pure function of the run (:meth:`ParallelTrainer._sync_seams`):
-every epoch end, the ``checkpoint.every_tuples`` cadence, and the step a
-``fault_plan`` crash lands on.  The coordinator computes them once and the
-workers get the step counts with their task.
+every epoch end and the ``checkpoint.every_tuples`` cadence.  The
+coordinator computes them once and the workers get the step counts with
+their task.
 
 ``epoch`` mode syncs once per epoch (tuple-count-weighted model average
-over the results queue); ``async`` mode lets workers push Hogwild deltas
-into the shared vector and only frames epochs with barriers.
+over the results queue).  Both modes replay: the same run is the same
+update sequence.
 
 The coordinator is a :func:`~repro.ml.trainer.run_epochs` client like every
-other trainer: the shared loop restores a checkpoint, saves it (initial,
-cadence, epoch end), counts tuples and keeps the history, and the
-coordinator's update units are the step ranges between seams (one unit an
-epoch in ``epoch`` / ``async`` mode).  Worker 0 ships its optimiser state
-with its replica when a checkpoint is configured, and because worker
+other trainer: the shared loop restores a checkpoint (the run's file, when
+it exists), saves it (initial, cadence, epoch end), counts tuples and keeps
+the history, and the coordinator's update units are the step ranges between
+seams (one unit an epoch in ``epoch`` mode).  Worker 0 ships its optimiser
+state with its replica when a checkpoint is configured, and because worker
 streams are ``(seed, epoch)``-pure, a resumed run skips to the stored step
-and continues over the *exact* remaining update sequence — killed sync runs
-finish bit-exact (asserted at 1e-12 by ``tests/test_parallel_engine.py``).
+and continues over the *exact* remaining update sequence — stopped and
+killed sync runs finish bit-exact (``tests/test_parallel_engine.py``,
+``tests/test_sync_protocol.py``).
 
 Failure discipline: a dead or raising worker aborts both barriers;
 the coordinator translates that into :class:`WorkerError` (with the
@@ -59,7 +60,7 @@ from ..obs import LoaderMetrics, StorageMetrics
 from ..data.dataset import Dataset
 from ..ml.models.base import SupervisedModel
 from ..ml.optim import SGD, Optimizer
-from ..ml.persistence import CheckpointState, model_to_bytes
+from ..ml.persistence import model_to_bytes
 from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import (
     CheckpointConfig,
@@ -67,6 +68,7 @@ from ..ml.trainer import (
     Trainer,
     epoch_record,
     fixed_order_source,
+    resume_state,
     run_epochs,
 )
 from ..storage.blockfile import BlockFileReader
@@ -92,7 +94,7 @@ class _Seam:
     epoch: int
     cursor: int  # steps of ``epoch`` applied: its step count at an epoch end
     tuples_seen: int
-    kind: str  # "crash" | "checkpoint" | "epoch"
+    checkpoint: bool  # a cadence seam (else the epoch's end)
 
 
 def load_block_dataset(path: str | Path, task: str = "binary") -> Dataset:
@@ -181,7 +183,6 @@ class ParallelTrainer:
         optimizer: Optimizer | None = None,
         test: Dataset | None = None,
         checkpoint: CheckpointConfig | None = None,
-        fault_plan=None,
         task: str = "binary",
         should_stop=None,
         fleet: WorkerFleet | None = None,
@@ -201,7 +202,6 @@ class ParallelTrainer:
         self.optimizer = optimizer if optimizer is not None else SGD(model)
         self.test_set = test
         self.checkpoint = checkpoint
-        self.fault_plan = fault_plan
         #: Probed at every coordinator rendezvous: a sync run notices a stop
         #: request at its next seam (see WorkerFleet).
         self.should_stop = should_stop
@@ -217,7 +217,8 @@ class ParallelTrainer:
         )
 
     # ------------------------------------------------------------------
-    def run(self, resume_from: CheckpointState | str | Path | None = None) -> ParallelResult:
+    def run(self) -> ParallelResult:
+        """Train; when the checkpoint file exists, continue the run it saved."""
         history = ConvergenceHistory(
             strategy=f"parallel-{self.mode}", model=type(self.model).__name__
         )
@@ -225,7 +226,7 @@ class ParallelTrainer:
         dim = int(self.model.parameter_vector().size)
         seams: list[_Seam] = []
         epoch_walls: list[float] = []
-        steps = 0  # sync steps this run applied (one an epoch in epoch / async mode)
+        steps = 0  # sync steps this run applied (one an epoch in epoch mode)
         armed = False
         # The fleet is entered last so an abort reaps it before the arrays'
         # names are unlinked (see repro.parallel.shm).
@@ -242,8 +243,6 @@ class ParallelTrainer:
                         f"cursor {cursor} is not a sync-point multiple of the "
                         f"global batch size {bs}"
                     )
-                if self.mode == "async" and cursor:
-                    raise ValueError("async mode only supports epoch-boundary resume")
                 if self.mode == "sync":
                     seams.extend(self._sync_seams(epoch, cursor // bs, tuples_seen))
                 params[:] = self.model.parameter_vector()
@@ -278,25 +277,16 @@ class ParallelTrainer:
                     for seam in [s for s in seams if s.epoch == epoch]:
                         fleet.rendezvous()  # A: every replica is in the idle slab
                         self._adopt_replicas(grads[seam.steps & 1], fleet)
-                        if seam.kind == "crash":
-                            self.fault_plan.fire_crash(
-                                f"parallel sync epoch {seam.epoch}, step {seam.cursor}"
-                            )
-                        is_checkpoint = seam.kind == "checkpoint"
                         yield (
                             seam.tuples_seen - tuples_seen,
-                            seam.cursor * bs if is_checkpoint else None,
+                            seam.cursor * bs if seam.checkpoint else None,
                         )
                         tuples_seen = seam.tuples_seen
-                        if is_checkpoint:
+                        if seam.checkpoint:
                             fleet.rendezvous()  # B: workers resume
                     steps += self.planner.sync_steps(epoch, bs) - cursor // bs
-                elif self.mode == "epoch":
-                    yield self._epoch_mode_epoch(epoch, params, fleet), None
-                    steps += 1
                 else:
-                    self._async_epoch(params, fleet)
-                    yield int(self.eval_set.n_tuples), None
+                    yield self._epoch_mode_epoch(epoch, params, fleet), None
                     steps += 1
                 epoch_walls.append(time.perf_counter() - t0)
 
@@ -318,7 +308,7 @@ class ParallelTrainer:
                 knobs=self._knobs(),
                 meta={"strategy": history.strategy},
                 checkpoint=self.checkpoint,
-                resume_from=resume_from,
+                resume=resume_state(self.checkpoint),
                 epoch_end=epoch_end,
                 span="parallel.epoch",
             )
@@ -343,10 +333,9 @@ class ParallelTrainer:
 
     # ------------------------------------------------------------------
     def _sync_seams(self, start_epoch: int, start_step: int, seen: int) -> list[_Seam]:
-        """Where the coordinator joins a sync run, in order: every epoch end,
-        the checkpoint cadence, and the step a scheduled crash lands on (the
-        run ends there).  A pure function of the plan and the resume point
-        (``seen`` tuples applied by then)."""
+        """Where the coordinator joins a sync run, in order: every epoch end
+        and the checkpoint cadence.  A pure function of the plan and the
+        resume point (``seen`` tuples applied by then)."""
         bs = self.global_batch_size
         every = self.checkpoint.every_tuples if self.checkpoint is not None else 0
         checkpointed = seen
@@ -355,20 +344,12 @@ class ParallelTrainer:
         for epoch in range(start_epoch, self.epochs):
             n_steps = self.planner.sync_steps(epoch, bs)
             for step in range(start_step if epoch == start_epoch else 0, n_steps):
-                if self.fault_plan is not None:
-                    budget = self.fault_plan.tuples_before_crash(seen)
-                    if budget is not None and budget < bs:
-                        # The crash lands inside the next global batch: die
-                        # at the last durable sync point like a killed process
-                        # would (the checkpoint already exists).
-                        seams.append(_Seam(steps, epoch, step, seen, "crash"))
-                        return seams
                 steps += 1
                 seen += bs
                 if every > 0 and step + 1 < n_steps and seen - checkpointed >= every:
-                    seams.append(_Seam(steps, epoch, step + 1, seen, "checkpoint"))
+                    seams.append(_Seam(steps, epoch, step + 1, seen, True))
                     checkpointed = seen
-            seams.append(_Seam(steps, epoch, n_steps, seen, "epoch"))
+            seams.append(_Seam(steps, epoch, n_steps, seen, False))
             checkpointed = seen
         return seams
 
@@ -407,11 +388,6 @@ class ParallelTrainer:
         params[:] = averaged
         fleet.rendezvous()  # B: release workers into next epoch
         return int(sum(counts.values()))
-
-    def _async_epoch(self, params, fleet) -> None:
-        fleet.rendezvous()  # A: epoch start
-        fleet.rendezvous()  # B: all workers finished the epoch
-        self.model.load_parameter_vector(params)
 
     def _knobs(self) -> dict:
         """What pins the update sequence: checkpointed, and held equal on resume."""

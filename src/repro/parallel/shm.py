@@ -7,8 +7,7 @@ a statement, and a process that is already running can only reach a new
 segment by attaching to its name.  The coordinator creates the segments of
 one statement, sends their ``(name, shape)`` handles with the task, and
 unlinks them when the statement ends; nothing is locked, because the barrier
-protocol provides all ordering (sync mode never has two writers to one slot)
-and the async Hogwild mode *wants* racy updates.
+protocol provides all ordering (sync mode never has two writers to one slot).
 
 Workers share the coordinator's resource tracker (``spawn`` passes it on),
 so a worker's attach registers a name the tracker already holds and the

@@ -14,8 +14,8 @@ worker *and* the coordinator, ``sync.step()`` the workers alone.  ``sync``
 mode spends one ``sync.step()`` per global step — every worker keeps a
 replica of ``(model, optimizer)`` and applies the averaged gradient itself
 (:func:`_run_sync`) — and meets the coordinator only at the seams the
-coordinator scheduled; ``epoch`` / ``async`` modes and the hopper meet it
-once per epoch or slot.
+coordinator scheduled; ``epoch`` mode and the hopper meet it once per epoch
+or slot.
 
 Error discipline: any exception is reported through the results queue
 *before* both barriers are aborted, so the first error the coordinator
@@ -36,8 +36,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_ready
-
-import numpy as np
 
 from .. import obs
 from ..core.dataset import CorgiPileDataset
@@ -66,7 +64,7 @@ class WorkerConfig:
     seed: int
     epochs: int
     buffer_blocks: int
-    mode: str  # "sync" | "async" | "epoch"
+    mode: str  # "sync" | "epoch"
     global_batch_size: int
     schedule: object  # callable epoch -> lr (plain dataclass, picklable)
     start_epoch: int = 0
@@ -144,7 +142,7 @@ def worker_main(cfg: WorkerConfig, shard, arrays, sync, results) -> int:
     """The data-parallel entry point: ``cfg.mode``'s protocol over
     ``(params, gradient slots)``; returns the tuples this worker stepped."""
     model = model_from_bytes(cfg.model_blob)
-    runner = {"sync": _run_sync, "async": _run_async, "epoch": _run_epoch}[cfg.mode]
+    runner = {"sync": _run_sync, "epoch": _run_epoch}[cfg.mode]
     with obs.span("worker", worker=cfg.worker_id, mode=cfg.mode):
         return runner(cfg, shard, model, *arrays, sync, results)
 
@@ -202,20 +200,13 @@ def step_shard(model, shard: CorgiPileDataset, epoch: int, lr: float) -> int:
     return count
 
 
-def _fill_stream(shard: CorgiPileDataset, epoch: int, start: int = 0) -> RowStream:
-    """``epoch``'s fills from fill ``start`` on as a row stream, each read
-    only when the rows before it are used up."""
-    shard.set_epoch(epoch)
-    fills = shard.fills(start=start)
-    return RowStream(lambda: next(fills, None))
-
-
 def _epoch_slices(cfg, shard, epoch: int, skip: int):
     """Yield the epoch's per-step slices of ``bs/PN`` rows, after ``skip`` steps.
 
-    Fills are read lazily; whole fills that fall before the resume offset
-    are skipped without touching storage (their visit order is
-    (seed, epoch)-pure, so nothing needs replaying).
+    Fills are read lazily, each only when the rows before it are used up;
+    whole fills that fall before the resume offset are skipped without
+    touching storage (their visit order is (seed, epoch)-pure, so nothing
+    needs replaying).
     """
     per_worker = cfg.global_batch_size // cfg.n_workers
     n_steps = shard.plan.sync_steps(epoch, cfg.global_batch_size)
@@ -226,7 +217,9 @@ def _epoch_slices(cfg, shard, epoch: int, skip: int):
         while first < len(sizes) and to_skip >= sizes[first]:
             to_skip -= int(sizes[first])
             first += 1
-    stream = _fill_stream(shard, epoch, start=first)
+    shard.set_epoch(epoch)
+    fills = shard.fills(start=first)
+    stream = RowStream(lambda: next(fills, None))
     stream.skip(to_skip)
     for _ in range(skip, n_steps):
         yield stream.take(per_worker)
@@ -275,25 +268,6 @@ def _run_sync(cfg, shard, model, params, grads, sync, results) -> int:
             done += len(unit)
             steps += 1
             meet_coordinator()
-    return done
-
-
-def _run_async(cfg, shard, model, params, grads, sync, results) -> int:
-    """Hogwild-style delta pushes; barriers only frame whole epochs."""
-    per_worker = max(1, cfg.global_batch_size // cfg.n_workers)
-    done = 0
-    for epoch in range(cfg.start_epoch, cfg.epochs):
-        sync()  # A: epoch start, params current
-        lr = float(cfg.schedule(epoch))
-        stream = _fill_stream(shard, epoch)
-        # ``pull`` never crosses a fill: a step is <= per_worker rows of one.
-        while (unit := stream.pull(per_worker)) is not None:
-            before = np.array(params)  # racy snapshot, by design
-            model.load_parameter_vector(before)
-            model.step_block(unit.features_matrix(), unit.labels, lr)
-            params += model.parameter_vector() - before  # racy add, by design
-            done += len(unit)
-        sync()  # B: epoch end, coordinator evaluates
     return done
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.data import (
     make_multiclass_dense,
 )
 from repro.data import sparse
-from repro.ml import kernels
+from repro.faults import InjectedCrash
+from repro.ml import kernels, streaming, trainer
 from repro.storage import TupleBatch, columnar
 
 
@@ -78,3 +81,28 @@ def per_page_run(pool, page_ids):
         pages.append(batch)
         hits.append(hit)
     return TupleBatch.concat(pages), hits
+
+
+@contextlib.contextmanager
+def killed_at_tuple(n: int):
+    """Inside the block, a ``Trainer`` or ``train_streaming`` run dies
+    (``InjectedCrash``) at its ``n``-th tuple, as a killed process would: the
+    update unit holding it is cut short there, and what the run did since
+    its last save is lost, for the run over the same checkpoint to replay.
+    A streaming unit (a whole batch) dies before it is applied."""
+    real, seen = trainer.apply_unit, 0
+
+    def apply_unit(model, optimizer, X, y, lr, order=None):
+        nonlocal seen
+        rows = len(y) if order is None else len(order)
+        if seen + rows > n:
+            if order is not None and n > seen:
+                real(model, optimizer, X, y, lr, order[: n - seen])
+            raise InjectedCrash(f"killed at tuple {n}")
+        seen += rows
+        real(model, optimizer, X, y, lr, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "apply_unit", apply_unit)
+        patch.setattr(streaming, "apply_unit", apply_unit)
+        yield

@@ -1,7 +1,7 @@
 """Crash-safe checkpoint/resume: killed runs finish with identical weights.
 
-Satellite (b): a run killed at a randomized tuple N and resumed from its
-last checkpoint must produce final weights within 1e-12 of the
+A run killed at a randomized tuple N and run again over the same checkpoint
+— which resumes it, the file existing — must produce final weights within 1e-12 of the
 uninterrupted run — per-tuple and mini-batch, dense and sparse data,
 across ≥3 seeds.  The comparison baseline runs with the *same* checkpoint
 cadence, because the per-tuple kernels flush their lazy L2 scaling at chunk
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import CorgiPileDataset, DataLoader
 from repro.data import make_binary_dense, make_binary_sparse
-from repro.faults import FaultPlan, InjectedCrash
+from repro.faults import InjectedCrash
 from repro.ml import (
     Adam,
     CheckpointConfig,
@@ -30,6 +30,8 @@ from repro.ml import (
 )
 from repro.shuffle import EpochShuffle
 from repro.storage import write_block_file
+
+from .conftest import killed_at_tuple
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 SEEDS = [CHAOS_SEED * 3 + k for k in range(3)]
@@ -45,7 +47,7 @@ def _dataset(sparse: bool):
     return make_binary_dense(N_TUPLES, 10, separation=1.2, seed=11)
 
 
-def _trainer(dataset, seed, ckpath=None, plan=None, batch_size=1, optimizer=None):
+def _trainer(dataset, seed, ckpath=None, batch_size=1, optimizer=None):
     model = LogisticRegression(dataset.n_features)
     trainer = Trainer(
         model,
@@ -55,7 +57,6 @@ def _trainer(dataset, seed, ckpath=None, plan=None, batch_size=1, optimizer=None
         batch_size=batch_size,
         optimizer=optimizer(model) if optimizer is not None else None,
         checkpoint=CheckpointConfig(ckpath, every_tuples=CADENCE) if ckpath else None,
-        fault_plan=plan,
     )
     return model, trainer
 
@@ -79,15 +80,13 @@ class TestTrainerCrashResume:
         base_history = base.run()
 
         # Crashed run: killed after crash_at tuples.
-        crash_model, crashed = _trainer(
-            dataset, seed, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=crash_at)
-        )
-        with pytest.raises(InjectedCrash):
+        _, crashed = _trainer(dataset, seed, ckpath=ckpath)
+        with pytest.raises(InjectedCrash), killed_at_tuple(crash_at):
             crashed.run()
 
         # Resume in a fresh process-equivalent: new model, new trainer.
         resumed_model, resumed = _trainer(dataset, seed, ckpath=ckpath)
-        resumed_history = resumed.run(resume_from=ckpath)
+        resumed_history = resumed.run()
 
         for key in base_model.params:
             diff = np.max(np.abs(base_model.params[key] - resumed_model.params[key]))
@@ -104,21 +103,14 @@ class TestTrainerCrashResume:
         )
         base.run()
 
-        crash_model, crashed = _trainer(
-            dataset,
-            seed,
-            ckpath=ckpath,
-            plan=FaultPlan(crash_at_tuple=_crash_point(seed)),
-            batch_size=16,
-            optimizer=Adam,
-        )
-        with pytest.raises(InjectedCrash):
+        _, crashed = _trainer(dataset, seed, ckpath=ckpath, batch_size=16, optimizer=Adam)
+        with pytest.raises(InjectedCrash), killed_at_tuple(_crash_point(seed)):
             crashed.run()
 
         resumed_model, resumed = _trainer(
             dataset, seed, ckpath=ckpath, batch_size=16, optimizer=Adam
         )
-        resumed.run(resume_from=ckpath)
+        resumed.run()
         for key in base_model.params:
             # Adam's m/v/t slots must survive the round trip or the resumed
             # trajectory diverges immediately.
@@ -127,10 +119,8 @@ class TestTrainerCrashResume:
     def test_crash_before_first_cadence_point_is_resumable(self, tmp_path):
         dataset = _dataset(sparse=False)
         ckpath = tmp_path / "early.ckpt.npz"
-        _, crashed = _trainer(
-            dataset, 0, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=3)
-        )
-        with pytest.raises(InjectedCrash):
+        _, crashed = _trainer(dataset, 0, ckpath=ckpath)
+        with pytest.raises(InjectedCrash), killed_at_tuple(3):
             crashed.run()
         state = load_checkpoint(ckpath)  # the run-start checkpoint exists
         assert (state.epoch, state.cursor) == (0, 0)
@@ -215,13 +205,13 @@ class TestCheckpointFormat:
             tuples_seen=state.tuples_seen, history=state.history,
             meta={**state.meta, "fused": False},
         )
-        _, resumed = _trainer(dataset, 0)
+        _, resumed = _trainer(dataset, 0, ckpath=unfused)
         with pytest.raises(ValueError, match="fused"):
-            resumed.run(resume_from=unfused)
+            resumed.run()
         # different index seed replays a different order -> refuse
-        _, other_seed = _trainer(dataset, 1)
+        _, other_seed = _trainer(dataset, 1, ckpath=ckpath)
         with pytest.raises(ValueError, match="seed"):
-            other_seed.run(resume_from=ckpath)
+            other_seed.run()
 
 
     def test_mini_batch_checkpoint_of_an_unfused_run_still_resumes(self, tmp_path):
@@ -232,21 +222,19 @@ class TestCheckpointFormat:
         base_model, base = _trainer(dataset, 0, batch_size=16)
         base.run()
         ckpath = tmp_path / "mb.ckpt.npz"
-        _, crashed = _trainer(
-            dataset, 0, ckpath=ckpath, plan=FaultPlan(crash_at_tuple=N_TUPLES + 40),
-            batch_size=16,
-        )
-        with pytest.raises(InjectedCrash):
+        _, crashed = _trainer(dataset, 0, ckpath=ckpath, batch_size=16)
+        with pytest.raises(InjectedCrash), killed_at_tuple(N_TUPLES + 40):
             crashed.run()
         state = load_checkpoint(ckpath)
+        assert (state.epoch, state.cursor) == (1, 0)
         assert state.meta["fused"] is None
         save_checkpoint(
             ckpath, state.model, epoch=state.epoch, cursor=state.cursor,
             tuples_seen=state.tuples_seen, history=state.history,
             optimizer_state=state.optimizer_state, meta={**state.meta, "fused": False},
         )
-        resumed_model, resumed = _trainer(dataset, 0, batch_size=16)
-        resumed.run(resume_from=ckpath)
+        resumed_model, resumed = _trainer(dataset, 0, ckpath=ckpath, batch_size=16)
+        resumed.run()
         np.testing.assert_array_equal(
             resumed_model.parameter_vector(), base_model.parameter_vector()
         )
@@ -260,7 +248,7 @@ class TestStreamingCrashResume:
         write_block_file(dataset, path, tuples_per_block=25)
         ckpath = tmp_path / "stream.ckpt.npz"
 
-        def run(model, plan=None, checkpoint=None, resume_from=None):
+        def run(model, checkpoint=None):
             with CorgiPileDataset(path, buffer_blocks=2, seed=seed) as view:
 
                 def loader_factory(epoch):
@@ -272,24 +260,18 @@ class TestStreamingCrashResume:
                     loader_factory,
                     epochs=2,
                     per_tuple=True,
-                    fault_plan=plan,
                     checkpoint=checkpoint,
-                    resume_from=resume_from,
                 )
 
         clean = LogisticRegression(dataset.n_features)
         run(clean)
 
-        crashed = LogisticRegression(dataset.n_features)
-        with pytest.raises(InjectedCrash):
-            run(
-                crashed,
-                plan=FaultPlan(crash_at_tuple=_crash_point(seed) % (2 * N_TUPLES)),
-                checkpoint=CheckpointConfig(ckpath, every_tuples=CADENCE),
-            )
+        checkpoint = CheckpointConfig(ckpath, every_tuples=CADENCE)
+        with pytest.raises(InjectedCrash), killed_at_tuple(_crash_point(seed) % (2 * N_TUPLES)):
+            run(LogisticRegression(dataset.n_features), checkpoint=checkpoint)
 
         resumed = LogisticRegression(dataset.n_features)
-        run(resumed, resume_from=ckpath)
+        run(resumed, checkpoint=checkpoint)
         for key in clean.params:
             # Streaming updates are per-batch, so resume is exactly bitwise.
             assert np.array_equal(clean.params[key], resumed.params[key])

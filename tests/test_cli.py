@@ -203,3 +203,20 @@ class TestParallelTrain:
                     "no_shuffle",
                 ]
             )
+
+
+@pytest.mark.parametrize(
+    "page, line",
+    [
+        (3, "resumed from its checkpoint: max weight diff vs uninterrupted run = 0.0 (OK)"),
+        (100_000, "run finished before the crash point"),
+    ],
+)
+def test_chaos_crash_page_resumes_to_the_clean_weights(capsys, page, line):
+    """``chaos --crash-page N``: the TRAIN killed on its read of heap page N
+    resumes from its checkpoint to the clean run's bits; a page past the
+    table is never read, so the run finishes."""
+    assert main(["chaos", "--quick", "--crash-page", str(page)]) == 0
+    out = capsys.readouterr().out
+    assert line in out
+    assert "chaos verdict: PASS" in out

@@ -31,7 +31,8 @@ from repro.faults import (
     faulty_reader_factory,
     faulty_table,
 )
-from repro.ml import LogisticRegression, train_streaming
+from repro.db.spec import TrainSpec
+from repro.ml import CheckpointConfig, LogisticRegression, load_checkpoint, train_streaming
 from repro.obs import StorageMetrics
 from repro.storage import (
     BlockFileReader,
@@ -106,17 +107,14 @@ class TestFaultPlan:
         assert plan.decide("block", 1, 1).delay_s == 0.25
 
     def test_crash_latch_fires_once(self):
-        plan = FaultPlan(crash_at_tuple=10)
-        assert plan.tuples_before_crash(4) == 6
-        with pytest.raises(InjectedCrash):
-            plan.fire_crash("test")
-        assert plan.tuples_before_crash(99) is None  # resumed run survives
-        plan.reset()
-        assert plan.tuples_before_crash(4) == 6
+        """A crash spec fires on one read call of its unit: the read of the
+        same unit by the run resumed under the same plan survives."""
+        plan = FaultPlan(specs=[FaultSpec("crash", unit="page", target=3)])
+        assert plan.decide("page", 3, 1).crash
+        assert not plan.decide("page", 3, 1).crash
 
     def test_transient_only_classification(self):
         assert FaultPlan(p_transient=0.5, p_torn=0.5, p_latency=0.5).transient_only
-        assert not FaultPlan(crash_at_tuple=5).transient_only
         assert not FaultPlan(specs=[FaultSpec("crash", target=0)]).transient_only
 
     def test_validation(self):
@@ -136,8 +134,6 @@ class TestFaultPlan:
             FaultPlan(max_failures=0)
         with pytest.raises(ValueError):
             FaultPlan(latency_s=-1.0)
-        with pytest.raises(ValueError):
-            FaultPlan(crash_at_tuple=-1)
         with pytest.raises(ValueError):
             plan = FaultPlan()
             plan.decide("block", 0, 0)
@@ -159,7 +155,7 @@ class TestFaultPlan:
     def test_describe_is_json_able(self):
         import json
 
-        json.dumps(FaultPlan(seed=1, p_transient=0.1, crash_at_tuple=9).describe())
+        json.dumps(FaultPlan(seed=1, p_transient=0.1, specs=[FaultSpec("crash")]).describe())
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +391,45 @@ class TestFaultInvisibility:
         )
         for key in clean.params:
             assert np.array_equal(clean.params[key], faulty.params[key])
+
+
+class TestHeapTrainCrashResume:
+    """What ``repro chaos --crash-page`` runs: a heap TRAIN with a
+    ``checkpoint`` dies on a crashed read of one page, and the statement run
+    again over the same checkpoint on clean storage resumes it and ends on
+    the bits of the TRAIN that never died."""
+
+    @staticmethod
+    def _db(layout):
+        db = MiniDB(page_bytes=1024, pool_pages=8)
+        db.create_table("t", make_binary_dense(600, 12, separation=1.2, seed=11), layout=layout)
+        return db
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @pytest.mark.parametrize("strategy", ["corgipile", "sliding_window"])
+    def test_page_crash_then_resume_equals_the_uninterrupted_train(
+        self, tmp_path, strategy, layout
+    ):
+        spec = TrainSpec(
+            table="t", model="lr", strategy=strategy, epochs=2, lr=0.05,
+            seed=CHAOS_SEED + 1, block_size=2048,
+        )
+        clean = self._db(layout).train(spec).model.parameter_vector()
+        db = self._db(layout)
+        page = db.catalog.get("t").heap.n_pages // 2
+        # The pool holds 8 pages, so every page is read again each epoch:
+        # the second read of ``page`` is in epoch 1.
+        crash = FaultSpec("crash", unit="page", target=page, from_read=2)
+        stats = db.inject_faults("t", FaultPlan(specs=[crash]))
+        checkpoint = CheckpointConfig(tmp_path / "t.ckpt.npz", every_tuples=1)
+        with pytest.raises(InjectedCrash, match=f"page {page} read"):
+            db.train(spec, checkpoint=checkpoint)
+        assert stats.crashes_injected == 1
+        state = load_checkpoint(checkpoint.path)
+        assert state.epoch == 1  # died in epoch 1, from a resumable checkpoint
+
+        resumed = self._db(layout).train(spec, checkpoint=checkpoint).model
+        np.testing.assert_array_equal(resumed.parameter_vector(), clean)
 
 
 class TestWarmPoolFaultLedger:

@@ -5,7 +5,6 @@ Every statement here is tiny (a few hundred tuples) and every wait is on a
 pipe, a barrier or a process exit, so the file is deterministic on one core.
 """
 
-import functools
 import multiprocessing as mp
 import os
 import signal
@@ -18,11 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.parallel
 from repro import obs
 from repro.data import make_binary_dense
 from repro.db import MiniDB, parse_query
-from repro.faults import FaultPlan, InjectedCrash
 from repro.ml.models import LogisticRegression
 from repro.ml.trainer import CheckpointConfig, TrainInterrupted
 from repro.parallel import ParallelTrainer, WorkerError
@@ -133,9 +130,9 @@ def test_a_statement_of_another_size_replaces_the_fleet(dataset):
 def _abort_with_worker_error(db, query, monkeypatch, cp):
     run = ParallelTrainer.run
 
-    def run_with_the_block_file_gone(trainer, **kwargs):
+    def run_with_the_block_file_gone(trainer):
         os.unlink(trainer.path)  # the coordinator has read it; the workers open it next
-        return run(trainer, **kwargs)
+        return run(trainer)
 
     monkeypatch.setattr(ParallelTrainer, "run", run_with_the_block_file_gone)
     with pytest.raises(WorkerError, match="parallel worker"):
@@ -152,17 +149,7 @@ def _abort_with_interrupt(db, query, monkeypatch, cp):
         db.train(query, checkpoint=cp, should_stop=lambda: probes.append(0) or len(probes) > 26)
 
 
-def _abort_with_injected_crash(db, query, monkeypatch, cp):
-    crashing = functools.partial(ParallelTrainer, fault_plan=FaultPlan(seed=0, crash_at_tuple=1200))
-    monkeypatch.setattr(repro.parallel, "ParallelTrainer", crashing)
-    with pytest.raises(InjectedCrash):
-        db.train(query, checkpoint=cp)
-    monkeypatch.setattr(repro.parallel, "ParallelTrainer", ParallelTrainer)
-
-
-@pytest.mark.parametrize(
-    "abort", [_abort_with_worker_error, _abort_with_interrupt, _abort_with_injected_crash]
-)
+@pytest.mark.parametrize("abort", [_abort_with_worker_error, _abort_with_interrupt])
 def test_an_abort_discards_the_fleet_and_the_next_statement_resumes(
     dataset, tmp_path, monkeypatch, abort
 ):

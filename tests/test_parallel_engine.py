@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.data.generators import make_binary_dense, make_binary_sparse
-from repro.faults import FaultPlan, InjectedCrash
 from repro.ml.models import LinearSVM, LogisticRegression
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig
@@ -169,25 +168,19 @@ class TestSyncMode:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("how", ["injected_crash", "should_stop"])
-    def test_kill_mid_epoch_resume_bit_exact(self, dense_block_file, tmp_path, how):
+    def test_kill_mid_epoch_resume_bit_exact(self, dense_block_file, tmp_path):
         clean = run_sync(dense_block_file, n_workers=4, epochs=3)
 
         cp = CheckpointConfig(path=tmp_path / "par.ckpt", every_tuples=GBS)
-        if how == "injected_crash":
-            died, interruption = InjectedCrash, {
-                "fault_plan": FaultPlan(seed=0, crash_at_tuple=800)
-            }
-        else:
-            # The job seam: probed at both rendezvous of every seam, and with a
-            # checkpoint after every step each step ends in one — probe 51
-            # stops the run after the checkpoint of step 25, at tuple 800.
-            probes = []
-            died, interruption = TrainInterrupted, {
-                "should_stop": lambda: probes.append(None) or len(probes) > 50
-            }
-        with pytest.raises(died):
-            run_sync(dense_block_file, n_workers=4, epochs=3, checkpoint=cp, **interruption)
+        # The job seam: probed at both rendezvous of every seam, and with a
+        # checkpoint after every step each step ends in one — probe 51
+        # stops the run after the checkpoint of step 25, at tuple 800.
+        probes = []
+        with pytest.raises(TrainInterrupted):
+            run_sync(
+                dense_block_file, n_workers=4, epochs=3, checkpoint=cp,
+                should_stop=lambda: probes.append(None) or len(probes) > 50,
+            )
         assert_no_leaked_children()
 
         model = LogisticRegression(N_FEATURES, seed=1)
@@ -202,7 +195,7 @@ class TestCrashResume:
             schedule=SCHEDULE,
             checkpoint=cp,
         )
-        resumed = trainer.run(resume_from=cp.path)
+        resumed = trainer.run()  # the checkpoint file exists: it resumes
         assert_no_leaked_children()
 
         diff = np.max(
@@ -227,9 +220,10 @@ class TestCrashResume:
             global_batch_size=GBS,
             seed=SEED,
             schedule=SCHEDULE,
+            checkpoint=cp,
         )
         with pytest.raises(ValueError, match="n_workers"):
-            trainer.run(resume_from=cp.path)
+            trainer.run()
 
 
 class TestOtherModes:
@@ -265,7 +259,7 @@ class TestOtherModes:
         cp = CheckpointConfig(path=tmp_path / "epoch.ckpt")
         trainer(LogisticRegression(N_FEATURES, seed=1), 1, checkpoint=cp).run()
         resumed = LogisticRegression(N_FEATURES, seed=1)
-        result = trainer(resumed, 3, checkpoint=cp).run(resume_from=cp.path)
+        result = trainer(resumed, 3, checkpoint=cp).run()
         assert_no_leaked_children()
         np.testing.assert_array_equal(resumed.parameter_vector(), clean.parameter_vector())
         assert result.epochs_run == 2
@@ -294,22 +288,6 @@ class TestOtherModes:
             result.model.parameter_vector(),
             LogisticRegression(4, seed=1).parameter_vector(),
         )
-
-    def test_async_mode_trains(self, dense_block_file):
-        model = LogisticRegression(N_FEATURES, seed=1)
-        result = ParallelTrainer(
-            dense_block_file,
-            model,
-            n_workers=2,
-            mode="async",
-            epochs=1,
-            global_batch_size=GBS,
-            seed=SEED,
-            schedule=SCHEDULE,
-        ).run()
-        assert_no_leaked_children()
-        assert result.tuples_processed == N_TUPLES
-        assert result.history.final.train_score > 0.6
 
 
 class TestFailurePaths:

@@ -516,6 +516,28 @@ class TestRecover:
             load_model(job.model_path).parameter_vector(), inline.parameter_vector()
         )
 
+    def test_journalled_async_aggregation_fails_naming_what_is_left(self, tmp_path):
+        """A job journalled while ``aggregation = 'async'`` existed is
+        recovered and then fails with the spec's own refusal."""
+        from repro.serve.jobs import JobManager
+
+        (job_id,) = self._journal(tmp_path, 1)
+        spec_path = tmp_path / "jobs" / f"{job_id}.json"
+        journal = json.loads(spec_path.read_text())
+        journal["spec"].update({"workers": 2, "aggregation": "async"})
+        spec_path.write_text(json.dumps(journal))
+
+        manager = JobManager(tmp_path, workers=1)
+        assert manager.recover() == [job_id]
+        manager.start()
+        try:
+            manager._queue.join()
+        finally:
+            manager.stop()
+        job = manager.get(job_id)
+        assert job.state == "failed"
+        assert job.spec["error"] == "unknown aggregation 'async'; supported: sync | epoch"
+
     def test_job_journalled_by_the_previous_release_fails_loudly(self, tmp_path):
         from repro.serve.jobs import JobManager
 

@@ -68,7 +68,7 @@ class TestTrainSpecValidation:
         with pytest.raises(SpecError, match="warm_start"):
             TrainSpec(table="t", model="lr", grid=grid, warm_start="m0")
 
-    @pytest.mark.parametrize("aggregation", ["epoch", "async"])
+    @pytest.mark.parametrize("aggregation", ["epoch"])
     def test_aggregation_without_workers_is_refused(self, aggregation, dense_binary):
         """An aggregation mode needs workers to aggregate: with one process it
         cannot apply, so it is refused, not silently run as single-process SGD."""
@@ -98,7 +98,22 @@ class TestTrainSpecValidation:
         import repro.parallel
 
         assert set(AGGREGATION_MODES) == set(repro.parallel.AGGREGATION_MODES)
-        assert len(AGGREGATION_MODES) == len(repro.parallel.AGGREGATION_MODES) == 3
+        assert len(AGGREGATION_MODES) == len(repro.parallel.AGGREGATION_MODES) == 2
+
+    def test_async_aggregation_is_refused_naming_what_is_left(self, dense_binary, capsys):
+        """Hogwild ``async`` raced by design, so it could not replay; the
+        spec, SQL and the CLI refuse it and name the modes that are left."""
+        want = "unknown aggregation 'async'; supported: sync | epoch"
+        with pytest.raises(SpecError, match=re.escape(want)):
+            TrainSpec(table="t", model="lr", workers=2, aggregation="async")
+        db = MiniDB(page_bytes=1024)
+        db.create_table("t", dense_binary)
+        with pytest.raises(SpecError, match=re.escape(want)):
+            db.execute("SELECT * FROM t TRAIN BY lr WITH workers = 2, aggregation = 'async'")
+        argv = ["train", "--dataset", "higgs", "--workers", "2", "--aggregation", "async"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "invalid choice: 'async' (choose from 'sync', 'epoch')" in capsys.readouterr().err
 
 
 class TestGridSpec:

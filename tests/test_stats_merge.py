@@ -69,7 +69,6 @@ class TestPickle:
             p_transient=0.4,
             p_torn=0.2,
             max_failures=3,
-            crash_at_tuple=100,
         )
         # prime the memo + read-call counters so latch state transports
         plan.decide("block", 5, 1)
@@ -80,14 +79,14 @@ class TestPickle:
                 assert clone.decide("block", target, attempt) == plan.decide(
                     "block", target, attempt
                 )
-        assert clone.tuples_before_crash(40) == 60
 
     def test_fault_plan_crash_latch_transports(self):
-        plan = FaultPlan(seed=0, crash_at_tuple=5)
-        with pytest.raises(Exception):
-            plan.fire_crash()
+        """A crash spec fires on one read call; the read counter travels with
+        the plan, so a clone does not crash the unit's next read again."""
+        plan = FaultPlan(seed=0, specs=[FaultSpec("crash", unit="page", target=4)])
+        assert plan.decide("page", 4, 1).crash
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.tuples_before_crash(0) is None  # fired latch survived
+        assert not clone.decide("page", 4, 1).crash
 
 
 class TestMerge:

@@ -9,8 +9,8 @@ What is pinned here, on real spawned workers and tiny inputs:
   SGD, momentum and Adam;
 * every worker's replica is the same bits at every seam;
 * a worker waits at ``sync_steps`` + 2 x seams barriers, not 2 x steps;
-* optimiser state crosses the seam and the checkpoint: a run killed,
-  stopped or crashed mid-epoch resumes bit-exact with momentum and Adam;
+* optimiser state crosses the seam and the checkpoint: a run killed or
+  stopped mid-epoch resumes bit-exact with momentum and Adam;
 * a worker that fails between two step barriers surfaces as its own
   traceback, promptly, and nothing is left alive;
 * no ``MiniDB.train`` reads its block file back.
@@ -35,7 +35,6 @@ from repro import obs
 from repro.data.generators import make_binary_dense
 from repro.data.orderings import clustered_by_label
 from repro.db import MiniDB
-from repro.faults import FaultPlan, InjectedCrash
 from repro.ml.models import LogisticRegression
 from repro.ml.optim import SGD, Adam
 from repro.ml.schedules import ExponentialDecay
@@ -218,28 +217,25 @@ def _interrupt(how, block_file, dataset, optimizer, cp, tmp_path):
         done = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=120)
         assert done.returncode == -signal.SIGKILL, done.stderr
         return
-    if how == "crash":
-        died, interruption = InjectedCrash, {"fault_plan": FaultPlan(seed=0, crash_at_tuple=800)}
-    else:
-        probes = []
-        died, interruption = TrainInterrupted, {
-            "should_stop": lambda: probes.append(None) or len(probes) > 50
-        }
-    with pytest.raises(died):
-        trainer(block_file, optimizer, checkpoint=cp, eval_set=dataset, **interruption).run()
+    probes = []
+    with pytest.raises(TrainInterrupted):
+        trainer(
+            block_file, optimizer, checkpoint=cp, eval_set=dataset,
+            should_stop=lambda: probes.append(None) or len(probes) > 50,
+        ).run()
     assert_no_leaked_children()
 
 
 @pytest.mark.parametrize("optimizer", ["momentum", "adam"])
-@pytest.mark.parametrize("how", ["kill", "should_stop", "crash"])
+@pytest.mark.parametrize("how", ["kill", "should_stop"])
 def test_stateful_optimizer_resumes_bit_exact(block_file, dataset, tmp_path, optimizer, how):
-    # A checkpoint seam after every step; all three die in epoch 1, near
-    # tuple 800, with 15 steps of momentum / Adam moments behind them.
+    # A checkpoint seam after every step; both die in epoch 1, near tuple
+    # 800, with 15 steps of momentum / Adam moments behind them.
     cp = CheckpointConfig(path=tmp_path / "sync.ckpt", every_tuples=32)
     _interrupt(how, block_file, dataset, optimizer, cp, tmp_path)
 
     run = trainer(block_file, optimizer, checkpoint=cp, eval_set=dataset)
-    resumed = run.run(resume_from=cp.path)
+    resumed = run.run()  # the checkpoint file exists: it resumes
     assert_no_leaked_children()
     assert 0 < resumed.sync_steps < 20  # picked up inside epoch 1
     np.testing.assert_array_equal(

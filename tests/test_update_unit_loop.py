@@ -8,9 +8,10 @@ data-parallel ``ParallelTrainer`` run ``repro.ml.trainer.run_epochs``.
   drivers shared a loop — this test passes against the parent checkout
   ``8d1c4b9`` unchanged — which is why sharing one changed no bits.
 * **Kill/resume per client, through the shared loop**: ``Trainer`` (cadence
-  not a multiple of the batch size, crash mid-chunk), ``train_streaming``
-  (crash at a batch boundary, resumed behind a prefetch thread); the
+  not a multiple of the batch size, killed mid-chunk), ``train_streaming``
+  (killed at a batch boundary, resumed behind a prefetch thread); the
   ``SGDOperator`` leg is ``tests/test_conformance.py``'s kill/resume matrix.
+  A killed run resumes because its checkpoint file exists.
 * **The loop cannot fork again**: a source-level gate.
 """
 
@@ -30,7 +31,7 @@ from repro.db import MiniDB
 from repro.db.engine import ENGINE_PROFILE
 from repro.db.spec import TrainSpec
 from repro.db.timing import RuntimeContext
-from repro.faults import FaultPlan, InjectedCrash
+from repro.faults import InjectedCrash
 from repro.ml import (
     CheckpointConfig,
     ExponentialDecay,
@@ -43,6 +44,8 @@ from repro.ml import (
 )
 from repro.shuffle import EpochShuffle
 from repro.storage import SSD, write_block_file
+
+from .conftest import killed_at_tuple
 
 SEED = 5
 MODES = {"fused": {}, "minibatch": {"batch_size": 32}}
@@ -122,20 +125,20 @@ def test_trainer_crashed_mid_chunk_resumes_to_the_uninterrupted_weights(tmp_path
     dataset = _dataset(kind)
     epochs, crash_at = 3, dataset.n_tuples + 137  # epoch 1, between two save points
 
-    def trainer(ckpath, plan=None):
+    def trainer(ckpath, **knobs):
         model = LinearSVM(dataset.n_features)
         return model, Trainer(
             model, dataset, EpochShuffle(dataset.n_tuples, seed=SEED), epochs=epochs,
-            schedule=ExponentialDecay(0.05, 0.9), fault_plan=plan,
+            schedule=ExponentialDecay(0.05, 0.9),
             checkpoint=CheckpointConfig(ckpath, every_tuples=100),
-            **MODES[mode],
+            **{**MODES[mode], **knobs},
         )
 
     base_model, base = trainer(tmp_path / "base.npz")
     base_history = base.run()
     ckpath = tmp_path / "run.npz"
-    _crashed_model, crashed = trainer(ckpath, FaultPlan(crash_at_tuple=crash_at))
-    with pytest.raises(InjectedCrash):
+    _crashed_model, crashed = trainer(ckpath)
+    with pytest.raises(InjectedCrash), killed_at_tuple(crash_at):
         crashed.run()
     state = load_checkpoint(ckpath)
     every = 96 if mode == "minibatch" else 100
@@ -143,15 +146,12 @@ def test_trainer_crashed_mid_chunk_resumes_to_the_uninterrupted_weights(tmp_path
     assert state.tuples_seen == dataset.n_tuples + state.cursor
 
     resumed_model, resumed = trainer(ckpath)
-    resumed_history = resumed.run(resume_from=ckpath)
+    resumed_history = resumed.run()
     np.testing.assert_array_equal(_weights(resumed_model), _weights(base_model))
     assert resumed_history.train_losses == base_history.train_losses
     assert resumed_history.final.tuples_seen == epochs * dataset.n_tuples
     with pytest.raises(ValueError, match="checkpoint was taken with batch_size="):
-        Trainer(
-            LinearSVM(dataset.n_features), dataset, EpochShuffle(dataset.n_tuples, seed=SEED),
-            epochs=epochs, batch_size=16,
-        ).run(resume_from=ckpath)
+        trainer(ckpath, batch_size=16)[1].run()
 
 
 @pytest.mark.parametrize("per_tuple", [True, False], ids=["per-tuple", "minibatch"])
@@ -178,25 +178,22 @@ def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
 
     clean = LinearSVM(dataset.n_features)
     clean_history = run(clean)
-    with pytest.raises(InjectedCrash):
-        # Five batches into the second epoch: the budget runs out exactly
-        # at a batch boundary, one batch after a cadence save.
-        run(
-            LinearSVM(dataset.n_features),
-            fault_plan=FaultPlan(crash_at_tuple=dataset.n_tuples + 5 * 32),
-            checkpoint=CheckpointConfig(ckpath, every_tuples=64),
-        )
+    checkpoint = CheckpointConfig(ckpath, every_tuples=64)
+    # Five batches into the second epoch: the kill lands exactly at a batch
+    # boundary, one batch after a cadence save.
+    with pytest.raises(InjectedCrash), killed_at_tuple(dataset.n_tuples + 5 * 32):
+        run(LinearSVM(dataset.n_features), checkpoint=checkpoint)
     state = load_checkpoint(ckpath)
     assert (state.epoch, state.cursor, state.meta["cursor_unit"]) == (1, 4, "batches")
     resumed = LinearSVM(dataset.n_features)
-    resumed_history = run(resumed, prefetch=True, resume_from=ckpath)
+    resumed_history = run(resumed, prefetch=True, checkpoint=checkpoint)
     np.testing.assert_array_equal(_weights(resumed), _weights(clean))
     assert resumed_history.final.tuples_seen == clean_history.final.tuples_seen
     with pytest.raises(ValueError, match="checkpoint was taken with per_tuple="):
         with CorgiPileDataset(path, buffer_blocks=2, seed=SEED) as view:
             train_streaming(
                 LinearSVM(dataset.n_features), lambda epoch: DataLoader(view, batch_size=32),
-                epochs=2, per_tuple=not per_tuple, resume_from=ckpath,
+                epochs=2, per_tuple=not per_tuple, checkpoint=checkpoint,
             )
 
 
@@ -260,6 +257,14 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
         r"_concat_features|_stack_sparse|SegmentedMiniDB|DistributedTrainResult"
     )
     assert files_calling(deleted.pattern) == set()
+    # One way to stop a run (should_stop, or a real crash) and one rule to
+    # resume it (its checkpoint file exists): no tuple-budget crash, no
+    # explicit resume argument, no racing mode that cannot replay.
+    assert files_calling(
+        r"crash_at_tuple|tuples_before_crash|resume_from|fault_plan|_run_async|_async_epoch"
+    ) == set()
+    # Only resume_state reads a checkpoint to resume.
+    assert files_calling(r"\bload_checkpoint\(") - {"ml/persistence.py"} == {"ml/trainer.py"}
     assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
     # One per-tuple path: the unbound reference loop is reachable from tests
     # only (test_one_per_tuple_update_path holds the signatures).
@@ -286,6 +291,24 @@ def test_one_per_tuple_update_path():
     assert FUSE_CHUNK == 256
     assert "fused" not in {f.name for f in fields(TrainSpec)}
     assert "double_buffer" not in {f.name for f in fields(TrainSpec)}
+
+
+def test_one_way_to_stop_and_one_rule_to_resume():
+    """Every trainer resumes from its own ``checkpoint`` file, and the
+    engine's trainers stop at ``should_stop``: none takes a fault plan or a
+    state to resume from."""
+    import inspect
+
+    from repro.db.operators import SGDOperator
+    from repro.parallel import ParallelTrainer
+
+    for fn in (Trainer, train_streaming, ParallelTrainer, SGDOperator):
+        params = set(inspect.signature(fn).parameters)
+        assert "checkpoint" in params, fn.__name__
+        assert not params & {"fault_plan", "resume_from"}, fn.__name__
+        assert ("should_stop" in params) == (fn in (ParallelTrainer, SGDOperator)), fn.__name__
+    for run in (Trainer.run, ParallelTrainer.run):
+        assert list(inspect.signature(run).parameters) == ["self"]
 
 
 def test_one_row_api_the_per_tuple_read_path_is_gone():
