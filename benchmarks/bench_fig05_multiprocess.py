@@ -130,8 +130,9 @@ def test_fig05_measured_loader_stats(tmp_path, glm_problems):
     assert d["items_produced"] == d["items_consumed"] > 0
     assert 0.0 <= d["overlap_fraction"] <= 1.0
 
-    # Counter-vs-span overlap audit over the same wall (N producers share
-    # one stats sink, so producer lifetime sums across the worker threads).
+    # Counter-vs-span overlap audit over the same wall: the N producers share
+    # one stats sink, so both routes count a producer's share of the summed
+    # stall and lifetime (the row's ``producers`` is ~N).
     check = overlap_crosscheck(stats, tracer.spans, wall_s)
     report_table(
         [{k: round(v, 6) if isinstance(v, float) else v for k, v in check.items()}],

@@ -1,6 +1,6 @@
 """CorgiPile core: the two-level shuffle, buffers, dataset API, multi-process mode."""
 
-from .buffer import ShuffleBuffer, pipelined_time, serial_time
+from .buffer import pipelined_time, serial_time
 from .corgipile import CorgiPileShuffle
 from .dataloader import DataLoader
 from .dataset import CorgiPileDataset
@@ -12,7 +12,6 @@ from .seeding import derive_rng, epoch_rng, fault_unit_rng, stream_rng, worker_r
 
 __all__ = [
     "CorgiPileShuffle",
-    "ShuffleBuffer",
     "pipelined_time",
     "serial_time",
     "CorgiPileDataset",

@@ -152,7 +152,7 @@ def overlap_crosscheck(
 
     Two routes to the same physical quantity — the seconds during which
     loading genuinely overlapped compute over a consumer-side wall of
-    ``wall_s``:
+    ``wall_s``, for one producer:
 
     * **counters** (``LoaderMetrics``): the consumer was computing except
       while it waited, and the producer was loading except while it
@@ -161,7 +161,16 @@ def overlap_crosscheck(
       ``loader.producer`` lifetime minus its ``loader.producer_stall``
       spans; consumer busy is the wall minus the ``loader.consumer_wait``
       spans; the inclusion–exclusion identity gives
-      ``overlap = producer_busy + consumer_busy − wall``.
+      ``overlap = producer_busy + consumer_busy − wall`` (clamped at 0).
+
+    Producer threads that share one stats sink (a ``MultiWorkerLoader``'s
+    workers) sum their stalls and lifetimes, so both routes divide the
+    producer totals by ``producers``: how many ran at once, the spans'
+    summed lifetime over the time any of them was alive (1 for producers
+    that follow each other, N for N that run side by side).  Side-by-side
+    producers can stall while the consumer waits on another one's queue,
+    which the identity does not see; both routes then fall below 0, so
+    both clamp there.
 
     The two must agree within ``tolerance_s`` (defaults to
     ``max(0.05, 10%·wall)`` — span timestamps and counter sums are taken
@@ -179,33 +188,41 @@ def overlap_crosscheck(
     name = d.get("name", "loader")
     wall_s = float(wall_s)
 
-    def _fields(span) -> tuple[str, float, str]:
+    def _fields(span) -> tuple[str, float, float, str]:
         if isinstance(span, dict):
+            start = float(span.get("start_s", 0.0))
             return (
                 span.get("name", ""),
-                float(span.get("duration_s", 0.0)),
+                start,
+                float(span.get("end_s", start + float(span.get("duration_s", 0.0)))),
                 str(span.get("attrs", {}).get("loader", "")),
             )
-        return span.name, span.duration_s, str(span.attrs.get("loader", ""))
+        return span.name, span.start, span.end, str(span.attrs.get("loader", ""))
 
-    producer_life = stall_span_s = wait_span_s = 0.0
+    lifetimes = []
+    stall_span_s = wait_span_s = 0.0
     for span in spans:
-        span_name, duration, loader = _fields(span)
+        span_name, start, end, loader = _fields(span)
         if loader != name:
             continue
         if span_name == "loader.producer":
-            producer_life += duration
+            lifetimes.append((start, end))
         elif span_name == "loader.producer_stall":
-            stall_span_s += duration
+            stall_span_s += end - start
         elif span_name == "loader.consumer_wait":
-            wait_span_s += duration
+            wait_span_s += end - start
 
-    producer_busy = max(0.0, producer_life - stall_span_s)
+    producer_life = sum(end - start for start, end in lifetimes)
+    alive = _union_s(lifetimes)
+    producers = producer_life / alive if alive > 0.0 else 1.0
+    producer_busy = max(0.0, producer_life - stall_span_s) / producers
     consumer_busy = max(0.0, wall_s - wait_span_s)
-    span_overlap = producer_busy + consumer_busy - wall_s
+    span_overlap = max(0.0, producer_busy + consumer_busy - wall_s)
     counter_overlap = max(
         0.0,
-        wall_s - float(d.get("producer_stall_s", 0.0)) - float(d.get("consumer_wait_s", 0.0)),
+        wall_s
+        - float(d.get("producer_stall_s", 0.0)) / producers
+        - float(d.get("consumer_wait_s", 0.0)),
     )
     if tolerance_s is None:
         tolerance_s = max(0.05, 0.10 * wall_s)
@@ -213,6 +230,7 @@ def overlap_crosscheck(
     return {
         "loader": name,
         "wall_s": wall_s,
+        "producers": producers,
         "producer_busy_s": producer_busy,
         "consumer_busy_s": consumer_busy,
         "span_overlap_s": span_overlap,
@@ -221,3 +239,13 @@ def overlap_crosscheck(
         "tolerance_s": tolerance_s,
         "ok": gap <= tolerance_s,
     }
+
+
+def _union_s(intervals) -> float:
+    """Seconds covered by at least one ``(start, end)`` interval."""
+    covered, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered

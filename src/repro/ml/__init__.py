@@ -24,7 +24,6 @@ from .persistence import (
     save_checkpoint,
     save_model,
 )
-from .streaming import train_streaming
 from .tuning import GridResult, SeedStats, grid_search, multi_seed
 from .trainer import (
     CheckpointConfig,
@@ -82,5 +81,4 @@ __all__ = [
     "GridResult",
     "multi_seed",
     "SeedStats",
-    "train_streaming",
 ]

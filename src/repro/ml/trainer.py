@@ -2,10 +2,12 @@
 
 :func:`run_epochs` is the one epoch loop — resume, checkpoint cadence,
 stop probe, history — and every trainer runs it: :class:`Trainer` here,
-:func:`~repro.ml.streaming.train_streaming`, the engine's
-:class:`~repro.db.operators.SGDOperator` and the data-parallel coordinator
-:class:`~repro.parallel.engine.ParallelTrainer`.  Each supplies only its
-update units and how an epoch is evaluated.
+the engine's :class:`~repro.db.operators.SGDOperator` and the data-parallel
+coordinator :class:`~repro.parallel.engine.ParallelTrainer`.  Each supplies
+only its update units and how an epoch is evaluated.  A block-file loader
+needs no trainer: the caller's own loop over ``DataLoader`` batches, one
+:func:`apply_unit` each, is the whole of Section 5's ``train(loader, model)``
+(``examples/pytorch_style_pipeline.py``).
 
 :class:`Trainer` is the statistical-efficiency half of the evaluation
 harness.  It consumes an *index source* — anything exposing

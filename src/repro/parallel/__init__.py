@@ -24,13 +24,11 @@ from .engine import (
     ParallelTrainer,
     WorkerError,
     load_block_dataset,
-    sync_reference_trainer,
 )
 from .hopper import (
     HopperEngine,
     HopperResult,
     HopperSchedule,
-    run_hopper_inprocess,
 )
 from .worker import WorkerConfig
 
@@ -41,11 +39,9 @@ __all__ = [
     "ParallelResult",
     "WorkerError",
     "load_block_dataset",
-    "sync_reference_trainer",
     "HopperSchedule",
     "HopperEngine",
     "HopperResult",
-    "run_hopper_inprocess",
     "pack_gradients",
     "unpack_gradients",
     "average_gradient_slots",

@@ -65,9 +65,7 @@ from ..ml.schedules import ExponentialDecay
 from ..ml.trainer import (
     CheckpointConfig,
     ConvergenceHistory,
-    Trainer,
     epoch_record,
-    fixed_order_source,
     resume_state,
     run_epochs,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "ParallelResult",
     "ParallelTrainer",
     "load_block_dataset",
-    "sync_reference_trainer",
 ]
 
 @dataclass(frozen=True)
@@ -101,8 +98,8 @@ def load_block_dataset(path: str | Path, task: str = "binary") -> Dataset:
     """Materialise a block file back into an in-memory :class:`Dataset`.
 
     Blocks store contiguous ascending tuple ids, so reading them in block
-    order *is* id order — used by the coordinator for end-of-epoch
-    evaluation and by the single-process reference run.
+    order *is* id order — what the coordinator and the hopper evaluate
+    each epoch on.
     """
     with BlockFileReader(path) as reader:
         table = TupleBatch.concat([reader.read_block_batch(b) for b in range(reader.n_blocks)])
@@ -399,41 +396,3 @@ class ParallelTrainer:
             "index_seed": self.seed,
             "model": type(self.model).__name__,
         }
-
-
-# ----------------------------------------------------------------------
-# Single-process reference (Section 5.2 equivalence)
-# ----------------------------------------------------------------------
-
-
-def sync_reference_trainer(
-    path: str | Path,
-    model: SupervisedModel,
-    *,
-    n_workers: int,
-    epochs: int,
-    global_batch_size: int,
-    buffer_blocks: int = 2,
-    seed: int = 0,
-    schedule=None,
-    task: str = "binary",
-) -> Trainer:
-    """The single-process run a sync parallel run must match (≈1e-12).
-
-    Mini-batch SGD of ``global_batch_size`` over the interleaved multi-
-    process stream: mean-of-equal-slice-means equals the global batch
-    mean, so per-batch gradient averaging across ``PN`` processes applies
-    numerically the same update sequence as this trainer.
-    """
-    planner = MultiProcessCorgiPile.for_block_file(path, n_workers, buffer_blocks, seed=seed)
-    orders = [planner.epoch_indices(e, global_batch_size) for e in range(epochs)]
-    train = load_block_dataset(path, task=task)
-    return Trainer(
-        model,
-        train,
-        fixed_order_source(f"mp-sim-{n_workers}w", orders),
-        epochs=epochs,
-        schedule=schedule if schedule is not None else ExponentialDecay(0.01),
-        batch_size=global_batch_size,
-        optimizer=SGD(model),
-    )

@@ -39,9 +39,6 @@ slot the coordinator and the ``P`` workers meet at two barriers::
 Checkpoints persist the whole slab plus per-model histories atomically
 (:func:`~repro.ml.persistence.durable_write`), so a SIGKILLed grid resumes
 at the last completed slot and finishes bit-exact.
-
-:func:`run_hopper_inprocess` executes the same schedule serially in one
-process — the reference for equivalence tests.
 """
 
 from __future__ import annotations
@@ -49,17 +46,14 @@ from __future__ import annotations
 import io
 import json
 import time
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .. import obs
-from ..core.dataset import CorgiPileDataset
 from ..core.distributed import MultiProcessCorgiPile
 from ..obs import LoaderMetrics, StorageMetrics
-from ..ml.models.base import SupervisedModel
 from ..ml.persistence import durable_write, model_from_bytes, model_to_bytes
 from ..ml.trainer import ConvergenceHistory, EpochRecord, check_knobs, epoch_record
 from .engine import load_block_dataset
@@ -73,7 +67,6 @@ __all__ = [
     "HopperResult",
     "HopperEngine",
     "hopper_worker_main",
-    "run_hopper_inprocess",
 ]
 
 _CKPT_VERSION = 1
@@ -514,56 +507,6 @@ class HopperEngine:
             for record in records:
                 h.append(EpochRecord(**record))
         return int(header["slots_done"]), slab
-
-
-# ----------------------------------------------------------------------
-# In-process reference executor (equivalence tests)
-# ----------------------------------------------------------------------
-
-
-def run_hopper_inprocess(
-    path: str | Path,
-    models: list,
-    *,
-    lrs: list,
-    decays: list,
-    epochs: int,
-    n_workers: int,
-    buffer_blocks: int = 2,
-    seed: int = 0,
-    task: str = "binary",
-):
-    """Execute the hop schedule serially in this process.
-
-    Work units are independent across workers within a slot (distinct
-    models, private readers), so serial execution produces bit-identical
-    models to :class:`HopperEngine`.  Returns ``(models, histories)``.
-    """
-    path = str(path)
-    schedule = HopperSchedule(len(models), int(n_workers), int(epochs))
-    eval_set = load_block_dataset(path, task=task)
-    histories = [
-        ConvergenceHistory(strategy="hopper-ref", model=type(m).__name__)
-        for m in models
-    ]
-    with ExitStack() as stack:
-        shards = [
-            stack.enter_context(
-                CorgiPileDataset(path, buffer_blocks, seed=seed, worker_id=w, n_workers=n_workers)
-            )
-            for w in range(n_workers)
-        ]
-        for slot in range(schedule.total_slots):
-            for worker, shard in enumerate(shards):
-                m = schedule.model_at(worker, slot)
-                if m is None:
-                    continue
-                epoch = schedule.epoch_of(schedule.position(m, slot))
-                lr = float(lrs[m]) * float(decays[m]) ** epoch
-                step_shard(models[m], shard, epoch, lr)
-            for m, epoch in _completions(schedule, slot):
-                histories[m].append(_hop_record(models[m], eval_set, epoch, lrs[m], decays[m]))
-    return models, histories
 
 
 def _completions(schedule: HopperSchedule, slot: int):

@@ -17,7 +17,7 @@ from repro.data import (
 )
 from repro.data import sparse
 from repro.faults import InjectedCrash
-from repro.ml import kernels, streaming, trainer
+from repro.ml import kernels, trainer
 from repro.storage import TupleBatch, columnar
 
 
@@ -85,24 +85,21 @@ def per_page_run(pool, page_ids):
 
 @contextlib.contextmanager
 def killed_at_tuple(n: int):
-    """Inside the block, a ``Trainer`` or ``train_streaming`` run dies
-    (``InjectedCrash``) at its ``n``-th tuple, as a killed process would: the
-    update unit holding it is cut short there, and what the run did since
-    its last save is lost, for the run over the same checkpoint to replay.
-    A streaming unit (a whole batch) dies before it is applied."""
+    """Inside the block, a ``Trainer`` run dies (``InjectedCrash``) at its
+    ``n``-th tuple, as a killed process would: the update unit holding it is
+    cut short there, and what the run did since its last save is lost, for
+    the run over the same checkpoint to replay."""
     real, seen = trainer.apply_unit, 0
 
-    def apply_unit(model, optimizer, X, y, lr, order=None):
+    def apply_unit(model, optimizer, X, y, lr, order):
         nonlocal seen
-        rows = len(y) if order is None else len(order)
-        if seen + rows > n:
-            if order is not None and n > seen:
+        if seen + len(order) > n:
+            if n > seen:
                 real(model, optimizer, X, y, lr, order[: n - seen])
             raise InjectedCrash(f"killed at tuple {n}")
-        seen += rows
+        seen += len(order)
         real(model, optimizer, X, y, lr, order)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "apply_unit", apply_unit)
-        patch.setattr(streaming, "apply_unit", apply_unit)
         yield

@@ -16,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import CorgiPileDataset, DataLoader
-from repro.data import make_binary_dense, make_binary_sparse
+from repro.core import CorgiPileShuffle
+from repro.data import BlockLayout, make_binary_dense, make_binary_sparse
 from repro.faults import InjectedCrash
 from repro.ml import (
     Adam,
@@ -26,10 +26,8 @@ from repro.ml import (
     Trainer,
     load_checkpoint,
     save_checkpoint,
-    train_streaming,
 )
 from repro.shuffle import EpochShuffle
-from repro.storage import write_block_file
 
 from .conftest import killed_at_tuple
 
@@ -240,38 +238,25 @@ class TestCheckpointFormat:
         )
 
 
-class TestStreamingCrashResume:
+class TestCorgiPileCrashResume:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_streaming_killed_and_resumed_matches_uninterrupted(self, tmp_path, seed):
+    def test_corgipile_order_killed_and_resumed_matches_uninterrupted(self, tmp_path, seed):
+        """The two-level shuffle's visit order (25-tuple blocks, a 2-block
+        buffer) is ``(seed, epoch)``-pure, so a per-tuple run killed
+        anywhere resumes over the exact remaining order, bit for bit."""
         dataset = _dataset(sparse=False)
-        path = tmp_path / "stream.blocks"
-        write_block_file(dataset, path, tuples_per_block=25)
-        ckpath = tmp_path / "stream.ckpt.npz"
+        ckpath = tmp_path / "corgi.ckpt.npz"
 
-        def run(model, checkpoint=None):
-            with CorgiPileDataset(path, buffer_blocks=2, seed=seed) as view:
-
-                def loader_factory(epoch):
-                    view.set_epoch(epoch)
-                    return DataLoader(view, batch_size=32)
-
-                train_streaming(
-                    model,
-                    loader_factory,
-                    epochs=2,
-                    per_tuple=True,
-                    checkpoint=checkpoint,
-                )
-
-        clean = LogisticRegression(dataset.n_features)
-        run(clean)
+        def run(checkpoint=None):
+            model = LogisticRegression(dataset.n_features)
+            order = CorgiPileShuffle(BlockLayout(N_TUPLES, 25), buffer_blocks=2, seed=seed)
+            Trainer(model, dataset, order, epochs=2, checkpoint=checkpoint).run()
+            return model
 
         checkpoint = CheckpointConfig(ckpath, every_tuples=CADENCE)
+        clean = run(CheckpointConfig(tmp_path / "clean.npz", every_tuples=CADENCE))
         with pytest.raises(InjectedCrash), killed_at_tuple(_crash_point(seed) % (2 * N_TUPLES)):
-            run(LogisticRegression(dataset.n_features), checkpoint=checkpoint)
-
-        resumed = LogisticRegression(dataset.n_features)
-        run(resumed, checkpoint=checkpoint)
+            run(checkpoint)
+        resumed = run(checkpoint)
         for key in clean.params:
-            # Streaming updates are per-batch, so resume is exactly bitwise.
             assert np.array_equal(clean.params[key], resumed.params[key])

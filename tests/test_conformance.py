@@ -422,8 +422,8 @@ def test_serve_imports_no_training_stack_and_for_job_is_gone():
 
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     banned = re.compile(
-        r"core\.dataset|core\.dataloader|ml\.streaming|parallel\.hopper|"
-        r"\bParallelTrainer\b|\bHopperEngine\b|\btrain_streaming\b|"
+        r"core\.dataset|core\.dataloader|parallel\.hopper|"
+        r"\bParallelTrainer\b|\bHopperEngine\b|"
         r"\bCorgiPileDataset\b|\bDataLoader\b"
     )
     for path in (src / "serve").glob("*.py"):

@@ -1,18 +1,14 @@
-"""Tests for ShuffleBuffer, pipeline timing, CorgiPileDataset, DataLoader."""
+"""Tests for the ShuffleBuffer oracle, pipeline timing, CorgiPileDataset, DataLoader."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    CorgiPileDataset,
-    DataLoader,
-    ShuffleBuffer,
-    pipelined_time,
-    serial_time,
-)
+from repro.core import CorgiPileDataset, DataLoader, pipelined_time, serial_time
 from repro.storage import TupleBatch, write_block_file
+
+from ._oracles import ShuffleBuffer
 
 
 class TestShuffleBuffer:

@@ -32,7 +32,8 @@ from repro.faults import (
     faulty_table,
 )
 from repro.db.spec import TrainSpec
-from repro.ml import CheckpointConfig, LogisticRegression, load_checkpoint, train_streaming
+from repro.ml import CheckpointConfig, ExponentialDecay, LogisticRegression, load_checkpoint
+from repro.ml.trainer import apply_unit
 from repro.obs import StorageMetrics
 from repro.storage import (
     BlockFileReader,
@@ -336,16 +337,15 @@ class TestFaultyStores:
 
 # ----------------------------------------------------------------------
 def _train_through(path, reader_factory=None, seed=0, epochs=2):
-    model = LogisticRegression(8)
+    """Per-tuple SGD in the plain loader loop over ``reader_factory``'s reads."""
+    model, schedule = LogisticRegression(8), ExponentialDecay(0.01)
     with CorgiPileDataset(
         path, buffer_blocks=2, seed=seed, reader_factory=reader_factory
     ) as view:
-
-        def loader_factory(epoch):
+        for epoch in range(epochs):
             view.set_epoch(epoch)
-            return DataLoader(view, batch_size=32)
-
-        train_streaming(model, loader_factory, epochs=epochs, per_tuple=True)
+            for batch in DataLoader(view, batch_size=32):
+                apply_unit(model, None, batch.features_matrix(), batch.labels, schedule(epoch))
     return model
 
 

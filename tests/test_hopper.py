@@ -21,12 +21,10 @@ from repro.data import make_binary_dense
 from repro.db import MiniDB, parse_query
 from repro.db.engine import GridTrainResult
 from repro.ml import LogisticRegression
-from repro.parallel import (
-    HopperEngine,
-    HopperSchedule,
-    run_hopper_inprocess,
-)
+from repro.parallel import HopperEngine, HopperSchedule
 from repro.storage import write_block_file
+
+from ._oracles import run_hopper_inprocess
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +137,7 @@ class TestHopperEngine:
         assert result.slots_run == 15
         assert result.tuples_processed == 4 * 3 * 320
 
-        ref, _ = run_hopper_inprocess(block_file, _models(), **_KW)
+        ref = run_hopper_inprocess(block_file, _models(), **_KW)
         for mp_model, ref_model in zip(result.models, ref):
             assert np.array_equal(
                 mp_model.parameter_vector(), ref_model.parameter_vector()
@@ -148,7 +146,7 @@ class TestHopperEngine:
         # Each grid config is bit-identical to training it alone: the
         # hopper only reorders when work happens, never what it computes.
         for i in range(4):
-            solo, _ = run_hopper_inprocess(
+            solo = run_hopper_inprocess(
                 block_file,
                 [LogisticRegression(8, seed=1)],
                 lrs=[_KW["lrs"][i]],

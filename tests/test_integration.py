@@ -1,7 +1,7 @@
 """Cross-subsystem integration tests — the headline paper claims end to end.
 
 These tests exercise whole paths through the library at once: file formats
-→ block files → streaming CorgiPile training → persistence → in-DB
+→ block files → a CorgiPile loader loop → persistence → in-DB
 inference, and the motivating performance/accuracy claims on the simulated
 substrate.
 """
@@ -15,13 +15,14 @@ from repro.core import CorgiPileDataset, DataLoader, PrefetchLoader
 from repro.data import clustered_by_label, make_binary_dense, read_libsvm, write_libsvm
 from repro.db import MiniDB, run_in_db_system
 from repro.ml import (
+    SGD,
     ExponentialDecay,
     LogisticRegression,
     load_model,
     model_from_bytes,
     model_to_bytes,
 )
-from repro.ml.streaming import train_streaming
+from repro.ml.trainer import apply_unit
 from repro.storage import HDD_SCALED, write_block_file
 
 
@@ -33,7 +34,7 @@ def problem():
 
 
 class TestFileToModelPipeline:
-    """LIBSVM file → block file → streaming CorgiPile → saved model → DB."""
+    """LIBSVM file → block file → CorgiPile loader loop → saved model → DB."""
 
     def test_full_pipeline(self, problem, tmp_path):
         train, test = problem
@@ -44,26 +45,21 @@ class TestFileToModelPipeline:
         loaded = read_libsvm(libsvm_path, n_features=train.n_features, dense=True)
         assert loaded.n_tuples == train.n_tuples
 
-        # 2. Materialise as an on-disk block file and stream-train with the
-        #    two-level shuffle and real prefetching.
+        # 2. Materialise as an on-disk block file and train from its loader
+        #    (the two-level shuffle, real prefetching) in Section 5's loop.
         block_path = tmp_path / "train.blocks"
         write_block_file(loaded, block_path, tuples_per_block=40)
         model = LogisticRegression(train.n_features)
+        optimizer, schedule, seen = SGD(model), ExponentialDecay(0.5), 0
         with CorgiPileDataset(block_path, buffer_blocks=5, seed=0) as dataset:
-
-            def loader(epoch: int):
+            for epoch in range(6):
                 dataset.set_epoch(epoch)
-                return PrefetchLoader(DataLoader(dataset, batch_size=32), depth=2)
-
-            history = train_streaming(
-                model,
-                loader,
-                epochs=6,
-                schedule=ExponentialDecay(0.5),
-                test=test,
-            )
-        assert history.final.test_score > 0.8
-        assert history.final.tuples_seen == 6 * train.n_tuples
+                lr = float(schedule(epoch))
+                for batch in PrefetchLoader(DataLoader(dataset, batch_size=32), depth=2):
+                    apply_unit(model, optimizer, batch.features_matrix(), batch.labels, lr)
+                    seen += len(batch)
+        assert model.score(test.X, test.y) > 0.8
+        assert seen == 6 * train.n_tuples
 
         # 3. Persist, reload, and serve from the database.
         blob = model_to_bytes(model)
@@ -79,21 +75,15 @@ class TestFileToModelPipeline:
         block_path = tmp_path / "t.blocks"
         write_block_file(train, block_path, tuples_per_block=40)
         model = LogisticRegression(train.n_features)
+        schedule = ExponentialDecay(0.05)
         with CorgiPileDataset(block_path, buffer_blocks=5, seed=0) as dataset:
-
-            def loader(epoch: int):
+            for epoch in range(4):
                 dataset.set_epoch(epoch)
-                return DataLoader(dataset, batch_size=64)
-
-            history = train_streaming(
-                model, loader, epochs=4,
-                schedule=ExponentialDecay(0.05), test=test, per_tuple=True,
-            )
-        assert history.final.test_score > 0.8
-
-    def test_streaming_validation(self):
-        with pytest.raises(ValueError):
-            train_streaming(LogisticRegression(2), lambda e: [], epochs=0)
+                lr = float(schedule(epoch))
+                for batch in DataLoader(dataset, batch_size=64):
+                    # No optimiser: one update per tuple, the paper's standard SGD.
+                    apply_unit(model, None, batch.features_matrix(), batch.labels, lr)
+        assert model.score(test.X, test.y) > 0.8
 
 
 class TestHeadlineClaims:

@@ -29,8 +29,7 @@ from repro.ml import (
 )
 from repro.ml.losses import HingeLoss, LogisticLoss, SquaredLoss
 from repro.ml.models.base import SupervisedModel
-from repro.ml.streaming import train_streaming
-from repro.ml.trainer import fixed_order_source
+from repro.ml.trainer import apply_unit, fixed_order_source
 from repro.storage import TupleBatch
 
 # LinearRegression diverges at lr=0.05 on d=64 standard-normal rows, which
@@ -124,8 +123,9 @@ def _step_example_epochs(model, data, orders, schedule):
 
 
 class TestFusedPipelines:
-    """Every trainer's per-tuple path is the kernel: each is checked against
-    an explicit ``step_example`` loop over the visit order it runs."""
+    """Every trainer's per-tuple path is the kernel — and so is a loader
+    loop's ``apply_unit`` per batch: each is checked against an explicit
+    ``step_example`` loop over the visit order it runs."""
 
     def test_trainer_fused_matches_scalar(self):
         data = make_binary_dense(300, 10, separation=1.0, seed=5)
@@ -162,10 +162,10 @@ class TestFusedPipelines:
                 hi = min(lo + 64, data.n_tuples)
                 yield TupleBatch(np.arange(lo, hi), data.y[lo:hi], data.n_features, dense=data.X[lo:hi])
 
-        model = LogisticRegression(data.n_features, l2=1e-3)
-        train_streaming(
-            model, loader, epochs=2, schedule=ExponentialDecay(0.05), per_tuple=True
-        )
+        model, schedule = LogisticRegression(data.n_features, l2=1e-3), ExponentialDecay(0.05)
+        for epoch in range(2):
+            for batch in loader(epoch):
+                apply_unit(model, None, batch.features_matrix(), batch.labels, schedule(epoch))
         scalar = _step_example_epochs(
             LogisticRegression(data.n_features, l2=1e-3), data,
             [np.arange(data.n_tuples)] * 2, ExponentialDecay(0.05),

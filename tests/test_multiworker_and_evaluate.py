@@ -8,8 +8,8 @@ import pytest
 from repro.core import MultiWorkerLoader
 from repro.data import make_binary_dense, make_regression
 from repro.db import EvaluateQuery, MiniDB, UnknownModelError, parse_query
-from repro.ml import ExponentialDecay, LogisticRegression
-from repro.ml.streaming import train_streaming
+from repro.ml import SGD, ExponentialDecay, LogisticRegression
+from repro.ml.trainer import apply_unit
 from repro.storage import write_block_file
 
 
@@ -43,17 +43,15 @@ class TestMultiWorkerLoader:
 
     def test_trains_a_model(self, block_file, dense_binary):
         model = LogisticRegression(dense_binary.n_features)
+        optimizer, schedule = SGD(model), ExponentialDecay(0.5)
         with MultiWorkerLoader(block_file, 2, 2, batch_size=32, seed=0) as loader:
-
-            def factory(epoch: int):
+            for epoch in range(5):
                 loader.set_epoch(epoch)
-                return loader
-
-            history = train_streaming(
-                model, factory, epochs=5,
-                schedule=ExponentialDecay(0.5), test=dense_binary,
-            )
-        assert history.final.test_score > 0.85
+                for batch in loader:
+                    apply_unit(
+                        model, optimizer, batch.features_matrix(), batch.labels, schedule(epoch)
+                    )
+        assert model.score(dense_binary.X, dense_binary.y) > 0.85
 
     def test_validation(self, block_file):
         with pytest.raises(ValueError):

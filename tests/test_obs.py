@@ -400,6 +400,45 @@ class TestOverlapCrosscheck:
         assert row["span_overlap_s"] == pytest.approx(0.5)
         assert row["gap_s"] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "lifetimes, producers, wait, overlap",
+        [
+            ([(0.0, 1.0)], 1, 0.3, 0.5),
+            ([(0.0, 1.0)] * 4, 4, 0.3, 0.5),
+            ([(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)], 1, 0.3, 0.5),
+            ([(0.0, 1.0)] * 4, 4, 0.9, 0.0),
+        ],
+        ids=["one", "four-side-by-side", "four-in-turn", "four-side-by-side-starved"],
+    )
+    def test_identity_holds_per_producer(self, lifetimes, producers, wait, overlap):
+        """Producers sharing one stats sink: over a 1 s wall each concurrent
+        producer stalls 0.2 s in all and the consumer waits ``wait``, so
+        loading overlapped compute for ``1 − 0.2 − wait`` (0.5 s) whether one
+        producer ran, four ran side by side (a MultiWorkerLoader's workers)
+        or four ran in turn (one prefetcher per epoch).  Side-by-side
+        producers can stall while the consumer waits on another's queue: a
+        starved consumer reads no overlap on either route, not a negative
+        one on the spans."""
+        stats = LoaderMetrics("unit")
+        spans = []
+        stall = 0.2 * producers / len(lifetimes)  # each producer's
+
+        def event(name, start, end):  # as repro.obs.export writes a span
+            return {"name": name, "start_s": start, "end_s": end, "duration_s": end - start,
+                    "attrs": {"loader": "unit"}}
+
+        for start, end in lifetimes:
+            stats.record_put(1, stall)
+            spans.append(event("loader.producer", start, end))
+            spans.append(event("loader.producer_stall", end - stall, end))
+        stats.record_get(wait)
+        spans.append(event("loader.consumer_wait", 0.0, wait))
+        row = overlap_crosscheck(stats, spans, wall_s=1.0)
+        assert row["ok"], row
+        assert row["counter_overlap_s"] == pytest.approx(overlap)
+        assert row["span_overlap_s"] == pytest.approx(overlap)
+        assert row["producers"] == pytest.approx(producers)
+
     def test_detects_counter_span_disagreement(self):
         stats = LoaderMetrics("unit")
         stats.producer_stall_s = 0.8  # counters claim heavy stalling…

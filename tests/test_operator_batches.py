@@ -33,7 +33,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffer import ShuffleBuffer
 from repro.core.seeding import TUPLE_SHUFFLE_STREAM, stream_rng
 from repro.data import (
     SparseMatrix,
@@ -279,6 +278,8 @@ def drain_tuples(op, ctx, epochs: int = 2):
 def reference_tuple_shuffle(child, ctx, buffer_tuples: int, seed: int, epochs: int = 2):
     """``TupleShuffleOperator`` as it was: one ``ShuffleBuffer`` per fill,
     filled one ``child.next()`` at a time."""
+    from ._oracles import ShuffleBuffer  # not at the top: --regen runs this file as a script
+
     out = []
     child.open()
     for epoch in range(epochs):

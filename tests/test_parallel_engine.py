@@ -22,8 +22,10 @@ from repro.ml.models import LinearSVM, LogisticRegression
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig
 from repro.ml.trainer import TrainInterrupted
-from repro.parallel import ParallelTrainer, WorkerError, sync_reference_trainer
+from repro.parallel import ParallelTrainer, WorkerError
 from repro.storage import write_block_file
+
+from ._oracles import sync_reference_trainer
 
 N_TUPLES = 640
 N_FEATURES = 8

@@ -1,13 +1,13 @@
-"""Coverage for remaining library paths: base-model fallback, streaming
-evaluation."""
+"""Coverage for remaining library paths: base-model fallback, evaluating a
+model trained from batches."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.data import make_multiclass_dense
-from repro.ml import ExponentialDecay, MLPClassifier
-from repro.ml.streaming import train_streaming
+from repro.ml import SGD, ExponentialDecay, MLPClassifier
+from repro.ml.trainer import apply_unit, epoch_record
 from repro.storage.blockfile import dataset_block_batch
 
 
@@ -34,36 +34,32 @@ class TestBaseModelFallback:
 
 
 class TestStreamingEvaluation:
-    def _batches(self, ds):
+    """A loader loop's epochs scored by ``epoch_record``: without a train set
+    there is no loss, as nothing is materialised for one."""
+
+    def _train(self, ds, epochs, lr, train_eval=None, test=None):
         n = ds.n_tuples
-        return [dataset_block_batch(ds, lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+        batches = [dataset_block_batch(ds, lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+        model = MLPClassifier(5, 8, 3, seed=0)
+        optimizer, schedule, seen, records = SGD(model), ExponentialDecay(lr), 0, []
+        for epoch in range(epochs):
+            rate = float(schedule(epoch))
+            for batch in batches:
+                y = batch.labels.astype(np.int64)
+                apply_unit(model, optimizer, batch.features_matrix(), y, rate)
+                seen += len(batch)
+            records.append(epoch_record(model, train_eval, test, epoch, rate, seen))
+        return records
 
     def test_without_eval_sets_loss_is_nan(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
-        model = MLPClassifier(5, 8, 3, seed=0)
-        batches = self._batches(ds)
-
-        history = train_streaming(
-            model,
-            lambda epoch: batches,
-            epochs=2,
-            schedule=ExponentialDecay(0.1),
-        )
-        assert np.isnan(history.final.train_loss)
-        assert history.final.test_score is None
-        assert history.final.tuples_seen == 240
+        final = self._train(ds, epochs=2, lr=0.1)[-1]
+        assert np.isnan(final.train_loss)
+        assert final.test_score is None
+        assert final.tuples_seen == 240
 
     def test_with_train_eval(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
-        model = MLPClassifier(5, 8, 3, seed=0)
-        batches = self._batches(ds)
-        history = train_streaming(
-            model,
-            lambda epoch: batches,
-            epochs=3,
-            schedule=ExponentialDecay(0.2),
-            train_eval=ds,
-            test=ds,
-        )
-        assert history.train_losses[-1] < history.train_losses[0]
-        assert history.final.test_score > 0.8
+        records = self._train(ds, epochs=3, lr=0.2, train_eval=ds, test=ds)
+        assert records[-1].train_loss < records[0].train_loss
+        assert records[-1].test_score > 0.8

@@ -1,6 +1,6 @@
-"""The loaders are clients of ``fills()``: what ``train_streaming`` learns over
-``DataLoader`` and what ``MultiWorkerLoader`` hands out are pinned to the
-per-tuple loader they replaced.
+"""The loaders are clients of ``fills()``: what the plain training loop learns
+over ``DataLoader`` and what ``MultiWorkerLoader`` hands out are pinned to
+the per-tuple loader they replaced.
 
 * **Goldens** (``tests/goldens/streaming_loader.json``) recorded at
   ``e029c8e``, the last commit whose ``DataLoader`` exploded every fill into
@@ -9,9 +9,13 @@ per-tuple loader they replaced.
   tests/test_streaming_loader.py --regen``; that checkout's batches carried
   their ids as ``Batch.tuple_ids``, which is what ``_ids`` read there):
 
-  - the sha256 of the weights ``train_streaming`` reaches in 2 epochs over
+  - the sha256 of the weights the loop below reaches in 2 epochs over
     ``DataLoader``, for dense / sparse / softmax row block files x per-tuple
-    fused at batch size 1 and 32 and mini-batch at 7 and 32;
+    fused at batch size 1 and 32 and mini-batch at 7 and 32 (the loop is
+    Section 5's ``train(loader, model)``: one ``apply_unit`` per batch, no
+    optimiser for per-tuple SGD, plain ``SGD`` for mini-batch, softmax
+    labels as ``int64``; the goldens were recorded through the library
+    trainer that ran exactly this loop);
   - the sha256 of ``MultiWorkerLoader``'s 2-epoch id stream, per kind and
     ``(n_workers, buffer_blocks_per_worker, batch_size)``.
 
@@ -32,7 +36,8 @@ import pytest
 
 from repro.core import CorgiPileDataset, DataLoader, MultiWorkerLoader
 from repro.data import make_binary_dense, make_binary_sparse, make_multiclass_dense
-from repro.ml import ExponentialDecay, LogisticRegression, SoftmaxRegression, train_streaming
+from repro.ml import SGD, ExponentialDecay, LogisticRegression, SoftmaxRegression
+from repro.ml.trainer import apply_unit
 from repro.storage import write_block_file
 
 GOLDENS = Path(__file__).parent / "goldens" / "streaming_loader.json"
@@ -91,16 +96,16 @@ def _weights_digest(case, directory) -> str:
     per_tuple, batch_size = MODES[mode]
     dataset = _dataset(kind)
     model = _model(kind, dataset)
+    optimizer = None if per_tuple else SGD(model)
+    int_labels = kind == "softmax" and not per_tuple
+    schedule = ExponentialDecay(0.05, 0.9)
     with CorgiPileDataset(_write(kind, layout, directory), 3, seed=SEED) as view:
-
-        def loader_factory(epoch):
+        for epoch in range(2):
             view.set_epoch(epoch)
-            return DataLoader(view, batch_size=batch_size)
-
-        train_streaming(
-            model, loader_factory, epochs=2, per_tuple=per_tuple,
-            schedule=ExponentialDecay(0.05, 0.9),
-        )
+            lr = float(schedule(epoch))
+            for batch in DataLoader(view, batch_size=batch_size):
+                y = batch.labels.astype(np.int64) if int_labels else batch.labels
+                apply_unit(model, optimizer, batch.features_matrix(), y, lr)
     return _digest(np.asarray(model.parameter_vector(), dtype=np.float64))
 
 

@@ -40,10 +40,11 @@ from repro.ml.optim import SGD, Adam
 from repro.ml.schedules import ExponentialDecay
 from repro.ml.trainer import CheckpointConfig, TrainInterrupted
 from repro.core.distributed import MultiProcessCorgiPile
-from repro.parallel import ParallelTrainer, WorkerError, sync_reference_trainer
+from repro.parallel import ParallelTrainer, WorkerError
 from repro.parallel.worker import BARRIER_TIMEOUT_S
 from repro.storage import write_block_file
 
+from ._oracles import sync_reference_trainer
 from .test_parallel_engine import assert_no_leaked_children
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

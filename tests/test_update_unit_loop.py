@@ -1,5 +1,5 @@
-"""One epoch loop: ``Trainer``, ``train_streaming``, ``SGDOperator`` and the
-data-parallel ``ParallelTrainer`` run ``repro.ml.trainer.run_epochs``.
+"""One epoch loop: ``Trainer``, ``SGDOperator`` and the data-parallel
+``ParallelTrainer`` run ``repro.ml.trainer.run_epochs``.
 
 * **The cross-driver invariant** the fold rests on: fed the id stream the
   plan's pipeline emits, the array ``Trainer`` and the engine's
@@ -8,9 +8,9 @@ data-parallel ``ParallelTrainer`` run ``repro.ml.trainer.run_epochs``.
   drivers shared a loop — this test passes against the parent checkout
   ``8d1c4b9`` unchanged — which is why sharing one changed no bits.
 * **Kill/resume per client, through the shared loop**: ``Trainer`` (cadence
-  not a multiple of the batch size, killed mid-chunk), ``train_streaming``
-  (killed at a batch boundary, resumed behind a prefetch thread); the
-  ``SGDOperator`` leg is ``tests/test_conformance.py``'s kill/resume matrix.
+  not a multiple of the batch size, killed mid-chunk); the ``SGDOperator``
+  leg is ``tests/test_conformance.py``'s kill/resume matrix and the
+  ``ParallelTrainer`` one ``tests/test_parallel_engine.py``'s.
   A killed run resumes because its checkpoint file exists.
 * **The loop cannot fork again**: a source-level gate.
 """
@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import CorgiPileDataset, DataLoader, PrefetchLoader
 from repro.data import make_binary_dense, make_binary_sparse
 from repro.db import MiniDB
 from repro.db.engine import ENGINE_PROFILE
@@ -40,11 +39,11 @@ from repro.ml import (
     Trainer,
     fixed_order_source,
     load_checkpoint,
-    train_streaming,
 )
 from repro.shuffle import EpochShuffle
-from repro.storage import SSD, write_block_file
+from repro.storage import SSD
 
+from . import _oracles
 from .conftest import killed_at_tuple
 
 SEED = 5
@@ -154,49 +153,6 @@ def test_trainer_crashed_mid_chunk_resumes_to_the_uninterrupted_weights(tmp_path
         trainer(ckpath, batch_size=16)[1].run()
 
 
-@pytest.mark.parametrize("per_tuple", [True, False], ids=["per-tuple", "minibatch"])
-def test_streaming_crashed_at_a_batch_boundary_resumes_behind_a_prefetch_thread(
-    tmp_path, per_tuple
-):
-    dataset = _dataset("dense")
-    path = tmp_path / "stream.blocks"
-    write_block_file(dataset, path, tuples_per_block=25)
-    ckpath = tmp_path / "stream.ckpt.npz"
-
-    def run(model, prefetch=False, **kwargs):
-        with CorgiPileDataset(path, buffer_blocks=2, seed=SEED) as view:
-
-            def loader_factory(epoch):
-                view.set_epoch(epoch)
-                loader = DataLoader(view, batch_size=32)
-                return PrefetchLoader(loader, depth=2) if prefetch else loader
-
-            return train_streaming(
-                model, loader_factory, epochs=2, per_tuple=per_tuple,
-                schedule=ExponentialDecay(0.05, 0.9), **kwargs,
-            )
-
-    clean = LinearSVM(dataset.n_features)
-    clean_history = run(clean)
-    checkpoint = CheckpointConfig(ckpath, every_tuples=64)
-    # Five batches into the second epoch: the kill lands exactly at a batch
-    # boundary, one batch after a cadence save.
-    with pytest.raises(InjectedCrash), killed_at_tuple(dataset.n_tuples + 5 * 32):
-        run(LinearSVM(dataset.n_features), checkpoint=checkpoint)
-    state = load_checkpoint(ckpath)
-    assert (state.epoch, state.cursor, state.meta["cursor_unit"]) == (1, 4, "batches")
-    resumed = LinearSVM(dataset.n_features)
-    resumed_history = run(resumed, prefetch=True, checkpoint=checkpoint)
-    np.testing.assert_array_equal(_weights(resumed), _weights(clean))
-    assert resumed_history.final.tuples_seen == clean_history.final.tuples_seen
-    with pytest.raises(ValueError, match="checkpoint was taken with per_tuple="):
-        with CorgiPileDataset(path, buffer_blocks=2, seed=SEED) as view:
-            train_streaming(
-                LinearSVM(dataset.n_features), lambda epoch: DataLoader(view, batch_size=32),
-                epochs=2, per_tuple=not per_tuple, checkpoint=checkpoint,
-            )
-
-
 def test_sgd_operator_checkpoint_keeps_its_meta_keys_and_row_cursor(tmp_path):
     """What a daemon of the parent commit wrote must stay resumable: the
     ``sgd-operator`` checkpoint's ``meta`` key set, its cursor in rows, and
@@ -254,7 +210,8 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     assert all(name.startswith("ml/models/") for name in files_calling(r"\bstep_example\("))
     deleted = re.compile(
         r"step_chunks|iter_fills|ChunkFill|train_streaming_chunks|glm_epoch_\w+_chunks|"
-        r"_concat_features|_stack_sparse|SegmentedMiniDB|DistributedTrainResult"
+        r"_concat_features|_stack_sparse|SegmentedMiniDB|DistributedTrainResult|"
+        r"train_streaming|ml\.streaming"
     )
     assert files_calling(deleted.pattern) == set()
     # One way to stop a run (should_stop, or a real crash) and one rule to
@@ -265,7 +222,9 @@ def test_the_update_unit_loop_and_the_fill_exist_once():
     ) == set()
     # Only resume_state reads a checkpoint to resume.
     assert files_calling(r"\bload_checkpoint\(") - {"ml/persistence.py"} == {"ml/trainer.py"}
-    assert files_calling(r"import.*\bShuffleBuffer\b") <= {"core/__init__.py"}
+    # The test oracles live in tests/_oracles.py, not in the program.
+    for name in ("ShuffleBuffer", "sync_reference_trainer", "run_hopper_inprocess"):
+        assert hasattr(_oracles, name) and files_calling(rf"\b{name}\b") == set(), name
     # One per-tuple path: the unbound reference loop is reachable from tests
     # only (test_one_per_tuple_update_path holds the signatures).
     assert files_calling(r"\bSupervisedModel\.step_block\(") == set()
@@ -285,7 +244,7 @@ def test_one_per_tuple_update_path():
     from repro.db.operators import FUSE_CHUNK, SGDOperator
     from repro.ml.trainer import apply_unit, run_epochs
 
-    for fn in (apply_unit, run_epochs, Trainer, train_streaming, SGDOperator):
+    for fn in (apply_unit, run_epochs, Trainer, SGDOperator):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"fused", "fuse_chunk"}, fn.__name__
     assert FUSE_CHUNK == 256
@@ -302,7 +261,7 @@ def test_one_way_to_stop_and_one_rule_to_resume():
     from repro.db.operators import SGDOperator
     from repro.parallel import ParallelTrainer
 
-    for fn in (Trainer, train_streaming, ParallelTrainer, SGDOperator):
+    for fn in (Trainer, ParallelTrainer, SGDOperator):
         params = set(inspect.signature(fn).parameters)
         assert "checkpoint" in params, fn.__name__
         assert not params & {"fault_plan", "resume_from"}, fn.__name__
@@ -338,7 +297,7 @@ def test_one_row_api_the_per_tuple_read_path_is_gone():
         "storage/codec.py", "storage/heapfile.py", "storage/__init__.py",
     }
     assert repro.core.__all__ == [
-        "CorgiPileShuffle", "ShuffleBuffer", "pipelined_time", "serial_time",
+        "CorgiPileShuffle", "pipelined_time", "serial_time",
         "CorgiPileDataset", "DataLoader", "MultiProcessCorgiPile", "PrefetchLoader",
         "MultiWorkerLoader", "derive_rng", "epoch_rng", "worker_rng", "stream_rng",
         "fault_unit_rng", "ManagedProducer", "ProducerChannel", "ThreadRegistry", "THREADS",
