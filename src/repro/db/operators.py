@@ -10,7 +10,8 @@ What moves between operators is a :class:`~repro.storage.codec.TupleBatch`
 — a run of one or more rows **in visit order** — never a single tuple: a
 page is decoded in bulk by the buffer pool, a block is one pool call
 (``BufferPool.get_run``; a warm block is a kept run, read with no
-``concat``), a shuffled fill is the fill as read plus its permutation
+``concat``, and a cold columnar block a checked run its fill decodes), a
+shuffled fill is the fill as read plus its permutation
 (:class:`~repro.storage.codec.PermutedBatch`), and the SGD root cuts its
 update units straight out of the stream: a unit inside one fill is its
 slice of the permutation, applied off the unshuffled fill by index.
@@ -424,7 +425,11 @@ class TupleShuffleOperator(PhysicalOperator):
     buffered — the batch that crosses the boundary is cut there and its
     tail carried into the next fill — then draws one ``rng.permutation``
     over the fill, as :meth:`~repro.core.dataset.CorgiPileDataset.fills`
-    does for the block-file loaders.  Each fill is emitted as one batch, the
+    does for the block-file loaders.  Cold columnar blocks reach the fill
+    undecoded (:class:`~repro.storage.columnar.CheckedRun`), and the fill's
+    ``concat`` copies them from the pages' bytes in one compiled pass (a
+    block a fill boundary cuts is copied by both fills, no block on its
+    own).  Each fill is emitted as one batch, the
     rows left where they were read with the permutation beside them (a
     :class:`~repro.storage.codec.PermutedBatch`, gathered only for a reader
     that touches its columns), and reported to the runtime context so the

@@ -253,15 +253,24 @@ static int find_chunk(const uint8_t *buf, int64_t size, int sparse, int64_t d, i
 
 /* Packed values src[0..n) of width w widened to 64 bits, or their running sum
  * from acc when `sum` is set (uint64 arithmetic: numpy's int64 wraps the
- * same).  Returns the last value written. */
+ * same).  Returns the last value written.  One loop per case, so the plain
+ * widen carries no per-value branch. */
 static uint64_t unpack(const uint8_t *src, int w, int64_t n, int sum, uint64_t acc, int64_t *out)
 {
 #define UNPACK(T)                                                   \
-    for (int64_t t = 0; t < n; t++) {                               \
-        T v;                                                        \
-        memcpy(&v, src + t * sizeof(T), sizeof(T));                 \
-        acc = sum ? acc + v : v;                                    \
-        out[t] = (int64_t)acc;                                      \
+    if (sum) {                                                      \
+        for (int64_t t = 0; t < n; t++) {                           \
+            T v;                                                    \
+            memcpy(&v, src + t * sizeof(T), sizeof(T));             \
+            out[t] = (int64_t)(acc += v);                           \
+        }                                                           \
+    } else {                                                        \
+        for (int64_t t = 0; t < n; t++) {                           \
+            T v;                                                    \
+            memcpy(&v, src + t * sizeof(T), sizeof(T));             \
+            out[t] = (int64_t)v;                                    \
+        }                                                           \
+        if (n > 0) acc = (uint64_t)out[n - 1];                      \
     }
     switch (w) {
     case 1: UNPACK(uint8_t) break;

@@ -218,19 +218,16 @@ class ConvergenceHistory:
 
 def epoch_record(
     model: SupervisedModel,
-    train: Dataset | None,
+    train: Dataset,
     test: Dataset | None,
     epoch: int,
     lr: float,
     tuples_seen: int,
 ) -> EpochRecord:
-    """The end-of-epoch metrics: loss/score on ``train`` (NaN without one —
-    nothing is materialised for it), one pass over it
+    """The end-of-epoch metrics: loss/score on ``train``, one pass over it
     (:meth:`~repro.ml.models.base.SupervisedModel.loss_and_score`), and score
     on ``test`` when given."""
-    train_loss = train_score = float("nan")
-    if train is not None:
-        train_loss, train_score = model.loss_and_score(train.X, train.y)
+    train_loss, train_score = model.loss_and_score(train.X, train.y)
     return EpochRecord(
         epoch=epoch,
         lr=lr,

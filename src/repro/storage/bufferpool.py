@@ -10,21 +10,20 @@ memory-resident after the first epoch — Section 7.3.4's observation about
 higgs/susy/epsilon per-epoch times).  What a read costs on the simulated
 clock is priced by the operators from the hit flags returned here.
 
-A row page is decoded in bulk into a :class:`~repro.storage.codec.TupleBatch`
-(one ``decode_page`` call); a columnar page's entry is its verified payload
-bytes, its header checked by one compiled call and its directory unparsed (a
-lazy batch that a single-page reader parses on first touch; a page the check
-refuses is parsed at the miss, which raises what a damaged page raises).  The
-books are one loop over page ids, run once per read: a page scan's
-``get_batch_traced`` reads one page, and a block is one pool call,
-:meth:`BufferPool.get_run`, the books in page order and then the pages'
-batches end to end (a columnar block decoding there off the pages' bytes,
-once per column).  A block whose pages all hit is
-*kept* as that one run, and each page's entry becomes a zero-copy ``slice``
-of it, so a warm block is read with no ``concat`` (and a warm columnar block
-with no decode).  A run is served only while every page's entry is still
-the view it handed out; evicting, invalidating or re-decoding (after a
-write) any of its pages drops it.
+A row page is decoded in bulk into a :class:`~repro.storage.codec.TupleBatch`;
+a columnar page's entry is its verified payload, its header checked by one
+compiled call and its directory unparsed (a page the check refuses is parsed,
+and raises, at the miss).  The books run once per page of every read
+(:meth:`BufferPool.get_batch_traced`), and a block is one call,
+:meth:`BufferPool.get_run`: the books in page order, then the pages end to
+end.  A block of lazy columnar pages read with a miss is checked there by one
+compiled pass and returned undecoded
+(:class:`~repro.storage.columnar.CheckedRun`), for its reader to copy from
+the pages' bytes once, straight into a fill.  A block whose pages all hit is
+*kept* as one run, each page's entry a zero-copy ``slice`` of it, so a warm
+block is read with no ``concat`` or decode while every entry is still the
+view it handed out (evicting, invalidating or re-decoding any of its pages
+drops it).
 
 The pool keeps two caches in one LRU.  The *simulated* cache — which accesses
 the device clock charges as hits — is a generation stamp: :meth:`cold_start`
@@ -53,11 +52,14 @@ its page succeeded (regression-tested in ``tests/test_bufferpool.py``).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
+from itertools import accumulate
 from operator import is_
 from typing import Any, NamedTuple, Sequence
 
 from .. import obs
 from .codec import TupleBatch
+from .columnar import checked_run
 from .heapfile import HeapFile
 from .retry import RetryPolicy
 
@@ -93,158 +95,133 @@ class BufferPool:
         # page id -> the kept run whose view is the page's entry
         self._runs: dict[int, _Run] = {}
         self._generation = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.hits = self.misses = self.evictions = 0
 
     # ------------------------------------------------------------------
     def _resident(self, page_id: int, entry: tuple[TupleBatch, int, int]) -> bool:
         """Is ``entry`` in the simulated cache (a hit on access)?"""
         return entry[2] == self._generation and entry[1] == self.heap.pages[page_id].version
 
-    def _reusable(self, page_id: int) -> TupleBatch | None:
-        """The cached batch of ``page_id`` if it still decodes the page (its
-        generation aside: a surviving batch is reused by a simulated miss)."""
+    def _read(self, page_id: int, attempt: int = 1) -> TupleBatch:
+        """One verified read of ``page_id``: the cached batch if it still
+        decodes the page (its generation aside: a surviving batch is reused
+        by a simulated miss), else the page decoded — but only once this
+        attempt's read has succeeded."""
+        heap = self.heap
+        payloads = heap.read_page_verified(page_id, attempt)
         entry = self._cache.get(page_id)
-        if entry is None or entry[1] != self.heap.pages[page_id].version:
-            return None
-        return entry[0]
-
-    def _read_batch(self, page_id: int) -> TupleBatch:
-        """One verified page read, retried (with invalidation) under faults.
-
-        The decode is skipped when a cached batch still decodes the page —
-        but only once this attempt's read has succeeded.
-        """
-
-        def attempt_read(attempt: int) -> TupleBatch:
-            payloads = self.heap.read_page_verified(page_id, attempt)
-            batch = self._reusable(page_id)
-            if batch is not None:
-                return batch
-            self._drop_run(page_id)  # the page is decoded afresh: its run is stale
-            return self.heap.decode_payloads(page_id, payloads)
-
-        if self.retry is None:
-            return attempt_read(1)
-
-        def on_retry(_exc: Exception) -> None:
-            # The fix for the stale-batch hazard: a failed attempt means the
-            # page is inside a fault window, so any batch cached from an
-            # earlier read of it can no longer be trusted.  Drop it *before*
-            # the retry, never after use.
-            self.invalidate(page_id)
-
-        return self.retry.run(
-            attempt_read,
-            stats=self.storage_stats,
-            describe=f"page {page_id}",
-            on_retry=on_retry,
-        )
+        if entry is not None and entry[1] == heap.pages[page_id].version:
+            return entry[0]
+        if page_id in self._runs:  # the page is decoded afresh: its run is stale
+            self._drop_run(page_id)
+        return heap.decode_payloads(page_id, payloads)
 
     def get_batch(self, page_id: int) -> TupleBatch:
         """The page as a columnar batch, via the cache."""
         return self.get_batch_traced(page_id)[0]
 
     def get_batch_traced(self, page_id: int) -> tuple[TupleBatch, bool]:
-        """Like :meth:`get_batch`, also reporting whether it was a cache hit
-        (a one-page read through the books).
-
-        The hit flag lets callers charge the read at memory speed instead of
-        device speed (the experiments' "cached after the first epoch"
-        behaviour on small datasets).
-        """
-        batches, hits = self._get_pages((page_id,))
-        return batches[0], hits[0]
+        """Like :meth:`get_batch`, also reporting whether it was a cache hit,
+        which callers charge at memory speed instead of device speed."""
+        if obs.enabled():
+            return self._published(self._book, page_id)
+        return self._book(page_id)
 
     def get_run(self, page_ids: Sequence[int]) -> tuple[TupleBatch, list[bool]]:
-        """A block: its pages' batches end to end, and each page's hit flag.
+        """A block: its pages' rows end to end, and each page's hit flag.
 
-        Every page is accessed in order through the books, exactly as one
+        Every page is booked in order, exactly as one
         :meth:`get_batch_traced` after another would.  A block whose pages
         all hit is kept as the returned run; a later read returns that run,
         without a ``concat``, as long as every page's entry is still the
-        view the run handed out.  The hit flags are what the caller prices
-        the read by.
+        view the run handed out.  A block read with a miss is kept by no
+        one: a block of lazy columnar pages is checked here and returned
+        undecoded (:class:`~repro.storage.columnar.CheckedRun`), any other
+        is concatenated.  The hit flags are what the caller prices the read by.
         """
-        pages, hits = self._get_pages(page_ids)
-        if len(pages) == 1:
-            return pages[0], hits
+        if obs.enabled():
+            return self._published(self._run, page_ids)
+        return self._run(page_ids)
+
+    def _published(self, read, arg):
+        """``read(arg)``, publishing the counters it moves to the session registry
+        once, also when it fails part-way (the hottest seam: only while tracing)."""
+        before = self.hits, self.misses, self.evictions
+        try:
+            return read(arg)
+        finally:
+            after = self.hits, self.misses, self.evictions
+            for name, was, now in zip(("hits", "misses", "evictions"), before, after):
+                if now > was:
+                    obs.inc(f"storage.bufferpool.{name}", now - was)
+
+    def _book(self, page_id: int) -> tuple[TupleBatch, bool]:
+        """The books, run once per page of every read: ``(batch, hit)``.  A hit
+        moves its entry to the LRU end; a miss reads the page (:meth:`_read`,
+        retried under faults), inserts it and, past ``capacity_pages``, evicts
+        the LRU front.  Entries outside the simulated cache sit at the front,
+        so they go first, and only a resident entry's eviction counts."""
+        cache, heap = self._cache, self.heap
+        entry = cache.get(page_id)
+        if (
+            entry is not None
+            and entry[2] == self._generation
+            and entry[1] == heap.pages[page_id].version
+        ):
+            cache.move_to_end(page_id)
+            self.hits += 1
+            return entry[0], True
+        self.misses += 1
+        if self.retry is None:
+            batch = self._read(page_id)
+        else:
+            # The fix for the stale-batch hazard: a failed attempt means the
+            # page is inside a fault window, so any batch cached from an
+            # earlier read of it can no longer be trusted.  Drop it *before*
+            # the retry, never after use.
+            batch = self.retry.run(
+                partial(self._read, page_id),
+                stats=self.storage_stats,
+                describe=f"page {page_id}",
+                on_retry=lambda _exc: self.invalidate(page_id),
+            )
+        cache[page_id] = (batch, heap.pages[page_id].version, self._generation)
+        if entry is not None:  # a new key is already at the LRU end
+            cache.move_to_end(page_id)
+        if len(cache) > self.capacity_pages:  # one insert: one eviction at most
+            evicted, old = cache.popitem(last=False)
+            if evicted in self._runs:
+                self._drop_run(evicted)
+            if old[2] == self._generation and old[1] == heap.pages[evicted].version:
+                self.evictions += 1
+        return batch, False
+
+    def _run(self, page_ids: Sequence[int]) -> tuple[TupleBatch, list[bool]]:
+        pages, hits = zip(*map(self._book, page_ids))
+        hits = list(hits)
         kept = self._runs.get(page_ids[0])
         if kept is not None and len(kept.views) == len(pages) and all(map(is_, kept.views, pages)):
             return kept.batch, hits
+        if not all(hits):
+            return checked_run(pages) or TupleBatch.concat(pages), hits
+        if len(pages) == 1:
+            return pages[0], hits
         run = TupleBatch.concat(pages)
         # All hits means every page was resident throughout (a hit inserts
         # nothing, so nothing is evicted), so each still has its entry.
-        if all(hits):
-            self._keep_run(tuple(page_ids), run, pages)
+        self._keep_run(tuple(page_ids), run, pages)
         return run, hits
-
-    def _get_pages(self, page_ids: Sequence[int]) -> tuple[list[TupleBatch], list[bool]]:
-        """The books, one loop for every read: each page in order through
-        the cache, ``(batches, hit flags)``.  A hit moves its entry to the LRU
-        end; a miss reads the page (:meth:`_read_batch`), inserts it and, past
-        ``capacity_pages``, evicts the LRU front.  Entries outside the
-        simulated cache sit at the front, so they go first, and only a
-        resident entry's eviction counts.  The counters are published once
-        per call, also when a read fails (a miss) part-way.
-        """
-        cache, pages = self._cache, self.heap.pages
-        gen, capacity = self._generation, self.capacity_pages
-        batches: list[TupleBatch] = []
-        hits: list[bool] = []
-        n_misses = n_evictions = 0
-        try:
-            for page_id in page_ids:
-                entry = cache.get(page_id)
-                hit = (  # the hot path: _resident inlined
-                    entry is not None and entry[2] == gen and entry[1] == pages[page_id].version
-                )
-                if hit:
-                    cache.move_to_end(page_id)
-                    batch = entry[0]
-                else:
-                    n_misses += 1
-                    batch = self._read_batch(page_id)
-                    cache[page_id] = (batch, pages[page_id].version, gen)
-                    cache.move_to_end(page_id)
-                    if len(cache) > capacity:  # one insert: one eviction at most
-                        evicted, old = cache.popitem(last=False)
-                        self._drop_run(evicted)
-                        n_evictions += self._resident(evicted, old)
-                batches.append(batch)
-                hits.append(hit)
-        finally:
-            n_hits = hits.count(True)
-            self.hits += n_hits
-            self.misses += n_misses
-            self.evictions += n_evictions
-            # The hottest storage seam: the hit/miss registry counters are
-            # published only while telemetry is on.
-            if obs.enabled():
-                for name, n in (("hits", n_hits), ("misses", n_misses)):
-                    if n:
-                        obs.inc(f"storage.bufferpool.{name}", n)
-            if n_evictions:
-                obs.inc("storage.bufferpool.evictions", n_evictions)
-        return batches, hits
 
     def _keep_run(self, page_ids: tuple[int, ...], run: TupleBatch, pages) -> None:
         """Make each page's entry a zero-copy view of ``run`` (LRU order and
         residency unchanged), so the pages' own batches can be freed."""
         for page_id in page_ids:
             self._drop_run(page_id)  # a run of another block geometry
-        views = []
-        lo = 0
-        for page_id, page in zip(page_ids, pages):
-            hi = lo + len(page)
-            view = run.slice(lo, hi)
+        ends = list(accumulate(map(len, pages), initial=0))
+        kept = _Run(page_ids, run, tuple(map(run.slice, ends, ends[1:])))
+        for page_id, view in zip(page_ids, kept.views):
             _batch, version, generation = self._cache[page_id]
             self._cache[page_id] = (view, version, generation)
-            views.append(view)
-            lo = hi
-        kept = _Run(page_ids, run, tuple(views))
-        for page_id in page_ids:
             self._runs[page_id] = kept
 
     def _drop_run(self, page_id: int) -> None:
@@ -299,6 +276,4 @@ class BufferPool:
         self._runs.clear()
 
     def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.hits = self.misses = self.evictions = 0

@@ -224,7 +224,28 @@ class TupleBatch:
         )
 
 
-class PermutedBatch:
+class DeferredBatch:
+    """The :class:`TupleBatch` read interface over ``rows``, the batch a
+    subclass builds (and caches) only when a reader first touches a column."""
+
+    ids = property(lambda self: self.rows.ids)
+    labels = property(lambda self: self.rows.labels)
+    dense = property(lambda self: self.rows.dense)
+    indptr = property(lambda self: self.rows.indptr)
+    indices = property(lambda self: self.rows.indices)
+    values = property(lambda self: self.rows.values)
+
+    def row(self, i: int) -> np.ndarray | SparseRow:
+        return self.rows.row(i)
+
+    def features_matrix(self) -> np.ndarray | SparseMatrix:
+        return self.rows.features_matrix()
+
+    def take(self, rows: np.ndarray) -> TupleBatch:
+        return self.rows.take(rows)
+
+
+class PermutedBatch(DeferredBatch):
     """Rows ``order`` of ``base``, gathered into a batch on first touch.
 
     A shuffled fill: the fill stays the run it was read as, and only its
@@ -255,19 +276,6 @@ class PermutedBatch:
     def rows(self) -> TupleBatch:
         """The rows in order, gathered once."""
         return self.base.take(self.order)
-
-    ids = property(lambda self: self.rows.ids)
-    labels = property(lambda self: self.rows.labels)
-    dense = property(lambda self: self.rows.dense)
-    indptr = property(lambda self: self.rows.indptr)
-    indices = property(lambda self: self.rows.indices)
-    values = property(lambda self: self.rows.values)
-
-    def row(self, i: int) -> np.ndarray | SparseRow:
-        return self.rows.row(i)
-
-    def features_matrix(self) -> np.ndarray | SparseMatrix:
-        return self.rows.features_matrix()
 
 
 def stack_column(parts: Sequence[np.ndarray], name: str) -> np.ndarray:

@@ -30,18 +30,15 @@ row-major ``n x d`` float64 run) or the CSR triple ``indptr``/``indices``/
   and ``ids``/``indptr`` (deltas are tiny) well below the row format.
 
 :func:`decode_block_columnar` returns a :class:`LazyTupleBatch` after one
-``unpack_from`` of the header + directory: no column is decoded up front;
-each array materialises on first attribute access and is cached on the
-batch.  A heap page read on a buffer-pool miss is not even parsed
-(:meth:`LazyTupleBatch.of_checked_block`): one compiled call checks its
-header, and its directory is parsed on first touch by a single-page reader.
-A run of pages (a block) handed to ``TupleBatch.concat`` is checked and
-decoded once for the whole run (:func:`concat_pages`) and caches nothing on
-the pages: a run of whole blocks in two calls into the compiled library
-(:mod:`repro._native`) straight off the pages' bytes, any other run — and
-any the library refuses — column by column from the pages' directory
-entries in Python, the reference.  Per-chunk CRC32s in the directory let
-a reader (``verify_chunks``) check each chunk the first time it touches it.
+``unpack_from`` of the header + directory; each column materialises on first
+touch and is cached.  A page read on a buffer-pool miss is not even parsed:
+one compiled call checks its header (:meth:`LazyTupleBatch.of_checked_block`).
+A block read with a miss is a :class:`CheckedRun`: one compiled pass checks
+every page's chunks and nothing is decoded until a reader needs the rows; a
+TupleShuffle fill of such blocks is one compiled copy from the pages' bytes
+into the fill (:mod:`repro._native`).  Any other run decodes column by
+column in Python, the reference (:func:`concat_pages`).  Per-chunk CRC32s
+let a reader (``verify_chunks``) check each chunk on first touch.
 """
 
 from __future__ import annotations
@@ -56,8 +53,7 @@ import numpy as np
 
 from .. import _native, obs
 from .._native import F64, I64
-from ..data.sparse import SparseMatrix, SparseRow
-from .codec import TupleBatch, TupleSchema, stack_column
+from .codec import DeferredBatch, TupleBatch, TupleSchema, stack_column
 from .retry import ChecksumError
 
 __all__ = [
@@ -70,6 +66,7 @@ __all__ = [
     "COL_INDICES",
     "COL_VALUES",
     "COLUMN_NAMES",
+    "CheckedRun",
     "ChunkRef",
     "LazyTupleBatch",
     "encode_block_columnar",
@@ -280,20 +277,15 @@ def read_columnar_header(buffer) -> tuple[int, int, bool, list[ChunkRef]]:
 class LazyTupleBatch:
     """A columnar block whose column arrays materialise on first access.
 
-    Mirrors the :class:`~repro.storage.codec.TupleBatch` read interface
-    (``ids``/``labels``/``dense``/``indptr``/``indices``/``values``,
-    ``row``, ``features_matrix``) but decodes nothing up
-    front: each property decodes its chunk on first touch — a zero-copy
-    ``np.frombuffer`` view for raw float64/int64 chunks — and caches the
-    array.  :attr:`decoded_nbytes` reports only the materialised bytes, so
-    the buffer pool can charge real memory, not potential memory.  A batch
-    is built from its whole-block buffer and parsed directory alone — or, on
-    a pool miss, from its buffer and a checked header, the directory parsed
-    on first touch; a single-page consumer checks the one chunk it touches
-    (``_store``).  A run of pages handed to ``TupleBatch.concat`` decodes once
-    per column (:func:`concat_pages`) and caches no array here; the buffer
-    pool keeps a warm block's decoded run instead.  Chunk CRCs are verified
-    the first time a chunk is read when ``verify_chunks`` is set.
+    Mirrors the :class:`~repro.storage.codec.TupleBatch` read interface but
+    decodes nothing up front: each column decodes its chunk on first touch —
+    a zero-copy ``np.frombuffer`` view for raw float64/int64 chunks — and
+    caches the array (:attr:`decoded_nbytes` counts only those).  A batch is
+    built from its whole-block buffer and parsed directory — or, on a pool
+    miss, from its buffer and a checked header, the directory parsed on first
+    touch; a single-page reader checks the one chunk it touches (``_store``).
+    A run of pages decodes through :func:`concat_pages` and caches no array
+    here.  Chunk CRCs are verified on first read when ``verify_chunks`` is set.
 
     Lazy-view lifetime rule: views alias the encoded buffer, so the buffer
     stays referenced by the batch for as long as any view may live — do not
@@ -306,19 +298,20 @@ class LazyTupleBatch:
         n_features: int,
         sparse: bool,
         entries: tuple | None,  # directory fields, eight per chunk (ChunkRef order)
-        buffer=None,  # the whole block the directory offsets point into
+        buffer,  # the whole block the directory offsets point into
         verify_chunks: bool = False,
     ):
         self._n = n_tuples
         self.n_features = n_features
-        self._sparse = sparse
+        self.is_sparse = sparse
         if entries is not None:  # else parsed from ``_block`` on first touch
             self._entries = entries
             self._cols = entries[::8]
             self._view = memoryview(buffer)
         self._cache: dict[int, np.ndarray] = {}
         self.verify_chunks = verify_chunks
-        self._block: bytes | None = None  # a whole block the compiled run decode may read
+        # a whole block the compiled run decode may read
+        self._block = buffer if type(buffer) is bytes and not verify_chunks else None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -334,9 +327,7 @@ class LazyTupleBatch:
         n_tuples = _LIB.columnar_header(block, len(block), schema.sparse, schema.n_features)
         if n_tuples < 0:
             return None
-        batch = cls(n_tuples, schema.n_features, bool(schema.sparse), None)
-        batch._block = block
-        return batch
+        return cls(n_tuples, schema.n_features, bool(schema.sparse), None, block)
 
     @cached_property
     def _entries(self) -> tuple:
@@ -349,15 +340,6 @@ class LazyTupleBatch:
     @cached_property
     def _view(self) -> memoryview:
         return memoryview(self._block)
-
-    @classmethod
-    def from_block(cls, buffer, verify_chunks: bool = False) -> "LazyTupleBatch":
-        """The block's verified buffer and its parsed directory, nothing more."""
-        n_tuples, n_features, sparse, entries = _read_directory(buffer)
-        batch = cls(n_tuples, n_features, sparse, entries, buffer, verify_chunks)
-        if not verify_chunks and type(buffer) is bytes:
-            batch._block = buffer
-        return batch
 
     # -- core accessors -------------------------------------------------
     def _store(self, col: int) -> tuple:
@@ -386,53 +368,20 @@ class LazyTupleBatch:
             cached = self._cache[col] = self._decode(col)
         return cached
 
-    @property
-    def ids(self) -> np.ndarray:
-        return self._get(COL_IDS)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._get(COL_LABELS)
-
-    @property
-    def dense(self) -> np.ndarray | None:
-        return None if self._sparse else self._get(COL_DENSE)
-
-    @property
-    def indptr(self) -> np.ndarray | None:
-        return self._get(COL_INDPTR) if self._sparse else None
-
-    @property
-    def indices(self) -> np.ndarray | None:
-        return self._get(COL_INDICES) if self._sparse else None
-
-    @property
-    def values(self) -> np.ndarray | None:
-        return self._get(COL_VALUES) if self._sparse else None
-
-    # -- TupleBatch protocol --------------------------------------------
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse
+    ids = property(lambda self: self._get(COL_IDS))
+    labels = property(lambda self: self._get(COL_LABELS))
+    dense = property(lambda self: None if self.is_sparse else self._get(COL_DENSE))
+    indptr = property(lambda self: self._get(COL_INDPTR) if self.is_sparse else None)
+    indices = property(lambda self: self._get(COL_INDICES) if self.is_sparse else None)
+    values = property(lambda self: self._get(COL_VALUES) if self.is_sparse else None)
 
     def __len__(self) -> int:
         return self._n
 
-    def row(self, i: int) -> np.ndarray | SparseRow:
-        if not self._sparse:
-            return self.dense[i]
-        indptr = self.indptr
-        lo, hi = indptr[i], indptr[i + 1]
-        return SparseRow(self.indices[lo:hi], self.values[lo:hi], self.n_features)
-
-    def features_matrix(self) -> np.ndarray | SparseMatrix:
-        if not self._sparse:
-            return self.dense
-        return SparseMatrix(
-            self.indptr, self.indices, self.values, (self._n, self.n_features)
-        )
-
-    # Row moves decode only the chunks they touch and return eager batches.
+    # Reads and row moves decode only the chunks they touch; the moves
+    # return eager batches.
+    row = TupleBatch.row
+    features_matrix = TupleBatch.features_matrix
     slice = TupleBatch.slice
     take = TupleBatch.take
 
@@ -448,20 +397,9 @@ class LazyTupleBatch:
 
     def materialize(self) -> TupleBatch:
         """Decode every column into an eager ``TupleBatch``."""
-        if self._sparse:
-            return TupleBatch(
-                ids=np.asarray(self.ids),
-                labels=np.asarray(self.labels),
-                n_features=self.n_features,
-                indptr=np.asarray(self.indptr),
-                indices=np.asarray(self.indices),
-                values=np.asarray(self.values),
-            )
         return TupleBatch(
-            ids=np.asarray(self.ids),
-            labels=np.asarray(self.labels),
-            n_features=self.n_features,
-            dense=np.asarray(self.dense),
+            self.ids, self.labels, self.n_features, dense=self.dense,
+            indptr=self.indptr, indices=self.indices, values=self.values,
         )
 
 
@@ -472,49 +410,135 @@ _RUN_COLUMNS = {
 _FLOAT_COLUMNS = frozenset({COL_LABELS, COL_DENSE, COL_VALUES})
 
 
+class CheckedRun(DeferredBatch):
+    """Rows ``[lo, hi)`` of a block of columnar pages the compiled check
+    accepted, undecoded: ``BufferPool.get_run``'s block read with a miss.
+
+    It holds the pages, their bytes' addresses (``spans``) and the check's
+    column lengths (``plan``).  ``TupleBatch.concat`` of such runs end to
+    end (a TupleShuffle fill) copies their rows from the pages' bytes in one
+    compiled pass (:func:`_copy_parts`); any other reader of a column
+    decodes the block once, on first touch.
+    """
+
+    def __init__(self, pages, spans, plan, lo=0, hi=None, whole=None):
+        self.pages, self.spans, self.plan = pages, spans, plan
+        self.n_block = int(plan[COL_IDS])  # the block's rows
+        self.lo, self.hi = lo, self.n_block if hi is None else hi
+        self.whole = whole  # the block's full run, or None for this one
+        self.n_features = pages[0].n_features
+        self.is_sparse = pages[0].is_sparse
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def slice(self, lo: int, hi: int) -> "CheckedRun":
+        whole = self if self.whole is None else self.whole
+        return CheckedRun(self.pages, self.spans, self.plan, self.lo + lo, self.lo + hi, whole)
+
+    @cached_property
+    def rows(self) -> TupleBatch:
+        """The rows decoded: the block once for all its slices."""
+        if self.whole is not None:
+            return self.whole.rows.slice(self.lo, self.hi)
+        return _copy_parts([self]) or concat_pages(self.pages)
+
+
+def checked_run(pages: Sequence) -> CheckedRun | None:
+    """A block read with a miss as a :class:`CheckedRun`, checked by one
+    compiled pass; ``None`` (nothing counted) when the library is off, a
+    page is not an untouched whole lazy block, or the check refuses the run
+    (its reference decode then raises)."""
+    first = pages[0]
+    checked = None if _LIB is None else _check(_LIB, pages, first.is_sparse, first.n_features)
+    return None if checked is None else CheckedRun(pages, *checked)
+
+
 def concat_pages(pages: Sequence) -> TupleBatch:
-    """``TupleBatch.concat`` of a run holding lazy pages, every column decoded
-    once for the whole run.
+    """``TupleBatch.concat`` of a run holding lazy pages or checked runs,
+    every column decoded once for the whole run.
 
     A run of whole-block lazy pages (nothing materialised, no
-    ``verify_chunks``) goes to the compiled library (:mod:`repro._native`):
-    one call walks every page's directory with :func:`_checked_chunks`'
-    checks and sizes the columns, a second decodes each page's chunks, by
-    their own stored kind, into arrays allocated here.  Any other run, and
-    any run that call refuses (a chunk that check rejects, an unusual
-    encoding), goes column by column through :func:`_decode_run` — the
-    reference, which the compiled decode equals bit for bit and which
-    raises every error.
+    ``verify_chunks``) is checked as one :class:`CheckedRun` first, and
+    checked runs end to end are one compiled copy (:func:`_copy_parts`).
+    Any other run, and any run the library refuses (a chunk the check
+    rejects, an unusual encoding), goes column by column through
+    :func:`_decode_run` — the reference, which the compiled copy equals bit
+    for bit and which raises every error.
     """
-    first = pages[0]
-    cols = _RUN_COLUMNS[first.is_sparse]
-    arrays = None if _LIB is None else _compiled_run(_LIB, pages, first.is_sparse, first.n_features)
+    run = None if type(pages[0]) is CheckedRun else checked_run(pages)
+    batch = _copy_parts(pages if run is None else [run])
+    if batch is None:
+        arrays = [_decode_run(pages, COLUMN_NAMES[col]) for col in _RUN_COLUMNS[pages[0].is_sparse]]
+        batch = _run_batch(arrays, pages[0])
+    return batch
+
+
+def _copy_parts(parts: Sequence) -> TupleBatch | None:
+    """Checked runs that sit end to end — the first a block's tail, the last
+    a block's head, the rest whole blocks — concatenated by one compiled
+    copy of their blocks into the arrays, the edge blocks' other rows then
+    sliced off.  ``None`` for any other run, or without the library."""
+    first, last = parts[0], parts[-1]
+    if (
+        _LIB is None
+        or not all(type(part) is CheckedRun for part in parts)
+        or first.hi != first.n_block
+        or last.lo != 0
+        or not all(part.lo == 0 and part.hi == part.n_block for part in parts[1:-1])
+    ):
+        return None
+    spans = np.concatenate([part.spans for part in parts])
+    plan = np.add.reduce([part.plan for part in parts])
+    plan[COL_INDPTR] -= len(parts) - 1  # one leading 0, not one a block
+    arrays = _copy(_LIB, spans, plan, first.is_sparse, first.n_features)
     if arrays is None:
-        arrays = [_decode_run(pages, COLUMN_NAMES[col]) for col in cols]
+        return None
+    run = _run_batch(arrays, first)
+    lo, hi = first.lo, len(run) - (last.n_block - last.hi)
+    return run if (lo, hi) == (0, len(run)) else run.slice(lo, hi)
+
+
+def _run_batch(arrays: list, like) -> TupleBatch:
+    """A run's columns, in :data:`_RUN_COLUMNS` order, as a batch of ``like``'s schema."""
     ids, labels, *features = arrays
-    names = (COLUMN_NAMES[col] for col in cols[2:])
-    return TupleBatch(ids, labels, first.n_features, **dict(zip(names, features)))
+    names = (COLUMN_NAMES[col] for col in _RUN_COLUMNS[like.is_sparse][2:])
+    return TupleBatch(ids, labels, like.n_features, **dict(zip(names, features)))
 
 
 def _compiled_run(lib, pages: Sequence, sparse: bool, n_features: int) -> list | None:
     """The run's columns in :data:`_RUN_COLUMNS` order from the compiled
     decode; ``None`` (nothing counted) when a page is not a whole lazy block
     or the library refuses the run."""
-    spans = []  # address, size per page; the pages keep their blocks alive
+    checked = _check(lib, pages, sparse, n_features)
+    return None if checked is None else _copy(lib, *checked, sparse, n_features)
+
+
+def _check(lib, pages: Sequence, sparse: bool, n_features: int) -> tuple | None:
+    """The compiled check pass over a run of untouched whole-block lazy
+    pages: ``(spans, plan)``, each page's block address and size (the pages
+    keep the blocks alive) and each column's length (``plan[0]`` the chunk
+    bytes); ``None`` for any other page, or where the check refuses."""
+    spans = []
     for page in pages:
         block = getattr(page, "_block", None)  # an eager batch has none
         if block is None or page._cache:
             return None
         spans += (_native.bytes_addr(block), len(block))
-    k, spans = len(pages), np.array(spans, dtype=np.int64)
-    plan = np.zeros(COL_VALUES + 1, dtype=np.int64)
+    spans, plan = np.array(spans, dtype=np.int64), np.zeros(COL_VALUES + 1, dtype=np.int64)
     addr = _native.addr
-    if lib.columnar_run(addr(spans), k, sparse, n_features, addr(plan), None) != 0:
+    if lib.columnar_run(addr(spans), len(pages), sparse, n_features, addr(plan), None) != 0:
         return None
-    cols, lengths = _RUN_COLUMNS[sparse], plan.tolist()
+    return spans, plan
+
+
+def _copy(lib, spans: np.ndarray, plan: np.ndarray, sparse: bool, n_features: int) -> list | None:
+    """The compiled copy pass of checked pages into arrays of ``plan``'s lengths."""
+    cols, lengths, addr = _RUN_COLUMNS[sparse], plan.tolist(), _native.addr
     arrays = [np.empty(lengths[col], F64 if col in _FLOAT_COLUMNS else I64) for col in cols]
     outs = np.zeros(COL_VALUES + 1, dtype=np.int64)
     outs[list(cols)] = [addr(array) for array in arrays]
+    k = spans.size // 2
     if lib.columnar_run(addr(spans), k, sparse, n_features, addr(plan), addr(outs)) != 0:
         return None
     _count_decoded(k * len(cols), lengths[0])
@@ -659,9 +683,10 @@ def decode_block_columnar(
     directory.  ``schema`` is accepted for signature parity with the row
     codec and cross-checked when given.
     """
-    batch = LazyTupleBatch.from_block(buffer, verify_chunks)
+    n_tuples, n_features, sparse, entries = _read_directory(buffer)
+    batch = LazyTupleBatch(n_tuples, n_features, sparse, entries, buffer, verify_chunks)
     if schema is not None:
-        if batch.n_features != schema.n_features or batch._sparse != bool(schema.sparse):
+        if batch.n_features != schema.n_features or batch.is_sparse != bool(schema.sparse):
             raise ValueError(
                 f"columnar block is ({batch.n_features}, sparse={batch.is_sparse}); "
                 f"schema says ({schema.n_features}, sparse={schema.sparse})"
@@ -709,7 +734,7 @@ def _probe(lib) -> bool:
             wide = lib.columnar_header(payload, size, sparse_flag, d + 1)
             if (checked, short, wide) != (len(batch), -1, -1):
                 return False
-        pages = [LazyTupleBatch.from_block(payload) for payload in payloads]
+        pages = [decode_block_columnar(payload) for payload in payloads]
         got = _compiled_run(lib, pages, run[0].is_sparse, run[0].n_features)
         want = [_decode_run(pages, COLUMN_NAMES[col]) for col in _RUN_COLUMNS[run[0].is_sparse]]
         if got is None or not all(

@@ -485,7 +485,6 @@ class HeapFile:
         a payload that check refuses is parsed here, which raises what a
         damaged page raises.
         """
-        page = self.pages[page_id]
         if self.layout == "columnar":
             (payload,) = payloads  # columnar pages hold exactly one payload
             batch = LazyTupleBatch.of_checked_block(payload, self.schema)
@@ -493,6 +492,7 @@ class HeapFile:
                 batch = decode_block_columnar(payload, self.schema)
             self.decode_count += len(batch)
             return batch
+        page = self.pages[page_id]
         self.decode_count += page.n_tuples
         buffer = b"".join(map(self._uncompressed, payloads))
         return decode_page(buffer, page.n_tuples, self.schema)

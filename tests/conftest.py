@@ -83,6 +83,21 @@ def per_page_run(pool, page_ids):
     return TupleBatch.concat(pages), hits
 
 
+class CopyCountingLib:
+    """The compiled library, counting the ``columnar_run`` calls that write
+    arrays (copy passes) apart from the check passes."""
+
+    def __init__(self, lib):
+        self.lib, self.copies = lib, 0
+
+    def columnar_run(self, spans, k, sparse, d, plan, outs):
+        self.copies += outs is not None
+        return self.lib.columnar_run(spans, k, sparse, d, plan, outs)
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+
 @contextlib.contextmanager
 def killed_at_tuple(n: int):
     """Inside the block, a ``Trainer`` run dies (``InjectedCrash``) at its

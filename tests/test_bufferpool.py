@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,14 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.data import make_binary_dense, make_binary_sparse
 from repro.data.sparse import SparseRow
-from repro.db import MiniDB
+from repro.db import BlockShuffleOperator, MiniDB, TupleShuffleOperator
 from repro.obs import StorageMetrics
 from repro.faults import FaultPlan, FaultSpec, FaultyHeapFile
 from repro.storage import BufferPool, HeapFile, LazyTupleBatch, ReadExhaustedError, RetryPolicy
+from repro.storage import columnar
 from repro.storage.codec import TupleBatch, TupleSchema
 
-from .conftest import per_page_run
+from .conftest import CopyCountingLib, per_page_run
 
 
 @pytest.fixture()
@@ -573,3 +576,76 @@ class TestBlockDecode:
         db.execute("SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1")
         assert db.catalog.get("t").pool.misses > 2 * heap.n_pages - 1
         assert stores == []
+
+
+# ----------------------------------------------------------------------
+# Cold fills: a block read with a miss is a checked, undecoded run, and a
+# TupleShuffle fill of such runs is one compiled copy from the pages' bytes.
+# The oracle is the same TRAIN on a pool that holds the table.
+# ----------------------------------------------------------------------
+
+
+def _fills_and_straddles(events) -> tuple[int, int]:
+    """Fills, and blocks a fill boundary cuts, from the ``("pass",)``,
+    ``("block", rows)`` and ``("fill", rows)`` events of a TRAIN."""
+    fills = straddles = 0
+    passes = [[]]
+    for event in events:
+        if event[0] == "pass":
+            passes.append([])
+        else:
+            passes[-1].append(event)
+    for events in passes:
+        block_ends = set(accumulate(n for kind, n in events if kind == "block"))
+        fill_ends = list(accumulate(n for kind, n in events if kind == "fill"))
+        fills += len(fill_ends)
+        straddles += sum(end not in block_ends for end in fill_ends[:-1])
+    return fills, straddles
+
+
+class TestColdFills:
+    SQL = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, block_size = 4KB, seed = 1"
+    DATA = make_binary_sparse(600, 300, nnz_per_row=8, separation=1.0, seed=11)
+
+    def _train(self, **pool):
+        db = MiniDB(page_bytes=1024, **pool)
+        db.create_table("t", self.DATA, layout="columnar")
+        return db.execute(self.SQL), db.catalog.get("t")
+
+    @pytest.mark.skipif(columnar._LIB is None, reason="compiled library not loaded")
+    def test_a_cold_train_copies_each_fill_once(self, monkeypatch):
+        events = []
+        load, refill, reset = (
+            BlockShuffleOperator._load_next_block,
+            TupleShuffleOperator._refill,
+            TupleShuffleOperator._reset,
+        )
+
+        def counted_load(op):
+            block = load(op)
+            if block is not None:
+                events.append(("block", len(block)))
+            return block
+
+        def counted_refill(op):
+            fill = refill(op)
+            if fill is not None:
+                events.append(("fill", len(fill)))
+            return fill
+
+        monkeypatch.setattr(BlockShuffleOperator, "_load_next_block", counted_load)
+        monkeypatch.setattr(TupleShuffleOperator, "_refill", counted_refill)
+        monkeypatch.setattr(
+            TupleShuffleOperator, "_reset", lambda op: events.append(("pass",)) or reset(op)
+        )
+        lib = CopyCountingLib(columnar._LIB)
+        monkeypatch.setattr(columnar, "_LIB", lib)
+        cold, table = self._train(pool_pages=4)
+        monkeypatch.undo()
+        assert table.heap.n_pages > 8 * table.pool.capacity_pages  # every block read misses
+        fills, straddles = _fills_and_straddles(events)
+        assert fills > 2 and straddles > 0
+        assert 0 < lib.copies <= fills + straddles
+        warm, table = self._train()  # a pool that holds the table
+        assert table.pool.hits > 0
+        np.testing.assert_array_equal(cold.model.parameter_vector(), warm.model.parameter_vector())

@@ -23,7 +23,7 @@ from repro.storage import (
     encode_block_columnar,
 )
 from repro.storage import columnar
-from repro.storage.codec import encode_rows
+from repro.storage.codec import RowStream, encode_rows
 from repro.storage.columnar import (
     COL_DENSE,
     COL_IDS,
@@ -32,8 +32,12 @@ from repro.storage.columnar import (
     COLUMN_NAMES,
     ENC_I64,
     ENC_PACKED,
+    CheckedRun,
+    LazyTupleBatch,
     read_columnar_header,
 )
+
+from .conftest import CopyCountingLib
 
 
 def _random_batch(seed: int, n: int, d: int, sparse: bool) -> TupleBatch:
@@ -697,6 +701,120 @@ class TestMissedPageBytes:
             BufferPool(heap, capacity_pages=8).get_run(range(0, 4))
         assert problem in str(want.value)
         assert str(got.value) == str(want.value)
+
+
+# ----------------------------------------------------------------------
+# Cold blocks are checked runs: a fill of them is one compiled copy from the
+# pages' bytes.  The oracle is per-page materialize() + TupleBatch.concat.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _blocks(draw):
+    """1-6 blocks of 1-4 pages each, one sparsity and width: empty pages
+    (what DELETE leaves of a page; columnar heaps refuse DML, so it is
+    encoded directly), zero-nnz rows, mixed packed widths."""
+    sparse = draw(st.booleans())
+    d = draw(st.sampled_from([3, 40, _WIDE])) if sparse else draw(st.integers(1, 6))
+    n_blocks = draw(st.integers(1, 6))
+    return [[draw(_page(sparse, d)) for _ in range(draw(st.integers(1, 4)))] for _ in range(n_blocks)]
+
+
+def _checked_blocks(blocks):
+    """Each block's pages read as a pool miss reads them, checked as one run."""
+    schema = TupleSchema(blocks[0][0].n_features, sparse=blocks[0][0].is_sparse)
+    runs = []
+    for block in blocks:
+        pages = [
+            LazyTupleBatch.of_checked_block(encode_block_columnar(b), schema) for b in block
+        ]
+        run = columnar.checked_run(pages)
+        assert type(run) is CheckedRun and len(run) == sum(map(len, block))
+        runs.append(run)
+    return runs
+
+
+def _per_page(blocks) -> TupleBatch:
+    return TupleBatch.concat(
+        [decode_block_columnar(encode_block_columnar(b)).materialize() for block in blocks for b in block]
+    )
+
+
+def _fill(runs, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of the runs end to end, cut as a TupleShuffle fill is."""
+    source = iter(runs)
+    stream = RowStream(lambda: next(source, None))
+    stream.skip(lo)
+    return stream.take(hi - lo)
+
+
+@requires_lib
+class TestCheckedRunFills:
+    @given(blocks=_blocks(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_fill_of_cold_blocks_equals_per_page_materialize(self, blocks, data):
+        want = _per_page(blocks)
+        lo = data.draw(st.integers(0, max(0, len(want) - 1)))
+        hi = data.draw(st.integers(min(lo + 1, len(want)), len(want)))
+        if hi == lo:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            lib = CopyCountingLib(columnar._LIB)
+            patch.setattr(columnar, "_LIB", lib)
+            fill = _fill(_checked_blocks(blocks), lo, hi)
+            _assert_run_equal(fill.rows if type(fill) is CheckedRun else fill, want.slice(lo, hi))
+        assert lib.copies == 1  # one pass, whatever the fill's blocks
+
+    @given(blocks=_blocks(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_run_touched_column_by_column_equals_the_eager_decode(self, blocks, data):
+        (run,) = _checked_blocks(blocks[:1])
+        want = _per_page(blocks[:1])
+        names = ("ids", "labels") + (("indptr", "indices", "values") if want.is_sparse else ("dense",))
+        lo = data.draw(st.integers(0, len(want)))
+        hi = data.draw(st.integers(lo, len(want)))
+        cut = data.draw(st.integers(0, lo))  # a slice of a slice
+        part, want_part = run.slice(cut, len(want)).slice(lo - cut, hi - cut), want.slice(lo, hi)
+        for name in data.draw(st.permutations(names)):
+            np.testing.assert_array_equal(getattr(part, name), getattr(want_part, name))
+            np.testing.assert_array_equal(getattr(run, name), getattr(want, name))
+        assert run.dense is None if want.is_sparse else run.indptr is None
+        rows = np.arange(len(want))[::-1]
+        _assert_batches_equal(run.take(rows), want.take(rows))
+        if len(want):
+            np.testing.assert_array_equal(
+                np.asarray(run.features_matrix().dot(np.ones(want.n_features))),
+                np.asarray(want.features_matrix().dot(np.ones(want.n_features))),
+            )
+
+    @pytest.mark.parametrize("kept_at", [0, 1, 2])
+    def test_a_fill_mixing_a_kept_warm_run_with_cold_blocks(self, kept_at):
+        heap = HeapFile.from_dataset(
+            make_binary_sparse(300, 3000, nnz_per_row=12, seed=4), page_bytes=1024, layout="columnar"
+        )
+        pool = BufferPool(heap, capacity_pages=heap.n_pages)
+        blocks = [range(4 * b, 4 * b + 4) for b in range(3)]
+        pool.get_run(blocks[kept_at])
+        runs = []
+        for b, block in enumerate(blocks):
+            run, hits = pool.get_run(block)
+            assert (type(run) is TupleBatch) == (b == kept_at) == all(hits)
+            runs.append(run)
+        want = TupleBatch.concat([heap.read_page_batch(p).materialize() for p in range(12)])
+        n = len(want)
+        for lo, hi in ((0, n), (5, n - 3), (len(runs[0]) + 1, n - 1), (2, len(runs[0]) + 2)):
+            _assert_batches_equal(want.slice(lo, hi), _fill(runs, lo, hi))
+
+    def test_without_the_library_a_cold_block_decodes_as_the_parent_did(self, monkeypatch):
+        heap = HeapFile.from_dataset(
+            make_binary_sparse(200, 300, nnz_per_row=8, seed=3), page_bytes=1024, layout="columnar"
+        )
+        monkeypatch.setattr(columnar, "_LIB", None)
+        run, hits = BufferPool(heap, capacity_pages=8).get_run(range(0, 4))
+        assert type(run) is TupleBatch and hits == [False] * 4
+        _assert_batches_equal(
+            run, TupleBatch.concat([heap.read_page_batch(p).materialize() for p in range(4)])
+        )
 
 
 class TestBufferPoolDecodedBytes:

@@ -34,10 +34,10 @@ class TestBaseModelFallback:
 
 
 class TestStreamingEvaluation:
-    """A loader loop's epochs scored by ``epoch_record``: without a train set
-    there is no loss, as nothing is materialised for one."""
+    """A loader loop's epochs scored by ``epoch_record``: loss and score on
+    the train set, and a test score only when a test set is given."""
 
-    def _train(self, ds, epochs, lr, train_eval=None, test=None):
+    def _train(self, ds, epochs, lr, test=None):
         n = ds.n_tuples
         batches = [dataset_block_batch(ds, lo, min(lo + 16, n)) for lo in range(0, n, 16)]
         model = MLPClassifier(5, 8, 3, seed=0)
@@ -48,18 +48,18 @@ class TestStreamingEvaluation:
                 y = batch.labels.astype(np.int64)
                 apply_unit(model, optimizer, batch.features_matrix(), y, rate)
                 seen += len(batch)
-            records.append(epoch_record(model, train_eval, test, epoch, rate, seen))
+            records.append(epoch_record(model, ds, test, epoch, rate, seen))
         return records
 
-    def test_without_eval_sets_loss_is_nan(self):
+    def test_without_a_test_set_the_score_is_none(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
         final = self._train(ds, epochs=2, lr=0.1)[-1]
-        assert np.isnan(final.train_loss)
+        assert np.isfinite(final.train_loss)
         assert final.test_score is None
         assert final.tuples_seen == 240
 
     def test_with_train_eval(self):
         ds = make_multiclass_dense(120, 5, 3, separation=3.0, seed=0)
-        records = self._train(ds, epochs=3, lr=0.2, train_eval=ds, test=ds)
+        records = self._train(ds, epochs=3, lr=0.2, test=ds)
         assert records[-1].train_loss < records[0].train_loss
         assert records[-1].test_score > 0.8
