@@ -5,7 +5,6 @@ from .corgipile import CorgiPileShuffle
 from .dataloader import DataLoader
 from .dataset import CorgiPileDataset
 from .distributed import MultiProcessCorgiPile
-from .lifecycle import THREADS, ManagedProducer, ProducerChannel, ThreadRegistry
 from .multiworker import MultiWorkerLoader
 from .prefetch import PrefetchLoader
 from .seeding import derive_rng, epoch_rng, fault_unit_rng, stream_rng, worker_rng
@@ -24,8 +23,4 @@ __all__ = [
     "worker_rng",
     "stream_rng",
     "fault_unit_rng",
-    "ManagedProducer",
-    "ProducerChannel",
-    "ThreadRegistry",
-    "THREADS",
 ]

@@ -14,7 +14,7 @@ epoch, and loading overlaps both training and the other workers' I/O.
 All worker streams share one :class:`~repro.obs.LoaderMetrics`, so the
 loader reports aggregate queue/stall/wait counters; abandoning iteration
 mid-epoch explicitly closes every per-worker stream, which joins every
-producer thread deterministically (see :mod:`repro.core.lifecycle`).
+producer thread deterministically (see :mod:`repro.core.prefetch`).
 """
 
 from __future__ import annotations

@@ -399,8 +399,9 @@ class MiniDB:
         and what the executor measured.
 
         The keyword arguments are the job seam, reachable from no SQL: the
-        executor saves ``checkpoint`` on its cadence and resumes from the
-        file when it exists (and matches the plan — otherwise
+        executor saves ``checkpoint`` on its ``every_tuples`` cadence (a
+        grid after every hopper slot, whatever the cadence) and resumes from
+        the file when it exists (and matches the plan — otherwise
         ``ValueError``); it probes ``should_stop()`` at its unit boundaries
         (per-tuple unit / mini-batch / sync point / hopper slot) and raises
         :class:`~repro.ml.trainer.TrainInterrupted` once it is true; it

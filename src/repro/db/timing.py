@@ -26,6 +26,11 @@ from ..storage.iomodel import MEMORY, DeviceModel
 
 __all__ = ["ComputeProfile", "RuntimeContext", "overlap_report", "overlap_crosscheck"]
 
+#: Decimal places ``overlap_report`` keeps of the stall and wait seconds.
+REPORT_DIGITS = 6
+#: ``overlap_crosscheck`` passes a gap up to max(floor seconds, share of wall).
+CROSSCHECK_FLOOR_S, CROSSCHECK_WALL_FRAC = 0.05, 0.10
+
 
 @dataclass(frozen=True)
 class ComputeProfile:
@@ -115,7 +120,7 @@ class RuntimeContext:
         return wall
 
 
-def overlap_report(stats: "LoaderMetrics | dict", digits: int = 6) -> dict:
+def overlap_report(stats: "LoaderMetrics | dict") -> dict:
     """Flatten a loader's *measured* overlap counters into one report row.
 
     The analytic model above predicts double-buffered wall-clock from
@@ -134,20 +139,15 @@ def overlap_report(stats: "LoaderMetrics | dict", digits: int = 6) -> dict:
         "buffers_filled": d.get("buffers_filled", 0),
         "buffers_drained": d.get("buffers_drained", 0),
         "max_queue_depth": d.get("max_queue_depth", 0),
-        "producer_stall_s": round(float(d.get("producer_stall_s", 0.0)), digits),
-        "consumer_wait_s": round(float(d.get("consumer_wait_s", 0.0)), digits),
+        "producer_stall_s": round(float(d.get("producer_stall_s", 0.0)), REPORT_DIGITS),
+        "consumer_wait_s": round(float(d.get("consumer_wait_s", 0.0)), REPORT_DIGITS),
         "overlap_fraction": round(float(d.get("overlap_fraction", 1.0)), 4),
         "threads_started": d.get("threads_started", 0),
         "live_threads": d.get("live_threads", 0),
     }
 
 
-def overlap_crosscheck(
-    stats: "LoaderMetrics | dict",
-    spans,
-    wall_s: float,
-    tolerance_s: float | None = None,
-) -> dict:
+def overlap_crosscheck(stats: "LoaderMetrics | dict", spans, wall_s: float) -> dict:
     """Audit the counter-measured overlap against independent span data.
 
     Two routes to the same physical quantity — the seconds during which
@@ -172,12 +172,11 @@ def overlap_crosscheck(
     which the identity does not see; both routes then fall below 0, so
     both clamp there.
 
-    The two must agree within ``tolerance_s`` (defaults to
-    ``max(0.05, 10%·wall)`` — span timestamps and counter sums are taken
-    at slightly different instants).  This cross-check is what exposed the
-    phantom-stall accounting bug in ``ProducerChannel.put`` (non-blocking
-    puts booking microseconds of lock traffic as stall); it stays wired
-    into the fig05/fig13 benches and ``tests/test_obs.py`` as a
+    The two must agree within ``max(0.05 s, 10 % of wall)`` (span
+    timestamps and counter sums are taken at slightly different instants).
+    This cross-check is what exposed the loader's phantom stall (puts into
+    a queue with room booking microseconds of lock traffic as stall); it
+    stays wired into the fig05/fig13 benches and ``tests/test_obs.py`` as a
     regression guard.
 
     ``spans`` accepts :class:`~repro.obs.Span` objects or exported span
@@ -224,8 +223,7 @@ def overlap_crosscheck(
         - float(d.get("producer_stall_s", 0.0)) / producers
         - float(d.get("consumer_wait_s", 0.0)),
     )
-    if tolerance_s is None:
-        tolerance_s = max(0.05, 0.10 * wall_s)
+    tolerance_s = max(CROSSCHECK_FLOOR_S, CROSSCHECK_WALL_FRAC * wall_s)
     gap = abs(span_overlap - counter_overlap)
     return {
         "loader": name,

@@ -11,15 +11,16 @@ reason).
 
 Durability contract
 -------------------
-Every job owns three files under ``<data_dir>/jobs/``:
+Every job owns four files under ``<data_dir>/jobs/``:
 
 * ``<id>.json``    — the *resolved* statement + state, rewritten via
   :func:`repro.ml.persistence.durable_write` on every transition;
 * ``<id>.blocks``  — a snapshot of the rows the job trains, taken at submit
   time (plus its ``.index.json``), so the job is self-contained and
   survives its session;
-* ``<id>.ckpt.npz`` — the crash-safe training checkpoint, written on the
-  ``checkpoint_every_tuples`` cadence by the engine's executor;
+* ``<id>.ckpt.npz`` — the crash-safe training checkpoint, written by the
+  engine's executor on the ``checkpoint_every_tuples`` cadence (a grid
+  after every hopper slot);
 * ``<id>.model.npz`` — the finished model (fetchable after any restart).
 
 One computation everywhere

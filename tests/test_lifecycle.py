@@ -1,4 +1,9 @@
-"""Tests for the managed thread-lifecycle primitives and loader stats."""
+"""Tests for a loader's producer-thread lifecycle and its loader stats.
+
+``PrefetchLoader`` owns one producer thread per pass: its bounded hand-over
+queue with cancellable puts, the thread's managed shutdown, and the thread's
+visibility in ``threading.enumerate()``.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +12,10 @@ import time
 
 import pytest
 
-from repro.core.lifecycle import (
-    END,
-    THREADS,
-    Failure,
-    ManagedProducer,
-    ProducerChannel,
-    ThreadRegistry,
-)
+from repro.core import MultiWorkerLoader, PrefetchLoader, prefetch
+from repro.data import make_binary_dense
 from repro.obs import LoaderMetrics
+from repro.storage import write_block_file
 
 
 def wait_until(predicate, timeout=5.0):
@@ -27,136 +27,158 @@ def wait_until(predicate, timeout=5.0):
     return predicate()
 
 
+def producers() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.endswith("-producer")]
+
+
+def forever():
+    i = 0
+    while True:
+        yield i
+        i += 1
+
+
+def blocked(loader: PrefetchLoader):
+    """An iterator whose producer is blocked on its full queue."""
+    iterator = iter(loader)
+    next(iterator)
+    assert wait_until(lambda: loader.stats.items_produced == loader.depth + 1)
+    time.sleep(0.05)  # the next put is now waiting for room
+    return iterator
+
+
 class TestProducerChannel:
+    """The bounded hand-over queue between the producer and the consumer."""
+
     def test_put_get_roundtrip(self):
-        channel = ProducerChannel(2, threading.Event(), LoaderMetrics())
-        assert channel.put("a") is True
-        assert channel.get() == "a"
+        loader = PrefetchLoader(["a", "b", "c"], depth=2)
+        assert list(loader) == ["a", "b", "c"]
+        assert loader.stats.items_produced == loader.stats.items_consumed == 3
 
     def test_put_aborts_once_cancelled(self):
-        stop = threading.Event()
-        channel = ProducerChannel(1, stop, LoaderMetrics())
-        assert channel.put("fills the queue") is True
-        stop.set()
+        loader = PrefetchLoader(forever(), depth=1)
+        iterator = blocked(loader)
         start = time.perf_counter()
-        assert channel.put("never lands") is False
+        iterator.close()
         assert time.perf_counter() - start < 1.0
+        assert loader.stats.puts_cancelled >= 1
 
     def test_terminal_put_is_cancellable(self):
-        """The END/Failure put must not block forever on a full queue."""
-        stop = threading.Event()
-        stats = LoaderMetrics()
-        channel = ProducerChannel(1, stop, stats)
-        channel.put("item")
-        stop.set()
-        assert channel.put(END, terminal=True) is False
-        assert stats.puts_cancelled == 1
+        """The end-of-stream put after the consumer left is dropped, not
+        queued: it polls the stop event like any other put."""
+
+        def source():
+            yield from (0, 1)
+            time.sleep(0.2)  # the stream ends after the consumer closed
+
+        loader = PrefetchLoader(source(), depth=1)
+        iterator = iter(loader)
+        next(iterator)
+        assert wait_until(lambda: loader.stats.items_produced == 2)  # queue full
+        iterator.close()
+        assert loader.stats.puts_cancelled == 1
+        assert loader.stats.items_produced == 2
+        assert loader.stats.live_threads == 0
 
     def test_terminal_put_not_counted_as_item(self):
-        stats = LoaderMetrics()
-        channel = ProducerChannel(2, threading.Event(), stats)
-        channel.put("item")
-        channel.put(END, terminal=True)
-        assert stats.items_produced == 1
+        loader = PrefetchLoader(range(5), depth=2)
+        assert list(loader) == list(range(5))
+        assert loader.stats.items_produced == loader.stats.items_consumed == 5
 
-    def test_drain_empties_queue(self):
-        channel = ProducerChannel(3, threading.Event(), LoaderMetrics())
-        for i in range(3):
-            channel.put(i)
-        assert channel.drain() == 3
-        assert channel.depth == 0
+    def test_drain_empties_queue(self, monkeypatch):
+        """Exit drains the queue, which wakes a blocked put at once rather
+        than at its next look at the stop event."""
+        monkeypatch.setattr(prefetch, "POLL_S", 2.0)
+        loader = PrefetchLoader(forever(), depth=3)
+        iterator = blocked(loader)
+        start = time.perf_counter()
+        iterator.close()
+        assert time.perf_counter() - start < 1.0
+        assert loader.stats.live_threads == 0
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
-            ProducerChannel(0, threading.Event(), LoaderMetrics())
+            PrefetchLoader([], depth=0)
 
 
 class TestThreadRegistry:
+    """``threading.enumerate()`` is where loader threads are seen."""
+
     def test_spawn_registers_and_unregisters(self):
-        registry = ThreadRegistry()
-        release = threading.Event()
-        thread = registry.spawn(release.wait, name="t")
-        assert registry.live_count() == 1
-        assert registry.spawned_total == 1
-        release.set()
-        thread.join(timeout=5.0)
-        assert wait_until(lambda: registry.live_count() == 0)
+        iterator = iter(PrefetchLoader(range(10), depth=1, name="reg"))
+        next(iterator)
+        (thread,) = [t for t in threading.enumerate() if t.name == "reg-producer"]
+        assert thread.daemon
+        assert list(iterator) == list(range(1, 10))
+        assert not thread.is_alive()
 
-    def test_global_registry_tracks_loader_threads(self):
-        from repro.core import PrefetchLoader
-
-        before = THREADS.live_count()
-        list(PrefetchLoader(range(10), depth=2))
-        assert THREADS.live_count() == before
-        assert THREADS.spawned_total >= 1
+    def test_global_registry_tracks_loader_threads(self, tmp_path):
+        """A multi-worker loader abandoned mid-epoch leaves no producer."""
+        path = tmp_path / "t.blocks"
+        write_block_file(make_binary_dense(600, 6, seed=0), path, tuples_per_block=25)
+        with MultiWorkerLoader(path, 3, 2, batch_size=16, seed=0) as loader:
+            iterator = iter(loader)
+            for _ in range(3):  # one batch from each worker
+                next(iterator)
+            assert sorted(producers()) == ["worker0-producer", "worker1-producer", "worker2-producer"]
+            iterator.close()
+            assert producers() == []
+            assert loader.stats.live_threads == 0
 
 
 class TestManagedProducer:
-    def test_produces_then_end(self):
-        def body(channel):
-            for i in range(5):
-                if not channel.put(i):
-                    return
+    """The producer thread of one pass, and its shutdown on every exit."""
 
-        with ManagedProducer(body, depth=2, name="p") as producer:
-            got = []
-            while True:
-                item = producer.get()
-                if item is END:
-                    break
-                got.append(item)
-        assert got == list(range(5))
-        assert producer.stats.live_threads == 0
-        assert not producer.is_alive
+    def test_produces_then_end(self):
+        loader = PrefetchLoader(range(5), depth=2, name="p")
+        assert list(loader) == list(range(5))
+        assert loader.stats.threads_started == 1
+        assert loader.stats.live_threads == 0
+        assert "p-producer" not in producers()
 
     def test_exception_travels_as_failure(self):
-        def body(channel):
+        def source():
+            yield 0
             raise RuntimeError("producer on fire")
 
-        with ManagedProducer(body, depth=1, name="p") as producer:
-            item = producer.get()
-            assert isinstance(item, Failure)
-            with pytest.raises(RuntimeError, match="producer on fire"):
-                raise item.error
+        loader = PrefetchLoader(source(), depth=1)
+        got = []
+        with pytest.raises(RuntimeError, match="producer on fire"):
+            for item in loader:
+                got.append(item)
+        assert got == [0]
+        assert loader.stats.items_consumed == 1
+        assert loader.stats.live_threads == 0
 
     def test_stop_joins_blocked_producer(self):
-        """A producer blocked on a full queue is unblocked, joined, and gone."""
+        """A consumer that abandons a blocked producer leaves no live thread."""
         baseline = threading.active_count()
+        loader = PrefetchLoader(forever(), depth=1, name="p")
+        iterator = blocked(loader)
+        iterator.close()
+        assert "p-producer" not in producers()  # joined, not merely told to stop
+        assert loader.stats.live_threads == 0
+        assert threading.active_count() == baseline
 
-        def body(channel):
-            i = 0
-            while channel.put(i):
-                i += 1
-
-        producer = ManagedProducer(body, depth=1, name="p").start()
-        producer.get()  # let it run
-        time.sleep(0.05)  # producer now blocked on the full depth-1 queue
-        producer.stop()
-        assert not producer.is_alive
-        assert producer.stats.live_threads == 0
-        assert wait_until(lambda: threading.active_count() == baseline)
-
-    def test_stop_raises_on_zombie(self):
+    def test_stop_raises_on_zombie(self, monkeypatch):
         """A thread that ignores cancellation raises instead of leaking silently."""
+        monkeypatch.setattr(prefetch, "JOIN_TIMEOUT_S", 0.2)
         woke = threading.Event()
 
-        def body(channel):
-            woke.wait(1.0)  # ignores the stop event past the join timeout
+        def source():
+            yield 0
+            woke.wait(5.0)  # ignores the stop event past the join timeout
+            yield 1
 
-        producer = ManagedProducer(body, depth=1, name="zombie", join_timeout=0.2).start()
+        loader = PrefetchLoader(source(), depth=1, name="zombie")
+        iterator = iter(loader)
+        assert next(iterator) == 0
         with pytest.raises(RuntimeError, match="zombie"):
-            producer.stop()
-        assert producer.stats.live_threads == 1  # leak is visible in stats
-        woke.set()  # let the thread die; a later stop() now succeeds
-        assert wait_until(lambda: not producer.is_alive)
-        producer.stop()
-        assert producer.stats.live_threads == 0
-
-    def test_double_start_rejected(self):
-        producer = ManagedProducer(lambda channel: None, depth=1).start()
-        with pytest.raises(RuntimeError, match="already started"):
-            producer.start()
-        producer.stop()
+            iterator.close()
+        assert loader.stats.live_threads == 1  # leak is visible in stats
+        assert "zombie-producer" in producers()
+        woke.set()  # let the thread die before the next test counts threads
+        assert wait_until(lambda: "zombie-producer" not in producers())
 
 
 class TestLoaderMetrics:
@@ -189,8 +211,6 @@ class TestLoaderMetrics:
 
     def test_measured_stall_and_wait(self):
         """Slow consumer → producer stalls; slow producer → consumer waits."""
-        from repro.core import PrefetchLoader
-
         stall_stats = LoaderMetrics("stall")
         for _ in PrefetchLoader(range(20), depth=1, stats=stall_stats):
             time.sleep(0.005)

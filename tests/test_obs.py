@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.lifecycle import ProducerChannel
 from repro.bench.timing import time_best
+from repro.core import PrefetchLoader
 from repro.db import overlap_crosscheck, overlap_report
 from repro.ml import LogisticRegression
 from repro.ml.trainer import apply_unit
@@ -368,15 +368,13 @@ class TestOverlapCrosscheck:
     def test_nonblocking_puts_record_zero_stall(self):
         """Regression: non-blocking puts must not book phantom stall time.
 
-        ``ProducerChannel.put`` used to route every put through the timed
-        slow path, so thousands of puts into a never-full queue accumulated
+        The producer's put used to route every put through the timed slow
+        path, so thousands of puts into a never-full queue accumulated
         microseconds of lock traffic into a bogus ``producer_stall_s`` —
         which is exactly what the counter-vs-span cross-check exposed.
         """
         stats = LoaderMetrics("unit")
-        chan = ProducerChannel(depth=10_000, stop=threading.Event(), stats=stats)
-        for i in range(2_000):
-            assert chan.put(i)
+        assert list(PrefetchLoader(range(2_000), depth=10_000, stats=stats)) == list(range(2_000))
         assert stats.producer_stall_s == 0.0  # exact, not approximate
         assert stats.items_produced == 2_000
 

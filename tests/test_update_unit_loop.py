@@ -300,7 +300,7 @@ def test_one_row_api_the_per_tuple_read_path_is_gone():
         "CorgiPileShuffle", "pipelined_time", "serial_time",
         "CorgiPileDataset", "DataLoader", "MultiProcessCorgiPile", "PrefetchLoader",
         "MultiWorkerLoader", "derive_rng", "epoch_rng", "worker_rng", "stream_rng",
-        "fault_unit_rng", "ManagedProducer", "ProducerChannel", "ThreadRegistry", "THREADS",
+        "fault_unit_rng",
     ]
 
 
@@ -346,8 +346,10 @@ def test_one_prefetcher_and_one_shard_plan():
     # The tuple-shuffle fill: one TUPLE_SHUFFLE_STREAM draw, in one class.
     assert files_matching(r"stream_rng\([^)]*TUPLE_SHUFFLE_STREAM") == {"db/operators.py"}
     assert files_matching(r"\bshuffled_fill\b") == set()
-    assert files_matching(r"\bManagedProducer\(") == {"core/prefetch.py"}
+    assert {f for f in files_matching(r"threading\.Thread\(") if f.startswith("core/")} == {
+        "core/prefetch.py"
+    }
     assert files_matching(r"np\.array_split\(") == {"core/distributed.py"}
-    for gone in ("repro.db.threaded", "repro.parallel.plan"):
+    for gone in ("repro.db.threaded", "repro.parallel.plan", "repro.core.lifecycle"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)
