@@ -15,7 +15,9 @@ Its guarantees:
 
 * **Cooperative cancellation.**  Every blocking put — the terminal one that
   signals end-of-stream or a producer failure too — polls a stop event, so
-  the producer never blocks forever against a consumer that walked away.
+  the producer never blocks forever against a consumer that walked away.  A
+  put that lands after the consumer left counts in ``puts_cancelled``, never
+  in ``items_produced``.
 * **Deterministic join.**  Any exit of the iteration (exhaustion, a consumer
   exception, an abandoned generator) cancels the producer, drains the queue
   so a blocked put wakes, and joins the thread.  A thread still alive after
@@ -93,6 +95,8 @@ class PrefetchLoader(Generic[T]):
                 except queue.Full:
                     blocked = True
                     continue
+                if stop.is_set():
+                    break  # the exit's drain made room: nobody will read it
                 stalled = time.perf_counter() - start if blocked else 0.0
                 stats.record_put(handover.qsize(), stalled, counted)
                 if blocked and obs.enabled():

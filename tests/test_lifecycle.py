@@ -61,20 +61,16 @@ class TestProducerChannel:
         start = time.perf_counter()
         iterator.close()
         assert time.perf_counter() - start < 1.0
-        assert loader.stats.puts_cancelled >= 1
+        assert loader.stats.puts_cancelled == 2  # the blocked item, then the end
 
     def test_terminal_put_is_cancellable(self):
-        """The end-of-stream put after the consumer left is dropped, not
-        queued: it polls the stop event like any other put."""
-
-        def source():
-            yield from (0, 1)
-            time.sleep(0.2)  # the stream ends after the consumer closed
-
-        loader = PrefetchLoader(source(), depth=1)
+        """The end-of-stream put, blocked on a full queue when the consumer
+        leaves, is dropped, not queued: it polls the stop event like any put."""
+        loader = PrefetchLoader(range(2), depth=1)
         iterator = iter(loader)
-        next(iterator)
+        assert next(iterator) == 0
         assert wait_until(lambda: loader.stats.items_produced == 2)  # queue full
+        time.sleep(0.05)  # the end-of-stream put is now waiting for room
         iterator.close()
         assert loader.stats.puts_cancelled == 1
         assert loader.stats.items_produced == 2
